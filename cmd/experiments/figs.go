@@ -106,25 +106,30 @@ func (c *runConfig) fig13() error {
 
 // fig14 reproduces Figure 14: elapsed join time under the four
 // verification methods (selection fixed to multi-match, as in the paper).
+// Every method sits behind the same signature filter, so the table also
+// says how many candidate occurrences there were and how many the filter
+// dropped before any verifier ran (the same for every method).
 func (c *runConfig) fig14() error {
 	header("Figure 14: Verification methods, join time (ms)")
 	for _, spec := range c.specs {
 		strs := c.corpus(spec)
 		fmt.Printf("\n-- %s --\n", spec.name)
 		w := newTable()
-		fmt.Fprintln(w, "tau\t2tau+1\ttau+1\tExtension\tSharePrefix\tMyers\tresults")
+		fmt.Fprintln(w, "tau\t2tau+1\ttau+1\tExtension\tSharePrefix\tMyers\tresults\tcandidates\tsigRejects")
 		for _, tau := range spec.taus {
 			fmt.Fprintf(w, "%d", tau)
 			var results int
+			var st metrics.Stats
 			for _, vk := range []core.VerifyKind{core.VerifyNaive, core.VerifyLengthAware, core.VerifyExtension, core.VerifyExtensionShared, core.VerifyMyers} {
 				var pairs []core.Pair
+				st.Reset()
 				d := timeIt(func() {
-					pairs, _ = core.SelfJoin(strs, core.Options{Tau: tau, Verification: vk})
+					pairs, _ = core.SelfJoin(strs, core.Options{Tau: tau, Verification: vk, Stats: &st})
 				})
 				results = len(pairs)
 				fmt.Fprintf(w, "\t%s", ms(d))
 			}
-			fmt.Fprintf(w, "\t%d\n", results)
+			fmt.Fprintf(w, "\t%d\t%d\t%d\n", results, st.Candidates, st.SigRejects)
 		}
 		if err := w.Flush(); err != nil {
 			return err
@@ -292,6 +297,7 @@ func (c *runConfig) ablation() error {
 	fmt.Fprintf(w, "index lookups\t%d\n", st.Lookups)
 	fmt.Fprintf(w, "lookup hits\t%d\n", st.LookupHits)
 	fmt.Fprintf(w, "candidate occurrences\t%d\n", st.Candidates)
+	fmt.Fprintf(w, "signature rejects\t%d\n", st.SigRejects)
 	fmt.Fprintf(w, "verifications\t%d\n", st.Verifications)
 	fmt.Fprintf(w, "early terminations\t%d\n", st.EarlyTerms)
 	fmt.Fprintf(w, "shared DP rows\t%d\n", st.SharedRows)

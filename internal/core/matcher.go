@@ -7,6 +7,7 @@ import (
 	"passjoin/internal/metrics"
 	"passjoin/internal/obs"
 	"passjoin/internal/selection"
+	"passjoin/internal/verify"
 )
 
 // Matcher is the online variant of the join: strings are inserted in any
@@ -30,11 +31,13 @@ type Matcher struct {
 	idx  *index.Index  // build index; nil once sealed
 	fz   *index.Frozen // frozen index; non-nil once sealed
 	strs []string
+	// sigs holds verify.SigOf of every inserted string, parallel to strs
+	// and shared with every Snapshot like strs is.
+	sigs []uint64
 	// shorts lists inserted strings with length <= tau, which bypass the
 	// segment index.
 	shorts []int32
 	st     *metrics.Stats
-	epoch  int32
 }
 
 // Hit is one query result: the id of an indexed string and its exact edit
@@ -54,7 +57,7 @@ func NewMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats)
 		idx: index.New(tau),
 		st:  st,
 	}
-	m.p = newProber(tau, sel, vk, st, m.idx, nil, nil)
+	m.p = newProber(tau, sel, vk, st, m.idx, nil, nil, nil)
 	return m, nil
 }
 
@@ -76,6 +79,7 @@ func NewSealedMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.
 		tau:  tau,
 		fz:   fz,
 		strs: corpus,
+		sigs: verify.Sigs(corpus),
 		st:   st,
 	}
 	for id, s := range corpus {
@@ -83,7 +87,7 @@ func NewSealedMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.
 			m.shorts = append(m.shorts, int32(id))
 		}
 	}
-	m.p = newProber(tau, sel, vk, st, nil, fz, corpus)
+	m.p = newProber(tau, sel, vk, st, nil, fz, corpus, m.sigs)
 	if st != nil {
 		st.Strings = int64(len(corpus))
 		st.ShortStrings = int64(len(m.shorts))
@@ -161,16 +165,7 @@ func (m *Matcher) Query(s string) []Hit {
 // exactly by a partition built for a smaller one.
 func (m *Matcher) QueryOpt(s string, o QueryOpts) []Hit {
 	qtau := m.checkQueryTau(o.Tau)
-	p := m.p
-	p.ref = m.strs
-	// Claim the epoch before probing: if the probe unwinds (a panicking
-	// QuerySeq consumer shares this path via the emit hook), the aborted
-	// probe's dedup stamps must not suppress hits from the next query on
-	// this (possibly pooled) matcher.
-	p.epoch = m.epoch
-	m.epoch++
-	p.needDist = true
-	p.qtau = qtau
+	p := m.arm(qtau, true)
 	// The trace hook is cleared via defer for the same reason as emit: a
 	// panic unwinding through the probe must not leave a dead query's trace
 	// armed on a pooled snapshot.
@@ -228,14 +223,7 @@ func (m *Matcher) QueryOpt(s string, o QueryOpts) []Hit {
 // consumer that needs only a few matches abandons the rest of the probe.
 func (m *Matcher) QuerySeq(s string, o QueryOpts, yield func(Hit) bool) {
 	qtau := m.checkQueryTau(o.Tau)
-	p := m.p
-	p.ref = m.strs
-	// Claim the epoch before probing (see QueryOpt): a panicking yield
-	// must not leave this probe's dedup stamps current for the next query.
-	p.epoch = m.epoch
-	m.epoch++
-	p.needDist = true
-	p.qtau = qtau
+	p := m.arm(qtau, true)
 	p.trace = o.Trace
 	defer func() { p.trace = nil }()
 	n := 0
@@ -276,6 +264,19 @@ func (m *Matcher) QuerySeq(s string, o QueryOpts, yield func(Hit) bool) {
 	}
 }
 
+// arm points the prober at the matcher's current corpus and sets the
+// per-probe threshold. The probe itself claims a fresh dedup epoch, so a
+// probe that unwinds (a panicking QuerySeq consumer) cannot leave stamps
+// that suppress hits from the next query on this (possibly pooled) matcher.
+func (m *Matcher) arm(qtau int, needDist bool) *prober {
+	p := m.p
+	p.ref = m.strs
+	p.sig = m.sigs
+	p.qtau = qtau
+	p.needDist = needDist
+	return p
+}
+
 func (m *Matcher) checkQueryTau(qtau int) int {
 	if qtau < 0 || qtau > m.tau {
 		panic(fmt.Sprintf("core: query tau %d outside [0, %d]", qtau, m.tau))
@@ -288,7 +289,6 @@ func (m *Matcher) checkQueryTau(qtau int) int {
 // form when only membership matters (streaming dedup, joins).
 func (m *Matcher) QueryIDs(s string) []int32 {
 	ids := m.match(s, false)
-	m.epoch++
 	if m.st != nil {
 		m.st.Results += int64(len(ids))
 	}
@@ -304,28 +304,9 @@ func (m *Matcher) Insert(s string) []int32 {
 		panic("core: Insert into sealed Matcher")
 	}
 	out := m.match(s, false)
-	id := int32(len(m.strs))
-	m.strs = append(m.strs, s)
-	if len(s) >= m.tau+1 {
-		m.idx.Add(id, s)
-	} else {
-		m.shorts = append(m.shorts, id)
-		if m.st != nil {
-			m.st.ShortStrings++
-		}
-	}
-	// Grow the prober's stamp arrays alongside.
-	m.p.checked = append(m.p.checked, -1)
-	m.p.accepted = append(m.p.accepted, -1)
-	m.p.ref = m.strs
-	m.epoch++
+	m.InsertSilent(s)
 	if m.st != nil {
-		m.st.Strings++
 		m.st.Results += int64(len(out))
-		if b := m.idx.Bytes(); b > m.st.IndexBytes {
-			m.st.IndexBytes = b
-			m.st.IndexEntries = m.idx.Entries()
-		}
 	}
 	return out
 }
@@ -341,9 +322,10 @@ func (m *Matcher) Snapshot() *Matcher {
 		idx:    m.idx,
 		fz:     m.fz,
 		strs:   m.strs,
+		sigs:   m.sigs,
 		shorts: m.shorts,
 	}
-	n.p = newProber(m.p.tau, m.p.sel, m.p.vk, nil, m.idx, m.fz, m.strs)
+	n.p = newProber(m.p.tau, m.p.sel, m.p.vk, nil, m.idx, m.fz, m.strs, m.sigs)
 	return n
 }
 
@@ -355,6 +337,7 @@ func (m *Matcher) InsertSilent(s string) {
 	}
 	id := int32(len(m.strs))
 	m.strs = append(m.strs, s)
+	m.sigs = append(m.sigs, verify.SigOf(s))
 	if len(s) >= m.tau+1 {
 		m.idx.Add(id, s)
 	} else {
@@ -363,9 +346,6 @@ func (m *Matcher) InsertSilent(s string) {
 			m.st.ShortStrings++
 		}
 	}
-	m.p.checked = append(m.p.checked, -1)
-	m.p.accepted = append(m.p.accepted, -1)
-	m.p.ref = m.strs
 	if m.st != nil {
 		m.st.Strings++
 		if b := m.idx.Bytes(); b > m.st.IndexBytes {
@@ -377,12 +357,8 @@ func (m *Matcher) InsertSilent(s string) {
 
 // match probes for s and returns matching ids sorted ascending.
 func (m *Matcher) match(s string, needDist bool) []int32 {
-	p := m.p
-	p.ref = m.strs
-	p.epoch = m.epoch
-	p.needDist = needDist
-	p.qtau = m.tau // a prior QueryOpt may have left a tighter budget
-	p.trace = nil  // and must not leave its trace armed either
+	p := m.arm(m.tau, needDist) // a prior QueryOpt may have left a tighter budget
+	p.trace = nil               // and must not leave its trace armed either
 	p.probe(s, len(s)-m.tau, len(s)+m.tau)
 	ids := append(make([]int32, 0, len(p.hits)), p.hits...)
 	for _, rid := range m.shorts {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/bits"
+
 	"passjoin/internal/index"
 	"passjoin/internal/metrics"
 	"passjoin/internal/obs"
@@ -11,6 +14,7 @@ import (
 
 // prober owns the per-scan state of one join direction: the segment index
 // being probed, the verifier scratch space, and the deduplication stamps.
+// The corpus (ref) and its signatures (sig) are shared, read-only.
 // It is single-goroutine state; the parallel mode gives each worker its own
 // prober.
 //
@@ -39,6 +43,13 @@ type prober struct {
 	fz  *index.Frozen
 	ref []string // indexed strings by id
 
+	// sig holds verify.SigOf of every indexed string, parallel to ref; qsig
+	// is the probe string's. A posting whose signature differs from qsig in
+	// more than 2·qtau bits cannot be within qtau (one edit flips at most
+	// two bits), so it is dropped before its stamp or string is loaded.
+	sig  []uint64
+	qsig uint64
+
 	ver        verify.Verifier
 	incL, incR verify.Incremental
 
@@ -61,13 +72,15 @@ type prober struct {
 	batch  []int32
 	scalar bool
 
-	// checked stamps definitive verifications (full-string verifiers);
-	// accepted stamps emitted results (extension verifiers must retry
-	// rejected pairs at other alignments). Both indexed by candidate id,
-	// valued with the probe epoch.
-	checked  []int32
-	accepted []int32
-	epoch    int32
+	// stamp[rid] == epoch marks candidate rid as settled for the current
+	// probe: verified, for the whole-string verifiers (the verdict does not
+	// depend on the alignment); accepted, for the extension verifiers (a
+	// rejected pair must be retried at other alignments). probe claims a
+	// fresh epoch per call and sizes stamp to ref on demand, so a prober
+	// that never probes — the base matcher behind a snapshot pool — holds
+	// no stamps, and a zero stamp never equals a live epoch (>= 1).
+	stamp []int32
+	epoch int32
 
 	// maxID, when >= 0, filters candidates to ids < maxID (parallel mode
 	// probes a full index but must only pair with predecessors).
@@ -98,7 +111,7 @@ type prober struct {
 // differential tests.
 var forceScalarVerify = false
 
-func newProber(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, idx *index.Index, fz *index.Frozen, ref []string) *prober {
+func newProber(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, idx *index.Index, fz *index.Frozen, ref []string, sig []uint64) *prober {
 	p := &prober{
 		tau:   tau,
 		qtau:  tau,
@@ -108,6 +121,7 @@ func newProber(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, 
 		idx:   idx,
 		fz:    fz,
 		ref:   ref,
+		sig:   sig,
 		maxID: -1,
 
 		scalar: forceScalarVerify,
@@ -115,26 +129,37 @@ func newProber(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, 
 	p.ver.Stats = st
 	p.incL.Stats = st
 	p.incR.Stats = st
-	p.checked = make([]int32, len(ref))
-	p.accepted = make([]int32, len(ref))
-	for i := range p.checked {
-		p.checked[i] = -1
-		p.accepted[i] = -1
-	}
 	return p
+}
+
+// nextEpoch invalidates every stamp of the previous probe and makes room
+// for ids indexed since. Before the epoch counter would overflow, the
+// stamps are zeroed and the count restarts: a long-lived pooled snapshot
+// must not meet a stamp left by a probe 2³¹ queries ago.
+func (p *prober) nextEpoch() {
+	if p.epoch == math.MaxInt32 {
+		clear(p.stamp)
+		p.epoch = 0
+	}
+	p.epoch++
+	if n := len(p.ref) - len(p.stamp); n > 0 {
+		p.stamp = append(p.stamp, make([]int32, n)...)
+	}
 }
 
 // probe finds all indexed strings with lengths in [lmin, lmax] within
 // p.qtau of s and records their ids in p.hits (or streams them to p.emit).
-// p.epoch must be unique per call. Callers derive lmin/lmax from the same
-// threshold they set qtau to; the partition geometry — segment positions,
-// lengths, and the tau+1 slot count — always follows the build threshold
-// p.tau, which is what lets one index answer any query budget <= tau.
+// Callers derive lmin/lmax from the same threshold they set qtau to; the
+// partition geometry — segment positions, lengths, and the tau+1 slot
+// count — always follows the build threshold p.tau, which is what lets one
+// index answer any query budget <= tau.
 func (p *prober) probe(s string, lmin, lmax int) {
 	p.hits = p.hits[:0]
 	p.dists = p.dists[:0]
 	p.stopped = false
 	p.batch = p.batch[:0]
+	p.nextEpoch()
+	p.qsig = verify.SigOf(s)
 	// The pattern is needed by the Myers whole-string mode and by the
 	// extension modes' exact-distance recovery; building it here makes it
 	// a once-per-probe cost no matter how many candidates follow.
@@ -231,26 +256,40 @@ func (p *prober) handleList(s string, lst []int32, i, pos, pi, li int) {
 	}
 }
 
+// sigReject reports whether candidate rid's signature already rules it out
+// at the probe threshold, counting the rejection.
+func (p *prober) sigReject(rid int32) bool {
+	if bits.OnesCount64(p.sig[rid]^p.qsig) <= 2*p.qtau {
+		return false
+	}
+	if p.st != nil {
+		p.st.SigRejects++
+	}
+	return true
+}
+
 // collectWhole stamps and batches the not-yet-seen candidates of one
-// inverted list. The whole-string verdict does not depend on the matched
-// alignment, so each pair enters the batch at most once per probe (checked
-// stamp).
+// inverted list that pass the signature filter. The whole-string verdict
+// does not depend on the matched alignment, so each pair enters the batch
+// at most once per probe.
 func (p *prober) collectWhole(lst []int32) {
 	if p.trace != nil {
 		p.trace.Begin(obs.PhaseDedup)
 		p.trace.AddCount(obs.PhaseDedup, int64(len(lst)))
 	}
 	for _, rid := range lst {
+		// Posting lists ascend by id, so the first id at or past maxID
+		// ends the list.
 		if p.maxID >= 0 && rid >= p.maxID {
-			continue
+			break
 		}
 		if p.st != nil {
 			p.st.Candidates++
 		}
-		if p.checked[rid] == p.epoch {
+		if p.sigReject(rid) || p.stamp[rid] == p.epoch {
 			continue
 		}
-		p.checked[rid] = p.epoch
+		p.stamp[rid] = p.epoch
 		if p.st != nil {
 			p.st.UniqueCandidates++
 		}
@@ -308,15 +347,15 @@ func (p *prober) verifyWhole(s string, lst []int32) {
 	tau := p.qtau
 	for _, rid := range lst {
 		if p.maxID >= 0 && rid >= p.maxID {
-			continue
+			break
 		}
 		if p.st != nil {
 			p.st.Candidates++
 		}
-		if p.checked[rid] == p.epoch {
+		if p.sigReject(rid) || p.stamp[rid] == p.epoch {
 			continue
 		}
-		p.checked[rid] = p.epoch
+		p.stamp[rid] = p.epoch
 		if p.st != nil {
 			p.st.UniqueCandidates++
 			p.st.Verifications++
@@ -364,12 +403,12 @@ func (p *prober) verifyExtension(s string, lst []int32, i, pos, pi, li int) {
 	nv := int64(0)
 	for _, rid := range lst {
 		if p.maxID >= 0 && rid >= p.maxID {
-			continue
+			break
 		}
 		if p.st != nil {
 			p.st.Candidates++
 		}
-		if p.accepted[rid] == p.epoch {
+		if p.sigReject(rid) || p.stamp[rid] == p.epoch {
 			continue
 		}
 		if p.st != nil {
@@ -397,7 +436,7 @@ func (p *prober) verifyExtension(s string, lst []int32, i, pos, pi, li int) {
 		if dr > tauR || dl+dr > p.qtau {
 			continue
 		}
-		p.accepted[rid] = p.epoch
+		p.stamp[rid] = p.epoch
 		var d int32 = -1
 		if p.needDist {
 			// dl+dr only bounds the distance from above (the optimal

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"passjoin/internal/index"
+	"passjoin/internal/verify"
 )
 
 // Join finds every pair (r, s) in rset × sset with ed(r, s) <= opt.Tau.
@@ -49,7 +50,7 @@ func JoinFunc(rset, sset []string, opt Options, emit func(Pair) bool) error {
 		ref[i] = sRecs[i].s
 	}
 	idx := index.New(tau)
-	p := newProber(tau, opt.Selection, opt.Verification, st, idx, nil, ref)
+	p := newProber(tau, opt.Selection, opt.Verification, st, idx, nil, ref, verify.Sigs(ref))
 
 	var shorts []int32
 	shortHead := 0
@@ -97,7 +98,6 @@ scan:
 				}
 			}
 		}
-		p.epoch = int32(rid)
 		p.probe(r, len(r)-tau, len(r)+tau)
 		for _, sid := range p.hits {
 			results++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"passjoin/internal/index"
+	"passjoin/internal/verify"
 )
 
 // SelfJoin finds every unordered pair of strings in strs whose edit
@@ -48,7 +49,7 @@ func SelfJoinFunc(strs []string, opt Options, emit func(Pair) bool) error {
 	tau := opt.Tau
 	st := opt.Stats
 	idx := index.New(tau)
-	p := newProber(tau, opt.Selection, opt.Verification, st, idx, nil, ref)
+	p := newProber(tau, opt.Selection, opt.Verification, st, idx, nil, ref, verify.Sigs(ref))
 
 	var shorts []int32
 	shortHead := 0
@@ -82,7 +83,6 @@ scan:
 				}
 			}
 		}
-		p.epoch = int32(sid)
 		p.probe(s, len(s)-tau, len(s))
 		for _, rid := range p.hits {
 			if !send(recs[rid].orig, recs[sid].orig) {

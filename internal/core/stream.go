@@ -7,6 +7,7 @@ import (
 
 	"passjoin/internal/index"
 	"passjoin/internal/metrics"
+	"passjoin/internal/verify"
 )
 
 // streamBatchSize is how many pairs a probe worker accumulates before
@@ -61,17 +62,17 @@ func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(P
 	// The index is complete before any probe starts; freeze it so every
 	// worker probes the shared immutable CSR arena.
 	fz := idx.Freeze(ref)
+	sig := verify.Sigs(ref) // one array, read by every worker
 
 	e := &streamEngine{
 		workers: streamWorkers(opt.Parallel, n),
 		items:   n,
 		stats:   st,
 		newProber: func(wst *metrics.Stats) *prober {
-			return newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref)
+			return newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref, sig)
 		},
 		probeItem: func(p *prober, sid int, push func(Pair) bool) bool {
 			s := ref[sid]
-			p.epoch = int32(sid)
 			p.maxID = int32(sid)
 			p.probe(s, len(s)-tau, len(s))
 			for _, rid := range p.hits {
@@ -143,17 +144,17 @@ func JoinStream(ctx context.Context, rset, sset []string, opt Options, emit func
 		}
 	}
 	fz := idx.Freeze(ref)
+	sig := verify.Sigs(ref) // one array, read by every worker
 
 	e := &streamEngine{
 		workers: streamWorkers(opt.Parallel, len(rset)),
 		items:   len(rset),
 		stats:   st,
 		newProber: func(wst *metrics.Stats) *prober {
-			return newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref)
+			return newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref, sig)
 		},
 		probeItem: func(p *prober, rid int, push func(Pair) bool) bool {
 			r := rset[rid]
-			p.epoch = int32(rid)
 			p.probe(r, len(r)-tau, len(r)+tau)
 			for _, sid := range p.hits {
 				if !push(Pair{R: int32(rid), S: sRecs[sid].orig}) {

@@ -225,3 +225,44 @@ func FuzzFrozenLookup(f *testing.F) {
 		}
 	})
 }
+
+// TestPostingsAscendAfterFreeze pins the invariant the prober's maxID cut
+// relies on: ids added in ascending order (the joins add in sorted-scan
+// order, Matcher in insertion order) give strictly ascending posting
+// lists in the map index, and Freeze copies them verbatim — so the first
+// posting at or past a bound ends the list.
+func TestPostingsAscendAfterFreeze(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, tau := range []int{0, 1, 3} {
+		corpus := randomCorpus(rng, 400, 12)
+		x, fz := buildBoth(corpus, tau)
+		ascending := func(where string, lst []int32) {
+			t.Helper()
+			for k := 1; k < len(lst); k++ {
+				if lst[k-1] >= lst[k] {
+					t.Fatalf("tau=%d %s: postings %v not strictly ascending", tau, where, lst)
+				}
+			}
+		}
+		lists := 0
+		for _, l := range fz.Lengths() {
+			fg := fz.Group(l)
+			for i := 1; i <= tau+1; i++ {
+				fg.Slot(i, func(_ uint64, postings []int32) {
+					lists++
+					ascending("frozen", postings)
+					pos, n := fg.Seg(i)
+					w := corpus[postings[0]][pos-1 : pos-1+n]
+					got := x.Group(l).List(i, w)
+					ascending("map", got)
+					if !reflect.DeepEqual(got, postings) {
+						t.Fatalf("tau=%d len=%d slot=%d %q: map %v, frozen %v", tau, l, i, w, got, postings)
+					}
+				})
+			}
+		}
+		if lists == 0 {
+			t.Fatalf("tau=%d: no posting lists visited", tau)
+		}
+	}
+}

@@ -29,6 +29,10 @@ type Stats struct {
 	// element scanned). UniqueCandidates counts pairs after deduplication.
 	Candidates       int64
 	UniqueCandidates int64
+	// SigRejects counts candidate occurrences dropped by the histogram
+	// signature filter (verify.SigOf) before any verifier, stamp or string
+	// was touched; SigRejects + Verifications <= Candidates.
+	SigRejects int64
 	// Verifications counts verifier invocations (a pair verified through the
 	// extension method counts once per attempted alignment).
 	Verifications int64
@@ -80,6 +84,7 @@ func (s *Stats) Add(o *Stats) {
 	s.LookupHits += o.LookupHits
 	s.Candidates += o.Candidates
 	s.UniqueCandidates += o.UniqueCandidates
+	s.SigRejects += o.SigRejects
 	s.Verifications += o.Verifications
 	s.DPCells += o.DPCells
 	s.EarlyTerms += o.EarlyTerms
@@ -130,6 +135,7 @@ func (s *Stats) String() string {
 	w("hits", s.LookupHits)
 	w("cands", s.Candidates)
 	w("uniqCands", s.UniqueCandidates)
+	w("sigRejects", s.SigRejects)
 	w("verifs", s.Verifications)
 	w("dpCells", s.DPCells)
 	w("earlyTerms", s.EarlyTerms)

@@ -37,7 +37,7 @@ func TestReset(t *testing.T) {
 func TestAddAllFields(t *testing.T) {
 	one := &Stats{
 		Strings: 1, ShortStrings: 1, SelectedSubstrings: 1, Lookups: 1,
-		LookupHits: 1, Candidates: 1, UniqueCandidates: 1, Verifications: 1,
+		LookupHits: 1, Candidates: 1, UniqueCandidates: 1, SigRejects: 1, Verifications: 1,
 		DPCells: 1, EarlyTerms: 1, SharedRows: 1, Results: 1, IndexBytes: 1,
 		IndexEntries: 1,
 	}
@@ -46,7 +46,7 @@ func TestAddAllFields(t *testing.T) {
 	sum.Add(one)
 	if *sum != (Stats{
 		Strings: 2, ShortStrings: 2, SelectedSubstrings: 2, Lookups: 2,
-		LookupHits: 2, Candidates: 2, UniqueCandidates: 2, Verifications: 2,
+		LookupHits: 2, Candidates: 2, UniqueCandidates: 2, SigRejects: 2, Verifications: 2,
 		DPCells: 2, EarlyTerms: 2, SharedRows: 2, Results: 2, IndexBytes: 2,
 		IndexEntries: 2,
 	}) {
@@ -62,9 +62,9 @@ func TestString(t *testing.T) {
 	if (&Stats{}).String() != "<empty stats>" {
 		t.Error("empty String")
 	}
-	s := &Stats{Strings: 2, Results: 1}
+	s := &Stats{Strings: 2, SigRejects: 4, Results: 1}
 	out := s.String()
-	if !strings.Contains(out, "strings=2") || !strings.Contains(out, "results=1") {
+	if !strings.Contains(out, "strings=2") || !strings.Contains(out, "sigRejects=4") || !strings.Contains(out, "results=1") {
 		t.Errorf("String() = %q", out)
 	}
 	if strings.Contains(out, "dpCells") {

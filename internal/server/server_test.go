@@ -304,6 +304,15 @@ func TestConcurrentClients(t *testing.T) {
 	if st.FrozenBytes == 0 || st.Index.FrozenBytes != st.FrozenBytes || st.Index.FrozenEntries == 0 {
 		t.Fatalf("frozen index stats not surfaced: %+v", st)
 	}
+	var raw struct {
+		Index map[string]any `json:"index"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &raw)
+	for _, k := range []string{"Verifications", "SigRejects"} {
+		if _, ok := raw.Index[k]; !ok {
+			t.Errorf("/v1/stats index has no %q field: %v", k, raw.Index)
+		}
+	}
 	_ = srv
 }
 

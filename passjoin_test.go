@@ -1,6 +1,7 @@
 package passjoin
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -107,6 +108,28 @@ func TestWithStats(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "results=1") {
 		t.Errorf("String() = %q", st.String())
+	}
+}
+
+// TestWithStatsSigRejects: the signature filter's counter reaches the
+// public sink and its String form.
+func TestWithStatsSigRejects(t *testing.T) {
+	var st Stats
+	// The strings share their first segment, so they meet as candidates;
+	// only the first two are within one edit.
+	strs := []string{"abcdwxyz", "abcdwxyy", "abcdmnop", "abcdefgh"}
+	if _, err := SelfJoin(strs, 1, WithStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Results != 1 || st.SigRejects == 0 || st.SigRejects+st.Verifications > st.Candidates {
+		t.Errorf("Results=%d SigRejects=%d Verifications=%d Candidates=%d", st.Results, st.SigRejects, st.Verifications, st.Candidates)
+	}
+	if want := fmt.Sprintf("sigRejects=%d", st.SigRejects); !strings.Contains(st.String(), want) {
+		t.Errorf("String() = %q, want it to contain %q", st.String(), want)
+	}
+	st.inner = nil // the hand-copied form must carry it too
+	if want := fmt.Sprintf("sigRejects=%d", st.SigRejects); !strings.Contains(st.String(), want) {
+		t.Errorf("String() without inner = %q, want it to contain %q", st.String(), want)
 	}
 }
 

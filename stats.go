@@ -27,6 +27,10 @@ type Stats struct {
 	// UniqueCandidates counts deduplicated pairs.
 	Candidates       int64
 	UniqueCandidates int64
+	// SigRejects counts candidate occurrences dropped by the one-word
+	// histogram signature filter in front of verification; Verifications,
+	// DPCells, EarlyTerminations and SharedRows count only the survivors.
+	SigRejects int64
 	// Verifications counts verifier invocations.
 	Verifications int64
 	// DPCells counts dynamic-programming cells computed.
@@ -87,6 +91,7 @@ func (s *Stats) fill() {
 	s.LookupHits = in.LookupHits
 	s.Candidates = in.Candidates
 	s.UniqueCandidates = in.UniqueCandidates
+	s.SigRejects = in.SigRejects
 	s.Verifications = in.Verifications
 	s.DPCells = in.DPCells
 	s.EarlyTerminations = in.EarlyTerms
@@ -135,6 +140,7 @@ func (s *Stats) String() string {
 		LookupHits:         s.LookupHits,
 		Candidates:         s.Candidates,
 		UniqueCandidates:   s.UniqueCandidates,
+		SigRejects:         s.SigRejects,
 		Verifications:      s.Verifications,
 		DPCells:            s.DPCells,
 		EarlyTerms:         s.EarlyTerminations,
