@@ -66,7 +66,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7878", "listen address")
 	tau := flag.Int("tau", 2, "edit-distance threshold (ignored with -snapshot)")
-	shards := flag.Int("shards", 0, "index shard count (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "static index: build workers; -dynamic/-wal: index shards (0 = GOMAXPROCS)")
 	sel := flag.String("selection", "multimatch", "substring selection: multimatch, position, shift, length")
 	ver := flag.String("verify", "shareprefix", "verification: shareprefix, extension, lengthaware, naive, bitparallel")
 	snapshot := flag.String("snapshot", "", "load the index from this snapshot instead of a corpus file")

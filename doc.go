@@ -41,7 +41,7 @@
 //	WithStats             honored        honored  build only   build only          ignored (use Stats())
 //	WithParallelism       honored        ignored  ignored      ignored             ignored
 //	WithEngine            honored        ignored  ignored      ignored             ignored
-//	WithShards            ignored        ignored  ignored      honored             honored
+//	WithShards            ignored        ignored  ignored      build workers       partitions
 //	WithCompactThreshold  ignored        ignored  ignored      ignored             honored
 //	WithWALSync           ignored        ignored  ignored      ignored             OpenDynamicSearcher only
 //
@@ -81,8 +81,8 @@
 // # Serving layer: one index, many queries
 //
 // For query serving, all three searchers — Searcher, ShardedSearcher
-// (hash-partitioned fan-out) and DynamicSearcher (live updates) —
-// implement the one Index interface: Search, the streaming SearchSeq, the
+// (the same index, built in parallel) and DynamicSearcher (live updates)
+// — implement the one Index interface: Search, the streaming SearchSeq, the
 // checked Get, Len and Tau. Every searcher is safe for concurrent use by
 // any number of goroutines without cloning; query scratch state lives in
 // internal snapshot pools.
@@ -102,14 +102,17 @@
 //	        // first hit only; the probe stops as soon as the loop breaks
 //	}
 //
-// Both static searchers freeze their segment index into an immutable CSR
-// form at construction (postings packed in one contiguous arena, flat
-// hash tables instead of Go maps) and report each match's exact distance
-// straight out of verification — see docs/ARCHITECTURE.md for the
-// build→freeze lifecycle. Both snapshot to a compact CRC-protected binary
-// format (WriteTo / ReadSearcherFrom / ReadShardedSearcherFrom, "PJIX
-// v2") for fast cold starts — a Searcher snapshot carries the frozen
-// index itself, so loading skips re-indexing.
+// Both static searchers build their segment index straight into an
+// immutable CSR form (postings packed in one contiguous arena, flat hash
+// tables instead of Go maps) and report each match's exact distance
+// straight out of verification — see docs/ARCHITECTURE.md for the bulk
+// build. A query probes that one index once, on the caller's goroutine:
+// concurrency comes from concurrent callers, and a single expensive query
+// on an otherwise idle many-core machine is not split across cores.
+// Both snapshot to a compact CRC-protected binary format (WriteTo /
+// ReadSearcherFrom / ReadShardedSearcherFrom, "PJIX v2") for fast cold
+// starts — the snapshot carries the frozen index itself, so loading
+// skips re-indexing.
 //
 // The SearchTopK methods and Searcher.Clone are deprecated: QueryTopK
 // subsumes the former, and concurrent Search makes the latter

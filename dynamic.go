@@ -14,7 +14,6 @@ import (
 	"passjoin/internal/core"
 	"passjoin/internal/dynamic"
 	"passjoin/internal/metrics"
-	"passjoin/internal/obs"
 )
 
 // DynamicSearcher answers approximate string search queries like
@@ -355,44 +354,14 @@ func (ds *DynamicSearcher) SearchSeq(q string, opts ...QueryOption) iter.Seq[Mat
 	}
 }
 
+// search probes the tiers one after another on the caller's goroutine — a
+// short-string probe costs less than handing it to another goroutine — and
+// ranks the union. A trace is additive, so the tiers share the query's.
 func (ds *DynamicSearcher) search(q string, qc queryConfig) []Match {
-	n := len(ds.tiers)
 	o := qc.coreOpts()
-	parts := make([][]dynamic.Hit, n)
-	if n == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for s, t := range ds.tiers {
-			parts[s] = t.SearchOpt(q, o)
-		}
-	} else {
-		// Per-shard traces, merged after the join — see ShardedSearcher.
-		var traces []obs.QueryTrace
-		if o.Trace != nil {
-			traces = make([]obs.QueryTrace, n)
-		}
-		var wg sync.WaitGroup
-		for s, t := range ds.tiers {
-			wg.Add(1)
-			go func(s int, t *dynamic.Tier) {
-				defer wg.Done()
-				so := o
-				if traces != nil {
-					so.Trace = &traces[s]
-				}
-				parts[s] = t.SearchOpt(q, so)
-			}(s, t)
-		}
-		wg.Wait()
-		for i := range traces {
-			o.Trace.Merge(&traces[i])
-		}
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]Match, 0, total)
-	for _, p := range parts {
-		for _, h := range p {
+	var out []Match
+	for _, t := range ds.tiers {
+		for _, h := range t.SearchOpt(q, o) {
 			out = append(out, Match{ID: int(h.ID), Dist: h.Dist})
 		}
 	}

@@ -21,6 +21,7 @@ import (
 // and Query against the map-based build index. Seal freezes the index into
 // its immutable CSR form (index.Frozen): queries get the read-optimized
 // probe path and snapshots share one arena, but further insertion panics.
+// A corpus known up front skips the mutable phase: BuildSealedMatcher.
 //
 // Matcher powers streaming deduplication workloads (mutable phase: feed
 // records as they arrive, react to near-duplicates immediately) and static
@@ -97,6 +98,24 @@ func NewSealedMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.
 	return m, nil
 }
 
+// BuildSealedMatcher creates a sealed matcher over a complete corpus,
+// bulk-building its frozen index with the given number of workers (see
+// index.BuildFrozen) — the static searchers' build path. corpus becomes
+// the matcher's backing slice and must not be modified afterwards. st, when
+// non-nil, also receives the build index's modeled footprint
+// (IndexBytes/IndexEntries), as if the map index had been built.
+func BuildSealedMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, corpus []string, workers int) (*Matcher, error) {
+	fz, err := index.BuildFrozen(corpus, tau, workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: building index: %w", err)
+	}
+	if st != nil {
+		st.IndexBytes = fz.MapBytes()
+		st.IndexEntries = fz.Entries()
+	}
+	return NewSealedMatcher(tau, sel, vk, st, corpus, fz)
+}
+
 // Len returns the number of inserted strings.
 func (m *Matcher) Len() int { return len(m.strs) }
 
@@ -146,8 +165,8 @@ type QueryOpts struct {
 	// are the first discovered in probe order — a cheap cap, not a ranking.
 	Limit int
 	// Trace, when non-nil, receives per-phase wall time and counters for
-	// this query. The trace must not be shared with a concurrent query;
-	// parallel fan-outs give each shard its own and Merge after.
+	// this query. The trace is additive and must not be shared with a
+	// concurrent query.
 	Trace *obs.QueryTrace
 }
 

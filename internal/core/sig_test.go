@@ -53,9 +53,9 @@ func bruteHits(corpus []string, q string, qtau int) []Hit {
 
 // TestSigFilterMatchersMatchBruteForce: with the signature filter in front
 // of every verifier, the mutable matcher, the sealed matcher, a matcher
-// sealed from a prebuilt frozen index and a snapshot answer exactly what
-// brute force answers, for every verification kind and every query
-// threshold the index can serve.
+// sealed from a prebuilt frozen index, a bulk-built one and a snapshot
+// answer exactly what brute force answers, for every verification kind and
+// every query threshold the index can serve.
 func TestSigFilterMatchersMatchBruteForce(t *testing.T) {
 	corpus := sigCorpus()
 	rng := rand.New(rand.NewSource(6))
@@ -79,7 +79,17 @@ func TestSigFilterMatchersMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var bulkStats metrics.Stats
+		bulk, err := BuildSealedMatcher(tau, selection.MultiMatch, vk, &bulkStats, corpus, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, e := IndexFootprint(corpus, tau); bulkStats.IndexBytes != b || bulkStats.IndexEntries != e || bulkStats.FrozenEntries != e {
+			t.Fatalf("bulk build stats %+v, map index is %d B / %d entries", bulkStats, b, e)
+		}
 		matchers := map[string]*Matcher{
+			"bulk":                 bulk,
+			"snapshot-bulk":        bulk.Snapshot(),
 			"mutable":              mutable,
 			"sealed":               sealed,
 			"cold-sealed":          cold,

@@ -18,11 +18,12 @@ import (
 const streamBatchSize = 256
 
 // SelfJoinStream is the parallel, cancellable streaming form of SelfJoin:
-// the segment index is built once over all of strs (no eviction), frozen,
-// and then probed by opt.Parallel workers (min 1) that feed result pairs
-// through a bounded channel to emit. The full result set is never
-// materialized — memory stays at the index plus O(workers) pair batches,
-// with backpressure: when emit falls behind, the probe workers block.
+// the frozen segment index is bulk-built once over all of strs (no
+// eviction) by opt.Parallel workers (min 1), which then probe it and feed
+// result pairs through a bounded channel to emit. The full result set is
+// never materialized — memory stays at the index plus O(workers) pair
+// batches, with backpressure: when emit falls behind, the probe workers
+// block.
 //
 // emit is always called from the calling goroutine, so it needs no
 // synchronization; pairs arrive in no deterministic order (canonicalize
@@ -50,18 +51,12 @@ func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(P
 	for i := range recs {
 		ref[i] = recs[i].s
 	}
-	idx := index.New(tau)
-	var shorts []int32
-	for sid := 0; sid < n; sid++ {
-		if len(ref[sid]) >= tau+1 {
-			idx.Add(int32(sid), ref[sid])
-		} else {
-			shorts = append(shorts, int32(sid))
-		}
+	// The whole corpus is known before any probe starts, so the index is
+	// bulk-built straight into the immutable CSR arena every worker probes.
+	fz, shorts, err := buildStreamIndex(ref, tau, opt.Parallel)
+	if err != nil {
+		return err
 	}
-	// The index is complete before any probe starts; freeze it so every
-	// worker probes the shared immutable CSR arena.
-	fz := idx.Freeze(ref)
 	sig := verify.Sigs(ref) // one array, read by every worker
 
 	e := &streamEngine{
@@ -101,8 +96,8 @@ func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(P
 			if st != nil {
 				st.Results += emitted
 				st.ShortStrings += int64(len(shorts))
-				st.IndexBytes = idx.Bytes()
-				st.IndexEntries = idx.Entries()
+				st.IndexBytes = fz.MapBytes()
+				st.IndexEntries = fz.Entries()
 			}
 		},
 	}
@@ -110,7 +105,7 @@ func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(P
 }
 
 // JoinStream is the parallel, cancellable streaming form of Join: all of
-// sset is indexed once and frozen, then opt.Parallel workers probe the
+// sset is bulk-indexed once by opt.Parallel workers, which then probe the
 // rset strings and feed pairs through a bounded channel to emit.
 // Semantics (callback goroutine, ordering, early stop, cancellation,
 // backpressure) match SelfJoinStream.
@@ -134,16 +129,10 @@ func JoinStream(ctx context.Context, rset, sset []string, opt Options, emit func
 	for i := range sRecs {
 		ref[i] = sRecs[i].s
 	}
-	idx := index.New(tau)
-	var shorts []int32
-	for sid := range sRecs {
-		if len(ref[sid]) >= tau+1 {
-			idx.Add(int32(sid), ref[sid])
-		} else {
-			shorts = append(shorts, int32(sid))
-		}
+	fz, shorts, err := buildStreamIndex(ref, tau, opt.Parallel)
+	if err != nil {
+		return err
 	}
-	fz := idx.Freeze(ref)
 	sig := verify.Sigs(ref) // one array, read by every worker
 
 	e := &streamEngine{
@@ -177,12 +166,27 @@ func JoinStream(ctx context.Context, rset, sset []string, opt Options, emit func
 			if st != nil {
 				st.Results += emitted
 				st.ShortStrings += int64(len(shorts))
-				st.IndexBytes = idx.Bytes()
-				st.IndexEntries = idx.Entries()
+				st.IndexBytes = fz.MapBytes()
+				st.IndexEntries = fz.Entries()
 			}
 		},
 	}
 	return e.run(ctx, emit)
+}
+
+// buildStreamIndex bulk-builds the frozen index over ref (sorted by
+// length) with as many workers as the join probes with, and lists the
+// strings too short to partition, which bypass it.
+func buildStreamIndex(ref []string, tau, workers int) (*index.Frozen, []int32, error) {
+	fz, err := index.BuildFrozen(ref, tau, workers)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: building index: %w", err)
+	}
+	var shorts []int32
+	for sid := 0; sid < len(ref) && len(ref[sid]) <= tau; sid++ {
+		shorts = append(shorts, int32(sid))
+	}
+	return fz, shorts, nil
 }
 
 // streamWorkers clamps the requested parallelism to [1, items].

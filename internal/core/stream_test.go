@@ -213,20 +213,33 @@ func TestStreamWorkerPanicSurfacesAsError(t *testing.T) {
 }
 
 // Stream stats must match the sequential run's totals for the whole-join
-// counters that are parallelism-invariant.
+// counters that are parallelism-invariant, and the index footprint must be
+// the map index's (IndexFootprint builds it with Add, as the stream joins
+// did before they bulk-built) at any worker count.
 func TestStreamStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	strs := randomCorpus(rng, 150, 15, 3, 0.5, 3)
-	st := &metrics.Stats{}
-	got := collectStream(t, context.Background(), strs, Options{Tau: 2, Parallel: 4, Stats: st})
-	if st.Results != int64(len(got)) {
-		t.Errorf("Results=%d, want %d", st.Results, len(got))
-	}
-	if st.Strings != int64(len(strs)) {
-		t.Errorf("Strings=%d, want %d", st.Strings, len(strs))
-	}
-	if st.IndexBytes <= 0 || st.IndexEntries <= 0 {
-		t.Error("index size not recorded")
+	probes := randomCorpus(rng, 40, 15, 3, 0.5, 3)
+	wantBytes, wantEntries := IndexFootprint(strs, 2)
+	for _, workers := range []int{1, 4} {
+		st := &metrics.Stats{}
+		got := collectStream(t, context.Background(), strs, Options{Tau: 2, Parallel: workers, Stats: st})
+		if st.Results != int64(len(got)) {
+			t.Errorf("workers=%d: Results=%d, want %d", workers, st.Results, len(got))
+		}
+		if st.Strings != int64(len(strs)) {
+			t.Errorf("workers=%d: Strings=%d, want %d", workers, st.Strings, len(strs))
+		}
+		if st.IndexBytes != wantBytes || st.IndexEntries != wantEntries {
+			t.Errorf("workers=%d: self join index %d B / %d entries, map index %d / %d", workers, st.IndexBytes, st.IndexEntries, wantBytes, wantEntries)
+		}
+		st = &metrics.Stats{}
+		if err := JoinStream(context.Background(), probes, strs, Options{Tau: 2, Parallel: workers, Stats: st}, func(Pair) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		if st.IndexBytes != wantBytes || st.IndexEntries != wantEntries {
+			t.Errorf("workers=%d: R-S join index %d B / %d entries, map index %d / %d", workers, st.IndexBytes, st.IndexEntries, wantBytes, wantEntries)
+		}
 	}
 }
 

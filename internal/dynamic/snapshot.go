@@ -183,7 +183,7 @@ func readBaseSnapshot(r io.Reader) (gids []int64, corpus []string, fz *index.Fro
 	if got := binary.LittleEndian.Uint32(footer[:]); got != sum {
 		return nil, nil, nil, 0, 0, fmt.Errorf("dynamic: base snapshot header checksum mismatch (stored %08x, computed %08x)", got, sum)
 	}
-	corpus, tau, fz, err = persist.ReadSnapshot(br, true)
+	corpus, tau, fz, err = persist.ReadSnapshot(br)
 	if err != nil {
 		return nil, nil, nil, 0, 0, err
 	}

@@ -1,0 +1,200 @@
+package index
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"passjoin/internal/dataset"
+	"passjoin/internal/partition"
+)
+
+// requireSameLists fails unless got answers every lookup the way the map
+// index x (and its Freeze, want) does: the same groups, and for every
+// (length, slot) the identical ascending list under every indexed segment
+// and under probe strings that are mostly misses.
+func requireSameLists(t testing.TB, corpus []string, tau int, x *Index, want, got *Frozen, probes []string) {
+	t.Helper()
+	if got.Tau() != tau || got.Entries() != x.Entries() || got.Bytes() != want.Bytes() {
+		t.Fatalf("tau=%d: built tau=%d entries=%d bytes=%d, frozen map index entries=%d bytes=%d",
+			tau, got.Tau(), got.Entries(), got.Bytes(), x.Entries(), want.Bytes())
+	}
+	if got.MapBytes() != x.Bytes() || want.MapBytes() != x.Bytes() {
+		t.Fatalf("tau=%d: MapBytes built=%d frozen=%d, Index.Bytes=%d", tau, got.MapBytes(), want.MapBytes(), x.Bytes())
+	}
+	if !slices.Equal(got.Lengths(), want.Lengths()) {
+		t.Fatalf("tau=%d: built lengths %v, want %v", tau, got.Lengths(), want.Lengths())
+	}
+	for _, l := range want.Lengths() {
+		g, bg := x.Group(l), got.Group(l)
+		for i := 1; i <= tau+1; i++ {
+			keys := 0
+			bg.Slot(i, func(_ uint64, postings []int32) {
+				keys++
+				if !slices.IsSorted(postings) {
+					t.Fatalf("tau=%d l=%d slot=%d: postings %v not ascending", tau, l, i, postings)
+				}
+			})
+			if keys != len(g.segs[i-1]) {
+				t.Fatalf("tau=%d l=%d slot=%d: %d rows, map has %d keys", tau, l, i, keys, len(g.segs[i-1]))
+			}
+			for w, lst := range g.segs[i-1] {
+				if built := bg.List(i, w); !slices.Equal(built, lst) {
+					t.Fatalf("tau=%d l=%d slot=%d key=%q: built %v, map %v", tau, l, i, w, built, lst)
+				}
+			}
+			li := partition.SegLen(l, tau, i)
+			for _, p := range probes {
+				if len(p) < li {
+					continue
+				}
+				if built, lst := bg.List(i, p[:li]), g.segs[i-1][p[:li]]; !slices.Equal(built, lst) {
+					t.Fatalf("tau=%d l=%d slot=%d probe=%q: built %v, map %v", tau, l, i, p[:li], built, lst)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildFrozenMatchesAddFreeze is the builder's differential test:
+// random corpora with duplicates and strings too short to partition, the
+// empty corpus, every tau in 0..4 and 1, 2 and 8 workers.
+func TestBuildFrozenMatchesAddFreeze(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for tau := 0; tau <= 4; tau++ {
+		for trial := 0; trial < 12; trial++ {
+			var corpus []string
+			if trial > 0 { // trial 0 is the empty corpus
+				corpus = randomCorpus(rng, 20+rng.Intn(300), 1+rng.Intn(20))
+				for k := len(corpus) / 4; k > 0; k-- { // duplicates, at scattered ids
+					corpus[rng.Intn(len(corpus))] = corpus[rng.Intn(len(corpus))]
+				}
+				corpus = append(corpus, "", "a")
+			}
+			x, want := buildBoth(corpus, tau)
+			probes := randomCorpus(rng, 40, 12)
+			for _, workers := range []int{1, 2, 8} {
+				got, err := BuildFrozen(corpus, tau, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameLists(t, corpus, tau, x, want, got, probes)
+			}
+		}
+	}
+	if _, err := BuildFrozen([]string{"abc"}, -1, 1); err == nil {
+		t.Error("negative tau accepted")
+	}
+}
+
+// FuzzBuildFrozen is FuzzFrozenLookup for the bulk builder: whatever the
+// corpus, threshold and worker count, it must answer like Add + Freeze.
+func FuzzBuildFrozen(f *testing.F) {
+	f.Add([]byte("hello\nworld\nhelp\nheld\nhello"), uint8(2), uint8(1), []byte("hel"))
+	f.Add([]byte("aaaa\naaab\nabab\nbbbb\naa\naaaa"), uint8(1), uint8(2), []byte("aa"))
+	f.Add([]byte(""), uint8(0), uint8(8), []byte("x"))
+	f.Fuzz(func(t *testing.T, data []byte, tauRaw, workers uint8, probe []byte) {
+		tau := int(tauRaw % 5)
+		corpus := fuzzCorpus(data)
+		x, want := buildBoth(corpus, tau)
+		got, err := BuildFrozen(corpus, tau, int(workers%9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameLists(t, corpus, tau, x, want, got, []string{string(probe)})
+	})
+}
+
+// TestBuildFrozenHashCollision forces two distinct segments of one slot
+// onto the same 64-bit hash: they must stay two rows, each with its own
+// ascending list, and List must return the one whose content matches.
+func TestBuildFrozenHashCollision(t *testing.T) {
+	// tau=1, length 4: slot 1 is bytes 0..1. "ab" and "cd" collide there;
+	// their ids interleave so the regrouping has something to undo.
+	corpus := []string{"abxx", "cdxx", "abyy", "efzz", "cdyy", "abzz"}
+	collide := func(w string) uint64 {
+		if w == "cd" {
+			w = "ab"
+		}
+		return hash64(w)
+	}
+	for _, workers := range []int{1, 2} {
+		f, err := buildFrozen(corpus, 1, workers, collide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := f.Group(4)
+		lists := map[string][]int32{}
+		hashes := map[uint64]int{}
+		g.Slot(1, func(h uint64, postings []int32) {
+			hashes[h]++
+			lists[corpus[postings[0]][:2]] = slices.Clone(postings)
+		})
+		want := map[string][]int32{"ab": {0, 2, 5}, "cd": {1, 4}, "ef": {3}}
+		if len(lists) != len(want) || hashes[hash64("ab")] != 2 {
+			t.Fatalf("workers=%d: rows %v (hash multiplicities %v), want %v with two rows under hash(ab)", workers, lists, hashes, want)
+		}
+		for w, lst := range want {
+			if !slices.Equal(lists[w], lst) {
+				t.Fatalf("workers=%d: segment %q posted %v, want %v", workers, w, lists[w], lst)
+			}
+		}
+		// Lookups hash with the real function: "ab" must get its own list
+		// whichever of the two colliding rows the probe meets first.
+		if got := g.List(1, "ab"); !slices.Equal(got, want["ab"]) {
+			t.Fatalf("workers=%d: List(ab) = %v, want %v", workers, got, want["ab"])
+		}
+		if got := g.List(2, "xx"); !slices.Equal(got, []int32{0, 1}) {
+			t.Fatalf("workers=%d: List(xx) = %v", workers, got)
+		}
+	}
+}
+
+// TestArenaLimits pins the overflow check the builders share, on counts
+// alone: ids are int32 and arena offsets uint32, so a corpus past either
+// must be refused instead of wrapping.
+func TestArenaLimits(t *testing.T) {
+	if err := checkArena(1000, math.MaxUint32); err != nil {
+		t.Errorf("largest addressable arena refused: %v", err)
+	}
+	if err := checkArena(1000, math.MaxUint32+1); err == nil {
+		t.Error("2^32 postings accepted")
+	}
+	if err := checkArena(math.MaxInt32, 0); err != nil {
+		t.Errorf("largest id space refused: %v", err)
+	}
+	if math.MaxInt > math.MaxInt32 {
+		big := math.MaxInt32
+		if err := checkArena(big+1, 0); err == nil {
+			t.Error("corpus of 2^31 strings accepted")
+		}
+		// The snapshot loader's entry point applies it: two strings at an
+		// absurd tau make 2^32 postings "possible" without a large corpus.
+		if _, err := NewFrozenBuilder(big, []string{"a", "b"}, 2*int64(big+1)); err == nil {
+			t.Error("NewFrozenBuilder accepted 2^32 postings")
+		}
+	}
+}
+
+// BenchmarkBuildFrozen compares the bulk build with Add + Freeze over the
+// same corpus (author names, tau=2), and 1 worker with 2.
+func BenchmarkBuildFrozen(b *testing.B) {
+	corpus := dataset.Author(100000, 1)
+	b.Run("add+freeze", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			buildBoth(corpus, 2)
+		}
+	})
+	for _, workers := range []int{1, 2} {
+		b.Run("bulk/workers="+string(rune('0'+workers)), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := BuildFrozen(corpus, 2, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

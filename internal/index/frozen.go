@@ -17,8 +17,9 @@ import (
 // so lookups touch only the table row, the arena, and one corpus string.
 //
 // A Frozen is immutable and safe for concurrent use by any number of
-// goroutines. It is built either by Index.Freeze (in-memory seal) or by a
-// FrozenBuilder (the PJIX v2 snapshot loader).
+// goroutines. It is built by BuildFrozen (bulk, from a complete corpus), by
+// Index.Freeze (the seal after online inserts) or by a FrozenBuilder (the
+// PJIX v2 snapshot loader).
 type Frozen struct {
 	tau     int
 	layout  Layout
@@ -68,6 +69,26 @@ func (f *Frozen) Entries() int64 { return f.entries }
 // arena plus the slot tables. Corpus strings are shared with the caller
 // and not charged.
 func (f *Frozen) Bytes() int64 { return f.bytes }
+
+// MapBytes returns what Index.Bytes reports for a map index holding the
+// same postings — the cost model behind Table 3 is a function of the
+// group, distinct-segment and posting counts, all of which survive the
+// freeze — so a bulk build can report the figure without building the maps.
+func (f *Frozen) MapBytes() int64 {
+	b := f.entries * postingBytes
+	for _, g := range f.groups {
+		if g == nil {
+			continue
+		}
+		b += int64(groupOverhead + len(g.tables)*mapOverhead)
+		for i, t := range g.tables {
+			if t != nil {
+				t.each(func(uint64, uint32, uint32) { b += int64(entryOverhead + g.segs[i].Len) })
+			}
+		}
+	}
+	return b
+}
 
 // Lengths returns the sorted lengths that have a group.
 func (f *Frozen) Lengths() []int {
@@ -223,6 +244,9 @@ func NewFrozenBuilder(tau int, ref []string, totalPostings int64) (*FrozenBuilde
 	if totalPostings < 0 || totalPostings > int64(len(ref))*int64(tau+1) {
 		return nil, fmt.Errorf("posting count %d impossible for corpus of %d strings at tau=%d", totalPostings, len(ref), tau)
 	}
+	if err := checkArena(len(ref), totalPostings); err != nil {
+		return nil, err
+	}
 	maxRefLen := 0
 	for _, s := range ref {
 		if len(s) > maxRefLen {
@@ -331,18 +355,27 @@ func (b *FrozenBuilder) Finish() (*Frozen, error) {
 	for l, g := range b.groups {
 		f.groups[l] = g
 	}
+	f.account()
+	b.f = nil
+	return f, nil
+}
+
+// account fills in the size figures once the arena and every table are in
+// place.
+func (f *Frozen) account() {
 	f.entries = int64(len(f.arena))
 	f.bytes = int64(len(f.arena)) * 4
-	for _, g := range b.groups {
+	for _, g := range f.groups {
+		if g == nil {
+			continue
+		}
 		f.bytes += frozenGroupOverhead
-		for i := range g.tables {
-			if g.tables[i] != nil {
-				f.bytes += g.tables[i].bytes()
+		for _, t := range g.tables {
+			if t != nil {
+				f.bytes += t.bytes()
 			}
 		}
 	}
-	b.f = nil
-	return f, nil
 }
 
 // frozenGroupOverhead is the approximate fixed cost of one group:

@@ -174,6 +174,21 @@ func TestFrozenBuilderRejectsCorruptInput(t *testing.T) {
 	}
 }
 
+// fuzzCorpus splits fuzz input into at most 64 non-empty lines.
+func fuzzCorpus(data []byte) []string {
+	var corpus []string
+	start := 0
+	for i := 0; i <= len(data) && len(corpus) < 64; i++ {
+		if i == len(data) || data[i] == '\n' {
+			if i > start {
+				corpus = append(corpus, string(data[start:i]))
+			}
+			start = i + 1
+		}
+	}
+	return corpus
+}
+
 // FuzzFrozenLookup drives the equivalence property from fuzzed corpora and
 // probes: whatever the corpus shape, frozen lookups must agree with the
 // map index on every slot for both the probe string's prefixes and all
@@ -184,19 +199,7 @@ func FuzzFrozenLookup(f *testing.F) {
 	f.Add([]byte(""), uint8(0), []byte("x"))
 	f.Fuzz(func(t *testing.T, data []byte, tauRaw uint8, probe []byte) {
 		tau := int(tauRaw % 5)
-		var corpus []string
-		start := 0
-		for i := 0; i <= len(data); i++ {
-			if i == len(data) || data[i] == '\n' {
-				if i > start {
-					corpus = append(corpus, string(data[start:i]))
-				}
-				start = i + 1
-			}
-			if len(corpus) >= 64 {
-				break
-			}
-		}
+		corpus := fuzzCorpus(data)
 		x, fz := buildBoth(corpus, tau)
 		if fz.Entries() != x.Entries() {
 			t.Fatalf("entries: frozen %d map %d", fz.Entries(), x.Entries())

@@ -208,15 +208,12 @@ func TestTraceNesting(t *testing.T) {
 	}
 }
 
-func TestTraceMergeAndReset(t *testing.T) {
-	a, b := &QueryTrace{}, &QueryTrace{}
+func TestTraceReset(t *testing.T) {
+	a := &QueryTrace{}
 	a.AddCount(PhaseDedup, 3)
 	a.phases[PhaseDedup].Nanos = 100
-	b.AddCount(PhaseDedup, 4)
-	b.phases[PhaseDedup].Nanos = 50
-	a.Merge(b)
-	if got := a.Phase(PhaseDedup); got.Count != 7 || got.Nanos != 150 {
-		t.Fatalf("merged dedup = %+v, want {150 7}", got)
+	if got := a.Phase(PhaseDedup); got.Count != 3 || got.Nanos != 100 {
+		t.Fatalf("dedup = %+v, want {100 3}", got)
 	}
 	a.Reset()
 	if got := a.Phase(PhaseDedup); got != (PhaseStat{}) {
@@ -229,7 +226,6 @@ func TestTraceNilSafe(t *testing.T) {
 	tr.Begin(PhaseSelect)
 	tr.AddCount(PhaseSelect, 5)
 	tr.End(PhaseSelect)
-	tr.Merge(&QueryTrace{})
 	tr.Reset()
 	if tr.TotalNanos() != 0 || tr.Phase(PhaseSelect) != (PhaseStat{}) {
 		t.Fatal("nil trace returned nonzero stats")

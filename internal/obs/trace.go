@@ -45,8 +45,8 @@ type PhaseStat struct {
 }
 
 // QueryTrace records per-phase wall time and counters for one query. It
-// is single-goroutine state (the parallel fan-outs give each shard its
-// own trace and Merge after); a nil *QueryTrace is valid everywhere and
+// is single-goroutine state and additive (a dynamic index passes the same
+// trace to each tier in turn); a nil *QueryTrace is valid everywhere and
 // records nothing, so the untraced hot path pays only nil checks — no
 // clock reads, no allocations. All storage is inline fixed-size arrays:
 // tracing itself never allocates either.
@@ -126,18 +126,6 @@ func (t *QueryTrace) TotalNanos() int64 {
 		n += ps.Nanos
 	}
 	return n
-}
-
-// Merge adds o's phases into t — the fan-out join for per-shard traces.
-// Either side may be nil.
-func (t *QueryTrace) Merge(o *QueryTrace) {
-	if t == nil || o == nil {
-		return
-	}
-	for i := range t.phases {
-		t.phases[i].Nanos += o.phases[i].Nanos
-		t.phases[i].Count += o.phases[i].Count
-	}
 }
 
 // Reset zeroes the trace for reuse.

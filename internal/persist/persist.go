@@ -177,23 +177,20 @@ func (c *crcReader) ReadByte() (byte, error) {
 }
 
 // ReadSnapshot parses a PJIX snapshot back into (corpus, tau, frozen).
-// frozen is nil for v1 snapshots and v2 corpus-only snapshots. When
-// buildFrozen is false a v2 frozen section is parsed and validated (so
-// the checksum still covers it) but not materialized — the path for
-// readers that re-index anyway.
+// frozen is nil for v1 snapshots and v2 corpus-only snapshots.
 //
 // When r is already a *bufio.Reader it is used directly, so parsing
 // consumes exactly the snapshot's bytes from it — internal/dynamic relies
 // on this to parse its own header and the embedded PJIX payload from one
 // buffered stream.
-func ReadSnapshot(r io.Reader, buildFrozen bool) ([]string, int, *index.Frozen, error) {
+func ReadSnapshot(r io.Reader) ([]string, int, *index.Frozen, error) {
 	if br, ok := r.(*bufio.Reader); ok {
-		return readSnapshot(br, buildFrozen)
+		return readSnapshot(br)
 	}
-	return readSnapshot(bufio.NewReader(r), buildFrozen)
+	return readSnapshot(bufio.NewReader(r))
 }
 
-func readSnapshot(br *bufio.Reader, buildFrozen bool) ([]string, int, *index.Frozen, error) {
+func readSnapshot(br *bufio.Reader) ([]string, int, *index.Frozen, error) {
 	cr := &crcReader{br: br, crc: crc32.NewIEEE()}
 	hdr := make([]byte, len(magic))
 	if _, err := io.ReadFull(cr, hdr); err != nil {
@@ -261,7 +258,7 @@ func readSnapshot(br *bufio.Reader, buildFrozen bool) ([]string, int, *index.Fro
 	switch flag {
 	case 0:
 	case hasFrozen:
-		fz, err = readFrozen(cr, int(tau64), corpus, buildFrozen)
+		fz, err = readFrozen(cr, int(tau64), corpus)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -279,13 +276,10 @@ func readSnapshot(br *bufio.Reader, buildFrozen bool) ([]string, int, *index.Fro
 	return corpus, int(tau64), fz, nil
 }
 
-// readFrozen parses the frozen-index section. With build set it streams
-// through a FrozenBuilder — which validates group lengths, posting ids,
-// and arena bounds against the already-loaded corpus — and returns the
-// materialized index; without it the section is only decoded and
-// range-checked (no arena or tables are allocated) and nil is returned,
-// for readers that re-index from the corpus anyway.
-func readFrozen(cr *crcReader, tau int, corpus []string, build bool) (*index.Frozen, error) {
+// readFrozen parses the frozen-index section, streaming it through a
+// FrozenBuilder — which validates group lengths, posting ids, and arena
+// bounds against the already-loaded corpus — into the materialized index.
+func readFrozen(cr *crcReader, tau int, corpus []string) (*index.Frozen, error) {
 	total, err := binary.ReadUvarint(cr)
 	if err != nil {
 		return nil, fmt.Errorf("passjoin: reading posting count: %w", err)
@@ -293,12 +287,9 @@ func readFrozen(cr *crcReader, tau int, corpus []string, build bool) (*index.Fro
 	if total > uint64(len(corpus))*uint64(tau+1) {
 		return nil, fmt.Errorf("passjoin: posting count %d impossible for corpus of %d strings", total, len(corpus))
 	}
-	var b *index.FrozenBuilder
-	if build {
-		b, err = index.NewFrozenBuilder(tau, corpus, int64(total))
-		if err != nil {
-			return nil, fmt.Errorf("passjoin: frozen section: %w", err)
-		}
+	b, err := index.NewFrozenBuilder(tau, corpus, int64(total))
+	if err != nil {
+		return nil, fmt.Errorf("passjoin: frozen section: %w", err)
 	}
 	nGroups, err := binary.ReadUvarint(cr)
 	if err != nil {
@@ -314,10 +305,8 @@ func readFrozen(cr *crcReader, tau int, corpus []string, build bool) (*index.Fro
 		if err != nil {
 			return nil, fmt.Errorf("passjoin: reading group %d length: %w", gi, err)
 		}
-		if build {
-			if err := b.BeginGroup(int(l)); err != nil {
-				return nil, fmt.Errorf("passjoin: frozen section: %w", err)
-			}
+		if err := b.BeginGroup(int(l)); err != nil {
+			return nil, fmt.Errorf("passjoin: frozen section: %w", err)
 		}
 		for i := 1; i <= tau+1; i++ {
 			nKeys, err := binary.ReadUvarint(cr)
@@ -327,10 +316,8 @@ func readFrozen(cr *crcReader, tau int, corpus []string, build bool) (*index.Fro
 			if nKeys > total {
 				return nil, fmt.Errorf("passjoin: slot key count %d exceeds posting count %d", nKeys, total)
 			}
-			if build {
-				if err := b.BeginSlot(i, int(nKeys)); err != nil {
-					return nil, fmt.Errorf("passjoin: frozen section: %w", err)
-				}
+			if err := b.BeginSlot(i, int(nKeys)); err != nil {
+				return nil, fmt.Errorf("passjoin: frozen section: %w", err)
 			}
 			for k := uint64(0); k < nKeys; k++ {
 				if _, err := io.ReadFull(cr, hbuf[:]); err != nil {
@@ -353,20 +340,13 @@ func readFrozen(cr *crcReader, tau int, corpus []string, build bool) (*index.Fro
 					if id >= uint64(len(corpus)) {
 						return nil, fmt.Errorf("passjoin: posting id %d outside corpus", id)
 					}
-					if build {
-						postings = append(postings, int32(id))
-					}
+					postings = append(postings, int32(id))
 				}
-				if build {
-					if err := b.AddList(h, postings); err != nil {
-						return nil, fmt.Errorf("passjoin: frozen section: %w", err)
-					}
+				if err := b.AddList(h, postings); err != nil {
+					return nil, fmt.Errorf("passjoin: frozen section: %w", err)
 				}
 			}
 		}
-	}
-	if !build {
-		return nil, nil
 	}
 	fz, err := b.Finish()
 	if err != nil {

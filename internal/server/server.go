@@ -43,11 +43,11 @@
 //	GET    /v1/docs/{id}       fetch one live document
 //	DELETE /v1/docs/{id}       tombstone a document
 //
-// Every lookup fans out to all shards in parallel (inside the index);
-// batch requests additionally run their queries concurrently. All
-// handlers are safe under arbitrary client concurrency. Requests that hit
-// a known route with an unsupported method receive a JSON 405 carrying an
-// Allow header rather than the mux default.
+// Every lookup runs on its handler's goroutine; batch requests run their
+// queries concurrently, one worker per core. All handlers are safe under
+// arbitrary client concurrency. Requests that hit a known route with an
+// unsupported method receive a JSON 405 carrying an Allow header rather
+// than the mux default.
 package server
 
 import (
@@ -590,16 +590,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := make([][]Match, len(req.Queries))
-	// Each lookup already fans out to NumShards goroutines, so scale the
-	// batch-level workers down to keep workers × shards near the core
-	// count instead of oversubscribing the scheduler.
-	workers := runtime.GOMAXPROCS(0) / s.idx.NumShards()
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(req.Queries) {
-		workers = len(req.Queries)
-	}
+	// A lookup stays on the goroutine that calls it, so the batch is the
+	// only source of parallelism here: one worker per core.
+	workers := min(runtime.GOMAXPROCS(0), len(req.Queries))
 	// With slow-query tracing armed, every batch query gets its own trace
 	// (a trace must not be shared across the concurrent workers).
 	traced := s.cfg.SlowQuery > 0

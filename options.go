@@ -189,16 +189,20 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// maxShards bounds WithShards: every shard carries fixed per-partition
-// state (index, pools, and — dynamic mode — WAL and snapshot files), so an
-// absurd count is a resource bomb rather than a tuning choice.
+// maxShards bounds WithShards: every dynamic shard carries fixed
+// per-partition state (index, pools, WAL and snapshot files) and every
+// build worker is a goroutine, so an absurd count is a resource bomb
+// rather than a tuning choice.
 const maxShards = 1 << 16
 
-// WithShards sets the number of index partitions for NewShardedSearcher,
-// NewDynamicSearcher and OpenDynamicSearcher (see the options table in the
-// package documentation for which constructors honor which options).
-// n == 0 selects GOMAXPROCS shards; negative or implausibly large counts
-// (> 65536) are rejected.
+// WithShards sets, for NewShardedSearcher, the number of workers that
+// build its one index in parallel — queries do not depend on it, and
+// NumShards reports it — and, for NewDynamicSearcher and
+// OpenDynamicSearcher, the number of index partitions, each with its own
+// write lock, log and compactor (see the options table in the package
+// documentation for which constructors honor which options). n == 0
+// selects GOMAXPROCS; negative or implausibly large counts (> 65536) are
+// rejected.
 func WithShards(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

@@ -13,11 +13,9 @@ import (
 // and is shared with the dynamic tier's base snapshots (internal/dynamic);
 // this file binds it to the public Searcher types.
 //
-// A ShardedSearcher snapshot is written without the frozen section (its
-// frozen arenas are per-shard and the shard count is a load-time choice),
-// so it loads into a Searcher or a ShardedSearcher with any shard count; a
-// Searcher snapshot carries the frozen index and also loads either way
-// (the sharded reader re-partitions from the corpus).
+// Both static searchers write the same snapshot and both readers load
+// either's: WithShards is a load-time choice that only matters when the
+// reader has to rebuild (a corpus-only or version 1 snapshot).
 
 // WriteTo serializes the searcher's corpus, threshold, and frozen index
 // (PJIX v2). It implements io.WriterTo.
@@ -28,48 +26,58 @@ func (s *Searcher) WriteTo(w io.Writer) (int64, error) {
 // ReadSearcherFrom deserializes a searcher written by WriteTo. Version 2
 // snapshots restore the frozen index directly — the cold-start cost is
 // reading postings, not re-partitioning and re-indexing the corpus;
-// version 1 snapshots rebuild the index as before. Options apply to the
-// loaded searcher (the threshold comes from the snapshot).
+// version 1 and corpus-only snapshots rebuild the index. Options apply to
+// the loaded searcher (the threshold comes from the snapshot).
 func ReadSearcherFrom(r io.Reader, opts ...Option) (*Searcher, error) {
-	corpus, tau, fz, err := persist.ReadSnapshot(r, true)
+	s, _, err := readSearcher(r, opts, false)
+	return s, err
+}
+
+// readSearcher loads a snapshot into a Searcher and returns the build
+// worker count the options resolve to (one, unless sharded) — which it
+// builds with when the snapshot carries no frozen index.
+func readSearcher(r io.Reader, opts []Option, sharded bool) (*Searcher, int, error) {
+	corpus, tau, fz, err := persist.ReadSnapshot(r)
 	if err != nil {
-		return nil, err
-	}
-	if fz == nil {
-		return NewSearcher(corpus, tau, opts...)
+		return nil, 0, err
 	}
 	cfg, err := buildConfig(tau, opts)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	n := 1
+	if sharded {
+		n = cfg.buildWorkers(len(corpus))
+	}
+	if fz == nil {
+		s, err := buildSearcher(corpus, tau, cfg, n)
+		return s, n, err
 	}
 	inner := cfg.coreOptions(tau)
 	m, err := core.NewSealedMatcher(tau, inner.Selection, inner.Verification, inner.Stats, corpus, fz)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	cfg.stats.fill()
-	return newSearcherFromSealed(m, tau), nil
+	return newSearcher(m, tau), n, nil
 }
 
-// WriteTo serializes the sharded searcher's corpus and threshold in
-// original corpus order (PJIX v2, corpus-only: the per-shard frozen
-// arenas are a function of the load-time shard count, so the snapshot
-// stays shard-count independent and loads into either searcher kind). It
+// WriteTo serializes the sharded searcher's corpus, threshold, and frozen
+// index (PJIX v2) — the same snapshot Searcher.WriteTo writes. It
 // implements io.WriterTo.
 func (ss *ShardedSearcher) WriteTo(w io.Writer) (int64, error) {
-	return persist.WriteSnapshot(w, ss.tau, ss.Len(), ss.At, nil)
+	return ss.s.WriteTo(w)
 }
 
 // ReadShardedSearcherFrom deserializes a snapshot written by either
-// WriteTo and rebuilds a sharded index (any frozen section is decoded
-// only far enough to checksum and validate it, never materialized;
-// shards re-partition the corpus because the shard count is a load-time
-// choice). Options (including WithShards) apply to the rebuilt searcher;
-// the threshold comes from the snapshot.
+// WriteTo. A frozen section is restored as it is; corpus-only snapshots
+// (written by earlier releases' ShardedSearcher.WriteTo) and version 1
+// snapshots rebuild the index with WithShards workers. Options apply to
+// the loaded searcher; the threshold comes from the snapshot.
 func ReadShardedSearcherFrom(r io.Reader, opts ...Option) (*ShardedSearcher, error) {
-	corpus, tau, _, err := persist.ReadSnapshot(r, false)
+	s, workers, err := readSearcher(r, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	return NewShardedSearcher(corpus, tau, opts...)
+	return &ShardedSearcher{s: s, workers: workers}, nil
 }

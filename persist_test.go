@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -156,6 +158,95 @@ func TestV2SnapshotCarriesFrozenIndex(t *testing.T) {
 	}
 }
 
+// TestShardedSnapshotRestoresFrozenIndex: a sharded searcher writes the
+// snapshot a plain one writes, and reading it back restores the frozen
+// index (no rebuild: IndexBytes stays 0) with results equal to the
+// original's at whatever WithShards the reader is given.
+func TestShardedSnapshotRestoresFrozenIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	corpus := testCorpus(rng, 180)
+	orig, err := NewShardedSearcher(corpus, 2, WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewSearcher(corpus, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf, plainBuf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.WriteTo(&plainBuf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), plainBuf.Bytes()) {
+		t.Fatalf("sharded snapshot (%d B) differs from the plain searcher's (%d B)", buf.Len(), plainBuf.Len())
+	}
+	var st Stats
+	loaded, err := ReadShardedSearcherFrom(bytes.NewReader(buf.Bytes()), WithShards(5), WithStats(&st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FrozenEntries == 0 || st.IndexBytes != 0 {
+		t.Fatalf("load did not restore the frozen section as it is: %+v", st)
+	}
+	if loaded.NumShards() != 5 || loaded.Len() != len(corpus) || loaded.Tau() != 2 {
+		t.Fatalf("loaded: shards=%d len=%d tau=%d", loaded.NumShards(), loaded.Len(), loaded.Tau())
+	}
+	for _, q := range append(testCorpus(rng, 40), corpus[:40]...) {
+		if got, want := loaded.Search(q), orig.Search(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("q=%q: loaded %v, original %v", q, got, want)
+		}
+	}
+}
+
+// TestParentCommitSnapshotsLoad reads two snapshots written by the build
+// before the bulk builder (testdata/, 125 strings at tau 2): a
+// ShardedSearcher's, which was corpus-only and must take the rebuild path,
+// and a Searcher's, whose frozen section came out of Index.Freeze and must
+// be restored as it is. Both readers must answer like a fresh build.
+func TestParentCommitSnapshotsLoad(t *testing.T) {
+	for name, rebuilt := range map[string]bool{"parent-sharded.pjix": true, "parent-searcher.pjix": false} {
+		blob, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st, sst Stats
+		s, err := ReadSearcherFrom(bytes.NewReader(blob), WithStats(&st))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ss, err := ReadShardedSearcherFrom(bytes.NewReader(blob), WithShards(2), WithStats(&sst))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.Len() != 125 || s.Tau() != 2 || ss.Len() != 125 || ss.Tau() != 2 || ss.NumShards() != 2 {
+			t.Fatalf("%s: len=%d/%d tau=%d/%d shards=%d", name, s.Len(), ss.Len(), s.Tau(), ss.Tau(), ss.NumShards())
+		}
+		if (st.IndexBytes != 0) != rebuilt || (sst.IndexBytes != 0) != rebuilt || st.FrozenEntries == 0 || sst.FrozenEntries != st.FrozenEntries {
+			t.Fatalf("%s: rebuilt=%v, stats %+v / %+v", name, rebuilt, st, sst)
+		}
+		corpus := make([]string, s.Len())
+		for id := range corpus {
+			corpus[id] = s.At(id)
+		}
+		fresh, err := NewSearcher(corpus, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range corpus {
+			want := fresh.Search(q)
+			if got := s.Search(q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s q=%q: searcher %v, fresh %v", name, q, got, want)
+			}
+			if got := ss.Search(q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s q=%q: sharded %v, fresh %v", name, q, got, want)
+			}
+		}
+	}
+}
+
 // TestSnapshotChecksum verifies the CRC32 footer: any corrupted byte in a
 // v2 snapshot must be rejected, as must a truncated one.
 func TestSnapshotChecksum(t *testing.T) {
@@ -194,7 +285,7 @@ func TestSnapshotChecksum(t *testing.T) {
 	if _, err := ReadSearcherFrom(bytes.NewReader(relabeled)); err == nil {
 		t.Fatal("v2 snapshot relabeled as v1 accepted")
 	}
-	// Same for the corpus-only sharded flavor.
+	// Same through the sharded writer and reader.
 	ss, err := NewShardedSearcher(corpus, 2, WithShards(2))
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package passjoin
 
 import (
 	"iter"
+	"slices"
 	"sync"
 
 	"passjoin/internal/core"
@@ -14,10 +15,9 @@ import (
 // the corpus is segment-indexed once, queries probe with multi-match-aware
 // substring selection.
 //
-// Construction builds the mutable segment index and immediately seals it
-// into its frozen CSR form (see docs/ARCHITECTURE.md): queries probe flat
-// hash tables over one contiguous posting arena rather than per-segment Go
-// maps.
+// Construction bulk-builds the index straight into its frozen CSR form
+// (see docs/ARCHITECTURE.md): queries probe flat hash tables over one
+// contiguous posting arena rather than per-segment Go maps.
 //
 // A Searcher is immutable after construction and safe for concurrent use
 // by any number of goroutines: query scratch state (verifier buffers,
@@ -48,15 +48,18 @@ func NewSearcher(corpus []string, tau int, opts ...Option) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
+	return buildSearcher(slices.Clone(corpus), tau, cfg, 1)
+}
+
+// buildSearcher indexes corpus with the given number of build workers —
+// the one build path of both static searchers. The searcher keeps corpus:
+// constructors pass a copy of their caller's slice.
+func buildSearcher(corpus []string, tau int, cfg config, workers int) (*Searcher, error) {
 	inner := cfg.coreOptions(tau)
-	m, err := core.NewMatcher(tau, inner.Selection, inner.Verification, inner.Stats)
+	m, err := core.BuildSealedMatcher(tau, inner.Selection, inner.Verification, inner.Stats, corpus, workers)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range corpus {
-		m.InsertSilent(s)
-	}
-	m.Seal()
 	cfg.stats.fill()
 	return newSearcher(m, tau), nil
 }
@@ -171,10 +174,4 @@ func matchesFromHits(hits []core.Hit) []Match {
 		out[i] = Match{ID: int(h.ID), Dist: int(h.Dist)}
 	}
 	return out
-}
-
-// newSearcherFromSealed wraps a matcher already in the sealed phase — the
-// PJIX v2 cold-start path.
-func newSearcherFromSealed(m *core.Matcher, tau int) *Searcher {
-	return newSearcher(m, tau)
 }

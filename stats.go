@@ -109,21 +109,6 @@ func (s *Stats) fill() {
 	s.WALRecords = in.WALRecords
 }
 
-// fillMerged aggregates per-shard internal counters into this sink —
-// the cross-shard Stats wiring used by ShardedSearcher. Nil entries in
-// parts are skipped; a nil receiver is a no-op.
-func (s *Stats) fillMerged(parts []*metrics.Stats) {
-	if s == nil {
-		return
-	}
-	merged := &metrics.Stats{}
-	for _, p := range parts {
-		merged.Add(p)
-	}
-	s.inner = merged
-	s.fill()
-}
-
 // String renders the non-zero counters on one line.
 func (s *Stats) String() string {
 	if s == nil {
