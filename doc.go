@@ -140,6 +140,19 @@
 // mutable modes — document insert/delete endpoints); docs/API.md and
 // internal/server document the wire contract.
 //
+// # Verification
+//
+// A candidate pair first meets a one-word filter: every indexed string
+// carries a 64-bit histogram of its bytes (32 buckets, counted modulo 4),
+// and two strings whose histograms are further apart than 2τ cannot be
+// within τ, so most candidates are dropped before their bytes are read.
+// The survivors go to the paper's banded dynamic program — τ+1 cells per
+// row, stopped early once no cell of a row can still lead to a match —
+// or, with VerifyMyers, to a bit-parallel kernel. Distances and
+// thresholds count bytes, not runes: a multi-byte UTF-8 character costs
+// as many edits as it has differing bytes. A threshold larger than the
+// strings is no costlier than one equal to the longer string's length.
+//
 // All entry points are exact: they return precisely the pairs (or
 // matches over the live corpus) within the threshold, never more, never
 // fewer.

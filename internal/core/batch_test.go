@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"passjoin/internal/bruteforce"
 	"passjoin/internal/selection"
+	"passjoin/internal/verify"
 )
 
 // batchCorpus builds a small but collision-rich corpus: clusters of lightly
@@ -41,12 +43,12 @@ func batchCorpus(seed int64, n int) []string {
 	return out
 }
 
-// TestBatchVsScalarVerification is the differential gate for the batched
-// prober: for every verification kind and every query budget qtau <= build
-// tau, the batched path must produce results identical to the scalar
-// (pre-batch) path — same ids, same distances, same order — on both the
-// mutable map index and the frozen CSR index.
-func TestBatchVsScalarVerification(t *testing.T) {
+// TestBatchVerification is the differential gate for the batched prober:
+// for every verification kind and every query budget qtau <= build tau, a
+// query must return exactly what brute force finds over the same strings —
+// same ids, exact distances, ascending — on both the mutable map index and
+// the frozen CSR index.
+func TestBatchVerification(t *testing.T) {
 	strs := batchCorpus(41, 160)
 	queries := append([]string{}, strs[:40]...)
 	rng := rand.New(rand.NewSource(9))
@@ -59,43 +61,44 @@ func TestBatchVsScalarVerification(t *testing.T) {
 	for _, vk := range VerifyKinds {
 		for _, seal := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/seal=%v", vk, seal), func(t *testing.T) {
-				mk := func(scalar bool) *Matcher {
-					forceScalarVerify = scalar
-					defer func() { forceScalarVerify = false }()
-					m, err := NewMatcher(tau, selection.MultiMatch, vk, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, s := range strs {
-						m.InsertSilent(s)
-					}
-					if seal {
-						m.Seal()
-					}
-					return m
+				m, err := NewMatcher(tau, selection.MultiMatch, vk, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				batched, scalar := mk(false), mk(true)
+				for _, s := range strs {
+					m.InsertSilent(s)
+				}
+				if seal {
+					m.Seal()
+				}
 				for _, q := range queries {
 					for qtau := 0; qtau <= tau; qtau++ {
-						got := batched.QueryOpt(q, QueryOpts{Tau: qtau})
-						want := scalar.QueryOpt(q, QueryOpts{Tau: qtau})
-						if len(got) != len(want) {
-							t.Fatalf("q=%q qtau=%d: batch %d hits, scalar %d", q, qtau, len(got), len(want))
+						// Brute force scans ids in ascending order.
+						want := map[int32]int32{}
+						var wantHits []Hit
+						for _, p := range bruteforce.Join([]string{q}, strs, qtau) {
+							h := Hit{ID: p.S, Dist: int32(verify.EditDistance(q, strs[p.S]))}
+							want[h.ID] = h.Dist
+							wantHits = append(wantHits, h)
+						}
+						got := m.QueryOpt(q, QueryOpts{Tau: qtau})
+						if len(got) != len(wantHits) {
+							t.Fatalf("q=%q qtau=%d: %d hits, brute force %d", q, qtau, len(got), len(wantHits))
 						}
 						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("q=%q qtau=%d hit %d: batch %+v, scalar %+v", q, qtau, i, got[i], want[i])
+							if got[i] != wantHits[i] {
+								t.Fatalf("q=%q qtau=%d hit %d: %+v, brute force %+v", q, qtau, i, got[i], wantHits[i])
 							}
 						}
-						// The limited form must deliver the same prefix.
-						lim := batched.QueryOpt(q, QueryOpts{Tau: qtau, Limit: 2})
-						wantLim := scalar.QueryOpt(q, QueryOpts{Tau: qtau, Limit: 2})
-						if len(lim) != len(wantLim) {
-							t.Fatalf("q=%q qtau=%d limit: batch %d hits, scalar %d", q, qtau, len(lim), len(wantLim))
+						// The limited form keeps the first hits in probe
+						// order: that many true hits, each once.
+						lim := m.QueryOpt(q, QueryOpts{Tau: qtau, Limit: 2})
+						if len(lim) != min(2, len(wantHits)) {
+							t.Fatalf("q=%q qtau=%d limit 2: %d hits of %d", q, qtau, len(lim), len(wantHits))
 						}
-						for i := range lim {
-							if lim[i] != wantLim[i] {
-								t.Fatalf("q=%q qtau=%d limit hit %d: batch %+v, scalar %+v", q, qtau, i, lim[i], wantLim[i])
+						for i, h := range lim {
+							if d, ok := want[h.ID]; !ok || d != h.Dist || (i > 0 && lim[i-1].ID >= h.ID) {
+								t.Fatalf("q=%q qtau=%d limit 2: hits %+v, brute force %+v", q, qtau, lim, wantHits)
 							}
 						}
 					}
@@ -105,56 +108,50 @@ func TestBatchVsScalarVerification(t *testing.T) {
 	}
 }
 
-// TestBatchVsScalarJoins runs the join entry points — sequential self join,
-// parallel self join, R×S join, and the streaming forms — under every
-// verification kind, comparing batched against scalar pair sets.
-func TestBatchVsScalarJoins(t *testing.T) {
+// TestBatchJoins runs the join entry points — sequential self join,
+// parallel self join, R×S join, and the streaming form — under every
+// verification kind against the brute-force pair sets.
+func TestBatchJoins(t *testing.T) {
 	strs := batchCorpus(77, 120)
 	rset := batchCorpus(78, 60)
+	brute := func(ps []bruteforce.Pair) []Pair {
+		out := make([]Pair, len(ps))
+		for i, p := range ps {
+			out[i] = Pair{p.R, p.S}
+		}
+		SortPairs(out)
+		return out
+	}
 	for _, vk := range VerifyKinds {
 		for _, tau := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%v/tau=%d", vk, tau), func(t *testing.T) {
-				run := func(scalar bool) (selfSeq, selfPar, rs, selfStream []Pair) {
-					forceScalarVerify = scalar
-					defer func() { forceScalarVerify = false }()
-					var err error
-					selfSeq, err = SelfJoin(strs, Options{Tau: tau, Verification: vk})
-					if err != nil {
-						t.Fatal(err)
-					}
-					selfPar, err = SelfJoin(strs, Options{Tau: tau, Verification: vk, Parallel: 4})
-					if err != nil {
-						t.Fatal(err)
-					}
-					rs, err = Join(rset, strs, Options{Tau: tau, Verification: vk})
-					if err != nil {
-						t.Fatal(err)
-					}
-					err = SelfJoinStream(context.Background(), strs, Options{Tau: tau, Verification: vk, Parallel: 3},
-						func(p Pair) bool { selfStream = append(selfStream, p); return true })
-					if err != nil {
-						t.Fatal(err)
-					}
-					SortPairs(selfStream)
-					return
-				}
-				gSeq, gPar, gRS, gStream := run(false)
-				wSeq, wPar, wRS, wStream := run(true)
-				cmp := func(name string, got, want []Pair) {
+				wantSelf := brute(bruteforce.SelfJoin(strs, tau))
+				wantRS := brute(bruteforce.Join(rset, strs, tau))
+				cmp := func(name string, got, want []Pair, err error) {
 					t.Helper()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					SortPairs(got)
 					if len(got) != len(want) {
-						t.Fatalf("%s: batch %d pairs, scalar %d", name, len(got), len(want))
+						t.Fatalf("%s: %d pairs, brute force %d", name, len(got), len(want))
 					}
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("%s pair %d: batch %v, scalar %v", name, i, got[i], want[i])
+							t.Fatalf("%s pair %d: %v, brute force %v", name, i, got[i], want[i])
 						}
 					}
 				}
-				cmp("selfjoin", gSeq, wSeq)
-				cmp("selfjoin-parallel", gPar, wPar)
-				cmp("rsjoin", gRS, wRS)
-				cmp("selfjoin-stream", gStream, wStream)
+				got, err := SelfJoin(strs, Options{Tau: tau, Verification: vk})
+				cmp("selfjoin", got, wantSelf, err)
+				got, err = SelfJoin(strs, Options{Tau: tau, Verification: vk, Parallel: 4})
+				cmp("selfjoin-parallel", got, wantSelf, err)
+				got, err = Join(rset, strs, Options{Tau: tau, Verification: vk})
+				cmp("rsjoin", got, wantRS, err)
+				var stream []Pair
+				err = SelfJoinStream(context.Background(), strs, Options{Tau: tau, Verification: vk, Parallel: 3},
+					func(p Pair) bool { stream = append(stream, p); return true })
+				cmp("selfjoin-stream", stream, wantSelf, err)
 			})
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/bits"
 
 	"passjoin/internal/index"
 	"passjoin/internal/metrics"
@@ -44,9 +43,10 @@ type prober struct {
 	ref []string // indexed strings by id
 
 	// sig holds verify.SigOf of every indexed string, parallel to ref; qsig
-	// is the probe string's. A posting whose signature differs from qsig in
-	// more than 2·qtau bits cannot be within qtau (one edit flips at most
-	// two bits), so it is dropped before its stamp or string is loaded.
+	// is the probe string's. A posting whose signature is further than
+	// 2·qtau from qsig (verify.SigDist, which one edit moves by at most two)
+	// cannot be within qtau, so it is dropped before its stamp or string is
+	// loaded.
 	sig  []uint64
 	qsig uint64
 
@@ -66,11 +66,8 @@ type prober struct {
 	// batch arrives sorted by candidate length — runs of equal length keep
 	// the banded kernels' geometry (and the branchy prefix/suffix paths)
 	// predictable without an explicit sort. Emission order is collection
-	// order, which is exactly the scalar path's emission order, so results
-	// are byte-identical. Reused across probes; scalar (set by the
-	// differential tests) forces the legacy per-list verification.
-	batch  []int32
-	scalar bool
+	// order. Reused across probes.
+	batch []int32
 
 	// stamp[rid] == epoch marks candidate rid as settled for the current
 	// probe: verified, for the whole-string verifiers (the verdict does not
@@ -105,12 +102,6 @@ type prober struct {
 	stopped bool
 }
 
-// forceScalarVerify, when set (tests only, before any join/matcher work
-// starts), makes every new prober take the scalar whole-string verification
-// path instead of the batch — the oracle side of the batch-vs-scalar
-// differential tests.
-var forceScalarVerify = false
-
 func newProber(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, idx *index.Index, fz *index.Frozen, ref []string, sig []uint64) *prober {
 	p := &prober{
 		tau:   tau,
@@ -123,8 +114,6 @@ func newProber(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, 
 		ref:   ref,
 		sig:   sig,
 		maxID: -1,
-
-		scalar: forceScalarVerify,
 	}
 	p.ver.Stats = st
 	p.incL.Stats = st
@@ -246,11 +235,7 @@ func (p *prober) probe(s string, lmin, lmax int) {
 func (p *prober) handleList(s string, lst []int32, i, pos, pi, li int) {
 	switch p.vk {
 	case VerifyNaive, VerifyLengthAware, VerifyMyers:
-		if p.scalar {
-			p.verifyWhole(s, lst)
-		} else {
-			p.collectWhole(lst)
-		}
+		p.collectWhole(lst)
 	default:
 		p.verifyExtension(s, lst, i, pos, pi, li)
 	}
@@ -259,7 +244,7 @@ func (p *prober) handleList(s string, lst []int32, i, pos, pi, li int) {
 // sigReject reports whether candidate rid's signature already rules it out
 // at the probe threshold, counting the rejection.
 func (p *prober) sigReject(rid int32) bool {
-	if bits.OnesCount64(p.sig[rid]^p.qsig) <= 2*p.qtau {
+	if verify.SigDist(p.sig[rid], p.qsig) <= 2*p.qtau {
 		return false
 	}
 	if p.st != nil {
@@ -301,10 +286,9 @@ func (p *prober) collectWhole(lst []int32) {
 }
 
 // flushBatch verifies the collected candidate set in one pass and emits
-// the accepted ids in collection order — the same order the scalar path
-// emits, so batch and scalar probes produce identical results. The batch
-// amortizes the query-side scratch: one Pattern table (VerifyMyers), one
-// set of pooled banded rows, all built before the first candidate.
+// the accepted ids in collection order. The batch amortizes the query-side
+// scratch: one Pattern table (VerifyMyers), one set of pooled banded rows,
+// all built before the first candidate.
 func (p *prober) flushBatch(s string) {
 	if len(p.batch) == 0 {
 		return
@@ -335,45 +319,6 @@ func (p *prober) flushBatch(s string) {
 	}
 	if p.trace != nil {
 		p.trace.End(obs.PhaseVerify)
-	}
-}
-
-// verifyWhole is the scalar (pre-batch) whole-string path: verify each
-// candidate of one list in place with a whole-string banded DP against the
-// query threshold. It is kept as the differential oracle for the batch
-// path (see TestBatchVsScalarVerification) and is only reachable with the
-// scalar flag set.
-func (p *prober) verifyWhole(s string, lst []int32) {
-	tau := p.qtau
-	for _, rid := range lst {
-		if p.maxID >= 0 && rid >= p.maxID {
-			break
-		}
-		if p.st != nil {
-			p.st.Candidates++
-		}
-		if p.sigReject(rid) || p.stamp[rid] == p.epoch {
-			continue
-		}
-		p.stamp[rid] = p.epoch
-		if p.st != nil {
-			p.st.UniqueCandidates++
-			p.st.Verifications++
-		}
-		var d int
-		switch p.vk {
-		case VerifyNaive:
-			d = p.ver.DistNaive(p.ref[rid], s, tau)
-		case VerifyMyers:
-			d = p.ver.DistMyers(p.ref[rid], s, tau)
-		default:
-			d = p.ver.Dist(p.ref[rid], s, tau)
-		}
-		if d <= tau {
-			if !p.accept(rid, int32(d)) {
-				return
-			}
-		}
 	}
 }
 

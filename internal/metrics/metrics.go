@@ -26,12 +26,18 @@ type Stats struct {
 	Lookups    int64
 	LookupHits int64
 	// Candidates counts candidate pair occurrences (one per inverted-list
-	// element scanned). UniqueCandidates counts pairs after deduplication.
+	// element scanned). UniqueCandidates counts pairs after deduplication,
+	// and only the whole-string verifiers (and the baselines) count it: a
+	// whole-string verdict settles a pair for the probe, so the pair is
+	// stamped and counted once. The extension verifiers retry a rejected
+	// pair at every alignment and never count it, so it reads 0 under the
+	// default options.
 	Candidates       int64
 	UniqueCandidates int64
 	// SigRejects counts candidate occurrences dropped by the histogram
-	// signature filter (verify.SigOf) before any verifier, stamp or string
-	// was touched; SigRejects + Verifications <= Candidates.
+	// signature filter — verify.SigDist of the two strings' verify.SigOf
+	// words exceeding twice the threshold — before any verifier, stamp or
+	// string was touched; SigRejects + Verifications <= Candidates.
 	SigRejects int64
 	// Verifications counts verifier invocations (a pair verified through the
 	// extension method counts once per attempted alignment).

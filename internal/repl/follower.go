@@ -130,10 +130,10 @@ type Follower struct {
 	// the in-memory watermark describes a corpus that no longer exists on
 	// disk, so the next connection must demand a fresh snapshot instead of
 	// resuming — resuming would replay ops onto the closed old searcher.
-	forceSnap atomic.Bool
-	connected atomic.Bool
-	resyncs     atomic.Int64
-	reconnects  atomic.Int64
+	forceSnap  atomic.Bool
+	connected  atomic.Bool
+	resyncs    atomic.Int64
+	reconnects atomic.Int64
 
 	errMu   sync.Mutex
 	lastErr error

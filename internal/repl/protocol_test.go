@@ -76,10 +76,10 @@ func TestHelloRoundTrip(t *testing.T) {
 		}
 	}
 	for name, raw := range map[string][]byte{
-		"empty":        {},
-		"short":        {1, 2},
-		"bad trailer":  append(encodeHello(hello{Proto: 1})[:len(encodeHello(hello{Proto: 1}))-1], 7),
-		"extra bytes":  append(encodeHello(hello{Proto: 1}), 0),
+		"empty":       {},
+		"short":       {1, 2},
+		"bad trailer": append(encodeHello(hello{Proto: 1})[:len(encodeHello(hello{Proto: 1}))-1], 7),
+		"extra bytes": append(encodeHello(hello{Proto: 1}), 0),
 	} {
 		if _, err := decodeHello(raw); !errors.Is(err, ErrProtocol) {
 			t.Fatalf("%s: err = %v, want ErrProtocol", name, err)
@@ -113,11 +113,11 @@ func TestOpsRoundTrip(t *testing.T) {
 func TestDecodeOpsRejectsMalformed(t *testing.T) {
 	valid := encodeOps(5, []dynamic.Op{{ID: 1, Doc: "x"}, {ID: 2, Doc: "y"}})
 	cases := map[string][]byte{
-		"empty":           {},
-		"truncated":       valid[:len(valid)-2],
-		"wrong count":     append(encodeOps(5, nil), dynamic.EncodeRecord(dynamic.Op{ID: 1, Doc: "x"})...),
-		"corrupt record":  flip(valid, len(valid)-1),
-		"trailing bytes":  append(append([]byte{}, valid...), 0xFF),
+		"empty":          {},
+		"truncated":      valid[:len(valid)-2],
+		"wrong count":    append(encodeOps(5, nil), dynamic.EncodeRecord(dynamic.Op{ID: 1, Doc: "x"})...),
+		"corrupt record": flip(valid, len(valid)-1),
+		"trailing bytes": append(append([]byte{}, valid...), 0xFF),
 	}
 	for name, raw := range cases {
 		if _, _, err := decodeOps(raw); !errors.Is(err, ErrProtocol) {

@@ -101,7 +101,7 @@ func newSource(log *Log, idx SourceIndex, logger *slog.Logger) *Source {
 		// Clear the top bit so the epoch survives a uvarint round-trip on
 		// any decoder that range-checks at 2^63, and never collides with
 		// the follower's "no epoch yet" zero.
-		epoch = binary.LittleEndian.Uint64(b[:])&(1<<62 - 1) | 1
+		epoch = binary.LittleEndian.Uint64(b[:])&(1<<62-1) | 1
 	}
 	return &Source{log: log, idx: idx, epoch: epoch, heartbeat: 500 * time.Millisecond, logger: logger}
 }

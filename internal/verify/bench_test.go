@@ -65,6 +65,49 @@ func BenchmarkVerifyPair(b *testing.B) {
 	})
 }
 
+// BenchmarkVerifyLong is the long-string regime beside the 40-byte one
+// above: 73–190-byte strings at tau 8, the lengths and threshold of the
+// title corpus. pair is one whole-string banded verification; list is what
+// the extension verifier does with an inverted list — one Reset and a few
+// sorted same-length sources against one target — reported per source.
+func BenchmarkVerifyLong(b *testing.B) {
+	const tau = 8
+	type list struct {
+		q     string
+		cands []string
+	}
+	var lists []list
+	for i, l := range []int{73, 90, 120, 150, 190} {
+		q, cands := benchPairs(int64(20+i), 4, l)
+		sortStrings(cands)
+		lists = append(lists, list{q, cands})
+	}
+
+	b.Run("pair", func(b *testing.B) {
+		b.ReportAllocs()
+		var v Verifier
+		var sink int
+		for i := 0; i < b.N; i++ {
+			l := lists[i%len(lists)]
+			sink += v.Dist(l.q, l.cands[i%len(l.cands)], tau)
+		}
+		_ = sink
+	})
+	b.Run("list", func(b *testing.B) {
+		b.ReportAllocs()
+		var inc Incremental
+		var sink int
+		for i := 0; i < b.N; i += len(lists[0].cands) {
+			l := lists[i%len(lists)]
+			inc.Reset(l.q, tau)
+			for _, c := range l.cands {
+				sink += inc.Dist(c)
+			}
+		}
+		_ = sink
+	})
+}
+
 // BenchmarkEditDistance compares the allocating package function against
 // the pooled Verifier method (satellite 1: two-row scratch reuse).
 func BenchmarkEditDistance(b *testing.B) {

@@ -50,10 +50,10 @@ func EditDistance(a, b string) int {
 }
 
 // EditDistance is the pooled form of the package-level EditDistance: the
-// same full dynamic program over the Verifier's reusable row buffers, so
+// same full dynamic program over the Verifier's reusable row buffer, so
 // hot-loop callers that need unbounded distances pay no per-call
-// allocation. The rows are shared with the banded verifiers (each call
-// resizes by capacity only).
+// allocation. The buffer is shared with the banded verifiers (each call
+// grows it only when it is too small).
 func (v *Verifier) EditDistance(a, b string) int {
 	if a == b {
 		return 0
@@ -65,41 +65,30 @@ func (v *Verifier) EditDistance(a, b string) int {
 	if n == 0 {
 		return m
 	}
-	if cap(v.prev) < n+1 {
-		v.prev = make([]int, n+1)
-		v.cur = make([]int, n+1)
+	if len(v.band.cells) < 2*(n+1) {
+		v.band.cells = make([]int32, 2*(n+1))
 	}
-	prev := v.prev[:n+1]
-	cur := v.cur[:n+1]
-	for j := 0; j <= n; j++ {
-		prev[j] = j
+	prev := v.band.cells[:n+1]
+	cur := v.band.cells[n+1 : 2*(n+1)]
+	for j := range prev {
+		prev[j] = int32(j)
 	}
 	for i := 1; i <= m; i++ {
-		cur[0] = i
+		cur[0] = int32(i)
 		ai := a[i-1]
 		for j := 1; j <= n; j++ {
 			d := prev[j-1]
 			if ai != b[j-1] {
 				d++
 			}
-			if x := prev[j] + 1; x < d {
-				d = x
-			}
-			if x := cur[j-1] + 1; x < d {
-				d = x
-			}
-			cur[j] = d
+			cur[j] = min(d, prev[j]+1, cur[j-1]+1)
 		}
 		prev, cur = cur, prev
 	}
 	if v.Stats != nil {
 		v.Stats.DPCells += int64(m) * int64(n)
 	}
-	res := prev[n]
-	// Keep the pooled slices pointing at the larger backing arrays for the
-	// next call (the loop swapped them an odd or even number of times).
-	v.prev, v.cur = prev[:0], cur[:0]
-	return res
+	return int(prev[n])
 }
 
 // Within reports whether ed(a,b) <= tau, using the length-aware banded

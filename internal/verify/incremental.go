@@ -9,21 +9,21 @@ import "passjoin/internal/metrics"
 // consecutive left parts share long prefixes and most rows are reused.
 //
 // The matrix is banded exactly like Verifier.Dist (length-aware, τ+1 cells
-// per row) with the expected-edit-distance early termination. All rows are
-// retained so that a later source can resume at any prefix depth.
+// per row) with the expected-edit-distance early termination: the same band
+// kernel, with every row retained so that a later source can resume at any
+// prefix depth. An inverted list is a few candidates long, so Reset and the
+// first Dist after it cost O(τ), not O(|r|).
 //
 // The zero value is ready; call Reset before the first Dist.
 type Incremental struct {
 	t   string // fixed side (columns)
 	tau int
-	m   int // required source length (rows); set on first Dist after Reset
+	m   int // source length (rows) the band is set up for, -1 after Reset
 
-	left, right, width int
-
-	rows     [][]int // rows[i] is DP row i (width cells), rows[0] is the base row
-	computed int     // rows[0..computed] are valid for prev
-	earlyRow int     // row index where the last run terminated early, -1 if none
-	prev     string  // previous source
+	band     band
+	computed int    // rows 0..computed hold the DP of prev
+	earlyRow int    // row where the last run terminated early, -1 if none
+	prev     string // previous source
 
 	// Stats, when non-nil, receives DPCells/EarlyTerms/SharedRows counters.
 	Stats *metrics.Stats
@@ -38,35 +38,32 @@ func (v *Incremental) Reset(t string, tau int) {
 	v.t = t
 	v.tau = tau
 	v.m = -1
-	v.computed = -1
-	v.earlyRow = -1
-	v.prev = ""
 }
 
 // Dist returns min(ed(r, t), tau+1) where t and tau were fixed by Reset.
 // Sources of differing lengths invalidate the cache (the band geometry and
 // the early-termination bound depend on |r|) but remain correct.
 func (v *Incremental) Dist(r string) int {
-	tau := v.tau
 	m, n := len(r), len(v.t)
-	d := n - m
-	if abs(d) > tau {
-		return tau + 1
+	if abs(n-m) > v.tau {
+		return v.tau + 1
 	}
 	if m == 0 || n == 0 {
 		return maxInt(m, n)
 	}
+	g := &v.band
 	if m != v.m {
-		v.setup(m, n)
+		// Only row 0 is valid, which no source's prefix can take away.
+		g.setup(m, n, clampTau(v.tau, m, n), true, m+1)
+		v.m = m
+		v.computed = 0
+		v.earlyRow = -1
+		v.prev = ""
 	}
 
 	// Resume depth: rows 0..c are valid, where c is bounded by the common
 	// prefix with the previous source and by how many rows were computed.
-	c := 0
-	if v.computed >= 0 {
-		lcp := commonPrefix(v.prev, r)
-		c = minInt(lcp, v.computed)
-	}
+	c := minInt(commonPrefix(v.prev, r), v.computed)
 	if v.Stats != nil {
 		v.Stats.SharedRows += int64(c)
 	}
@@ -75,119 +72,17 @@ func (v *Incremental) Dist(r string) int {
 		// A previous source with this exact prefix terminated early at a row
 		// we are reusing; the verdict only depends on that prefix.
 		v.computed = v.earlyRow
-		return tau + 1
+		return int(g.sat)
 	}
 
-	const inf = 1 << 29
-	left, right, width := v.left, v.right, v.width
-	cells := 0
-	for i := c + 1; i <= m; i++ {
-		lo := maxInt(0, i-left)
-		hi := minInt(n, i+right)
-		if lo > hi {
-			v.computed = i - 1
-			v.earlyRow = -1
-			return tau + 1
-		}
-		prevRow := v.rows[i-1]
-		curRow := v.rows[i]
-		ri := r[i-1]
-		rowMin := inf
-		for k := 0; k < width; k++ {
-			j := i - left + k
-			if j < lo || j > hi {
-				curRow[k] = inf
-				continue
-			}
-			best := inf
-			if j == 0 {
-				best = i
-			} else {
-				if dg := prevRow[k]; dg < inf {
-					cost := dg
-					if ri != v.t[j-1] {
-						cost++
-					}
-					if cost < best {
-						best = cost
-					}
-				}
-				if k-1 >= 0 {
-					if lf := curRow[k-1]; lf < inf && lf+1 < best {
-						best = lf + 1
-					}
-				}
-			}
-			if k+1 < width {
-				if up := prevRow[k+1]; up < inf && up+1 < best {
-					best = up + 1
-				}
-			}
-			curRow[k] = best
-			cells++
-			if e := best + abs((n-j)-(m-i)); e < rowMin {
-				rowMin = e
-			}
-		}
-		if rowMin > tau {
-			v.computed = i
-			v.earlyRow = i
-			if v.Stats != nil {
-				v.Stats.DPCells += int64(cells)
-				v.Stats.EarlyTerms++
-			}
-			return tau + 1
-		}
+	if stop := g.run(r, v.t, c+1, -1, v.Stats); stop <= m {
+		v.computed = stop
+		v.earlyRow = stop
+		return int(g.sat)
 	}
 	v.computed = m
 	v.earlyRow = -1
-	if v.Stats != nil {
-		v.Stats.DPCells += int64(cells)
-	}
-	res := v.rows[m][n-(m-left)]
-	if res > tau {
-		return tau + 1
-	}
-	return res
-}
-
-// setup (re)initializes band geometry and the base row for sources of
-// length m against the fixed target of length n.
-func (v *Incremental) setup(m, n int) {
-	tau := v.tau
-	d := n - m
-	v.m = m
-	v.left = (tau - d) / 2
-	v.right = (tau + d) / 2
-	v.width = v.left + v.right + 1
-	v.computed = -1
-	v.earlyRow = -1
-	v.prev = ""
-
-	if cap(v.rows) < m+1 {
-		rows := make([][]int, m+1)
-		copy(rows, v.rows)
-		v.rows = rows
-	}
-	v.rows = v.rows[:m+1]
-	for i := range v.rows {
-		if cap(v.rows[i]) < v.width {
-			v.rows[i] = make([]int, v.width)
-		} else {
-			v.rows[i] = v.rows[i][:v.width]
-		}
-	}
-
-	const inf = 1 << 29
-	for k := 0; k < v.width; k++ {
-		j := k - v.left
-		if j >= 0 && j <= n {
-			v.rows[0][k] = j
-		} else {
-			v.rows[0][k] = inf
-		}
-	}
-	v.computed = 0
+	return g.result(m, n, -1)
 }
 
 // commonPrefix returns the length of the longest common prefix of a and b.

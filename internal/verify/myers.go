@@ -101,9 +101,7 @@ func (p *Pattern) String() string { return p.q }
 // table serve a whole candidate set spanning lengths on both sides of the
 // query's.
 func (v *Verifier) DistPattern(pat *Pattern, b string, tau int) int {
-	if tau < 0 {
-		panic("verify: negative threshold")
-	}
+	tau = clampTau(tau, len(pat.q), len(b))
 	if abs(len(b)-len(pat.q)) > tau {
 		return tau + 1
 	}
@@ -155,9 +153,7 @@ func Myers(a, b string) int {
 // banded verifier (which also restores early termination, more valuable
 // for long strings anyway).
 func (v *Verifier) DistMyers(a, b string, tau int) int {
-	if tau < 0 {
-		panic("verify: negative threshold")
-	}
+	tau = clampTau(tau, len(a), len(b))
 	if len(a) > len(b) {
 		a, b = b, a
 	}

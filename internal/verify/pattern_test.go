@@ -150,8 +150,8 @@ func TestVerifierEditDistancePooled(t *testing.T) {
 func TestVerificationScratchAllocs(t *testing.T) {
 	var v Verifier
 	var pat Pattern
-	a := strings.Repeat("similarity", 4)  // 40 chars
-	b := strings.Repeat("similarite", 4)  // 4 substitutions
+	a := strings.Repeat("similarity", 4)    // 40 chars
+	b := strings.Repeat("similarite", 4)    // 4 substitutions
 	long := strings.Repeat("pass-join", 50) // 450 chars
 	longB := "x" + long[1:]
 	// Warm the pooled buffers once.

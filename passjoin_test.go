@@ -2,6 +2,7 @@ package passjoin
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -194,6 +195,14 @@ func TestEditDistanceHelpers(t *testing.T) {
 	}
 	if !Within("kitten", "sitting", 3) || Within("kitten", "sitting", 2) {
 		t.Error("Within")
+	}
+	// A threshold past the lengths costs what the lengths cost: 1<<40 used
+	// to be a fatal out-of-memory, the band being sized before the strings
+	// were looked at.
+	for _, tau := range []int{7, 8, 1 << 40, math.MaxInt} {
+		if !Within("kitten", "sitting", tau) || !Within("", "sitting", tau) {
+			t.Errorf("Within(..., %d) = false", tau)
+		}
 	}
 }
 
