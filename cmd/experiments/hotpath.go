@@ -4,74 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 
-	"passjoin/internal/dataset"
-	"passjoin/internal/index"
-	"passjoin/internal/partition"
 	"passjoin/internal/verify"
 )
 
-// hotpath is the table-layout lab's measurement harness: it races every
-// segment-table layout on the frozen index's List hot path across corpora
-// of different sizes and key skews, then races the verification kernels on
-// a batch-shaped workload (one query, many candidates). The layout table
-// decides index.DefaultLayout; the kernel table is the before/after for
-// the batched prober's Peq amortization (BENCH_hotpath.json).
+// hotpath races the verification kernels on a batch-shaped workload (one
+// query, many candidates): the before/after for the batched prober's Peq
+// amortization (BENCH_hotpath.json, which also records the segment-table
+// layout race linear probing won).
 func (c *runConfig) hotpath() error {
-	mult := 1
-	switch c.scale {
-	case "medium":
-		mult = 4
-	case "full":
-		mult = 20
-	}
-
-	header("Segment-table layout race (scale=" + c.scale + ")")
-	regimes := []struct {
-		name string
-		strs []string
-		tau  int
-	}{
-		// Three skews: short uniform keys, skewed query-log tokens, and
-		// DNA's 4-letter alphabet (heavy segment sharing → long lists).
-		{"author", dataset.Author(5000*mult, c.seed), 2},
-		{"author-large", dataset.Author(20000*mult, c.seed), 2},
-		{"querylog", dataset.QueryLog(4000*mult, c.seed), 3},
-		{"dna", dataset.DNA(5000*mult, c.seed), 2},
-	}
-	w := newTable()
-	fmt.Fprintln(w, "corpus\tn\ttau\tlayout\tMB\tprobe ns/op")
-	for _, reg := range regimes {
-		x := index.New(reg.tau)
-		for id, s := range reg.strs {
-			if len(s) >= reg.tau+1 {
-				x.Add(int32(id), s)
-			}
-		}
-		probes := layoutProbes(reg.strs, reg.tau, c.seed)
-		if len(probes) == 0 {
-			continue
-		}
-		for _, layout := range index.Layouts {
-			fz := x.FreezeLayout(reg.strs, layout)
-			// Warm, then measure whole passes over the probe set.
-			lookupPass(fz, probes)
-			const passes = 20
-			elapsed := timeIt(func() {
-				for p := 0; p < passes; p++ {
-					lookupPass(fz, probes)
-				}
-			})
-			perOp := float64(elapsed.Nanoseconds()) / float64(passes*len(probes))
-			fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%s\t%.1f\n",
-				reg.name, len(reg.strs), reg.tau, layout, mb(fz.Bytes()), perOp)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-
 	header("Verification kernels, batch-shaped workload (ns/pair)")
-	w = newTable()
+	w := newTable()
 	fmt.Fprintln(w, "regime\tlen\tkernel\tns/pair")
 	rng := rand.New(rand.NewSource(c.seed))
 	for _, l := range []int{16, 40, 64, 200} {
@@ -121,42 +63,6 @@ func (c *runConfig) hotpath() error {
 		}
 	}
 	return w.Flush()
-}
-
-// layoutProbes builds a List workload from a corpus: the real segments of a
-// sample of strings (hits) interleaved with mutated segments (misses).
-type segProbe struct {
-	l, i int
-	w    string
-}
-
-func layoutProbes(strs []string, tau int, seed int64) []segProbe {
-	rng := rand.New(rand.NewSource(seed))
-	var probes []segProbe
-	for k := 0; k < 2000 && k < len(strs); k++ {
-		s := strs[rng.Intn(len(strs))]
-		if len(s) < tau+1 {
-			continue
-		}
-		for i := 1; i <= tau+1; i++ {
-			w := partition.Segment(s, tau, i)
-			probes = append(probes, segProbe{len(s), i, w})
-			if k%4 == 0 {
-				b := []byte(w)
-				b[rng.Intn(len(b))] ^= 0x15
-				probes = append(probes, segProbe{len(s), i, string(b)})
-			}
-		}
-	}
-	return probes
-}
-
-func lookupPass(fz *index.Frozen, probes []segProbe) int {
-	n := 0
-	for _, p := range probes {
-		n += len(fz.Group(p.l).List(p.i, p.w))
-	}
-	return n
 }
 
 // kernelPairs builds one query and a batch of near-miss candidates of

@@ -12,8 +12,7 @@
 //	ablation  extension experiments beyond the paper
 //	calibrate regenerate the multi-engine planner cost model
 //	          (internal/engine/model.go coefficients)
-//	hotpath   the table-layout lab: race segment-table layouts and
-//	          verification kernels (decides index.DefaultLayout)
+//	hotpath   race the verification kernels on a batch-shaped workload
 //	latency   replay a query corpus against a live passjoind and report
 //	          p50/p90/p99 from its /metrics latency histogram
 //	          (experiments latency -addr URL -corpus FILE [-n N] [-c C])

@@ -186,20 +186,16 @@ func runJoin(strs, sset []string, tau, queryTau int, algo, sel, ver string, q, p
 }
 
 // searchJoin runs the join in search mode for a per-query threshold below
-// the partition threshold: the first set is indexed once at tau and sealed
-// into its frozen form, then every probe string queries it at queryTau —
+// the partition threshold: the first set is bulk-built once at tau into its
+// frozen form, then every probe string queries it at queryTau —
 // exact by the pigeonhole bound, since queryTau edits destroy at most
 // queryTau of the tau+1 segments. With -parallel > 1 the probes fan out
 // over read-only index snapshots.
 func searchJoin(strs, sset []string, tau, queryTau int, sel selection.Method, vk core.VerifyKind, parallel int, st *metrics.Stats) ([]core.Pair, error) {
-	base, err := core.NewMatcher(tau, sel, vk, st)
+	base, err := core.BuildSealedMatcher(tau, sel, vk, st, strs, 1)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range strs {
-		base.InsertSilent(s)
-	}
-	base.Seal()
 
 	self := sset == nil
 	probe := strs

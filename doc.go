@@ -110,9 +110,11 @@
 // concurrency comes from concurrent callers, and a single expensive query
 // on an otherwise idle many-core machine is not split across cores.
 // Both snapshot to a compact CRC-protected binary format (WriteTo /
-// ReadSearcherFrom / ReadShardedSearcherFrom, "PJIX v2") for fast cold
+// ReadSearcherFrom / ReadShardedSearcherFrom, "PJIX v3") for fast cold
 // starts — the snapshot carries the frozen index itself, so loading
-// skips re-indexing.
+// skips re-indexing. Every release reads the snapshots of the releases
+// before it (v1, v2); a release older than v3 rejects a v3 file by its
+// version instead of misreading it.
 //
 // The SearchTopK methods and Searcher.Clone are deprecated: QueryTopK
 // subsumes the former, and concurrent Search makes the latter

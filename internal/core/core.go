@@ -1,16 +1,21 @@
 // Package core implements the Pass-Join engine (§3.2, Algorithm 1): sort
 // the strings by (length, content), scan them in order, probe the segment
-// inverted indices with the substrings chosen by a selection method, verify
-// candidates with a configurable verifier, then insert the current string's
-// segments. The engine also supports R≠S joins, an online matcher, and a
-// parallel probe mode (index everything once, probe read-only from several
-// goroutines).
+// inverted indices of the lengths in the scan's window — bulk-built, one
+// length group at a time, as the window reaches them — with the substrings
+// chosen by a selection method, and verify the candidates that precede the
+// current string with a configurable verifier. The engine also supports
+// R≠S joins, an online matcher, and a parallel probe mode (index everything
+// once, probe read-only from several goroutines).
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
+	"passjoin/internal/index"
 	"passjoin/internal/metrics"
 	"passjoin/internal/selection"
 )
@@ -99,30 +104,69 @@ type Options struct {
 	Parallel int
 }
 
-// rec is a string with its original position.
+// rec is a string with its original position and its first eight bytes as
+// a big-endian integer (zero-padded), which orders strings of one length
+// the way their content does until two of them share all eight.
 type rec struct {
 	s    string
+	key  uint64
 	orig int32
 }
 
-// sortRecs orders records by (length, content, original index): the paper's
-// processing order, with a deterministic tie-break.
-func sortRecs(strs []string) []rec {
+// sortRecs orders strs by (length, content, original index) — the paper's
+// processing order, with a deterministic tie-break — and returns the
+// sorted strings, the original position of each, and the per-length
+// offsets (index.LengthOffsets): the strings of length l are
+// ref[off[l]:off[l+1]]. A counting sort by length, then one comparison sort
+// per length on the prefix key.
+func sortRecs(strs []string) (ref []string, orig []int32, off []int) {
+	off = index.LengthOffsets(strs)
 	recs := make([]rec, len(strs))
+	next := slices.Clone(off)
 	for i, s := range strs {
-		recs[i] = rec{s: s, orig: int32(i)}
+		var key uint64
+		for k := 0; k < min(len(s), 8); k++ {
+			key |= uint64(s[k]) << (56 - 8*k)
+		}
+		recs[next[len(s)]] = rec{s: s, key: key, orig: int32(i)}
+		next[len(s)]++
 	}
-	sort.Slice(recs, func(a, b int) bool {
-		ra, rb := recs[a], recs[b]
-		if len(ra.s) != len(rb.s) {
-			return len(ra.s) < len(rb.s)
-		}
-		if ra.s != rb.s {
-			return ra.s < rb.s
-		}
-		return ra.orig < rb.orig
-	})
-	return recs
+	for l := 0; l+1 < len(off); l++ {
+		slices.SortFunc(recs[off[l]:off[l+1]], func(a, b rec) int {
+			if a.key != b.key {
+				return cmp.Compare(a.key, b.key)
+			}
+			if c := strings.Compare(a.s, b.s); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.orig, b.orig)
+		})
+	}
+	ref = make([]string, len(recs))
+	orig = make([]int32, len(recs))
+	for i := range recs {
+		ref[i], orig[i] = recs[i].s, recs[i].orig
+	}
+	return ref, orig, off
+}
+
+// offAt is off[l] with l clamped into the table: the number of strings
+// shorter than l.
+func offAt(off []int, l int) int {
+	return off[min(max(l, 0), len(off)-1)]
+}
+
+// recordScan adds the whole-join figures of a finished serial scan to st:
+// the pairs delivered, the strings too short to partition, and the window
+// at its largest.
+func recordScan(st *metrics.Stats, win *index.Window, results int64, shorts int) {
+	if st == nil {
+		return
+	}
+	st.Results += results
+	st.ShortStrings += int64(shorts)
+	groups, bytes, entries := win.Peak()
+	st.IndexBytes, st.IndexEntries, st.PeakLiveGroups = bytes, entries, int64(groups)
 }
 
 // SortPairs orders pairs lexicographically; used to canonicalize results.

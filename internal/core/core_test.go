@@ -3,10 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"passjoin/internal/bruteforce"
+	"passjoin/internal/dataset"
+	"passjoin/internal/index"
 	"passjoin/internal/metrics"
 	"passjoin/internal/selection"
 )
@@ -410,6 +414,9 @@ func TestSelectionScanBoundsEngineCounter(t *testing.T) {
 	}
 }
 
+// IndexFootprint reports Table 3's figures from the frozen bulk build; they
+// must stay those of the map index built string by string, whose cost
+// model they are.
 func TestIndexFootprint(t *testing.T) {
 	strs := []string{"abcdef", "ghijkl", "mnopqr"}
 	bytes, entries := IndexFootprint(strs, 2)
@@ -418,6 +425,136 @@ func TestIndexFootprint(t *testing.T) {
 	}
 	if bytes <= 0 {
 		t.Errorf("bytes=%d", bytes)
+	}
+	for _, c := range []struct {
+		strs []string
+		tau  int
+	}{{dataset.Author(3000, 1), 4}, {dataset.AuthorTitle(500, 1), 4}, {sigCorpus(), 2}} {
+		x := index.New(c.tau)
+		for id, s := range c.strs {
+			if len(s) > c.tau {
+				x.Add(int32(id), s)
+			}
+		}
+		if bytes, entries := IndexFootprint(c.strs, c.tau); bytes != x.Bytes() || entries != x.Entries() {
+			t.Errorf("tau=%d: footprint %d B / %d entries, map index %d B / %d", c.tau, bytes, entries, x.Bytes(), x.Entries())
+		}
+	}
+}
+
+// TestSortRecsOrder pins sortRecs to the order of the plain comparator it
+// replaced — (length, content, original index) — on the inputs its prefix
+// key could get wrong: duplicates, empty strings, proper prefixes, strings
+// equal in their first 8 bytes, and bytes >= 0x80.
+func TestSortRecsOrder(t *testing.T) {
+	strs := []string{
+		"", "b", "a", "", "ab", "a", "abcdefgh", "abcdefg", "abcdefgi", "abcdefghi", "abcdefghj",
+		"abcdefghi", "abcdefgh\x00", "abcdefgh\xff", "\xff", "\x80", "\x7f", "\xff\x00", "\x00\xff",
+		"\x80abcdefgh", "\x7fabcdefgh", "abcdefg\x80x", "abcdefg\x7fx", "abcdefgh", "b", "",
+	}
+	rng := rand.New(rand.NewSource(3))
+	strs = append(strs, randomCorpus(rng, 400, 14, 2, 0.5, 2)...)
+	for k := 0; k < 200; k++ { // long strings that agree on 8 bytes and more
+		strs = append(strs, "prefix--"+randStr(rng, rng.Intn(4), 2)+string(rune(0x7e+rng.Intn(4))))
+	}
+	type rec struct {
+		s    string
+		orig int32
+	}
+	want := make([]rec, len(strs))
+	for i, s := range strs {
+		want[i] = rec{s, int32(i)}
+	}
+	sort.Slice(want, func(a, b int) bool {
+		ra, rb := want[a], want[b]
+		if len(ra.s) != len(rb.s) {
+			return len(ra.s) < len(rb.s)
+		}
+		if ra.s != rb.s {
+			return ra.s < rb.s
+		}
+		return ra.orig < rb.orig
+	})
+	ref, orig, off := sortRecs(strs)
+	if len(ref) != len(strs) || len(orig) != len(strs) {
+		t.Fatalf("sorted %d strings into %d / %d", len(strs), len(ref), len(orig))
+	}
+	for i := range want {
+		if ref[i] != want[i].s || orig[i] != want[i].orig {
+			t.Fatalf("position %d: %q (orig %d), want %q (orig %d)", i, ref[i], orig[i], want[i].s, want[i].orig)
+		}
+	}
+	if len(off) != len(ref[len(ref)-1])+2 || off[0] != 0 || off[len(off)-1] != len(ref) {
+		t.Fatalf("offsets %v for %d strings up to length %d", off, len(ref), len(ref[len(ref)-1]))
+	}
+	for l := 0; l+1 < len(off); l++ {
+		for _, s := range ref[off[l]:off[l+1]] {
+			if len(s) != l {
+				t.Fatalf("ref[off[%d]:off[%d]] holds %q", l, l+1, s)
+			}
+		}
+	}
+	if ref, orig, off := sortRecs(nil); len(ref) != 0 || len(orig) != 0 || len(off) != 2 || off[1] != 0 {
+		t.Fatalf("empty input: %v %v %v", ref, orig, off)
+	}
+}
+
+// TestShortStringsWindow: strings no longer than tau bypass the index and
+// are verified directly, against the one contiguous id range of them inside
+// the probe's length window. Half the corpus is that short (any two such
+// strings match, so it is kept to 2 000 + 2 000 strings: two million pairs);
+// results equal brute force in all four joins and the stream joins verify
+// exactly what the serial ones do.
+func TestShortStringsWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const tau, half = 3, 2000
+	var strs []string
+	for k := 0; k < half; k++ {
+		strs = append(strs, randStr(rng, rng.Intn(tau+1), 3))
+	}
+	for _, s := range randomCorpus(rng, half, 12, 3, 0.5, 3) {
+		if len(s) <= tau {
+			s += "abcd"
+		}
+		strs = append(strs, s)
+	}
+	rng.Shuffle(len(strs), func(a, b int) { strs[a], strs[b] = strs[b], strs[a] })
+	rset := append(randomCorpus(rng, 300, 10, 3, 0.5, 3), "", "a", "ab", "abc", "abcd")
+
+	// Brute force reports pairs in (R, S) order, as the joins do.
+	wantSelf := make([]Pair, 0)
+	for _, p := range bruteforce.SelfJoin(strs, tau) {
+		wantSelf = append(wantSelf, Pair{p.R, p.S})
+	}
+	wantRS := make([]Pair, 0)
+	for _, p := range bruteforce.Join(rset, strs, tau) {
+		wantRS = append(wantRS, Pair{p.R, p.S})
+	}
+	var stats [2]metrics.Stats // serial, four workers
+	for k, parallel := range []int{0, 4} {
+		got, err := SelfJoin(strs, Options{Tau: tau, Parallel: parallel, Stats: &stats[k]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, wantSelf) {
+			t.Fatalf("self join Parallel=%d: got %d pairs, want %d", parallel, len(got), len(wantSelf))
+		}
+	}
+	if stats[0].ShortStrings != half || stats[0].Verifications != stats[1].Verifications || stats[0].Candidates != stats[1].Candidates {
+		t.Errorf("self join: serial %+v\n parallel %+v", stats[0], stats[1])
+	}
+	stats = [2]metrics.Stats{}
+	for k, parallel := range []int{0, 4} {
+		got, err := Join(rset, strs, Options{Tau: tau, Parallel: parallel, Stats: &stats[k]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, wantRS) {
+			t.Fatalf("R×S Parallel=%d: got %d pairs, want %d", parallel, len(got), len(wantRS))
+		}
+	}
+	if stats[0].ShortStrings != half || stats[0].Verifications != stats[1].Verifications || stats[0].Candidates != stats[1].Candidates {
+		t.Errorf("R×S join: serial %+v\n parallel %+v", stats[0], stats[1])
 	}
 }
 

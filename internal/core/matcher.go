@@ -63,7 +63,7 @@ func NewMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats)
 }
 
 // NewSealedMatcher creates a matcher directly in the sealed phase from a
-// pre-built frozen index over corpus — the PJIX v2 cold-start path, which
+// pre-built frozen index over corpus — the PJIX cold-start path, which
 // skips the map index entirely. fz must index corpus (fz.Tau() == tau and
 // every posting id < len(corpus)).
 func NewSealedMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, corpus []string, fz *index.Frozen) (*Matcher, error) {

@@ -38,10 +38,3 @@ func parallelJoin(rset, sset []string, opt Options) ([]Pair, error) {
 	SortPairs(out)
 	return out, nil
 }
-
-func absDiff(a, b int) int {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}

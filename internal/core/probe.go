@@ -17,8 +17,9 @@ import (
 // It is single-goroutine state; the parallel mode gives each worker its own
 // prober.
 //
-// Exactly one of idx (the mutable build/scan index) and fz (the frozen
-// read-optimized index) is non-nil; probe dispatches on which.
+// Exactly one of idx (the mutable index of an unsealed Matcher) and fz (the
+// frozen index of everything else: sealed matchers and every join) is
+// non-nil; probe dispatches on which.
 type prober struct {
 	tau int
 	// qtau is the per-probe threshold, distinct from the partition
@@ -79,8 +80,9 @@ type prober struct {
 	stamp []int32
 	epoch int32
 
-	// maxID, when >= 0, filters candidates to ids < maxID (parallel mode
-	// probes a full index but must only pair with predecessors).
+	// maxID, when >= 0, filters candidates to ids < maxID (a self join
+	// probes groups built ahead of the scan but must only pair with
+	// predecessors).
 	maxID int32
 
 	// needDist asks the verifiers to record each accepted candidate's exact
@@ -205,7 +207,9 @@ func (p *prober) probe(s string, lmin, lmax int) {
 				} else {
 					lst = g.List(i, w)
 				}
-				if len(lst) == 0 {
+				// A list that starts at or past maxID holds no predecessor:
+				// to a scan that indexes as it goes it does not exist yet.
+				if len(lst) == 0 || (p.maxID >= 0 && lst[0] >= p.maxID) {
 					continue
 				}
 				if p.st != nil {

@@ -13,9 +13,10 @@ import (
 //
 // Per §3.2, the strings of sset are partitioned and indexed; the strings of
 // rset are scanned in (length, content) order and probe indexed lengths in
-// [|r|−τ, |r|+τ]. Indexing is incremental: an sset string is inserted once
-// the scan reaches probes long enough to see it, and groups below the scan
-// window are evicted, so at most (τ+1)·(2τ+1) inverted indices are live.
+// [|r|−τ, |r|+τ]. Indexing is incremental: an sset length group is built
+// once the scan reaches probes long enough to see it, and groups below the
+// scan window are released, so at most (τ+1)·(2τ+1) inverted indices are
+// live.
 func Join(rset, sset []string, opt Options) ([]Pair, error) {
 	if opt.Parallel > 1 {
 		return parallelJoin(rset, sset, opt)
@@ -43,65 +44,25 @@ func JoinFunc(rset, sset []string, opt Options, emit func(Pair) bool) error {
 	}
 	tau := opt.Tau
 	st := opt.Stats
-	rRecs := sortRecs(rset)
-	sRecs := sortRecs(sset)
-	ref := make([]string, len(sRecs))
-	for i := range sRecs {
-		ref[i] = sRecs[i].s
+	rRef, rOrig, _ := sortRecs(rset)
+	ref, orig, off := sortRecs(sset)
+	win, err := index.NewWindow(ref, off, tau)
+	if err != nil {
+		return fmt.Errorf("core: building index: %w", err)
 	}
-	idx := index.New(tau)
-	p := newProber(tau, opt.Selection, opt.Verification, st, idx, nil, ref, verify.Sigs(ref))
+	p := newProber(tau, opt.Selection, opt.Verification, st, nil, win.Frozen(), ref, verify.Sigs(ref))
 
-	var shorts []int32
-	shortHead := 0
-	inserted := 0
 	prevLen := -1
 	var results int64
-	var peakBytes, peakEntries int64
-
 scan:
-	for rid := 0; rid < len(rRecs); rid++ {
-		r := rRecs[rid].s
+	for rid, r := range rRef {
 		if len(r) != prevLen {
+			win.Slide(len(r)-tau, len(r)+tau)
 			prevLen = len(r)
-			// Evict before inserting so the live window never exceeds
-			// [|r|−τ, |r|+τ]: at most 2τ+1 length groups.
-			idx.EvictBelow(len(r) - tau)
-			// Make every sset string with length <= |r|+τ visible.
-			for inserted < len(sRecs) && len(sRecs[inserted].s) <= len(r)+tau {
-				s := sRecs[inserted].s
-				if len(s) >= tau+1 {
-					idx.Add(int32(inserted), s)
-					if b := idx.Bytes(); b > peakBytes {
-						peakBytes = b
-						peakEntries = idx.Entries()
-					}
-				} else {
-					shorts = append(shorts, int32(inserted))
-					if st != nil {
-						st.ShortStrings++
-					}
-				}
-				inserted++
-			}
-			for shortHead < len(shorts) && len(ref[shorts[shortHead]]) < len(r)-tau {
-				shortHead++
-			}
 		}
-		for _, sid := range shorts[shortHead:] {
-			// shorts are sorted by length; all of them are <= |r|+τ by the
-			// insertion rule and >= |r|−τ by the two-pointer.
-			if p.verifyDirect(ref[sid], r) <= tau {
-				results++
-				if !emit(Pair{R: rRecs[rid].orig, S: sRecs[sid].orig}) {
-					break scan
-				}
-			}
-		}
-		p.probe(r, len(r)-tau, len(r)+tau)
-		for _, sid := range p.hits {
+		for _, sid := range p.probeRS(r, off) {
 			results++
-			if !emit(Pair{R: rRecs[rid].orig, S: sRecs[sid].orig}) {
+			if !emit(Pair{R: rOrig[rid], S: orig[sid]}) {
 				break scan
 			}
 		}
@@ -109,11 +70,21 @@ scan:
 			st.Strings++
 		}
 	}
-	if st != nil {
-		st.Results += results
-		st.IndexBytes = peakBytes
-		st.IndexEntries = peakEntries
-		st.PeakLiveGroups = int64(idx.PeakGroups())
-	}
+	recordScan(st, win, results, offAt(off, tau+1))
 	return nil
+}
+
+// probeRS returns the ids of the indexed strings within tau of r, the R≠S
+// join's step for one probe string: the index answers for the strings long
+// enough to partition, and the shorter ones inside the length window — one
+// contiguous id range of a corpus sorted by sortRecs (off its offsets) —
+// are verified directly.
+func (p *prober) probeRS(r string, off []int) []int32 {
+	p.probe(r, len(r)-p.tau, len(r)+p.tau)
+	for sid := offAt(off, len(r)-p.tau); sid < offAt(off, p.tau+1); sid++ {
+		if p.verifyDirect(p.ref[sid], r) <= p.tau {
+			p.hits = append(p.hits, int32(sid))
+		}
+	}
+	return p.hits
 }

@@ -40,92 +40,76 @@ func SelfJoinFunc(strs []string, opt Options, emit func(Pair) bool) error {
 	if emit == nil {
 		return fmt.Errorf("core: nil emit callback")
 	}
-	recs := sortRecs(strs)
-	n := len(recs)
-	ref := make([]string, n)
-	for i := range recs {
-		ref[i] = recs[i].s
-	}
+	ref, orig, off := sortRecs(strs)
 	tau := opt.Tau
 	st := opt.Stats
-	idx := index.New(tau)
-	p := newProber(tau, opt.Selection, opt.Verification, st, idx, nil, ref, verify.Sigs(ref))
+	win, err := index.NewWindow(ref, off, tau)
+	if err != nil {
+		return fmt.Errorf("core: building index: %w", err)
+	}
+	p := newProber(tau, opt.Selection, opt.Verification, st, nil, win.Frozen(), ref, verify.Sigs(ref))
 
-	var shorts []int32
-	shortHead := 0
 	prevLen := -1
 	var results int64
-	var peakBytes, peakEntries int64
-
-	send := func(a, b int32) bool {
-		results++
-		return emit(normalize(a, b))
-	}
-
 scan:
-	for sid := 0; sid < n; sid++ {
-		s := ref[sid]
+	for sid, s := range ref {
 		if len(s) != prevLen {
-			idx.EvictBelow(len(s) - tau)
+			// The window of §3.2: the groups of lengths [|s|−τ, |s|], bulk-built
+			// on entry — group |s| ahead of the strings it indexes, which
+			// probeSelf's maxID hides from their predecessors.
+			win.Slide(len(s)-tau, len(s))
 			prevLen = len(s)
-			// Short strings below the length window can no longer match.
-			for shortHead < len(shorts) && len(ref[shorts[shortHead]]) < len(s)-tau {
-				shortHead++
-			}
 		}
-		// Visited short strings (length <= tau) bypass the segment index and
-		// are verified directly; the two-pointer above keeps only those
-		// within the length window.
-		for _, rid := range shorts[shortHead:] {
-			if p.verifyDirect(ref[rid], s) <= tau {
-				if !send(recs[rid].orig, recs[sid].orig) {
-					break scan
-				}
-			}
-		}
-		p.probe(s, len(s)-tau, len(s))
-		for _, rid := range p.hits {
-			if !send(recs[rid].orig, recs[sid].orig) {
+		for _, rid := range p.probeSelf(sid, off) {
+			results++
+			if !emit(normalize(orig[rid], orig[sid])) {
 				break scan
-			}
-		}
-		if len(s) >= tau+1 {
-			idx.Add(int32(sid), s)
-			if b := idx.Bytes(); b > peakBytes {
-				peakBytes = b
-				peakEntries = idx.Entries()
-			}
-		} else {
-			shorts = append(shorts, int32(sid))
-			if st != nil {
-				st.ShortStrings++
 			}
 		}
 		if st != nil {
 			st.Strings++
 		}
 	}
-	if st != nil {
-		st.Results += results
-		st.IndexBytes = peakBytes
-		st.IndexEntries = peakEntries
-		st.PeakLiveGroups = int64(idx.PeakGroups())
-	}
+	recordScan(st, win, results, offAt(off, tau+1))
 	return nil
+}
+
+// probeSelf returns the ids below sid within tau of ref[sid], the self
+// join's step for one string of a corpus sorted by sortRecs (off its
+// offsets): the index answers for the predecessors long enough to
+// partition, and the shorter ones inside the length window — one contiguous
+// id range — are verified directly.
+//
+// Two rules make the work counters those of a scan that indexes each string
+// after probing it, whether the index holds the whole corpus (the parallel
+// mode) or a window of bulk-built groups: the first string of a length does
+// not probe its own length's group, which such a scan has not created yet
+// (here), and a list that begins at or past sid is not a lookup hit (probe).
+func (p *prober) probeSelf(sid int, off []int) []int32 {
+	s := p.ref[sid]
+	lmax := len(s)
+	if sid == off[lmax] {
+		lmax--
+	}
+	p.maxID = int32(sid)
+	p.probe(s, len(s)-p.tau, lmax)
+	for rid := offAt(off, len(s)-p.tau); rid < min(sid, offAt(off, p.tau+1)); rid++ {
+		if p.verifyDirect(p.ref[rid], s) <= p.tau {
+			p.hits = append(p.hits, int32(rid))
+		}
+	}
+	return p.hits
 }
 
 // IndexFootprint builds the full Pass-Join index over strs (no eviction)
 // and reports its approximate size in bytes and its posting count. Used by
 // the Table 3 experiment, which compares whole-dataset index sizes across
-// methods.
+// methods; like index.New it panics on a threshold or corpus no index can
+// be built for, rather than report an empty one.
 func IndexFootprint(strs []string, tau int) (bytes, entries int64) {
-	idx := index.New(tau)
-	id := int32(0)
-	for _, s := range strs {
-		if len(s) >= tau+1 {
-			idx.Add(id, s)
-		}
-		id++
+	fz, err := index.BuildFrozen(strs, tau, 1)
+	if err != nil {
+		panic(fmt.Sprintf("core: IndexFootprint(%d strings, tau=%d): %v", len(strs), tau, err))
 	}
-	return idx.Bytes(), idx.Entries()
+	return fz.MapBytes(), fz.Entries()
 }

@@ -110,20 +110,37 @@ func TestSigFilterMatchersMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestSigFilterJoinsMatchBruteForce: the same for every join entry point
-// (joins probe at their build threshold, so the threshold itself varies).
-func TestSigFilterJoinsMatchBruteForce(t *testing.T) {
+// TestJoinModesAgree: every join entry point — serial SelfJoin and Join, the
+// stream joins at 1 and 4 workers — answers what brute force answers on the
+// adversarial corpus, for every verification kind and threshold (joins
+// probe at their build threshold, so the threshold itself varies), and the
+// serial and parallel modes report the same Stats field by field: they
+// probe the same frozen groups under the same counting rules. Only the
+// index footprint differs — a window of groups against the whole index.
+func TestJoinModesAgree(t *testing.T) {
 	strs := sigCorpus()
 	rng := rand.New(rand.NewSource(7))
 	rset := make([]string, 0, len(strs))
 	for _, s := range strs {
 		rset = append(rset, mutateN(rng, s, rng.Intn(3), 3))
 	}
+	sameWork := func(label string, serial, parallel metrics.Stats) {
+		t.Helper()
+		if serial.Lookups == 0 || serial.PeakLiveGroups == 0 || parallel.IndexEntries < serial.IndexEntries {
+			t.Fatalf("%s: implausible stats: serial %+v, parallel %+v", label, serial, parallel)
+		}
+		for _, st := range []*metrics.Stats{&serial, &parallel} {
+			st.IndexBytes, st.IndexEntries, st.PeakLiveGroups = 0, 0, 0
+		}
+		if serial != parallel {
+			t.Fatalf("%s: serial and parallel stats differ:\n serial   %+v\n parallel %+v", label, serial, parallel)
+		}
+	}
 	for _, vk := range VerifyKinds {
 		for tau := 0; tau <= 3; tau++ {
 			label := fmt.Sprintf("%v tau=%d", vk, tau)
-			opt := Options{Tau: tau, Verification: vk}
-			got, err := SelfJoin(strs, opt)
+			var selfStats, rsStats metrics.Stats
+			got, err := SelfJoin(strs, Options{Tau: tau, Verification: vk, Stats: &selfStats})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +151,7 @@ func TestSigFilterJoinsMatchBruteForce(t *testing.T) {
 				wantRS = append(wantRS, Pair{p.R, p.S})
 			}
 			SortPairs(wantRS)
-			gotRS, err := Join(rset, strs, opt)
+			gotRS, err := Join(rset, strs, Options{Tau: tau, Verification: vk, Stats: &rsStats})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,9 +160,13 @@ func TestSigFilterJoinsMatchBruteForce(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 4} {
-				opt.Parallel = workers
+				var st metrics.Stats
+				opt := Options{Tau: tau, Verification: vk, Parallel: workers, Stats: &st}
 				checkEquiv(t, fmt.Sprintf("%s self-stream w=%d", label, workers), strs, tau,
 					collectStream(t, context.Background(), strs, opt))
+				sameWork(fmt.Sprintf("%s self w=%d", label, workers), selfStats, st)
+
+				st = metrics.Stats{}
 				var rs []Pair
 				err := JoinStream(context.Background(), rset, strs, opt, func(p Pair) bool {
 					rs = append(rs, p)
@@ -158,6 +179,7 @@ func TestSigFilterJoinsMatchBruteForce(t *testing.T) {
 				if !reflect.DeepEqual(append([]Pair{}, rs...), wantRS) {
 					t.Fatalf("%s R×S stream w=%d: got %d pairs, want %d", label, workers, len(rs), len(wantRS))
 				}
+				sameWork(fmt.Sprintf("%s R×S w=%d", label, workers), rsStats, st)
 			}
 		}
 	}

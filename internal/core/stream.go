@@ -45,17 +45,13 @@ func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(P
 	}
 	tau := opt.Tau
 	st := opt.Stats
-	recs := sortRecs(strs)
-	n := len(recs)
-	ref := make([]string, n)
-	for i := range recs {
-		ref[i] = recs[i].s
-	}
+	ref, orig, off := sortRecs(strs)
+	n := len(ref)
 	// The whole corpus is known before any probe starts, so the index is
 	// bulk-built straight into the immutable CSR arena every worker probes.
-	fz, shorts, err := buildStreamIndex(ref, tau, opt.Parallel)
+	fz, err := index.BuildFrozen(ref, tau, opt.Parallel)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: building index: %w", err)
 	}
 	sig := verify.Sigs(ref) // one array, read by every worker
 
@@ -67,39 +63,14 @@ func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(P
 			return newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref, sig)
 		},
 		probeItem: func(p *prober, sid int, push func(Pair) bool) bool {
-			s := ref[sid]
-			p.maxID = int32(sid)
-			p.probe(s, len(s)-tau, len(s))
-			for _, rid := range p.hits {
-				if !push(normalize(recs[rid].orig, recs[sid].orig)) {
+			for _, rid := range p.probeSelf(sid, off) {
+				if !push(normalize(orig[rid], orig[sid])) {
 					return false
-				}
-			}
-			// Short predecessors within the length window (shorts are in
-			// sorted-id order, hence ascending length).
-			for _, rid := range shorts {
-				if rid >= int32(sid) {
-					break
-				}
-				if len(ref[rid]) < len(s)-tau {
-					continue
-				}
-				if p.verifyDirect(ref[rid], s) <= tau {
-					if !push(normalize(recs[rid].orig, recs[sid].orig)) {
-						return false
-					}
 				}
 			}
 			return true
 		},
-		finish: func(emitted int64) {
-			if st != nil {
-				st.Results += emitted
-				st.ShortStrings += int64(len(shorts))
-				st.IndexBytes = fz.MapBytes()
-				st.IndexEntries = fz.Entries()
-			}
-		},
+		finish: streamFinish(st, fz, offAt(off, tau+1)),
 	}
 	return e.run(ctx, emit)
 }
@@ -124,14 +95,10 @@ func JoinStream(ctx context.Context, rset, sset []string, opt Options, emit func
 	}
 	tau := opt.Tau
 	st := opt.Stats
-	sRecs := sortRecs(sset)
-	ref := make([]string, len(sRecs))
-	for i := range sRecs {
-		ref[i] = sRecs[i].s
-	}
-	fz, shorts, err := buildStreamIndex(ref, tau, opt.Parallel)
+	ref, orig, off := sortRecs(sset)
+	fz, err := index.BuildFrozen(ref, tau, opt.Parallel)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: building index: %w", err)
 	}
 	sig := verify.Sigs(ref) // one array, read by every worker
 
@@ -143,50 +110,30 @@ func JoinStream(ctx context.Context, rset, sset []string, opt Options, emit func
 			return newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref, sig)
 		},
 		probeItem: func(p *prober, rid int, push func(Pair) bool) bool {
-			r := rset[rid]
-			p.probe(r, len(r)-tau, len(r)+tau)
-			for _, sid := range p.hits {
-				if !push(Pair{R: int32(rid), S: sRecs[sid].orig}) {
+			for _, sid := range p.probeRS(rset[rid], off) {
+				if !push(Pair{R: int32(rid), S: orig[sid]}) {
 					return false
-				}
-			}
-			for _, sid := range shorts {
-				if absDiff(len(ref[sid]), len(r)) > tau {
-					continue
-				}
-				if p.verifyDirect(ref[sid], r) <= tau {
-					if !push(Pair{R: int32(rid), S: sRecs[sid].orig}) {
-						return false
-					}
 				}
 			}
 			return true
 		},
-		finish: func(emitted int64) {
-			if st != nil {
-				st.Results += emitted
-				st.ShortStrings += int64(len(shorts))
-				st.IndexBytes = fz.MapBytes()
-				st.IndexEntries = fz.Entries()
-			}
-		},
+		finish: streamFinish(st, fz, offAt(off, tau+1)),
 	}
 	return e.run(ctx, emit)
 }
 
-// buildStreamIndex bulk-builds the frozen index over ref (sorted by
-// length) with as many workers as the join probes with, and lists the
-// strings too short to partition, which bypass it.
-func buildStreamIndex(ref []string, tau, workers int) (*index.Frozen, []int32, error) {
-	fz, err := index.BuildFrozen(ref, tau, workers)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: building index: %w", err)
+// streamFinish returns the whole-join stats a stream join records once its
+// workers are done: the pairs delivered, the strings too short to
+// partition, and the footprint of the index all of them probed.
+func streamFinish(st *metrics.Stats, fz *index.Frozen, shorts int) func(emitted int64) {
+	return func(emitted int64) {
+		if st != nil {
+			st.Results += emitted
+			st.ShortStrings += int64(shorts)
+			st.IndexBytes = fz.MapBytes()
+			st.IndexEntries = fz.Entries()
+		}
 	}
-	var shorts []int32
-	for sid := 0; sid < len(ref) && len(ref[sid]) <= tau; sid++ {
-		shorts = append(shorts, int32(sid))
-	}
-	return fz, shorts, nil
 }
 
 // streamWorkers clamps the requested parallelism to [1, items].

@@ -288,7 +288,8 @@ func (t *Tier) applyReplayed(op Op) {
 // Bootstrap seeds an empty tier with an initial corpus, building the
 // frozen base directly (no per-document WAL traffic) and, when durable,
 // writing the base snapshot. gids must be strictly increasing and
-// len(gids) == len(docs).
+// len(gids) == len(docs); the tier keeps docs, which must not be modified
+// afterwards.
 func (t *Tier) Bootstrap(gids []int64, docs []string) error {
 	if len(gids) != len(docs) {
 		return fmt.Errorf("dynamic: %d gids for %d documents", len(gids), len(docs))
@@ -328,16 +329,9 @@ func (t *Tier) Bootstrap(gids []int64, docs []string) error {
 	return nil
 }
 
+// buildSealed bulk-builds a frozen base over docs, which the base keeps.
 func (t *Tier) buildSealed(docs []string) (*core.Matcher, error) {
-	m, err := core.NewMatcher(t.cfg.Tau, t.cfg.Selection, t.cfg.Verification, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range docs {
-		m.InsertSilent(d)
-	}
-	m.Seal()
-	return m, nil
+	return core.BuildSealedMatcher(t.cfg.Tau, t.cfg.Selection, t.cfg.Verification, nil, docs, 1)
 }
 
 // Insert adds doc under global id gid. The id must be fresh; the caller

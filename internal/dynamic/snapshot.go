@@ -16,7 +16,7 @@ import (
 // Base snapshots: the durable form of a tier's frozen base, written by
 // compaction (and bootstrap) and read on restart. The file is a small
 // dynamic header — the global ids of the base documents, which plain PJIX
-// has no notion of — followed by a verbatim PJIX v2 payload (corpus +
+// has no notion of — followed by a verbatim PJIX payload (corpus +
 // frozen CSR arena), so a restart reuses the exact cold-start loader the
 // static searchers use.
 //
@@ -26,7 +26,8 @@ import (
 //	uvarint count | count × uvarint gid-delta (gids are strictly
 //	  increasing; each is stored as the difference from its predecessor+1)
 //	uint32-LE crc32-IEEE of all preceding bytes
-//	PJIX v2 payload (self-checksummed; its corpus count must equal count)
+//	PJIX payload (v3 as written, v1–v3 as read; self-checksummed; its
+//	  corpus count must equal count)
 
 const (
 	snapMagic   = "PJDT"

@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
-
-	"passjoin/internal/partition"
 )
 
 // BuildFrozen bulk-builds the frozen index of a complete corpus: every
@@ -19,13 +16,54 @@ import (
 //
 // The length groups L^i_l of §3.2 share nothing, so the build is one task
 // per (length, slot), handed largest-first to workers goroutines (min 1):
-// a task hashes its segment of every string of that length, sorts the
-// (hash, id) pairs, and writes the postings — ascending by id within a
-// list — into its own range of the arena and the rows into its own table.
+// a task counts the distinct segments of its slot in a scratch table and
+// places the postings — ascending by id within a list — into its own range
+// of the arena and the rows into its own table (see slotBuilder.build).
 // Slot i of a group of c strings owns exactly c postings, so every range
 // is known before the first task starts and nothing is merged afterwards.
 func BuildFrozen(ref []string, tau, workers int) (*Frozen, error) {
-	return buildFrozen(ref, tau, workers, hash64)
+	ids, off := idsByLength(ref)
+	return buildFrozen(ref, ids, off, tau, workers, hash64)
+}
+
+// LengthOffsets counts the strings of ref by length: off[l] of them are
+// shorter than l, so a corpus sorted by length holds those of length l at
+// [off[l], off[l+1]), and len(off) is the largest length plus two.
+func LengthOffsets(ref []string) (off []int) {
+	maxLen := 0
+	for _, s := range ref {
+		maxLen = max(maxLen, len(s))
+	}
+	off = make([]int, maxLen+2)
+	for _, s := range ref {
+		off[len(s)+1]++
+	}
+	for l := 1; l < len(off); l++ {
+		off[l] += off[l-1]
+	}
+	return off
+}
+
+// idsByLength counting-sorts the ids of ref by string length: those of
+// length l are ids[off[l]:off[l+1]], ascending, with off = LengthOffsets(ref).
+func idsByLength(ref []string) (ids []int32, off []int) {
+	off = LengthOffsets(ref)
+	ids = make([]int32, len(ref))
+	next := slices.Clone(off)
+	for id, s := range ref {
+		ids[next[len(s)]] = int32(id)
+		next[len(s)]++
+	}
+	return ids, off
+}
+
+// identity returns ids[:0] extended with lo, lo+1, …, hi-1.
+func identity(ids []int32, lo, hi int) []int32 {
+	ids = ids[:0]
+	for id := lo; id < hi; id++ {
+		ids = append(ids, int32(id))
+	}
+	return ids
 }
 
 // checkArena reports whether postings postings over a corpus of nStrings
@@ -41,11 +79,14 @@ func checkArena(nStrings int, postings int64) error {
 	return nil
 }
 
-// segPost is one posting on its way into the arena: the id of a string and
-// the hash of the segment it is being posted under.
-type segPost struct {
-	hash uint64
-	id   int32
+// indexable validates a build over ref — off its per-length offsets — and
+// returns the number of strings long enough to partition.
+func indexable(ref []string, off []int, tau int) (int, error) {
+	if tau < 0 {
+		return 0, fmt.Errorf("negative threshold %d", tau)
+	}
+	n := len(ref) - off[min(tau+1, len(off)-1)]
+	return n, checkArena(len(ref), int64(n)*int64(tau+1))
 }
 
 // buildTask is one (length, slot) of the bulk build.
@@ -53,70 +94,32 @@ type buildTask struct {
 	g    *FrozenGroup
 	slot int     // 0-based
 	ids  []int32 // the strings of length g.L, ascending
-	base uint32  // arena offset of the slot's len(ids) postings
 }
 
-// buildFrozen is BuildFrozen with the segment hash as a parameter, so a
-// test can force two distinct segments onto one 64-bit hash.
-func buildFrozen(ref []string, tau, workers int, hash func(string) uint64) (*Frozen, error) {
-	if tau < 0 {
-		return nil, fmt.Errorf("negative threshold %d", tau)
-	}
-	// Counting sort of the indexable ids by length; ids stay ascending
-	// within a length.
-	maxLen, indexed := 0, 0
-	for _, s := range ref {
-		maxLen = max(maxLen, len(s))
-		if len(s) > tau {
-			indexed++
-		}
-	}
-	if err := checkArena(len(ref), int64(indexed)*int64(tau+1)); err != nil {
+// buildFrozen builds the index from the ids sorted by length — those of
+// length l are ids[off[l]:off[l+1]], ascending — with the segment hash as a
+// parameter, so a test can force two distinct segments onto one 64-bit hash.
+func buildFrozen(ref []string, ids []int32, off []int, tau, workers int, hash func(string) uint64) (*Frozen, error) {
+	indexed, err := indexable(ref, off, tau)
+	if err != nil {
 		return nil, err
 	}
-	start := make([]int, maxLen+2) // ids of length l are byLen[start[l]:start[l+1]]
-	for _, s := range ref {
-		if len(s) > tau {
-			start[len(s)+1]++
-		}
-	}
-	for l := 1; l < len(start); l++ {
-		start[l] += start[l-1]
-	}
-	byLen := make([]int32, indexed)
-	next := slices.Clone(start)
-	for id, s := range ref {
-		if len(s) > tau {
-			byLen[next[len(s)]] = int32(id)
-			next[len(s)]++
-		}
-	}
-
-	f := &Frozen{
-		tau:    tau,
-		layout: DefaultLayout,
-		arena:  make([]int32, indexed*(tau+1)),
-		ref:    ref,
-	}
+	f := &Frozen{tau: tau, ref: ref, entries: int64(indexed) * int64(tau+1)}
 	if indexed > 0 {
-		f.groups = make([]*FrozenGroup, maxLen+1)
+		f.groups = make([]*FrozenGroup, len(off)-1)
 	}
+	arena := make([]int32, f.entries)
 	var tasks []buildTask
-	for l := tau + 1; l <= maxLen; l++ {
-		ids := byLen[start[l]:start[l+1]]
-		if len(ids) == 0 {
+	for l := tau + 1; l < len(f.groups); l++ {
+		n := (off[l+1] - off[l]) * (tau + 1)
+		if n == 0 {
 			continue
 		}
-		g := &FrozenGroup{
-			L:      l,
-			segs:   partition.Segments(l, tau),
-			tables: make([]segTable, tau+1),
-			arena:  f.arena,
-			ref:    ref,
-		}
+		g := newGroup(ref, tau, l, arena[:n:n])
+		arena = arena[n:]
 		f.groups[l] = g
 		for slot := 0; slot <= tau; slot++ {
-			tasks = append(tasks, buildTask{g: g, slot: slot, ids: ids, base: uint32(start[l]*(tau+1) + slot*len(ids))})
+			tasks = append(tasks, buildTask{g: g, slot: slot, ids: ids[off[l]:off[l+1]]})
 		}
 	}
 	// Largest first: the long tail of small groups then evens out whatever
@@ -125,13 +128,13 @@ func buildFrozen(ref []string, tau, workers int, hash func(string) uint64) (*Fro
 
 	var claimed atomic.Int64
 	work := func() {
-		w := slotBuilder{f: f, hash: hash}
+		w := slotBuilder{ref: ref, hash: hash}
 		for {
 			k := int(claimed.Add(1)) - 1
 			if k >= len(tasks) {
 				return
 			}
-			w.build(&tasks[k])
+			w.build(tasks[k].g, tasks[k].slot, tasks[k].ids)
 		}
 	}
 	if workers = min(workers, len(tasks)); workers <= 1 {
@@ -151,63 +154,150 @@ func buildFrozen(ref []string, tau, workers int, hash func(string) uint64) (*Fro
 	return f, nil
 }
 
-// slotBuilder is one build worker: the index under construction and the
-// scratch it reuses from task to task.
-type slotBuilder struct {
-	f     *Frozen
-	hash  func(string) uint64
-	posts []segPost
-	rows  []frozenRow
+// buildCell is one cell of a slotBuilder's scratch table: a distinct
+// segment of the slot under construction.
+type buildCell struct {
+	hash  uint64
+	first int32  // the smallest id posted under the segment
+	count uint32 // postings counted; 0 marks a free cell
+	next  uint32 // where its next posting goes, once the list has a start
 }
 
-// build builds one slot: the postings into the task's arena range and the
-// table into the group.
-func (w *slotBuilder) build(t *buildTask) {
-	f, hash := w.f, w.hash
-	sg := t.g.segs[t.slot]
-	seg := func(id int32) string { return f.ref[id][sg.Pos-1 : sg.Pos-1+sg.Len] }
-	posts := w.posts[:0]
-	for _, id := range t.ids {
-		posts = append(posts, segPost{hash: hash(seg(id)), id: id})
-	}
-	slices.SortFunc(posts, func(a, b segPost) int {
-		if c := cmp.Compare(a.hash, b.hash); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	// One row per distinct segment. Postings of one hash are almost always
-	// one segment; when they are not (a full 64-bit collision), regroup them
-	// by content — stable, so each list stays ascending — and give every
-	// segment its own row under the shared hash, which FrozenGroup.List
-	// tells apart by confirming against the corpus.
-	rows := w.rows[:0]
-	for a := 0; a < len(posts); {
-		b, uniform := a+1, true
-		for ; b < len(posts) && posts[b].hash == posts[a].hash; b++ {
-			uniform = uniform && seg(posts[b].id) == seg(posts[a].id)
-		}
-		if !uniform {
-			slices.SortStableFunc(posts[a:b], func(x, y segPost) int { return strings.Compare(seg(x.id), seg(y.id)) })
-		}
-		for a < b {
-			e := b
-			if !uniform {
-				for e = a + 1; e < b && seg(posts[e].id) == seg(posts[a].id); e++ {
-				}
+// slotBuilder is one build worker: the corpus, the segment hash and the
+// scratch it reuses from slot to slot.
+type slotBuilder struct {
+	ref    []string
+	hash   func(string) uint64
+	cells  []buildCell
+	cellOf []uint32 // per id of the slot, the cell of its segment
+}
+
+// build builds slot slot of g over ids, the strings of length g.L in
+// ascending order: the postings into g.arena[slot·len(ids):][:len(ids)] and
+// the table into the group. Nothing is sorted. A first pass counts the
+// postings of every distinct segment in the scratch table — a cell is
+// claimed by hash and confirmed by content, so two segments under one
+// 64-bit hash stay two cells; a second pass, over the ids in the same
+// ascending order, starts a segment's list where the previous one ended
+// the first time it meets the segment and appends the id to it, so every
+// list ascends. The final table is sized for the distinct segments, as
+// Freeze sizes it.
+func (w *slotBuilder) build(g *FrozenGroup, slot int, ids []int32) {
+	sg := g.segs[slot]
+	lo, hi := sg.Pos-1, sg.Pos-1+sg.Len
+	size := int(tableSize(len(ids)))
+	mask := uint32(size - 1)
+	w.cells = slices.Grow(w.cells[:0], size)[:size]
+	clear(w.cells)
+	w.cellOf = slices.Grow(w.cellOf[:0], len(ids))[:len(ids)]
+	keys := 0
+	for k, id := range ids {
+		seg := w.ref[id][lo:hi]
+		h := w.hash(seg)
+		c := uint32(h) & mask
+		for {
+			cell := &w.cells[c]
+			if cell.count == 0 {
+				*cell = buildCell{hash: h, first: id, count: 1}
+				keys++
+				break
 			}
-			rows = append(rows, frozenRow{hash: posts[a].hash, start: t.base + uint32(a), count: uint32(e - a)})
-			a = e
+			if cell.hash == h && w.ref[cell.first][lo:hi] == seg {
+				cell.count++
+				break
+			}
+			c = (c + 1) & mask
+		}
+		w.cellOf[k] = c
+	}
+	table := newLinearTable(keys)
+	end := uint32(slot * len(ids))
+	for k, id := range ids {
+		cell := &w.cells[w.cellOf[k]]
+		if cell.first == id {
+			table.insert(cell.hash, end, cell.count) // sized for keys: cannot be full
+			cell.next = end
+			end += cell.count
+		}
+		g.arena[cell.next] = id
+		cell.next++
+	}
+	g.tables[slot] = table
+}
+
+// Window is the index of a sequential join scan (§3.2) over a corpus
+// sorted by length: a Frozen that holds only the length groups the scan's
+// window covers. Slide bulk-builds a group — each into an arena of its own —
+// when the window reaches its length and drops it once the window has
+// passed, so at most τ+1 groups (2τ+1 for R≠S) are ever live. It is
+// single-goroutine state.
+type Window struct {
+	f   *Frozen
+	off []int
+	w   slotBuilder
+	ids []int32
+	// Groups below low have been released and groups below next built
+	// (or skipped: no strings, or never inside the window).
+	low, next int
+	// live counts the groups in the window and bytes/entries what a map
+	// index holding them would report (Frozen.MapBytes); peak* are the
+	// values at the largest bytes seen.
+	live, peakLive         int
+	bytes, entries         int64
+	peakBytes, peakEntries int64
+}
+
+// NewWindow returns the empty window over ref, sorted by length, with
+// off = LengthOffsets(ref).
+func NewWindow(ref []string, off []int, tau int) (*Window, error) {
+	if _, err := indexable(ref, off, tau); err != nil {
+		return nil, err
+	}
+	f := &Frozen{tau: tau, ref: ref, groups: make([]*FrozenGroup, len(off)-1)}
+	return &Window{f: f, off: off, w: slotBuilder{ref: ref, hash: hash64}, next: tau + 1}, nil
+}
+
+// Frozen returns the index the window maintains; only the groups inside
+// the window answer.
+func (w *Window) Frozen() *Frozen { return w.f }
+
+// Slide moves the window to the lengths [lo, hi]: it releases the groups
+// below lo and builds those up to hi that are not built yet. Both bounds
+// only ever grow.
+func (w *Window) Slide(lo, hi int) {
+	groups, tau := w.f.groups, w.f.tau
+	for ; w.low < min(lo, len(groups)); w.low++ {
+		if g := groups[w.low]; g != nil {
+			w.live--
+			w.entries -= int64(len(g.arena))
+			w.bytes -= int64(len(g.arena))*postingBytes + g.mapKeyBytes()
+			groups[w.low] = nil
 		}
 	}
-	out := f.arena[t.base : int(t.base)+len(posts)]
-	for k := range posts {
-		out[k] = posts[k].id
+	for w.next = max(w.next, lo); w.next <= min(hi, len(groups)-1); w.next++ {
+		l := w.next
+		w.ids = identity(w.ids, w.off[l], w.off[l+1])
+		if len(w.ids) == 0 {
+			continue
+		}
+		g := newGroup(w.f.ref, tau, l, make([]int32, len(w.ids)*(tau+1)))
+		for slot := 0; slot <= tau; slot++ {
+			w.w.build(g, slot, w.ids)
+		}
+		groups[l] = g
+		w.live++
+		w.entries += int64(len(g.arena))
+		w.bytes += int64(len(g.arena))*postingBytes + g.mapKeyBytes()
 	}
-	table := newSegTable(f.layout, len(rows))
-	for _, r := range rows {
-		table.insert(r.hash, r.start, r.count) // sized for len(rows): cannot be full
+	w.peakLive = max(w.peakLive, w.live)
+	if w.bytes > w.peakBytes {
+		w.peakBytes, w.peakEntries = w.bytes, w.entries
 	}
-	t.g.tables[t.slot] = table
-	w.posts, w.rows = posts, rows
+}
+
+// Peak returns the largest number of groups that were live at once, and
+// the modeled map-index size (see Frozen.MapBytes) and posting count of
+// the window at its largest.
+func (w *Window) Peak() (groups int, mapBytes, entries int64) {
+	return w.peakLive, w.peakBytes, w.peakEntries
 }

@@ -30,7 +30,7 @@ func requireSameLists(t testing.TB, corpus []string, tau int, x *Index, want, go
 		g, bg := x.Group(l), got.Group(l)
 		for i := 1; i <= tau+1; i++ {
 			keys := 0
-			bg.Slot(i, func(_ uint64, postings []int32) {
+			bg.Slot(i, func(postings []int32) {
 				keys++
 				if !slices.IsSorted(postings) {
 					t.Fatalf("tau=%d l=%d slot=%d: postings %v not ascending", tau, l, i, postings)
@@ -88,6 +88,75 @@ func TestBuildFrozenMatchesAddFreeze(t *testing.T) {
 	}
 }
 
+// TestWindowSlides drives a Window the way the two serial joins do — the
+// self join's [L−τ, L] and the R≠S join's [L−τ, L+τ], the latter with jumps
+// over lengths no probe reaches — over a length-sorted corpus: inside the
+// window every group answers like the whole index, outside it nothing
+// does, at most τ+1 (2τ+1) groups are live, and the peak figures are those
+// of a map index that held the same strings.
+func TestWindowSlides(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	corpus := append(randomCorpus(rng, 600, 24), "", "a")
+	slices.SortStableFunc(corpus, func(a, b string) int { return len(a) - len(b) })
+	_, off := idsByLength(corpus) // sorted by length: the ids are the identity
+	maxLen := len(off) - 2
+	for tau := 0; tau <= 3; tau++ {
+		x, want := buildBoth(corpus, tau)
+		full, err := BuildFrozen(corpus, tau, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameLists(t, corpus, tau, x, want, full, nil)
+		for _, ahead := range []int{0, tau} { // self join, R≠S join
+			w, err := NewWindow(corpus, off, tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantPeak, wantEntries int64
+			for L := 0; L <= maxLen+tau+1; L += 1 + rng.Intn(1+2*ahead) {
+				w.Slide(L-tau, L+ahead)
+				live := 0
+				for l := 0; l <= maxLen; l++ {
+					g, fg := w.Frozen().Group(l), full.Group(l)
+					if l < L-tau || l > L+ahead || fg == nil {
+						if g != nil {
+							t.Fatalf("tau=%d window [%d,%d]: group %d is live", tau, L-tau, L+ahead, l)
+						}
+						continue
+					}
+					// A jump can carry the window past a length before it
+					// was ever built; it is then built on entry all the same.
+					if g == nil {
+						t.Fatalf("tau=%d window [%d,%d]: group %d missing", tau, L-tau, L+ahead, l)
+					}
+					live++
+					for i := 1; i <= tau+1; i++ {
+						fg.Slot(i, func(postings []int32) {
+							pos, n := fg.Seg(i)
+							seg := corpus[postings[0]][pos-1 : pos-1+n]
+							if got := g.List(i, seg); !slices.Equal(got, postings) {
+								t.Fatalf("tau=%d l=%d slot=%d %q: window %v, whole index %v", tau, l, i, seg, got, postings)
+							}
+						})
+					}
+				}
+				if live > tau+ahead+1 {
+					t.Fatalf("tau=%d window [%d,%d]: %d live groups", tau, L-tau, L+ahead, live)
+				}
+				lo, hi := min(max(L-tau, 0), maxLen+1), min(L+ahead, maxLen)+1
+				if part, _ := BuildFrozen(corpus[off[lo]:max(off[hi], off[lo])], tau, 1); part.MapBytes() > wantPeak && part.Entries() > 0 {
+					wantPeak, wantEntries = part.MapBytes(), part.Entries()
+				}
+			}
+			groups, bytes, entries := w.Peak()
+			if groups > tau+ahead+1 || bytes != wantPeak || entries != wantEntries {
+				t.Fatalf("tau=%d ahead=%d: peak %d groups, %d B, %d entries; want <= %d groups, %d B, %d entries",
+					tau, ahead, groups, bytes, entries, tau+ahead+1, wantPeak, wantEntries)
+			}
+		}
+	}
+}
+
 // FuzzBuildFrozen is FuzzFrozenLookup for the bulk builder: whatever the
 // corpus, threshold and worker count, it must answer like Add + Freeze.
 func FuzzBuildFrozen(f *testing.F) {
@@ -111,7 +180,8 @@ func FuzzBuildFrozen(f *testing.F) {
 // ascending list, and List must return the one whose content matches.
 func TestBuildFrozenHashCollision(t *testing.T) {
 	// tau=1, length 4: slot 1 is bytes 0..1. "ab" and "cd" collide there;
-	// their ids interleave so the regrouping has something to undo.
+	// their ids interleave, so a build that told segments apart by hash
+	// alone would merge the two lists.
 	corpus := []string{"abxx", "cdxx", "abyy", "efzz", "cdyy", "abzz"}
 	collide := func(w string) uint64 {
 		if w == "cd" {
@@ -119,21 +189,20 @@ func TestBuildFrozenHashCollision(t *testing.T) {
 		}
 		return hash64(w)
 	}
+	ids, off := idsByLength(corpus)
 	for _, workers := range []int{1, 2} {
-		f, err := buildFrozen(corpus, 1, workers, collide)
+		f, err := buildFrozen(corpus, ids, off, 1, workers, collide)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := f.Group(4)
 		lists := map[string][]int32{}
-		hashes := map[uint64]int{}
-		g.Slot(1, func(h uint64, postings []int32) {
-			hashes[h]++
+		g.Slot(1, func(postings []int32) {
 			lists[corpus[postings[0]][:2]] = slices.Clone(postings)
 		})
 		want := map[string][]int32{"ab": {0, 2, 5}, "cd": {1, 4}, "ef": {3}}
-		if len(lists) != len(want) || hashes[hash64("ab")] != 2 {
-			t.Fatalf("workers=%d: rows %v (hash multiplicities %v), want %v with two rows under hash(ab)", workers, lists, hashes, want)
+		if under := len(rowsUnder(&g.tables[0], hash64("ab"))); len(lists) != len(want) || under != 2 {
+			t.Fatalf("workers=%d: rows %v, %d of them under hash(ab); want %v with two under hash(ab)", workers, lists, under, want)
 		}
 		for w, lst := range want {
 			if !slices.Equal(lists[w], lst) {

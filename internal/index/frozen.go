@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"passjoin/internal/partition"
@@ -15,52 +16,93 @@ import (
 // are not stored: a hash match is confirmed by comparing the probe
 // substring against the corresponding segment of the first posted string,
 // so lookups touch only the table row, the arena, and one corpus string.
+// The hashes are not stored outside the tables either — every builder
+// derives them from the corpus — so no file format depends on hash64.
 //
 // A Frozen is immutable and safe for concurrent use by any number of
 // goroutines. It is built by BuildFrozen (bulk, from a complete corpus), by
 // Index.Freeze (the seal after online inserts) or by a FrozenBuilder (the
-// PJIX v2 snapshot loader).
+// PJIX snapshot loader). A Window is the exception: the one Frozen whose
+// groups come and go, under a single-goroutine join scan.
 type Frozen struct {
 	tau     int
-	layout  Layout
 	groups  []*FrozenGroup // dense, indexed by string length; nil holes
-	arena   []int32
 	ref     []string
 	entries int64
 	bytes   int64
 }
 
-// FrozenGroup holds the tau+1 frozen slot tables for one string length.
-// The tables' memory organisation is a Layout picked at build time (see
-// segtable.go); a nil table means the slot received no lists.
+// FrozenGroup holds the tau+1 frozen slot tables for one string length and
+// the arena their rows point into — the group's own range of it when the
+// group was bulk-built.
 type FrozenGroup struct {
 	L      int
 	segs   []partition.Seg
-	tables []segTable
+	tables []linearTable
 	arena  []int32
 	ref    []string
 }
 
-// hash64 hashes a segment with FNV-1a and a splitmix-style finalizer so
-// the low bits used by the power-of-two tables are well mixed. The
-// function is fixed: PJIX v2 snapshots store these hashes verbatim.
-func hash64(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
+// newGroup returns the empty group for the strings of ref with length l,
+// whose postings will live in arena.
+func newGroup(ref []string, tau, l int, arena []int32) *FrozenGroup {
+	return &FrozenGroup{
+		L:      l,
+		segs:   partition.Segments(l, tau),
+		tables: make([]linearTable, tau+1),
+		arena:  arena,
+		ref:    ref,
 	}
+}
+
+// hash64 hashes a segment a word at a time: up to 16 bytes are two
+// (overlapping) little-endian loads folded by one 64×64→128 multiply, every
+// further 16 bytes cost one more, and a splitmix-style finalizer mixes the
+// low bits the power-of-two tables index by. The length seeds the state,
+// so a trailing NUL changes the value. Nothing persists these hashes (see
+// Frozen), so the function may change again.
+func hash64(s string) uint64 {
+	const k0, k1 = 0x9e3779b97f4a7c15, 0xe7037ed1a0b428db
+	h := uint64(len(s)) * k0
+	for ; len(s) > 16; s = s[16:] {
+		h = mulFold(le64(s, 0)^k1, le64(s, 8)^h)
+	}
+	var a, b uint64
+	switch n := len(s); {
+	case n >= 8:
+		a, b = le64(s, 0), le64(s, n-8)
+	case n >= 4:
+		a, b = le32(s, 0), le32(s, n-4)
+	case n > 0:
+		a = uint64(s[0])<<16 | uint64(s[n>>1])<<8 | uint64(s[n-1])
+	}
+	h = mulFold(a^k1, b^h)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return h
 }
 
+func mulFold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// le64 and le32 load little-endian words from s at byte i; the compiler
+// merges the byte loads into one.
+func le64(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+func le32(s string, i int) uint64 {
+	s = s[i : i+4]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
+}
+
 // Tau returns the threshold the index was built for.
 func (f *Frozen) Tau() int { return f.tau }
-
-// Layout returns the segment-table layout the index was built with.
-func (f *Frozen) Layout() Layout { return f.layout }
 
 // Entries returns the number of postings in the arena.
 func (f *Frozen) Entries() int64 { return f.entries }
@@ -77,15 +119,19 @@ func (f *Frozen) Bytes() int64 { return f.bytes }
 func (f *Frozen) MapBytes() int64 {
 	b := f.entries * postingBytes
 	for _, g := range f.groups {
-		if g == nil {
-			continue
+		if g != nil {
+			b += g.mapKeyBytes()
 		}
-		b += int64(groupOverhead + len(g.tables)*mapOverhead)
-		for i, t := range g.tables {
-			if t != nil {
-				t.each(func(uint64, uint32, uint32) { b += int64(entryOverhead + g.segs[i].Len) })
-			}
-		}
+	}
+	return b
+}
+
+// mapKeyBytes is the group's share of MapBytes apart from its postings:
+// the group, its maps and one entry per distinct segment.
+func (g *FrozenGroup) mapKeyBytes() int64 {
+	b := int64(groupOverhead + len(g.tables)*mapOverhead)
+	for i := range g.tables {
+		b += int64(g.tables[i].keys) * int64(entryOverhead+g.segs[i].Len)
 	}
 	return b
 }
@@ -124,37 +170,30 @@ func (g *FrozenGroup) List(i int, w string) []int32 {
 	if g == nil {
 		return nil
 	}
-	t := g.tables[i-1]
-	if t == nil {
+	t := &g.tables[i-1]
+	if t.rows == nil {
 		return nil
 	}
 	sg := g.segs[i-1]
 	h := hash64(w)
-	for nth := 0; ; nth++ {
-		start, count, ok := t.lookup(h, nth)
-		if !ok {
-			return nil
-		}
-		lst := g.arena[start : start+count]
+	for row, cell := t.lookup(h, uint32(h)); row != nil; row, cell = t.lookup(h, cell) {
+		lst := g.arena[row.start : row.start+row.count]
 		// Confirm against the corpus: the i-th segment of any posted
 		// string must equal w (all strings on one list share it). A
-		// mismatch is a full 64-bit hash collision — ask for the next row.
+		// mismatch is a full 64-bit hash collision — try the next row.
 		r := g.ref[lst[0]]
 		if r[sg.Pos-1:sg.Pos-1+sg.Len] == w {
 			return lst
 		}
 	}
+	return nil
 }
 
-// Slot calls fn for every (hash, postings) list of the i-th segment slot
-// (1-based), in table order. Used by the PJIX v2 writer.
-func (g *FrozenGroup) Slot(i int, fn func(hash uint64, postings []int32)) {
-	t := g.tables[i-1]
-	if t == nil {
-		return
-	}
-	t.each(func(h uint64, start, count uint32) {
-		fn(h, g.arena[start:start+count])
+// Slot calls fn for every posting list of the i-th segment slot (1-based),
+// in table order. Used by the PJIX writer.
+func (g *FrozenGroup) Slot(i int, fn func(postings []int32)) {
+	g.tables[i-1].each(func(start, count uint32) {
+		fn(g.arena[start : start+count])
 	})
 }
 
@@ -163,18 +202,8 @@ func (g *FrozenGroup) Slot(i int, fn func(hash uint64, postings []int32)) {
 // Add with that id); Frozen keeps it for lookup confirmation. The mutable
 // index is left untouched.
 func (x *Index) Freeze(ref []string) *Frozen {
-	return x.FreezeLayout(ref, DefaultLayout)
-}
-
-// FreezeLayout is Freeze with an explicit segment-table layout — the
-// entry point of the table-layout lab (benchmarks and the `experiments
-// hotpath` calibration build every layout from one index and race them).
-func (x *Index) FreezeLayout(ref []string, layout Layout) *Frozen {
 	b, err := NewFrozenBuilder(x.tau, ref, x.entries)
 	if err != nil {
-		panic("index: " + err.Error())
-	}
-	if err := b.SetLayout(layout); err != nil {
 		panic("index: " + err.Error())
 	}
 	lengths := x.Lengths()
@@ -189,8 +218,8 @@ func (x *Index) FreezeLayout(ref []string, layout Layout) *Frozen {
 			if err := b.BeginSlot(i, len(m)); err != nil {
 				panic("index: " + err.Error())
 			}
-			for w, lst := range m {
-				if err := b.AddList(hash64(w), lst); err != nil {
+			for _, lst := range m {
+				if err := b.AddList(lst); err != nil {
 					panic("index: " + err.Error())
 				}
 			}
@@ -203,36 +232,21 @@ func (x *Index) FreezeLayout(ref []string, layout Layout) *Frozen {
 	return f
 }
 
-// FrozenBuilder assembles a Frozen from pre-counted parts: Index.Freeze
-// feeds it from the live maps, the PJIX v2 loader feeds it straight from a
-// snapshot (which is the point — cold starts skip re-indexing entirely).
-// Every input is validated so a corrupted snapshot fails loudly instead of
-// building an index that panics at query time.
+// FrozenBuilder assembles a Frozen from pre-counted posting lists:
+// Index.Freeze feeds it from the live maps, the PJIX loader feeds it
+// straight from a snapshot (which is the point — cold starts skip
+// re-indexing entirely). Every input is validated so a corrupted snapshot
+// fails loudly instead of building an index that panics at query time.
 type FrozenBuilder struct {
 	tau       int
-	layout    Layout
 	ref       []string
 	maxRefLen int
 	f         *Frozen
+	arena     []int32
 	groups    map[int]*FrozenGroup
 	cur       *FrozenGroup
 	curSlot   int // 0 = none begun
 	off       uint32
-}
-
-// SetLayout overrides the segment-table layout (default DefaultLayout).
-// It must be called before the first BeginGroup — tables are sized and
-// shaped per slot as groups arrive.
-func (b *FrozenBuilder) SetLayout(l Layout) error {
-	if l >= numLayouts {
-		return fmt.Errorf("unknown table layout %d", l)
-	}
-	if len(b.groups) > 0 {
-		return fmt.Errorf("SetLayout after BeginGroup")
-	}
-	b.layout = l
-	b.f.layout = l
-	return nil
 }
 
 // NewFrozenBuilder starts a build for threshold tau over corpus ref with
@@ -255,10 +269,10 @@ func NewFrozenBuilder(tau int, ref []string, totalPostings int64) (*FrozenBuilde
 	}
 	return &FrozenBuilder{
 		tau:       tau,
-		layout:    DefaultLayout,
 		ref:       ref,
 		maxRefLen: maxRefLen,
-		f:         &Frozen{tau: tau, layout: DefaultLayout, ref: ref, arena: make([]int32, totalPostings)},
+		f:         &Frozen{tau: tau, ref: ref},
+		arena:     make([]int32, totalPostings),
 		groups:    make(map[int]*FrozenGroup),
 	}, nil
 }
@@ -272,15 +286,8 @@ func (b *FrozenBuilder) BeginGroup(L int) error {
 	if _, dup := b.groups[L]; dup {
 		return fmt.Errorf("duplicate group for length %d", L)
 	}
-	g := &FrozenGroup{
-		L:      L,
-		segs:   partition.Segments(L, b.tau),
-		tables: make([]segTable, b.tau+1),
-		arena:  b.f.arena,
-		ref:    b.ref,
-	}
-	b.groups[L] = g
-	b.cur = g
+	b.cur = newGroup(b.ref, b.tau, L, b.arena)
+	b.groups[L] = b.cur
 	b.curSlot = 0
 	return nil
 }
@@ -296,28 +303,29 @@ func (b *FrozenBuilder) BeginSlot(i, nKeys int) error {
 	}
 	// Each list holds at least one posting, so nKeys can never exceed the
 	// arena space left; this bounds table allocation for corrupt inputs.
-	if nKeys < 0 || int64(nKeys) > int64(len(b.f.arena))-int64(b.off) {
-		return fmt.Errorf("slot %d key count %d exceeds remaining postings %d", i, nKeys, int64(len(b.f.arena))-int64(b.off))
+	if nKeys < 0 || int64(nKeys) > int64(len(b.arena))-int64(b.off) {
+		return fmt.Errorf("slot %d key count %d exceeds remaining postings %d", i, nKeys, int64(len(b.arena))-int64(b.off))
 	}
-	if b.cur.tables[i-1] != nil {
-		return fmt.Errorf("slot %d of length %d begun twice", i, b.cur.L)
+	if b.curSlot >= i {
+		return fmt.Errorf("slot %d of length %d begun after slot %d", i, b.cur.L, b.curSlot)
 	}
-	b.cur.tables[i-1] = newSegTable(b.layout, nKeys)
+	b.cur.tables[i-1] = newLinearTable(nKeys)
 	b.curSlot = i
 	return nil
 }
 
 // AddList appends one posting list for the current slot: the postings go
-// into the arena and the (hash → arena range) row into the slot table.
-func (b *FrozenBuilder) AddList(hash uint64, postings []int32) error {
+// into the arena and the (hash → arena range) row into the slot table,
+// under the hash of the slot's segment of the first posted string.
+func (b *FrozenBuilder) AddList(postings []int32) error {
 	if b.curSlot == 0 {
 		return fmt.Errorf("AddList before BeginSlot")
 	}
 	if len(postings) == 0 {
 		return fmt.Errorf("empty posting list in slot %d of length %d", b.curSlot, b.cur.L)
 	}
-	if int64(len(postings)) > int64(len(b.f.arena))-int64(b.off) {
-		return fmt.Errorf("posting list overflows arena (%d postings, %d left)", len(postings), int64(len(b.f.arena))-int64(b.off))
+	if int64(len(postings)) > int64(len(b.arena))-int64(b.off) {
+		return fmt.Errorf("posting list overflows arena (%d postings, %d left)", len(postings), int64(len(b.arena))-int64(b.off))
 	}
 	for _, id := range postings {
 		if id < 0 || int(id) >= len(b.ref) {
@@ -328,11 +336,12 @@ func (b *FrozenBuilder) AddList(hash uint64, postings []int32) error {
 		}
 	}
 	start := b.off
-	copy(b.f.arena[start:], postings)
+	copy(b.arena[start:], postings)
 	b.off += uint32(len(postings))
 
-	t := b.cur.tables[b.curSlot-1]
-	if t == nil || !t.insert(hash, start, uint32(len(postings))) {
+	sg := b.cur.segs[b.curSlot-1]
+	hash := hash64(b.ref[postings[0]][sg.Pos-1 : sg.Pos-1+sg.Len])
+	if !b.cur.tables[b.curSlot-1].insert(hash, start, uint32(len(postings))) {
 		return fmt.Errorf("slot %d of length %d received more lists than declared", b.curSlot, b.cur.L)
 	}
 	return nil
@@ -341,10 +350,11 @@ func (b *FrozenBuilder) AddList(hash uint64, postings []int32) error {
 // Finish validates that the declared postings all arrived and returns the
 // immutable index.
 func (b *FrozenBuilder) Finish() (*Frozen, error) {
-	if int(b.off) != len(b.f.arena) {
-		return nil, fmt.Errorf("declared %d postings, received %d", len(b.f.arena), b.off)
+	if int(b.off) != len(b.arena) {
+		return nil, fmt.Errorf("declared %d postings, received %d", len(b.arena), b.off)
 	}
 	f := b.f
+	f.entries = int64(len(b.arena))
 	maxL := 0
 	for l := range b.groups {
 		if l > maxL {
@@ -360,25 +370,22 @@ func (b *FrozenBuilder) Finish() (*Frozen, error) {
 	return f, nil
 }
 
-// account fills in the size figures once the arena and every table are in
-// place.
+// account fills in the retained size once the posting count and every
+// table are in place.
 func (f *Frozen) account() {
-	f.entries = int64(len(f.arena))
-	f.bytes = int64(len(f.arena)) * 4
+	f.bytes = f.entries * 4
 	for _, g := range f.groups {
 		if g == nil {
 			continue
 		}
 		f.bytes += frozenGroupOverhead
-		for _, t := range g.tables {
-			if t != nil {
-				f.bytes += t.bytes()
-			}
+		for i := range g.tables {
+			f.bytes += g.tables[i].bytes()
 		}
 	}
 }
 
 // frozenGroupOverhead is the approximate fixed cost of one group:
 // FrozenGroup struct + segs + table headers. Table backing arrays are
-// accounted exactly, per layout (unlike the mutable index's cost model).
+// accounted exactly (unlike the mutable index's cost model).
 const frozenGroupOverhead = 64

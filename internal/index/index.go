@@ -3,9 +3,11 @@
 // inverted maps, one per segment slot, from segment content to the IDs of
 // the strings whose i-th segment equals that content.
 //
-// The self-join scan only needs groups for lengths in [|s|−τ, |s|], so the
-// index supports evicting groups below a watermark (the paper's "remove
-// L^i_k for k < |s|−τ"), keeping at most (τ+1)² live inverted indices.
+// Index is the mutable form, one Go map per (length, slot): it takes
+// strings in any order, one at a time, and serves the online Matcher until
+// it is sealed. Frozen (frozen.go) is the read-optimized form every join
+// and every sealed searcher probes; BuildFrozen and Window (build.go) build
+// it straight from a corpus.
 package index
 
 import (
@@ -19,10 +21,6 @@ type Index struct {
 	// entries counts stored postings; bytes approximates retained memory.
 	entries int64
 	bytes   int64
-	// peakGroups tracks the largest number of simultaneously live length
-	// groups, to check the paper's bound of τ+1 live groups — i.e. (τ+1)²
-	// live inverted indices — during a sequential scan.
-	peakGroups int
 }
 
 // Group holds the tau+1 inverted maps for one string length.
@@ -55,9 +53,6 @@ func (x *Index) Add(id int32, s string) {
 		}
 		x.groups[l] = g
 		x.bytes += int64(groupOverhead + (x.tau+1)*mapOverhead)
-		if len(x.groups) > x.peakGroups {
-			x.peakGroups = len(x.groups)
-		}
 	}
 	segs := partition.Segments(l, x.tau)
 	for i, sg := range segs {
@@ -75,7 +70,7 @@ func (x *Index) Add(id int32, s string) {
 }
 
 // Group returns the group for length l, or nil if no string of that length
-// has been indexed (or the group was evicted).
+// has been indexed.
 func (x *Index) Group(l int) *Group {
 	return x.groups[l]
 }
@@ -89,27 +84,6 @@ func (g *Group) List(i int, w string) []int32 {
 	return g.segs[i-1][w]
 }
 
-// EvictBelow removes every group for lengths < l, releasing their postings.
-// The join scan calls this as the current string length advances.
-func (x *Index) EvictBelow(l int) {
-	for gl, g := range x.groups {
-		if gl < l {
-			x.release(g)
-			delete(x.groups, gl)
-		}
-	}
-}
-
-func (x *Index) release(g *Group) {
-	for i := range g.segs {
-		for w, lst := range g.segs[i] {
-			x.entries -= int64(len(lst))
-			x.bytes -= int64(len(lst))*postingBytes + int64(entryOverhead+len(w))
-		}
-	}
-	x.bytes -= int64(groupOverhead + len(g.segs)*mapOverhead)
-}
-
 // Lengths returns the set of live group lengths (unsorted).
 func (x *Index) Lengths() []int {
 	out := make([]int, 0, len(x.groups))
@@ -121,12 +95,6 @@ func (x *Index) Lengths() []int {
 
 // Entries returns the number of live postings.
 func (x *Index) Entries() int64 { return x.entries }
-
-// PeakGroups returns the largest number of length groups that were ever
-// simultaneously live. Under the sequential scan with eviction this is at
-// most τ+1 when eviction runs after every length change (the paper's
-// space bound); the parallel mode indexes everything and is unbounded.
-func (x *Index) PeakGroups() int { return x.peakGroups }
 
 // Bytes approximates the retained size of the index in bytes: postings
 // (4 bytes each) plus per-distinct-segment map entry overhead. Segment keys

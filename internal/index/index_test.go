@@ -56,30 +56,6 @@ func TestPostingOrderPreserved(t *testing.T) {
 	}
 }
 
-func TestEvictBelow(t *testing.T) {
-	x := New(2)
-	x.Add(0, "abc")
-	x.Add(1, "abcd")
-	x.Add(2, "abcdefgh")
-	if got := len(x.Lengths()); got != 3 {
-		t.Fatalf("3 groups expected, got %d", got)
-	}
-	before := x.Entries()
-	if before != 9 {
-		t.Fatalf("entries = %d, want 9", before)
-	}
-	x.EvictBelow(4)
-	if x.Group(3) != nil {
-		t.Error("group 3 should be evicted")
-	}
-	if x.Group(4) == nil || x.Group(8) == nil {
-		t.Error("groups 4 and 8 should survive")
-	}
-	if x.Entries() != 6 {
-		t.Errorf("entries after evict = %d, want 6", x.Entries())
-	}
-}
-
 func TestBytesAccounting(t *testing.T) {
 	x := New(2)
 	if x.Bytes() != 0 {
@@ -93,13 +69,6 @@ func TestBytesAccounting(t *testing.T) {
 	x.Add(1, "abcdef") // same segments: only postings grow
 	if x.Bytes() != grown+3*postingBytes {
 		t.Errorf("duplicate segments should add only postings: %d -> %d", grown, x.Bytes())
-	}
-	x.EvictBelow(100)
-	if x.Bytes() != 0 {
-		t.Errorf("bytes after full eviction = %d, want 0", x.Bytes())
-	}
-	if x.Entries() != 0 {
-		t.Errorf("entries after full eviction = %d", x.Entries())
 	}
 }
 

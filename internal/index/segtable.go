@@ -1,117 +1,5 @@
 package index
 
-import "fmt"
-
-// The table-layout lab: the frozen index's per-(length, slot) hash tables
-// sit on the probe hot path, and their memory organisation was chosen once
-// (linear probing, array-of-structs) and never benchmarked. This file
-// extracts that choice behind the segTable interface and provides three
-// contenders, each buildable from the same (hash, arena-range) rows — which
-// is what keeps PJIX v2 snapshots loadable unchanged: snapshots store the
-// 64-bit segment hashes verbatim, and the layout is reconstructed at load.
-//
-//   - LayoutLinear     array-of-structs rows, linear probing (the PR-2
-//     control: one probe step touches one 16-byte row).
-//   - LayoutBucket8    structure-of-arrays buckets of 8: all eight
-//     candidate hashes of a bucket sit in one 64-byte line, so a probe
-//     scans a full bucket per cache line before moving on.
-//   - LayoutRobinHood  array-of-structs rows with displacement metadata:
-//     inserts displace richer entries, lookups stop as soon as they meet
-//     an entry closer to home than the probe is long — missing keys
-//     terminate without finding an empty row.
-//
-// All layouts keep load factor <= 0.5 and rely on the frozen invariant
-// that posting lists are never empty (count == 0 marks an empty cell).
-// Differential correctness against the map-based Index is enforced by
-// TestSegTableLayoutsMatchMap and FuzzSegTableLookup; relative speed is
-// measured by BenchmarkSegTableLayouts and `experiments hotpath`, and the
-// winner is promoted via DefaultLayout.
-
-// Layout selects the open-addressing organisation of the frozen segment
-// tables.
-type Layout uint8
-
-const (
-	// LayoutLinear is the PR-2 layout: AoS rows, linear probing.
-	LayoutLinear Layout = iota
-	// LayoutBucket8 is the 8-way SoA bucketized layout.
-	LayoutBucket8
-	// LayoutRobinHood is linear probing with robin-hood displacement.
-	LayoutRobinHood
-
-	numLayouts
-)
-
-// DefaultLayout is the layout Freeze and the PJIX v2 loader build — the
-// measured winner of the hotpath lab (see BENCH_hotpath.json; re-run with
-// `go run ./cmd/experiments hotpath` and `go test -bench=SegTableLayouts
-// ./internal/index`). The lab's verdict: at load <= 0.5 probe chains are
-// so short that plain linear probing wins — robin-hood's early-exit is a
-// wash and bucket8's 8-wide scans cost more than the cache locality buys.
-var DefaultLayout = LayoutLinear
-
-// Layouts lists every layout, control first.
-var Layouts = []Layout{LayoutLinear, LayoutBucket8, LayoutRobinHood}
-
-func (l Layout) String() string {
-	switch l {
-	case LayoutLinear:
-		return "linear"
-	case LayoutBucket8:
-		return "bucket8"
-	case LayoutRobinHood:
-		return "robinhood"
-	default:
-		return fmt.Sprintf("Layout(%d)", uint8(l))
-	}
-}
-
-// ParseLayout converts a user-facing name into a Layout.
-func ParseLayout(name string) (Layout, error) {
-	for _, l := range Layouts {
-		if l.String() == name {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("index: unknown table layout %q", name)
-}
-
-// segTable is one frozen segment-slot hash table: an immutable map from
-// 64-bit segment hash to a CSR arena range, built once and probed forever.
-type segTable interface {
-	// lookup returns the nth (0-based) stored row whose hash equals h, in
-	// the layout's probe order, or ok=false when fewer than nth+1 rows
-	// match. Full 64-bit hash collisions between distinct segments are
-	// astronomically rare but possible; the caller confirms each row
-	// against the corpus and asks for the next on mismatch.
-	lookup(h uint64, nth int) (start, count uint32, ok bool)
-	// insert stores one row (count >= 1). It returns false when the table
-	// has no free cell left — the builder declared fewer keys than arrived.
-	insert(h uint64, start, count uint32) bool
-	// each visits every stored row in table order (the snapshot writer).
-	each(fn func(h uint64, start, count uint32))
-	// bytes is the retained size of the table's backing arrays.
-	bytes() int64
-}
-
-// newSegTable returns an empty table of the given layout sized for nKeys
-// insertions at load factor <= 0.5, or nil when nKeys is 0.
-func newSegTable(l Layout, nKeys int) segTable {
-	if nKeys <= 0 {
-		return nil
-	}
-	switch l {
-	case LayoutLinear:
-		return newLinearTable(nKeys)
-	case LayoutBucket8:
-		return newBucketTable(nKeys)
-	case LayoutRobinHood:
-		return newRobinTable(nKeys)
-	default:
-		panic("index: unknown layout " + l.String())
-	}
-}
-
 // tableSize returns the power-of-two cell count for nKeys at load <= 0.5.
 func tableSize(nKeys int) uint32 {
 	size := uint32(2)
@@ -121,231 +9,84 @@ func tableSize(nKeys int) uint32 {
 	return size
 }
 
-// frozenRow is one AoS table cell: the segment hash and its CSR range.
+// frozenRow is one table cell: the segment hash and its arena range.
 type frozenRow struct {
 	hash  uint64
 	start uint32
 	count uint32
 }
 
-// frozenRowBytes is the exact size of one AoS row: hash (8) + start (4) +
+// frozenRowBytes is the exact size of one row: hash (8) + start (4) +
 // count (4).
 const frozenRowBytes = 16
 
-// ---------------------------------------------------------------------------
-// LayoutLinear — the control: AoS rows, linear probing.
-
+// linearTable is one frozen segment-slot hash table: an immutable map from
+// 64-bit segment hash to an arena range, built once and probed forever.
+// Rows are array-of-structs and collisions resolve by linear probing at
+// load factor <= 0.5, where probe chains are so short that this layout
+// beat both 8-way buckets and robin-hood displacement (BENCH_hotpath.json).
+// Posting lists are never empty, so count == 0 marks a free cell. The zero
+// value is the table of a slot that received no lists.
 type linearTable struct {
 	mask uint32
+	keys uint32 // rows stored
 	rows []frozenRow
 }
 
-func newLinearTable(nKeys int) *linearTable {
+// newLinearTable returns an empty table sized for nKeys insertions.
+func newLinearTable(nKeys int) linearTable {
+	if nKeys <= 0 {
+		return linearTable{}
+	}
 	size := tableSize(nKeys)
-	return &linearTable{mask: size - 1, rows: make([]frozenRow, size)}
+	return linearTable{mask: size - 1, rows: make([]frozenRow, size)}
 }
 
-func (t *linearTable) lookup(h uint64, nth int) (uint32, uint32, bool) {
-	slot := uint32(h) & t.mask
+// lookup walks h's probe sequence from cell (uint32(h)&mask to begin, the
+// returned next to continue) to the first row stored under hash h and
+// returns it with the cell after it; row is nil once the chain ends. Full
+// 64-bit collisions between distinct segments are astronomically rare but
+// possible, so the caller confirms each row against the corpus and
+// continues from next on a mismatch.
+func (t *linearTable) lookup(h uint64, cell uint32) (row *frozenRow, next uint32) {
 	for {
-		row := &t.rows[slot]
+		row = &t.rows[cell&t.mask]
+		cell++
 		if row.count == 0 {
-			return 0, 0, false
+			return nil, cell
 		}
 		if row.hash == h {
-			if nth == 0 {
-				return row.start, row.count, true
-			}
-			nth--
+			return row, cell
 		}
-		slot = (slot + 1) & t.mask
 	}
 }
 
+// insert stores one row (count >= 1). It returns false when the row would
+// take the table past half full — the builder declared fewer keys than
+// arrived — so a lookup always meets a free cell.
 func (t *linearTable) insert(h uint64, start, count uint32) bool {
-	slot := uint32(h) & t.mask
-	for probes := uint32(0); probes <= t.mask; probes++ {
-		if t.rows[slot].count == 0 {
-			t.rows[slot] = frozenRow{hash: h, start: start, count: count}
-			return true
-		}
-		slot = (slot + 1) & t.mask
+	if 2*int(t.keys) >= len(t.rows) {
+		return false
 	}
-	return false
+	cell := uint32(h) & t.mask
+	for t.rows[cell].count != 0 {
+		cell = (cell + 1) & t.mask
+	}
+	t.rows[cell] = frozenRow{hash: h, start: start, count: count}
+	t.keys++
+	return true
 }
 
-func (t *linearTable) each(fn func(h uint64, start, count uint32)) {
+// each visits every stored row in table order (the snapshot writer).
+func (t *linearTable) each(fn func(start, count uint32)) {
 	for i := range t.rows {
 		if r := &t.rows[i]; r.count != 0 {
-			fn(r.hash, r.start, r.count)
+			fn(r.start, r.count)
 		}
 	}
 }
 
+// bytes is the retained size of the table's backing array.
 func (t *linearTable) bytes() int64 {
 	return int64(len(t.rows)) * frozenRowBytes
-}
-
-// ---------------------------------------------------------------------------
-// LayoutBucket8 — 8-way SoA buckets: the eight candidate hashes of a
-// bucket are contiguous (one 64-byte cache line), with the arena ranges in
-// parallel arrays touched only on a hash match. Overflow spills into the
-// next bucket (linear probing at bucket granularity); an empty cell
-// anywhere in the scan terminates a miss, exactly like linear probing's
-// empty row.
-
-const bucketWidth = 8
-
-type bucketTable struct {
-	bmask  uint32   // bucket index mask (bucket count - 1)
-	hashes []uint64 // bucketWidth per bucket
-	starts []uint32
-	counts []uint32 // 0 = empty cell
-}
-
-func newBucketTable(nKeys int) *bucketTable {
-	// Cell count at load <= 0.5, grouped into buckets of 8.
-	cells := tableSize(nKeys)
-	if cells < bucketWidth {
-		cells = bucketWidth
-	}
-	nb := cells / bucketWidth
-	return &bucketTable{
-		bmask:  nb - 1,
-		hashes: make([]uint64, cells),
-		starts: make([]uint32, cells),
-		counts: make([]uint32, cells),
-	}
-}
-
-func (t *bucketTable) lookup(h uint64, nth int) (uint32, uint32, bool) {
-	b := uint32(h) & t.bmask
-	for {
-		base := b * bucketWidth
-		for c := base; c < base+bucketWidth; c++ {
-			if t.counts[c] == 0 {
-				return 0, 0, false
-			}
-			if t.hashes[c] == h {
-				if nth == 0 {
-					return t.starts[c], t.counts[c], true
-				}
-				nth--
-			}
-		}
-		b = (b + 1) & t.bmask
-	}
-}
-
-func (t *bucketTable) insert(h uint64, start, count uint32) bool {
-	b := uint32(h) & t.bmask
-	for probes := uint32(0); probes <= t.bmask; probes++ {
-		base := b * bucketWidth
-		for c := base; c < base+bucketWidth; c++ {
-			if t.counts[c] == 0 {
-				t.hashes[c] = h
-				t.starts[c] = start
-				t.counts[c] = count
-				return true
-			}
-		}
-		b = (b + 1) & t.bmask
-	}
-	return false
-}
-
-func (t *bucketTable) each(fn func(h uint64, start, count uint32)) {
-	for c := range t.hashes {
-		if t.counts[c] != 0 {
-			fn(t.hashes[c], t.starts[c], t.counts[c])
-		}
-	}
-}
-
-func (t *bucketTable) bytes() int64 {
-	return int64(len(t.hashes)) * (8 + 4 + 4)
-}
-
-// ---------------------------------------------------------------------------
-// LayoutRobinHood — linear probing with displacement metadata. Inserts
-// displace entries that are closer to their home slot ("rich") in favor of
-// the probing entry ("poor"), which bounds the variance of probe lengths;
-// lookups can then stop early: once the probe distance exceeds the resident
-// entry's stored distance, the key cannot be further along the chain.
-// Tables are build-once (no deletes), so no backward-shift machinery is
-// needed — the invariant is established at insert time and never disturbed.
-
-type robinTable struct {
-	mask uint32
-	rows []frozenRow
-	dist []uint8 // probe distance + 1; 0 = empty cell
-}
-
-func newRobinTable(nKeys int) *robinTable {
-	size := tableSize(nKeys)
-	return &robinTable{
-		mask: size - 1,
-		rows: make([]frozenRow, size),
-		dist: make([]uint8, size),
-	}
-}
-
-func (t *robinTable) lookup(h uint64, nth int) (uint32, uint32, bool) {
-	slot := uint32(h) & t.mask
-	for d := uint8(1); ; d++ {
-		res := t.dist[slot]
-		if res == 0 || res < d {
-			// Empty, or resident is closer to home than we are: by the
-			// robin-hood invariant the key is absent.
-			return 0, 0, false
-		}
-		if row := &t.rows[slot]; row.hash == h {
-			if nth == 0 {
-				return row.start, row.count, true
-			}
-			nth--
-		}
-		slot = (slot + 1) & t.mask
-		if d == 255 {
-			// Distances saturate at 255; at load <= 0.5 real chains are
-			// far shorter, but stay correct (fall back to plain probing:
-			// only the empty-cell check terminates from here on).
-			d--
-		}
-	}
-}
-
-func (t *robinTable) insert(h uint64, start, count uint32) bool {
-	row := frozenRow{hash: h, start: start, count: count}
-	d := uint8(1)
-	slot := uint32(h) & t.mask
-	for probes := uint32(0); probes <= t.mask; probes++ {
-		if t.dist[slot] == 0 {
-			t.rows[slot] = row
-			t.dist[slot] = d
-			return true
-		}
-		if t.dist[slot] < d {
-			// Resident is richer: swap and keep probing with the evicted.
-			t.rows[slot], row = row, t.rows[slot]
-			t.dist[slot], d = d, t.dist[slot]
-		}
-		slot = (slot + 1) & t.mask
-		if d < 255 {
-			d++
-		}
-	}
-	return false
-}
-
-func (t *robinTable) each(fn func(h uint64, start, count uint32)) {
-	for i := range t.rows {
-		if t.dist[i] != 0 {
-			fn(t.rows[i].hash, t.rows[i].start, t.rows[i].count)
-		}
-	}
-}
-
-func (t *robinTable) bytes() int64 {
-	return int64(len(t.rows))*frozenRowBytes + int64(len(t.dist))
 }

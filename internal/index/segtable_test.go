@@ -1,219 +1,88 @@
 package index
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"passjoin/internal/partition"
 )
-
-// TestLayoutNames pins the layout name round-trip the daemon flags and the
-// hotpath lab rely on.
-func TestLayoutNames(t *testing.T) {
-	for _, l := range Layouts {
-		got, err := ParseLayout(l.String())
-		if err != nil || got != l {
-			t.Fatalf("ParseLayout(%q) = %v, %v", l.String(), got, err)
-		}
-	}
-	if _, err := ParseLayout("cuckoo"); err == nil {
-		t.Fatal("unknown layout accepted")
-	}
-	if Layout(numLayouts).String() == "" {
-		t.Fatal("out-of-range layout has empty name")
-	}
-}
-
-// TestSetLayoutValidation pins the builder-side plumbing: layout overrides
-// must happen before any group and must name a real layout.
-func TestSetLayoutValidation(t *testing.T) {
-	ref := []string{"abcdef"}
-	b, err := NewFrozenBuilder(1, ref, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetLayout(numLayouts); err == nil {
-		t.Fatal("out-of-range layout accepted")
-	}
-	if err := b.SetLayout(LayoutRobinHood); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.BeginGroup(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetLayout(LayoutLinear); err == nil {
-		t.Fatal("SetLayout after BeginGroup accepted")
-	}
-}
-
-// TestSegTableLayoutsMatchMap is the lab's equivalence property: for every
-// layout, every live (length, slot), and every probe — real segment keys
-// and random misses — the frozen index must return exactly the map index's
-// posting list. This is the strtable methodology: N layouts behind one
-// interface, property-tested against the native map.
-func TestSegTableLayoutsMatchMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, layout := range Layouts {
-		t.Run(layout.String(), func(t *testing.T) {
-			for _, tau := range []int{0, 1, 3} {
-				for trial := 0; trial < 12; trial++ {
-					corpus := randomCorpus(rng, 30+rng.Intn(300), 2+rng.Intn(24))
-					x := New(tau)
-					for id, s := range corpus {
-						if len(s) >= tau+1 {
-							x.Add(int32(id), s)
-						}
-					}
-					fz := x.FreezeLayout(corpus, layout)
-					if fz.Layout() != layout {
-						t.Fatalf("frozen layout = %v, want %v", fz.Layout(), layout)
-					}
-					if fz.Entries() != x.Entries() {
-						t.Fatalf("tau=%d: frozen entries %d, map %d", tau, fz.Entries(), x.Entries())
-					}
-					if fz.Bytes() <= 0 && x.Entries() > 0 {
-						t.Fatalf("tau=%d: non-positive frozen bytes %d", tau, fz.Bytes())
-					}
-					for _, l := range x.Lengths() {
-						g := x.Group(l)
-						fg := fz.Group(l)
-						for i := 1; i <= tau+1; i++ {
-							for w, want := range g.segs[i-1] {
-								if got := fg.List(i, w); !reflect.DeepEqual(got, want) {
-									t.Fatalf("layout=%v tau=%d l=%d slot=%d key=%q: frozen %v, map %v", layout, tau, l, i, w, got, want)
-								}
-							}
-							li := partition.SegLen(l, tau, i)
-							for probe := 0; probe < 16; probe++ {
-								b := make([]byte, li)
-								for j := range b {
-									b[j] = "abcd"[rng.Intn(4)]
-								}
-								w := string(b)
-								want := g.segs[i-1][w]
-								got := fg.List(i, w)
-								if len(want) != len(got) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-									t.Fatalf("layout=%v tau=%d l=%d slot=%d key=%q: frozen %v, map %v", layout, tau, l, i, w, got, want)
-								}
-							}
-						}
-					}
-					// The snapshot writer's view must carry every posting once.
-					var n int64
-					for _, l := range fz.Lengths() {
-						fg := fz.Group(l)
-						for i := 1; i <= tau+1; i++ {
-							fg.Slot(i, func(_ uint64, postings []int32) {
-								n += int64(len(postings))
-							})
-						}
-					}
-					if n != fz.Entries() {
-						t.Fatalf("layout=%v tau=%d: Slot visited %d postings, want %d", layout, tau, n, fz.Entries())
-					}
-				}
-			}
-		})
-	}
-}
 
 // refRange is one (start, count) reference entry for the table-level tests.
 type refRange struct{ start, count uint32 }
 
-// TestSegTableForcedCollisions drives every layout with manufactured FULL
+// rowsUnder returns every row tb stores under hash h, in probe order — the
+// walk FrozenGroup.List makes when the corpus refutes a row.
+func rowsUnder(tb *linearTable, h uint64) []refRange {
+	var got []refRange
+	for row, cell := tb.lookup(h, uint32(h)); row != nil; row, cell = tb.lookup(h, cell) {
+		got = append(got, refRange{row.start, row.count})
+	}
+	return got
+}
+
+// TestSegTableForcedCollisions drives the table with manufactured FULL
 // 64-bit hash collisions — the case the corpus-level tests can essentially
-// never produce — and checks the nth-match contract: every row stored under
+// never produce — and checks the lookup contract: every row stored under
 // an equal hash must be reachable, in probe order, exactly once.
 func TestSegTableForcedCollisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for _, layout := range Layouts {
-		t.Run(layout.String(), func(t *testing.T) {
-			for trial := 0; trial < 200; trial++ {
-				nKeys := 1 + rng.Intn(40)
-				tb := newSegTable(layout, nKeys)
-				// Few distinct hashes over many inserts: every hash value
-				// collides, both fully (equal h) and by slot (masked bits).
-				ref := make(map[uint64][]refRange)
-				for k := 0; k < nKeys; k++ {
-					h := uint64(rng.Intn(5)) * 0x9e3779b97f4a7c15 // tiny hash space
-					r := refRange{start: uint32(k * 3), count: 1 + uint32(rng.Intn(9))}
-					if !tb.insert(h, r.start, r.count) {
-						t.Fatalf("layout=%v: insert %d/%d refused", layout, k, nKeys)
-					}
-					ref[h] = append(ref[h], r)
-				}
-				if !tbFull(tb, nKeys) {
-					t.Fatalf("layout=%v: each() does not visit %d rows", layout, nKeys)
-				}
-				for h, want := range ref {
-					var got []refRange
-					for nth := 0; ; nth++ {
-						s, c, ok := tb.lookup(h, nth)
-						if !ok {
-							break
-						}
-						got = append(got, refRange{s, c})
-					}
-					if len(got) != len(want) {
-						t.Fatalf("layout=%v h=%x: %d rows reachable, want %d", layout, h, len(got), len(want))
-					}
-					// Same multiset (probe order may differ from insert order
-					// under robin-hood displacement).
-					seen := make(map[refRange]int)
-					for _, r := range got {
-						seen[r]++
-					}
-					for _, r := range want {
-						seen[r]--
-					}
-					for r, n := range seen {
-						if n != 0 {
-							t.Fatalf("layout=%v h=%x: row %+v multiplicity off by %d", layout, h, r, n)
-						}
-					}
-				}
-				// Absent hashes must miss.
-				for probe := 0; probe < 20; probe++ {
-					h := rng.Uint64() | 1<<63 // disjoint from the tiny hash space
-					if _, _, ok := tb.lookup(h, 0); ok {
-						t.Fatalf("layout=%v: found absent hash %x", layout, h)
-					}
-				}
+	for trial := 0; trial < 200; trial++ {
+		nKeys := 1 + rng.Intn(40)
+		tb := newLinearTable(nKeys)
+		// Few distinct hashes over many inserts: every hash value
+		// collides, both fully (equal h) and by slot (masked bits).
+		ref := make(map[uint64][]refRange)
+		for k := 0; k < nKeys; k++ {
+			h := uint64(rng.Intn(5)) * 0x9e3779b97f4a7c15 // tiny hash space
+			r := refRange{start: uint32(k * 3), count: 1 + uint32(rng.Intn(9))}
+			if !tb.insert(h, r.start, r.count) {
+				t.Fatalf("insert %d/%d refused", k, nKeys)
 			}
-		})
+			ref[h] = append(ref[h], r)
+		}
+		n := 0
+		tb.each(func(uint32, uint32) { n++ })
+		if n != nKeys || int(tb.keys) != nKeys {
+			t.Fatalf("each() visits %d rows, keys=%d, want %d", n, tb.keys, nKeys)
+		}
+		for h, want := range ref {
+			// Linear probing never moves a row, so probe order is insert order.
+			if got := rowsUnder(&tb, h); !reflect.DeepEqual(got, want) {
+				t.Fatalf("h=%x: rows %v reachable, want %v", h, got, want)
+			}
+		}
+		// Absent hashes must miss.
+		for probe := 0; probe < 20; probe++ {
+			h := rng.Uint64() | 1<<63 // disjoint from the tiny hash space
+			if got := rowsUnder(&tb, h); got != nil {
+				t.Fatalf("found absent hash %x: %v", h, got)
+			}
+		}
 	}
 }
 
-func tbFull(tb segTable, want int) bool {
-	n := 0
-	tb.each(func(uint64, uint32, uint32) { n++ })
-	return n == want
-}
-
-// TestSegTableRejectsOverflow checks that every layout refuses inserts
-// beyond its declared capacity instead of looping or overwriting.
+// TestSegTableRejectsOverflow checks that the table refuses inserts beyond
+// its declared capacity instead of looping or overwriting, and that a
+// lookup still terminates on a table filled to that point.
 func TestSegTableRejectsOverflow(t *testing.T) {
-	for _, layout := range Layouts {
-		tb := newSegTable(layout, 2)
+	for _, nKeys := range []int{0, 1, 2, 3, 100} {
+		tb := newLinearTable(nKeys)
 		n := 0
-		for i := 0; i < 1000; i++ {
-			if !tb.insert(uint64(i)*0x9e3779b97f4a7c15, uint32(i), 1) {
-				break
-			}
+		for i := 0; i < 1000 && tb.insert(uint64(i)*0x9e3779b97f4a7c15, uint32(i), 1); i++ {
 			n++
 		}
-		if n >= 1000 {
-			t.Fatalf("layout=%v: table for 2 keys accepted 1000 inserts", layout)
+		if n < nKeys || n > len(tb.rows)/2 {
+			t.Fatalf("table for %d keys (%d cells) accepted %d inserts", nKeys, len(tb.rows), n)
+		}
+		if nKeys > 0 && rowsUnder(&tb, 12345) != nil {
+			t.Fatalf("table for %d keys: absent hash found", nKeys)
 		}
 	}
 }
 
-// FuzzSegTableLookup fuzzes every layout against a native-map reference at
+// FuzzSegTableLookup fuzzes the table against a native-map reference at
 // the table level, with hashes folded into a tiny space so full collisions
 // and slot collisions are the norm rather than the exception, and then —
-// through a fuzzed corpus — at the index level, where every layout must
+// through a fuzzed corpus — at the index level, where the frozen index must
 // agree with the map index on every segment lookup.
 func FuzzSegTableLookup(f *testing.F) {
 	f.Add([]byte("hello\nworld\nhelp\nheld"), uint8(2), uint8(3))
@@ -222,129 +91,41 @@ func FuzzSegTableLookup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, tauRaw, hashBitsRaw uint8) {
 		// Table-level: interpret data bytes as (hash, count) insert streams.
 		hashBits := uint64(1)<<(hashBitsRaw%4) - 1 // fold hashes into 0..7 values
-		for _, layout := range Layouts {
-			nKeys := len(data)
-			if nKeys == 0 {
-				continue
-			}
-			if nKeys > 128 {
-				nKeys = 128
-			}
-			tb := newSegTable(layout, nKeys)
+		if nKeys := min(len(data), 128); nKeys > 0 {
+			tb := newLinearTable(nKeys)
 			ref := make(map[uint64][]refRange)
 			for k := 0; k < nKeys; k++ {
 				h := (uint64(data[k]) & hashBits) * 0x9e3779b97f4a7c15
 				r := refRange{start: uint32(k), count: uint32(data[k])%7 + 1}
 				if !tb.insert(h, r.start, r.count) {
-					t.Fatalf("layout=%v: insert refused below declared capacity", layout)
+					t.Fatalf("insert refused below declared capacity")
 				}
 				ref[h] = append(ref[h], r)
 			}
 			for h, want := range ref {
-				n := 0
-				for nth := 0; ; nth++ {
-					_, _, ok := tb.lookup(h, nth)
-					if !ok {
-						break
-					}
-					n++
-				}
-				if n != len(want) {
-					t.Fatalf("layout=%v h=%x: %d rows reachable, want %d", layout, h, n, len(want))
+				if got := rowsUnder(&tb, h); !reflect.DeepEqual(got, want) {
+					t.Fatalf("h=%x: rows %v reachable, want %v", h, got, want)
 				}
 			}
 		}
 
-		// Index-level: corpus lines → map index vs every frozen layout.
+		// Index-level: corpus lines → map index vs its freeze.
 		tau := int(tauRaw % 5)
-		var corpus []string
-		start := 0
-		for i := 0; i <= len(data); i++ {
-			if i == len(data) || data[i] == '\n' {
-				if i > start {
-					corpus = append(corpus, string(data[start:i]))
-				}
-				start = i + 1
-			}
-			if len(corpus) >= 48 {
-				break
-			}
+		corpus := fuzzCorpus(data)
+		x, fz := buildBoth(corpus, tau)
+		if fz.Entries() != x.Entries() {
+			t.Fatalf("entries %d, map %d", fz.Entries(), x.Entries())
 		}
-		x := New(tau)
-		for id, s := range corpus {
-			if len(s) >= tau+1 {
-				x.Add(int32(id), s)
-			}
-		}
-		for _, layout := range Layouts {
-			fz := x.FreezeLayout(corpus, layout)
-			if fz.Entries() != x.Entries() {
-				t.Fatalf("layout=%v: entries %d, map %d", layout, fz.Entries(), x.Entries())
-			}
-			for _, l := range x.Lengths() {
-				g := x.Group(l)
-				fg := fz.Group(l)
-				for i := 1; i <= tau+1; i++ {
-					for w, want := range g.segs[i-1] {
-						if got := fg.List(i, w); !reflect.DeepEqual(got, want) {
-							t.Fatalf("layout=%v l=%d slot=%d key=%q: frozen %v map %v", layout, l, i, w, got, want)
-						}
+		for _, l := range x.Lengths() {
+			g := x.Group(l)
+			fg := fz.Group(l)
+			for i := 1; i <= tau+1; i++ {
+				for w, want := range g.segs[i-1] {
+					if got := fg.List(i, w); !reflect.DeepEqual(got, want) {
+						t.Fatalf("l=%d slot=%d key=%q: frozen %v map %v", l, i, w, got, want)
 					}
 				}
 			}
 		}
 	})
-}
-
-// BenchmarkSegTableLayouts races the layouts on the isolated List hot path
-// at several corpus sizes: the delta is purely the table organisation —
-// identical hashes, identical arena, identical confirmation.
-func BenchmarkSegTableLayouts(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{1000, 10000, 50000} {
-		corpus := randomCorpus(rng, n, 30)
-		const tau = 2
-		x := New(tau)
-		for id, s := range corpus {
-			if len(s) >= tau+1 {
-				x.Add(int32(id), s)
-			}
-		}
-		// Probe strings: segments of real corpus strings (hits) mixed with
-		// random strings (misses).
-		type probe struct {
-			l, i int
-			w    string
-		}
-		var probes []probe
-		for _, l := range x.Lengths() {
-			for i := 1; i <= tau+1; i++ {
-				li := partition.SegLen(l, tau, i)
-				g := x.Group(l)
-				for w := range g.segs[i-1] {
-					probes = append(probes, probe{l, i, w})
-					if len(probes)%4 == 0 {
-						miss := make([]byte, li)
-						for j := range miss {
-							miss[j] = "abcd"[rng.Intn(4)]
-						}
-						probes = append(probes, probe{l, i, string(miss)})
-					}
-					break
-				}
-			}
-		}
-		for _, layout := range Layouts {
-			fz := x.FreezeLayout(corpus, layout)
-			b.Run(fmt.Sprintf("n=%d/%s", n, layout), func(b *testing.B) {
-				b.ReportAllocs()
-				var sink int
-				for k := 0; k < b.N; k++ {
-					p := probes[k%len(probes)]
-					sink += len(fz.Group(p.l).List(p.i, p.w))
-				}
-				_ = sink
-			})
-		}
-	}
 }

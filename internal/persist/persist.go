@@ -1,25 +1,28 @@
 // Package persist implements the PJIX binary snapshot codec: a compact
-// serialization of an indexed corpus, its threshold, and (version 2) the
-// frozen segment index itself. The root passjoin package exposes it as
+// serialization of an indexed corpus, its threshold, and (from version 2)
+// the frozen segment index itself. The root passjoin package exposes it as
 // Searcher.WriteTo / ReadSearcherFrom; internal/dynamic embeds the same
 // payload inside its per-shard base snapshots so a dynamic restart reuses
 // the exact cold-start path.
 //
 // Version 1 stored only the corpus and rebuilt the index on load. Version 2
-// serializes the frozen CSR arena directly — per (length, slot) the 64-bit
-// segment hashes and posting ranges, then the packed postings — so loading
-// means reading postings instead of re-indexing, and a CRC32 footer makes
-// truncated or corrupted snapshots fail loudly. Version 1 snapshots remain
+// serializes the frozen index directly — per (length, slot) its posting
+// lists — so loading means reading postings instead of re-indexing, and a
+// CRC32 footer makes truncated or corrupted snapshots fail loudly. Version
+// 2 also stored the 64-bit segment hash of every list; version 3, the one
+// written, does not: the loader hashes the list's segment of its first
+// posted string, for both versions (v2's stored hashes are read and
+// ignored), so no file pins the hash function. Version 1 snapshots remain
 // readable (they take the rebuild-on-load path).
 //
 // Format (all integers unsigned varints unless noted):
 //
 //	magic "PJIX" | version | tau | count | count × (len | bytes)   ── corpus
-//	(v2 only:)
+//	(v2 and v3:)
 //	hasFrozen byte
 //	if hasFrozen: totalPostings | nGroups | nGroups × group
 //	  group: L | (tau+1) × slot
-//	  slot:  nKeys | nKeys × (hash uint64-LE | count | count × id)
+//	  slot:  nKeys | nKeys × ([v2: hash uint64-LE] | count | count × id)
 //	crc32-IEEE of all preceding bytes, uint32-LE               ── footer
 package persist
 
@@ -38,10 +41,11 @@ const (
 	magic     = "PJIX"
 	version1  = 1
 	version2  = 2
+	version3  = 3
 	hasFrozen = 1
 )
 
-// WriteSnapshot emits a PJIX v2 snapshot for a corpus exposed as (count,
+// WriteSnapshot emits a PJIX v3 snapshot for a corpus exposed as (count,
 // at), with the frozen index section when fz is non-nil.
 func WriteSnapshot(w io.Writer, tau, count int, at func(int) string, fz *index.Frozen) (int64, error) {
 	bw := bufio.NewWriter(w)
@@ -61,7 +65,7 @@ func WriteSnapshot(w io.Writer, tau, count int, at func(int) string, fz *index.F
 	if err := emit([]byte(magic)); err != nil {
 		return written, err
 	}
-	if err := emitUvarint(version2); err != nil {
+	if err := emitUvarint(version3); err != nil {
 		return written, err
 	}
 	if err := emitUvarint(uint64(tau)); err != nil {
@@ -112,7 +116,6 @@ func writeFrozen(emit func([]byte) error, emitUvarint func(uint64) error, tau in
 	if err := emitUvarint(uint64(len(lengths))); err != nil {
 		return err
 	}
-	var hbuf [8]byte
 	for _, l := range lengths {
 		g := fz.Group(l)
 		if err := emitUvarint(uint64(l)); err != nil {
@@ -120,17 +123,13 @@ func writeFrozen(emit func([]byte) error, emitUvarint func(uint64) error, tau in
 		}
 		for i := 1; i <= tau+1; i++ {
 			nKeys := 0
-			g.Slot(i, func(uint64, []int32) { nKeys++ })
+			g.Slot(i, func([]int32) { nKeys++ })
 			if err := emitUvarint(uint64(nKeys)); err != nil {
 				return err
 			}
 			var slotErr error
-			g.Slot(i, func(h uint64, postings []int32) {
+			g.Slot(i, func(postings []int32) {
 				if slotErr != nil {
-					return
-				}
-				binary.LittleEndian.PutUint64(hbuf[:], h)
-				if slotErr = emit(hbuf[:]); slotErr != nil {
 					return
 				}
 				if slotErr = emitUvarint(uint64(len(postings))); slotErr != nil {
@@ -177,7 +176,7 @@ func (c *crcReader) ReadByte() (byte, error) {
 }
 
 // ReadSnapshot parses a PJIX snapshot back into (corpus, tau, frozen).
-// frozen is nil for v1 snapshots and v2 corpus-only snapshots.
+// frozen is nil for v1 snapshots and corpus-only snapshots.
 //
 // When r is already a *bufio.Reader it is used directly, so parsing
 // consumes exactly the snapshot's bytes from it — internal/dynamic relies
@@ -203,7 +202,7 @@ func readSnapshot(br *bufio.Reader) ([]string, int, *index.Frozen, error) {
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("passjoin: reading snapshot version: %w", err)
 	}
-	if version != version1 && version != version2 {
+	if version < version1 || version > version3 {
 		return nil, 0, nil, fmt.Errorf("passjoin: unsupported snapshot version %d", version)
 	}
 	tau64, err := binary.ReadUvarint(cr)
@@ -242,9 +241,9 @@ func readSnapshot(br *bufio.Reader) ([]string, int, *index.Frozen, error) {
 	}
 	if version == version1 {
 		// v1 has no frozen section and no footer, so it must end exactly
-		// here: trailing bytes mean the stream is not really v1 (e.g. a v2
-		// snapshot whose version byte was corrupted), and accepting it
-		// would bypass the v2 checksum.
+		// here: trailing bytes mean the stream is not really v1 (e.g. a
+		// later snapshot whose version byte was corrupted), and accepting
+		// it would bypass the checksum.
 		if _, err := br.ReadByte(); err != io.EOF {
 			return nil, 0, nil, fmt.Errorf("passjoin: trailing bytes after v1 snapshot")
 		}
@@ -258,7 +257,7 @@ func readSnapshot(br *bufio.Reader) ([]string, int, *index.Frozen, error) {
 	switch flag {
 	case 0:
 	case hasFrozen:
-		fz, err = readFrozen(cr, int(tau64), corpus)
+		fz, err = readFrozen(cr, int(tau64), corpus, version == version2)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -278,8 +277,10 @@ func readSnapshot(br *bufio.Reader) ([]string, int, *index.Frozen, error) {
 
 // readFrozen parses the frozen-index section, streaming it through a
 // FrozenBuilder — which validates group lengths, posting ids, and arena
-// bounds against the already-loaded corpus — into the materialized index.
-func readFrozen(cr *crcReader, tau int, corpus []string) (*index.Frozen, error) {
+// bounds against the already-loaded corpus, and hashes every list's segment
+// itself — into the materialized index. storedHashes says that each list is
+// preceded by the 8 bytes v2 wrote, which are skipped.
+func readFrozen(cr *crcReader, tau int, corpus []string, storedHashes bool) (*index.Frozen, error) {
 	total, err := binary.ReadUvarint(cr)
 	if err != nil {
 		return nil, fmt.Errorf("passjoin: reading posting count: %w", err)
@@ -320,10 +321,11 @@ func readFrozen(cr *crcReader, tau int, corpus []string) (*index.Frozen, error) 
 				return nil, fmt.Errorf("passjoin: frozen section: %w", err)
 			}
 			for k := uint64(0); k < nKeys; k++ {
-				if _, err := io.ReadFull(cr, hbuf[:]); err != nil {
-					return nil, fmt.Errorf("passjoin: reading segment hash: %w", err)
+				if storedHashes {
+					if _, err := io.ReadFull(cr, hbuf[:]); err != nil {
+						return nil, fmt.Errorf("passjoin: reading segment hash: %w", err)
+					}
 				}
-				h := binary.LittleEndian.Uint64(hbuf[:])
 				cnt, err := binary.ReadUvarint(cr)
 				if err != nil {
 					return nil, fmt.Errorf("passjoin: reading posting-list size: %w", err)
@@ -342,7 +344,7 @@ func readFrozen(cr *crcReader, tau int, corpus []string) (*index.Frozen, error) 
 					}
 					postings = append(postings, int32(id))
 				}
-				if err := b.AddList(h, postings); err != nil {
+				if err := b.AddList(postings); err != nil {
 					return nil, fmt.Errorf("passjoin: frozen section: %w", err)
 				}
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // Searcher persistence: a compact binary snapshot of the indexed corpus,
-// threshold, and (version 2) the frozen segment index itself. The codec —
+// threshold, and (from version 2) the frozen segment index itself. The codec —
 // format layout, checksumming, and validation — lives in internal/persist
 // and is shared with the dynamic tier's base snapshots (internal/dynamic);
 // this file binds it to the public Searcher types.
@@ -18,15 +18,17 @@ import (
 // reader has to rebuild (a corpus-only or version 1 snapshot).
 
 // WriteTo serializes the searcher's corpus, threshold, and frozen index
-// (PJIX v2). It implements io.WriterTo.
+// (PJIX v3: releases before it read versions 1 and 2 only and reject the
+// file by its version). It implements io.WriterTo.
 func (s *Searcher) WriteTo(w io.Writer) (int64, error) {
 	return persist.WriteSnapshot(w, s.tau, s.Len(), s.At, s.m.FrozenIndex())
 }
 
-// ReadSearcherFrom deserializes a searcher written by WriteTo. Version 2
-// snapshots restore the frozen index directly — the cold-start cost is
-// reading postings, not re-partitioning and re-indexing the corpus;
-// version 1 and corpus-only snapshots rebuild the index. Options apply to
+// ReadSearcherFrom deserializes a searcher written by WriteTo, by this or
+// any earlier release. Version 2 and 3 snapshots restore the frozen index
+// directly — the cold-start cost is reading postings, not re-partitioning
+// and re-indexing the corpus; version 1 and corpus-only snapshots rebuild
+// the index. Options apply to
 // the loaded searcher (the threshold comes from the snapshot).
 func ReadSearcherFrom(r io.Reader, opts ...Option) (*Searcher, error) {
 	s, _, err := readSearcher(r, opts, false)
@@ -63,7 +65,7 @@ func readSearcher(r io.Reader, opts []Option, sharded bool) (*Searcher, int, err
 }
 
 // WriteTo serializes the sharded searcher's corpus, threshold, and frozen
-// index (PJIX v2) — the same snapshot Searcher.WriteTo writes. It
+// index (PJIX v3) — the same snapshot Searcher.WriteTo writes. It
 // implements io.WriterTo.
 func (ss *ShardedSearcher) WriteTo(w io.Writer) (int64, error) {
 	return ss.s.WriteTo(w)
