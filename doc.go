@@ -103,8 +103,9 @@
 //	}
 //
 // Both static searchers build their segment index straight into an
-// immutable CSR form (postings packed in one contiguous arena, flat hash
-// tables instead of Go maps) and report each match's exact distance
+// immutable form (flat hash tables of 8-byte rows instead of Go maps, a
+// single posting in its row, longer lists packed per slot) and report each
+// match's exact distance
 // straight out of verification — see docs/ARCHITECTURE.md for the bulk
 // build. A query probes that one index once, on the caller's goroutine:
 // concurrency comes from concurrent callers, and a single expensive query

@@ -16,11 +16,10 @@ import (
 //
 // The length groups L^i_l of §3.2 share nothing, so the build is one task
 // per (length, slot), handed largest-first to workers goroutines (min 1):
-// a task counts the distinct segments of its slot in a scratch table and
-// places the postings — ascending by id within a list — into its own range
-// of the arena and the rows into its own table (see slotBuilder.build).
-// Slot i of a group of c strings owns exactly c postings, so every range
-// is known before the first task starts and nothing is merged afterwards.
+// a task counts the distinct segments of its slot in a scratch table, then
+// allocates the slot's table and posting lists at their exact size and
+// places the postings, ascending by id within a list (slotBuilder.build).
+// Tasks share nothing, so nothing is merged afterwards.
 func BuildFrozen(ref []string, tau, workers int) (*Frozen, error) {
 	ids, off := idsByLength(ref)
 	return buildFrozen(ref, ids, off, tau, workers, hash64)
@@ -67,14 +66,14 @@ func identity(ids []int32, lo, hi int) []int32 {
 }
 
 // checkArena reports whether postings postings over a corpus of nStrings
-// strings fit the frozen form: a posting is an int32 id, and table rows
-// address the arena with uint32 offsets.
+// strings fit the frozen form: a posting is an int32 id, and a table row
+// addresses its list with a uint32 offset.
 func checkArena(nStrings int, postings int64) error {
 	if int64(nStrings) > math.MaxInt32 {
 		return fmt.Errorf("corpus of %d strings exceeds the %d a posting id can name", nStrings, math.MaxInt32)
 	}
 	if postings > math.MaxUint32 {
-		return fmt.Errorf("%d postings exceed the %d a table row can address", postings, uint32(math.MaxUint32))
+		return fmt.Errorf("%d postings exceed the %d a table row's offset can address", postings, uint32(math.MaxUint32))
 	}
 	return nil
 }
@@ -84,6 +83,11 @@ func checkArena(nStrings int, postings int64) error {
 func indexable(ref []string, off []int, tau int) (int, error) {
 	if tau < 0 {
 		return 0, fmt.Errorf("negative threshold %d", tau)
+	}
+	for l := tau + 1; l+1 < len(off); l++ { // a slot has at most a row per string of its length
+		if n := off[l+1] - off[l]; n > maxTableKeys {
+			return 0, fmt.Errorf("%d strings of length %d exceed the %d rows a slot table holds", n, l, maxTableKeys)
+		}
 	}
 	n := len(ref) - off[min(tau+1, len(off)-1)]
 	return n, checkArena(len(ref), int64(n)*int64(tau+1))
@@ -108,15 +112,12 @@ func buildFrozen(ref []string, ids []int32, off []int, tau, workers int, hash fu
 	if indexed > 0 {
 		f.groups = make([]*FrozenGroup, len(off)-1)
 	}
-	arena := make([]int32, f.entries)
 	var tasks []buildTask
 	for l := tau + 1; l < len(f.groups); l++ {
-		n := (off[l+1] - off[l]) * (tau + 1)
-		if n == 0 {
+		if off[l+1] == off[l] {
 			continue
 		}
-		g := newGroup(ref, tau, l, arena[:n:n])
-		arena = arena[n:]
+		g := newGroup(ref, tau, l)
 		f.groups[l] = g
 		for slot := 0; slot <= tau; slot++ {
 			tasks = append(tasks, buildTask{g: g, slot: slot, ids: ids[off[l]:off[l+1]]})
@@ -173,15 +174,15 @@ type slotBuilder struct {
 }
 
 // build builds slot slot of g over ids, the strings of length g.L in
-// ascending order: the postings into g.arena[slot·len(ids):][:len(ids)] and
-// the table into the group. Nothing is sorted. A first pass counts the
-// postings of every distinct segment in the scratch table — a cell is
-// claimed by hash and confirmed by content, so two segments under one
-// 64-bit hash stay two cells; a second pass, over the ids in the same
-// ascending order, starts a segment's list where the previous one ended
-// the first time it meets the segment and appends the id to it, so every
-// list ascends. The final table is sized for the distinct segments, as
-// Freeze sizes it.
+// ascending order. Nothing is sorted. A first pass counts the postings of
+// every distinct segment in the scratch table — a cell is claimed by hash
+// and confirmed by content, so two segments under one 64-bit hash stay two
+// cells — and with them the segments (keys) and those posted more than
+// once (multi). The table is sized for keys, as Freeze sizes it, and its
+// posts for the len(ids)−keys+multi postings not alone on their list plus
+// a count each. A second pass, over the ids in the same order, inserts a
+// segment's row the first time it meets the segment — the id itself if it
+// is the only one — and else appends the id to the list: every list ascends.
 func (w *slotBuilder) build(g *FrozenGroup, slot int, ids []int32) {
 	sg := g.segs[slot]
 	lo, hi := sg.Pos-1, sg.Pos-1+sg.Len
@@ -190,7 +191,7 @@ func (w *slotBuilder) build(g *FrozenGroup, slot int, ids []int32) {
 	w.cells = slices.Grow(w.cells[:0], size)[:size]
 	clear(w.cells)
 	w.cellOf = slices.Grow(w.cellOf[:0], len(ids))[:len(ids)]
-	keys := 0
+	keys, multi := 0, 0
 	for k, id := range ids {
 		seg := w.ref[id][lo:hi]
 		h := w.hash(seg)
@@ -203,23 +204,26 @@ func (w *slotBuilder) build(g *FrozenGroup, slot int, ids []int32) {
 				break
 			}
 			if cell.hash == h && w.ref[cell.first][lo:hi] == seg {
-				cell.count++
+				if cell.count++; cell.count == 2 {
+					multi++
+				}
 				break
 			}
 			c = (c + 1) & mask
 		}
 		w.cellOf[k] = c
 	}
-	table := newLinearTable(keys)
-	end := uint32(slot * len(ids))
+	table := newLinearTable(keys, len(ids)-keys+2*multi)
 	for k, id := range ids {
 		cell := &w.cells[w.cellOf[k]]
-		if cell.first == id {
-			table.insert(cell.hash, end, cell.count) // sized for keys: cannot be full
-			cell.next = end
-			end += cell.count
+		if cell.count == 1 {
+			table.insert(cell.hash, rowSingle, id) // sized for keys: cannot be full
+			continue
 		}
-		g.arena[cell.next] = id
+		if cell.first == id {
+			cell.next, _ = table.insertList(cell.hash, cell.count)
+		}
+		table.posts[cell.next] = id
 		cell.next++
 	}
 	g.tables[slot] = table
@@ -227,10 +231,9 @@ func (w *slotBuilder) build(g *FrozenGroup, slot int, ids []int32) {
 
 // Window is the index of a sequential join scan (§3.2) over a corpus
 // sorted by length: a Frozen that holds only the length groups the scan's
-// window covers. Slide bulk-builds a group — each into an arena of its own —
-// when the window reaches its length and drops it once the window has
-// passed, so at most τ+1 groups (2τ+1 for R≠S) are ever live. It is
-// single-goroutine state.
+// window covers. Slide bulk-builds a group when the window reaches its
+// length and drops it, tables and lists, once the window has passed: at
+// most τ+1 groups (2τ+1 for R≠S) are ever live. Single-goroutine state.
 type Window struct {
 	f   *Frozen
 	off []int
@@ -268,9 +271,7 @@ func (w *Window) Slide(lo, hi int) {
 	groups, tau := w.f.groups, w.f.tau
 	for ; w.low < min(lo, len(groups)); w.low++ {
 		if g := groups[w.low]; g != nil {
-			w.live--
-			w.entries -= int64(len(g.arena))
-			w.bytes -= int64(len(g.arena))*postingBytes + g.mapKeyBytes()
+			w.account(g, -1)
 			groups[w.low] = nil
 		}
 	}
@@ -280,19 +281,25 @@ func (w *Window) Slide(lo, hi int) {
 		if len(w.ids) == 0 {
 			continue
 		}
-		g := newGroup(w.f.ref, tau, l, make([]int32, len(w.ids)*(tau+1)))
+		g := newGroup(w.f.ref, tau, l)
 		for slot := 0; slot <= tau; slot++ {
 			w.w.build(g, slot, w.ids)
 		}
 		groups[l] = g
-		w.live++
-		w.entries += int64(len(g.arena))
-		w.bytes += int64(len(g.arena))*postingBytes + g.mapKeyBytes()
+		w.account(g, 1)
 	}
 	w.peakLive = max(w.peakLive, w.live)
 	if w.bytes > w.peakBytes {
 		w.peakBytes, w.peakEntries = w.bytes, w.entries
 	}
+}
+
+// account adds (sign 1) or removes (sign −1) group g in the window's tallies.
+func (w *Window) account(g *FrozenGroup, sign int) {
+	entries := int64(w.off[g.L+1]-w.off[g.L]) * int64(w.f.tau+1)
+	w.live += sign
+	w.entries += int64(sign) * entries
+	w.bytes += int64(sign) * (entries*postingBytes + g.mapKeyBytes())
 }
 
 // Peak returns the largest number of groups that were live at once, and

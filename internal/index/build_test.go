@@ -176,53 +176,58 @@ func FuzzBuildFrozen(f *testing.F) {
 }
 
 // TestBuildFrozenHashCollision forces two distinct segments of one slot
-// onto the same 64-bit hash: they must stay two rows, each with its own
-// ascending list, and List must return the one whose content matches.
+// onto the same 64-bit hash, and then onto two hashes that differ only in a
+// bit a row keeps no trace of (bit 33: same tag, same home cell): either
+// way they must stay two rows, each with its own ascending list, and List
+// must return the one whose content matches.
 func TestBuildFrozenHashCollision(t *testing.T) {
 	// tau=1, length 4: slot 1 is bytes 0..1. "ab" and "cd" collide there;
 	// their ids interleave, so a build that told segments apart by hash
 	// alone would merge the two lists.
 	corpus := []string{"abxx", "cdxx", "abyy", "efzz", "cdyy", "abzz"}
-	collide := func(w string) uint64 {
-		if w == "cd" {
-			w = "ab"
-		}
-		return hash64(w)
-	}
 	ids, off := idsByLength(corpus)
-	for _, workers := range []int{1, 2} {
-		f, err := buildFrozen(corpus, ids, off, 1, workers, collide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := f.Group(4)
-		lists := map[string][]int32{}
-		g.Slot(1, func(postings []int32) {
-			lists[corpus[postings[0]][:2]] = slices.Clone(postings)
-		})
-		want := map[string][]int32{"ab": {0, 2, 5}, "cd": {1, 4}, "ef": {3}}
-		if under := len(rowsUnder(&g.tables[0], hash64("ab"))); len(lists) != len(want) || under != 2 {
-			t.Fatalf("workers=%d: rows %v, %d of them under hash(ab); want %v with two under hash(ab)", workers, lists, under, want)
-		}
-		for w, lst := range want {
-			if !slices.Equal(lists[w], lst) {
-				t.Fatalf("workers=%d: segment %q posted %v, want %v", workers, w, lists[w], lst)
+	for _, flip := range []uint64{0, 1 << 33} {
+		collide := func(w string) uint64 {
+			if w == "cd" {
+				return hash64("ab") ^ flip
 			}
+			return hash64(w)
 		}
-		// Lookups hash with the real function: "ab" must get its own list
-		// whichever of the two colliding rows the probe meets first.
-		if got := g.List(1, "ab"); !slices.Equal(got, want["ab"]) {
-			t.Fatalf("workers=%d: List(ab) = %v, want %v", workers, got, want["ab"])
-		}
-		if got := g.List(2, "xx"); !slices.Equal(got, []int32{0, 1}) {
-			t.Fatalf("workers=%d: List(xx) = %v", workers, got)
+		for _, workers := range []int{1, 2} {
+			f, err := buildFrozen(corpus, ids, off, 1, workers, collide)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := f.Group(4)
+			lists := map[string][]int32{}
+			g.Slot(1, func(postings []int32) {
+				lists[corpus[postings[0]][:2]] = slices.Clone(postings)
+			})
+			want := map[string][]int32{"ab": {0, 2, 5}, "cd": {1, 4}, "ef": {3}}
+			if under := len(listsUnder(&g.tables[0], hash64("ab"))); len(lists) != len(want) || under != 2 {
+				t.Fatalf("flip=%#x workers=%d: rows %v, %d of them under tag(ab); want %v with two under tag(ab)", flip, workers, lists, under, want)
+			}
+			for w, lst := range want {
+				if !slices.Equal(lists[w], lst) {
+					t.Fatalf("flip=%#x workers=%d: segment %q posted %v, want %v", flip, workers, w, lists[w], lst)
+				}
+			}
+			// Lookups hash with the real function: "ab" must get its own
+			// list whichever of the two colliding rows the probe meets first.
+			if got := g.List(1, "ab"); !slices.Equal(got, want["ab"]) {
+				t.Fatalf("flip=%#x workers=%d: List(ab) = %v, want %v", flip, workers, got, want["ab"])
+			}
+			if got := g.List(2, "xx"); !slices.Equal(got, []int32{0, 1}) {
+				t.Fatalf("flip=%#x workers=%d: List(xx) = %v", flip, workers, got)
+			}
 		}
 	}
 }
 
-// TestArenaLimits pins the overflow check the builders share, on counts
-// alone: ids are int32 and arena offsets uint32, so a corpus past either
-// must be refused instead of wrapping.
+// TestArenaLimits pins the overflow checks the builders share, on counts
+// alone: ids are int32, a row's list offset a uint32 and a table's cells
+// are counted in one, so a corpus past any of them must be refused instead
+// of wrapping (or, the table, never returning).
 func TestArenaLimits(t *testing.T) {
 	if err := checkArena(1000, math.MaxUint32); err != nil {
 		t.Errorf("largest addressable arena refused: %v", err)
@@ -242,6 +247,41 @@ func TestArenaLimits(t *testing.T) {
 		// absurd tau make 2^32 postings "possible" without a large corpus.
 		if _, err := NewFrozenBuilder(big, []string{"a", "b"}, 2*int64(big+1)); err == nil {
 			t.Error("NewFrozenBuilder accepted 2^32 postings")
+		}
+	}
+	// A slot has a row per distinct segment, so at most one per string of
+	// its length: 2^30 strings of one length are the most a table is sized
+	// for (see TestSegTableRejectsOverflow), and every builder asks first.
+	if _, err := indexable(nil, []int{0, 0, maxTableKeys}, 0); err != nil {
+		t.Errorf("group of 2^30 strings refused: %v", err)
+	}
+	if _, err := indexable(nil, []int{0, 0, maxTableKeys + 1}, 0); err == nil {
+		t.Error("group of 2^30+1 strings accepted")
+	}
+}
+
+// TestFrozenFootprintPinned is the deterministic size gate: the frozen
+// index of the two benchmark corpora (bench/'s join-short and join-long;
+// index.frozen_bytes_per_string there is Bytes over the corpus size) must
+// not grow past what the 8-byte rows brought it to — 55.6 and 189.1 bytes a
+// string — whatever a later change does to the tables.
+func TestFrozenFootprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		corpus         []string
+		tau            int
+		entries, bytes int64
+	}{
+		{"Author 100k", dataset.Author(100000, 1), 2, 300000, 5_700_000},
+		{"AuthorTitle 20k", dataset.AuthorTitle(20000, 1), 8, 180000, 3_900_000},
+	} {
+		fz, err := BuildFrozen(c.corpus, c.tau, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fz.Entries() != c.entries || fz.Bytes() > c.bytes {
+			t.Errorf("%s at tau=%d: %d entries in %d bytes, want %d in at most %d",
+				c.name, c.tau, fz.Entries(), fz.Bytes(), c.entries, c.bytes)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"passjoin/internal/partition"
@@ -10,14 +11,15 @@ import (
 
 // Frozen is the read-optimized form of an Index: the second phase of the
 // build→freeze lifecycle. Where Index keeps one Go map per (length, slot)
-// so segments can be appended and groups evicted, Frozen packs every
-// posting into a single contiguous []int32 CSR arena and replaces each map
-// with a flat open-addressing table keyed by 64-bit segment hashes. Keys
-// are not stored: a hash match is confirmed by comparing the probe
-// substring against the corresponding segment of the first posted string,
-// so lookups touch only the table row, the arena, and one corpus string.
-// The hashes are not stored outside the tables either — every builder
-// derives them from the corpus — so no file format depends on hash64.
+// so segments can be appended and groups evicted, Frozen replaces each map
+// with a flat open-addressing table of 8-byte rows (see linearTable) beside
+// one []int32 of the slot's count-prefixed posting lists; a list of one
+// posting is its row. Keys are not stored: a row carries 30 bits of the
+// segment's hash, and a match is confirmed by comparing the probe substring
+// against that segment of the first posted string, so a lookup touches the
+// row, the list if it is not the row, and one corpus string. Nothing else
+// stores a hash — every builder derives them from the corpus — so no file
+// format depends on hash64.
 //
 // A Frozen is immutable and safe for concurrent use by any number of
 // goroutines. It is built by BuildFrozen (bulk, from a complete corpus), by
@@ -32,27 +34,18 @@ type Frozen struct {
 	bytes   int64
 }
 
-// FrozenGroup holds the tau+1 frozen slot tables for one string length and
-// the arena their rows point into — the group's own range of it when the
-// group was bulk-built.
+// FrozenGroup holds the tau+1 frozen slot tables for one string length,
+// each with the posting lists of its slot.
 type FrozenGroup struct {
 	L      int
 	segs   []partition.Seg
 	tables []linearTable
-	arena  []int32
 	ref    []string
 }
 
-// newGroup returns the empty group for the strings of ref with length l,
-// whose postings will live in arena.
-func newGroup(ref []string, tau, l int, arena []int32) *FrozenGroup {
-	return &FrozenGroup{
-		L:      l,
-		segs:   partition.Segments(l, tau),
-		tables: make([]linearTable, tau+1),
-		arena:  arena,
-		ref:    ref,
-	}
+// newGroup returns the empty group for the strings of ref with length l.
+func newGroup(ref []string, tau, l int) *FrozenGroup {
+	return &FrozenGroup{L: l, segs: partition.Segments(l, tau), tables: make([]linearTable, tau+1), ref: ref}
 }
 
 // hash64 hashes a segment a word at a time: up to 16 bytes are two
@@ -104,11 +97,11 @@ func le32(s string, i int) uint64 {
 // Tau returns the threshold the index was built for.
 func (f *Frozen) Tau() int { return f.tau }
 
-// Entries returns the number of postings in the arena.
+// Entries returns the number of postings indexed.
 func (f *Frozen) Entries() int64 { return f.entries }
 
-// Bytes returns the exact retained size of the frozen structure: the
-// arena plus the slot tables. Corpus strings are shared with the caller
+// Bytes returns the exact retained size of the frozen structure: the slot
+// tables and their posting lists. Corpus strings are shared with the caller
 // and not charged.
 func (f *Frozen) Bytes() int64 { return f.bytes }
 
@@ -164,8 +157,9 @@ func (g *FrozenGroup) Seg(i int) (pos, length int) {
 }
 
 // List returns the posting list for the i-th segment (1-based) equal to w,
-// or nil. The returned slice aliases the shared arena and must not be
-// modified.
+// or nil. The returned slice aliases the index — a list of one posting is
+// the table row itself, len 1 and cap 1, so an append copies — and must not
+// be modified.
 func (g *FrozenGroup) List(i int, w string) []int32 {
 	if g == nil {
 		return nil
@@ -177,10 +171,10 @@ func (g *FrozenGroup) List(i int, w string) []int32 {
 	sg := g.segs[i-1]
 	h := hash64(w)
 	for row, cell := t.lookup(h, uint32(h)); row != nil; row, cell = t.lookup(h, cell) {
-		lst := g.arena[row.start : row.start+row.count]
+		lst := t.list(row)
 		// Confirm against the corpus: the i-th segment of any posted
 		// string must equal w (all strings on one list share it). A
-		// mismatch is a full 64-bit hash collision — try the next row.
+		// mismatch is another segment under the same tag — try the next row.
 		r := g.ref[lst[0]]
 		if r[sg.Pos-1:sg.Pos-1+sg.Len] == w {
 			return lst
@@ -192,9 +186,7 @@ func (g *FrozenGroup) List(i int, w string) []int32 {
 // Slot calls fn for every posting list of the i-th segment slot (1-based),
 // in table order. Used by the PJIX writer.
 func (g *FrozenGroup) Slot(i int, fn func(postings []int32)) {
-	g.tables[i-1].each(func(start, count uint32) {
-		fn(g.arena[start : start+count])
-	})
+	g.tables[i-1].each(fn)
 }
 
 // Freeze packs the index into its immutable read-optimized form. ref is
@@ -242,11 +234,10 @@ type FrozenBuilder struct {
 	ref       []string
 	maxRefLen int
 	f         *Frozen
-	arena     []int32
 	groups    map[int]*FrozenGroup
 	cur       *FrozenGroup
-	curSlot   int // 0 = none begun
-	off       uint32
+	curSlot   int   // 0 = none begun
+	left      int64 // postings declared and not yet received
 }
 
 // NewFrozenBuilder starts a build for threshold tau over corpus ref with
@@ -271,9 +262,9 @@ func NewFrozenBuilder(tau int, ref []string, totalPostings int64) (*FrozenBuilde
 		tau:       tau,
 		ref:       ref,
 		maxRefLen: maxRefLen,
-		f:         &Frozen{tau: tau, ref: ref},
-		arena:     make([]int32, totalPostings),
+		f:         &Frozen{tau: tau, ref: ref, entries: totalPostings},
 		groups:    make(map[int]*FrozenGroup),
+		left:      totalPostings,
 	}, nil
 }
 
@@ -286,7 +277,7 @@ func (b *FrozenBuilder) BeginGroup(L int) error {
 	if _, dup := b.groups[L]; dup {
 		return fmt.Errorf("duplicate group for length %d", L)
 	}
-	b.cur = newGroup(b.ref, b.tau, L, b.arena)
+	b.cur = newGroup(b.ref, b.tau, L)
 	b.groups[L] = b.cur
 	b.curSlot = 0
 	return nil
@@ -302,21 +293,21 @@ func (b *FrozenBuilder) BeginSlot(i, nKeys int) error {
 		return fmt.Errorf("slot %d outside [1, %d]", i, b.tau+1)
 	}
 	// Each list holds at least one posting, so nKeys can never exceed the
-	// arena space left; this bounds table allocation for corrupt inputs.
-	if nKeys < 0 || int64(nKeys) > int64(len(b.arena))-int64(b.off) {
-		return fmt.Errorf("slot %d key count %d exceeds remaining postings %d", i, nKeys, int64(len(b.arena))-int64(b.off))
+	// postings left; this bounds table allocation for corrupt inputs.
+	if nKeys < 0 || int64(nKeys) > min(b.left, maxTableKeys) {
+		return fmt.Errorf("slot %d key count %d exceeds remaining postings %d (or the %d rows of a table)", i, nKeys, b.left, maxTableKeys)
 	}
 	if b.curSlot >= i {
 		return fmt.Errorf("slot %d of length %d begun after slot %d", i, b.cur.L, b.curSlot)
 	}
-	b.cur.tables[i-1] = newLinearTable(nKeys)
+	b.cur.tables[i-1] = newLinearTable(nKeys, 0)
 	b.curSlot = i
 	return nil
 }
 
-// AddList appends one posting list for the current slot: the postings go
-// into the arena and the (hash → arena range) row into the slot table,
-// under the hash of the slot's segment of the first posted string.
+// AddList appends one posting list for the current slot: its row goes into
+// the slot table under the hash of the slot's segment of the first posted
+// string, and the postings, if more than one, behind the slot's other lists.
 func (b *FrozenBuilder) AddList(postings []int32) error {
 	if b.curSlot == 0 {
 		return fmt.Errorf("AddList before BeginSlot")
@@ -324,8 +315,8 @@ func (b *FrozenBuilder) AddList(postings []int32) error {
 	if len(postings) == 0 {
 		return fmt.Errorf("empty posting list in slot %d of length %d", b.curSlot, b.cur.L)
 	}
-	if int64(len(postings)) > int64(len(b.arena))-int64(b.off) {
-		return fmt.Errorf("posting list overflows arena (%d postings, %d left)", len(postings), int64(len(b.arena))-int64(b.off))
+	if int64(len(postings)) > b.left {
+		return fmt.Errorf("posting list overflows the declared count (%d postings, %d left)", len(postings), b.left)
 	}
 	for _, id := range postings {
 		if id < 0 || int(id) >= len(b.ref) {
@@ -335,26 +326,30 @@ func (b *FrozenBuilder) AddList(postings []int32) error {
 			return fmt.Errorf("posting id %d has length %d, group is %d", id, len(b.ref[id]), b.cur.L)
 		}
 	}
-	start := b.off
-	copy(b.arena[start:], postings)
-	b.off += uint32(len(postings))
-
 	sg := b.cur.segs[b.curSlot-1]
 	hash := hash64(b.ref[postings[0]][sg.Pos-1 : sg.Pos-1+sg.Len])
-	if !b.cur.tables[b.curSlot-1].insert(hash, start, uint32(len(postings))) {
+	t := &b.cur.tables[b.curSlot-1]
+	ok := false
+	if len(postings) == 1 {
+		ok = t.insert(hash, rowSingle, postings[0])
+	} else if off, fits := t.insertList(hash, uint32(len(postings))); fits {
+		ok = true
+		copy(t.posts[off:], postings)
+	}
+	if !ok {
 		return fmt.Errorf("slot %d of length %d received more lists than declared", b.curSlot, b.cur.L)
 	}
+	b.left -= int64(len(postings))
 	return nil
 }
 
 // Finish validates that the declared postings all arrived and returns the
 // immutable index.
 func (b *FrozenBuilder) Finish() (*Frozen, error) {
-	if int(b.off) != len(b.arena) {
-		return nil, fmt.Errorf("declared %d postings, received %d", len(b.arena), b.off)
-	}
 	f := b.f
-	f.entries = int64(len(b.arena))
+	if b.left != 0 {
+		return nil, fmt.Errorf("declared %d postings, received %d", f.entries, f.entries-b.left)
+	}
 	maxL := 0
 	for l := range b.groups {
 		if l > maxL {
@@ -364,6 +359,9 @@ func (b *FrozenBuilder) Finish() (*Frozen, error) {
 	f.groups = make([]*FrozenGroup, maxL+1)
 	for l, g := range b.groups {
 		f.groups[l] = g
+		for i := range g.tables { // lists arrived uncounted: drop the room append left
+			g.tables[i].posts = slices.Clone(g.tables[i].posts)
+		}
 	}
 	f.account()
 	b.f = nil
@@ -373,7 +371,6 @@ func (b *FrozenBuilder) Finish() (*Frozen, error) {
 // account fills in the retained size once the posting count and every
 // table are in place.
 func (f *Frozen) account() {
-	f.bytes = f.entries * 4
 	for _, g := range f.groups {
 		if g == nil {
 			continue

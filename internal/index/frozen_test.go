@@ -3,6 +3,7 @@ package index
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -334,15 +335,21 @@ func TestHash64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A row's probe chain is its distance from the cell its hash names.
+	// A row's probe chain is its distance from the cell its hash names; the
+	// row keeps only the hash's top bits, so the segment is hashed again.
 	longest, total, rows := uint32(0), uint32(0), uint32(0)
 	for _, l := range fz.Lengths() {
 		g := fz.Group(l)
 		for i := range g.tables {
 			tb := &g.tables[i]
+			pos, n := g.Seg(i + 1)
 			for c := range tb.rows {
-				if r := tb.rows[c]; r.count != 0 {
-					d := (uint32(c) - uint32(r.hash)) & tb.mask
+				if r := &tb.rows[c]; r.tag != 0 {
+					h := hash64(corpus[tb.list(r)[0]][pos-1 : pos-1+n])
+					if r.tag&^rowSingle != rowTag(h) {
+						t.Fatalf("l=%d slot=%d cell %d: tag %#x, segment hashes to %#x", l, i+1, c, r.tag, rowTag(h))
+					}
+					d := (uint32(c) - uint32(h)) & tb.mask
 					longest, total, rows = max(longest, d), total+d, rows+1
 				}
 			}
@@ -350,5 +357,112 @@ func TestHash64(t *testing.T) {
 	}
 	if mean := float64(total) / float64(rows); longest > 32 || mean > 0.4 {
 		t.Fatalf("probe chains over %d rows: longest %d, mean %.3f; want <= 32 and <= 0.4", rows, longest, mean)
+	}
+}
+
+// everyBuilder builds the index of corpus — sorted by length, as a Window
+// needs it — once through each builder in the package: Index.Freeze (the
+// FrozenBuilder, which the snapshot loader drives too), BuildFrozen on one
+// and two workers, and a Window slid over every length.
+func everyBuilder(t *testing.T, corpus []string, tau int) map[string]*Frozen {
+	t.Helper()
+	_, frozen := buildBoth(corpus, tau)
+	out := map[string]*Frozen{"Freeze": frozen}
+	for name, workers := range map[string]int{"BuildFrozen/1": 1, "BuildFrozen/2": 2} {
+		fz, err := BuildFrozen(corpus, tau, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = fz
+	}
+	off := LengthOffsets(corpus)
+	w, err := NewWindow(corpus, off, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Slide(0, len(off))
+	out["Window"] = w.Frozen()
+	return out
+}
+
+// tagTwins searches for two distinct 4-byte segments that the real hash64
+// sends to the same 30-bit row tag and the same home cell of a 4-cell
+// table: everything a row keeps of a hash. About 2^16 candidates do it.
+func tagTwins(t *testing.T) (a, b string) {
+	seen := map[uint64]string{}
+	for n := 0; n < 1<<24; n++ {
+		s := string([]byte{' ' + byte(n&63), ' ' + byte(n>>6&63), ' ' + byte(n>>12&63), ' ' + byte(n>>18&63)})
+		h := hash64(s)
+		key := h>>34<<2 | h&3
+		if twin, ok := seen[key]; ok {
+			return twin, s
+		}
+		seen[key] = s
+	}
+	t.Fatal("no two of 2^24 segments share a tag and a home cell")
+	return "", ""
+}
+
+// TestTagCollision puts two distinct segments with one tag and one home
+// cell into one slot — as a list and a single in either order, and as two
+// singles — through every builder: the table keeps two rows under the tag,
+// and List, which hashes for real, finds each and never the other's.
+func TestTagCollision(t *testing.T) {
+	a, b := tagTwins(t)
+	if a == b || rowTag(hash64(a)) != rowTag(hash64(b)) || hash64(a) == hash64(b) {
+		t.Fatalf("twins %q %q: hashes %#x %#x", a, b, hash64(a), hash64(b))
+	}
+	for _, corpus := range [][]string{
+		{a + "zzzz", b + "zzzz", a + "yyyy"},
+		{b + "zzzz", a + "zzzz", a + "yyyy"},
+		{a + "zzzz", b + "yyyy"},
+	} {
+		want := map[string][]int32{}
+		for id, s := range corpus {
+			want[s[:4]] = append(want[s[:4]], int32(id))
+		}
+		for name, fz := range everyBuilder(t, corpus, 1) {
+			g := fz.Group(8)
+			if under := listsUnder(&g.tables[0], hash64(a)); len(under) != 2 {
+				t.Fatalf("%s %q: lists %v under the shared tag, want two", name, corpus, under)
+			}
+			for seg, lst := range want {
+				if got := g.List(1, seg); !slices.Equal(got, lst) {
+					t.Fatalf("%s %q: List(%q) = %v, want %v", name, corpus, seg, got, lst)
+				}
+			}
+			if got := g.List(1, "none"); got != nil {
+				t.Fatalf("%s %q: List(none) = %v", name, corpus, got)
+			}
+		}
+	}
+}
+
+// TestSinglesOnlySlot: a slot whose segments are all distinct holds its
+// postings in the rows and allocates no posting slice, whoever built it; a
+// list it returns has len 1 and cap 1, so appending to it cannot write into
+// the next row; and the tables' size is their rows and the one counted list.
+func TestSinglesOnlySlot(t *testing.T) {
+	corpus := []string{"abcxxx", "defxxx", "ghixxx"}
+	for name, fz := range everyBuilder(t, corpus, 1) {
+		g := fz.Group(6)
+		if cap(g.tables[0].posts) != 0 || !slices.Equal(g.tables[1].posts, []int32{3, 0, 1, 2}) {
+			t.Fatalf("%s: posts %v and %v, want none and [3 0 1 2]", name, g.tables[0].posts, g.tables[1].posts)
+		}
+		if b0, b1 := g.tables[0].bytes(), g.tables[1].bytes(); b0 != 8*frozenRowBytes || b1 != 2*frozenRowBytes+4*postingBytes {
+			t.Fatalf("%s: tables of %d and %d bytes, want 8 rows and 2 rows + 4 words", name, b0, b1)
+		}
+		for id, s := range corpus {
+			lst := g.List(1, s[:3])
+			if !slices.Equal(lst, []int32{int32(id)}) || cap(lst) != 1 {
+				t.Fatalf("%s: List(%q) = %v with cap %d, want [%d] with cap 1", name, s[:3], lst, cap(lst), id)
+			}
+			_ = append(lst, -1)
+		}
+		for id, s := range corpus {
+			if lst := g.List(1, s[:3]); !slices.Equal(lst, []int32{int32(id)}) {
+				t.Fatalf("%s: after the appends List(%q) = %v", name, s[:3], lst)
+			}
+		}
 	}
 }

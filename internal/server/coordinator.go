@@ -355,8 +355,9 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	path := "/v1/search"
 	contentType := ""
 	if r.Method == http.MethodGet {
-		q = r.URL.Query().Get("q")
-		k, _ = strconv.Atoi(r.URL.Query().Get("k"))
+		params := r.URL.Query()
+		q = params.Get("q")
+		k, _ = strconv.Atoi(params.Get("k"))
 		if raw := r.URL.RawQuery; raw != "" {
 			path += "?" + raw
 		}
@@ -385,9 +386,10 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	k := co.cfg.DefaultTopK
-	if raw := r.URL.Query().Get("k"); raw != "" {
+	if raw := params.Get("k"); raw != "" {
 		if v, err := strconv.Atoi(raw); err == nil {
 			k = v
 		}

@@ -58,6 +58,7 @@ import (
 	"iter"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -465,12 +466,12 @@ type searchRequest struct {
 	Tau   *int   `json:"tau,omitempty"`
 }
 
-// tauParam parses the optional ?tau= threshold override from the query
-// string, writing the error response itself when the value is malformed
-// or unanswerable. The second return is false on failure; -1 means the
-// parameter was absent (use the index threshold).
-func (s *Server) tauParam(w http.ResponseWriter, r *http.Request) (int, bool) {
-	raw := r.URL.Query().Get("tau")
+// tauParam parses the optional ?tau= threshold override from the parsed
+// query string, writing the error response itself when the value is
+// malformed or unanswerable. The second return is false on failure; -1
+// means the parameter was absent (use the index threshold).
+func (s *Server) tauParam(w http.ResponseWriter, params url.Values) (int, bool) {
+	raw := params.Get("tau")
 	if raw == "" {
 		return -1, true
 	}
@@ -509,21 +510,22 @@ func (s *Server) checkTau(w http.ResponseWriter, tau int) bool {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	params := r.URL.Query() // parsed once per request: every read below shares it
 	var q string
 	var k int
 	tau := -1
 	switch r.Method {
 	case http.MethodGet:
-		q = r.URL.Query().Get("q")
+		q = params.Get("q")
 		if q == "" {
 			writeError(w, http.StatusBadRequest, "missing query parameter q")
 			return
 		}
 		var ok bool
-		if k, ok = intParam(w, r, "k", 0); !ok {
+		if k, ok = intParam(w, params, "k", 0); !ok {
 			return
 		}
-		if tau, ok = s.tauParam(w, r); !ok {
+		if tau, ok = s.tauParam(w, params); !ok {
 			return
 		}
 	default: // POST, enforced by the mux pattern
@@ -545,17 +547,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "k must be non-negative")
 		return
 	}
-	matches, timings := s.tracedLookup(r, q, k, tau)
+	matches, timings := s.tracedLookup(params, q, k, tau)
 	writeJSON(w, http.StatusOK, SearchResponse{Query: q, Matches: matches, Timings: timings})
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		writeError(w, http.StatusBadRequest, "missing query parameter q")
 		return
 	}
-	k, ok := intParam(w, r, "k", s.cfg.DefaultTopK)
+	k, ok := intParam(w, params, "k", s.cfg.DefaultTopK)
 	if !ok {
 		return
 	}
@@ -563,11 +566,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "k must be positive")
 		return
 	}
-	tau, ok := s.tauParam(w, r)
+	tau, ok := s.tauParam(w, params)
 	if !ok {
 		return
 	}
-	matches, timings := s.tracedLookup(r, q, k, tau)
+	matches, timings := s.tracedLookup(params, q, k, tau)
 	writeJSON(w, http.StatusOK, SearchResponse{Query: q, Matches: matches, Timings: timings})
 }
 
@@ -747,7 +750,7 @@ func pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
 // every previously seen line within the threshold is emitted immediately
 // as one NDJSON object. An optional ?tau= overrides the index threshold.
 func (s *Server) handleDedup(w http.ResponseWriter, r *http.Request) {
-	tau, ok := intParam(w, r, "tau", s.idx.Tau())
+	tau, ok := intParam(w, r.URL.Query(), "tau", s.idx.Tau())
 	if !ok {
 		return
 	}
@@ -821,11 +824,12 @@ func (s *Server) handleJoinRS(w http.ResponseWriter, r *http.Request)   { s.hand
 // connection cancels the probe workers — and, for a materializing
 // engine, abandons the run promptly.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
-	tau, ok := intParam(w, r, "tau", s.idx.Tau())
+	params := r.URL.Query()
+	tau, ok := intParam(w, params, "tau", s.idx.Tau())
 	if !ok {
 		return
 	}
-	engName := r.URL.Query().Get("engine")
+	engName := params.Get("engine")
 	if engName != "" && !engine.Valid(engName) {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("unknown engine %q (valid: %s)", engName, strings.Join(engine.Names(), ", ")))
@@ -840,7 +844,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
 			fmt.Sprintf("tau %d exceeds the maximum %d", tau, maxJoinTau))
 		return
 	}
-	par, ok := intParam(w, r, "parallel", 0)
+	par, ok := intParam(w, params, "parallel", 0)
 	if !ok {
 		return
 	}
@@ -1057,10 +1061,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // tracedLookup answers one query, attaching a phase trace when the
-// request asks for ?debug=timings or slow-query logging is armed. The
-// returned Timings is non-nil only for the debug case.
-func (s *Server) tracedLookup(r *http.Request, q string, k, tau int) ([]Match, *Timings) {
-	debug := r.URL.Query().Get("debug") == "timings"
+// request's query string asks for ?debug=timings or slow-query logging is
+// armed. The returned Timings is non-nil only for the debug case.
+func (s *Server) tracedLookup(params url.Values, q string, k, tau int) ([]Match, *Timings) {
+	debug := params.Get("debug") == "timings"
 	if !debug && s.cfg.SlowQuery <= 0 {
 		return s.lookup(q, k, tau, nil), nil
 	}
@@ -1120,8 +1124,8 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-func intParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
-	raw := r.URL.Query().Get(name)
+func intParam(w http.ResponseWriter, params url.Values, name string, def int) (int, bool) {
+	raw := params.Get(name)
 	if raw == "" {
 		return def, true
 	}

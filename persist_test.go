@@ -3,6 +3,7 @@ package passjoin
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"os"
 	"reflect"
@@ -242,6 +243,49 @@ func TestParentCommitSnapshotsLoad(t *testing.T) {
 			}
 			if got := ss.Search(q); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s q=%q: sharded %v, fresh %v", name, q, got, want)
+			}
+		}
+	}
+}
+
+// TestParentV3SnapshotBytes: the two version 3 files the commit before the
+// 8-byte table rows wrote (testdata/, see internal/persist's
+// TestParentSnapshots) load with their frozen section as it is and answer
+// like a fresh build, and Searcher.WriteTo over the same corpus — on one
+// build worker or three — writes the parent's file byte for byte: a slot's
+// lists are written in table order, which the narrower rows did not change.
+func TestParentV3SnapshotBytes(t *testing.T) {
+	for name, tau := range map[string]int{"parent-v3-author.pjix": 2, "parent-v3-authortitle.pjix": 8} {
+		blob, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st Stats
+		loaded, err := ReadSearcherFrom(bytes.NewReader(blob), WithStats(&st))
+		if err != nil || loaded.Tau() != tau || st.IndexBytes != 0 || st.FrozenEntries == 0 {
+			t.Fatalf("%s: err %v, stats %+v", name, err, st)
+		}
+		corpus := make([]string, loaded.Len())
+		for id := range corpus {
+			corpus[id] = loaded.At(id)
+		}
+		fresh, err := NewSearcher(corpus, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := NewShardedSearcher(corpus, tau, WithShards(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, w := range map[string]io.WriterTo{"Searcher": fresh, "ShardedSearcher": sharded} {
+			var buf bytes.Buffer
+			if _, err := w.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), blob) {
+				t.Fatalf("%s: %s.WriteTo wrote %d bytes that differ from the parent's %d (err %v)", name, label, buf.Len(), len(blob), err)
+			}
+		}
+		for _, q := range corpus {
+			if got, want := loaded.Search(q), fresh.Search(q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s q=%q: loaded %v, fresh %v", name, q, got, want)
 			}
 		}
 	}

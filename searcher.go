@@ -15,9 +15,9 @@ import (
 // the corpus is segment-indexed once, queries probe with multi-match-aware
 // substring selection.
 //
-// Construction bulk-builds the index straight into its frozen CSR form
-// (see docs/ARCHITECTURE.md): queries probe flat hash tables over one
-// contiguous posting arena rather than per-segment Go maps.
+// Construction bulk-builds the index straight into its frozen form (see
+// docs/ARCHITECTURE.md): queries probe flat hash tables over packed
+// posting lists rather than per-segment Go maps.
 //
 // A Searcher is immutable after construction and safe for concurrent use
 // by any number of goroutines: query scratch state (verifier buffers,
