@@ -107,7 +107,9 @@
 // single posting in its row, longer lists packed per slot) and report each
 // match's exact distance
 // straight out of verification — see docs/ARCHITECTURE.md for the bulk
-// build. A query probes that one index once, on the caller's goroutine:
+// build. A query probes that one index once, on the caller's goroutine —
+// it first enumerates its selected substrings and then resolves their
+// lookups a batch at a time, so the cache misses of one query overlap:
 // concurrency comes from concurrent callers, and a single expensive query
 // on an otherwise idle many-core machine is not split across cores.
 // Both snapshot to a compact CRC-protected binary format (WriteTo /

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"passjoin/internal/dataset"
+	"passjoin/internal/selection"
 )
 
 // BenchmarkSelfJoinSerial is the default-options self join on the two
@@ -27,5 +29,49 @@ func BenchmarkSelfJoinSerial(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkQueryCold is one query against an index several times the size
+// of the cache, the regime of the bench/ harness's search-lib: author names
+// in shuffled order (so neighbouring ids are not neighbouring strings) under
+// one sealed matcher at tau 2, and 50 000 queries — a quarter exact corpus
+// strings, half a corpus string one or two edits away, a quarter six edits
+// away — each asked once per pass, so no query finds its rows still cached.
+func BenchmarkQueryCold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	corpus := dataset.Author(100000, 1)
+	rng.Shuffle(len(corpus), func(i, j int) { corpus[i], corpus[j] = corpus[j], corpus[i] })
+	queries := make([]string, 50000)
+	for k := range queries {
+		edits := [4]int{0, 1, 2, 6}[k%4]
+		queries[k] = mutateN(rng, corpus[rng.Intn(len(corpus))], edits, 26)
+	}
+	m, err := BuildSealedMatcher(2, selection.MultiMatch, VerifyExtensionShared, nil, corpus, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		hits += len(m.QueryOpt(queries[k%len(queries)], QueryOpts{Tau: 2}))
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+}
+
+// BenchmarkSearchManyHits is the query of TestManyHitsSorted: every string
+// of the corpus is a hit, and the hits arrive as two interleaved runs.
+func BenchmarkSearchManyHits(b *testing.B) {
+	corpus := manyHitsCorpus(60000)
+	m, err := BuildSealedMatcher(2, selection.MultiMatch, VerifyExtensionShared, nil, corpus, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if n := len(m.Query(corpus[0])); n != len(corpus) {
+			b.Fatalf("%d hits", n)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"passjoin/internal/index"
@@ -171,11 +170,8 @@ func recordScan(st *metrics.Stats, win *index.Window, results int64, shorts int)
 
 // SortPairs orders pairs lexicographically; used to canonicalize results.
 func SortPairs(ps []Pair) {
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].R != ps[b].R {
-			return ps[a].R < ps[b].R
-		}
-		return ps[a].S < ps[b].S
+	slices.SortFunc(ps, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.R, b.R), cmp.Compare(a.S, b.S))
 	})
 }
 

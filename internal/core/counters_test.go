@@ -1,11 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"passjoin/internal/bruteforce"
 	"passjoin/internal/dataset"
 	"passjoin/internal/metrics"
+	"passjoin/internal/obs"
+	"passjoin/internal/selection"
 )
 
 // TestWorkCountersPinned is the first of ROADMAP's deterministic
@@ -46,6 +49,136 @@ func TestWorkCountersPinned(t *testing.T) {
 		// The one counter with a ground truth outside this package.
 		if n := len(bruteforce.SelfJoin(c.corpus, c.tau)); int64(n) != c.want.Results {
 			t.Errorf("%s: brute force finds %d pairs, the pinned Results is %d", c.name, n, c.want.Results)
+		}
+	}
+}
+
+// earlyStopCorpus is author names around eleven near copies of one string —
+// deletions, substitutions and insertions, so its hits lie in seven length
+// groups — and the query is that string: at tau 4 it makes 85 lookups, three
+// batches, with hits in all three.
+func earlyStopCorpus() (corpus []string, query string) {
+	corpus = dataset.Author(1200, 9)
+	for k, v := range []string{
+		"margaret thornton", "margret thornton", "margaret thorntonn", "margaret thorton",
+		"nargaret thornton", "margaret  thornton", "margaretthornton", "margaret thornten",
+		"margaret thorntonian", "dr margaret thornton", "mxargaret thorntonxy",
+	} {
+		corpus[100+97*k] = v
+	}
+	return corpus, "margaret thornton"
+}
+
+// workDone is the probe's share of metrics.Stats.
+type workDone struct {
+	SelectedSubstrings, Lookups, LookupHits, Candidates, Verifications, Results int64
+}
+
+func workOf(st *metrics.Stats) workDone {
+	return workDone{st.SelectedSubstrings, st.Lookups, st.LookupHits, st.Candidates, st.Verifications, st.Results}
+}
+
+// TestEarlyStopCounters pins what a probe that stops early has counted: the
+// slots up to and including the one it stopped in, whatever else its lookup
+// batch had already resolved. The values are those of the commit before the
+// batch, which finished every lookup before it began the next. A stopped
+// probe leaves nothing behind: the same matcher then answers in full, with a
+// full probe's counters.
+func TestEarlyStopCounters(t *testing.T) {
+	corpus, q := earlyStopCorpus()
+	want := map[int]workDone{ // by limit; 0 is none. Lookups 25 and 37 and 73: one stop in each batch
+		0: {85, 85, 31, 55, 11, 11},
+		1: {25, 25, 6, 13, 1, 1},
+		2: {25, 25, 6, 14, 2, 2},
+		5: {37, 37, 14, 29, 5, 5},
+		9: {73, 73, 26, 50, 9, 9},
+	}
+	var st metrics.Stats
+	m, err := BuildSealedMatcher(4, selection.MultiMatch, VerifyExtensionShared, &st, corpus, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := bruteHits(corpus, q, 4)
+	if len(full) != 11 {
+		t.Fatalf("%d strings within 4 of the query, want the 11 planted", len(full))
+	}
+	for _, limit := range []int{1, 2, 5, 9, 0} {
+		// QueryOpt stops at Limit; QuerySeq when its consumer says so.
+		stops := map[string]func() int{
+			"QueryOpt": func() int { return len(m.QueryOpt(q, QueryOpts{Tau: 4, Limit: limit})) },
+			"QuerySeq": func() int {
+				n := 0
+				m.QuerySeq(q, QueryOpts{Tau: 4}, func(Hit) bool { n++; return n != limit })
+				return n
+			},
+			// A consumer that panics unwinds through a half-consumed batch.
+			"panicking QuerySeq": func() (n int) {
+				defer func() { recover() }()
+				m.QuerySeq(q, QueryOpts{Tau: 4}, func(Hit) bool {
+					if n++; n == limit {
+						panic("consumer bails")
+					}
+					return true
+				})
+				return n
+			},
+		}
+		for name, stop := range stops {
+			st = metrics.Stats{}
+			if n := stop(); n != int(want[limit].Results) {
+				t.Fatalf("%s limit %d: %d hits", name, limit, n)
+			}
+			got := workOf(&st)
+			if limit > 0 && name == "panicking QuerySeq" {
+				got.Results = want[limit].Results // nobody is left to count them
+			}
+			if got != want[limit] {
+				t.Errorf("%s limit %d:\n got %+v\nwant %+v", name, limit, got, want[limit])
+			}
+			st = metrics.Stats{}
+			if got := m.Query(q); !slices.Equal(got, full) {
+				t.Fatalf("after %s limit %d the matcher answers %v, want %v", name, limit, got, full)
+			}
+			if got := workOf(&st); got != want[0] {
+				t.Errorf("after %s limit %d a full probe counts\n got %+v\nwant %+v", name, limit, got, want[0])
+			}
+		}
+	}
+}
+
+// TestTracedProbeCounts holds a traced probe to the untraced one's numbers:
+// under every verifier, on the frozen index and on the map index, stopped
+// early or not, the trace counts the substrings, lookups and verifications
+// that metrics.Stats counts, and the hits are the same hits.
+func TestTracedProbeCounts(t *testing.T) {
+	corpus, q := earlyStopCorpus()
+	for _, vk := range VerifyKinds {
+		var st metrics.Stats
+		m, err := NewMatcher(4, selection.MultiMatch, vk, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range corpus {
+			m.InsertSilent(s)
+		}
+		for _, sealed := range []bool{false, true} {
+			if sealed {
+				m.Seal()
+			}
+			for _, o := range []QueryOpts{{Tau: 4}, {Tau: 2}, {Tau: 4, Limit: 2}, {Tau: 4, Limit: 9}} {
+				plain := m.QueryOpt(q, o)
+				var tr obs.QueryTrace
+				o.Trace = &tr
+				st = metrics.Stats{}
+				traced := m.QueryOpt(q, o)
+				if !slices.Equal(traced, plain) {
+					t.Fatalf("%v sealed=%v %+v: traced hits %v, untraced %v", vk, sealed, o, traced, plain)
+				}
+				got := [3]int64{tr.Phase(obs.PhaseSelect).Count, tr.Phase(obs.PhaseProbe).Count, tr.Phase(obs.PhaseVerify).Count}
+				if want := [3]int64{st.SelectedSubstrings, st.Lookups, st.Verifications}; got != want || want[0] == 0 || want[2] == 0 {
+					t.Errorf("%v sealed=%v %+v: trace counts (selection, probe, verify) %v, stats %v", vk, sealed, o, got, want)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"passjoin/internal/index"
 	"passjoin/internal/metrics"
@@ -192,27 +194,7 @@ func (m *Matcher) QueryOpt(s string, o QueryOpts) []Hit {
 	defer func() { p.trace = nil }()
 	var out []Hit
 	if o.Limit > 0 {
-		// Early-exit path: stream through the prober and stop at the cap.
-		// The emit hook is cleared via defer so a panic unwinding through
-		// the probe cannot leave it armed on a pooled snapshot.
-		defer func() { p.emit = nil }()
-		p.emit = func(id, d int32) bool {
-			out = append(out, Hit{ID: id, Dist: d})
-			return len(out) < o.Limit
-		}
-		p.probe(s, len(s)-qtau, len(s)+qtau)
-		p.emit = nil
-		for _, rid := range m.shorts {
-			if len(out) >= o.Limit {
-				break
-			}
-			if absInt(len(m.strs[rid])-len(s)) > qtau {
-				continue
-			}
-			if d := p.verifyDirect(m.strs[rid], s); d <= qtau {
-				out = append(out, Hit{ID: rid, Dist: int32(d)})
-			}
-		}
+		out = m.queryLimit(p, s, qtau, o.Limit)
 	} else {
 		p.probe(s, len(s)-qtau, len(s)+qtau)
 		out = make([]Hit, 0, len(p.hits))
@@ -228,9 +210,36 @@ func (m *Matcher) QueryOpt(s string, o QueryOpts) []Hit {
 			}
 		}
 	}
-	sortHitsByID(out)
+	slices.SortFunc(out, func(a, b Hit) int { return cmp.Compare(a.ID, b.ID) })
 	if m.st != nil {
 		m.st.Results += int64(len(out))
+	}
+	return out
+}
+
+// queryLimit is QueryOpt's early-exit path: it streams through the armed
+// prober and stops at the cap. (Its own function, so that the hits of an
+// unlimited query, which no closure captures, stay off the heap.)
+func (m *Matcher) queryLimit(p *prober, s string, qtau, limit int) (out []Hit) {
+	// The emit hook is cleared via defer so a panic unwinding through the
+	// probe cannot leave it armed on a pooled snapshot.
+	defer func() { p.emit = nil }()
+	p.emit = func(id, d int32) bool {
+		out = append(out, Hit{ID: id, Dist: d})
+		return len(out) < limit
+	}
+	p.probe(s, len(s)-qtau, len(s)+qtau)
+	p.emit = nil
+	for _, rid := range m.shorts {
+		if len(out) >= limit {
+			break
+		}
+		if absInt(len(m.strs[rid])-len(s)) > qtau {
+			continue
+		}
+		if d := p.verifyDirect(m.strs[rid], s); d <= qtau {
+			out = append(out, Hit{ID: rid, Dist: int32(d)})
+		}
 	}
 	return out
 }
@@ -388,7 +397,7 @@ func (m *Matcher) match(s string, needDist bool) []int32 {
 			ids = append(ids, rid)
 		}
 	}
-	sortInt32(ids)
+	slices.Sort(ids)
 	return ids
 }
 
@@ -397,21 +406,4 @@ func absInt(x int) int {
 		return -x
 	}
 	return x
-}
-
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// sortHitsByID insertion-sorts hits by ascending id.
-func sortHitsByID(hs []Hit) {
-	for i := 1; i < len(hs); i++ {
-		for j := i; j > 0 && hs[j].ID < hs[j-1].ID; j-- {
-			hs[j], hs[j-1] = hs[j-1], hs[j]
-		}
-	}
 }

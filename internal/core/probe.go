@@ -34,9 +34,9 @@ type prober struct {
 	st   *metrics.Stats
 
 	// trace, when non-nil, records per-phase wall time and counters for
-	// the current probe. Every hook below is guarded by an explicit nil
-	// check at the call site, so the untraced path pays only predictable
-	// branches — no clock reads, no calls.
+	// the current probe. Every hook on the frozen path is guarded by an
+	// explicit nil check at the call site, so the untraced path pays only
+	// predictable branches — no clock reads, no calls.
 	trace *obs.QueryTrace
 
 	idx *index.Index
@@ -79,6 +79,14 @@ type prober struct {
 	// no stamps, and a zero stamp never equals a live epoch (>= 1).
 	stamp []int32
 	epoch int32
+
+	// lookups is the batch of index lookups in flight (probeFrozen). selected
+	// is the number of substrings the current probe has selected so far,
+	// reached[k] what it was when the batch's k-th lookup was added — its
+	// slot's included — and counted how many the counters have seen (drain).
+	lookups           index.ProbeBatch
+	reached           [index.ProbeBatchSize]int64
+	selected, counted int64
 
 	// maxID, when >= 0, filters candidates to ids < maxID (a self join
 	// probes groups built ahead of the scan but must only pair with
@@ -158,77 +166,171 @@ func (p *prober) probe(s string, lmin, lmax int) {
 	if p.patSet {
 		p.pat.Set(s)
 	}
-	tau := p.tau
-	if lmin < tau+1 {
-		lmin = tau + 1
+	lmin = max(lmin, p.tau+1)
+	if p.fz != nil {
+		p.probeFrozen(s, lmin, lmax)
+	} else {
+		p.probeMap(s, lmin, lmax)
+	}
+	if !p.stopped {
+		p.flushBatch(s)
+	}
+}
+
+// probeFrozen is the probe loop over the frozen index: it enumerates the
+// selected substrings (l, i, pos) in Algorithm 1's order into the lookup
+// batch, resolves the batch whenever it is full and once more at the end,
+// and hands the lists to handleList in enumeration order — so the string
+// meets its lists exactly as if each lookup had been finished before the
+// next began, while the cache misses of up to a batch of them overlap. A
+// traced probe is in PhaseSelect here and leaves it only inside drain.
+func (p *prober) probeFrozen(s string, lmin, lmax int) {
+	b := &p.lookups
+	b.Reset() // a probe that unwound (a panicking consumer) left its batch behind
+	p.selected, p.counted = 0, 0
+	if p.trace != nil {
+		p.trace.Begin(obs.PhaseSelect)
 	}
 	for l := lmin; l <= lmax; l++ {
-		var g *index.Group
-		var fg *index.FrozenGroup
-		if p.fz != nil {
-			if fg = p.fz.Group(l); fg == nil {
-				continue
-			}
-		} else if g = p.idx.Group(l); g == nil {
+		fg := p.fz.Group(l)
+		if fg == nil {
 			continue
 		}
-		for i := 1; i <= tau+1; i++ {
-			var pi, li int
-			if fg != nil {
-				pi, li = fg.Seg(i)
-			} else {
-				pi = partition.SegPos(l, tau, i)
-				li = partition.SegLen(l, tau, i)
-			}
-			if p.trace != nil {
-				p.trace.Begin(obs.PhaseSelect)
-			}
-			lo, hi := p.sel.WindowQ(len(s), l, p.qtau, tau+1, i, pi, li)
-			if p.trace != nil {
-				p.trace.End(obs.PhaseSelect)
-			}
+		for i := 1; i <= p.tau+1; i++ {
+			pi, li := fg.Seg(i)
+			lo, hi := p.sel.WindowQ(len(s), l, p.qtau, p.tau+1, i, pi, li)
 			if hi < lo {
 				continue
 			}
-			if p.st != nil {
-				p.st.SelectedSubstrings += int64(hi - lo + 1)
-				p.st.Lookups += int64(hi - lo + 1)
-			}
-			if p.trace != nil {
-				p.trace.AddCount(obs.PhaseSelect, int64(hi-lo+1))
-				p.trace.Begin(obs.PhaseProbe)
-				p.trace.AddCount(obs.PhaseProbe, int64(hi-lo+1))
-			}
+			p.selected += int64(hi - lo + 1)
 			for pos := lo; pos <= hi; pos++ {
-				w := s[pos-1 : pos-1+li]
-				var lst []int32
-				if fg != nil {
-					lst = fg.List(i, w)
-				} else {
-					lst = g.List(i, w)
-				}
-				// A list that starts at or past maxID holds no predecessor:
-				// to a scan that indexes as it goes it does not exist yet.
-				if len(lst) == 0 || (p.maxID >= 0 && lst[0] >= p.maxID) {
-					continue
-				}
-				if p.st != nil {
-					p.st.LookupHits++
-				}
-				p.handleList(s, lst, i, pos, pi, li)
-				if p.stopped {
-					if p.trace != nil {
-						p.trace.End(obs.PhaseProbe)
-					}
+				p.reached[b.Len()] = p.selected
+				if b.Add(fg, i, pos) && !p.drain(s) {
 					return
 				}
 			}
-			if p.trace != nil {
-				p.trace.End(obs.PhaseProbe)
+		}
+	}
+	if p.drain(s) && p.trace != nil {
+		p.trace.End(obs.PhaseSelect)
+	}
+}
+
+// drain resolves the lookup batch and consumes its hits in the order they
+// were added, leaving the batch empty; it reports false when the emit
+// consumer stopped the probe. The substrings selected are counted as the
+// probe reaches their slot — up to the slot of the hit in hand, and all of
+// them once the batch is through — so a probe that stops early has counted
+// the slots it reached and no other, whatever else its batch had resolved.
+// A traced probe spends the Resolve in PhaseProbe and the consumption in
+// the verifier's phase, one bracket each per batch, and is back in
+// PhaseSelect afterwards unless it stopped.
+func (p *prober) drain(s string) bool {
+	b := &p.lookups
+	if p.trace != nil {
+		p.trace.End(obs.PhaseSelect)
+		p.trace.Begin(obs.PhaseProbe)
+	}
+	b.Resolve(s)
+	if p.trace != nil {
+		p.trace.End(obs.PhaseProbe)
+		p.trace.Begin(p.listPhase())
+	}
+	for _, k := range b.Hits() {
+		p.countSlots(p.reached[k])
+		if g, i, pos, lst := b.At(int(k)); p.isHit(lst) {
+			pi, li := g.Seg(i)
+			if p.handleList(s, lst, i, pos, pi, li); p.stopped {
+				break
 			}
 		}
 	}
-	p.flushBatch(s)
+	if !p.stopped {
+		p.countSlots(p.selected)
+	}
+	b.Reset()
+	if p.trace != nil {
+		p.trace.End(p.listPhase())
+		if !p.stopped {
+			p.trace.Begin(obs.PhaseSelect)
+		}
+	}
+	return !p.stopped
+}
+
+// countSlots brings the probe's count of selected substrings, each of which
+// is one lookup, up to the first upTo of them.
+func (p *prober) countSlots(upTo int64) {
+	n := upTo - p.counted
+	p.counted = upTo
+	if p.st != nil {
+		p.st.SelectedSubstrings += n
+		p.st.Lookups += n
+	}
+	if p.trace != nil {
+		p.trace.AddCount(obs.PhaseSelect, n)
+		p.trace.AddCount(obs.PhaseProbe, n)
+	}
+}
+
+// probeMap is the probe loop over the map index of an unsealed Matcher,
+// one lookup at a time (ROADMAP item 2 deletes the map index and this). It
+// is not hot enough to guard its trace calls: a nil trace records nothing.
+func (p *prober) probeMap(s string, lmin, lmax int) {
+	tr := p.trace
+	p.selected, p.counted = 0, 0
+	for l := lmin; l <= lmax && !p.stopped; l++ {
+		g := p.idx.Group(l)
+		if g == nil {
+			continue
+		}
+		for i := 1; i <= p.tau+1 && !p.stopped; i++ {
+			pi := partition.SegPos(l, p.tau, i)
+			li := partition.SegLen(l, p.tau, i)
+			tr.Begin(obs.PhaseSelect)
+			lo, hi := p.sel.WindowQ(len(s), l, p.qtau, p.tau+1, i, pi, li)
+			tr.End(obs.PhaseSelect)
+			if hi < lo {
+				continue
+			}
+			p.selected += int64(hi - lo + 1)
+			p.countSlots(p.selected)
+			tr.Begin(obs.PhaseProbe)
+			for pos := lo; pos <= hi && !p.stopped; pos++ {
+				if lst := g.List(i, s[pos-1:pos-1+li]); p.isHit(lst) {
+					tr.Begin(p.listPhase()) // pauses the probe phase
+					p.handleList(s, lst, i, pos, pi, li)
+					tr.End(p.listPhase())
+				}
+			}
+			tr.End(obs.PhaseProbe)
+		}
+	}
+}
+
+// listPhase is the phase a traced probe is in while it consumes lists:
+// the whole-string verifiers only stamp and collect there, the extension
+// verifiers verify.
+func (p *prober) listPhase() obs.Phase {
+	switch p.vk {
+	case VerifyNaive, VerifyLengthAware, VerifyMyers:
+		return obs.PhaseDedup
+	}
+	return obs.PhaseVerify
+}
+
+// isHit reports whether lst, the answer to one lookup, is a list the probe
+// may see, and counts it if so.
+func (p *prober) isHit(lst []int32) bool {
+	// A list that starts at or past maxID holds no predecessor: to a scan
+	// that indexes as it goes it does not exist yet.
+	if len(lst) == 0 || (p.maxID >= 0 && lst[0] >= p.maxID) {
+		return false
+	}
+	if p.st != nil {
+		p.st.LookupHits++
+	}
+	return true
 }
 
 // handleList routes one inverted list: whole-string verifiers collect the
@@ -263,7 +365,6 @@ func (p *prober) sigReject(rid int32) bool {
 // at most once per probe.
 func (p *prober) collectWhole(lst []int32) {
 	if p.trace != nil {
-		p.trace.Begin(obs.PhaseDedup)
 		p.trace.AddCount(obs.PhaseDedup, int64(len(lst)))
 	}
 	for _, rid := range lst {
@@ -284,9 +385,6 @@ func (p *prober) collectWhole(lst []int32) {
 		}
 		p.batch = append(p.batch, rid)
 	}
-	if p.trace != nil {
-		p.trace.End(obs.PhaseDedup)
-	}
 }
 
 // flushBatch verifies the collected candidate set in one pass and emits
@@ -299,13 +397,14 @@ func (p *prober) flushBatch(s string) {
 	}
 	if p.trace != nil {
 		p.trace.Begin(obs.PhaseVerify)
-		p.trace.AddCount(obs.PhaseVerify, int64(len(p.batch)))
 	}
 	tau := p.qtau
+	nv := int64(0)
 	for _, rid := range p.batch {
 		if p.st != nil {
 			p.st.Verifications++
 		}
+		nv++
 		var d int
 		switch p.vk {
 		case VerifyNaive:
@@ -322,6 +421,7 @@ func (p *prober) flushBatch(s string) {
 		}
 	}
 	if p.trace != nil {
+		p.trace.AddCount(obs.PhaseVerify, nv) // fewer than the batch if the consumer stopped
 		p.trace.End(obs.PhaseVerify)
 	}
 }
@@ -345,9 +445,6 @@ func (p *prober) verifyExtension(s string, lst []int32, i, pos, pi, li int) {
 	if shared {
 		p.incL.Reset(sl, tauL)
 		p.incR.Reset(sr, tauR)
-	}
-	if p.trace != nil {
-		p.trace.Begin(obs.PhaseVerify)
 	}
 	nv := int64(0)
 	for _, rid := range lst {
@@ -403,7 +500,6 @@ func (p *prober) verifyExtension(s string, lst []int32, i, pos, pi, li int) {
 	}
 	if p.trace != nil {
 		p.trace.AddCount(obs.PhaseVerify, nv)
-		p.trace.End(obs.PhaseVerify)
 	}
 }
 

@@ -214,11 +214,10 @@ func TestBuildFrozenHashCollision(t *testing.T) {
 			}
 			// Lookups hash with the real function: "ab" must get its own
 			// list whichever of the two colliding rows the probe meets first.
-			if got := g.List(1, "ab"); !slices.Equal(got, want["ab"]) {
-				t.Fatalf("flip=%#x workers=%d: List(ab) = %v, want %v", flip, workers, got, want["ab"])
-			}
-			if got := g.List(2, "xx"); !slices.Equal(got, []int32{0, 1}) {
-				t.Fatalf("flip=%#x workers=%d: List(xx) = %v", flip, workers, got)
+			// (And a batch must: both colliding segments and two others.)
+			got := requireBatchMatchesList(t, "abxxcd", []lookup{{g, 1, 1}, {g, 2, 3}, {g, 1, 5}, {g, 1, 3}})
+			if !slices.Equal(got[0], want["ab"]) || !slices.Equal(got[1], []int32{0, 1}) || got[3] != nil {
+				t.Fatalf("flip=%#x workers=%d: lists of ab, xx (slot 2), xx (slot 1) = %v, %v, %v; want %v, [0 1], none", flip, workers, got[0], got[1], got[3], want["ab"])
 			}
 		}
 	}

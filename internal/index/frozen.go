@@ -168,19 +168,147 @@ func (g *FrozenGroup) List(i int, w string) []int32 {
 	if t.rows == nil {
 		return nil
 	}
-	sg := g.segs[i-1]
 	h := hash64(w)
 	for row, cell := t.lookup(h, uint32(h)); row != nil; row, cell = t.lookup(h, cell) {
-		lst := t.list(row)
-		// Confirm against the corpus: the i-th segment of any posted
-		// string must equal w (all strings on one list share it). A
-		// mismatch is another segment under the same tag — try the next row.
-		r := g.ref[lst[0]]
-		if r[sg.Pos-1:sg.Pos-1+sg.Len] == w {
+		if lst := t.list(row); g.confirms(i-1, g.ref[lst[0]], w) {
 			return lst
 		}
 	}
 	return nil
+}
+
+// confirms reports whether a list is the one for w: the slot's segment of
+// r, any string posted on it (all of them share it), must equal w. A
+// mismatch is another segment under the same tag — the next row may match.
+func (g *FrozenGroup) confirms(slot int, r, w string) bool {
+	sg := g.segs[slot]
+	return r[sg.Pos-1:sg.Pos-1+sg.Len] == w
+}
+
+// ProbeBatchSize is the number of lookups a ProbeBatch holds: every lookup
+// of a tau=2 query (19) fits one batch, and a tau=8 title takes eight.
+const ProbeBatchSize = 32
+
+// pendingLookup is one lookup of a ProbeBatch. It names its substring by
+// position, not by value, so a batch at rest holds no part of a probe string.
+type pendingLookup struct {
+	g    *FrozenGroup
+	lst  []int32 // Resolve's answer, if the lookup is among the hits
+	r    string  // the first string posted on lst, until lst is confirmed
+	h    uint64
+	tag  uint32 // the tag of h's home row; 0 when the lookup cannot hit
+	slot int32  // 0-based
+	pos  int32  // 0-based offset of the substring in the probe string
+	b0   byte   // the first byte of r's segment
+}
+
+// ProbeBatch resolves up to ProbeBatchSize lookups of one probe string
+// together. A lookup is a chain of loads each of which waits for the one
+// before — table row, list, the first posted string's header, its segment
+// bytes — and in an index larger than the cache every one is a miss; the
+// lookups of one string do not depend on one another, so Resolve takes the
+// whole batch through one step at a time and the misses of a step overlap.
+// The answers are List's. The zero value is an empty batch; a batch is
+// single-goroutine state, and keeps referring to the index (never to a probe
+// string) until its entries are used again.
+type ProbeBatch struct {
+	n    int
+	nhit int
+	e    [ProbeBatchSize]pendingLookup
+	hit  [ProbeBatchSize]uint8
+}
+
+// Len returns the number of lookups added since the last Reset.
+func (b *ProbeBatch) Len() int { return b.n }
+
+// Reset empties the batch.
+func (b *ProbeBatch) Reset() { b.n, b.nhit = 0, 0 }
+
+// Add appends the lookup of the substring at 1-based position pos of the
+// probe string in the i-th segment slot (1-based) of g — nil, like List,
+// for a length without a group — and reports whether the batch is now full.
+func (b *ProbeBatch) Add(g *FrozenGroup, i, pos int) (full bool) {
+	e := &b.e[b.n]
+	e.g, e.slot, e.pos = g, int32(i-1), int32(pos-1)
+	b.n++
+	return b.n == len(b.e)
+}
+
+// Hits returns, after Resolve, which lookups found a list, ascending: the
+// others are misses, which a reader need not visit one by one.
+func (b *ProbeBatch) Hits() []uint8 { return b.hit[:b.nhit] }
+
+// At returns the k-th lookup as it was added and, for a k that Hits names,
+// its list: exactly what g.List(i, w) returns for the substring w at pos.
+func (b *ProbeBatch) At(k int) (g *FrozenGroup, i, pos int, lst []int32) {
+	e := &b.e[:b.n][k]
+	return e.g, int(e.slot) + 1, int(e.pos) + 1, e.lst
+}
+
+// Resolve answers every lookup in the batch for probe string s. Each loop
+// below is one step of List over the whole batch; the loads inside a loop
+// are independent, so the core keeps them all in flight. The first two run
+// over every lookup, the last three over the hits only. Confirmation stays
+// in here (rather than with whoever reads the lists) so that a list handed
+// out is the segment's own, as List's is, and a hit can be counted.
+func (b *ProbeBatch) Resolve(s string) {
+	e := b.e[:b.n]
+	// 1. Hash the substring and load its home row.
+	for k := range e {
+		p := &e[k]
+		p.tag = 0
+		if p.g == nil {
+			continue
+		}
+		t := &p.g.tables[p.slot]
+		if t.rows == nil {
+			continue
+		}
+		p.h = hash64(s[p.pos : int(p.pos)+p.g.segs[p.slot].Len])
+		p.tag = t.rows[uint32(p.h)&t.mask].tag
+	}
+	// 2. Walk the chain to the first row under the tag and take its list:
+	// the row itself, or a count-prefixed range of the slot's postings.
+	hits := b.hit[:0]
+	for k := range e {
+		p := &e[k]
+		if p.tag == 0 { // a free home cell ends the chain before it starts
+			continue
+		}
+		t := &p.g.tables[p.slot]
+		row, _ := t.lookup(p.h, uint32(p.h))
+		if row == nil {
+			continue
+		}
+		p.lst = t.list(row)
+		hits = append(hits, uint8(k))
+	}
+	// 3. Load the header of the first posted string,
+	for _, k := range hits {
+		p := &e[k]
+		p.r = p.g.ref[p.lst[0]]
+	}
+	// 4. and the first byte of its segment: the miss is on the line, not
+	// on how much of it is compared.
+	for _, k := range hits {
+		p := &e[k]
+		p.b0 = p.r[p.g.segs[p.slot].Pos-1]
+	}
+	// 5. Confirm against the corpus. A mismatch is a tag collision, one
+	// lookup in 10⁹: List walks that chain again, past the row met here,
+	// and a lookup it cannot confirm either is dropped from the hits.
+	confirmed := hits[:0]
+	for _, k := range hits {
+		p := &e[k]
+		w := s[p.pos : int(p.pos)+p.g.segs[p.slot].Len]
+		if p.b0 != w[0] || !p.g.confirms(int(p.slot), p.r, w) {
+			if p.lst = p.g.List(int(p.slot)+1, w); p.lst == nil {
+				continue
+			}
+		}
+		confirmed = append(confirmed, k)
+	}
+	b.nhit = len(confirmed)
 }
 
 // Slot calls fn for every posting list of the i-th segment slot (1-based),

@@ -211,6 +211,10 @@ func FuzzFrozenLookup(f *testing.F) {
 			t.Fatalf("entries: frozen %d map %d", fz.Entries(), x.Entries())
 		}
 		p := string(probe)
+		// Every lookup is also made through a ProbeBatch: the probe's are
+		// its own batch, the real keys are laid end to end in one string.
+		var keys strings.Builder
+		var ofProbe, ofKeys []lookup
 		for _, l := range x.Lengths() {
 			g := x.Group(l)
 			fg := fz.Group(l)
@@ -224,14 +228,19 @@ func FuzzFrozenLookup(f *testing.F) {
 					if got, want := fg.List(i, w), g.segs[i-1][w]; len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 						t.Fatalf("l=%d slot=%d probe=%q: frozen %v map %v", l, i, w, got, want)
 					}
+					ofProbe = append(ofProbe, lookup{fg, i, 1})
 				}
 				for w, want := range g.segs[i-1] {
 					if got := fg.List(i, w); !reflect.DeepEqual(got, want) {
 						t.Fatalf("l=%d slot=%d key=%q: frozen %v map %v", l, i, w, got, want)
 					}
+					ofKeys = append(ofKeys, lookup{fg, i, keys.Len() + 1})
+					keys.WriteString(w)
 				}
 			}
 		}
+		requireBatchMatchesList(t, p, ofProbe)
+		requireBatchMatchesList(t, keys.String(), ofKeys)
 	})
 }
 
@@ -426,13 +435,10 @@ func TestTagCollision(t *testing.T) {
 			if under := listsUnder(&g.tables[0], hash64(a)); len(under) != 2 {
 				t.Fatalf("%s %q: lists %v under the shared tag, want two", name, corpus, under)
 			}
-			for seg, lst := range want {
-				if got := g.List(1, seg); !slices.Equal(got, lst) {
-					t.Fatalf("%s %q: List(%q) = %v, want %v", name, corpus, seg, got, lst)
-				}
-			}
-			if got := g.List(1, "none"); got != nil {
-				t.Fatalf("%s %q: List(none) = %v", name, corpus, got)
+			// One batch holds both twins, in either order, around a miss.
+			got := requireBatchMatchesList(t, a+b+"none"+a, []lookup{{g, 1, 1}, {g, 1, 5}, {g, 1, 9}, {g, 1, 13}})
+			if wantLists := [][]int32{want[a], want[b], nil, want[a]}; !reflect.DeepEqual(got, wantLists) {
+				t.Fatalf("%s %q: lists of %q, %q, none, %q = %v, want %v", name, corpus, a, b, a, got, wantLists)
 			}
 		}
 	}
@@ -464,5 +470,177 @@ func TestSinglesOnlySlot(t *testing.T) {
 				t.Fatalf("%s: after the appends List(%q) = %v", name, s[:3], lst)
 			}
 		}
+	}
+}
+
+// lookup is one lookup of a probe string: the substring at 1-based position
+// pos against the i-th slot of g (nil: a length without a group).
+type lookup struct {
+	g      *FrozenGroup
+	i, pos int
+}
+
+// lookupResolvers are the two ways to answer the lookups of a probe string:
+// List, one at a time, and a ProbeBatch driven the way the prober drives it
+// — Add until it reports full, Resolve, read the lists of the hits, Reset,
+// and once more for the rest.
+var lookupResolvers = map[string]func(t testing.TB, s string, lookups []lookup) [][]int32{
+	"List": func(t testing.TB, s string, lookups []lookup) [][]int32 {
+		out := make([][]int32, len(lookups))
+		for k, q := range lookups {
+			w := ""
+			if q.g != nil {
+				_, n := q.g.Seg(q.i)
+				w = s[q.pos-1 : q.pos-1+n]
+			}
+			out[k] = q.g.List(q.i, w)
+		}
+		return out
+	},
+	"ProbeBatch": func(t testing.TB, s string, lookups []lookup) [][]int32 {
+		var b ProbeBatch
+		out := make([][]int32, len(lookups))
+		done := 0
+		flush := func() {
+			b.Resolve(s)
+			if hits := b.Hits(); !slices.IsSorted(hits) || len(slices.Compact(slices.Clone(hits))) != len(hits) {
+				t.Fatalf("hits %v of a batch of %d are not ascending", hits, b.Len())
+			}
+			for _, k := range b.Hits() {
+				g, i, pos, lst := b.At(int(k))
+				if got := (lookup{g, i, pos}); got != lookups[done+int(k)] || len(lst) == 0 {
+					t.Fatalf("lookup %d came back as %+v with list %v, added as %+v", done+int(k), got, lst, lookups[done+int(k)])
+				}
+				out[done+int(k)] = lst
+			}
+			done += b.Len()
+			b.Reset()
+		}
+		for k, q := range lookups {
+			if full := b.Add(q.g, q.i, q.pos); full != (b.Len() == ProbeBatchSize) || b.Len() != k%ProbeBatchSize+1 {
+				t.Fatalf("after %d lookups: Add reported full=%v at Len %d", k+1, full, b.Len())
+			} else if full {
+				flush()
+			}
+		}
+		flush()
+		if b.Len() != 0 {
+			t.Fatalf("Len %d after Reset", b.Len())
+		}
+		return out
+	},
+}
+
+// requireBatchMatchesList takes the lookups of s through every resolver and
+// fails unless each lookup gets the same slice of the index from all of them
+// — the same list, not an equal one — and returns those lists.
+func requireBatchMatchesList(t testing.TB, s string, lookups []lookup) [][]int32 {
+	t.Helper()
+	want := lookupResolvers["List"](t, s, lookups)
+	for name, resolve := range lookupResolvers {
+		got := resolve(t, s, lookups)
+		for k, q := range lookups {
+			if len(got[k]) != len(want[k]) || (len(want[k]) > 0 && &got[k][0] != &want[k][0]) {
+				t.Fatalf("%q lookup %d of %d (slot %d, pos %d): %s answers %v, List %v", s, k, len(lookups), q.i, q.pos, name, got[k], want[k])
+			}
+		}
+	}
+	return want
+}
+
+// everyLookup enumerates more than a prober ever asks of fz for s: every
+// length within tau of len(s) — one lookup against a nil group where the
+// length has none — every slot, every position the segment fits at.
+func everyLookup(fz *Frozen, s string) []lookup {
+	var out []lookup
+	for l := max(len(s)-fz.Tau(), 0); l <= len(s)+fz.Tau(); l++ {
+		g := fz.Group(l)
+		if g == nil {
+			out = append(out, lookup{nil, 1, 1})
+			continue
+		}
+		for i := 1; i <= fz.Tau()+1; i++ {
+			_, n := g.Seg(i)
+			for pos := 1; pos-1+n <= len(s); pos++ {
+				out = append(out, lookup{g, i, pos})
+			}
+		}
+	}
+	return out
+}
+
+// TestProbeBatchMatchesList is the batch's differential test: on samples of
+// the two benchmark corpora, at thresholds from exact match to tau 8 and
+// through every builder, a ProbeBatch answers every lookup of a probe string
+// — corpus strings, which hit at their own segments, the same with a byte
+// changed, and strings too short to probe with — exactly as List does; so it
+// does at batch sizes around one and two full batches, against a slot that
+// was given no lists, and against a group that was given no slots. (The tag
+// twins of TestTagCollision and the forced 64-bit collision of
+// TestBuildFrozenHashCollision go through the same body in their own tests.)
+func TestProbeBatchMatchesList(t *testing.T) {
+	byLength := func(corpus []string) []string {
+		slices.SortStableFunc(corpus, func(a, b string) int { return len(a) - len(b) })
+		return corpus
+	}
+	for _, c := range []struct {
+		name   string
+		corpus []string
+	}{
+		{"Author", byLength(dataset.Author(3000, 1))},
+		{"AuthorTitle", byLength(dataset.AuthorTitle(400, 1))},
+	} {
+		probes := []string{"", "a"}
+		for k := 0; k < len(c.corpus); k += len(c.corpus) / 16 {
+			s := c.corpus[k]
+			probes = append(probes, s, s[:len(s)/2]+"#"+s[len(s)/2+1:])
+		}
+		for _, tau := range []int{0, 1, 2, 8} {
+			for name, fz := range everyBuilder(t, c.corpus, tau) {
+				hits := 0
+				for _, s := range probes {
+					for _, lst := range requireBatchMatchesList(t, s, everyLookup(fz, s)) {
+						if len(lst) > 0 {
+							hits++
+						}
+					}
+				}
+				if fromCorpus := len(probes)/2 - 1; hits < fromCorpus {
+					t.Fatalf("%s tau=%d %s: %d hits, yet %d probe strings are corpus strings", c.name, tau, name, hits, fromCorpus)
+				}
+			}
+		}
+	}
+
+	corpus := byLength(dataset.Author(3000, 1))
+	fz, err := BuildFrozen(corpus, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := corpus[len(corpus)/2]
+	lookups := everyLookup(fz, s)
+	for _, n := range []int{0, 1, 31, 32, 33, 64, 65} {
+		requireBatchMatchesList(t, s, lookups[:n])
+	}
+
+	// A snapshot loader may declare a slot with no lists, or a group and then
+	// none of its slots: lookups there miss; their neighbours' still hit.
+	ref := []string{"abcdef", "abcxyz"}
+	b, err := NewFrozenBuilder(1, ref, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{b.BeginGroup(6), b.BeginSlot(1, 1), b.AddList([]int32{0, 1}), b.BeginSlot(2, 0), b.BeginGroup(5)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fz, err = b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	g6, g5 := fz.Group(6), fz.Group(5)
+	got := requireBatchMatchesList(t, "abcdef", []lookup{{g6, 2, 4}, {g5, 1, 1}, {g6, 1, 1}, {g5, 2, 3}, {g6, 2, 1}})
+	if want := [][]int32{nil, nil, {0, 1}, nil, nil}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("lookups around an empty slot and an empty group: %v, want %v", got, want)
 	}
 }

@@ -113,6 +113,9 @@ func QueryTrace(t *Trace) QueryOption {
 // resolveQuery folds opts into a queryConfig and validates the threshold
 // against the index's build threshold.
 func resolveQuery(indexTau int, opts []QueryOption) queryConfig {
+	if len(opts) == 0 { // the common call; below, the options' pointer puts qc on the heap
+		return queryConfig{tau: indexTau}
+	}
 	qc := queryConfig{tau: -1}
 	for _, o := range opts {
 		if o == nil {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"passjoin/internal/dataset"
 )
 
 func TestSearcherBasic(t *testing.T) {
@@ -136,5 +138,46 @@ func TestSearcherCloneConcurrentQueries(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestSearchAllocs is the allocation gate of the query path: a Search that
+// finds nothing allocates nothing — selection, the lookup batch, dedup and
+// verification all run on the pooled snapshot's scratch — and one that finds
+// matches allocates the engine's hit slice and the returned match slice, no
+// more (the reflective sort this replaced added two per call). The ceilings
+// are what the code reaches; raise one only with a reason.
+func TestSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop snapshots at random, and a Search then allocates a new one")
+	}
+	corpus := append(dataset.Author(2000, 7),
+		"zachariah quimby", "zachariah quimbey", "zachariah quimbly", "wilhelmina oxenford")
+	for _, name := range []string{"Searcher", "ShardedSearcher"} {
+		var s Index
+		var err error
+		if name == "Searcher" {
+			s, err = NewSearcher(corpus, 2)
+		} else {
+			s, err = NewShardedSearcher(corpus, 2, WithShards(2))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			q               string
+			matches, allocs int
+		}{
+			{"qqqqqqq xxxxxxxx", 0, 0},
+			{"wilhelmina oxenfrod", 1, 2},
+			{"zachariah quimby", 3, 2},
+		} {
+			if got := len(s.Search(c.q)); got != c.matches {
+				t.Fatalf("%s: %q has %d matches, want %d", name, c.q, got, c.matches)
+			}
+			if got := testing.AllocsPerRun(200, func() { s.Search(c.q) }); got > float64(c.allocs) {
+				t.Errorf("%s: Search(%q), %d matches: %v allocs, want at most %d", name, c.q, c.matches, got, c.allocs)
+			}
+		}
 	}
 }

@@ -1,10 +1,10 @@
 package passjoin
 
 import (
+	"cmp"
 	"iter"
 	"runtime"
 	"slices"
-	"sort"
 )
 
 // ShardedSearcher is the serving-layer searcher: a Searcher whose index is
@@ -121,10 +121,7 @@ func (ss *ShardedSearcher) SearchSeq(q string, opts ...QueryOption) iter.Seq[Mat
 
 // sortMatches orders by ascending distance, ties by corpus index.
 func sortMatches(out []Match) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
+	slices.SortFunc(out, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
 	})
 }

@@ -15,9 +15,9 @@ import "passjoin/internal/obs"
 // A Trace must not be shared by concurrent Search calls. A query runs on
 // its caller's goroutine, so phase times are wall time of that call; a
 // DynamicSearcher adds up its tiers. Tracing adds clock reads around each
-// phase transition (roughly tens of nanoseconds per inverted list), so it
-// is a per-query debugging tool, not an always-on default; untraced
-// queries pay nothing.
+// phase transition (eight per batch of 32 index lookups on a static
+// index), so it is a per-query debugging tool, not an always-on default;
+// untraced queries pay nothing.
 //
 // The zero value is ready to use. Phase times are exclusive — nested
 // phases pause their parent — so they sum to the traced probe time.
