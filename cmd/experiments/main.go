@@ -10,14 +10,12 @@
 //	fig16     scalability in dataset size (Figure 16)
 //	table3    index sizes (Table 3)
 //	ablation  extension experiments beyond the paper
-//	calibrate regenerate the multi-engine planner cost model
-//	          (internal/engine/model.go coefficients)
 //	hotpath   race the verification kernels on a batch-shaped workload
 //	latency   replay a query corpus against a live passjoind and report
 //	          p50/p90/p99 from its /metrics latency histogram
 //	          (experiments latency -addr URL -corpus FILE [-n N] [-c C])
-//	all       every table and figure above, in order (calibrate,
-//	          hotpath and latency excluded)
+//	all       every table and figure above, in order (hotpath and
+//	          latency excluded)
 //
 // Corpus sizes scale with -scale small|medium|full; absolute numbers are
 // machine-dependent, the paper's SHAPES (orderings, ratios, crossovers) are
@@ -83,8 +81,6 @@ func run(cfg *runConfig, cmd string) error {
 		return cfg.table3()
 	case "ablation":
 		return cfg.ablation()
-	case "calibrate":
-		return cfg.calibrate()
 	case "hotpath":
 		return cfg.hotpath()
 	case "all":
@@ -101,7 +97,7 @@ func run(cfg *runConfig, cmd string) error {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: experiments [-scale small|medium|full] [-seed N] <experiment>...
 
-experiments: table2 fig11 fig12 fig13 fig14 fig15 fig16 table3 ablation calibrate hotpath latency all
+experiments: table2 fig11 fig12 fig13 fig14 fig15 fig16 table3 ablation hotpath latency all
 %s`, strings.TrimLeft(`
 Each experiment prints the rows/series of the corresponding table or
 figure of the Pass-Join paper (PVLDB 5(3), 2011).

@@ -5,18 +5,17 @@
 //	passjoin -tau 2 -parallel 8 r.txt s.txt     parallel probe workers (both join kinds)
 //	passjoin -tau 3 -query-tau 1 strings.txt    join at 1 over an index partitioned for 3
 //	passjoin -tau 2 -algo edjoin -q 3 in.txt    baseline algorithms
-//	passjoin -tau 2 -engine triejoin in.txt     registry engines (exact, any name)
-//	passjoin -tau 2 -engine auto in.txt         cost-based planner picks the engine
+//	passjoin -tau 2 -algo triejoin r.txt s.txt  baselines join two sets as well
 //
 // Input files contain one string per line. Output is one result pair per
 // line: the two (0-based) line numbers and the two strings, tab-separated.
 //
-// -engine routes through the internal/engine registry — the same names,
-// construction and planner the library's WithEngine option and the
-// server's ?engine= parameter use — and prints the engine that actually
-// ran (what "auto" resolved to) in the summary line. -algo predates it
-// and keeps the per-algorithm knobs (-q, -selection, -verify); the two
-// are mutually exclusive.
+// -algo accepts every name of the library's WithEngine option (bar its
+// "auto" alias of passjoin) plus triesearch, with the per-algorithm knobs
+// -q, -selection and -verify. The baselines are self-join algorithms; they
+// answer a two-set join by self-joining the concatenation and keeping the
+// cross-boundary pairs (internal/engine.RSJoin) — exact, and costlier than
+// Pass-Join's native R×S path.
 //
 // -query-tau answers the join at a threshold below -tau using the index
 // partitioned for -tau (exact via the pigeonhole bound) — the CLI
@@ -34,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,11 +50,10 @@ import (
 
 func main() {
 	tau := flag.Int("tau", 2, "edit-distance threshold")
-	algo := flag.String("algo", "passjoin", "join algorithm: passjoin, edjoin, allpairs, triejoin, triesearch, ngpp, partenum")
-	engineName := flag.String("engine", "", "registry engine: "+strings.Join(engine.Names(), ", ")+" (supersedes -algo)")
+	algo := flag.String("algo", "passjoin", "join algorithm: passjoin, edjoin, allpairs, qgram, triejoin, triesearch, ngpp, partenum")
 	sel := flag.String("selection", "multimatch", "pass-join substring selection: multimatch, position, shift, length")
 	ver := flag.String("verify", "shareprefix", "pass-join verification: shareprefix, extension, lengthaware, naive")
-	q := flag.Int("q", 3, "gram length for edjoin/allpairs/partenum")
+	q := flag.Int("q", 3, "gram length for edjoin/allpairs/qgram/partenum")
 	queryTau := flag.Int("query-tau", -1,
 		"answer the join at this threshold (<= tau) from the index partitioned for -tau; -1 = tau (passjoin only)")
 	parallel := flag.Int("parallel", 1, "pass-join parallel probe workers (self and R×S joins)")
@@ -81,22 +78,9 @@ func main() {
 		}
 	}
 
-	ran := *algo
-	if *engineName != "" {
-		explicitAlgo := false
-		flag.Visit(func(f *flag.Flag) { explicitAlgo = explicitAlgo || f.Name == "algo" })
-		if explicitAlgo {
-			fatal(fmt.Errorf("-engine and -algo are mutually exclusive"))
-		}
-	}
 	st := &metrics.Stats{}
 	start := time.Now()
-	var pairs []core.Pair
-	if *engineName != "" {
-		pairs, ran, err = runEngine(strs, sset, *tau, *engineName, st)
-	} else {
-		pairs, err = runJoin(strs, sset, *tau, *queryTau, *algo, *sel, *ver, *q, *parallel, st)
-	}
+	pairs, err := runJoin(strs, sset, *tau, *queryTau, *algo, *sel, *ver, *q, *parallel, st)
 	if err != nil {
 		fatal(err)
 	}
@@ -114,40 +98,14 @@ func main() {
 		w.Flush()
 	}
 	fmt.Fprintf(os.Stderr, "passjoin: %d pairs in %v (%d strings, tau=%d, algo=%s)\n",
-		len(pairs), elapsed.Round(time.Millisecond), len(strs)+len(sset), *tau, ran)
+		len(pairs), elapsed.Round(time.Millisecond), len(strs)+len(sset), *tau, *algo)
 	if *showStats {
 		fmt.Fprintln(os.Stderr, "stats:", st)
 	}
 }
 
-// runEngine answers the join through the engine registry: explicit names
-// run as-is, "auto" consults the cost-based planner. The second return is
-// the engine that actually ran. Two-set joins use the disjoint-union
-// reduction, so every engine answers both join kinds.
-func runEngine(strs, sset []string, tau int, name string, st *metrics.Stats) ([]core.Pair, string, error) {
-	planCorpus := strs
-	if sset != nil && name == engine.Auto {
-		planCorpus = append(append(make([]string, 0, len(strs)+len(sset)), strs...), sset...)
-	}
-	e, err := engine.Resolve(name, planCorpus, tau)
-	if err != nil {
-		return nil, name, err
-	}
-	if sset != nil {
-		pairs, err := engine.RSJoin(e, strs, sset, tau, st)
-		return pairs, e.Name(), err
-	}
-	pairs, err := e.SelfJoin(strs, tau, st)
-	return pairs, e.Name(), err
-}
-
 func runJoin(strs, sset []string, tau, queryTau int, algo, sel, ver string, q, parallel int, st *metrics.Stats) ([]core.Pair, error) {
-	if sset != nil && algo != "passjoin" {
-		return nil, fmt.Errorf("two-set joins are only implemented for -algo passjoin")
-	}
-	if queryTau != -1 && algo != "passjoin" {
-		return nil, fmt.Errorf("-query-tau is only implemented for -algo passjoin")
-	}
+	var baseline engine.SelfJoinFunc
 	switch algo {
 	case "passjoin":
 		m, err := selection.ParseMethod(sel)
@@ -170,19 +128,37 @@ func runJoin(strs, sset []string, tau, queryTau int, algo, sel, ver string, q, p
 		}
 		return core.SelfJoin(strs, opt)
 	case "edjoin":
-		return edjoin.Join(strs, tau, q, st)
+		baseline = func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
+			return edjoin.Join(strs, tau, q, st)
+		}
 	case "allpairs":
-		return edjoin.JoinConfig(strs, tau, edjoin.Config{Q: q}, st)
+		baseline = func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
+			return edjoin.JoinConfig(strs, tau, edjoin.Config{Q: q}, st)
+		}
+	case "qgram":
+		baseline = func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
+			return edjoin.JoinConfig(strs, tau, edjoin.Config{Q: q, LocationPrefix: true}, st)
+		}
 	case "triejoin":
-		return triejoin.Join(strs, tau, st)
+		baseline = triejoin.Join
 	case "triesearch":
-		return triejoin.JoinSearch(strs, tau, st)
+		baseline = triejoin.JoinSearch
 	case "ngpp":
-		return ngpp.Join(strs, tau, st)
+		baseline = ngpp.Join
 	case "partenum":
-		return partenum.Join(strs, tau, q, st)
+		baseline = func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
+			return partenum.Join(strs, tau, q, st)
+		}
+	default:
+		return nil, fmt.Errorf("unknown algorithm %q", algo)
 	}
-	return nil, fmt.Errorf("unknown algorithm %q", algo)
+	if queryTau != -1 {
+		return nil, fmt.Errorf("-query-tau is only implemented for -algo passjoin")
+	}
+	if sset != nil {
+		return engine.RSJoin(baseline, strs, sset, tau, st)
+	}
+	return baseline(strs, tau, st)
 }
 
 // searchJoin runs the join in search mode for a per-query threshold below

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"passjoin/internal/bruteforce"
@@ -12,9 +12,13 @@ import (
 
 var corpus = []string{"vldb", "pvldb", "sigmod", "sigmmod", "icde", "vldbj"}
 
+// algos is every -algo name: the engine registry's (asserted below, so a
+// new registration cannot be missed here) plus triesearch.
+var algos = []string{"passjoin", "edjoin", "allpairs", "qgram", "triejoin", "triesearch", "ngpp", "partenum"}
+
 func TestRunJoinAllAlgorithms(t *testing.T) {
 	want := len(bruteforce.SelfJoin(corpus, 2))
-	for _, algo := range []string{"passjoin", "edjoin", "allpairs", "triejoin", "partenum"} {
+	for _, algo := range algos {
 		st := &metrics.Stats{}
 		pairs, err := runJoin(corpus, nil, 2, -1, algo, "multimatch", "shareprefix", 2, 1, st)
 		if err != nil {
@@ -26,38 +30,33 @@ func TestRunJoinAllAlgorithms(t *testing.T) {
 	}
 }
 
-// Golden test for -engine: every registry name (and "auto") must produce
-// exactly the pair list the default pass-join path prints, in the same
-// order, and report the engine that actually ran.
+// Golden test for -algo: every engine of the registry is reachable by its
+// name and prints exactly the pair list the default pass-join path does,
+// in the same order.
 func TestRunEngineMatchesPassjoinOutput(t *testing.T) {
 	strs := dataset.Author(200, 3)
 	want, err := runJoin(strs, nil, 2, -1, "passjoin", "multimatch", "shareprefix", 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range append(engine.Names(), "") {
-		st := &metrics.Stats{}
-		pairs, ran, err := runEngine(strs, nil, 2, name, st)
+	for _, e := range engine.All() {
+		if !slices.Contains(algos, e.Name()) {
+			t.Errorf("engine %s missing from the test's -algo list", e.Name())
+		}
+	}
+	for _, algo := range algos {
+		pairs, err := runJoin(strs, nil, 2, -1, algo, "multimatch", "shareprefix", 2, 1, &metrics.Stats{})
 		if err != nil {
-			t.Fatalf("-engine %s: %v", name, err)
+			t.Fatalf("-algo %s: %v", algo, err)
 		}
-		if name != "auto" && name != "" && ran != name {
-			t.Errorf("-engine %s: summary reports %q", name, ran)
-		}
-		if (name == "auto" || name == "") && (ran == "" || ran == "auto") {
-			t.Errorf("-engine %q: summary reports %q, want a concrete engine", name, ran)
-		}
-		if len(pairs) != len(want) {
-			t.Fatalf("-engine %s: %d pairs, want %d", name, len(pairs), len(want))
-		}
-		for i := range want {
-			if pairs[i] != want[i] {
-				t.Fatalf("-engine %s: pair %d = %v, want %v", name, i, pairs[i], want[i])
-			}
+		if !slices.Equal(pairs, want) {
+			t.Fatalf("-algo %s: pairs %v, want %v", algo, pairs, want)
 		}
 	}
 }
 
+// The baselines answer a two-set join through the disjoint-union
+// reduction, with the pair list of pass-join's native R×S path.
 func TestRunEngineTwoSets(t *testing.T) {
 	r := []string{"vldb", "sigmod", "icde"}
 	s := []string{"pvldb", "sigmmod", "icdm", "vldbj"}
@@ -65,30 +64,16 @@ func TestRunEngineTwoSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range engine.Names() {
-		pairs, _, err := runEngine(r, s, 2, name, nil)
+	if len(want) == 0 {
+		t.Fatal("no pairs to compare")
+	}
+	for _, algo := range algos {
+		pairs, err := runJoin(r, s, 2, -1, algo, "multimatch", "shareprefix", 2, 1, nil)
 		if err != nil {
-			t.Fatalf("-engine %s: %v", name, err)
+			t.Fatalf("-algo %s: %v", algo, err)
 		}
-		if len(pairs) != len(want) {
-			t.Fatalf("-engine %s: %d pairs, want %d", name, len(pairs), len(want))
-		}
-		for i := range want {
-			if pairs[i] != want[i] {
-				t.Fatalf("-engine %s: pair %d = %v, want %v", name, i, pairs[i], want[i])
-			}
-		}
-	}
-}
-
-func TestRunEngineUnknownName(t *testing.T) {
-	_, _, err := runEngine(corpus, nil, 2, "nope", nil)
-	if err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-	for _, name := range engine.Names() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list %q", err, name)
+		if !slices.Equal(pairs, want) {
+			t.Fatalf("-algo %s: pairs %v, want %v", algo, pairs, want)
 		}
 	}
 }
@@ -102,12 +87,6 @@ func TestRunJoinTwoSets(t *testing.T) {
 	}
 	if len(pairs) != 1 || pairs[0].R != 0 || pairs[0].S != 0 {
 		t.Fatalf("pairs: %v", pairs)
-	}
-}
-
-func TestRunJoinTwoSetsRejectedForBaselines(t *testing.T) {
-	if _, err := runJoin([]string{"a"}, []string{"b"}, 1, -1, "edjoin", "", "", 2, 1, nil); err == nil {
-		t.Error("two-set edjoin accepted")
 	}
 }
 

@@ -98,7 +98,6 @@ func main() {
 	membersFile := flag.String("members", "",
 		"file with one member URL (or NAME=URL) per line; # comments and blanks ignored; reloaded on SIGHUP (coordinator mode)")
 	memberTimeout := flag.Duration("member-timeout", 0, "per-member request deadline in coordinator mode (0 = default 2s)")
-	memberParallel := flag.Int("member-parallel", 0, "max in-flight member requests per scatter (0 = member count)")
 	flag.Parse()
 
 	logger, err := buildLogger(*logFormat, *logLevel)
@@ -138,7 +137,6 @@ func main() {
 			members:     memberFlags,
 			membersFile: *membersFile,
 			timeout:     *memberTimeout,
-			parallel:    *memberParallel,
 			maxBatch:    *maxBatch,
 			topK:        *topK,
 			joinMax:     *joinMaxBytes,
@@ -332,7 +330,6 @@ type coordinatorConfig struct {
 	members     []string // raw -member specs
 	membersFile string
 	timeout     time.Duration
-	parallel    int
 	maxBatch    int
 	topK        int
 	joinMax     int64
@@ -374,9 +371,8 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, logger *slog.Log
 		return err
 	}
 	cl, err := cluster.New(ms, cluster.Config{
-		Timeout:  cfg.timeout,
-		Parallel: cfg.parallel,
-		Logger:   logger,
+		Timeout: cfg.timeout,
+		Logger:  logger,
 	})
 	if err != nil {
 		return err

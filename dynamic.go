@@ -19,9 +19,9 @@ import (
 // DynamicSearcher answers approximate string search queries like
 // ShardedSearcher, but accepts inserts and deletes while serving — the
 // live-update counterpart of the static searchers. Documents get stable
-// global ids from a monotone counter and are hash-partitioned across N
-// shards by id (document g lives in shard g mod N, the same routing the
-// static sharding uses); every shard is a two-tier dynamic index
+// global ids from a monotone counter and are partitioned across N shards
+// by id (document g lives in shard g mod N; the static searchers are not
+// partitioned at all); every shard is a two-tier dynamic index
 // (internal/dynamic): a frozen CSR base swapped atomically by a background
 // compactor, a small mutable delta receiving writes, and a tombstone set
 // hiding deleted documents until the next compaction folds them out.

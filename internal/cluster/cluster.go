@@ -48,9 +48,6 @@ type Config struct {
 	// Timeout is the per-member deadline of one request attempt (and the
 	// response-header deadline of streaming calls). Default 2s.
 	Timeout time.Duration
-	// Parallel bounds concurrent in-flight member requests during a
-	// scatter. Default (and cap for 0): the member count.
-	Parallel int
 	// ProbeInterval is the cadence of background /healthz probes against
 	// healthy members (unhealthy members are re-probed on the breaker's
 	// exponential backoff instead). Default 5s.

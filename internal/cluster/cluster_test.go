@@ -185,24 +185,26 @@ func TestOwnerUsesCurrentView(t *testing.T) {
 	}
 }
 
+// Scatter calls all members at once — each call here waits for the next
+// member's to finish, so any bound below the member count would deadlock —
+// and returns the outcomes in member order though they finish in reverse.
 func TestScatterBoundedAndOrdered(t *testing.T) {
-	var inFlight, peak atomic.Int64
 	members := []Info{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}, {Name: "e"}}
-	out := Scatter(context.Background(), members, 2, func(_ context.Context, m Info) (string, error) {
-		cur := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
-			}
+	index := map[string]int{}
+	done := make([]chan struct{}, len(members)+1)
+	for i := range done {
+		done[i] = make(chan struct{})
+		if i < len(members) {
+			index[members[i].Name] = i
 		}
-		time.Sleep(5 * time.Millisecond)
-		inFlight.Add(-1)
+	}
+	close(done[len(members)])
+	out := Scatter(context.Background(), members, func(_ context.Context, m Info) (string, error) {
+		i := index[m.Name]
+		<-done[i+1]
+		close(done[i])
 		return m.Name + "!", nil
 	})
-	if peak.Load() > 2 {
-		t.Fatalf("concurrency bound violated: peak %d", peak.Load())
-	}
 	for i, r := range out {
 		if r.Member.Name != members[i].Name || r.Value != members[i].Name+"!" {
 			t.Fatalf("result %d out of order: %+v", i, r)

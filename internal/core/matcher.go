@@ -366,7 +366,7 @@ func (m *Matcher) InsertSilent(s string) {
 	id := int32(len(m.strs))
 	m.strs = append(m.strs, s)
 	m.sigs = append(m.sigs, verify.SigOf(s))
-	if len(s) >= m.tau+1 {
+	if len(s) > m.tau { // not ">= tau+1", which overflows at MaxInt
 		m.idx.Add(id, s)
 	} else {
 		m.shorts = append(m.shorts, id)

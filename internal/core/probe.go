@@ -166,6 +166,12 @@ func (p *prober) probe(s string, lmin, lmax int) {
 	if p.patSet {
 		p.pat.Set(s)
 	}
+	if p.tau >= math.MaxInt-len(s) {
+		// The caller's len(s)+tau has wrapped, as tau+1 would at MaxInt. A
+		// string is indexed only if it is longer than tau and none can be
+		// that long, so there is no group to visit.
+		return
+	}
 	lmin = max(lmin, p.tau+1)
 	if p.fz != nil {
 		p.probeFrozen(s, lmin, lmax)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"passjoin/internal/index"
@@ -16,21 +17,15 @@ import (
 // [|r|−τ, |r|+τ]. Indexing is incremental: an sset length group is built
 // once the scan reaches probes long enough to see it, and groups below the
 // scan window are released, so at most (τ+1)·(2τ+1) inverted indices are
-// live.
+// live. opt.Parallel > 1 indexes all of sset once and probes it from that
+// many workers (JoinStream) instead, with the same results.
 func Join(rset, sset []string, opt Options) ([]Pair, error) {
-	if opt.Parallel > 1 {
-		return parallelJoin(rset, sset, opt)
-	}
-	var out []Pair
-	err := JoinFunc(rset, sset, opt, func(p Pair) bool {
-		out = append(out, p)
-		return true
+	return collect(func(emit func(Pair) bool) error {
+		if opt.Parallel > 1 {
+			return JoinStream(context.Background(), rset, sset, opt, emit)
+		}
+		return JoinFunc(rset, sset, opt, emit)
 	})
-	if err != nil {
-		return nil, err
-	}
-	SortPairs(out)
-	return out, nil
 }
 
 // JoinFunc streams R×S join results to emit as they are found, in scan

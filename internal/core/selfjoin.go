@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"passjoin/internal/index"
@@ -9,16 +10,24 @@ import (
 
 // SelfJoin finds every unordered pair of strings in strs whose edit
 // distance is at most opt.Tau. Result pairs carry original input indices
-// with R < S; the slice is sorted lexicographically.
+// with R < S; the slice is sorted lexicographically. opt.Parallel > 1
+// selects the index-once/probe-parallel mode of SelfJoinStream — full
+// index residency instead of the sliding window's O((τ+1)²) live groups,
+// an extension beyond the single-threaded paper — with the same results.
 func SelfJoin(strs []string, opt Options) ([]Pair, error) {
-	if opt.Tau < 0 {
-		return nil, fmt.Errorf("core: negative threshold %d", opt.Tau)
-	}
-	if opt.Parallel > 1 {
-		return parallelSelfJoin(strs, opt)
-	}
+	return collect(func(emit func(Pair) bool) error {
+		if opt.Parallel > 1 {
+			return SelfJoinStream(context.Background(), strs, opt, emit)
+		}
+		return SelfJoinFunc(strs, opt, emit)
+	})
+}
+
+// collect runs a streaming join to completion and returns its pairs in
+// canonical order.
+func collect(join func(emit func(Pair) bool) error) ([]Pair, error) {
 	var out []Pair
-	err := SelfJoinFunc(strs, opt, func(p Pair) bool {
+	err := join(func(p Pair) bool {
 		out = append(out, p)
 		return true
 	})

@@ -52,8 +52,7 @@ func mutateAlphabet(rng *rand.Rand, s string, k int, alphabet string) string {
 }
 
 // Regime is one named corpus with the thresholds worth joining it at —
-// the unit of the cross-engine conformance tests and the planner
-// calibration harness.
+// the unit of the cross-engine conformance tests.
 type Regime struct {
 	Name string
 	Strs []string

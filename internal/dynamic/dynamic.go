@@ -262,27 +262,7 @@ func (t *Tier) applyReplayed(op Op) {
 		}
 		return
 	}
-	if op.Del {
-		if _, ok := t.byID[op.ID]; !ok {
-			return
-		}
-		if _, dead := t.tombs[op.ID]; dead {
-			return
-		}
-		t.tombs[op.ID] = struct{}{}
-		t.live--
-		return
-	}
-	if _, ok := t.byID[op.ID]; ok {
-		return
-	}
-	t.delta.InsertSilent(op.Doc)
-	t.deltaIDs = append(t.deltaIDs, op.ID)
-	t.byID[op.ID] = entry{pos: int32(len(t.deltaIDs) - 1), delta: true}
-	if op.ID > t.maxID {
-		t.maxID = op.ID
-	}
-	t.live++
+	_, _ = t.apply(op, false, false) // a replayed op is not logged, so it cannot fail
 }
 
 // Bootstrap seeds an empty tier with an initial corpus, building the
@@ -342,36 +322,63 @@ func (t *Tier) Insert(gid int64, doc string) error {
 	if gid < 0 {
 		return fmt.Errorf("dynamic: negative document id %d", gid)
 	}
+	_, err := t.apply(Op{ID: gid, Doc: doc}, true, true)
+	return err
+}
+
+// apply is the one write path, under Insert, Delete, Apply and WAL replay:
+// with the write lock held, skip an operation that would change nothing,
+// append it to the WAL, mutate the delta or the tombstones, count, fire
+// OnApply — in that order, so an operation is durable before it is visible
+// and visible before it is observed — and, the lock released, start a
+// background compaction when an add filled the delta. live is false for
+// replay at Open, which neither logs the operation again, nor fires the
+// hook, nor compacts. strict makes an add of a known id an error (Insert
+// allocates fresh ids) where the idempotent callers skip it. It reports
+// whether the operation changed the tier.
+func (t *Tier) apply(op Op, live, strict bool) (bool, error) {
+	trigger := false
 	t.mu.Lock()
+	defer func() {
+		t.mu.Unlock()
+		t.maybeCompact(trigger)
+	}()
 	if t.closed {
-		t.mu.Unlock()
-		return errors.New("dynamic: tier is closed")
+		return false, errors.New("dynamic: tier is closed")
 	}
-	if _, dup := t.byID[gid]; dup {
-		t.mu.Unlock()
-		return fmt.Errorf("dynamic: duplicate document id %d", gid)
+	_, known := t.byID[op.ID]
+	if op.Del {
+		if _, dead := t.tombs[op.ID]; !known || dead {
+			return false, nil
+		}
+	} else if known {
+		if strict {
+			return false, fmt.Errorf("dynamic: duplicate document id %d", op.ID)
+		}
+		return false, nil
 	}
-	if t.wal != nil {
-		if err := t.wal.Append(Op{ID: gid, Doc: doc}); err != nil {
-			t.mu.Unlock()
-			return err
+	if live && t.wal != nil {
+		if err := t.wal.Append(op); err != nil {
+			return false, err
 		}
 	}
-	t.delta.InsertSilent(doc)
-	t.deltaIDs = append(t.deltaIDs, gid)
-	t.byID[gid] = entry{pos: int32(len(t.deltaIDs) - 1), delta: true}
-	if gid > t.maxID {
-		t.maxID = gid
+	if op.Del {
+		t.tombs[op.ID] = struct{}{}
+		t.live--
+	} else {
+		t.delta.InsertSilent(op.Doc)
+		t.deltaIDs = append(t.deltaIDs, op.ID)
+		t.byID[op.ID] = entry{pos: int32(len(t.deltaIDs) - 1), delta: true}
+		if op.ID > t.maxID {
+			t.maxID = op.ID
+		}
+		t.live++
+		trigger = live && t.cfg.CompactThreshold > 0 && t.delta.Len() >= t.cfg.CompactThreshold
 	}
-	t.live++
-	if t.cfg.OnApply != nil {
-		t.cfg.OnApply(Op{ID: gid, Doc: doc})
+	if live && t.cfg.OnApply != nil {
+		t.cfg.OnApply(op)
 	}
-	trigger := t.cfg.CompactThreshold > 0 && t.delta.Len() >= t.cfg.CompactThreshold
-	t.mu.Unlock()
-
-	t.maybeCompact(trigger)
-	return nil
+	return true, nil
 }
 
 // maybeCompact kicks off one background compaction when trigger is set and
@@ -410,86 +417,13 @@ func (t *Tier) Apply(op Op) (bool, error) {
 	if op.ID < 0 {
 		return false, fmt.Errorf("dynamic: negative document id %d", op.ID)
 	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return false, errors.New("dynamic: tier is closed")
-	}
-	if op.Del {
-		if _, ok := t.byID[op.ID]; !ok {
-			t.mu.Unlock()
-			return false, nil
-		}
-		if _, dead := t.tombs[op.ID]; dead {
-			t.mu.Unlock()
-			return false, nil
-		}
-		if t.wal != nil {
-			if err := t.wal.Append(op); err != nil {
-				t.mu.Unlock()
-				return false, err
-			}
-		}
-		t.tombs[op.ID] = struct{}{}
-		t.live--
-		if t.cfg.OnApply != nil {
-			t.cfg.OnApply(op)
-		}
-		t.mu.Unlock()
-		return true, nil
-	}
-	if _, dup := t.byID[op.ID]; dup {
-		t.mu.Unlock()
-		return false, nil
-	}
-	if t.wal != nil {
-		if err := t.wal.Append(op); err != nil {
-			t.mu.Unlock()
-			return false, err
-		}
-	}
-	t.delta.InsertSilent(op.Doc)
-	t.deltaIDs = append(t.deltaIDs, op.ID)
-	t.byID[op.ID] = entry{pos: int32(len(t.deltaIDs) - 1), delta: true}
-	if op.ID > t.maxID {
-		t.maxID = op.ID
-	}
-	t.live++
-	if t.cfg.OnApply != nil {
-		t.cfg.OnApply(op)
-	}
-	trigger := t.cfg.CompactThreshold > 0 && t.delta.Len() >= t.cfg.CompactThreshold
-	t.mu.Unlock()
-
-	t.maybeCompact(trigger)
-	return true, nil
+	return t.apply(op, true, false)
 }
 
 // Delete tombstones gid. It reports whether the document existed and was
 // live.
 func (t *Tier) Delete(gid int64) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return false, errors.New("dynamic: tier is closed")
-	}
-	if _, ok := t.byID[gid]; !ok {
-		return false, nil
-	}
-	if _, dead := t.tombs[gid]; dead {
-		return false, nil
-	}
-	if t.wal != nil {
-		if err := t.wal.Append(Op{Del: true, ID: gid}); err != nil {
-			return false, err
-		}
-	}
-	t.tombs[gid] = struct{}{}
-	t.live--
-	if t.cfg.OnApply != nil {
-		t.cfg.OnApply(Op{Del: true, ID: gid})
-	}
-	return true, nil
+	return t.apply(Op{Del: true, ID: gid}, true, false)
 }
 
 // Live returns every live document with its global id, captured

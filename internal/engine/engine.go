@@ -1,133 +1,39 @@
 // Package engine wraps every self-join algorithm in the repository behind
-// one Engine interface and a name registry, and adds the cost-based
-// planner that picks an algorithm from sampled corpus statistics.
+// one Engine interface and a name registry.
 //
 // The seed shipped six complete join algorithms — Pass-Join
 // (internal/core), ED-Join and All-Pairs-Ed (internal/edjoin,
 // internal/allpairs), Trie-Join (internal/triejoin), NGPP
 // (internal/ngpp) and Part-Enum (internal/partenum) — that the paper's
-// evaluation compares but that were reachable only from internal tests.
-// All of them are exact: on any input they produce the identical pair
-// set, differing only in cost. That equivalence is the package's
-// load-bearing contract, enforced by the cross-engine conformance suite
-// and the brute-force differential fuzzer; the registry exists so every
-// consumer (public API, HTTP server, CLI, tests) constructs engines from
-// one source of truth.
+// evaluation compares. All of them are exact: on any input they produce
+// the identical pair set, differing only in cost. That equivalence is the
+// package's load-bearing contract, enforced by the cross-engine
+// conformance suite and the brute-force differential fuzzer; the registry
+// exists so every consumer (public API, benchmark, tests) constructs
+// engines from one source of truth.
 //
-// Different engines win on different regimes — Trie-Join on small
-// alphabets and short strings, gram-based joins on long strings,
-// Part-Enum only at tiny thresholds — so callers can either pick one by
-// name or ask for "auto", which samples the corpus and applies the
-// calibrated cost model in model.go.
+// Pass-Join measures fastest on every regime this repository has raced
+// (cmd/experiments fig15, BenchmarkEngineJoin), so nothing chooses between
+// the engines at run time: the others are the paper's Fig. 15 baselines
+// and cross-checking oracles, reached by name.
 package engine
 
 import (
-	"fmt"
-
 	"passjoin/internal/core"
 	"passjoin/internal/metrics"
 )
 
+// SelfJoinFunc is a self-join algorithm's entry point: join strs at
+// threshold tau and return pairs of original input indices with R < S,
+// sorted by (R, S). st, when non-nil, receives instrumentation counters.
+type SelfJoinFunc func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error)
+
 // Engine is one self-join algorithm. Implementations are exact — the
-// returned pair set must equal brute force on every input — and return
-// pairs of original input indices with R < S, sorted by (R, S).
+// returned pair set must equal brute force on every input.
 type Engine interface {
 	// Name is the registry key, a lowercase identifier stable across
 	// releases ("passjoin", "edjoin", ...).
 	Name() string
-	// SelfJoin joins strs at threshold tau. st, when non-nil, receives
-	// instrumentation counters.
+	// SelfJoin is the algorithm's SelfJoinFunc.
 	SelfJoin(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error)
-	// Caps describes the regime constraints the planner honors.
-	Caps() Caps
-}
-
-// Caps is an engine's constraint metadata. It bounds what the "auto"
-// planner may pick, not what the engine can do: every engine is exact on
-// every input, so an explicit selection outside these bounds is still
-// answered correctly, just possibly slowly.
-type Caps struct {
-	// Q is the gram length of a gram-based engine (0 for engines that use
-	// no grams). The planner rejects the engine when Q exceeds the
-	// shortest sampled string: such strings have no grams at all, fall to
-	// the engine's unprunable side list, and degrade it toward the
-	// quadratic scan — the short-string collapse of Figure 15(a).
-	Q int
-	// MaxPlanTau, when > 0, is the largest threshold the planner will
-	// pick this engine for. Part-Enum's signature selectivity collapses
-	// as tau grows (the reason the paper's Figure 15 excludes it), so its
-	// cap keeps "auto" from choosing it outside the tiny-tau regime.
-	MaxPlanTau int
-}
-
-// Rejects reports why the planner must not pick an engine with these
-// caps on the given corpus, or nil if the engine is admissible.
-func (c Caps) Rejects(st CorpusStats, tau int) error {
-	if c.MaxPlanTau > 0 && tau > c.MaxPlanTau {
-		return fmt.Errorf("tau %d exceeds the engine's planning cap %d", tau, c.MaxPlanTau)
-	}
-	if c.Q > 0 && st.N > 0 && st.MinLen < c.Q {
-		return fmt.Errorf("gram length %d exceeds the shortest string (%d bytes): gram filtering degenerates", c.Q, st.MinLen)
-	}
-	return nil
-}
-
-// CorpusStats are the sampled statistics the planner's cost model
-// consumes: cardinality, the length distribution's extremes and mean,
-// and the distinct-byte alphabet size. N and the length bounds are exact
-// over the full corpus (one O(n) pass over headers only); AvgLen and
-// AlphabetSize come from a deterministic sample of at most sampleCap
-// strings, so Sample is cheap even on corpora of millions of strings.
-type CorpusStats struct {
-	N            int
-	MinLen       int
-	MaxLen       int
-	AvgLen       float64
-	AlphabetSize int
-	Sampled      int
-}
-
-// sampleCap bounds how many strings contribute their bytes to the
-// alphabet and average-length estimates.
-const sampleCap = 1024
-
-// Sample computes CorpusStats in one pass: exact cardinality and length
-// extremes, sampled alphabet and mean length. The sample is a fixed
-// stride over the corpus, so the result is deterministic for a given
-// input — a requirement for reproducible planner decisions.
-func Sample(strs []string) CorpusStats {
-	st := CorpusStats{N: len(strs)}
-	if len(strs) == 0 {
-		return st
-	}
-	st.MinLen = len(strs[0])
-	for _, s := range strs {
-		if len(s) < st.MinLen {
-			st.MinLen = len(s)
-		}
-		if len(s) > st.MaxLen {
-			st.MaxLen = len(s)
-		}
-	}
-	stride := 1
-	if len(strs) > sampleCap {
-		stride = (len(strs) + sampleCap - 1) / sampleCap
-	}
-	var seen [256]bool
-	var bytes int64
-	for i := 0; i < len(strs); i += stride {
-		s := strs[i]
-		bytes += int64(len(s))
-		for j := 0; j < len(s); j++ {
-			seen[s[j]] = true
-		}
-		st.Sampled++
-	}
-	for _, b := range seen {
-		if b {
-			st.AlphabetSize++
-		}
-	}
-	st.AvgLen = float64(bytes) / float64(st.Sampled)
-	return st
 }

@@ -49,59 +49,19 @@ func TestGetUnknownListsValidNames(t *testing.T) {
 	}
 }
 
+// Resolving a name needs no corpus: the empty name and "auto" are the
+// default, every registry name is itself, anything else is an error.
 func TestResolve(t *testing.T) {
-	strs := dataset.Author(50, 1)
-	if e, err := Resolve("", strs, 2); err != nil || e.Name() != Default {
-		t.Errorf("Resolve(\"\") = %v, %v", e, err)
+	for _, name := range []string{"", Auto, Default} {
+		if e, err := Get(name); err != nil || e.Name() != Default {
+			t.Errorf("Get(%q) = %v, %v, want %s", name, e, err, Default)
+		}
 	}
-	if e, err := Resolve("triejoin", nil, 2); err != nil || e.Name() != "triejoin" {
-		t.Errorf("Resolve(triejoin) = %v, %v", e, err)
+	if e, err := Get("triejoin"); err != nil || e.Name() != "triejoin" {
+		t.Errorf("Get(triejoin) = %v, %v", e, err)
 	}
-	e, err := Resolve(Auto, strs, 2)
-	if err != nil || e == nil {
-		t.Fatalf("Resolve(auto) = %v, %v", e, err)
-	}
-	if e.Name() == Auto {
-		t.Error("auto resolved to itself")
-	}
-	if _, err := Resolve("nope", strs, 2); err == nil {
+	if _, err := Get("nope"); err == nil {
 		t.Error("unknown engine accepted")
-	}
-}
-
-func TestSampleStats(t *testing.T) {
-	st := Sample([]string{"ACGT", "AC", "ACGTACGT"})
-	if st.N != 3 || st.MinLen != 2 || st.MaxLen != 8 || st.AlphabetSize != 4 || st.Sampled != 3 {
-		t.Fatalf("Sample = %+v", st)
-	}
-	if got := Sample(nil); got.N != 0 || got.AlphabetSize != 0 {
-		t.Fatalf("Sample(nil) = %+v", got)
-	}
-	// Large corpora sample a bounded, deterministic subset.
-	big := dataset.Author(10_000, 2)
-	a, b := Sample(big), Sample(big)
-	if a != b {
-		t.Fatal("Sample is not deterministic")
-	}
-	if a.Sampled > sampleCap+1 {
-		t.Fatalf("sampled %d strings, cap %d", a.Sampled, sampleCap)
-	}
-}
-
-func TestCapsRejects(t *testing.T) {
-	st := CorpusStats{N: 10, MinLen: 1, MaxLen: 20, AvgLen: 10, AlphabetSize: 26}
-	if err := (Caps{Q: 2}).Rejects(st, 2); err == nil {
-		t.Error("gram engine accepted on corpus with strings shorter than q")
-	}
-	st.MinLen = 5
-	if err := (Caps{Q: 2}).Rejects(st, 2); err != nil {
-		t.Errorf("admissible gram engine rejected: %v", err)
-	}
-	if err := (Caps{MaxPlanTau: 2}).Rejects(st, 3); err == nil {
-		t.Error("tau above MaxPlanTau accepted")
-	}
-	if err := (Caps{}).Rejects(st, 100); err != nil {
-		t.Errorf("unconstrained caps rejected: %v", err)
 	}
 }
 
@@ -115,7 +75,7 @@ func TestRSJoinMatchesBruteForce(t *testing.T) {
 		want[core.Pair{R: p.R, S: p.S}] = true
 	}
 	for _, e := range All() {
-		got, err := RSJoin(e, rset, sset, 2, nil)
+		got, err := RSJoin(e.SelfJoin, rset, sset, 2, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}

@@ -13,33 +13,31 @@ import (
 	"passjoin/internal/triejoin"
 )
 
-// Auto is the pseudo-engine name that defers the choice to the planner.
-// It is accepted everywhere an engine name is (Valid, Resolve) but never
-// appears in the registry itself: Resolve replaces it with a concrete
-// engine before any work runs.
+// Auto is an alias of Default, accepted everywhere an engine name is and
+// kept so that callers written when the name meant "let a planner choose"
+// keep working: Pass-Join is what it chose on every corpus. It never
+// appears in the registry itself.
 const Auto = "auto"
 
 // Default is the engine used when no explicit choice is made: Pass-Join,
-// the paper's algorithm and the planner's always-admissible fallback.
+// the paper's algorithm.
 const Default = "passjoin"
 
-// joinFunc adapts a plain join function plus metadata into an Engine.
+// joinFunc adapts a plain join function plus its name into an Engine.
 type joinFunc struct {
 	name string
-	caps Caps
-	join func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error)
+	join SelfJoinFunc
 }
 
 func (e *joinFunc) Name() string { return e.name }
-func (e *joinFunc) Caps() Caps   { return e.caps }
 func (e *joinFunc) SelfJoin(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
 	return e.join(strs, tau, st)
 }
 
 // registry maps every engine name to its construction — the single
-// source of truth shared by the public API, the HTTP server, the CLI and
-// the conformance tests. Engines are stateless values, safe for
-// concurrent use.
+// source of truth shared by the public API, the engine benchmark and the
+// conformance tests. Engines are stateless values, safe for concurrent
+// use.
 var registry = func() map[string]Engine {
 	engines := []*joinFunc{
 		{
@@ -57,7 +55,6 @@ var registry = func() map[string]Engine {
 			// mismatch/content filters. The strongest gram baseline;
 			// competitive on long strings.
 			name: "edjoin",
-			caps: Caps{Q: 2},
 			join: func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
 				return edjoin.Join(strs, tau, 2, st)
 			},
@@ -66,7 +63,6 @@ var registry = func() map[string]Engine {
 			// All-Pairs-Ed (Bayardo/Ma/Srikant, WWW 2007): plain
 			// count-based gram prefix filtering, no mismatch filters.
 			name: "allpairs",
-			caps: Caps{Q: 2},
 			join: func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
 				return edjoin.JoinConfig(strs, tau, edjoin.Config{Q: 2}, st)
 			},
@@ -76,7 +72,6 @@ var registry = func() map[string]Engine {
 			// with the longer grams that favor long-string corpora, where
 			// 3-grams are far more selective than 2-grams.
 			name: "qgram",
-			caps: Caps{Q: 3},
 			join: func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
 				return edjoin.JoinConfig(strs, tau, edjoin.Config{Q: 3, LocationPrefix: true}, st)
 			},
@@ -102,9 +97,8 @@ var registry = func() map[string]Engine {
 		{
 			// Part-Enum (Arasu/Ganti/Kaushik, VLDB 2006): gram-vector
 			// partitioning under the Hamming bound 2qτ. Signature
-			// selectivity collapses as tau grows, hence the planning cap.
+			// selectivity collapses as tau grows.
 			name: "partenum",
-			caps: Caps{Q: 2, MaxPlanTau: 2},
 			join: func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
 				return partenum.Join(strs, tau, 2, st)
 			},
@@ -117,9 +111,12 @@ var registry = func() map[string]Engine {
 	return m
 }()
 
-// Get returns the named engine. The pseudo-name "auto" is not resolvable
-// here — it needs a corpus; use Resolve.
+// Get returns the named engine; the empty name and "auto" return the
+// default.
 func Get(name string) (Engine, error) {
+	if name == "" || name == Auto {
+		name = Default
+	}
 	if e, ok := registry[name]; ok {
 		return e, nil
 	}
@@ -151,22 +148,6 @@ func Names() []string {
 // Valid reports whether name is an acceptable engine name ("auto"
 // included).
 func Valid(name string) bool {
-	if name == Auto {
-		return true
-	}
 	_, ok := registry[name]
-	return ok
-}
-
-// Resolve maps an engine name to the concrete engine that will run on
-// the given corpus: a registry lookup for explicit names, the planner's
-// cost-model choice for "auto". The empty name resolves to the default.
-func Resolve(name string, strs []string, tau int) (Engine, error) {
-	switch name {
-	case "":
-		return registry[Default], nil
-	case Auto:
-		return Choose(Sample(strs), tau), nil
-	}
-	return Get(name)
+	return ok || name == Auto
 }

@@ -5,20 +5,20 @@ import (
 	"passjoin/internal/metrics"
 )
 
-// RSJoin answers an R×S join with a self-join-only engine via the
+// RSJoin answers an R×S join with a self-join-only algorithm via the
 // disjoint-union reduction: self-join the concatenation rset‖sset and
 // keep exactly the pairs that cross the boundary. Self-join pairs carry
 // R < S, so a cross pair always has its rset element first; remapping the
-// S side by −len(rset) restores the caller's indexing, and the engine's
-// (R, S)-sorted output stays sorted under the shift. The reduction is
-// exact but also computes the intra-R and intra-S pairs it then discards,
-// so it costs more than a native R×S join — Pass-Join, which has one,
-// keeps its native path in the public API.
-func RSJoin(e Engine, rset, sset []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
+// S side by −len(rset) restores the caller's indexing, and the
+// algorithm's (R, S)-sorted output stays sorted under the shift. The
+// reduction is exact but also computes the intra-R and intra-S pairs it
+// then discards, so it costs more than a native R×S join — Pass-Join,
+// which has one, keeps its native path in the public API.
+func RSJoin(selfJoin SelfJoinFunc, rset, sset []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
 	union := make([]string, 0, len(rset)+len(sset))
 	union = append(union, rset...)
 	union = append(union, sset...)
-	pairs, err := e.SelfJoin(union, tau, st)
+	pairs, err := selfJoin(union, tau, st)
 	if err != nil {
 		return nil, err
 	}

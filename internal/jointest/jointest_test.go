@@ -5,8 +5,8 @@
 // variants must agree exactly with brute force. This is the
 // integration-level counterpart of the per-package equivalence tests, run
 // on the same string regimes as the paper's evaluation — the regimes
-// themselves live in internal/dataset so the conformance suite, the
-// fuzzer and the planner calibration harness all draw from one source.
+// themselves live in internal/dataset so the conformance suite and the
+// fuzzer draw from one source.
 package jointest
 
 import (

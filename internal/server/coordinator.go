@@ -302,7 +302,7 @@ type memberSearchBody struct {
 // answered a client error — that response to relay verbatim.
 func (co *Coordinator) scatterCall(ctx context.Context, o cluster.CallOpts) (oks []cluster.Result1[cluster.Result], missing []string, clientErr *cluster.Result) {
 	members := co.cl.Members()
-	results := cluster.Scatter(ctx, members, co.cfg.MaxBatch, func(ctx context.Context, m cluster.Info) (cluster.Result, error) {
+	results := cluster.Scatter(ctx, members, func(ctx context.Context, m cluster.Info) (cluster.Result, error) {
 		return co.cl.Call(ctx, m.Name, o)
 	})
 	for _, r := range results {
@@ -636,7 +636,7 @@ func (co *Coordinator) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	path := "/v1/docs/" + strconv.Itoa(id)
-	results := cluster.Scatter(r.Context(), co.cl.Members(), co.cfg.MaxBatch,
+	results := cluster.Scatter(r.Context(), co.cl.Members(),
 		func(ctx context.Context, m cluster.Info) (cluster.Result, error) {
 			return co.cl.Call(ctx, m.Name, cluster.CallOpts{
 				Route: "/v1/docs/{id}", Method: http.MethodDelete, Path: path, Retry: true,
@@ -692,10 +692,8 @@ func (co *Coordinator) pickHealthy() []cluster.Info {
 // flushing as data arrives. It reports bytes relayed and the copy error,
 // if any.
 func relayStream(w http.ResponseWriter, resp *http.Response) (int64, error) {
-	for _, h := range []string{"Content-Type", "X-Join-Engine"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
+	if ct := resp.Header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
 	}
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
@@ -802,33 +800,8 @@ type joinTask struct {
 // Corpora with empty lines fall back to a single-member proxy: a blank
 // line inside a chunk would corrupt the two-section R×S task encoding.
 func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, co.cfg.MaxJoinBytes))
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	var rset, sset []string
-	inS := false
-	hasBlank := false
-	for sc.Scan() {
-		line := sc.Text()
-		if !self && !inS && line == "" {
-			inS = true
-			continue
-		}
-		if line == "" {
-			hasBlank = true
-		}
-		if inS {
-			sset = append(sset, line)
-		} else {
-			rset = append(rset, line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		writeError(w, scanErrStatus(err), "reading body: "+err.Error())
-		return
-	}
-	if !self && !inS {
-		writeError(w, http.StatusBadRequest,
-			"missing blank-line separator between the R and S sections")
+	rset, sset, hasBlank, ok := readJoinBody(w, r, co.cfg.MaxJoinBytes, self)
+	if !ok {
 		return
 	}
 	healthy := co.pickHealthy()
@@ -899,8 +872,9 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request, self b
 }
 
 // runJoinTasks executes the distributed join: tasks spread round-robin
-// over the members with bounded concurrency, pair records remapped to
-// global line numbers and streamed to the client as they arrive.
+// over the members, two in flight per healthy member, pair records
+// remapped to global line numbers and streamed to the client as they
+// arrive.
 func (co *Coordinator) runJoinTasks(w http.ResponseWriter, r *http.Request, route string, healthy []cluster.Info, tasks []joinTask) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -910,14 +884,7 @@ func (co *Coordinator) runJoinTasks(w http.ResponseWriter, r *http.Request, rout
 	clientGone := false
 	missingSet := map[string]bool{}
 
-	parallel := co.cfg.MaxBatch
-	if parallel > len(healthy)*2 {
-		parallel = len(healthy) * 2
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	sem := make(chan struct{}, parallel)
+	sem := make(chan struct{}, 2*len(healthy))
 	var wg sync.WaitGroup
 	for ti, t := range tasks {
 		wg.Add(1)

@@ -444,6 +444,63 @@ func TestCoordinatorMergeDedup(t *testing.T) {
 	}
 }
 
+// MaxBatch caps the queries of one batch and nothing else: it used to be
+// passed to every scatter as its concurrency bound, so -max-batch 1 made a
+// search visit the members one after another. Each member here holds its
+// search until all of them have been asked, which only a scatter that
+// calls every member at once survives.
+func TestCoordinatorMaxBatchCapsOnlyBatches(t *testing.T) {
+	const n = 3
+	var asked atomic.Int32
+	all := make(chan struct{})
+	var ms []cluster.Member
+	for i := 0; i < n; i++ {
+		idx, err := passjoin.NewDynamicSearcher(nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { idx.Close() })
+		if _, err := idx.Apply(passjoin.Mutation{ID: i, Doc: "vldb"}); err != nil {
+			t.Fatal(err)
+		}
+		member := New(idx, nil, Config{})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/search" {
+				if asked.Add(1) == n {
+					close(all)
+				}
+				select {
+				case <-all:
+				case <-r.Context().Done(): // the coordinator gave up on this member
+				}
+			}
+			member.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		ms = append(ms, cluster.Member{Name: fmt.Sprintf("m%d", i), URL: ts.URL})
+	}
+	cl, err := cluster.New(ms, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewCoordinator(cl, Config{MaxBatch: 1}))
+	t.Cleanup(ts.Close)
+
+	var sr coordSearchResponse
+	if code := getJSON(t, ts.URL+"/v1/search?q=vldb", &sr); code != http.StatusOK {
+		t.Fatalf("search: status %d, missing %v", code, sr.Missing)
+	}
+	if len(sr.Matches) != n {
+		t.Fatalf("search reached %d of %d members: %+v", len(sr.Matches), n, sr.Matches)
+	}
+	if code, body := rawPost(t, ts.URL+"/v1/batch", "application/json", `{"queries":["vldb"]}`); code != http.StatusOK {
+		t.Fatalf("one-query batch: %d %s", code, body)
+	}
+	if code, body := rawPost(t, ts.URL+"/v1/batch", "application/json", `{"queries":["vldb","pvldb"]}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("two-query batch: %d %s, want 413", code, body)
+	}
+}
+
 type joinRec struct {
 	R       int      `json:"r"`
 	S       int      `json:"s"`

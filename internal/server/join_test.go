@@ -2,11 +2,15 @@ package server
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -185,6 +189,107 @@ func TestJoinBadRequests(t *testing.T) {
 		}
 		if err != nil || e.Error == "" {
 			t.Errorf("%s: missing structured error (err %v)", c.name, err)
+		}
+	}
+}
+
+// The three upload routes share one ?tau= validator; this is it at its
+// bound. /v1/dedup used to skip the upper bound, and MaxInt64 there
+// overflowed tau+1 into a makeslice panic that dropped the connection.
+func TestUploadTauBound(t *testing.T) {
+	_, ts := newTestServer(t, testCorpus(t, 20), 2, 1, Config{})
+	routes := []struct{ path, body string }{
+		{"/v1/dedup", "abc\nabd"},
+		{"/v1/join/self", "abc\nabd"},
+		{"/v1/join", "abc\n\nabd"},
+	}
+	taus := []struct {
+		tau        int
+		wantStatus int
+	}{
+		{maxJoinTau, http.StatusOK},
+		{maxJoinTau + 1, http.StatusBadRequest},
+		{math.MaxInt, http.StatusBadRequest},
+		{-1, http.StatusBadRequest},
+	}
+	for _, rt := range routes {
+		for _, c := range taus {
+			resp, closeBody := postLines(t, fmt.Sprintf("%s%s?tau=%d", ts.URL, rt.path, c.tau), rt.body)
+			body, err := io.ReadAll(resp.Body)
+			closeBody()
+			if err != nil {
+				t.Fatalf("%s tau=%d: %v", rt.path, c.tau, err)
+			}
+			if resp.StatusCode != c.wantStatus {
+				t.Errorf("%s tau=%d: status %d, want %d (%s)", rt.path, c.tau, resp.StatusCode, c.wantStatus, body)
+				continue
+			}
+			var rec struct {
+				Error string `json:"error"`
+				Dist  *int   `json:"dist"`
+			}
+			if err := json.Unmarshal(body, &rec); err != nil {
+				t.Errorf("%s tau=%d: body %q: %v", rt.path, c.tau, body, err)
+			} else if c.wantStatus == http.StatusOK && rec.Dist == nil {
+				t.Errorf("%s tau=%d: no pair record in %q", rt.path, c.tau, body)
+			} else if c.wantStatus != http.StatusOK && rec.Error == "" {
+				t.Errorf("%s tau=%d: no structured error in %q", rt.path, c.tau, body)
+			}
+		}
+	}
+}
+
+// ?engine= is not a parameter any more (every engine is exact, so it only
+// ever changed the cost): any value — a registry name, the old "auto", a
+// name that never existed — streams the pairs of a request without it, no
+// X-Join-Engine header comes back, and /v1/stats has no per-engine key.
+func TestJoinEngineSelectionStreamsSamePairs(t *testing.T) {
+	corpus := testCorpus(t, 300)
+	_, ts := newTestServer(t, corpus, 2, 2, Config{})
+	checkEngineParamIgnored(t, ts.URL+"/v1/join/self", strings.Join(corpus, "\n"))
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stats["joins_by_engine"]; ok {
+		t.Errorf("/v1/stats still carries joins_by_engine: %s", stats["joins_by_engine"])
+	}
+	if string(stats["joins"]) != "4" {
+		t.Errorf("joins = %s, want 4", stats["joins"])
+	}
+}
+
+// The same contract on the two-set route.
+func TestJoinRSEngineSelection(t *testing.T) {
+	corpus := testCorpus(t, 200)
+	_, ts := newTestServer(t, corpus, 2, 1, Config{})
+	checkEngineParamIgnored(t, ts.URL+"/v1/join",
+		strings.Join(corpus[:120], "\n")+"\n\n"+strings.Join(corpus[120:], "\n"))
+}
+
+func checkEngineParamIgnored(t *testing.T, url, body string) {
+	t.Helper()
+	var want []JoinPair
+	for _, query := range []string{"", "?engine=edjoin", "?engine=auto", "?engine=bogus"} {
+		resp, closeBody := postLines(t, url+query, body)
+		got := decodeJoinStream(t, resp)
+		closeBody()
+		if h, ok := resp.Header["X-Join-Engine"]; ok {
+			t.Errorf("%s: X-Join-Engine header %q", query, h)
+		}
+		slices.SortFunc(got, func(a, b JoinPair) int { return cmp.Or(a.R-b.R, a.S-b.S) })
+		if query == "" {
+			if want = got; len(want) == 0 {
+				t.Fatal("no pairs to compare")
+			}
+		} else if !slices.Equal(got, want) {
+			t.Errorf("%s: %d pairs differ from the %d of a request without it", query, len(got), len(want))
 		}
 	}
 }

@@ -113,14 +113,6 @@ func newServerObs(s *Server) *serverObs {
 	sample("passjoin_deletes_total", "Documents deleted via /v1/docs/{id}.", s.deletes.Load)
 	sample("passjoin_joins_total", "Bulk joins run to completion.", s.joins.Load)
 	sample("passjoin_join_pairs_total", "Pairs streamed by completed bulk joins.", s.joinPairs.Load)
-	r.Collect("passjoin_joins_by_engine_total",
-		"Completed bulk joins by the engine that ran them.",
-		"counter", []string{"engine"},
-		func(emit func([]string, float64)) {
-			for name, n := range s.joinEngineCounts() {
-				emit([]string{name}, float64(n))
-			}
-		})
 
 	// Index shape: everything /v1/stats knows, sampled per scrape from the
 	// same source (live dynamic stats or the static build snapshot).

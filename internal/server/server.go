@@ -1,9 +1,10 @@
 // Package server implements the passjoind HTTP serving layer: a
-// concurrent similarity-search service over a sharded Pass-Join index.
+// concurrent similarity-search service over a Pass-Join index.
 //
 // The server owns an Index — either the static, immutable
-// passjoin.ShardedSearcher or the mutable passjoin.DynamicSearcher — and
-// exposes it over HTTP/JSON:
+// passjoin.ShardedSearcher (one frozen index, built in parallel) or the
+// mutable, partitioned passjoin.DynamicSearcher — and exposes it over
+// HTTP/JSON:
 //
 //	GET    /healthz            liveness + index shape
 //	GET    /v1/search?q=...    single lookup (all matches within tau);
@@ -17,13 +18,9 @@
 //	POST   /v1/dedup           streaming self-dedup: text lines in,
 //	                           NDJSON near-duplicate pairs out
 //	POST   /v1/join/self       bulk self join: text lines in, NDJSON
-//	                           pair+distance records streamed out;
-//	                           &engine= picks the join algorithm ("auto"
-//	                           = cost-based planner), reported back in
-//	                           the X-Join-Engine header
+//	                           pair+distance records streamed out
 //	POST   /v1/join            bulk R×S join: two line sections separated
 //	                           by one blank line, NDJSON records out
-//	                           (&engine= supported as well)
 //	GET    /v1/stats           server counters + aggregated index stats
 //	GET    /metrics            Prometheus text exposition of the same
 //	                           (plus per-route latency histograms,
@@ -67,7 +64,6 @@ import (
 	"time"
 
 	"passjoin"
-	"passjoin/internal/engine"
 	"passjoin/internal/repl"
 	"passjoin/internal/verify"
 )
@@ -172,10 +168,10 @@ const (
 	// joinFlushEvery is the pair interval between explicit flushes on a
 	// join stream, so slow joins deliver results while still running.
 	joinFlushEvery = 64
-	// maxJoinTau bounds the ?tau= override on the join endpoints. The
-	// engine allocates O(tau)-sized structures, so an unchecked
-	// attacker-supplied threshold is a memory bomb; no join over lines
-	// capped at 1 MiB can need more than this.
+	// maxJoinTau bounds the ?tau= override on the upload endpoints (dedup
+	// and the joins). The engine allocates O(tau)-sized structures, so an
+	// unchecked attacker-supplied threshold is a memory bomb; no join over
+	// lines capped at 1 MiB can need more than this.
 	maxJoinTau = 1 << 20
 )
 
@@ -216,11 +212,6 @@ type Server struct {
 	deletes   atomic.Int64 // documents deleted via /v1/docs/{id}
 	joins     atomic.Int64 // bulk joins run to completion
 	joinPairs atomic.Int64 // pairs streamed by completed bulk joins
-
-	// joinsByEngine counts completed bulk joins per resolved engine name
-	// (what "auto" picked, not the literal ?engine= value).
-	joinsMu       sync.Mutex
-	joinsByEngine map[string]int64
 }
 
 // New builds a server around idx. indexStats, if non-nil, is the
@@ -229,11 +220,10 @@ type Server struct {
 // reports its own live stats instead.
 func New(idx Index, indexStats *passjoin.Stats, cfg Config) *Server {
 	s := &Server{
-		idx:           idx,
-		cfg:           cfg.withDefaults(),
-		mux:           http.NewServeMux(),
-		start:         time.Now(),
-		joinsByEngine: map[string]int64{},
+		idx:   idx,
+		cfg:   cfg.withDefaults(),
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
 	s.dyn, _ = idx.(MutableIndex)
 	if indexStats != nil {
@@ -416,18 +406,14 @@ type StatsResponse struct {
 	Deletes       int64   `json:"deletes"`
 	Joins         int64   `json:"joins"`
 	JoinPairs     int64   `json:"join_pairs"`
-	// JoinsByEngine counts completed bulk joins by the engine that ran
-	// them (the resolved name — "auto" never appears). Absent until the
-	// first join completes.
-	JoinsByEngine map[string]int64 `json:"joins_by_engine,omitempty"`
-	FrozenBytes   int64            `json:"frozen_bytes"`
-	DeltaDocs     int64            `json:"delta_docs"`
-	Tombstones    int64            `json:"tombstones"`
-	Compactions   int64            `json:"compactions"`
-	CompactErrors int64            `json:"compact_errors"`
-	WALBytes      int64            `json:"wal_bytes"`
-	WALRecords    int64            `json:"wal_records"`
-	CompactError  string           `json:"compact_error,omitempty"`
+	FrozenBytes   int64   `json:"frozen_bytes"`
+	DeltaDocs     int64   `json:"delta_docs"`
+	Tombstones    int64   `json:"tombstones"`
+	Compactions   int64   `json:"compactions"`
+	CompactErrors int64   `json:"compact_errors"`
+	WALBytes      int64   `json:"wal_bytes"`
+	WALRecords    int64   `json:"wal_records"`
+	CompactError  string  `json:"compact_error,omitempty"`
 	// Repl is the replication section, present on both ends of a
 	// replication link: role, watermark offsets, lag and link health.
 	Repl *repl.Status `json:"repl,omitempty"`
@@ -750,12 +736,8 @@ func pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
 // every previously seen line within the threshold is emitted immediately
 // as one NDJSON object. An optional ?tau= overrides the index threshold.
 func (s *Server) handleDedup(w http.ResponseWriter, r *http.Request) {
-	tau, ok := intParam(w, r.URL.Query(), "tau", s.idx.Tau())
+	tau, ok := s.uploadTau(w, r.URL.Query())
 	if !ok {
-		return
-	}
-	if tau < 0 {
-		writeError(w, http.StatusBadRequest, "tau must be non-negative")
 		return
 	}
 	m, err := passjoin.NewMatcher(tau)
@@ -816,32 +798,12 @@ func (s *Server) handleJoinRS(w http.ResponseWriter, r *http.Request)   { s.hand
 // R×S form, the R and S sections are separated by the first blank line
 // (later blank lines count as empty strings). ?tau= overrides the index
 // threshold and ?parallel= the probe worker count (0 or absent =
-// GOMAXPROCS, capped at 4×GOMAXPROCS). ?engine= selects the join
-// algorithm (any passjoin.Engines() name; "auto" plans from sampled
-// corpus statistics); the engine that actually ran is reported in the
-// X-Join-Engine response header and the per-engine /v1/stats counters.
-// The join runs under the request context, so a dropped client
-// connection cancels the probe workers — and, for a materializing
-// engine, abandons the run promptly.
+// GOMAXPROCS, capped at 4×GOMAXPROCS). The join runs under the request
+// context, so a dropped client connection cancels the probe workers.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
 	params := r.URL.Query()
-	tau, ok := intParam(w, params, "tau", s.idx.Tau())
+	tau, ok := s.uploadTau(w, params)
 	if !ok {
-		return
-	}
-	engName := params.Get("engine")
-	if engName != "" && !engine.Valid(engName) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown engine %q (valid: %s)", engName, strings.Join(engine.Names(), ", ")))
-		return
-	}
-	if tau < 0 {
-		writeError(w, http.StatusBadRequest, "tau must be non-negative")
-		return
-	}
-	if tau > maxJoinTau {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("tau %d exceeds the maximum %d", tau, maxJoinTau))
 		return
 	}
 	par, ok := intParam(w, params, "parallel", 0)
@@ -858,25 +820,10 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
 	if limit := 4 * runtime.GOMAXPROCS(0); par > limit {
 		par = limit
 	}
-	rset, sset, ok := s.readJoinBody(w, r, self)
+	rset, sset, _, ok := readJoinBody(w, r, s.cfg.MaxJoinBytes, self)
 	if !ok {
 		return
 	}
-	// Resolve "auto" against the corpus the engine will actually
-	// self-join before the stream starts, so the X-Join-Engine header can
-	// carry the concrete choice.
-	planCorpus := rset
-	if !self && engName == engine.Auto {
-		planCorpus = append(append(make([]string, 0, len(rset)+len(sset)), rset...), sset...)
-	}
-	eng, err := engine.Resolve(engName, planCorpus, tau)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	engName = eng.Name()
-	w.Header().Set("X-Join-Engine", engName)
-
 	ctx := r.Context()
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
@@ -914,11 +861,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
 		}
 		return true
 	}
-	opts := []passjoin.Option{passjoin.WithParallelism(par), passjoin.WithEngine(engName)}
-	if self {
-		err = passjoin.SelfJoinEachCtx(ctx, rset, tau, yield, opts...)
+	var err error
+	if workers := passjoin.WithParallelism(par); self {
+		err = passjoin.SelfJoinEachCtx(ctx, rset, tau, yield, workers)
 	} else {
-		err = passjoin.JoinEachCtx(ctx, rset, sset, tau, yield, opts...)
+		err = passjoin.JoinEachCtx(ctx, rset, sset, tau, yield, workers)
 	}
 	if err != nil || clientGone {
 		if ctx.Err() != nil || clientGone {
@@ -942,18 +889,36 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
 	}
 	s.joins.Add(1)
 	s.joinPairs.Add(pairs)
-	s.joinsMu.Lock()
-	s.joinsByEngine[engName]++
-	s.joinsMu.Unlock()
 }
 
-// readJoinBody scans a size-capped join upload into its line sections,
-// writing the error response itself on failure. With self set, every
-// line (blank included) is one corpus string; otherwise the first blank
-// line splits the R section from the S section and its absence is a
-// client error.
-func (s *Server) readJoinBody(w http.ResponseWriter, r *http.Request, self bool) (rset, sset []string, ok bool) {
-	sc := lineScanner(w, r, s.cfg.MaxJoinBytes)
+// uploadTau parses the optional ?tau= override of the upload routes
+// (/v1/dedup, /v1/join, /v1/join/self), which run at any threshold
+// rather than against the index: non-negative and at most maxJoinTau,
+// defaulting to the index threshold. It writes the 400 itself.
+func (s *Server) uploadTau(w http.ResponseWriter, params url.Values) (int, bool) {
+	tau, ok := intParam(w, params, "tau", s.idx.Tau())
+	switch {
+	case !ok:
+		return 0, false
+	case tau < 0:
+		writeError(w, http.StatusBadRequest, "tau must be non-negative")
+		return 0, false
+	case tau > maxJoinTau:
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("tau %d exceeds the maximum %d", tau, maxJoinTau))
+		return 0, false
+	}
+	return tau, true
+}
+
+// readJoinBody scans a join upload capped at limit bytes into its line
+// sections, writing the error response itself on failure. With self set,
+// every line (blank included) is one corpus string; otherwise the first
+// blank line splits the R section from the S section and its absence is
+// a client error. hasBlank reports an empty corpus string in either
+// section, which the coordinator's chunked task encoding cannot carry.
+func readJoinBody(w http.ResponseWriter, r *http.Request, limit int64, self bool) (rset, sset []string, hasBlank, ok bool) {
+	sc := lineScanner(w, r, limit)
 	inS := false
 	for sc.Scan() {
 		line := sc.Text()
@@ -961,6 +926,7 @@ func (s *Server) readJoinBody(w http.ResponseWriter, r *http.Request, self bool)
 			inS = true
 			continue
 		}
+		hasBlank = hasBlank || line == ""
 		if inS {
 			sset = append(sset, line)
 		} else {
@@ -969,14 +935,14 @@ func (s *Server) readJoinBody(w http.ResponseWriter, r *http.Request, self bool)
 	}
 	if err := sc.Err(); err != nil {
 		writeError(w, scanErrStatus(err), "reading body: "+err.Error())
-		return nil, nil, false
+		return nil, nil, false, false
 	}
 	if !self && !inS {
 		writeError(w, http.StatusBadRequest,
 			"missing blank-line separator between the R and S sections")
-		return nil, nil, false
+		return nil, nil, false, false
 	}
-	return rset, sset, true
+	return rset, sset, hasBlank, true
 }
 
 // lineScanner returns a line scanner over the size-capped request body,
@@ -995,21 +961,6 @@ func scanErrStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-// joinEngineCounts snapshots the per-engine join counters; nil (omitted
-// from the JSON) when no bulk join has completed yet.
-func (s *Server) joinEngineCounts() map[string]int64 {
-	s.joinsMu.Lock()
-	defer s.joinsMu.Unlock()
-	if len(s.joinsByEngine) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(s.joinsByEngine))
-	for name, n := range s.joinsByEngine {
-		out[name] = n
-	}
-	return out
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1044,7 +995,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Deletes:       s.deletes.Load(),
 		Joins:         s.joins.Load(),
 		JoinPairs:     s.joinPairs.Load(),
-		JoinsByEngine: s.joinEngineCounts(),
 		FrozenBytes:   ist.FrozenBytes,
 		DeltaDocs:     ist.DeltaDocs,
 		Tombstones:    ist.Tombstones,

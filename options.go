@@ -6,7 +6,6 @@ import (
 
 	"passjoin/internal/core"
 	"passjoin/internal/engine"
-	"passjoin/internal/metrics"
 	"passjoin/internal/selection"
 )
 
@@ -137,11 +136,11 @@ func WithVerification(v VerificationMethod) Option {
 // baselines — "edjoin", "allpairs", "qgram" (gram-based prefix
 // filtering), "triejoin" (trie-based subtrie pruning), "ngpp"
 // (partition + deletion neighborhoods), "partenum" (gram-vector
-// signatures) — and "auto", which samples the corpus and picks the
-// engine with the lowest modeled cost. Every engine is exact, so the
-// result set is identical regardless of the choice; only the cost
-// differs. The engine that actually ran (including what "auto" resolved
-// to) is reported in Stats.Engine.
+// signatures) — and "auto", an alias of "passjoin". Every engine is
+// exact, so the result set is identical regardless of the choice; only
+// the cost differs, and Pass-Join's is the lowest on every regime
+// measured — the baselines are here as cross-checking oracles. The engine
+// that ran is reported in Stats.Engine ("passjoin" for "auto").
 //
 // Engines other than "passjoin" materialize their result set before the
 // streaming forms re-deliver it pair by pair, and they run the other
@@ -296,46 +295,6 @@ func buildConfig(tau int, opts []Option) (config, error) {
 		}
 	}
 	return c, nil
-}
-
-// resolveEngine maps the configured engine name to the concrete engine a
-// join over strs must dispatch to, or ok=false when the default
-// Pass-Join path should run instead. "auto" is resolved here — against
-// the corpus that will actually be joined — and may itself land on
-// Pass-Join, in which case the default path runs with every option
-// (selection, verification, parallelism) honored.
-func (c config) resolveEngine(strs []string, tau int) (engine.Engine, bool, error) {
-	if c.engine == "" || c.engine == engine.Default {
-		return nil, false, nil
-	}
-	e, err := engine.Resolve(c.engine, strs, tau)
-	if err != nil {
-		return nil, false, err
-	}
-	if e.Name() == engine.Default {
-		return nil, false, nil
-	}
-	return e, true, nil
-}
-
-// resolveEngineRS is resolveEngine for R×S joins: explicit names need no
-// corpus, and "auto" is planned against the union that the engine would
-// actually self-join.
-func (c config) resolveEngineRS(rset, sset []string, tau int) (engine.Engine, bool, error) {
-	if c.engine != engine.Auto {
-		return c.resolveEngine(rset, tau)
-	}
-	union := append(append(make([]string, 0, len(rset)+len(sset)), rset...), sset...)
-	return c.resolveEngine(union, tau)
-}
-
-// statsSink prepares and returns the internal counter sink (nil when the
-// caller attached no Stats).
-func (c config) statsSink() *metrics.Stats {
-	if c.stats == nil {
-		return nil
-	}
-	return c.stats.reset()
 }
 
 func (c config) coreOptions(tau int) core.Options {

@@ -189,6 +189,27 @@ func TestMatcherFacade(t *testing.T) {
 	}
 }
 
+// A threshold no string can reach makes every string "short": nothing is
+// partitioned (tau+1 segments would overflow at MaxInt, and did — a
+// makeslice panic), every pair is verified directly, and the length
+// window's arithmetic must not wrap into a loop over all of int.
+func TestMatcherHugeThreshold(t *testing.T) {
+	for _, tau := range []int{math.MaxInt, math.MaxInt - 1, 1 << 40} {
+		for _, s := range []string{"hello world", "a", ""} {
+			m, err := NewMatcher(tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ids := m.Insert(s); len(ids) != 0 {
+				t.Fatalf("tau=%d: first insert of %q matched %v", tau, s, ids)
+			}
+			if ids := m.Insert(s); len(ids) != 1 || ids[0] != 0 {
+				t.Fatalf("tau=%d: second insert of %q matched %v, want [0]", tau, s, ids)
+			}
+		}
+	}
+}
+
 func TestEditDistanceHelpers(t *testing.T) {
 	if EditDistance("kitten", "sitting") != 3 {
 		t.Error("EditDistance")

@@ -7,10 +7,9 @@ import (
 // Stats reports instrumentation counters from a join run. Attach with
 // WithStats; the struct is overwritten when the join returns.
 type Stats struct {
-	// Engine is the join algorithm that actually ran: the WithEngine
-	// name, or the engine "auto" resolved to. "passjoin" for the default
-	// path. Empty for runs that never reach a join (searcher
-	// construction, lookups).
+	// Engine is the join algorithm that ran: the WithEngine name, or
+	// "passjoin" for the default path and for its alias "auto". Empty
+	// for runs that never reach a join (searcher construction, lookups).
 	Engine string
 	// Strings is the number of input strings scanned.
 	Strings int64

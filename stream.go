@@ -5,46 +5,28 @@ import (
 	"errors"
 
 	"passjoin/internal/core"
-	"passjoin/internal/engine"
 )
 
 var errNilYield = errors.New("passjoin: nil yield callback")
 
-// drainEngine runs a materializing join engine and re-delivers its pair
-// set through yield on the calling goroutine, preserving the streaming
-// contract for engines that have no streaming mode: pairs arrive in the
-// engine's deterministic (R, S)-sorted order, yield returning false
-// stops the drain, and — when ctx is cancellable — cancellation returns
-// promptly even while the algorithm is still running (the engine runs on
-// a helper goroutine; an abandoned run finishes in the background and
-// its result is discarded). The drain itself re-checks ctx periodically
-// so a disconnect during a huge re-delivery is also prompt.
-func drainEngine(ctx context.Context, cfg config, run func() ([]core.Pair, error), yield func(r, s int) bool) error {
-	type result struct {
-		pairs []core.Pair
-		err   error
+// each is dispatch for the streaming entry points: native streams its
+// pairs through emit as it finds them, while a baseline's materialized
+// pair set is re-delivered through yield on the calling goroutine, in the
+// engine's deterministic (R, S)-sorted order. yield returning false stops
+// either; the re-delivery re-checks ctx periodically so a disconnect
+// during a huge one is also prompt.
+func each(ctx context.Context, tau int, yield func(r, s int) bool, opts []Option, alt altRun,
+	native func(o core.Options, emit func(core.Pair) bool) error) error {
+	if yield == nil {
+		return errNilYield
 	}
-	var res result
-	if ctx.Done() == nil {
-		res.pairs, res.err = run()
-	} else {
-		ch := make(chan result, 1)
-		go func() {
-			var r result
-			r.pairs, r.err = run()
-			ch <- r
-		}()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case res = <-ch:
-		}
+	pairs, err := dispatch(ctx, tau, opts, alt, func(o core.Options) ([]core.Pair, error) {
+		return nil, native(o, func(p core.Pair) bool { return yield(int(p.R), int(p.S)) })
+	})
+	if err != nil {
+		return err
 	}
-	if res.err != nil {
-		return res.err
-	}
-	cfg.stats.fill()
-	for i, p := range res.pairs {
+	for i, p := range pairs {
 		if i%1024 == 1023 && ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -69,32 +51,13 @@ func drainEngine(ctx context.Context, cfg config, run func() ([]core.Pair, error
 // yield is still invoked from the calling goroutine only, so it needs no
 // synchronization in either mode.
 func SelfJoinEach(strs []string, tau int, yield func(r, s int) bool, opts ...Option) error {
-	cfg, err := buildConfig(tau, opts)
-	if err != nil {
-		return err
-	}
-	if yield == nil {
-		return errNilYield
-	}
-	if e, ok, err := cfg.resolveEngine(strs, tau); err != nil {
-		return err
-	} else if ok {
-		err = drainEngine(context.Background(), cfg, func() ([]core.Pair, error) {
-			return e.SelfJoin(strs, tau, cfg.statsSink())
-		}, yield)
-		cfg.stats.setEngine(e.Name())
-		return err
-	}
-	o := cfg.coreOptions(tau)
-	emit := func(p core.Pair) bool { return yield(int(p.R), int(p.S)) }
-	if o.Parallel > 1 {
-		err = core.SelfJoinStream(context.Background(), strs, o, emit)
-	} else {
-		err = core.SelfJoinFunc(strs, o, emit)
-	}
-	cfg.stats.fill()
-	cfg.stats.setEngine(engine.Default)
-	return err
+	return each(context.Background(), tau, yield, opts, altSelf(strs, tau),
+		func(o core.Options, emit func(core.Pair) bool) error {
+			if o.Parallel > 1 {
+				return core.SelfJoinStream(context.Background(), strs, o, emit)
+			}
+			return core.SelfJoinFunc(strs, o, emit)
+		})
 }
 
 // JoinEach streams R×S join results to yield as they are found. yield's r
@@ -103,32 +66,13 @@ func SelfJoinEach(strs []string, tau int, yield func(r, s int) bool, opts ...Opt
 // order by default, n-worker fan-out with arbitrary order under
 // WithParallelism(n > 1), yield always on the calling goroutine.
 func JoinEach(rset, sset []string, tau int, yield func(r, s int) bool, opts ...Option) error {
-	cfg, err := buildConfig(tau, opts)
-	if err != nil {
-		return err
-	}
-	if yield == nil {
-		return errNilYield
-	}
-	if e, ok, err := cfg.resolveEngineRS(rset, sset, tau); err != nil {
-		return err
-	} else if ok {
-		err = drainEngine(context.Background(), cfg, func() ([]core.Pair, error) {
-			return engine.RSJoin(e, rset, sset, tau, cfg.statsSink())
-		}, yield)
-		cfg.stats.setEngine(e.Name())
-		return err
-	}
-	o := cfg.coreOptions(tau)
-	emit := func(p core.Pair) bool { return yield(int(p.R), int(p.S)) }
-	if o.Parallel > 1 {
-		err = core.JoinStream(context.Background(), rset, sset, o, emit)
-	} else {
-		err = core.JoinFunc(rset, sset, o, emit)
-	}
-	cfg.stats.fill()
-	cfg.stats.setEngine(engine.Default)
-	return err
+	return each(context.Background(), tau, yield, opts, altRS(rset, sset, tau),
+		func(o core.Options, emit func(core.Pair) bool) error {
+			if o.Parallel > 1 {
+				return core.JoinStream(context.Background(), rset, sset, o, emit)
+			}
+			return core.JoinFunc(rset, sset, o, emit)
+		})
 }
 
 // SelfJoinEachCtx is the context-aware form of SelfJoinEach, built for
@@ -144,54 +88,18 @@ func JoinEach(rset, sset []string, tau int, yield func(r, s int) bool, opts ...O
 // returns nil. When ctx is cancelled the probe workers stop promptly
 // (they check between strings) and the error is ctx.Err().
 func SelfJoinEachCtx(ctx context.Context, strs []string, tau int, yield func(r, s int) bool, opts ...Option) error {
-	cfg, err := buildConfig(tau, opts)
-	if err != nil {
-		return err
-	}
-	if yield == nil {
-		return errNilYield
-	}
-	if e, ok, err := cfg.resolveEngine(strs, tau); err != nil {
-		return err
-	} else if ok {
-		err = drainEngine(ctx, cfg, func() ([]core.Pair, error) {
-			return e.SelfJoin(strs, tau, cfg.statsSink())
-		}, yield)
-		cfg.stats.setEngine(e.Name())
-		return err
-	}
-	err = core.SelfJoinStream(ctx, strs, cfg.coreOptions(tau), func(p core.Pair) bool {
-		return yield(int(p.R), int(p.S))
-	})
-	cfg.stats.fill()
-	cfg.stats.setEngine(engine.Default)
-	return err
+	return each(ctx, tau, yield, opts, altSelf(strs, tau),
+		func(o core.Options, emit func(core.Pair) bool) error {
+			return core.SelfJoinStream(ctx, strs, o, emit)
+		})
 }
 
 // JoinEachCtx is the context-aware form of JoinEach: sset is indexed once
 // and frozen, then WithParallelism(n) workers stream the rset probes.
 // Cancellation, ordering and early-stop semantics match SelfJoinEachCtx.
 func JoinEachCtx(ctx context.Context, rset, sset []string, tau int, yield func(r, s int) bool, opts ...Option) error {
-	cfg, err := buildConfig(tau, opts)
-	if err != nil {
-		return err
-	}
-	if yield == nil {
-		return errNilYield
-	}
-	if e, ok, err := cfg.resolveEngineRS(rset, sset, tau); err != nil {
-		return err
-	} else if ok {
-		err = drainEngine(ctx, cfg, func() ([]core.Pair, error) {
-			return engine.RSJoin(e, rset, sset, tau, cfg.statsSink())
-		}, yield)
-		cfg.stats.setEngine(e.Name())
-		return err
-	}
-	err = core.JoinStream(ctx, rset, sset, cfg.coreOptions(tau), func(p core.Pair) bool {
-		return yield(int(p.R), int(p.S))
-	})
-	cfg.stats.fill()
-	cfg.stats.setEngine(engine.Default)
-	return err
+	return each(ctx, tau, yield, opts, altRS(rset, sset, tau),
+		func(o core.Options, emit func(core.Pair) bool) error {
+			return core.JoinStream(ctx, rset, sset, o, emit)
+		})
 }
