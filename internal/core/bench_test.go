@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,27 +9,63 @@ import (
 	"passjoin/internal/selection"
 )
 
-// BenchmarkSelfJoinSerial is the default-options self join on the two
-// regimes of the bench/ harness: short strings (author names, tau 2), where
-// sorting, index build and probing are the time, and long ones (titles,
-// tau 8), where verification is.
-func BenchmarkSelfJoinSerial(b *testing.B) {
-	for _, c := range []struct {
-		name   string
-		corpus []string
-		tau    int
-	}{
+// joinBenchCorpora are the two regimes of the bench/ harness: short strings
+// (author names, tau 2), where sorting, index build and probing are the
+// time, and long ones (titles, tau 8), where verification is. Both are
+// shuffled with a fixed seed, as the harness shuffles them: in the
+// generator's own order neighbouring headers point at neighbouring heap
+// objects, which hides what reading a corpus in sorted order costs.
+func joinBenchCorpora() []joinBenchCorpus {
+	cs := []joinBenchCorpus{
 		{"Author100k/tau=2", dataset.Author(100000, 1), 2},
 		{"AuthorTitle20k/tau=8", dataset.AuthorTitle(20000, 1), 8},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := SelfJoin(c.corpus, Options{Tau: c.tau}); err != nil {
-					b.Fatal(err)
-				}
+	}
+	for _, c := range cs {
+		rng := rand.New(rand.NewSource(1))
+		rng.Shuffle(len(c.corpus), func(i, j int) { c.corpus[i], c.corpus[j] = c.corpus[j], c.corpus[i] })
+	}
+	return cs
+}
+
+type joinBenchCorpus struct {
+	name   string
+	corpus []string
+	tau    int
+}
+
+// BenchmarkSelfJoinSerial is the default-options self join, and the same
+// join at Parallel: 2.
+func BenchmarkSelfJoinSerial(b *testing.B) {
+	for _, c := range joinBenchCorpora() {
+		for _, par := range []int{0, 2} {
+			name := c.name
+			if par > 0 {
+				name += fmt.Sprintf("/parallel=%d", par)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := SelfJoin(c.corpus, Options{Tau: c.tau, Parallel: par}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSortRecs is the join's prologue alone — order, pack and sign the
+// corpus — on one goroutine and on two.
+func BenchmarkSortRecs(b *testing.B) {
+	for _, c := range joinBenchCorpora() {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					sortRecs(c.corpus, workers, true)
+				}
+			})
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 
 	"passjoin/internal/index"
 	"passjoin/internal/metrics"
@@ -98,55 +97,10 @@ type Options struct {
 	Verification VerifyKind
 	// Stats, when non-nil, receives instrumentation counters.
 	Stats *metrics.Stats
-	// Parallel, when > 1, enables the index-once/probe-parallel mode with
-	// that many workers (self joins only; ignored elsewhere).
+	// Parallel, when > 1, enables the index-once/probe-parallel mode of
+	// SelfJoin and Join, and is the number of workers the stream joins sort,
+	// index and probe with; SelfJoinFunc and JoinFunc ignore it.
 	Parallel int
-}
-
-// rec is a string with its original position and its first eight bytes as
-// a big-endian integer (zero-padded), which orders strings of one length
-// the way their content does until two of them share all eight.
-type rec struct {
-	s    string
-	key  uint64
-	orig int32
-}
-
-// sortRecs orders strs by (length, content, original index) — the paper's
-// processing order, with a deterministic tie-break — and returns the
-// sorted strings, the original position of each, and the per-length
-// offsets (index.LengthOffsets): the strings of length l are
-// ref[off[l]:off[l+1]]. A counting sort by length, then one comparison sort
-// per length on the prefix key.
-func sortRecs(strs []string) (ref []string, orig []int32, off []int) {
-	off = index.LengthOffsets(strs)
-	recs := make([]rec, len(strs))
-	next := slices.Clone(off)
-	for i, s := range strs {
-		var key uint64
-		for k := 0; k < min(len(s), 8); k++ {
-			key |= uint64(s[k]) << (56 - 8*k)
-		}
-		recs[next[len(s)]] = rec{s: s, key: key, orig: int32(i)}
-		next[len(s)]++
-	}
-	for l := 0; l+1 < len(off); l++ {
-		slices.SortFunc(recs[off[l]:off[l+1]], func(a, b rec) int {
-			if a.key != b.key {
-				return cmp.Compare(a.key, b.key)
-			}
-			if c := strings.Compare(a.s, b.s); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.orig, b.orig)
-		})
-	}
-	ref = make([]string, len(recs))
-	orig = make([]int32, len(recs))
-	for i := range recs {
-		ref[i], orig[i] = recs[i].s, recs[i].orig
-	}
-	return ref, orig, off
 }
 
 // offAt is off[l] with l clamped into the table: the number of strings

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"passjoin/internal/index"
 	"passjoin/internal/metrics"
 	"passjoin/internal/selection"
+	"passjoin/internal/verify"
 )
 
 // paperStrings is Table 1 of the paper.
@@ -442,61 +444,164 @@ func TestIndexFootprint(t *testing.T) {
 	}
 }
 
-// TestSortRecsOrder pins sortRecs to the order of the plain comparator it
-// replaced — (length, content, original index) — on the inputs its prefix
-// key could get wrong: duplicates, empty strings, proper prefixes, strings
-// equal in their first 8 bytes, and bytes >= 0x80.
+// checkSortRecs is the one body every sortRecs test goes through: the
+// plain comparator sortRecs replaced — (length, content, original index)
+// under sort.Slice — beside sortRecs itself at every worker count, packed
+// and not. All must agree on ref, orig and off, and a packed call on the
+// signatures, which an unpacked one does not compute.
+func checkSortRecs(t testing.TB, strs []string) {
+	t.Helper()
+	wantOrig := make([]int32, len(strs))
+	for i := range wantOrig {
+		wantOrig[i] = int32(i)
+	}
+	sort.Slice(wantOrig, func(a, b int) bool {
+		sa, sb := strs[wantOrig[a]], strs[wantOrig[b]]
+		if len(sa) != len(sb) {
+			return len(sa) < len(sb)
+		}
+		if sa != sb {
+			return sa < sb
+		}
+		return wantOrig[a] < wantOrig[b]
+	})
+	wantRef := make([]string, len(strs))
+	wantSig := make([]uint64, len(strs))
+	for i, o := range wantOrig {
+		wantRef[i] = strs[o]
+		wantSig[i] = verify.SigOf(strs[o])
+	}
+	wantOff := index.LengthOffsets(strs)
+
+	input := slices.Clone(strs)
+	for _, workers := range []int{1, 2, 3, 7} {
+		for _, pack := range []bool{true, false} {
+			ref, orig, off, sig, err := sortRecs(strs, workers, pack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ref) != len(strs) || len(orig) != len(strs) {
+				t.Fatalf("workers=%d pack=%t: sorted %d strings into %d / %d", workers, pack, len(strs), len(ref), len(orig))
+			}
+			for i := range wantRef {
+				if ref[i] != wantRef[i] || orig[i] != wantOrig[i] {
+					t.Fatalf("workers=%d pack=%t: position %d holds %q (orig %d), want %q (orig %d)",
+						workers, pack, i, ref[i], orig[i], wantRef[i], wantOrig[i])
+				}
+			}
+			if !slices.Equal(off, wantOff) {
+				t.Fatalf("workers=%d pack=%t: offsets %v, want %v", workers, pack, off, wantOff)
+			}
+			if pack && !slices.Equal(sig, wantSig) {
+				t.Fatalf("workers=%d: signatures differ from SigOf of the sorted strings", workers)
+			}
+			if !pack && sig != nil {
+				t.Fatalf("workers=%d: %d signatures of an unpacked set", workers, len(sig))
+			}
+			if !slices.Equal(strs, input) {
+				t.Fatalf("workers=%d pack=%t: the input slice was reordered", workers, pack)
+			}
+		}
+	}
+}
+
+// TestSortRecsOrder takes checkSortRecs over the inputs the prefix key, the
+// radix passes and the tie runs could get wrong, in length groups on both
+// sides of radixCutoff: duplicates (whose ties fall to the original index),
+// empty strings, proper prefixes, strings shorter than the key, strings
+// equal in their first 8 bytes and more, and key bytes 0x00 and >= 0x80.
 func TestSortRecsOrder(t *testing.T) {
-	strs := []string{
+	rng := rand.New(rand.NewSource(3))
+	corner := "\x00\x7f\x80\xffa" // the bytes a signed or padded comparison gets wrong
+	pick := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = corner[rng.Intn(len(corner))]
+		}
+		return string(b)
+	}
+	repeat := func(n int, gen func() string) (out []string) {
+		for range n {
+			out = append(out, gen())
+		}
+		return out
+	}
+	mixed := []string{
 		"", "b", "a", "", "ab", "a", "abcdefgh", "abcdefg", "abcdefgi", "abcdefghi", "abcdefghj",
 		"abcdefghi", "abcdefgh\x00", "abcdefgh\xff", "\xff", "\x80", "\x7f", "\xff\x00", "\x00\xff",
 		"\x80abcdefgh", "\x7fabcdefgh", "abcdefg\x80x", "abcdefg\x7fx", "abcdefgh", "b", "",
 	}
-	rng := rand.New(rand.NewSource(3))
-	strs = append(strs, randomCorpus(rng, 400, 14, 2, 0.5, 2)...)
-	for k := 0; k < 200; k++ { // long strings that agree on 8 bytes and more
-		strs = append(strs, "prefix--"+randStr(rng, rng.Intn(4), 2)+string(rune(0x7e+rng.Intn(4))))
+	mixed = append(mixed, randomCorpus(rng, 400, 14, 2, 0.5, 2)...)
+	for _, c := range []struct {
+		name string
+		strs []string
+	}{
+		{"nothing", nil},
+		{"small groups of every kind", mixed},
+		{"3000 strings of 12 bytes that agree on 8 to 11", repeat(3000, func() string {
+			k := rng.Intn(4)
+			return "prefix--" + "xyz"[:k] + pick(4-k)
+		})},
+		{"4000 strings of 3 bytes, mostly duplicates", repeat(4000, func() string { return pick(3) })},
+		{"2000 strings of exactly 8 bytes", repeat(2000, func() string { return pick(2) + "ab" + pick(4) })},
+		{"2000 strings of 9 bytes that differ in the last only", repeat(2000, func() string { return "\x00\x80\xffsame-" + pick(1) })},
+		{"author names", dataset.Author(5000, 3)},
+		{"groups of radixCutoff-1, radixCutoff and radixCutoff+1", slices.Concat(
+			repeat(radixCutoff-1, func() string { return pick(10) }),
+			repeat(radixCutoff, func() string { return pick(11) }),
+			repeat(radixCutoff+1, func() string { return pick(13) }))},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkSortRecs(t, c.strs) })
 	}
-	type rec struct {
-		s    string
-		orig int32
-	}
-	want := make([]rec, len(strs))
-	for i, s := range strs {
-		want[i] = rec{s, int32(i)}
-	}
-	sort.Slice(want, func(a, b int) bool {
-		ra, rb := want[a], want[b]
-		if len(ra.s) != len(rb.s) {
-			return len(ra.s) < len(rb.s)
+}
+
+// TestJoinLeavesInputAlone: no join reorders the slices it is handed, and
+// the packed corpus does not alias them — strings cut out of a buffer 64
+// times their total size are sorted and packed, the input is dropped, and
+// the heap must not be holding the buffer for ref's sake.
+func TestJoinLeavesInputAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	strs := randomCorpus(rng, 600, 12, 3, 0.5, 2)
+	rset := randomCorpus(rng, 300, 12, 3, 0.5, 2)
+	wantS, wantR := slices.Clone(strs), slices.Clone(rset)
+	for _, par := range []int{0, 3} {
+		opt := Options{Tau: 2, Parallel: par}
+		if _, err := SelfJoin(strs, opt); err != nil {
+			t.Fatal(err)
 		}
-		if ra.s != rb.s {
-			return ra.s < rb.s
+		if _, err := Join(rset, strs, opt); err != nil {
+			t.Fatal(err)
 		}
-		return ra.orig < rb.orig
-	})
-	ref, orig, off := sortRecs(strs)
-	if len(ref) != len(strs) || len(orig) != len(strs) {
-		t.Fatalf("sorted %d strings into %d / %d", len(strs), len(ref), len(orig))
-	}
-	for i := range want {
-		if ref[i] != want[i].s || orig[i] != want[i].orig {
-			t.Fatalf("position %d: %q (orig %d), want %q (orig %d)", i, ref[i], orig[i], want[i].s, want[i].orig)
+		if !slices.Equal(strs, wantS) || !slices.Equal(rset, wantR) {
+			t.Fatalf("Parallel=%d: a join reordered its input", par)
 		}
 	}
-	if len(off) != len(ref[len(ref)-1])+2 || off[0] != 0 || off[len(off)-1] != len(ref) {
-		t.Fatalf("offsets %v for %d strings up to length %d", off, len(ref), len(ref[len(ref)-1]))
+
+	const n, l, stride = 2048, 32, 64 * 32
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	for l := 0; l+1 < len(off); l++ {
-		for _, s := range ref[off[l]:off[l+1]] {
-			if len(s) != l {
-				t.Fatalf("ref[off[%d]:off[%d]] holds %q", l, l+1, s)
-			}
-		}
+	before := heap()
+	ref, _, _, _, err := sortRecs(cutFrom(randStr(rng, n*stride, 26), n, l, stride), 1, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ref, orig, off := sortRecs(nil); len(ref) != 0 || len(orig) != 0 || len(off) != 2 || off[1] != 0 {
-		t.Fatalf("empty input: %v %v %v", ref, orig, off)
+	if grown := int64(heap()) - int64(before); grown > n*stride/2 {
+		t.Errorf("the packed corpus of %d bytes keeps %d bytes live: ref aliases the caller's %d-byte buffer", n*l, grown, n*stride)
 	}
+	runtime.KeepAlive(ref)
+}
+
+// cutFrom returns n strings of l bytes, stride apart, that alias buf.
+func cutFrom(buf string, n, l, stride int) []string {
+	strs := make([]string, n)
+	for i := range strs {
+		strs[i] = buf[i*stride:][:l]
+	}
+	return strs
 }
 
 // TestShortStringsWindow: strings no longer than tau bypass the index and

@@ -133,3 +133,28 @@ func FuzzSelfJoin(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSortRecs takes fuzzer-chosen bytes, cut into strings of one width and
+// a shorter tail, through checkSortRecs: one length group of len(data)/width
+// strings, on either side of radixCutoff, whose keys hold whatever bytes the
+// fuzzer likes, and — the width cycling through 1..12 — are shorter than,
+// as long as and longer than the strings. The seed corpus runs under plain
+// `go test`; use `go test -fuzz=FuzzSortRecs` for more.
+func FuzzSortRecs(f *testing.F) {
+	f.Add([]byte("abc\x00abd\xffxyz\x80abcd"), uint8(3))
+	f.Add([]byte("prefix--aprefix--bprefix--aprefix--"), uint8(9))
+	f.Add([]byte(strings.Repeat("\x00\x80\xff\x7fab", 200)), uint8(1))
+	f.Add([]byte(strings.Repeat("same-eight-bytes and then some more; ", 120)), uint8(11))
+	f.Add([]byte(strings.Repeat("kaushik chakrabarti, surajit chaudhuri, venkatesh ganti", 40)), uint8(8))
+	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
+		if len(data) > 1<<14 {
+			t.Skip()
+		}
+		w := int(width)%12 + 1
+		var strs []string
+		for ; len(data) > w; data = data[w:] {
+			strs = append(strs, string(data[:w]))
+		}
+		checkSortRecs(t, append(strs, string(data)))
+	})
+}

@@ -82,9 +82,10 @@ func NewSealedMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.
 		tau:  tau,
 		fz:   fz,
 		strs: corpus,
-		sigs: verify.Sigs(corpus),
+		sigs: make([]uint64, len(corpus)),
 		st:   st,
 	}
+	verify.Sigs(m.sigs, corpus)
 	for id, s := range corpus {
 		if len(s) < tau+1 {
 			m.shorts = append(m.shorts, int32(id))

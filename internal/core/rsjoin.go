@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"passjoin/internal/index"
-	"passjoin/internal/verify"
 )
 
 // Join finds every pair (r, s) in rset × sset with ed(r, s) <= opt.Tau.
@@ -39,13 +38,20 @@ func JoinFunc(rset, sset []string, opt Options, emit func(Pair) bool) error {
 	}
 	tau := opt.Tau
 	st := opt.Stats
-	rRef, rOrig, _ := sortRecs(rset)
-	ref, orig, off := sortRecs(sset)
+	// rset is read once, front to back: ordered, not copied.
+	rRef, rOrig, _, _, err := sortRecs(rset, 1, false)
+	if err != nil {
+		return err
+	}
+	ref, orig, off, sig, err := sortRecs(sset, 1, true)
+	if err != nil {
+		return err
+	}
 	win, err := index.NewWindow(ref, off, tau)
 	if err != nil {
 		return fmt.Errorf("core: building index: %w", err)
 	}
-	p := newProber(tau, opt.Selection, opt.Verification, st, nil, win.Frozen(), ref, verify.Sigs(ref))
+	p := newProber(tau, opt.Selection, opt.Verification, st, nil, win.Frozen(), ref, sig)
 
 	prevLen := -1
 	var results int64

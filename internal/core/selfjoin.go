@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"passjoin/internal/index"
-	"passjoin/internal/verify"
 )
 
 // SelfJoin finds every unordered pair of strings in strs whose edit
@@ -49,14 +48,17 @@ func SelfJoinFunc(strs []string, opt Options, emit func(Pair) bool) error {
 	if emit == nil {
 		return fmt.Errorf("core: nil emit callback")
 	}
-	ref, orig, off := sortRecs(strs)
+	ref, orig, off, sig, err := sortRecs(strs, 1, true)
+	if err != nil {
+		return err
+	}
 	tau := opt.Tau
 	st := opt.Stats
 	win, err := index.NewWindow(ref, off, tau)
 	if err != nil {
 		return fmt.Errorf("core: building index: %w", err)
 	}
-	p := newProber(tau, opt.Selection, opt.Verification, st, nil, win.Frozen(), ref, verify.Sigs(ref))
+	p := newProber(tau, opt.Selection, opt.Verification, st, nil, win.Frozen(), ref, sig)
 
 	prevLen := -1
 	var results int64

@@ -1,0 +1,214 @@
+package core
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+
+	"passjoin/internal/index"
+	"passjoin/internal/verify"
+)
+
+// rec is one string under sort, 16 bytes: its first eight bytes as a
+// big-endian integer (zero-padded), which orders strings of one length the
+// way their content does until two of them share all eight, and its
+// position in the caller's slice, which finds the rest of it.
+type rec struct {
+	key  uint64
+	orig int32
+}
+
+// radixCutoff is the group size from which the radix passes' fixed cost —
+// a 256-counter histogram per key byte — is less than what the comparison
+// sort's log n factor adds (measured on author names of one length: level
+// at 256, half the time at 1024).
+const radixCutoff = 256
+
+// packChunk is the least a worker allocates for blocks at a time, so that a
+// corpus of hundreds of lengths with a few strings each is not hundreds of
+// allocations.
+const packChunk = 64 << 10
+
+// sortRecs orders strs by (length, content, original index) — the paper's
+// processing order, with a deterministic tie-break — and returns the
+// sorted strings, the original position of each, and the per-length
+// offsets (index.LengthOffsets): the strings of length l are
+// ref[off[l]:off[l+1]].
+//
+// A counting sort by length fills the records; then every length group is
+// one task (sortGroup), handed largest first to workers goroutines (min 1),
+// which share nothing but the arrays they fill disjoint ranges of. With
+// pack, the group's strings are copied, in order, into one block of their
+// own — ref's headers point into the blocks, none at a caller's string, so
+// the scan, the index build and every verification read a length's bytes
+// from one contiguous range — and signed (verify.Sigs) while the block is
+// hot. Without it ref holds the caller's headers reordered and sig is nil:
+// enough for a side that is read once, front to back.
+func sortRecs(strs []string, workers int, pack bool) (ref []string, orig []int32, off []int, sig []uint64, err error) {
+	if len(strs) > math.MaxInt32 {
+		return nil, nil, nil, nil, fmt.Errorf("core: set of %d strings exceeds the %d a pair's index can name", len(strs), math.MaxInt32)
+	}
+	off = index.LengthOffsets(strs)
+	recs := make([]rec, len(strs))
+	next := slices.Clone(off)
+	for i, s := range strs {
+		recs[next[len(s)]] = rec{key: prefixKey(s), orig: int32(i)}
+		next[len(s)]++
+	}
+	ref = make([]string, len(strs))
+	orig = make([]int32, len(strs))
+	if pack {
+		sig = make([]uint64, len(strs))
+	}
+
+	var lengths []int // of the non-empty groups
+	for l := 0; l+1 < len(off); l++ {
+		if off[l+1] > off[l] {
+			lengths = append(lengths, l)
+		}
+	}
+	// Largest first: the long tail of small groups then evens out whatever
+	// imbalance the few big ones leave between the workers.
+	size := func(l int) int { return off[l+1] - off[l] }
+	slices.SortStableFunc(lengths, func(a, b int) int { return cmp.Compare(size(b), size(a)) })
+
+	var claimed atomic.Int64
+	work := func() {
+		var tmp []rec             // the radix sort's other buffer: the first group claimed is the largest
+		var arena strings.Builder // the blocks: a large group's is its own, small ones share a packChunk
+		for {
+			k := int(claimed.Add(1)) - 1
+			if k >= len(lengths) {
+				return
+			}
+			l := lengths[k]
+			lo, hi := off[l], off[l+1]
+			if tmp == nil {
+				tmp = make([]rec, hi-lo)
+			}
+			group := sortGroup(strs, l, recs[lo:hi], tmp)
+			for i, r := range group {
+				orig[lo+i] = r.orig
+			}
+			if !pack {
+				for i, r := range group {
+					ref[lo+i] = strs[r.orig]
+				}
+				continue
+			}
+			if need := l * len(group); arena.Cap()-arena.Len() < need {
+				arena = strings.Builder{}
+				arena.Grow(max(need, packChunk))
+			}
+			start := arena.Len()
+			for _, r := range group {
+				arena.WriteString(strs[r.orig])
+			}
+			block := arena.String()[start:]
+			for i := range group {
+				ref[lo+i] = block[i*l : (i+1)*l]
+			}
+			verify.Sigs(sig[lo:hi], ref[lo:hi])
+		}
+	}
+	if workers = min(workers, len(lengths)); workers <= 1 {
+		work()
+		return ref, orig, off, sig, nil
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
+	return ref, orig, off, sig, nil
+}
+
+// prefixKey returns the first eight bytes of s as a big-endian integer,
+// zero-padded when s is shorter.
+func prefixKey(s string) (key uint64) {
+	if len(s) >= 8 {
+		// The compiler merges the byte loads into one.
+		return uint64(s[7]) | uint64(s[6])<<8 | uint64(s[5])<<16 | uint64(s[4])<<24 |
+			uint64(s[3])<<32 | uint64(s[2])<<40 | uint64(s[1])<<48 | uint64(s[0])<<56
+	}
+	for k := 0; k < len(s); k++ {
+		key |= uint64(s[k]) << (56 - 8*k)
+	}
+	return key
+}
+
+// sortGroup sorts the records of the strings of length l — in ascending
+// orig order on entry, as the counting sort left them — by (content, orig)
+// and returns them, in group or in tmp, which holds len(group) records or
+// more.
+//
+// A large group takes a stable byte-wise LSD radix sort on the key, all
+// eight histograms counted in one sweep and one pass per byte that is not
+// the same in every key (strings of one length from one source agree on
+// some; those shorter than eight bytes on the padding). That leaves runs of
+// equal key, each still in orig order: final for strings of up to eight
+// bytes, which the key holds whole, and for longer ones sorted run by run
+// with the comparison sort — the only place the sort reads a string. A
+// small group goes to the comparison sort whole.
+func sortGroup(strs []string, l int, group, tmp []rec) []rec {
+	byContent := func(a, b rec) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		if c := strings.Compare(strs[a.orig], strs[b.orig]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.orig, b.orig)
+	}
+	if len(group) < radixCutoff {
+		slices.SortFunc(group, byContent)
+		return group
+	}
+
+	var count [8][256]uint32 // count[b][v]: the keys whose byte b is v
+	for _, r := range group {
+		for b := range count {
+			count[b][byte(r.key>>(8*b))]++
+		}
+	}
+	tmp = tmp[:len(group)]
+	for b := range count {
+		c := &count[b]
+		if c[byte(group[0].key>>(8*b))] == uint32(len(group)) {
+			continue
+		}
+		at := uint32(0) // where the records with byte b = v go: after those with a smaller one
+		for v, n := range c {
+			c[v] = at
+			at += n
+		}
+		for _, r := range group {
+			v := byte(r.key >> (8 * b))
+			tmp[c[v]] = r
+			c[v]++
+		}
+		group, tmp = tmp, group
+	}
+
+	if l > 8 {
+		for lo := 0; lo < len(group); {
+			hi := lo + 1
+			for hi < len(group) && group[hi].key == group[lo].key {
+				hi++
+			}
+			if hi-lo > 1 {
+				slices.SortFunc(group[lo:hi], byContent)
+			}
+			lo = hi
+		}
+	}
+	return group
+}

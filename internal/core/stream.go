@@ -7,7 +7,6 @@ import (
 
 	"passjoin/internal/index"
 	"passjoin/internal/metrics"
-	"passjoin/internal/verify"
 )
 
 // streamBatchSize is how many pairs a probe worker accumulates before
@@ -45,7 +44,10 @@ func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(P
 	}
 	tau := opt.Tau
 	st := opt.Stats
-	ref, orig, off := sortRecs(strs)
+	ref, orig, off, sig, err := sortRecs(strs, opt.Parallel, true) // sig: one array, read by every worker
+	if err != nil {
+		return err
+	}
 	n := len(ref)
 	// The whole corpus is known before any probe starts, so the index is
 	// bulk-built straight into the immutable CSR arena every worker probes.
@@ -53,7 +55,6 @@ func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(P
 	if err != nil {
 		return fmt.Errorf("core: building index: %w", err)
 	}
-	sig := verify.Sigs(ref) // one array, read by every worker
 
 	e := &streamEngine{
 		workers: streamWorkers(opt.Parallel, n),
@@ -95,12 +96,14 @@ func JoinStream(ctx context.Context, rset, sset []string, opt Options, emit func
 	}
 	tau := opt.Tau
 	st := opt.Stats
-	ref, orig, off := sortRecs(sset)
+	ref, orig, off, sig, err := sortRecs(sset, opt.Parallel, true) // sig: one array, read by every worker
+	if err != nil {
+		return err
+	}
 	fz, err := index.BuildFrozen(ref, tau, opt.Parallel)
 	if err != nil {
 		return fmt.Errorf("core: building index: %w", err)
 	}
-	sig := verify.Sigs(ref) // one array, read by every worker
 
 	e := &streamEngine{
 		workers: streamWorkers(opt.Parallel, len(rset)),

@@ -93,6 +93,15 @@ func indexable(ref []string, off []int, tau int) (int, error) {
 	return n, checkArena(len(ref), int64(n)*int64(tau+1))
 }
 
+// largestGroup returns the size of the largest length group a build over
+// off indexes: what a slotBuilder's scratch must hold.
+func largestGroup(off []int, tau int) (n int) {
+	for l := tau + 1; l+1 < len(off); l++ {
+		n = max(n, off[l+1]-off[l])
+	}
+	return n
+}
+
 // buildTask is one (length, slot) of the bulk build.
 type buildTask struct {
 	g    *FrozenGroup
@@ -128,8 +137,9 @@ func buildFrozen(ref []string, ids []int32, off []int, tau, workers int, hash fu
 	slices.SortStableFunc(tasks, func(a, b buildTask) int { return cmp.Compare(len(b.ids), len(a.ids)) })
 
 	var claimed atomic.Int64
+	largest := largestGroup(off, tau)
 	work := func() {
-		w := slotBuilder{ref: ref, hash: hash}
+		w := newSlotBuilder(ref, hash, largest)
 		for {
 			k := int(claimed.Add(1)) - 1
 			if k >= len(tasks) {
@@ -173,6 +183,12 @@ type slotBuilder struct {
 	cellOf []uint32 // per id of the slot, the cell of its segment
 }
 
+// newSlotBuilder returns a builder whose scratch, allocated once, holds any
+// slot of up to maxIDs strings.
+func newSlotBuilder(ref []string, hash func(string) uint64, maxIDs int) slotBuilder {
+	return slotBuilder{ref: ref, hash: hash, cells: make([]buildCell, tableSize(maxIDs)), cellOf: make([]uint32, maxIDs)}
+}
+
 // build builds slot slot of g over ids, the strings of length g.L in
 // ascending order. Nothing is sorted. A first pass counts the postings of
 // every distinct segment in the scratch table — a cell is claimed by hash
@@ -188,16 +204,15 @@ func (w *slotBuilder) build(g *FrozenGroup, slot int, ids []int32) {
 	lo, hi := sg.Pos-1, sg.Pos-1+sg.Len
 	size := int(tableSize(len(ids)))
 	mask := uint32(size - 1)
-	w.cells = slices.Grow(w.cells[:0], size)[:size]
-	clear(w.cells)
-	w.cellOf = slices.Grow(w.cellOf[:0], len(ids))[:len(ids)]
+	cells, cellOf := w.cells[:size], w.cellOf[:len(ids)]
+	clear(cells)
 	keys, multi := 0, 0
 	for k, id := range ids {
 		seg := w.ref[id][lo:hi]
 		h := w.hash(seg)
 		c := uint32(h) & mask
 		for {
-			cell := &w.cells[c]
+			cell := &cells[c]
 			if cell.count == 0 {
 				*cell = buildCell{hash: h, first: id, count: 1}
 				keys++
@@ -211,11 +226,11 @@ func (w *slotBuilder) build(g *FrozenGroup, slot int, ids []int32) {
 			}
 			c = (c + 1) & mask
 		}
-		w.cellOf[k] = c
+		cellOf[k] = c
 	}
 	table := newLinearTable(keys, len(ids)-keys+2*multi)
 	for k, id := range ids {
-		cell := &w.cells[w.cellOf[k]]
+		cell := &cells[cellOf[k]]
 		if cell.count == 1 {
 			table.insert(cell.hash, rowSingle, id) // sized for keys: cannot be full
 			continue
@@ -257,7 +272,7 @@ func NewWindow(ref []string, off []int, tau int) (*Window, error) {
 		return nil, err
 	}
 	f := &Frozen{tau: tau, ref: ref, groups: make([]*FrozenGroup, len(off)-1)}
-	return &Window{f: f, off: off, w: slotBuilder{ref: ref, hash: hash64}, next: tau + 1}, nil
+	return &Window{f: f, off: off, w: newSlotBuilder(ref, hash64, largestGroup(off, tau)), next: tau + 1}, nil
 }
 
 // Frozen returns the index the window maintains; only the groups inside

@@ -110,8 +110,11 @@ func (g *band) setup(m, n, tau int, lengthAware bool, rows int) {
 		}
 	}
 
+	// Grown geometrically: Incremental keeps m+1 rows and a join meets
+	// lengths ascending, so growing to need alone reallocates the slab at
+	// almost every new length.
 	if need := rows * (width + 1); len(g.cells) < need {
-		g.cells = make([]int32, need)
+		g.cells = make([]int32, max(need, 2*len(g.cells)))
 	}
 	// Row 0: M(0,j) = j for the columns 0..n the band covers.
 	row := g.cells[:width+1]

@@ -43,11 +43,10 @@ func SigDist(a, b uint64) int {
 	return bits.OnesCount32(lo) + 2*bits.OnesCount32(hi&^lo)
 }
 
-// Sigs returns SigOf of every element of strs, in order.
-func Sigs(strs []string) []uint64 {
-	out := make([]uint64, len(strs))
+// Sigs fills dst with SigOf of the elements of strs, in order; the two are
+// the same length.
+func Sigs(dst []uint64, strs []string) {
 	for i, s := range strs {
-		out[i] = SigOf(s)
+		dst[i] = SigOf(s)
 	}
-	return out
 }

@@ -57,10 +57,8 @@ func TestSigOfTable(t *testing.T) {
 
 func TestSigs(t *testing.T) {
 	strs := []string{"", "kaushik chakrab", "caushik chakrabar", "\xff\xff"}
-	got := Sigs(strs)
-	if len(got) != len(strs) {
-		t.Fatalf("Sigs returned %d words for %d strings", len(got), len(strs))
-	}
+	got := make([]uint64, len(strs))
+	Sigs(got, strs)
 	for i, s := range strs {
 		if got[i] != SigOf(s) {
 			t.Errorf("Sigs[%d] = %#x, SigOf(%q) = %#x", i, got[i], s, SigOf(s))

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -220,6 +221,29 @@ func TestIncrementalSharesRows(t *testing.T) {
 	inc.Dist("abcdefghiy") // shares 9-char prefix
 	if st.SharedRows < 9 {
 		t.Errorf("expected at least 9 shared rows, got %d", st.SharedRows)
+	}
+}
+
+// TestIncrementalSlabGrowth: an Incremental keeps |r|+1 rows, and a join
+// hands it sources in ascending length, so a slab grown to exactly what the
+// current length needs is reallocated at every one of them. Over lengths
+// 1..200 the allocations must be logarithmic in the final size — the slab
+// doubling from its first row to 201 rows of τ+2 cells, and the term row
+// once per band width up to τ+1 — not one per length.
+func TestIncrementalSlabGrowth(t *testing.T) {
+	const tau, maxLen = 8, 200
+	s := strings.Repeat("abcde", maxLen/5)
+	allocs := testing.AllocsPerRun(5, func() {
+		var inc Incremental
+		for m := 1; m <= maxLen; m++ {
+			inc.Reset(s[:m], tau)
+			if d := inc.Dist(s[:m]); d != 0 {
+				t.Fatalf("length %d: distance %d to itself", m, d)
+			}
+		}
+	})
+	if limit := float64(bits.Len((maxLen+1)*(tau+2)) + tau + 1); allocs > limit {
+		t.Errorf("%v allocations over sources of length 1..%d, want at most %v", allocs, maxLen, limit)
 	}
 }
 

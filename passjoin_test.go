@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"passjoin/internal/bruteforce"
+	"passjoin/internal/dataset"
 )
 
 var paperTable1 = []string{
@@ -65,6 +66,40 @@ func TestJoinDistinctSets(t *testing.T) {
 	}
 	if found[(Pair{R: 2, S: 1})] {
 		t.Error("spurious sigmod pair")
+	}
+}
+
+// TestJoinAllocCeiling is the allocation gate of the join path, beside the
+// work counters core.TestWorkCountersPinned holds on the same two corpora:
+// what one default-options SelfJoin allocates is as much a function of
+// corpus and threshold as what it computes, so a count is a gate where a
+// wall-clock is not. Long strings (titles, tau 8) and short ones (author
+// names, tau 2), each under a ceiling a little above what the join makes
+// now (4 077 and 302, nearly all of them the window's tables and groups)
+// and below what it made when the verifier's slab was regrown at every new
+// length (4 196) and the window's scratch at every larger group (318). A
+// change that means to allocate more raises a ceiling here and says why.
+func TestJoinAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, c := range []struct {
+		name    string
+		corpus  []string
+		tau     int
+		ceiling float64
+	}{
+		{"AuthorTitle(2000,1) tau=8", dataset.AuthorTitle(2000, 1), 8, 4100},
+		{"Author(5000,1) tau=2", dataset.Author(5000, 1), 2, 308},
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := SelfJoin(c.corpus, c.tau); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.ceiling {
+			t.Errorf("%s: %v allocations per join, ceiling %v", c.name, allocs, c.ceiling)
+		}
 	}
 }
 
