@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -21,7 +22,6 @@ import (
 	"passjoin/internal/edjoin"
 	"passjoin/internal/ngpp"
 	"passjoin/internal/partenum"
-	"passjoin/internal/persist"
 	"passjoin/internal/selection"
 	"passjoin/internal/triejoin"
 	"passjoin/internal/verify"
@@ -423,20 +423,17 @@ func BenchmarkFrozenVsMapProbe(b *testing.B) {
 		q[len(q)/2] = 'z'
 		queries[i] = string(q)
 	}
-	build := func(seal bool) *core.Matcher {
-		m, err := core.NewMatcher(tau, selection.MultiMatch, core.VerifyExtensionShared, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range strs {
-			m.InsertSilent(s)
-		}
-		if seal {
-			m.Seal()
-		}
-		return m
+	mapM, err := core.NewMatcher(tau, selection.MultiMatch, core.VerifyExtensionShared, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
-	mapM, frozenM := build(false), build(true)
+	for _, s := range strs {
+		mapM.InsertSilent(s)
+	}
+	frozenM, err := core.BuildSealedMatcher(tau, selection.MultiMatch, core.VerifyExtensionShared, nil, slices.Clone(strs), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("map/read", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -485,40 +482,55 @@ func BenchmarkSearchTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkColdStart compares snapshot-load time with and without the
-// frozen section: a corpus-only snapshot re-indexes the corpus, a full one
-// loads the frozen arena directly.
+// BenchmarkColdStart times a snapshot in both directions on the corpora of
+// bench/'s persist.* rungs: write is WriteTo into memory; read is those bytes
+// back to a searcher that answers — the parse, then the index build on one
+// worker (ReadSearcherFrom) or two (ReadShardedSearcherFrom).
 func BenchmarkColdStart(b *testing.B) {
-	cs := corpora(b)
-	strs := cs["author"]
-	s, err := passjoin.NewSearcher(strs, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if _, err := s.WriteTo(&v2); err != nil {
-		b.Fatal(err)
-	}
-	var corpusOnly bytes.Buffer
-	if _, err := persist.WriteSnapshot(&corpusOnly, 2, len(strs), func(id int) string { return strs[id] }, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("corpus-only-rebuild", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := passjoin.ReadSearcherFrom(bytes.NewReader(corpusOnly.Bytes())); err != nil {
-				b.Fatal(err)
-			}
+	for _, c := range []struct {
+		name   string
+		corpus []string
+		tau    int
+	}{
+		{"Author100k", dataset.Author(100000, 1), 2},
+		{"AuthorTitle20k", dataset.AuthorTitle(20000, 1), 8},
+	} {
+		s, err := passjoin.NewSearcher(c.corpus, c.tau)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("v2-frozen-load", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := passjoin.ReadSearcherFrom(bytes.NewReader(v2.Bytes())); err != nil {
-				b.Fatal(err)
-			}
+		var snap bytes.Buffer
+		if _, err := s.WriteTo(&snap); err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.Run(c.name+"/write", func(b *testing.B) {
+			b.ReportAllocs()
+			var out bytes.Buffer
+			for b.Loop() {
+				out.Reset()
+				if _, err := s.WriteTo(&out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(out.Len())/float64(len(c.corpus)), "B/string")
+		})
+		b.Run(c.name+"/read/workers=1", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := passjoin.ReadSearcherFrom(bytes.NewReader(snap.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/read/workers=2", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := passjoin.ReadShardedSearcherFrom(bytes.NewReader(snap.Bytes()), passjoin.WithShards(2)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkMicroVerify isolates the verifier kernels of §5.1.

@@ -18,8 +18,9 @@
 //	          latency excluded)
 //
 // Corpus sizes scale with -scale small|medium|full; absolute numbers are
-// machine-dependent, the paper's SHAPES (orderings, ratios, crossovers) are
-// what EXPERIMENTS.md compares.
+// machine-dependent; the paper's SHAPES (orderings, ratios, crossovers) are
+// what to compare, by eye for now: writing them down and pinning them in a
+// test is ROADMAP item 7(a).
 package main
 
 import (

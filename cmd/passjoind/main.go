@@ -44,9 +44,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -59,6 +59,7 @@ import (
 	"passjoin"
 	"passjoin/internal/cluster"
 	"passjoin/internal/dataset"
+	"passjoin/internal/persist"
 	"passjoin/internal/repl"
 	"passjoin/internal/server"
 )
@@ -548,16 +549,13 @@ func indexOptions(shards int, sel, ver string, st *passjoin.Stats) ([]passjoin.O
 	return opts, nil
 }
 
-func writeSnapshot(idx *passjoin.ShardedSearcher, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+// writeSnapshot saves idx at path (-save) without ever leaving less than a
+// whole snapshot there: a failed or interrupted write keeps the previous file.
+func writeSnapshot(idx io.WriterTo, path string) error {
+	return persist.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := idx.WriteTo(w)
 		return err
-	}
-	if _, err := idx.WriteTo(f); err != nil {
-		f.Close()
-		return errors.Join(err, os.Remove(path))
-	}
-	return f.Close()
+	})
 }
 
 func fatal(logger *slog.Logger, err error) {

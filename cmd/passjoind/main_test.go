@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -62,6 +65,27 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if re.Tau() != 1 || re.Len() != len(corpus) || re.NumShards() != 3 {
 		t.Fatalf("reloaded: tau=%d len=%d shards=%d", re.Tau(), re.Len(), re.NumShards())
 	}
+	// -save over that snapshot with a write that fails half-way keeps it,
+	// whole, and leaves nothing beside it.
+	before, _ := os.ReadFile(snap)
+	if err := writeSnapshot(tornSnapshot(before), snap); err == nil {
+		t.Fatal("a torn snapshot write reported success")
+	}
+	after, err := os.ReadFile(snap)
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("after a failed -save the snapshot holds %d bytes (err %v), want the previous %d", len(after), err, len(before))
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(snap)); len(entries) != 1 {
+		t.Fatalf("a failed -save left %d files, want the snapshot alone", len(entries))
+	}
+}
+
+// tornSnapshot is a snapshot whose write gives out half-way.
+type tornSnapshot []byte
+
+func (s tornSnapshot) WriteTo(w io.Writer) (int64, error) {
+	n, _ := w.Write(s[:len(s)/2])
+	return int64(n), errors.New("disk full")
 }
 
 func TestBuildIndexBadFlags(t *testing.T) {

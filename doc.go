@@ -114,11 +114,13 @@
 // concurrency comes from concurrent callers, and a single expensive query
 // on an otherwise idle many-core machine is not split across cores.
 // Both snapshot to a compact CRC-protected binary format (WriteTo /
-// ReadSearcherFrom / ReadShardedSearcherFrom, "PJIX v3") for fast cold
-// starts — the snapshot carries the frozen index itself, so loading
-// skips re-indexing. Every release reads the snapshots of the releases
-// before it (v1, v2); a release older than v3 rejects a v3 file by its
-// version instead of misreading it.
+// ReadSearcherFrom / ReadShardedSearcherFrom, "PJIX v3") for cold
+// starts — the snapshot is the corpus and the threshold, and a reader
+// rebuilds the index as the constructor of its type would, which is
+// faster than loading stored postings was. Every release reads the
+// snapshots of the releases before it (v1, v2, and v3 files that still
+// carry an index, which is skipped); a release older than v3 rejects a v3
+// file by its version instead of misreading it.
 //
 // The SearchTopK methods and Searcher.Clone are deprecated: QueryTopK
 // subsumes the former, and concurrent Search makes the latter

@@ -69,7 +69,7 @@ func TestBatchVerification(t *testing.T) {
 					m.InsertSilent(s)
 				}
 				if seal {
-					m.Seal()
+					m = sealedFrom(t, m, nil)
 				}
 				for _, q := range queries {
 					for qtau := 0; qtau <= tau; qtau++ {

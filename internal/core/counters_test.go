@@ -163,7 +163,7 @@ func TestTracedProbeCounts(t *testing.T) {
 		}
 		for _, sealed := range []bool{false, true} {
 			if sealed {
-				m.Seal()
+				m = sealedFrom(t, m, &st)
 			}
 			for _, o := range []QueryOpts{{Tau: 4}, {Tau: 2}, {Tau: 4, Limit: 2}, {Tau: 4, Limit: 9}} {
 				plain := m.QueryOpt(q, o)

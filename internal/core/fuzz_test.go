@@ -62,7 +62,7 @@ func FuzzQueryTau(f *testing.F) {
 					m.InsertSilent(s)
 				}
 				if sealed {
-					m.Seal()
+					m = sealedFrom(t, m, nil)
 				}
 				for qt := 0; qt <= tau; qt++ {
 					got := m.QueryOpt(q, QueryOpts{Tau: qt})

@@ -19,20 +19,21 @@ import (
 // the current string, which the selection windows already support (Δ may be
 // negative).
 //
-// A Matcher has two phases. While mutable it supports interleaved Insert
-// and Query against the map-based build index. Seal freezes the index into
-// its immutable CSR form (index.Frozen): queries get the read-optimized
-// probe path and snapshots share one arena, but further insertion panics.
-// A corpus known up front skips the mutable phase: BuildSealedMatcher.
+// A Matcher is one of two kinds for its whole life. A mutable one
+// (NewMatcher) supports interleaved Insert and Query against the map-based
+// build index. A sealed one (BuildSealedMatcher) is built over a corpus known
+// up front and probes its frozen index (index.Frozen): queries get the
+// read-optimized probe path and snapshots share one arena, and insertion
+// panics.
 //
-// Matcher powers streaming deduplication workloads (mutable phase: feed
-// records as they arrive, react to near-duplicates immediately) and static
-// search serving (sealed phase).
+// Matcher powers streaming deduplication workloads (mutable: feed records as
+// they arrive, react to near-duplicates immediately) and static search
+// serving (sealed).
 type Matcher struct {
 	tau  int
 	p    *prober
-	idx  *index.Index  // build index; nil once sealed
-	fz   *index.Frozen // frozen index; non-nil once sealed
+	idx  *index.Index  // build index; nil when sealed
+	fz   *index.Frozen // frozen index; nil when mutable
 	strs []string
 	// sigs holds verify.SigOf of every inserted string, parallel to strs
 	// and shared with every Snapshot like strs is.
@@ -64,10 +65,11 @@ func NewMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats)
 	return m, nil
 }
 
-// NewSealedMatcher creates a matcher directly in the sealed phase from a
-// pre-built frozen index over corpus — the PJIX cold-start path, which
-// skips the map index entirely. fz must index corpus (fz.Tau() == tau and
-// every posting id < len(corpus)).
+// NewSealedMatcher creates a sealed matcher over corpus from fz, its frozen
+// index (fz.Tau() == tau, built over this very slice). It is the second half
+// of BuildSealedMatcher, which is what the program calls; it stays exported
+// because bench/, which a change to the program may not edit, hands it an
+// index it has timed the build of (ROADMAP item 1 retargets that rung).
 func NewSealedMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, corpus []string, fz *index.Frozen) (*Matcher, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("core: negative threshold %d", tau)
@@ -133,27 +135,7 @@ func (m *Matcher) String(id int) string { return m.strs[id] }
 // delta without copying documents.
 func (m *Matcher) Corpus() []string { return m.strs }
 
-// Seal freezes the matcher's index into the immutable CSR form and drops
-// the map index. Queries keep working (faster); Insert panics afterwards.
-// Sealing twice is a no-op.
-func (m *Matcher) Seal() {
-	if m.fz != nil {
-		return
-	}
-	m.fz = m.idx.Freeze(m.strs)
-	m.idx = nil
-	m.p.idx = nil
-	m.p.fz = m.fz
-	if m.st != nil {
-		m.st.FrozenBytes = m.fz.Bytes()
-		m.st.FrozenEntries = m.fz.Entries()
-	}
-}
-
-// Sealed reports whether Seal has been called.
-func (m *Matcher) Sealed() bool { return m.fz != nil }
-
-// FrozenIndex returns the frozen index, or nil before Seal.
+// FrozenIndex returns the frozen index, or nil for a mutable matcher.
 func (m *Matcher) FrozenIndex() *index.Frozen { return m.fz }
 
 // QueryOpts carries per-query parameters for the Query family. The zero

@@ -3,11 +3,27 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"passjoin/internal/index"
+	"passjoin/internal/metrics"
 	"passjoin/internal/selection"
 	"passjoin/internal/verify"
 )
+
+// sealedFrom returns the sealed matcher over the strings m holds, bulk-built
+// on one worker from a copy of them: the sealed side of every test that takes
+// one corpus down both probe paths. m, mutable, keeps probing the map index,
+// which shares no code with the bulk build.
+func sealedFrom(t testing.TB, m *Matcher, st *metrics.Stats) *Matcher {
+	t.Helper()
+	sealed, err := BuildSealedMatcher(m.tau, m.p.sel, m.p.vk, st, slices.Clone(m.Corpus()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealed
+}
 
 func sealedTestCorpus(rng *rand.Rand, n int) []string {
 	const alphabet = "abcde"
@@ -23,9 +39,9 @@ func sealedTestCorpus(rng *rand.Rand, n int) []string {
 	return out
 }
 
-// TestSealedQueryEquivalence: sealing must not change any query answer —
-// same ids, same distances, for every verification kind and a mix of
-// corpus and off-corpus queries. Distances are independently checked
+// TestSealedQueryEquivalence: a sealed matcher answers every query as a
+// mutable one over the same strings does — same ids, same distances, for
+// every verification kind and a mix of corpus and off-corpus queries. Distances are independently checked
 // against the full DP.
 func TestSealedQueryEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -36,17 +52,12 @@ func TestSealedQueryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sealed, err := NewMatcher(tau, selection.MultiMatch, vk, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, s := range corpus {
 				mut.InsertSilent(s)
-				sealed.InsertSilent(s)
 			}
-			sealed.Seal()
-			if !sealed.Sealed() || sealed.FrozenIndex() == nil {
-				t.Fatal("Seal did not seal")
+			sealed := sealedFrom(t, mut, nil)
+			if sealed.FrozenIndex() == nil || mut.FrozenIndex() != nil {
+				t.Fatal("the sealed matcher has no frozen index, or the mutable one has")
 			}
 			queries := append(append([]string(nil), corpus[:40]...), sealedTestCorpus(rng, 40)...)
 			for _, q := range queries {
@@ -73,14 +84,10 @@ func TestSealedQueryEquivalence(t *testing.T) {
 func TestSealedSnapshotSharesFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	corpus := sealedTestCorpus(rng, 100)
-	m, err := NewMatcher(2, selection.MultiMatch, VerifyExtensionShared, nil)
+	m, err := BuildSealedMatcher(2, selection.MultiMatch, VerifyExtensionShared, nil, corpus, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range corpus {
-		m.InsertSilent(s)
-	}
-	m.Seal()
 	snap := m.Snapshot()
 	if snap.FrozenIndex() != m.FrozenIndex() {
 		t.Fatal("snapshot does not share the frozen index")
@@ -92,15 +99,12 @@ func TestSealedSnapshotSharesFrozen(t *testing.T) {
 	}
 }
 
-// TestSealedInsertPanics: the sealed phase is read-only.
+// TestSealedInsertPanics: a sealed matcher is read-only.
 func TestSealedInsertPanics(t *testing.T) {
-	m, err := NewMatcher(1, selection.MultiMatch, VerifyExtensionShared, nil)
+	m, err := BuildSealedMatcher(1, selection.MultiMatch, VerifyExtensionShared, nil, []string{"hello"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.InsertSilent("hello")
-	m.Seal()
-	m.Seal() // idempotent
 	for name, fn := range map[string]func(){
 		"Insert":       func() { m.Insert("world") },
 		"InsertSilent": func() { m.InsertSilent("world") },
@@ -116,8 +120,8 @@ func TestSealedInsertPanics(t *testing.T) {
 	}
 }
 
-// TestNewSealedMatcherValidation covers the cold-start constructor's
-// argument checks.
+// TestNewSealedMatcherValidation covers the argument checks of the
+// constructor that is handed an index (the benchmark harness's).
 func TestNewSealedMatcherValidation(t *testing.T) {
 	corpus := []string{"abcdef", "abcdeg", "x"}
 	m, err := NewMatcher(2, selection.MultiMatch, VerifyExtensionShared, nil)
@@ -127,8 +131,10 @@ func TestNewSealedMatcherValidation(t *testing.T) {
 	for _, s := range corpus {
 		m.InsertSilent(s)
 	}
-	m.Seal()
-	fz := m.FrozenIndex()
+	fz, err := index.BuildFrozen(corpus, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	re, err := NewSealedMatcher(2, selection.MultiMatch, VerifyExtensionShared, nil, corpus, fz)
 	if err != nil {

@@ -69,12 +69,10 @@ func TestSigFilterMatchersMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sealed, _ := NewMatcher(tau, selection.MultiMatch, vk, nil)
 		for _, s := range corpus {
 			mutable.InsertSilent(s)
-			sealed.InsertSilent(s)
 		}
-		sealed.Seal()
+		sealed := sealedFrom(t, mutable, nil)
 		cold, err := NewSealedMatcher(tau, selection.MultiMatch, vk, nil, corpus, sealed.FrozenIndex())
 		if err != nil {
 			t.Fatal(err)
@@ -190,14 +188,10 @@ func TestJoinModesAgree(t *testing.T) {
 // allocates dedup stamps.
 func TestSigFilterStorage(t *testing.T) {
 	corpus := sigCorpus()
-	base, err := NewMatcher(2, selection.MultiMatch, VerifyExtensionShared, nil)
+	base, err := BuildSealedMatcher(2, selection.MultiMatch, VerifyExtensionShared, nil, corpus, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range corpus {
-		base.InsertSilent(s)
-	}
-	base.Seal()
 	snap := base.Snapshot()
 	for _, q := range corpus {
 		snap.Query(q)
@@ -229,14 +223,10 @@ func TestStampEpochWrap(t *testing.T) {
 	corpus := sigCorpus()
 	for _, vk := range []VerifyKind{VerifyExtensionShared, VerifyLengthAware} {
 		build := func() *Matcher {
-			m, err := NewMatcher(2, selection.MultiMatch, vk, nil)
+			m, err := BuildSealedMatcher(2, selection.MultiMatch, vk, nil, corpus, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range corpus {
-				m.InsertSilent(s)
-			}
-			m.Seal()
 			return m
 		}
 		old, fresh := build(), build()

@@ -225,14 +225,14 @@ func (t *Tier) loadSnapshot(path string) error {
 		return err
 	}
 	defer f.Close()
-	gids, corpus, fz, tau, nextID, err := readBaseSnapshot(f)
+	gids, corpus, tau, nextID, err := readBaseSnapshot(f)
 	if err != nil {
 		return err
 	}
 	if tau != t.cfg.Tau {
 		return fmt.Errorf("dynamic: snapshot built for tau=%d, tier configured for tau=%d", tau, t.cfg.Tau)
 	}
-	m, err := core.NewSealedMatcher(tau, t.cfg.Selection, t.cfg.Verification, nil, corpus, fz)
+	m, err := t.buildSealed(corpus)
 	if err != nil {
 		return err
 	}
@@ -291,7 +291,7 @@ func (t *Tier) Bootstrap(gids []int64, docs []string) error {
 		maxID = gids[n-1]
 	}
 	if t.cfg.SnapPath != "" {
-		if err := writeBaseSnapshot(t.cfg.SnapPath, t.cfg.Tau, maxID+1, gids, docs, m.FrozenIndex()); err != nil {
+		if err := writeBaseSnapshot(t.cfg.SnapPath, t.cfg.Tau, maxID+1, gids, docs); err != nil {
 			return err
 		}
 		if err := t.wal.Rewrite(nil); err != nil {
@@ -639,7 +639,7 @@ func (t *Tier) compact() error {
 	}
 	nb := newBaseTier(m, gids)
 	if t.cfg.SnapPath != "" {
-		if err := writeBaseSnapshot(t.cfg.SnapPath, t.cfg.Tau, maxID+1, gids, survivors, m.FrozenIndex()); err != nil {
+		if err := writeBaseSnapshot(t.cfg.SnapPath, t.cfg.Tau, maxID+1, gids, survivors); err != nil {
 			return err
 		}
 	}
@@ -716,15 +716,11 @@ func (t *Tier) compact() error {
 		t.byID[gid] = entry{pos: int32(i), delta: true}
 	}
 	t.compactions.Add(1)
-	var frozenBytes int64
-	if fz := m.FrozenIndex(); fz != nil {
-		frozenBytes = fz.Bytes()
-	}
 	t.logger.Info("compaction finished",
 		"duration", time.Since(start),
 		"docs", len(gids),
 		"delta_tail", len(newIDs),
-		"frozen_bytes", frozenBytes)
+		"frozen_bytes", m.FrozenIndex().Bytes())
 	return nil
 }
 
@@ -742,10 +738,8 @@ func (t *Tier) Stats() Stats {
 	}
 	if b := t.base.Load(); b != nil {
 		st.BaseDocs = len(b.ids)
-		if fz := b.m.FrozenIndex(); fz != nil {
-			st.FrozenBytes = fz.Bytes()
-			st.FrozenEntries = fz.Entries()
-		}
+		fz := b.m.FrozenIndex() // a base is a sealed matcher (buildSealed)
+		st.FrozenBytes, st.FrozenEntries = fz.Bytes(), fz.Entries()
 	}
 	if t.wal != nil {
 		st.WALBytes = t.wal.Bytes()

@@ -1,12 +1,14 @@
 package dynamic
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,8 +26,9 @@ func randWord(rng *rand.Rand) string {
 	return string(b)
 }
 
-// refSearch answers q against docs with a fresh sealed matcher — the
-// ground truth a dynamic tier must match after any update history.
+// refSearch answers q against docs with a fresh mutable matcher — the
+// ground truth a dynamic tier must match after any update history, over the
+// map index, which shares no code with the bulk build of a tier's base.
 func refSearch(t *testing.T, tau int, docs []string, q string) []Hit {
 	t.Helper()
 	m, err := core.NewMatcher(tau, 0, 0, nil)
@@ -35,7 +38,6 @@ func refSearch(t *testing.T, tau int, docs []string, q string) []Hit {
 	for _, d := range docs {
 		m.InsertSilent(d)
 	}
-	m.Seal()
 	var out []Hit
 	for _, h := range m.Query(q) {
 		out = append(out, Hit{ID: int64(h.ID), Dist: int(h.Dist)})
@@ -440,6 +442,13 @@ func TestTierCorruptSnapshotRejected(t *testing.T) {
 		if _, err := Open(cfg); err == nil {
 			t.Fatalf("corrupted snapshot byte %d accepted", off)
 		}
+	}
+	// A nextID hint beyond the id range is an error of its own, with no nil
+	// error wrapped into its text.
+	hint := binary.AppendUvarint(append([]byte(snapMagic), snapVersion), 1<<63)
+	os.WriteFile(cfg.SnapPath, hint, 0o644)
+	if _, err := Open(cfg); err == nil || !strings.Contains(err.Error(), "out of range") || strings.Contains(err.Error(), "%!w") {
+		t.Fatalf("out-of-range nextID hint: %v", err)
 	}
 	// Tau mismatch is its own loud error.
 	os.WriteFile(cfg.SnapPath, blob, 0o644)

@@ -7,7 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
+
+	"passjoin/internal/persist"
 )
 
 // Write-ahead log: the durability layer of the dynamic tier. Every Insert
@@ -251,52 +252,44 @@ func (w *WAL) rollbackTo(off int64, cause error) {
 
 // Rewrite atomically replaces the log's contents with ops: the compaction
 // step that drops every operation already folded into the base snapshot.
-// The new log is written to a temp file, synced, and renamed over the old
-// one, so a crash leaves either log intact.
+// The new log goes through persist.WriteFileAtomic, so a crash leaves either
+// log intact.
 func (w *WAL) Rewrite(ops []Op) error {
 	if w.failed != nil {
 		return fmt.Errorf("dynamic: WAL unusable after earlier failure: %w", w.failed)
 	}
-	dir := filepath.Dir(w.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(w.path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpPath := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpPath)
-	}
 	var total int64
-	for _, op := range ops {
-		rec := encodeOp(op)
-		if _, err := tmp.Write(rec); err != nil {
-			cleanup()
-			return err
+	err := persist.WriteFileAtomic(w.path, func(out io.Writer) error {
+		for _, op := range ops {
+			rec := encodeOp(op)
+			if _, err := out.Write(rec); err != nil {
+				return err
+			}
+			total += int64(len(rec))
 		}
-		total += int64(len(rec))
+		return nil
+	})
+	// Once the rename has happened the old descriptor points at the
+	// renamed-over (unlinked) inode: anything appended there would vanish.
+	// Refuse all further writes unless the new log can be opened in its place.
+	lose := func(cause error) error {
+		w.f.Close()
+		w.f = nil
+		w.failed = cause
+		return cause
 	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := os.Rename(tmpPath, w.path); err != nil {
-		cleanup()
+	if err != nil {
+		// A directory sync error arrives after the rename: path is unchanged
+		// only if it still names the file that is open.
+		held, _ := w.f.Stat()
+		if now, serr := os.Stat(w.path); serr != nil || !os.SameFile(held, now) {
+			return lose(err)
+		}
 		return err
 	}
 	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		// The old descriptor now points at the renamed-over (unlinked)
-		// inode: anything appended there would vanish. Refuse all further
-		// writes instead.
-		w.f.Close()
-		w.f = nil
-		w.failed = err
-		return err
+		return lose(err)
 	}
 	w.f.Close()
 	w.f = f

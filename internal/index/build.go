@@ -11,8 +11,8 @@ import (
 
 // BuildFrozen bulk-builds the frozen index of a complete corpus: every
 // string of ref with at least tau+1 bytes is indexed under its position in
-// ref. It answers every lookup exactly as New + Add (ids ascending) +
-// Freeze would, without the map index in between.
+// ref. It answers every lookup exactly as the map Index does after New + Add
+// of the same strings (ids ascending), without the map index in between.
 //
 // The length groups L^i_l of §3.2 share nothing, so the build is one task
 // per (length, slot), handed largest-first to workers goroutines (min 1):
@@ -194,7 +194,7 @@ func newSlotBuilder(ref []string, hash func(string) uint64, maxIDs int) slotBuil
 // every distinct segment in the scratch table — a cell is claimed by hash
 // and confirmed by content, so two segments under one 64-bit hash stay two
 // cells — and with them the segments (keys) and those posted more than
-// once (multi). The table is sized for keys, as Freeze sizes it, and its
+// once (multi). The table is sized for keys and its
 // posts for the len(ids)−keys+multi postings not alone on their list plus
 // a count each. A second pass, over the ids in the same order, inserts a
 // segment's row the first time it meets the segment — the id itself if it

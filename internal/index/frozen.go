@@ -3,8 +3,6 @@ package index
 import (
 	"fmt"
 	"math/bits"
-	"slices"
-	"sort"
 
 	"passjoin/internal/partition"
 )
@@ -18,14 +16,15 @@ import (
 // segment's hash, and a match is confirmed by comparing the probe substring
 // against that segment of the first posted string, so a lookup touches the
 // row, the list if it is not the row, and one corpus string. Nothing else
-// stores a hash — every builder derives them from the corpus — so no file
-// format depends on hash64.
+// stores a hash — the builder derives them from the corpus — and no file
+// holds an index at all (a PJIX snapshot is a corpus), so nothing depends on
+// hash64 or on the layout of a table.
 //
 // A Frozen is immutable and safe for concurrent use by any number of
-// goroutines. It is built by BuildFrozen (bulk, from a complete corpus), by
-// Index.Freeze (the seal after online inserts) or by a FrozenBuilder (the
-// PJIX snapshot loader). A Window is the exception: the one Frozen whose
-// groups come and go, under a single-goroutine join scan.
+// goroutines. buildFrozen is the only code that makes one, under BuildFrozen
+// (bulk, from a complete corpus); a Window is the exception: the one Frozen
+// whose groups come and go, under a single-goroutine join scan, built a group
+// at a time by the same slotBuilder.
 type Frozen struct {
 	tau     int
 	groups  []*FrozenGroup // dense, indexed by string length; nil holes
@@ -127,17 +126,6 @@ func (g *FrozenGroup) mapKeyBytes() int64 {
 		b += int64(g.tables[i].keys) * int64(entryOverhead+g.segs[i].Len)
 	}
 	return b
-}
-
-// Lengths returns the sorted lengths that have a group.
-func (f *Frozen) Lengths() []int {
-	var out []int
-	for l, g := range f.groups {
-		if g != nil {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // Group returns the frozen group for length l, or nil.
@@ -311,189 +299,23 @@ func (b *ProbeBatch) Resolve(s string) {
 	b.nhit = len(confirmed)
 }
 
-// Slot calls fn for every posting list of the i-th segment slot (1-based),
-// in table order. Used by the PJIX writer.
-func (g *FrozenGroup) Slot(i int, fn func(postings []int32)) {
-	g.tables[i-1].each(fn)
-}
-
-// Freeze packs the index into its immutable read-optimized form. ref is
-// the corpus the postings index into (ref[id] must be the string passed to
-// Add with that id); Frozen keeps it for lookup confirmation. The mutable
-// index is left untouched.
+// Freeze returns the frozen index of ref, which must hold exactly the
+// strings added: ref[id] is the string passed to Add with that id, and every
+// string of ref with at least tau+1 bytes was added. It is BuildFrozen — the
+// maps are not read, only their posting count, which says whether that
+// precondition held — and is kept because bench/, which a change to the
+// program may not edit, times it in two rungs (index.freeze_ns_per_string);
+// ROADMAP item 1 retargets them and deletes this. The mutable index is left
+// untouched.
 func (x *Index) Freeze(ref []string) *Frozen {
-	b, err := NewFrozenBuilder(x.tau, ref, x.entries)
+	f, err := BuildFrozen(ref, x.tau, 1)
 	if err != nil {
 		panic("index: " + err.Error())
 	}
-	lengths := x.Lengths()
-	sort.Ints(lengths)
-	for _, l := range lengths {
-		g := x.groups[l]
-		if err := b.BeginGroup(l); err != nil {
-			panic("index: " + err.Error())
-		}
-		for i := 1; i <= x.tau+1; i++ {
-			m := g.segs[i-1]
-			if err := b.BeginSlot(i, len(m)); err != nil {
-				panic("index: " + err.Error())
-			}
-			for _, lst := range m {
-				if err := b.AddList(lst); err != nil {
-					panic("index: " + err.Error())
-				}
-			}
-		}
-	}
-	f, err := b.Finish()
-	if err != nil {
-		panic("index: " + err.Error())
+	if f.entries != x.entries {
+		panic(fmt.Sprintf("index: Freeze over a corpus of %d postings, %d were added", f.entries, x.entries))
 	}
 	return f
-}
-
-// FrozenBuilder assembles a Frozen from pre-counted posting lists:
-// Index.Freeze feeds it from the live maps, the PJIX loader feeds it
-// straight from a snapshot (which is the point — cold starts skip
-// re-indexing entirely). Every input is validated so a corrupted snapshot
-// fails loudly instead of building an index that panics at query time.
-type FrozenBuilder struct {
-	tau       int
-	ref       []string
-	maxRefLen int
-	f         *Frozen
-	groups    map[int]*FrozenGroup
-	cur       *FrozenGroup
-	curSlot   int   // 0 = none begun
-	left      int64 // postings declared and not yet received
-}
-
-// NewFrozenBuilder starts a build for threshold tau over corpus ref with
-// exactly totalPostings postings to come.
-func NewFrozenBuilder(tau int, ref []string, totalPostings int64) (*FrozenBuilder, error) {
-	if tau < 0 {
-		return nil, fmt.Errorf("negative threshold %d", tau)
-	}
-	if totalPostings < 0 || totalPostings > int64(len(ref))*int64(tau+1) {
-		return nil, fmt.Errorf("posting count %d impossible for corpus of %d strings at tau=%d", totalPostings, len(ref), tau)
-	}
-	if err := checkArena(len(ref), totalPostings); err != nil {
-		return nil, err
-	}
-	maxRefLen := 0
-	for _, s := range ref {
-		if len(s) > maxRefLen {
-			maxRefLen = len(s)
-		}
-	}
-	return &FrozenBuilder{
-		tau:       tau,
-		ref:       ref,
-		maxRefLen: maxRefLen,
-		f:         &Frozen{tau: tau, ref: ref, entries: totalPostings},
-		groups:    make(map[int]*FrozenGroup),
-		left:      totalPostings,
-	}, nil
-}
-
-// BeginGroup starts the group for string length L. Groups may arrive in
-// any order but each length at most once.
-func (b *FrozenBuilder) BeginGroup(L int) error {
-	if L < b.tau+1 || L > b.maxRefLen {
-		return fmt.Errorf("group length %d outside [%d, %d]", L, b.tau+1, b.maxRefLen)
-	}
-	if _, dup := b.groups[L]; dup {
-		return fmt.Errorf("duplicate group for length %d", L)
-	}
-	b.cur = newGroup(b.ref, b.tau, L)
-	b.groups[L] = b.cur
-	b.curSlot = 0
-	return nil
-}
-
-// BeginSlot sizes the open-addressing table for the i-th segment slot
-// (1-based) of the current group, which will receive exactly nKeys lists.
-func (b *FrozenBuilder) BeginSlot(i, nKeys int) error {
-	if b.cur == nil {
-		return fmt.Errorf("BeginSlot before BeginGroup")
-	}
-	if i < 1 || i > b.tau+1 {
-		return fmt.Errorf("slot %d outside [1, %d]", i, b.tau+1)
-	}
-	// Each list holds at least one posting, so nKeys can never exceed the
-	// postings left; this bounds table allocation for corrupt inputs.
-	if nKeys < 0 || int64(nKeys) > min(b.left, maxTableKeys) {
-		return fmt.Errorf("slot %d key count %d exceeds remaining postings %d (or the %d rows of a table)", i, nKeys, b.left, maxTableKeys)
-	}
-	if b.curSlot >= i {
-		return fmt.Errorf("slot %d of length %d begun after slot %d", i, b.cur.L, b.curSlot)
-	}
-	b.cur.tables[i-1] = newLinearTable(nKeys, 0)
-	b.curSlot = i
-	return nil
-}
-
-// AddList appends one posting list for the current slot: its row goes into
-// the slot table under the hash of the slot's segment of the first posted
-// string, and the postings, if more than one, behind the slot's other lists.
-func (b *FrozenBuilder) AddList(postings []int32) error {
-	if b.curSlot == 0 {
-		return fmt.Errorf("AddList before BeginSlot")
-	}
-	if len(postings) == 0 {
-		return fmt.Errorf("empty posting list in slot %d of length %d", b.curSlot, b.cur.L)
-	}
-	if int64(len(postings)) > b.left {
-		return fmt.Errorf("posting list overflows the declared count (%d postings, %d left)", len(postings), b.left)
-	}
-	for _, id := range postings {
-		if id < 0 || int(id) >= len(b.ref) {
-			return fmt.Errorf("posting id %d outside corpus of %d strings", id, len(b.ref))
-		}
-		if len(b.ref[id]) != b.cur.L {
-			return fmt.Errorf("posting id %d has length %d, group is %d", id, len(b.ref[id]), b.cur.L)
-		}
-	}
-	sg := b.cur.segs[b.curSlot-1]
-	hash := hash64(b.ref[postings[0]][sg.Pos-1 : sg.Pos-1+sg.Len])
-	t := &b.cur.tables[b.curSlot-1]
-	ok := false
-	if len(postings) == 1 {
-		ok = t.insert(hash, rowSingle, postings[0])
-	} else if off, fits := t.insertList(hash, uint32(len(postings))); fits {
-		ok = true
-		copy(t.posts[off:], postings)
-	}
-	if !ok {
-		return fmt.Errorf("slot %d of length %d received more lists than declared", b.curSlot, b.cur.L)
-	}
-	b.left -= int64(len(postings))
-	return nil
-}
-
-// Finish validates that the declared postings all arrived and returns the
-// immutable index.
-func (b *FrozenBuilder) Finish() (*Frozen, error) {
-	f := b.f
-	if b.left != 0 {
-		return nil, fmt.Errorf("declared %d postings, received %d", f.entries, f.entries-b.left)
-	}
-	maxL := 0
-	for l := range b.groups {
-		if l > maxL {
-			maxL = l
-		}
-	}
-	f.groups = make([]*FrozenGroup, maxL+1)
-	for l, g := range b.groups {
-		f.groups[l] = g
-		for i := range g.tables { // lists arrived uncounted: drop the room append left
-			g.tables[i].posts = slices.Clone(g.tables[i].posts)
-		}
-	}
-	f.account()
-	b.f = nil
-	return f, nil
 }
 
 // account fills in the retained size once the posting count and every

@@ -84,15 +84,6 @@ func (g *Group) List(i int, w string) []int32 {
 	return g.segs[i-1][w]
 }
 
-// Lengths returns the set of live group lengths (unsorted).
-func (x *Index) Lengths() []int {
-	out := make([]int, 0, len(x.groups))
-	for l := range x.groups {
-		out = append(out, l)
-	}
-	return out
-}
-
 // Entries returns the number of live postings.
 func (x *Index) Entries() int64 { return x.entries }
 

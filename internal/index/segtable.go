@@ -6,7 +6,7 @@ import "math/bits"
 const maxTableKeys = 1 << 30
 
 // tableSize returns the power-of-two cell count for nKeys <= maxTableKeys,
-// which every builder checks first, at load <= 0.5.
+// which indexable checks first, at load <= 0.5.
 func tableSize(nKeys int) uint32 {
 	return 2 << bits.Len32(uint32(max(nKeys, 1)-1))
 }
@@ -45,8 +45,7 @@ type linearTable struct {
 }
 
 // newLinearTable returns an empty table sized for nKeys insertions whose
-// lists of two or more take nPosts words, counts included (0 when not
-// known: posts then grows as lists arrive).
+// lists of two or more take nPosts words, counts included.
 func newLinearTable(nKeys, nPosts int) linearTable {
 	if nKeys <= 0 {
 		return linearTable{}
@@ -86,8 +85,9 @@ func (t *linearTable) list(row *frozenRow) []int32 {
 
 // insert stores one row: single is rowSingle and val the list's only
 // posting, or 0 and val the list's offset in posts (insertList). It returns
-// false when the row would take the table past half full — the builder
-// declared fewer keys than arrived — so a lookup always meets a free cell.
+// false when the row would take the table past half full — more keys
+// arrived than the table was sized for — so a lookup always meets a free
+// cell.
 func (t *linearTable) insert(h uint64, single uint32, val int32) bool {
 	if 2*int(t.keys) >= len(t.rows) {
 		return false
@@ -110,15 +110,6 @@ func (t *linearTable) insertList(h uint64, count uint32) (off uint32, ok bool) {
 	}
 	t.posts = append(append(t.posts, int32(count)), make([]int32, count)...)
 	return uint32(at) + 1, true
-}
-
-// each visits every stored list in table order (the snapshot writer).
-func (t *linearTable) each(fn func(postings []int32)) {
-	for i := range t.rows {
-		if r := &t.rows[i]; r.tag != 0 {
-			fn(t.list(r))
-		}
-	}
 }
 
 // bytes is the retained size of the table's backing arrays.

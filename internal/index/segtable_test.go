@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// insertPostings stores one list through the two insert calls every builder
+// insertPostings stores one list through the two insert calls the builder
 // uses: a list of one goes into its row, a longer one behind its count.
 func insertPostings(tb *linearTable, h uint64, postings []int32) bool {
 	if len(postings) == 1 {
@@ -18,6 +18,15 @@ func insertPostings(tb *linearTable, h uint64, postings []int32) bool {
 		copy(tb.posts[off:], postings)
 	}
 	return ok
+}
+
+// each visits every stored list in table order.
+func (t *linearTable) each(fn func(postings []int32)) {
+	for i := range t.rows {
+		if r := &t.rows[i]; r.tag != 0 {
+			fn(t.list(r))
+		}
+	}
 }
 
 // listsUnder returns every list tb stores under the tag of hash h, in probe
@@ -34,7 +43,8 @@ func listsUnder(tb *linearTable, h uint64) [][]int32 {
 // 16-byte {hash, start, count} table gave the rows inserted under hashes,
 // in that order — home cell uint32(h)&mask, linear probing, the table sized
 // for nKeys — returned as the insert indices read in cell order. PJIX files
-// list a slot's postings in this order, so it must never change.
+// of that time list a slot's postings in this order; none written now holds
+// postings, and the order stays pinned only so that a build is reproducible.
 func parentOrder(hashes []uint64, nKeys int) []int {
 	size := 2
 	for size < 2*nKeys {

@@ -1,26 +1,27 @@
 // Package persist implements the PJIX binary snapshot codec: a compact
-// serialization of an indexed corpus, its threshold, and (from version 2)
-// the frozen segment index itself. The root passjoin package exposes it as
-// Searcher.WriteTo / ReadSearcherFrom; internal/dynamic embeds the same
-// payload inside its per-shard base snapshots so a dynamic restart reuses
-// the exact cold-start path.
+// serialization of an indexed corpus and its threshold. The root passjoin
+// package exposes it as Searcher.WriteTo / ReadSearcherFrom; internal/dynamic
+// embeds the same payload inside its per-shard base snapshots so a dynamic
+// restart reuses the exact cold-start path. WriteFileAtomic (atomic.go) is
+// how every file of the repository that replaces an older one gets to disk.
 //
-// Version 1 stored only the corpus and rebuilt the index on load. Version 2
-// serializes the frozen index directly — per (length, slot) its posting
-// lists — so loading means reading postings instead of re-indexing, and a
-// CRC32 footer makes truncated or corrupted snapshots fail loudly. Version
-// 2 also stored the 64-bit segment hash of every list; version 3, the one
-// written, does not: the loader hashes the list's segment of its first
-// posted string, for both versions (v2's stored hashes are read and
-// ignored), so no file pins the hash function. Version 1 snapshots remain
-// readable (they take the rebuild-on-load path).
+// A snapshot is a corpus. The segment index (§3.2) is a pure function of the
+// strings and tau, and index.BuildFrozen computes it faster than stored
+// postings parse (docs/perf/PR-22.md: Author 100k at tau 2 cold-starts in
+// about 30 ms from 15.4 B/string, against 45 ms from 26.0 B/string with the
+// postings stored), so a reader rebuilds it. Versions 2 and 3 could carry
+// the frozen index as a section behind the corpus, and files that do still
+// exist: the section is read and skipped, never written. The hasFrozen byte
+// stays, at 0, so every build that reads version 3 reads what this one
+// writes — by the rebuild path it has always had for a corpus-only file.
+// Version 1 is the corpus alone, without flag or checksum.
 //
 // Format (all integers unsigned varints unless noted):
 //
 //	magic "PJIX" | version | tau | count | count × (len | bytes)   ── corpus
 //	(v2 and v3:)
-//	hasFrozen byte
-//	if hasFrozen: totalPostings | nGroups | nGroups × group
+//	hasFrozen byte (0 as written)
+//	if hasFrozen: totalPostings | nGroups | nGroups × group     ── skipped
 //	  group: L | (tau+1) × slot
 //	  slot:  nKeys | nKeys × ([v2: hash uint64-LE] | count | count × id)
 //	crc32-IEEE of all preceding bytes, uint32-LE               ── footer
@@ -28,13 +29,12 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
-
-	"passjoin/internal/index"
 )
 
 const (
@@ -43,110 +43,37 @@ const (
 	version2  = 2
 	version3  = 3
 	hasFrozen = 1
+
+	maxStringLen = 1 << 30
 )
 
-// WriteSnapshot emits a PJIX v3 snapshot for a corpus exposed as (count,
-// at), with the frozen index section when fz is non-nil.
-func WriteSnapshot(w io.Writer, tau, count int, at func(int) string, fz *index.Frozen) (int64, error) {
+// WriteSnapshot emits a PJIX v3 snapshot of a corpus exposed as (count, at)
+// and returns the bytes written.
+func WriteSnapshot(w io.Writer, tau, count int, at func(int) string) (int64, error) {
 	bw := bufio.NewWriter(w)
 	crc := crc32.NewIEEE()
+	out := io.MultiWriter(bw, crc)
 	var written int64
 	var scratch [binary.MaxVarintLen64]byte
-	emit := func(p []byte) error {
-		n, err := bw.Write(p)
+	// A failed write sticks to bw, which accepts no more and reports it from
+	// Flush: no write below needs a check of its own.
+	emit := func(p []byte) {
+		n, _ := out.Write(p)
 		written += int64(n)
-		crc.Write(p[:n])
-		return err
 	}
-	emitUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		return emit(scratch[:n])
-	}
-	if err := emit([]byte(magic)); err != nil {
-		return written, err
-	}
-	if err := emitUvarint(version3); err != nil {
-		return written, err
-	}
-	if err := emitUvarint(uint64(tau)); err != nil {
-		return written, err
-	}
-	if err := emitUvarint(uint64(count)); err != nil {
-		return written, err
-	}
+	emitUvarint := func(v uint64) { emit(scratch[:binary.PutUvarint(scratch[:], v)]) }
+	emit([]byte(magic))
+	emitUvarint(version3)
+	emitUvarint(uint64(tau))
+	emitUvarint(uint64(count))
 	for id := 0; id < count; id++ {
 		str := at(id)
-		if err := emitUvarint(uint64(len(str))); err != nil {
-			return written, err
-		}
-		if err := emit([]byte(str)); err != nil {
-			return written, err
-		}
+		emitUvarint(uint64(len(str)))
+		emit([]byte(str))
 	}
-	if fz == nil {
-		if err := emit([]byte{0}); err != nil {
-			return written, err
-		}
-	} else {
-		if err := emit([]byte{hasFrozen}); err != nil {
-			return written, err
-		}
-		if err := writeFrozen(emit, emitUvarint, tau, fz); err != nil {
-			return written, err
-		}
-	}
-	var footer [4]byte
-	binary.LittleEndian.PutUint32(footer[:], crc.Sum32())
-	if n, err := bw.Write(footer[:]); err != nil {
-		return written + int64(n), err
-	}
-	written += 4
-	if err := bw.Flush(); err != nil {
-		return written, err
-	}
-	return written, nil
-}
-
-// writeFrozen emits the frozen-index section in Lengths/slot/table order.
-func writeFrozen(emit func([]byte) error, emitUvarint func(uint64) error, tau int, fz *index.Frozen) error {
-	if err := emitUvarint(uint64(fz.Entries())); err != nil {
-		return err
-	}
-	lengths := fz.Lengths()
-	if err := emitUvarint(uint64(len(lengths))); err != nil {
-		return err
-	}
-	for _, l := range lengths {
-		g := fz.Group(l)
-		if err := emitUvarint(uint64(l)); err != nil {
-			return err
-		}
-		for i := 1; i <= tau+1; i++ {
-			nKeys := 0
-			g.Slot(i, func([]int32) { nKeys++ })
-			if err := emitUvarint(uint64(nKeys)); err != nil {
-				return err
-			}
-			var slotErr error
-			g.Slot(i, func(postings []int32) {
-				if slotErr != nil {
-					return
-				}
-				if slotErr = emitUvarint(uint64(len(postings))); slotErr != nil {
-					return
-				}
-				for _, id := range postings {
-					if slotErr = emitUvarint(uint64(id)); slotErr != nil {
-						return
-					}
-				}
-			})
-			if slotErr != nil {
-				return slotErr
-			}
-		}
-	}
-	return nil
+	emit([]byte{0}) // hasFrozen: no section follows
+	n, _ := bw.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return written + int64(n), bw.Flush()
 }
 
 // crcReader tracks a CRC32 over exactly the bytes handed to the parser —
@@ -175,69 +102,74 @@ func (c *crcReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// ReadSnapshot parses a PJIX snapshot back into (corpus, tau, frozen).
-// frozen is nil for v1 snapshots and corpus-only snapshots.
+// ReadSnapshot parses a PJIX snapshot, of any version, back into (corpus,
+// tau). A frozen-index section is walked, checked and dropped.
 //
 // When r is already a *bufio.Reader it is used directly, so parsing
 // consumes exactly the snapshot's bytes from it — internal/dynamic relies
 // on this to parse its own header and the embedded PJIX payload from one
 // buffered stream.
-func ReadSnapshot(r io.Reader) ([]string, int, *index.Frozen, error) {
-	if br, ok := r.(*bufio.Reader); ok {
-		return readSnapshot(br)
+func ReadSnapshot(r io.Reader) ([]string, int, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReader(r)
 	}
-	return readSnapshot(bufio.NewReader(r))
-}
-
-func readSnapshot(br *bufio.Reader) ([]string, int, *index.Frozen, error) {
 	cr := &crcReader{br: br, crc: crc32.NewIEEE()}
 	hdr := make([]byte, len(magic))
 	if _, err := io.ReadFull(cr, hdr); err != nil {
-		return nil, 0, nil, fmt.Errorf("passjoin: reading snapshot header: %w", err)
+		return nil, 0, fmt.Errorf("passjoin: reading snapshot header: %w", err)
 	}
 	if string(hdr) != magic {
-		return nil, 0, nil, fmt.Errorf("passjoin: not a searcher snapshot (magic %q)", hdr)
+		return nil, 0, fmt.Errorf("passjoin: not a searcher snapshot (magic %q)", hdr)
 	}
 	version, err := binary.ReadUvarint(cr)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("passjoin: reading snapshot version: %w", err)
+		return nil, 0, fmt.Errorf("passjoin: reading snapshot version: %w", err)
 	}
 	if version < version1 || version > version3 {
-		return nil, 0, nil, fmt.Errorf("passjoin: unsupported snapshot version %d", version)
+		return nil, 0, fmt.Errorf("passjoin: unsupported snapshot version %d", version)
 	}
 	tau64, err := binary.ReadUvarint(cr)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("passjoin: reading threshold: %w", err)
+		return nil, 0, fmt.Errorf("passjoin: reading threshold: %w", err)
 	}
 	const maxTau = 1 << 20
 	if tau64 > maxTau {
-		return nil, 0, nil, fmt.Errorf("passjoin: threshold %d exceeds limit", tau64)
+		return nil, 0, fmt.Errorf("passjoin: threshold %d exceeds limit", tau64)
 	}
 	count, err := binary.ReadUvarint(cr)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("passjoin: reading corpus size: %w", err)
+		return nil, 0, fmt.Errorf("passjoin: reading corpus size: %w", err)
 	}
-	const maxStringLen = 1 << 30
-	// count is attacker-controlled until proven by actual data; cap the
-	// preallocation so a corrupt header cannot panic or OOM the process.
+	// count and every length are attacker-controlled until proven by actual
+	// data: the preallocation is capped, and a string's bytes arrive through
+	// buf, which grows with what has been received (ReadFrom doubles it from
+	// 512 bytes), never to a declared length — a 15-byte file that announces
+	// a 1 GiB string must fail on its 15 bytes.
 	prealloc := count
 	if prealloc > 1<<20 {
 		prealloc = 1 << 20
 	}
 	corpus := make([]string, 0, prealloc)
+	var buf bytes.Buffer
+	body := io.LimitedReader{R: cr}
 	for i := uint64(0); i < count; i++ {
 		n, err := binary.ReadUvarint(cr)
 		if err != nil {
-			return nil, 0, nil, fmt.Errorf("passjoin: reading string %d length: %w", i, err)
+			return nil, 0, fmt.Errorf("passjoin: reading string %d length: %w", i, err)
 		}
 		if n > maxStringLen {
-			return nil, 0, nil, fmt.Errorf("passjoin: string %d length %d exceeds limit", i, n)
+			return nil, 0, fmt.Errorf("passjoin: string %d length %d exceeds limit", i, n)
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(cr, buf); err != nil {
-			return nil, 0, nil, fmt.Errorf("passjoin: reading string %d: %w", i, err)
+		buf.Reset()
+		body.N = int64(n)
+		if _, err := buf.ReadFrom(&body); err != nil || body.N > 0 {
+			if err == nil {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, 0, fmt.Errorf("passjoin: reading string %d: %w", i, err)
 		}
-		corpus = append(corpus, string(buf))
+		corpus = append(corpus, buf.String())
 	}
 	if version == version1 {
 		// v1 has no frozen section and no footer, so it must end exactly
@@ -245,114 +177,88 @@ func readSnapshot(br *bufio.Reader) ([]string, int, *index.Frozen, error) {
 		// later snapshot whose version byte was corrupted), and accepting
 		// it would bypass the checksum.
 		if _, err := br.ReadByte(); err != io.EOF {
-			return nil, 0, nil, fmt.Errorf("passjoin: trailing bytes after v1 snapshot")
+			return nil, 0, fmt.Errorf("passjoin: trailing bytes after v1 snapshot")
 		}
-		return corpus, int(tau64), nil, nil
+		return corpus, int(tau64), nil
 	}
 	flag, err := cr.ReadByte()
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("passjoin: reading frozen-section flag: %w", err)
+		return nil, 0, fmt.Errorf("passjoin: reading frozen-section flag: %w", err)
 	}
-	var fz *index.Frozen
 	switch flag {
 	case 0:
 	case hasFrozen:
-		fz, err = readFrozen(cr, int(tau64), corpus, version == version2)
-		if err != nil {
-			return nil, 0, nil, err
+		if err := skipFrozen(cr, int(tau64), uint64(len(corpus)), version == version2); err != nil {
+			return nil, 0, err
 		}
 	default:
-		return nil, 0, nil, fmt.Errorf("passjoin: invalid frozen-section flag %d", flag)
+		return nil, 0, fmt.Errorf("passjoin: invalid frozen-section flag %d", flag)
 	}
 	sum := cr.crc.Sum32()
 	var footer [4]byte
 	if _, err := io.ReadFull(br, footer[:]); err != nil {
-		return nil, 0, nil, fmt.Errorf("passjoin: reading checksum footer: %w", err)
+		return nil, 0, fmt.Errorf("passjoin: reading checksum footer: %w", err)
 	}
 	if got := binary.LittleEndian.Uint32(footer[:]); got != sum {
-		return nil, 0, nil, fmt.Errorf("passjoin: snapshot checksum mismatch (stored %08x, computed %08x)", got, sum)
+		return nil, 0, fmt.Errorf("passjoin: snapshot checksum mismatch (stored %08x, computed %08x)", got, sum)
 	}
-	return corpus, int(tau64), fz, nil
+	return corpus, int(tau64), nil
 }
 
-// readFrozen parses the frozen-index section, streaming it through a
-// FrozenBuilder — which validates group lengths, posting ids, and arena
-// bounds against the already-loaded corpus, and hashes every list's segment
-// itself — into the materialized index. storedHashes says that each list is
-// preceded by the 8 bytes v2 wrote, which are skipped.
-func readFrozen(cr *crcReader, tau int, corpus []string, storedHashes bool) (*index.Frozen, error) {
-	total, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, fmt.Errorf("passjoin: reading posting count: %w", err)
-	}
-	if total > uint64(len(corpus))*uint64(tau+1) {
-		return nil, fmt.Errorf("passjoin: posting count %d impossible for corpus of %d strings", total, len(corpus))
-	}
-	b, err := index.NewFrozenBuilder(tau, corpus, int64(total))
-	if err != nil {
-		return nil, fmt.Errorf("passjoin: frozen section: %w", err)
-	}
-	nGroups, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, fmt.Errorf("passjoin: reading group count: %w", err)
-	}
-	if nGroups > uint64(len(corpus)) {
-		return nil, fmt.Errorf("passjoin: group count %d exceeds corpus size", nGroups)
-	}
-	var hbuf [8]byte
-	var postings []int32
-	for gi := uint64(0); gi < nGroups; gi++ {
-		l, err := binary.ReadUvarint(cr)
+// skipFrozen walks the frozen-index section of a file an older build wrote
+// and keeps none of it: the index is rebuilt from the corpus. It reads
+// through cr, so the checksum still covers every byte and the reader still
+// stops exactly where the snapshot does, and it holds every count to what a
+// corpus of n strings allows, as the loader it replaces did. storedHashes
+// says that each list is preceded by the 8 bytes v2 wrote.
+func skipFrozen(cr *crcReader, tau int, n uint64, storedHashes bool) error {
+	// next reads one count of the section and refuses it above limit.
+	next := func(what string, limit uint64) (uint64, error) {
+		v, err := binary.ReadUvarint(cr)
 		if err != nil {
-			return nil, fmt.Errorf("passjoin: reading group %d length: %w", gi, err)
+			return 0, fmt.Errorf("passjoin: frozen section: reading %s: %w", what, err)
 		}
-		if err := b.BeginGroup(int(l)); err != nil {
-			return nil, fmt.Errorf("passjoin: frozen section: %w", err)
+		if v > limit {
+			return 0, fmt.Errorf("passjoin: frozen section: %s %d exceeds %d", what, v, limit)
 		}
-		for i := 1; i <= tau+1; i++ {
-			nKeys, err := binary.ReadUvarint(cr)
-			if err != nil {
-				return nil, fmt.Errorf("passjoin: reading slot size: %w", err)
-			}
-			if nKeys > total {
-				return nil, fmt.Errorf("passjoin: slot key count %d exceeds posting count %d", nKeys, total)
-			}
-			if err := b.BeginSlot(i, int(nKeys)); err != nil {
-				return nil, fmt.Errorf("passjoin: frozen section: %w", err)
-			}
-			for k := uint64(0); k < nKeys; k++ {
-				if storedHashes {
-					if _, err := io.ReadFull(cr, hbuf[:]); err != nil {
-						return nil, fmt.Errorf("passjoin: reading segment hash: %w", err)
-					}
-				}
-				cnt, err := binary.ReadUvarint(cr)
-				if err != nil {
-					return nil, fmt.Errorf("passjoin: reading posting-list size: %w", err)
-				}
-				if cnt == 0 || cnt > total {
-					return nil, fmt.Errorf("passjoin: invalid posting-list size %d", cnt)
-				}
-				postings = postings[:0]
-				for p := uint64(0); p < cnt; p++ {
-					id, err := binary.ReadUvarint(cr)
-					if err != nil {
-						return nil, fmt.Errorf("passjoin: reading posting: %w", err)
-					}
-					if id >= uint64(len(corpus)) {
-						return nil, fmt.Errorf("passjoin: posting id %d outside corpus", id)
-					}
-					postings = append(postings, int32(id))
-				}
-				if err := b.AddList(postings); err != nil {
-					return nil, fmt.Errorf("passjoin: frozen section: %w", err)
-				}
-			}
-		}
+		return v, nil
 	}
-	fz, err := b.Finish()
+	total, err := next("posting count", n*uint64(tau+1))
 	if err != nil {
-		return nil, fmt.Errorf("passjoin: frozen section: %w", err)
+		return err
 	}
-	return fz, nil
+	nGroups, err := next("group count", n)
+	if err != nil {
+		return err
+	}
+	var hash [8]byte
+	for ; nGroups > 0; nGroups-- {
+		if _, err := next("group length", maxStringLen); err != nil {
+			return err
+		}
+		for slot := 0; slot <= tau; slot++ {
+			nKeys, err := next("slot size", total)
+			if err != nil {
+				return err
+			}
+			for ; nKeys > 0; nKeys-- {
+				if storedHashes {
+					if _, err := io.ReadFull(cr, hash[:]); err != nil {
+						return fmt.Errorf("passjoin: frozen section: reading segment hash: %w", err)
+					}
+				}
+				cnt, err := next("posting-list size", total)
+				if err == nil && cnt == 0 {
+					err = fmt.Errorf("passjoin: frozen section: empty posting list")
+				}
+				for ; cnt > 0 && err == nil; cnt-- {
+					_, err = next("posting id", n-1)
+				}
+				if err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"passjoin"
+	"passjoin/internal/persist"
 )
 
 const (
@@ -602,24 +603,10 @@ func (f *Follower) persistTo(epoch, applied uint64) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(f.cfg.Dir, stateFile)
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	return persist.WriteFileAtomic(filepath.Join(f.cfg.Dir, stateFile), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
 		return err
-	}
-	if _, err := tf.Write(append(raw, '\n')); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 func (f *Follower) persistStateBestEffort() {

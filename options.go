@@ -194,8 +194,9 @@ func WithParallelism(n int) Option {
 // rather than a tuning choice.
 const maxShards = 1 << 16
 
-// WithShards sets, for NewShardedSearcher, the number of workers that
-// build its one index in parallel — queries do not depend on it, and
+// WithShards sets, for NewShardedSearcher and ReadShardedSearcherFrom, the
+// number of workers that build the one index in parallel — queries do not
+// depend on it, and
 // NumShards reports it — and, for NewDynamicSearcher and
 // OpenDynamicSearcher, the number of index partitions, each with its own
 // write lock, log and compactor (see the options table in the package

@@ -2,13 +2,22 @@ package passjoin
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
+	"iter"
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"passjoin/internal/dataset"
 )
 
 func TestSearcherRoundTrip(t *testing.T) {
@@ -119,13 +128,61 @@ func TestReadSearcherFromV1(t *testing.T) {
 	}
 }
 
-// TestV2SnapshotCarriesFrozenIndex asserts the cold-start contract: a
-// loaded v2 searcher serves from the deserialized frozen index (visible
-// through FrozenBytes in the stats) rather than re-indexing.
+// bruteSearch is the brute-force answer to a search over docs, (id, string)
+// pairs: every id within tau of q, in Search order (distance, then id).
+func bruteSearch(docs iter.Seq2[int, string], q string, tau int) []Match {
+	var out []Match
+	for id, s := range docs {
+		if d := EditDistance(q, s); d <= tau {
+			out = append(out, Match{ID: id, Dist: d})
+		}
+	}
+	slices.SortFunc(out, func(a, b Match) int { return cmp.Or(a.Dist-b.Dist, a.ID-b.ID) })
+	return out
+}
+
+// corpusOf returns the strings s indexes.
+func corpusOf(s *Searcher) []string {
+	corpus := make([]string, s.Len())
+	for id := range corpus {
+		corpus[id] = s.At(id)
+	}
+	return corpus
+}
+
+// searchFunc is Search of either static searcher.
+type searchFunc func(q string, opts ...QueryOption) []Match
+
+// requireBruteForceAnswers fails unless every reader's searcher over a
+// loaded snapshot finds, for every string of the corpus as the query, what
+// brute force finds in the expected corpus — which is not a comparison of
+// the index build with itself, as a fresh NewSearcher on the side would be.
+func requireBruteForceAnswers(t *testing.T, label string, corpus []string, tau int, searchers map[string]searchFunc) {
+	t.Helper()
+	hits := 0
+	for _, q := range corpus {
+		want := bruteSearch(slices.All(corpus), q, tau)
+		hits += len(want) - 1
+		for name, search := range searchers {
+			if got := search(q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s q=%q: %s answers %v, brute force %v", label, q, name, got, want)
+			}
+		}
+	}
+	if hits < len(corpus)/8 {
+		t.Fatalf("%s: only %d near-duplicates among %d strings — the corpus does not exercise the index", label, hits, len(corpus))
+	}
+}
+
+// TestV2SnapshotCarriesFrozenIndex (named for what a snapshot carried until
+// it became a corpus) holds a reader to the constructor's contract: a loaded
+// searcher reports through WithStats exactly the build counters NewSearcher
+// reports over the same corpus, and answers like it.
 func TestV2SnapshotCarriesFrozenIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	corpus := testCorpus(rng, 150)
-	orig, err := NewSearcher(corpus, 2)
+	var built, st Stats
+	orig, err := NewSearcher(corpus, 2, WithStats(&built))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,36 +190,27 @@ func TestV2SnapshotCarriesFrozenIndex(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var st Stats
 	loaded, err := ReadSearcherFrom(bytes.NewReader(buf.Bytes()), WithStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.FrozenBytes == 0 || st.FrozenEntries == 0 {
-		t.Fatalf("v2 load did not restore a frozen index: %+v", st)
-	}
-	// IndexBytes tracks the mutable build index, which the cold start must
-	// never have constructed.
-	if st.IndexBytes != 0 {
-		t.Fatalf("v2 load rebuilt the map index: %+v", st)
+	built.inner, st.inner = nil, nil
+	if st.FrozenBytes == 0 || st.FrozenEntries == 0 || st.IndexEntries == 0 || st != built {
+		t.Fatalf("load reports %+v, the constructor %+v", st, built)
 	}
 	for _, q := range corpus[:40] {
-		a, b := orig.Search(q), loaded.Search(q)
-		if len(a) != len(b) {
-			t.Fatalf("q=%q: %d hits vs %d", q, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("q=%q hit %d: %+v vs %+v", q, i, a[i], b[i])
-			}
+		if a, b := orig.Search(q), loaded.Search(q); !reflect.DeepEqual(a, b) {
+			t.Fatalf("q=%q: original %v, loaded %v", q, a, b)
 		}
 	}
 }
 
-// TestShardedSnapshotRestoresFrozenIndex: a sharded searcher writes the
-// snapshot a plain one writes, and reading it back restores the frozen
-// index (no rebuild: IndexBytes stays 0) with results equal to the
-// original's at whatever WithShards the reader is given.
+// TestShardedSnapshotRestoresFrozenIndex (named likewise): a sharded
+// searcher writes the snapshot a plain one writes, and that snapshot is what
+// every build that reads version 3 already accepts — version 3, the corpus,
+// a zero hasFrozen byte, the checksum of those bytes and nothing more — from
+// which both readers, the sharded one on one build worker, three or five,
+// give searchers that answer exactly like the original.
 func TestShardedSnapshotRestoresFrozenIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	corpus := testCorpus(rng, 180)
@@ -181,34 +229,51 @@ func TestShardedSnapshotRestoresFrozenIndex(t *testing.T) {
 	if _, err := plain.WriteTo(&plainBuf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), plainBuf.Bytes()) {
+	blob := buf.Bytes()
+	if !bytes.Equal(blob, plainBuf.Bytes()) {
 		t.Fatalf("sharded snapshot (%d B) differs from the plain searcher's (%d B)", buf.Len(), plainBuf.Len())
 	}
-	var st Stats
-	loaded, err := ReadShardedSearcherFrom(bytes.NewReader(buf.Bytes()), WithShards(5), WithStats(&st))
+	want := append(writeV1Snapshot(2, corpus), 0) // the corpus, then hasFrozen
+	want[4] = 3
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
+	if !bytes.Equal(blob, want) {
+		t.Fatalf("the snapshot's %d bytes are not version 3, the corpus, a zero flag and their checksum (%d bytes)", len(blob), len(want))
+	}
+	searchers := map[string]searchFunc{}
+	s, err := ReadSearcherFrom(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.FrozenEntries == 0 || st.IndexBytes != 0 {
-		t.Fatalf("load did not restore the frozen section as it is: %+v", st)
-	}
-	if loaded.NumShards() != 5 || loaded.Len() != len(corpus) || loaded.Tau() != 2 {
-		t.Fatalf("loaded: shards=%d len=%d tau=%d", loaded.NumShards(), loaded.Len(), loaded.Tau())
+	searchers["ReadSearcherFrom"] = s.Search
+	for _, shards := range []int{1, 3, 5} {
+		var st Stats
+		loaded, err := ReadShardedSearcherFrom(bytes.NewReader(blob), WithShards(shards), WithStats(&st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.NumShards() != shards || loaded.Len() != len(corpus) || loaded.Tau() != 2 || st.FrozenEntries == 0 {
+			t.Fatalf("loaded: shards=%d len=%d tau=%d stats %+v", loaded.NumShards(), loaded.Len(), loaded.Tau(), st)
+		}
+		searchers[fmt.Sprintf("ReadShardedSearcherFrom/%d", shards)] = loaded.Search
 	}
 	for _, q := range append(testCorpus(rng, 40), corpus[:40]...) {
-		if got, want := loaded.Search(q), orig.Search(q); !reflect.DeepEqual(got, want) {
-			t.Fatalf("q=%q: loaded %v, original %v", q, got, want)
+		want := orig.Search(q)
+		for name, search := range searchers {
+			if got := search(q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("q=%q: %s %v, original %v", q, name, got, want)
+			}
 		}
 	}
 }
 
 // TestParentCommitSnapshotsLoad reads two snapshots written by the build
 // before the bulk builder (testdata/, 125 strings at tau 2): a
-// ShardedSearcher's, which was corpus-only and must take the rebuild path,
-// and a Searcher's, whose frozen section came out of Index.Freeze and must
-// be restored as it is. Both readers must answer like a fresh build.
+// ShardedSearcher's, which was corpus-only, and a Searcher's, whose frozen
+// section (Index.Freeze's, with the segment hashes of its day) is walked
+// past. Both readers must answer like brute force over the file's strings,
+// and report the build they made.
 func TestParentCommitSnapshotsLoad(t *testing.T) {
-	for name, rebuilt := range map[string]bool{"parent-sharded.pjix": true, "parent-searcher.pjix": false} {
+	for _, name := range []string{"parent-sharded.pjix", "parent-searcher.pjix"} {
 		blob, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			t.Fatal(err)
@@ -225,69 +290,40 @@ func TestParentCommitSnapshotsLoad(t *testing.T) {
 		if s.Len() != 125 || s.Tau() != 2 || ss.Len() != 125 || ss.Tau() != 2 || ss.NumShards() != 2 {
 			t.Fatalf("%s: len=%d/%d tau=%d/%d shards=%d", name, s.Len(), ss.Len(), s.Tau(), ss.Tau(), ss.NumShards())
 		}
-		if (st.IndexBytes != 0) != rebuilt || (sst.IndexBytes != 0) != rebuilt || st.FrozenEntries == 0 || sst.FrozenEntries != st.FrozenEntries {
-			t.Fatalf("%s: rebuilt=%v, stats %+v / %+v", name, rebuilt, st, sst)
+		if st.IndexBytes == 0 || st.FrozenEntries == 0 || sst.IndexBytes != st.IndexBytes || sst.FrozenEntries != st.FrozenEntries {
+			t.Fatalf("%s: stats %+v / %+v", name, st, sst)
 		}
-		corpus := make([]string, s.Len())
-		for id := range corpus {
-			corpus[id] = s.At(id)
-		}
-		fresh, err := NewSearcher(corpus, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range corpus {
-			want := fresh.Search(q)
-			if got := s.Search(q); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s q=%q: searcher %v, fresh %v", name, q, got, want)
-			}
-			if got := ss.Search(q); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s q=%q: sharded %v, fresh %v", name, q, got, want)
-			}
-		}
+		requireBruteForceAnswers(t, name, corpusOf(s), 2, map[string]searchFunc{"searcher": s.Search, "sharded": ss.Search})
 	}
 }
 
-// TestParentV3SnapshotBytes: the two version 3 files the commit before the
+// TestParentV3SnapshotsLoad: the two version 3 files the commit before the
 // 8-byte table rows wrote (testdata/, see internal/persist's
-// TestParentSnapshots) load with their frozen section as it is and answer
-// like a fresh build, and Searcher.WriteTo over the same corpus — on one
-// build worker or three — writes the parent's file byte for byte: a slot's
-// lists are written in table order, which the narrower rows did not change.
-func TestParentV3SnapshotBytes(t *testing.T) {
-	for name, tau := range map[string]int{"parent-v3-author.pjix": 2, "parent-v3-authortitle.pjix": 8} {
+// TestParentSnapshots), each with a frozen section, open as exactly the
+// generator's corpus through either reader and answer like brute force over
+// it.
+func TestParentV3SnapshotsLoad(t *testing.T) {
+	for name, want := range map[string]struct {
+		tau    int
+		corpus []string
+	}{
+		"parent-v3-author.pjix":      {2, dataset.Author(400, 3)},
+		"parent-v3-authortitle.pjix": {8, dataset.AuthorTitle(120, 3)},
+	} {
 		blob, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var st Stats
-		loaded, err := ReadSearcherFrom(bytes.NewReader(blob), WithStats(&st))
-		if err != nil || loaded.Tau() != tau || st.IndexBytes != 0 || st.FrozenEntries == 0 {
-			t.Fatalf("%s: err %v, stats %+v", name, err, st)
+		s, err := ReadSearcherFrom(bytes.NewReader(blob), WithStats(&st))
+		if err != nil || s.Tau() != want.tau || st.FrozenEntries == 0 || !slices.Equal(corpusOf(s), want.corpus) {
+			t.Fatalf("%s: err %v, stats %+v, or not the generator's corpus", name, err, st)
 		}
-		corpus := make([]string, loaded.Len())
-		for id := range corpus {
-			corpus[id] = loaded.At(id)
-		}
-		fresh, err := NewSearcher(corpus, tau)
+		ss, err := ReadShardedSearcherFrom(bytes.NewReader(blob), WithShards(3))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		sharded, err := NewShardedSearcher(corpus, tau, WithShards(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for label, w := range map[string]io.WriterTo{"Searcher": fresh, "ShardedSearcher": sharded} {
-			var buf bytes.Buffer
-			if _, err := w.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), blob) {
-				t.Fatalf("%s: %s.WriteTo wrote %d bytes that differ from the parent's %d (err %v)", name, label, buf.Len(), len(blob), err)
-			}
-		}
-		for _, q := range corpus {
-			if got, want := loaded.Search(q), fresh.Search(q); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s q=%q: loaded %v, fresh %v", name, q, got, want)
-			}
-		}
+		requireBruteForceAnswers(t, name, want.corpus, want.tau, map[string]searchFunc{"searcher": s.Search, "sharded": ss.Search})
 	}
 }
 
@@ -323,7 +359,7 @@ func TestSnapshotChecksum(t *testing.T) {
 		}
 	}
 	// Corrupting the version byte (v2 -> v1) must not sidestep the
-	// checksum: the trailing frozen section and footer unmask it.
+	// checksum: the trailing flag byte and footer unmask it.
 	relabeled := append([]byte(nil), blob...)
 	relabeled[4] = 1
 	if _, err := ReadSearcherFrom(bytes.NewReader(relabeled)); err == nil {
@@ -376,6 +412,26 @@ func TestReadSearcherFromHugeLengthRejected(t *testing.T) {
 	blob = append(blob, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20) // varint 2^40
 	if _, err := ReadSearcherFrom(bytes.NewReader(blob)); err == nil {
 		t.Error("oversized string length accepted")
+	}
+}
+
+// TestReadSearcherFromHugeLengthNotAllocated: a declared length is not memory
+// until the bytes arrive. The 15-byte file that announces one string of 1 GiB
+// (within the limit) and holds three bytes of it must fail having allocated
+// next to nothing — under a container limit the gigabyte it used to take
+// first is a kill, not an error.
+func TestReadSearcherFromHugeLengthNotAllocated(t *testing.T) {
+	blob := binary.AppendUvarint([]byte("PJIX\x03\x02\x01"), 1<<30) // version 3, tau 2, one string
+	blob = append(blob, "abc"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSearcherFrom(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("%d-byte file with a 1 GiB string: err %v, want an unexpected EOF", len(blob), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("the reader allocated %d bytes for a %d-byte file", grew, len(blob))
 	}
 }
 

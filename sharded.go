@@ -39,8 +39,15 @@ func NewShardedSearcher(corpus []string, tau int, opts ...Option) (*ShardedSearc
 	if err != nil {
 		return nil, err
 	}
+	return buildSharded(slices.Clone(corpus), tau, cfg)
+}
+
+// buildSharded indexes corpus, which the searcher keeps, with the build
+// workers cfg resolves to: the one build path under the constructor and the
+// snapshot reader.
+func buildSharded(corpus []string, tau int, cfg config) (*ShardedSearcher, error) {
 	workers := cfg.buildWorkers(len(corpus))
-	s, err := buildSearcher(slices.Clone(corpus), tau, cfg, workers)
+	s, err := buildSearcher(corpus, tau, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +72,7 @@ func (ss *ShardedSearcher) Tau() int { return ss.s.tau }
 func (ss *ShardedSearcher) Len() int { return ss.s.Len() }
 
 // NumShards returns the resolved WithShards value: the number of workers
-// the index was (or, for a restored snapshot, would have been) built with.
+// the index was built with.
 func (ss *ShardedSearcher) NumShards() int { return ss.workers }
 
 // At returns the id-th corpus string (ids are positions in the corpus
