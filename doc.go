@@ -60,8 +60,12 @@
 //	        return true
 //	}, passjoin.WithParallelism(8))
 //
-// Pairs arrive in no deterministic order under parallelism; a cancelled
-// ctx stops the workers promptly and surfaces ctx.Err(). See
+// A sequential join delivers pairs by non-decreasing length of the longer
+// (for Join: the first set's) string, in no particular order within a
+// length — it probes a run of equal-length strings at a time; under
+// parallelism pairs arrive in no deterministic order at all. A cancelled ctx
+// stops the workers promptly — they check between batches of lookups, not
+// between strings — and surfaces ctx.Err(). See
 // docs/ARCHITECTURE.md ("The streaming join path") for the fan-out and
 // backpressure design.
 //

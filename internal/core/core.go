@@ -1,9 +1,11 @@
 // Package core implements the Pass-Join engine (§3.2, Algorithm 1): sort
-// the strings by (length, content), scan them in order, probe the segment
-// inverted indices of the lengths in the scan's window — bulk-built, one
-// length group at a time, as the window reaches them — with the substrings
-// chosen by a selection method, and verify the candidates that precede the
-// current string with a configurable verifier. The engine also supports
+// the strings by (length, content), scan them in order — a chunk of
+// equal-length strings at a time, which all select the same substrings
+// (blockJoin) — probe the segment inverted indices of the lengths in the
+// scan's window — bulk-built, one length group at a time, as the window
+// reaches them — with the substrings chosen by a selection method, and
+// verify the candidates that precede the current string with a configurable
+// verifier. The engine also supports
 // R≠S joins, an online matcher, and a parallel probe mode (index everything
 // once, probe read-only from several goroutines).
 package core

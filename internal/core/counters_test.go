@@ -18,7 +18,7 @@ import (
 // never noise. One default-options self join per regime — long strings
 // (titles, tau 8) and short ones (author names, tau 2) — serial and with two
 // workers, which probe the same index under the same two counting rules
-// (probeSelf) and so must report the same work. A change that means to move
+// (probeBlock) and so must report the same work. A change that means to move
 // a counter updates its row here and says why.
 func TestWorkCountersPinned(t *testing.T) {
 	type counters struct {

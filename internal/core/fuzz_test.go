@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,9 +10,6 @@ import (
 	"passjoin/internal/verify"
 )
 
-// FuzzSelfJoin differential-tests the full engine against brute force on
-// fuzzer-chosen corpora (newline-separated strings). The seed corpus runs
-// under plain `go test`; use `go test -fuzz=FuzzSelfJoin` for more.
 // FuzzQueryTau differential-tests the per-probe threshold path — the
 // τ′ < τ selection-window and verification-bound math — against a brute
 // force scan: a matcher partitioned for tau must answer QueryOpt at every
@@ -100,36 +98,92 @@ func FuzzQueryTau(f *testing.F) {
 	})
 }
 
+// FuzzSelfJoin holds the joins to brute force on fuzzer-chosen lines,
+// repeated a fuzzer-chosen number of times: the lines alone are a corpus of a
+// few strings per length; repeated, every length group grows past a batch of
+// 64 and, from some two dozen repeats of forty lines on, past a chunk of
+// 1024, full of duplicates on either side of every boundary. Brute force
+// reads the lines once — copy a of line i is within tau of copy b of line j
+// exactly if the lines are (or are the same line) — so the big corpora cost
+// no quadratic oracle. Every verifier joins serially; the default one also
+// on two and three workers, and as an R≠S join of the corpus's first half
+// against all of it. The seed corpus runs under plain `go test`; use
+// `go test -fuzz=FuzzSelfJoin` for more.
 func FuzzSelfJoin(f *testing.F) {
-	f.Add("abc\nabd\nxyz\nabcd", 1)
-	f.Add("a\n\nb\naa\nab", 2)
-	f.Add("aaaa\naaab\nbaaa\naabb", 3)
-	f.Add("kaushik chakrab\ncaushik chakrabar", 3)
-	f.Fuzz(func(t *testing.T, blob string, tau int) {
+	f.Add("abc\nabd\nxyz\nabcd", 1, uint16(1))
+	f.Add("a\n\nb\naa\nab", 2, uint16(1))
+	f.Add("aaaa\naaab\nbaaa\naabb", 3, uint16(70))
+	f.Add("kaushik chakrab\ncaushik chakrabar", 3, uint16(1))
+	f.Add("abcde\nabcdf\nxbcde\nabcd\nzzzzz", 1, uint16(80))
+	f.Add("aaaaaaaa\naaaaaaab\nbbbbbbbb\ncccccccc\ndddddddd\neeeeeeee\nffffffff\ngggggggg\nhhhhhhhh\niiiiiiii\njjjjjjjj\nkkkkkkkk\nllllllll\nmmmmmmmm", 2, uint16(1000))
+	f.Fuzz(func(t *testing.T, blob string, tau int, repeat uint16) {
 		if tau < 0 || tau > 5 || len(blob) > 600 {
 			t.Skip()
 		}
-		strs := strings.Split(blob, "\n")
-		if len(strs) > 40 {
+		lines := strings.Split(blob, "\n")
+		if len(lines) > 40 {
 			t.Skip()
 		}
-		want := make(map[Pair]bool)
-		for _, p := range bruteforce.SelfJoin(strs, tau) {
-			want[Pair{R: p.R, S: p.S}] = true
+		n := len(lines)
+		copies := max(1, min(int(repeat), 1300/n))
+		strs := make([]string, 0, n*copies)
+		for c := 0; c < copies; c++ {
+			strs = append(strs, lines...)
+		}
+		similar := make([][]bool, n) // of lines; a line is similar to itself
+		for i := range similar {
+			similar[i] = make([]bool, n)
+			similar[i][i] = true
+		}
+		var want int // pairs of strs
+		for _, p := range bruteforce.SelfJoin(lines, tau) {
+			similar[p.R][p.S], similar[p.S][p.R] = true, true
+			want += copies * copies
+		}
+		want += n * copies * (copies - 1) / 2
+		if want > 80_000 {
+			t.Skip()
+		}
+		check := func(label string, got []Pair, want int) {
+			t.Helper()
+			if len(got) != want {
+				t.Fatalf("%s: %d pairs, want %d (lines %q x%d, tau=%d)", label, len(got), want, lines, copies, tau)
+			}
+			for k, p := range got {
+				if !similar[int(p.R)%n][int(p.S)%n] || (k > 0 && got[k-1] == p) {
+					t.Fatalf("%s: spurious or repeated %v (lines %q x%d, tau=%d)", label, p, lines, copies, tau)
+				}
+			}
 		}
 		for _, vk := range VerifyKinds {
 			got, err := SelfJoin(strs, Options{Tau: tau, Verification: vk})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%v: %d pairs, want %d (corpus %q tau=%d)", vk, len(got), len(want), strs, tau)
+			check(vk.String(), got, want)
+		}
+		half := strs[:len(strs)/2]
+		for _, workers := range []int{0, 2, 3} {
+			if workers > 0 {
+				got, err := SelfJoin(strs, Options{Tau: tau, Parallel: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%d workers", workers), got, want)
 			}
-			for _, p := range got {
-				if !want[p] {
-					t.Fatalf("%v: spurious %v", vk, p)
+			wantRS := 0
+			for r := range half {
+				for j := 0; j < n; j++ {
+					if similar[r%n][j] {
+						wantRS += copies
+					}
 				}
 			}
+			got, err := Join(half, strs, Options{Tau: tau, Parallel: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("R-S, %d workers", workers), got, wantRS)
 		}
 	})
 }

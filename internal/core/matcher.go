@@ -89,7 +89,7 @@ func NewSealedMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.
 	}
 	verify.Sigs(m.sigs, corpus)
 	for id, s := range corpus {
-		if len(s) < tau+1 {
+		if len(s) <= tau { // not "< tau+1", which wraps at MaxInt
 			m.shorts = append(m.shorts, int32(id))
 		}
 	}

@@ -11,15 +11,17 @@ import (
 	"passjoin/internal/verify"
 )
 
-// prober owns the per-scan state of one join direction: the segment index
-// being probed, the verifier scratch space, and the deduplication stamps.
-// The corpus (ref) and its signatures (sig) are shared, read-only.
-// It is single-goroutine state; the parallel mode gives each worker its own
-// prober.
+// prober owns the per-scan state of one matcher or one join worker: the
+// segment index being probed, the verifier scratch space, and the
+// deduplication stamps. The corpus (ref) and its signatures (sig) are
+// shared, read-only. It is single-goroutine state; the parallel mode gives
+// each worker its own prober.
 //
 // Exactly one of idx (the mutable index of an unsealed Matcher) and fz (the
 // frozen index of everything else: sealed matchers and every join) is
-// non-nil; probe dispatches on which.
+// non-nil; probe dispatches on which. A query is one probe; a join never
+// calls probe — its loop is blockJoin.probeBlock, which hands the lists it
+// resolves to the same handleList.
 type prober struct {
 	tau int
 	// qtau is the per-probe threshold, distinct from the partition
@@ -75,10 +77,16 @@ type prober struct {
 	// depend on the alignment); accepted, for the extension verifiers (a
 	// rejected pair must be retried at other alignments). probe claims a
 	// fresh epoch per call and sizes stamp to ref on demand, so a prober
-	// that never probes — the base matcher behind a snapshot pool — holds
-	// no stamps, and a zero stamp never equals a live epoch (>= 1).
+	// that never probes — the base matcher behind a snapshot pool, or a
+	// join's — holds no stamps, and a zero stamp never equals a live epoch
+	// (>= 1).
 	stamp []int32
 	epoch int32
+
+	// join, when non-nil, is the join this prober verifies for: the strings
+	// of a chunk meet their lists interleaved, so what is settled is kept
+	// per (string, candidate) there, not in stamp (see settled).
+	join *blockJoin
 
 	// lookups is the batch of index lookups in flight (probeFrozen). selected
 	// is the number of substrings the current probe has selected so far,
@@ -87,11 +95,6 @@ type prober struct {
 	lookups           index.ProbeBatch
 	reached           [index.ProbeBatchSize]int64
 	selected, counted int64
-
-	// maxID, when >= 0, filters candidates to ids < maxID (a self join
-	// probes groups built ahead of the scan but must only pair with
-	// predecessors).
-	maxID int32
 
 	// needDist asks the verifiers to record each accepted candidate's exact
 	// edit distance in dists (aligned with hits). Whole-string verifiers get
@@ -114,16 +117,15 @@ type prober struct {
 
 func newProber(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, idx *index.Index, fz *index.Frozen, ref []string, sig []uint64) *prober {
 	p := &prober{
-		tau:   tau,
-		qtau:  tau,
-		sel:   sel,
-		vk:    vk,
-		st:    st,
-		idx:   idx,
-		fz:    fz,
-		ref:   ref,
-		sig:   sig,
-		maxID: -1,
+		tau:  tau,
+		qtau: tau,
+		sel:  sel,
+		vk:   vk,
+		st:   st,
+		idx:  idx,
+		fz:   fz,
+		ref:  ref,
+		sig:  sig,
 	}
 	p.ver.Stats = st
 	p.incL.Stats = st
@@ -328,9 +330,7 @@ func (p *prober) listPhase() obs.Phase {
 // isHit reports whether lst, the answer to one lookup, is a list the probe
 // may see, and counts it if so.
 func (p *prober) isHit(lst []int32) bool {
-	// A list that starts at or past maxID holds no predecessor: to a scan
-	// that indexes as it goes it does not exist yet.
-	if len(lst) == 0 || (p.maxID >= 0 && lst[0] >= p.maxID) {
+	if len(lst) == 0 {
 		return false
 	}
 	if p.st != nil {
@@ -340,7 +340,8 @@ func (p *prober) isHit(lst []int32) bool {
 }
 
 // handleList routes one inverted list: whole-string verifiers collect the
-// candidates into the probe's batch (verified together in flushBatch);
+// candidates into the probe's batch (verified together in flushBatch, or
+// a join's flushWhole);
 // extension verifiers depend on the matched alignment (i, pos) and verify
 // in place. s matched the i-th segment (start pi, length li, of indexed
 // strings) with its substring at 1-based position pos.
@@ -365,7 +366,25 @@ func (p *prober) sigReject(rid int32) bool {
 	return true
 }
 
-// collectWhole stamps and batches the not-yet-seen candidates of one
+// settled reports whether candidate rid is settled for the string in hand.
+func (p *prober) settled(rid int32) bool {
+	if j := p.join; j != nil {
+		return j.settled.has(j.key(rid))
+	}
+	return p.stamp[rid] == p.epoch
+}
+
+// settle marks candidate rid, which is not, as settled for the string in
+// hand.
+func (p *prober) settle(rid int32) {
+	if j := p.join; j != nil {
+		j.settled.add(j.key(rid))
+		return
+	}
+	p.stamp[rid] = p.epoch
+}
+
+// collectWhole settles and batches the not-yet-seen candidates of one
 // inverted list that pass the signature filter. The whole-string verdict
 // does not depend on the matched alignment, so each pair enters the batch
 // at most once per probe.
@@ -374,22 +393,21 @@ func (p *prober) collectWhole(lst []int32) {
 		p.trace.AddCount(obs.PhaseDedup, int64(len(lst)))
 	}
 	for _, rid := range lst {
-		// Posting lists ascend by id, so the first id at or past maxID
-		// ends the list.
-		if p.maxID >= 0 && rid >= p.maxID {
-			break
-		}
 		if p.st != nil {
 			p.st.Candidates++
 		}
-		if p.sigReject(rid) || p.stamp[rid] == p.epoch {
+		if p.sigReject(rid) || p.settled(rid) {
 			continue
 		}
-		p.stamp[rid] = p.epoch
+		p.settle(rid)
 		if p.st != nil {
 			p.st.UniqueCandidates++
 		}
-		p.batch = append(p.batch, rid)
+		if j := p.join; j != nil {
+			j.whole = append(j.whole, j.key(rid))
+		} else {
+			p.batch = append(p.batch, rid)
+		}
 	}
 }
 
@@ -404,32 +422,33 @@ func (p *prober) flushBatch(s string) {
 	if p.trace != nil {
 		p.trace.Begin(obs.PhaseVerify)
 	}
-	tau := p.qtau
 	nv := int64(0)
 	for _, rid := range p.batch {
-		if p.st != nil {
-			p.st.Verifications++
-		}
 		nv++
-		var d int
-		switch p.vk {
-		case VerifyNaive:
-			d = p.ver.DistNaive(p.ref[rid], s, tau)
-		case VerifyMyers:
-			d = p.ver.DistPattern(&p.pat, p.ref[rid], tau)
-		default:
-			d = p.ver.Dist(p.ref[rid], s, tau)
-		}
-		if d <= tau {
-			if !p.accept(rid, int32(d)) {
-				break
-			}
+		if d := p.distWhole(rid, s); d <= p.qtau && !p.accept(rid, int32(d)) {
+			break
 		}
 	}
 	if p.trace != nil {
 		p.trace.AddCount(obs.PhaseVerify, nv) // fewer than the batch if the consumer stopped
 		p.trace.End(obs.PhaseVerify)
 	}
+}
+
+// distWhole is one verification by the whole-string verifier in use: the
+// distance of candidate rid from s (whose pattern VerifyMyers has set), or
+// more than qtau.
+func (p *prober) distWhole(rid int32, s string) int {
+	if p.st != nil {
+		p.st.Verifications++
+	}
+	switch p.vk {
+	case VerifyNaive:
+		return p.ver.DistNaive(p.ref[rid], s, p.qtau)
+	case VerifyMyers:
+		return p.ver.DistPattern(&p.pat, p.ref[rid], p.qtau)
+	}
+	return p.ver.Dist(p.ref[rid], s, p.qtau)
 }
 
 // verifyExtension verifies candidates with the extension-based method of
@@ -441,7 +460,7 @@ func (p *prober) flushBatch(s string) {
 // distance is at most dl+dr, and complete because the witness alignment of
 // the paper's completeness lemma restricts the optimal alignment to the two
 // sides, giving dl+dr ≤ ed ≤ τ′ there. A pair rejected here may still be
-// accepted at a later alignment, so only accepted pairs are stamped.
+// accepted at a later alignment, so only accepted pairs are settled.
 func (p *prober) verifyExtension(s string, lst []int32, i, pos, pi, li int) {
 	tauL := minInt(i-1, p.qtau)
 	tauR := minInt(p.tau+1-i, p.qtau)
@@ -454,13 +473,10 @@ func (p *prober) verifyExtension(s string, lst []int32, i, pos, pi, li int) {
 	}
 	nv := int64(0)
 	for _, rid := range lst {
-		if p.maxID >= 0 && rid >= p.maxID {
-			break
-		}
 		if p.st != nil {
 			p.st.Candidates++
 		}
-		if p.sigReject(rid) || p.stamp[rid] == p.epoch {
+		if p.sigReject(rid) || p.settled(rid) {
 			continue
 		}
 		if p.st != nil {
@@ -488,7 +504,7 @@ func (p *prober) verifyExtension(s string, lst []int32, i, pos, pi, li int) {
 		if dr > tauR || dl+dr > p.qtau {
 			continue
 		}
-		p.stamp[rid] = p.epoch
+		p.settle(rid)
 		var d int32 = -1
 		if p.needDist {
 			// dl+dr only bounds the distance from above (the optimal

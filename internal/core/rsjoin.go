@@ -27,8 +27,9 @@ func Join(rset, sset []string, opt Options) ([]Pair, error) {
 	})
 }
 
-// JoinFunc streams R×S join results to emit as they are found, in scan
-// order (not sorted). emit returning false stops the join early.
+// JoinFunc streams R×S join results to emit as they are found, by
+// non-decreasing length of the rset string (not sorted). emit returning
+// false stops the join early.
 func JoinFunc(rset, sset []string, opt Options, emit func(Pair) bool) error {
 	if opt.Tau < 0 {
 		return fmt.Errorf("core: negative threshold %d", opt.Tau)
@@ -38,8 +39,8 @@ func JoinFunc(rset, sset []string, opt Options, emit func(Pair) bool) error {
 	}
 	tau := opt.Tau
 	st := opt.Stats
-	// rset is read once, front to back: ordered, not copied.
-	rRef, rOrig, _, _, err := sortRecs(rset, 1, false)
+	// rset is only probed with: ordered, not copied.
+	rRef, rOrig, rOff, _, err := sortRecs(rset, 1, false)
 	if err != nil {
 		return err
 	}
@@ -52,40 +53,22 @@ func JoinFunc(rset, sset []string, opt Options, emit func(Pair) bool) error {
 		return fmt.Errorf("core: building index: %w", err)
 	}
 	p := newProber(tau, opt.Selection, opt.Verification, st, nil, win.Frozen(), ref, sig)
-
-	prevLen := -1
+	j := newBlockJoin(p, off, false)
 	var results int64
-scan:
-	for rid, r := range rRef {
-		if len(r) != prevLen {
-			win.Slide(len(r)-tau, len(r)+tau)
-			prevLen = len(r)
-		}
-		for _, sid := range p.probeRS(r, off) {
-			results++
-			if !emit(Pair{R: rOrig[rid], S: orig[sid]}) {
-				break scan
-			}
+	p.emit = func(sid, _ int32) bool {
+		results++
+		return emit(Pair{R: rOrig[j.cur()], S: orig[sid]})
+	}
+	for _, c := range chunksOf(rOff) {
+		l := len(rRef[c.lo])
+		win.Slide(l-tau, l+min(tau, len(off))) // no group is as long as len(off), and l+tau may wrap
+		if !j.probeBlock(rRef[c.lo:c.hi], c.lo) {
+			break
 		}
 		if st != nil {
-			st.Strings++
+			st.Strings += int64(c.hi - c.lo)
 		}
 	}
-	recordScan(st, win, results, offAt(off, tau+1))
+	recordScan(st, win, results, off[index.FirstIndexed(off, tau)])
 	return nil
-}
-
-// probeRS returns the ids of the indexed strings within tau of r, the R≠S
-// join's step for one probe string: the index answers for the strings long
-// enough to partition, and the shorter ones inside the length window — one
-// contiguous id range of a corpus sorted by sortRecs (off its offsets) —
-// are verified directly.
-func (p *prober) probeRS(r string, off []int) []int32 {
-	p.probe(r, len(r)-p.tau, len(r)+p.tau)
-	for sid := offAt(off, len(r)-p.tau); sid < offAt(off, p.tau+1); sid++ {
-		if p.verifyDirect(p.ref[sid], r) <= p.tau {
-			p.hits = append(p.hits, int32(sid))
-		}
-	}
-	return p.hits
 }

@@ -37,10 +37,11 @@ func collect(join func(emit func(Pair) bool) error) ([]Pair, error) {
 	return out, nil
 }
 
-// SelfJoinFunc streams the self-join results to emit as they are found,
-// in scan order (not sorted), without materializing the result set. emit
-// returning false stops the join early. opt.Parallel is ignored — the
-// streaming form is sequential so emit needs no synchronization.
+// SelfJoinFunc streams the self-join results to emit as they are found —
+// by non-decreasing length of the longer string, in no particular order
+// within a length — without materializing the result set. emit returning
+// false stops the join early. opt.Parallel is ignored — the streaming form
+// is sequential so emit needs no synchronization.
 func SelfJoinFunc(strs []string, opt Options, emit func(Pair) bool) error {
 	if opt.Tau < 0 {
 		return fmt.Errorf("core: negative threshold %d", opt.Tau)
@@ -59,57 +60,27 @@ func SelfJoinFunc(strs []string, opt Options, emit func(Pair) bool) error {
 		return fmt.Errorf("core: building index: %w", err)
 	}
 	p := newProber(tau, opt.Selection, opt.Verification, st, nil, win.Frozen(), ref, sig)
-
-	prevLen := -1
+	j := newBlockJoin(p, off, true)
 	var results int64
-scan:
-	for sid, s := range ref {
-		if len(s) != prevLen {
-			// The window of §3.2: the groups of lengths [|s|−τ, |s|], bulk-built
-			// on entry — group |s| ahead of the strings it indexes, which
-			// probeSelf's maxID hides from their predecessors.
-			win.Slide(len(s)-tau, len(s))
-			prevLen = len(s)
-		}
-		for _, rid := range p.probeSelf(sid, off) {
-			results++
-			if !emit(normalize(orig[rid], orig[sid])) {
-				break scan
-			}
+	p.emit = func(rid, _ int32) bool {
+		results++
+		return emit(normalize(orig[rid], orig[j.cur()]))
+	}
+	for _, c := range chunksOf(off) {
+		// The window of §3.2: the groups of lengths [|s|−τ, |s|], bulk-built
+		// on entry — group |s| ahead of the strings it indexes, which
+		// probeBlock's cut at a string's own id hides from their predecessors.
+		l := len(ref[c.lo])
+		win.Slide(l-tau, l)
+		if !j.probeBlock(ref[c.lo:c.hi], c.lo) {
+			break
 		}
 		if st != nil {
-			st.Strings++
+			st.Strings += int64(c.hi - c.lo)
 		}
 	}
-	recordScan(st, win, results, offAt(off, tau+1))
+	recordScan(st, win, results, off[index.FirstIndexed(off, tau)])
 	return nil
-}
-
-// probeSelf returns the ids below sid within tau of ref[sid], the self
-// join's step for one string of a corpus sorted by sortRecs (off its
-// offsets): the index answers for the predecessors long enough to
-// partition, and the shorter ones inside the length window — one contiguous
-// id range — are verified directly.
-//
-// Two rules make the work counters those of a scan that indexes each string
-// after probing it, whether the index holds the whole corpus (the parallel
-// mode) or a window of bulk-built groups: the first string of a length does
-// not probe its own length's group, which such a scan has not created yet
-// (here), and a list that begins at or past sid is not a lookup hit (probe).
-func (p *prober) probeSelf(sid int, off []int) []int32 {
-	s := p.ref[sid]
-	lmax := len(s)
-	if sid == off[lmax] {
-		lmax--
-	}
-	p.maxID = int32(sid)
-	p.probe(s, len(s)-p.tau, lmax)
-	for rid := offAt(off, len(s)-p.tau); rid < min(sid, offAt(off, p.tau+1)); rid++ {
-		if p.verifyDirect(p.ref[rid], s) <= p.tau {
-			p.hits = append(p.hits, int32(rid))
-		}
-	}
-	return p.hits
 }
 
 // IndexFootprint builds the full Pass-Join index over strs (no eviction)

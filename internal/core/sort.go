@@ -6,10 +6,9 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"passjoin/internal/index"
+	"passjoin/internal/tasks"
 	"passjoin/internal/verify"
 )
 
@@ -40,51 +39,53 @@ const packChunk = 64 << 10
 // ref[off[l]:off[l+1]].
 //
 // A counting sort by length fills the records; then every length group is
-// one task (sortGroup), handed largest first to workers goroutines (min 1),
-// which share nothing but the arrays they fill disjoint ranges of. With
-// pack, the group's strings are copied, in order, into one block of their
-// own — ref's headers point into the blocks, none at a caller's string, so
-// the scan, the index build and every verification read a length's bytes
-// from one contiguous range — and signed (verify.Sigs) while the block is
-// hot. Without it ref holds the caller's headers reordered and sig is nil:
-// enough for a side that is read once, front to back.
+// one task (sortGroup), handed largest first to workers goroutines
+// (tasks.LargestFirst), which share nothing but the arrays they fill
+// disjoint ranges of. With pack, the group's strings are copied, in order,
+// into one block of their own — ref's headers point into the blocks, none at
+// a caller's string, so the scan, the index build and every verification
+// read a length's bytes from one contiguous range — and signed (verify.Sigs)
+// while the block is hot. Without it ref holds the caller's headers
+// reordered and sig is nil: enough for a side that is only ever probed with.
 func sortRecs(strs []string, workers int, pack bool) (ref []string, orig []int32, off []int, sig []uint64, err error) {
+	return sortRecsBy(strs, workers, pack, sortGroup)
+}
+
+// sortRecsBy is sortRecs with the sort of one length group as a parameter,
+// so a test can make a task fail.
+func sortRecsBy(strs []string, workers int, pack bool, sortGroup func(strs []string, l int, group, tmp []rec) []rec) ([]string, []int32, []int, []uint64, error) {
 	if len(strs) > math.MaxInt32 {
 		return nil, nil, nil, nil, fmt.Errorf("core: set of %d strings exceeds the %d a pair's index can name", len(strs), math.MaxInt32)
 	}
-	off = index.LengthOffsets(strs)
+	off := index.LengthOffsets(strs)
 	recs := make([]rec, len(strs))
 	next := slices.Clone(off)
+	groups := 0 // the non-empty ones
 	for i, s := range strs {
+		if next[len(s)] == off[len(s)] {
+			groups++
+		}
 		recs[next[len(s)]] = rec{key: prefixKey(s), orig: int32(i)}
 		next[len(s)]++
 	}
-	ref = make([]string, len(strs))
-	orig = make([]int32, len(strs))
+	ref := make([]string, len(strs))
+	orig := make([]int32, len(strs))
+	var sig []uint64
 	if pack {
 		sig = make([]uint64, len(strs))
 	}
 
-	var lengths []int // of the non-empty groups
+	lengths := make([]int, 0, groups)
 	for l := 0; l+1 < len(off); l++ {
 		if off[l+1] > off[l] {
 			lengths = append(lengths, l)
 		}
 	}
-	// Largest first: the long tail of small groups then evens out whatever
-	// imbalance the few big ones leave between the workers.
-	size := func(l int) int { return off[l+1] - off[l] }
-	slices.SortStableFunc(lengths, func(a, b int) int { return cmp.Compare(size(b), size(a)) })
-
-	var claimed atomic.Int64
-	work := func() {
+	size := func(k int) int { return off[lengths[k]+1] - off[lengths[k]] }
+	err := tasks.LargestFirst(workers, len(lengths), size, func(int) func(int) bool {
 		var tmp []rec             // the radix sort's other buffer: the first group claimed is the largest
 		var arena strings.Builder // the blocks: a large group's is its own, small ones share a packChunk
-		for {
-			k := int(claimed.Add(1)) - 1
-			if k >= len(lengths) {
-				return
-			}
+		return func(k int) bool {
 			l := lengths[k]
 			lo, hi := off[l], off[l+1]
 			if tmp == nil {
@@ -98,7 +99,7 @@ func sortRecs(strs []string, workers int, pack bool) (ref []string, orig []int32
 				for i, r := range group {
 					ref[lo+i] = strs[r.orig]
 				}
-				continue
+				return true
 			}
 			if need := l * len(group); arena.Cap()-arena.Len() < need {
 				arena = strings.Builder{}
@@ -113,21 +114,12 @@ func sortRecs(strs []string, workers int, pack bool) (ref []string, orig []int32
 				ref[lo+i] = block[i*l : (i+1)*l]
 			}
 			verify.Sigs(sig[lo:hi], ref[lo:hi])
+			return true
 		}
+	})
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("core: sorting: %w", err)
 	}
-	if workers = min(workers, len(lengths)); workers <= 1 {
-		work()
-		return ref, orig, off, sig, nil
-	}
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	wg.Wait()
 	return ref, orig, off, sig, nil
 }
 

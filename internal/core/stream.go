@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"passjoin/internal/index"
 	"passjoin/internal/metrics"
+	"passjoin/internal/tasks"
 )
 
 // streamBatchSize is how many pairs a probe worker accumulates before
@@ -18,17 +18,19 @@ const streamBatchSize = 256
 
 // SelfJoinStream is the parallel, cancellable streaming form of SelfJoin:
 // the frozen segment index is bulk-built once over all of strs (no
-// eviction) by opt.Parallel workers (min 1), which then probe it and feed
-// result pairs through a bounded channel to emit. The full result set is
-// never materialized — memory stays at the index plus O(workers) pair
-// batches, with backpressure: when emit falls behind, the probe workers
-// block.
+// eviction) by opt.Parallel workers (min 1), which then probe it — a chunk
+// of equal-length strings at a time (blockJoin), the chunks claimed largest
+// first — and feed result pairs through a bounded channel to emit. The full
+// result set is never materialized — memory stays at the index plus
+// O(workers) pair batches, with backpressure: when emit falls behind, the
+// probe workers block.
 //
 // emit is always called from the calling goroutine, so it needs no
 // synchronization; pairs arrive in no deterministic order (canonicalize
 // with SortPairs when order matters). emit returning false stops the join
 // early and returns nil. A ctx cancellation stops the workers promptly
-// (they check between strings) and returns ctx.Err().
+// (they check between batches of index.BlockBatchSize strings' lookups) and
+// returns ctx.Err().
 func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(Pair) bool) error {
 	if opt.Tau < 0 {
 		return fmt.Errorf("core: negative threshold %d", opt.Tau)
@@ -48,7 +50,6 @@ func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(P
 	if err != nil {
 		return err
 	}
-	n := len(ref)
 	// The whole corpus is known before any probe starts, so the index is
 	// bulk-built straight into the immutable CSR arena every worker probes.
 	fz, err := index.BuildFrozen(ref, tau, opt.Parallel)
@@ -57,30 +58,26 @@ func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(P
 	}
 
 	e := &streamEngine{
-		workers: streamWorkers(opt.Parallel, n),
-		items:   n,
+		workers: opt.Parallel,
+		chunks:  chunksOf(off),
 		stats:   st,
-		newProber: func(wst *metrics.Stats) *prober {
-			return newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref, sig)
+		newWorker: func(wst *metrics.Stats, push func(Pair) bool, tick func() bool) func(span) bool {
+			p := newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref, sig)
+			j := newBlockJoin(p, off, true)
+			j.tick = tick
+			p.emit = func(rid, _ int32) bool { return push(normalize(orig[rid], orig[j.cur()])) }
+			return func(c span) bool { return j.probeBlock(ref[c.lo:c.hi], c.lo) }
 		},
-		probeItem: func(p *prober, sid int, push func(Pair) bool) bool {
-			for _, rid := range p.probeSelf(sid, off) {
-				if !push(normalize(orig[rid], orig[sid])) {
-					return false
-				}
-			}
-			return true
-		},
-		finish: streamFinish(st, fz, offAt(off, tau+1)),
+		finish: streamFinish(st, fz, off[index.FirstIndexed(off, tau)]),
 	}
 	return e.run(ctx, emit)
 }
 
 // JoinStream is the parallel, cancellable streaming form of Join: all of
 // sset is bulk-indexed once by opt.Parallel workers, which then probe the
-// rset strings and feed pairs through a bounded channel to emit.
-// Semantics (callback goroutine, ordering, early stop, cancellation,
-// backpressure) match SelfJoinStream.
+// rset strings, sorted into chunks of one length, and feed pairs through a
+// bounded channel to emit. Semantics (callback goroutine, ordering, early
+// stop, cancellation, backpressure) match SelfJoinStream.
 func JoinStream(ctx context.Context, rset, sset []string, opt Options, emit func(Pair) bool) error {
 	if opt.Tau < 0 {
 		return fmt.Errorf("core: negative threshold %d", opt.Tau)
@@ -96,6 +93,10 @@ func JoinStream(ctx context.Context, rset, sset []string, opt Options, emit func
 	}
 	tau := opt.Tau
 	st := opt.Stats
+	rRef, rOrig, rOff, _, err := sortRecs(rset, opt.Parallel, false) // only probed with: ordered, not copied
+	if err != nil {
+		return err
+	}
 	ref, orig, off, sig, err := sortRecs(sset, opt.Parallel, true) // sig: one array, read by every worker
 	if err != nil {
 		return err
@@ -106,21 +107,17 @@ func JoinStream(ctx context.Context, rset, sset []string, opt Options, emit func
 	}
 
 	e := &streamEngine{
-		workers: streamWorkers(opt.Parallel, len(rset)),
-		items:   len(rset),
+		workers: opt.Parallel,
+		chunks:  chunksOf(rOff),
 		stats:   st,
-		newProber: func(wst *metrics.Stats) *prober {
-			return newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref, sig)
+		newWorker: func(wst *metrics.Stats, push func(Pair) bool, tick func() bool) func(span) bool {
+			p := newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref, sig)
+			j := newBlockJoin(p, off, false)
+			j.tick = tick
+			p.emit = func(sid, _ int32) bool { return push(Pair{R: rOrig[j.cur()], S: orig[sid]}) }
+			return func(c span) bool { return j.probeBlock(rRef[c.lo:c.hi], c.lo) }
 		},
-		probeItem: func(p *prober, rid int, push func(Pair) bool) bool {
-			for _, sid := range p.probeRS(rset[rid], off) {
-				if !push(Pair{R: int32(rid), S: orig[sid]}) {
-					return false
-				}
-			}
-			return true
-		},
-		finish: streamFinish(st, fz, offAt(off, tau+1)),
+		finish: streamFinish(st, fz, off[index.FirstIndexed(off, tau)]),
 	}
 	return e.run(ctx, emit)
 }
@@ -139,66 +136,44 @@ func streamFinish(st *metrics.Stats, fz *index.Frozen, shorts int) func(emitted 
 	}
 }
 
-// streamWorkers clamps the requested parallelism to [1, items].
-func streamWorkers(parallel, items int) int {
-	w := parallel
-	if w < 1 {
-		w = 1
-	}
-	if w > items {
-		w = maxInt(1, items)
-	}
-	return w
-}
-
 // streamEngine is the fan-out/collect machinery shared by SelfJoinStream
-// and JoinStream. Each worker owns a prober and walks the items strided
-// (item w, w+workers, …), pushing result pairs into a per-worker batch
-// that is published on a bounded channel; the consumer — the calling
-// goroutine — drains batches and invokes emit sequentially. Workers block
-// on the channel when the consumer falls behind (backpressure) and bail
-// out via the done channel on early stop or ctx cancellation.
+// and JoinStream. The chunks of the probe side are claimed largest first by
+// up to workers goroutines (tasks.LargestFirst; min 1, and
+// one worker still probes off the caller's goroutine), each pushing result
+// pairs into a batch of its own that is published on a bounded channel; the
+// consumer — the calling goroutine — drains batches and invokes emit
+// sequentially. Workers block on the channel when the consumer falls behind
+// (backpressure) and bail out via the done channel on early stop or ctx
+// cancellation.
 type streamEngine struct {
-	workers   int
-	items     int
-	stats     *metrics.Stats
-	newProber func(wst *metrics.Stats) *prober
-	// probeItem probes one item and pushes its pairs; returning false means
-	// a push was refused (the consumer is gone) and the worker must exit.
-	probeItem func(p *prober, item int, push func(Pair) bool) bool
+	workers int
+	chunks  []span
+	stats   *metrics.Stats
+	// newWorker returns what one worker probes a chunk with. The worker
+	// counts into wst, delivers through push, and calls tick wherever it
+	// can stop (between the batches of a chunk); push, tick or the returned
+	// function reporting false means the consumer is gone and the worker
+	// must unwind.
+	newWorker func(wst *metrics.Stats, push func(Pair) bool, tick func() bool) (probe func(c span) bool)
 	// finish records final whole-join stats; emitted is the number of pairs
 	// actually delivered to emit.
 	finish func(emitted int64)
 }
 
 func (e *streamEngine) run(ctx context.Context, emit func(Pair) bool) error {
-	out := make(chan []Pair, e.workers)
+	workers := max(min(e.workers, len(e.chunks)), 1)
+	out := make(chan []Pair, workers)
 	done := make(chan struct{}) // closed on early stop or cancellation
-	wstats := make([]metrics.Stats, e.workers)
-	// Worker goroutines run outside any caller recovery (e.g. net/http's
-	// per-connection recover), so a panic in probe/verify code would kill
-	// the whole process; capture the first one and surface it as an error.
-	var panicMu sync.Mutex
-	var panicErr error
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panicMu.Lock()
-					if panicErr == nil {
-						panicErr = fmt.Errorf("core: join worker panic: %v", v)
-					}
-					panicMu.Unlock()
-				}
-			}()
+	wstats := make([]metrics.Stats, workers)
+	var workErr error // a worker's panic; read once out is closed
+	go func() {
+		defer close(out)
+		size := func(k int) int { return e.chunks[k].hi - e.chunks[k].lo }
+		workErr = tasks.LargestFirst(workers, len(e.chunks), size, func(w int) func(int) bool {
 			var wst *metrics.Stats
 			if e.stats != nil {
 				wst = &wstats[w]
 			}
-			p := e.newProber(wst)
 			buf := make([]Pair, 0, streamBatchSize)
 			flush := func() bool {
 				if len(buf) == 0 {
@@ -220,19 +195,20 @@ func (e *streamEngine) run(ctx context.Context, emit func(Pair) bool) error {
 				}
 				return true
 			}
-			// tryFlush publishes a partial batch only when the channel has
-			// room: sparse joins then deliver pairs as soon as the consumer
-			// keeps up (instead of sitting on a never-full batch until the
-			// stride ends), while a busy channel keeps batching instead of
+			// tick is where a worker notices that the consumer is gone, and
+			// publishes a partial batch if the channel has room: sparse
+			// joins then deliver pairs as soon as the consumer keeps up
+			// (instead of sitting on a never-full batch until the chunk
+			// ends), while a busy channel keeps batching instead of
 			// blocking the probe loop.
-			tryFlush := func() bool {
-				if len(buf) == 0 || len(out) == cap(out) {
-					return true
-				}
+			tick := func() bool {
 				select {
 				case <-done:
 					return false
 				default:
+				}
+				if len(buf) == 0 || len(out) == cap(out) {
+					return true
 				}
 				b := append([]Pair(nil), buf...)
 				select {
@@ -242,28 +218,17 @@ func (e *streamEngine) run(ctx context.Context, emit func(Pair) bool) error {
 				}
 				return true
 			}
-			for item := w; item < e.items; item += e.workers {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if !e.probeItem(p, item, push) {
-					return
-				}
-				if !tryFlush() {
-					return
+			probe := e.newWorker(wst, push, tick)
+			return func(k int) bool {
+				if !tick() || !probe(e.chunks[k]) || !flush() {
+					return false
 				}
 				if wst != nil {
-					wst.Strings++
+					wst.Strings += int64(size(k))
 				}
+				return true
 			}
-			flush()
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(out)
+		})
 	}()
 
 	var emitted int64
@@ -291,18 +256,20 @@ consume:
 			}
 		}
 	}
-	// Unblock any worker parked on a send, then wait for them all so the
-	// per-worker stats are final and no goroutine outlives the call.
+	// Unblock any worker parked on a send, then wait for them all — out is
+	// closed once the last has returned — so the per-worker stats are final
+	// and no goroutine outlives the call.
 	close(done)
-	wg.Wait()
+	for range out {
+	}
 	for w := range wstats {
 		e.stats.Add(&wstats[w])
 	}
 	if e.finish != nil {
 		e.finish(emitted)
 	}
-	if err == nil && panicErr != nil {
-		err = panicErr
+	if err == nil && workErr != nil {
+		err = fmt.Errorf("core: join %w", workErr)
 	}
 	return err
 }

@@ -196,19 +196,38 @@ func TestStreamEmptyAndTinyInputs(t *testing.T) {
 // kill the process — the workers execute outside any caller recovery.
 func TestStreamWorkerPanicSurfacesAsError(t *testing.T) {
 	e := &streamEngine{
-		workers:   2,
-		items:     10,
-		newProber: func(*metrics.Stats) *prober { return nil },
-		probeItem: func(p *prober, item int, push func(Pair) bool) bool {
-			if item == 3 {
-				panic("probe blew up")
+		workers: 2,
+		chunks:  chunksOf([]int{0, 10 * blockChunk}), // ten chunks
+		newWorker: func(_ *metrics.Stats, push func(Pair) bool, _ func() bool) func(span) bool {
+			return func(c span) bool {
+				if c.lo == 3*blockChunk {
+					panic("probe blew up")
+				}
+				return push(Pair{R: int32(c.lo), S: int32(c.hi)})
 			}
-			return push(Pair{R: int32(item), S: int32(item + 1)})
 		},
 	}
 	err := e.run(context.Background(), func(Pair) bool { return true })
 	if err == nil || !strings.Contains(err.Error(), "probe blew up") {
 		t.Fatalf("err = %v, want surfaced worker panic", err)
+	}
+}
+
+// The sort's tasks run on the same helper: a panic in one comes back as an
+// error from the join that asked for the sort, serial or parallel, not as a
+// crash of a worker goroutine no caller's recover covers.
+func TestSortPanicSurfacesAsError(t *testing.T) {
+	strs := []string{"ab", "cd", "abc", "abd", "x"}
+	for _, workers := range []int{1, 2} {
+		_, _, _, _, err := sortRecsBy(strs, workers, true, func(strs []string, l int, group, tmp []rec) []rec {
+			if l == 3 {
+				panic("sort blew up")
+			}
+			return sortGroup(strs, l, group, tmp)
+		})
+		if err == nil || !strings.Contains(err.Error(), "sort blew up") {
+			t.Fatalf("workers=%d: err = %v, want surfaced task panic", workers, err)
+		}
 	}
 }
 

@@ -1,12 +1,11 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
+
+	"passjoin/internal/tasks"
 )
 
 // BuildFrozen bulk-builds the frozen index of a complete corpus: every
@@ -15,7 +14,8 @@ import (
 // of the same strings (ids ascending), without the map index in between.
 //
 // The length groups L^i_l of §3.2 share nothing, so the build is one task
-// per (length, slot), handed largest-first to workers goroutines (min 1):
+// per (length, slot), handed largest first to workers goroutines
+// (tasks.LargestFirst):
 // a task counts the distinct segments of its slot in a scratch table, then
 // allocates the slot's table and posting lists at their exact size and
 // places the postings, ascending by id within a list (slotBuilder.build).
@@ -78,25 +78,35 @@ func checkArena(nStrings int, postings int64) error {
 	return nil
 }
 
+// FirstIndexed returns the least length an index over off's corpus
+// partitions at threshold tau: tau+1, or one past the longest string if that
+// is less — no string being that long — which is what keeps tau+1, and every
+// l+1 of a loop that starts here, from wrapping at thresholds near
+// math.MaxInt. off[FirstIndexed(off, tau)] strings are too short to index.
+func FirstIndexed(off []int, tau int) int {
+	return min(tau, len(off)-2) + 1
+}
+
 // indexable validates a build over ref — off its per-length offsets — and
 // returns the number of strings long enough to partition.
 func indexable(ref []string, off []int, tau int) (int, error) {
 	if tau < 0 {
 		return 0, fmt.Errorf("negative threshold %d", tau)
 	}
-	for l := tau + 1; l+1 < len(off); l++ { // a slot has at most a row per string of its length
+	first := FirstIndexed(off, tau)
+	for l := first; l+1 < len(off); l++ { // a slot has at most a row per string of its length
 		if n := off[l+1] - off[l]; n > maxTableKeys {
 			return 0, fmt.Errorf("%d strings of length %d exceed the %d rows a slot table holds", n, l, maxTableKeys)
 		}
 	}
-	n := len(ref) - off[min(tau+1, len(off)-1)]
-	return n, checkArena(len(ref), int64(n)*int64(tau+1))
+	n := len(ref) - off[first]
+	return n, checkArena(len(ref), int64(n)*int64(tau+1)) // tau+1 wraps only where n is 0
 }
 
 // largestGroup returns the size of the largest length group a build over
 // off indexes: what a slotBuilder's scratch must hold.
 func largestGroup(off []int, tau int) (n int) {
-	for l := tau + 1; l+1 < len(off); l++ {
+	for l := FirstIndexed(off, tau); l+1 < len(off); l++ {
 		n = max(n, off[l+1]-off[l])
 	}
 	return n
@@ -117,11 +127,13 @@ func buildFrozen(ref []string, ids []int32, off []int, tau, workers int, hash fu
 	if err != nil {
 		return nil, err
 	}
-	f := &Frozen{tau: tau, ref: ref, entries: int64(indexed) * int64(tau+1)}
-	if indexed > 0 {
-		f.groups = make([]*FrozenGroup, len(off)-1)
+	f := &Frozen{tau: tau, ref: ref}
+	if indexed == 0 {
+		return f, nil
 	}
-	var tasks []buildTask
+	f.entries = int64(indexed) * int64(tau+1)
+	f.groups = make([]*FrozenGroup, len(off)-1)
+	var slots []buildTask
 	for l := tau + 1; l < len(f.groups); l++ {
 		if off[l+1] == off[l] {
 			continue
@@ -129,37 +141,20 @@ func buildFrozen(ref []string, ids []int32, off []int, tau, workers int, hash fu
 		g := newGroup(ref, tau, l)
 		f.groups[l] = g
 		for slot := 0; slot <= tau; slot++ {
-			tasks = append(tasks, buildTask{g: g, slot: slot, ids: ids[off[l]:off[l+1]]})
+			slots = append(slots, buildTask{g: g, slot: slot, ids: ids[off[l]:off[l+1]]})
 		}
 	}
-	// Largest first: the long tail of small groups then evens out whatever
-	// imbalance the few big ones leave between the workers.
-	slices.SortStableFunc(tasks, func(a, b buildTask) int { return cmp.Compare(len(b.ids), len(a.ids)) })
-
-	var claimed atomic.Int64
 	largest := largestGroup(off, tau)
-	work := func() {
+	size := func(k int) int { return len(slots[k].ids) }
+	err = tasks.LargestFirst(workers, len(slots), size, func(int) func(int) bool {
 		w := newSlotBuilder(ref, hash, largest)
-		for {
-			k := int(claimed.Add(1)) - 1
-			if k >= len(tasks) {
-				return
-			}
-			w.build(tasks[k].g, tasks[k].slot, tasks[k].ids)
+		return func(k int) bool {
+			w.build(slots[k].g, slots[k].slot, slots[k].ids)
+			return true
 		}
-	}
-	if workers = min(workers, len(tasks)); workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
+	})
+	if err != nil {
+		return nil, err
 	}
 	f.account()
 	return f, nil
@@ -272,7 +267,7 @@ func NewWindow(ref []string, off []int, tau int) (*Window, error) {
 		return nil, err
 	}
 	f := &Frozen{tau: tau, ref: ref, groups: make([]*FrozenGroup, len(off)-1)}
-	return &Window{f: f, off: off, w: newSlotBuilder(ref, hash64, largestGroup(off, tau)), next: tau + 1}, nil
+	return &Window{f: f, off: off, w: newSlotBuilder(ref, hash64, largestGroup(off, tau)), next: FirstIndexed(off, tau)}, nil
 }
 
 // Frozen returns the index the window maintains; only the groups inside

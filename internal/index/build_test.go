@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"passjoin/internal/dataset"
@@ -226,6 +227,31 @@ func TestBuildFrozenHashCollision(t *testing.T) {
 			if !slices.Equal(got[0], want["ab"]) || !slices.Equal(got[1], []int32{0, 1}) || got[3] != nil {
 				t.Fatalf("flip=%#x workers=%d: lists of ab, xx (slot 2), xx (slot 1) = %v, %v, %v; want %v, [0 1], none", flip, workers, got[0], got[1], got[3], want["ab"])
 			}
+			// And a block must: "ab" on either side of "cd", which sits in
+			// the table under ab's hash and so is not found under its own.
+			got = requireBlockMatchesList(t, new(BlockResolver), g, 1, 1, []string{"ab12", "cd12", "ef12", "ab34"})
+			if !slices.Equal(got[0], want["ab"]) || got[1] != nil || !slices.Equal(got[2], want["ef"]) || !slices.Equal(got[3], want["ab"]) {
+				t.Fatalf("flip=%#x workers=%d: a block's lists of ab, cd, ef, ab = %v; want %v, none, %v, %v", flip, workers, got, want["ab"], want["ef"], want["ab"])
+			}
+		}
+	}
+}
+
+// TestBuildPanicSurfacesAsError: a panic in a build task — here the segment
+// hash — comes back as an error from the build, on the caller's goroutine
+// and on worker goroutines alike (tasks.LargestFirst), never as a crash.
+func TestBuildPanicSurfacesAsError(t *testing.T) {
+	corpus := []string{"abcd", "abce", "xyzw", "abcdef"}
+	ids, off := idsByLength(corpus)
+	for _, workers := range []int{1, 2} {
+		fz, err := buildFrozen(corpus, ids, off, 1, workers, func(s string) uint64 {
+			if s == "zw" {
+				panic("hash blew up")
+			}
+			return hash64(s)
+		})
+		if fz != nil || err == nil || !strings.Contains(err.Error(), "hash blew up") {
+			t.Fatalf("workers=%d: index %v, err = %v, want surfaced task panic", workers, fz, err)
 		}
 	}
 }

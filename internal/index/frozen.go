@@ -299,6 +299,97 @@ func (b *ProbeBatch) Resolve(s string) {
 	b.nhit = len(confirmed)
 }
 
+// BlockBatchSize is the number of strings a BlockResolver takes through one
+// table at a time: enough that the misses of a step overlap as far as the
+// core lets them (batches of 32 to 255 measured level on both join corpora),
+// few enough that the batch's own state stays in the first-level cache.
+const BlockBatchSize = 64
+
+// BlockResolver is the join's batch where ProbeBatch is the query's. A query
+// has one string and every table of its length window to ask, so its batch
+// is one string × many tables; a join has runs of equal-length strings, which
+// all put the same (length, slot, position) questions (the selection window
+// is a function of the two lengths and the slot alone, §4.2), so its batch is
+// many strings × one table: Resolve answers one such question for up to
+// BlockBatchSize strings through the five staged loops of ProbeBatch.Resolve,
+// with the table, its mask and the segment's bounds loaded once for the
+// batch rather than once per lookup — and a join whose strings lie side by
+// side in memory (core's packed length groups) reads its substrings from
+// consecutive lines. The answers are List's. The zero value is ready; a
+// resolver is single-goroutine state and keeps referring to the index and to
+// the strings of its last batch until the next one.
+type BlockResolver struct {
+	nhit int
+	h    [BlockBatchSize]uint64
+	tag  [BlockBatchSize]uint32 // the tag of h's home row; 0 when the lookup cannot hit
+	lst  [BlockBatchSize][]int32
+	r    [BlockBatchSize]string // the first string posted on lst, until lst is confirmed
+	b0   [BlockBatchSize]byte   // the first byte of r's segment
+	hit  [BlockBatchSize]uint8
+}
+
+// Resolve looks up, for each of strs — at most BlockBatchSize strings, each
+// long enough to hold it — the substring at 1-based position pos in the i-th
+// segment slot (1-based) of g, which may be nil as for List.
+func (b *BlockResolver) Resolve(g *FrozenGroup, i, pos int, strs []string) {
+	b.nhit = 0
+	if g == nil {
+		return
+	}
+	t := &g.tables[i-1]
+	if t.rows == nil {
+		return
+	}
+	sg := g.segs[i-1]
+	lo, hi := pos-1, pos-1+sg.Len
+	// 1. Hash the substrings and load their home rows.
+	for k, s := range strs {
+		h := hash64(s[lo:hi])
+		b.h[k] = h
+		b.tag[k] = t.rows[uint32(h)&t.mask].tag
+	}
+	// 2. Walk each chain to the first row under the tag and take its list.
+	hits := b.hit[:0]
+	for k := range strs {
+		if b.tag[k] == 0 { // a free home cell ends the chain before it starts
+			continue
+		}
+		row, _ := t.lookup(b.h[k], uint32(b.h[k]))
+		if row == nil {
+			continue
+		}
+		b.lst[k] = t.list(row)
+		hits = append(hits, uint8(k))
+	}
+	// 3. Load the header of the first posted string,
+	for _, k := range hits {
+		b.r[k] = g.ref[b.lst[k][0]]
+	}
+	// 4. and the first byte of its segment.
+	for _, k := range hits {
+		b.b0[k] = b.r[k][sg.Pos-1]
+	}
+	// 5. Confirm against the corpus; a tag collision goes back through List.
+	confirmed := hits[:0]
+	for _, k := range hits {
+		w := strs[k][lo:hi]
+		if b.b0[k] != w[0] || !g.confirms(i-1, b.r[k], w) {
+			if b.lst[k] = g.List(i, w); b.lst[k] == nil {
+				continue
+			}
+		}
+		confirmed = append(confirmed, k)
+	}
+	b.nhit = len(confirmed)
+}
+
+// Hits returns, after Resolve, which of the strings found a list, ascending.
+func (b *BlockResolver) Hits() []uint8 { return b.hit[:b.nhit] }
+
+// List returns the list of the k-th string, for a k that Hits names: exactly
+// what g.List(i, w) returns for its substring w at pos.
+func (b *BlockResolver) List(k uint8) []int32 { return b.lst[k] }
+
 // Freeze returns the frozen index of ref, which must hold exactly the
 // strings added: ref[id] is the string passed to Add with that id, and every
 // string of ref with at least tau+1 bytes was added. It is BuildFrozen — the

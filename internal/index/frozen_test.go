@@ -199,8 +199,8 @@ func FuzzFrozenLookup(f *testing.F) {
 	})
 }
 
-// TestPostingsAscendAfterFreeze pins the invariant the prober's maxID cut
-// relies on: ids added in ascending order (the joins add in sorted-scan
+// TestPostingsAscendAfterFreeze pins the invariant a self join's cut of a
+// list at the probing string's own id relies on: ids added in ascending order (the joins add in sorted-scan
 // order, Matcher in insertion order) give strictly ascending posting
 // lists in the map index, and the bulk build posts the same lists — so the
 // first posting at or past a bound ends the list.
@@ -390,8 +390,14 @@ func TestTagCollision(t *testing.T) {
 			}
 			// One batch holds both twins, in either order, around a miss.
 			got := requireBatchMatchesList(t, a+b+"none"+a, []lookup{{g, 1, 1}, {g, 1, 5}, {g, 1, 9}, {g, 1, 13}})
-			if wantLists := [][]int32{want[a], want[b], nil, want[a]}; !reflect.DeepEqual(got, wantLists) {
+			wantLists := [][]int32{want[a], want[b], nil, want[a]}
+			if !reflect.DeepEqual(got, wantLists) {
 				t.Fatalf("%s %q: lists of %q, %q, none, %q = %v, want %v", name, corpus, a, b, a, got, wantLists)
+			}
+			// And one block does: four strings put the one question.
+			got = requireBlockMatchesList(t, new(BlockResolver), g, 1, 1, []string{a + "1234", b + "1234", "none1234", a + "5678"})
+			if !reflect.DeepEqual(got, wantLists) {
+				t.Fatalf("%s %q: a block's lists of %q, %q, none, %q = %v, want %v", name, corpus, a, b, a, got, wantLists)
 			}
 		}
 	}
@@ -433,10 +439,12 @@ type lookup struct {
 	i, pos int
 }
 
-// lookupResolvers are the two ways to answer the lookups of a probe string:
-// List, one at a time, and a ProbeBatch driven the way the prober drives it
-// — Add until it reports full, Resolve, read the lists of the hits, Reset,
-// and once more for the rest.
+// lookupResolvers are the three ways to answer the lookups of a probe string:
+// List, one at a time; a ProbeBatch driven the way the prober drives it —
+// Add until it reports full, Resolve, read the lists of the hits, Reset, and
+// once more for the rest; and a BlockResolver, one resolver for all of them,
+// each lookup a block of the one string (requireBlockMatchesList has the
+// blocks of many).
 var lookupResolvers = map[string]func(t testing.TB, s string, lookups []lookup) [][]int32{
 	"List": func(t testing.TB, s string, lookups []lookup) [][]int32 {
 		out := make([][]int32, len(lookups))
@@ -482,6 +490,51 @@ var lookupResolvers = map[string]func(t testing.TB, s string, lookups []lookup) 
 		}
 		return out
 	},
+	"BlockResolver": func(t testing.TB, s string, lookups []lookup) [][]int32 {
+		var b BlockResolver
+		out := make([][]int32, len(lookups))
+		for k, q := range lookups {
+			b.Resolve(q.g, q.i, q.pos, []string{s})
+			if hits := b.Hits(); len(hits) == 1 && hits[0] == 0 {
+				out[k] = b.List(0)
+			} else if len(hits) != 0 {
+				t.Fatalf("lookup %d: hits %v of a block of one string", k, hits)
+			}
+		}
+		return out
+	},
+}
+
+// requireBlockMatchesList asks the block resolver the question (g, i, pos)
+// of strs the way a join does — BlockBatchSize strings to a Resolve, one
+// resolver throughout — and fails unless every string gets the slice of the
+// index that List returns for its substring there — the same list, not an
+// equal one. It returns the lists.
+func requireBlockMatchesList(t testing.TB, b *BlockResolver, g *FrozenGroup, i, pos int, strs []string) [][]int32 {
+	got := make([][]int32, len(strs))
+	for lo := 0; lo < len(strs); lo += BlockBatchSize {
+		b.Resolve(g, i, pos, strs[lo:min(lo+BlockBatchSize, len(strs))])
+		hits := b.Hits()
+		if !slices.IsSorted(hits) || len(slices.Compact(slices.Clone(hits))) != len(hits) {
+			t.Fatalf("hits %v are not ascending", hits)
+		}
+		for _, k := range hits {
+			if got[lo+int(k)] = b.List(k); len(got[lo+int(k)]) == 0 {
+				t.Fatalf("string %d is a hit with an empty list", lo+int(k))
+			}
+		}
+	}
+	for k, s := range strs {
+		var want []int32
+		if g != nil {
+			_, n := g.Seg(i)
+			want = g.List(i, s[pos-1:pos-1+n])
+		}
+		if len(got[k]) != len(want) || (len(want) > 0 && &got[k][0] != &want[0]) {
+			t.Fatalf("slot %d pos %d, string %d of %d (%q): block answers %v, List %v", i, pos, k, len(strs), s, got[k], want)
+		}
+	}
+	return got
 }
 
 // requireBatchMatchesList takes the lookups of s through every resolver and
@@ -574,5 +627,92 @@ func TestProbeBatchMatchesList(t *testing.T) {
 	lookups := everyLookup(fz, s)
 	for _, n := range []int{0, 1, 31, 32, 33, 64, 65} {
 		requireBatchMatchesList(t, s, lookups[:n])
+	}
+}
+
+// TestBlockResolverMatchesList is the block resolver's differential test,
+// the counterpart of TestProbeBatchMatchesList for the join's batch shape:
+// on samples of the two benchmark corpora, at thresholds from exact match to
+// tau 8 and through every builder, every question a join can ask — each
+// group, each slot, each position the segment fits at, of runs of
+// equal-length strings from the group's own length, the one below and the
+// two at the ends of its window — is answered for the whole run exactly as
+// List answers it string by string;
+// at runs of one string, of one short of a batch, a batch, and a batch and
+// one more; by one resolver throughout, so nothing may survive from the
+// batch before. A slot that was given no lists and a length without a group
+// answer no hits.
+func TestBlockResolverMatchesList(t *testing.T) {
+	byLength := func(corpus []string) []string {
+		slices.SortStableFunc(corpus, func(a, b string) int { return len(a) - len(b) })
+		return corpus
+	}
+	var b BlockResolver
+	for _, c := range []struct {
+		name   string
+		corpus []string
+	}{
+		{"Author", byLength(dataset.Author(3000, 1))},
+		{"AuthorTitle", byLength(dataset.AuthorTitle(400, 1))},
+	} {
+		off := LengthOffsets(c.corpus)
+		// Per length, a run that hits (the corpus's own strings) and then
+		// one that mostly does not (the same with a byte changed).
+		runOf := func(L, n int) []string {
+			if L < 0 || L+1 >= len(off) {
+				return nil
+			}
+			own := c.corpus[off[L]:min(off[L]+n, off[L+1])]
+			run := slices.Clone(own)
+			for _, s := range own[:len(own)/2] {
+				run = append(run, s[:L/2]+"#"+s[L/2+1:])
+			}
+			return run[:min(n, len(run))]
+		}
+		for _, tau := range []int{0, 1, 2, 8} {
+			for name, fz := range everyBuilder(t, c.corpus, tau) {
+				hits, asked := 0, 0
+				for l := 0; l+1 < len(off); l++ {
+					g := fz.Group(l)
+					for _, L := range slices.Compact([]int{l - tau, l - 1, l, l + tau}) {
+						for _, n := range []int{1, BlockBatchSize - 1, BlockBatchSize, BlockBatchSize + 1} {
+							run := runOf(L, n)
+							if len(run) == 0 {
+								continue
+							}
+							if g == nil {
+								requireBlockMatchesList(t, &b, nil, 1, 1, run)
+								continue
+							}
+							for i := 1; i <= tau+1; i++ {
+								_, li := g.Seg(i)
+								for pos := 1; pos-1+li <= L; pos++ {
+									for _, lst := range requireBlockMatchesList(t, &b, g, i, pos, run) {
+										asked++
+										if len(lst) > 0 {
+											hits++
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+				if hits == 0 || hits == asked {
+					t.Fatalf("%s tau=%d %s: %d of %d lookups hit; the runs hold strings that must and strings that must not", c.name, tau, name, hits, asked)
+				}
+			}
+		}
+		// A group none of whose slots was built — a slot without lists —
+		// answers nothing, whatever the resolver held before.
+		l := len(c.corpus[len(c.corpus)/2])
+		empty := newGroup(c.corpus, 2, l)
+		for i := 1; i <= 3; i++ {
+			for _, lst := range requireBlockMatchesList(t, &b, empty, i, 1, runOf(l, BlockBatchSize+1)) {
+				if lst != nil {
+					t.Fatalf("%s: slot %d of a group without tables answered %v", c.name, i, lst)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package passjoin
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -299,4 +300,52 @@ func testCorpus(rng *rand.Rand, n int) []string {
 		}
 	}
 	return strs
+}
+
+// TestHugeTauJoins: a threshold no string can reach — up to math.MaxInt,
+// where tau+1 wraps — is a valid argument: nothing is long enough to
+// partition, every pair is within it, and the joins return all of them and
+// the searchers everything, serial and parallel, instead of indexing at a
+// wrapped length.
+func TestHugeTauJoins(t *testing.T) {
+	strs := []string{"", "a", "ab", "abc", "vldb", "pvldb", "sigmod", "sigmmod", "icde conference", "a rather longer string than the rest"}
+	rset := strs[:4]
+	for _, tau := range []int{math.MaxInt32, math.MaxInt - 2, math.MaxInt - 1, math.MaxInt} {
+		for _, workers := range []int{1, 2} {
+			par := WithParallelism(workers)
+			var st Stats
+			pairs, err := SelfJoin(strs, tau, par, WithStats(&st))
+			if err != nil {
+				t.Fatalf("SelfJoin tau=%d workers=%d: %v", tau, workers, err)
+			}
+			if want := len(strs) * (len(strs) - 1) / 2; len(pairs) != want || st.Results != int64(want) {
+				t.Fatalf("SelfJoin tau=%d workers=%d: %d pairs, Results %d, want all %d", tau, workers, len(pairs), st.Results, want)
+			}
+			pairs, err = Join(rset, strs, tau, par)
+			if err != nil {
+				t.Fatalf("Join tau=%d workers=%d: %v", tau, workers, err)
+			}
+			if want := len(rset) * len(strs); len(pairs) != want {
+				t.Fatalf("Join tau=%d workers=%d: %d pairs, want all %d", tau, workers, len(pairs), want)
+			}
+			n := 0
+			if err := SelfJoinEachCtx(context.Background(), strs, tau, func(r, s int) bool { n++; return true }, par); err != nil || n != len(strs)*(len(strs)-1)/2 {
+				t.Fatalf("SelfJoinEachCtx tau=%d workers=%d: %d pairs, err %v", tau, workers, n, err)
+			}
+		}
+		s, err := NewSearcher(strs, tau)
+		if err != nil {
+			t.Fatalf("NewSearcher tau=%d: %v", tau, err)
+		}
+		if got := s.Search("vldb"); len(got) != len(strs) {
+			t.Fatalf("Searcher tau=%d: %d matches, want all %d", tau, len(got), len(strs))
+		}
+		ss, err := NewShardedSearcher(strs, tau, WithShards(2))
+		if err != nil {
+			t.Fatalf("NewShardedSearcher tau=%d: %v", tau, err)
+		}
+		if got := ss.Search("vldb"); len(got) != len(strs) {
+			t.Fatalf("ShardedSearcher tau=%d: %d matches, want all %d", tau, len(got), len(strs))
+		}
+	}
 }

@@ -43,9 +43,10 @@ func each(ctx context.Context, tau int, yield func(r, s int) bool, opts []Option
 // the join early.
 //
 // With WithParallelism(n <= 1) — the default — the join runs the paper's
-// sequential sliding-window scan: pairs arrive in scan order (sorted by
-// the longer string's length) and index memory stays bounded by the
-// (τ+1)² live length groups. With WithParallelism(n > 1) the probe pass
+// sequential sliding-window scan: pairs arrive by non-decreasing length of
+// the longer string, in no particular order within a length (the scan
+// probes a run of equal-length strings at a time), and index memory stays
+// bounded by the (τ+1)² live length groups. With WithParallelism(n > 1) the probe pass
 // fans out over n workers that feed a bounded channel (see
 // SelfJoinEachCtx): pairs then arrive in no deterministic order, but
 // yield is still invoked from the calling goroutine only, so it needs no
@@ -62,9 +63,9 @@ func SelfJoinEach(strs []string, tau int, yield func(r, s int) bool, opts ...Opt
 
 // JoinEach streams R×S join results to yield as they are found. yield's r
 // indexes rset and s indexes sset; returning false stops the join early.
-// Parallelism and ordering semantics match SelfJoinEach: sequential scan
-// order by default, n-worker fan-out with arbitrary order under
-// WithParallelism(n > 1), yield always on the calling goroutine.
+// Parallelism and ordering semantics match SelfJoinEach: by non-decreasing
+// length of the rset string by default, n-worker fan-out with arbitrary
+// order under WithParallelism(n > 1), yield always on the calling goroutine.
 func JoinEach(rset, sset []string, tau int, yield func(r, s int) bool, opts ...Option) error {
 	return each(context.Background(), tau, yield, opts, altRS(rset, sset, tau),
 		func(o core.Options, emit func(core.Pair) bool) error {
@@ -86,7 +87,8 @@ func JoinEach(rset, sset []string, tau int, yield func(r, s int) bool, opts ...O
 // yield runs on the calling goroutine; with n > 1 pairs arrive in no
 // deterministic order. yield returning false stops the join early and
 // returns nil. When ctx is cancelled the probe workers stop promptly
-// (they check between strings) and the error is ctx.Err().
+// (they check between batches: every 64 strings' worth of one index
+// lookup, not once per string) and the error is ctx.Err().
 func SelfJoinEachCtx(ctx context.Context, strs []string, tau int, yield func(r, s int) bool, opts ...Option) error {
 	return each(ctx, tau, yield, opts, altSelf(strs, tau),
 		func(o core.Options, emit func(core.Pair) bool) error {
