@@ -67,7 +67,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7878", "listen address")
 	tau := flag.Int("tau", 2, "edit-distance threshold (ignored with -snapshot)")
-	shards := flag.Int("shards", 0, "static index: build workers; -dynamic/-wal: index shards (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "index build workers, also of every -dynamic/-wal compaction; free to change between -wal restarts (0 = GOMAXPROCS)")
 	sel := flag.String("selection", "multimatch", "substring selection: multimatch, position, shift, length")
 	ver := flag.String("verify", "shareprefix", "verification: shareprefix, extension, lengthaware, naive, bitparallel")
 	snapshot := flag.String("snapshot", "", "load the index from this snapshot instead of a corpus file")
@@ -76,7 +76,7 @@ func main() {
 	walSync := flag.Bool("wal-sync", false, "fsync every WAL append (power-loss durability; slower writes)")
 	dynamic := flag.Bool("dynamic", false, "serve a volatile mutable index (live adds/deletes, no persistence)")
 	compactEvery := flag.Int("compact-threshold", 0,
-		"per-shard delta size that triggers background compaction (0 = default, negative = manual only; mutable modes)")
+		"delta documents plus deleted base documents that trigger background compaction (0 = 4096 x -shards, negative = manual only; mutable modes)")
 	maxBatch := flag.Int("max-batch", 0, "max queries per batch request (0 = default)")
 	topK := flag.Int("topk", 0, "default k for /v1/topk (0 = default)")
 	joinMaxBytes := flag.Int64("join-max-bytes", 0, "max body size for the bulk-join endpoints (0 = default 32 MiB)")

@@ -146,14 +146,15 @@ func TestBuildDynamicIndexDurableRestart(t *testing.T) {
 	if err := idx.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Restart with the same flags (corpus file is ignored now).
-	re, err := buildDynamicIndex(writeCorpusFile(t), dir, 1, 0, "multimatch", "shareprefix", 4, true, discardLogger())
+	// Restart at another -shards (corpus file is ignored now): it only
+	// sets the build workers.
+	re, err := buildDynamicIndex(writeCorpusFile(t), dir, 1, 3, "multimatch", "shareprefix", 4, true, discardLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.NumShards() != 2 {
-		t.Fatalf("manifest shard count not honored: %d", re.NumShards())
+	if re.NumShards() != 3 {
+		t.Fatalf("-shards 3 not honored on restart: %d", re.NumShards())
 	}
 	if re.Len() != len(corpus) { // 6 seed - 1 delete + 1 insert
 		t.Fatalf("recovered Len=%d want %d", re.Len(), len(corpus))

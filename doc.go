@@ -41,8 +41,8 @@
 //	WithStats             honored        honored  build only   build only          ignored (use Stats())
 //	WithParallelism       honored        ignored  ignored      ignored             ignored
 //	WithEngine            honored        ignored  ignored      ignored             ignored
-//	WithShards            ignored        ignored  ignored      build workers       partitions
-//	WithCompactThreshold  ignored        ignored  ignored      ignored             honored
+//	WithShards            ignored        ignored  ignored      build workers       build workers (seed, reopen, compaction)
+//	WithCompactThreshold  ignored        ignored  ignored      ignored             honored (default 4096 per worker)
 //	WithWALSync           ignored        ignored  ignored      ignored             OpenDynamicSearcher only
 //
 // # Streaming and cancellable joins
@@ -132,15 +132,18 @@
 //
 // # Live updates
 //
-// DynamicSearcher accepts inserts and deletes while serving queries: each
-// shard pairs the frozen base with a small mutable delta and a tombstone
-// set, and a background compactor folds the delta back into a fresh
-// frozen base (swapped in atomically; readers never wait for a rebuild).
+// DynamicSearcher accepts inserts and deletes while serving queries: its
+// one index pairs the frozen base with a small mutable delta and a
+// tombstone set, and a background compactor folds the delta and the
+// tombstones back into a fresh frozen base (swapped in atomically; readers
+// never wait for a rebuild). Like the static searchers it is not split by
+// document id; WithShards sets the workers that build the base.
 // OpenDynamicSearcher is the durable variant — every mutation is
 // write-ahead-logged before it becomes visible and reopening the same
-// directory recovers the exact live corpus from base snapshots + WAL
-// tails, including after a process crash (add WithWALSync to fsync each
-// append and extend that to power loss):
+// directory recovers the exact live corpus from the base snapshot + WAL
+// tail, including after a process crash (add WithWALSync to fsync each
+// append and extend that to power loss); a directory an older build split
+// into several shards is converted to one on open:
 //
 //	ds, _ := passjoin.OpenDynamicSearcher("./data", corpus, 2)
 //	id, _ := ds.Insert("kaushik chakrab") // searchable immediately

@@ -4,47 +4,49 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"iter"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 
-	"passjoin/internal/core"
 	"passjoin/internal/dynamic"
 	"passjoin/internal/metrics"
+	"passjoin/internal/persist"
 )
 
 // DynamicSearcher answers approximate string search queries like
 // ShardedSearcher, but accepts inserts and deletes while serving — the
 // live-update counterpart of the static searchers. Documents get stable
-// global ids from a monotone counter and are partitioned across N shards
-// by id (document g lives in shard g mod N; the static searchers are not
-// partitioned at all); every shard is a two-tier dynamic index
-// (internal/dynamic): a frozen CSR base swapped atomically by a background
-// compactor, a small mutable delta receiving writes, and a tombstone set
-// hiding deleted documents until the next compaction folds them out.
+// global ids from a monotone counter. Like the static searchers, the index
+// is not partitioned by id: it is one two-tier dynamic index
+// (internal/dynamic) — a frozen CSR base swapped atomically by a
+// background compactor, a small mutable delta receiving writes, and a
+// tombstone set hiding deleted documents until the next compaction folds
+// them out — whose base is built by WithShards workers.
 //
 // A DynamicSearcher opened with OpenDynamicSearcher is durable: every
-// mutation is appended to a per-shard write-ahead log before it becomes
-// visible, compactions persist the rebuilt base as a snapshot, and
-// reopening the same directory recovers the exact live corpus from
-// snapshot + WAL tail — including after a crash.
+// mutation is appended to a write-ahead log before it becomes visible,
+// compactions persist the rebuilt base as a snapshot, and reopening the
+// same directory recovers the exact live corpus from snapshot + WAL tail —
+// including after a crash.
 //
 // All methods are safe for concurrent use by any number of goroutines.
 type DynamicSearcher struct {
-	tiers  []*dynamic.Tier
-	tau    int
-	nextID atomic.Int64
-	unlock func() error // releases the directory lock; nil when volatile
+	tier    *dynamic.Tier
+	tau     int
+	workers int
+	unlock  func() error // releases the directory lock; nil when volatile
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
 // dynamicMeta is the per-directory manifest that pins the parameters a
-// durable index was created with.
+// durable index was created with. This build writes Shards 1; older builds
+// split the index by id over Shards partitions, which Open converts.
 type dynamicMeta struct {
 	Version int `json:"version"`
 	Tau     int `json:"tau"`
@@ -64,10 +66,13 @@ func NewDynamicSearcher(corpus []string, tau int, opts ...Option) (*DynamicSearc
 
 // OpenDynamicSearcher creates or reopens a durable dynamic searcher
 // rooted at directory dir. A fresh directory is seeded with corpus
-// (document i gets global id i) and records tau and the shard count in a
-// manifest; reopening an existing directory recovers the index from the
-// per-shard base snapshots and WAL tails, ignores corpus, and requires
-// tau (and WithShards, when given) to match the manifest.
+// (document i gets global id i) and records tau in a manifest; reopening
+// an existing directory recovers the index from the base snapshot and WAL
+// tail, ignores corpus, and requires tau to match the manifest. WithShards
+// may differ from open to open. A directory an older build split into
+// several id partitions is converted to the one-partition layout before
+// the first write: the partitions are folded together, compacted, the
+// manifest rewritten and the other partitions' files removed.
 func OpenDynamicSearcher(dir string, corpus []string, tau int, opts ...Option) (*DynamicSearcher, error) {
 	if dir == "" {
 		return nil, errors.New("passjoin: empty dynamic index directory")
@@ -80,11 +85,24 @@ func openDynamic(dir string, corpus []string, tau int, opts []Option) (*DynamicS
 	if err != nil {
 		return nil, err
 	}
-	n := cfg.shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	workers := cfg.shards
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	seed := true
+	tcfg := dynamic.Config{
+		Tau:              tau,
+		Selection:        cfg.sel.internal(),
+		Verification:     cfg.ver.internal(),
+		CompactThreshold: cfg.compactThreshold,
+		Workers:          workers,
+		Fsync:            cfg.walSync,
+		Logger:           cfg.logger,
+	}
+	if hook := cfg.mutHook; hook != nil {
+		tcfg.OnApply = func(op dynamic.Op) {
+			hook(Mutation{Del: op.Del, ID: int(op.ID), Doc: op.Doc})
+		}
+	}
 	var unlock func() error
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -92,126 +110,126 @@ func openDynamic(dir string, corpus []string, tau int, opts []Option) (*DynamicS
 		}
 		// One process per directory: concurrent writers would interleave
 		// WAL records and race snapshot renames.
-		var lerr error
-		if unlock, lerr = dynamic.LockDir(dir); lerr != nil {
-			return nil, lerr
-		}
-		fail := func(err error) (*DynamicSearcher, error) {
-			unlock()
+		if unlock, err = dynamic.LockDir(dir); err != nil {
 			return nil, err
 		}
-		metaPath := filepath.Join(dir, dynamicMetaName)
-		if raw, err := os.ReadFile(metaPath); err == nil {
-			var meta dynamicMeta
-			if err := json.Unmarshal(raw, &meta); err != nil {
-				return fail(fmt.Errorf("passjoin: corrupt dynamic manifest %s: %w", metaPath, err))
-			}
-			if meta.Tau != tau {
-				return fail(fmt.Errorf("passjoin: dynamic index at %s was created with tau=%d, not %d", dir, meta.Tau, tau))
-			}
-			if cfg.shards > 0 && meta.Shards != cfg.shards {
-				return fail(fmt.Errorf("passjoin: dynamic index at %s was created with %d shards, not %d", dir, meta.Shards, cfg.shards))
-			}
-			n = meta.Shards
-			seed = false
-		} else if !os.IsNotExist(err) {
-			return fail(err)
+		tcfg.SnapPath, tcfg.WALPath = shardPaths(dir, 0)
+	}
+	shards, err := readManifest(dir, tau)
+	var t *dynamic.Tier
+	if err == nil {
+		t, err = dynamic.Open(tcfg)
+	}
+	if err == nil {
+		if err = settle(t, dir, shards, tau, corpus); err != nil {
+			t.Close()
 		}
 	}
-
-	ds := &DynamicSearcher{tiers: make([]*dynamic.Tier, n), tau: tau, unlock: unlock}
-	// Every return below this point must not leak what is already open:
-	// tier WAL descriptors and the directory lock.
-	opened := false
-	defer func() {
-		if opened {
-			return
-		}
-		for _, t := range ds.tiers {
-			if t != nil {
-				t.Close()
-			}
-		}
+	if err != nil {
 		if unlock != nil {
 			unlock()
 		}
-	}()
-	for s := 0; s < n; s++ {
-		tcfg := dynamic.Config{
-			Tau:              tau,
-			Selection:        cfg.sel.internal(),
-			Verification:     cfg.ver.internal(),
-			CompactThreshold: cfg.compactThreshold,
-			Fsync:            cfg.walSync,
+		return nil, err
+	}
+	return &DynamicSearcher{tier: t, tau: tau, workers: workers, unlock: unlock}, nil
+}
+
+// shardPaths names the base snapshot and the WAL of partition k of dir;
+// this build uses partition 0 only.
+func shardPaths(dir string, k int) (snap, wal string) {
+	base := filepath.Join(dir, fmt.Sprintf("shard-%d", k))
+	return base + ".snap", base + ".wal"
+}
+
+// readManifest returns the partition count dir's manifest records — 0 when
+// dir is "" or has no manifest yet — after checking it was created with tau.
+func readManifest(dir string, tau int) (int, error) {
+	if dir == "" {
+		return 0, nil
+	}
+	path := filepath.Join(dir, dynamicMetaName)
+	raw, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	var meta dynamicMeta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		return 0, fmt.Errorf("passjoin: corrupt dynamic manifest %s: %w", path, err)
+	}
+	if meta.Shards < 1 {
+		return 0, fmt.Errorf("passjoin: corrupt dynamic manifest %s: %d shards", path, meta.Shards)
+	}
+	if meta.Tau != tau {
+		return 0, fmt.Errorf("passjoin: dynamic index at %s was created with tau=%d, not %d", dir, meta.Tau, tau)
+	}
+	return meta.Shards, nil
+}
+
+// settle brings a just-opened tier to a committed one-partition state
+// before anything can write to it. Without a manifest (shards == 0) it
+// seeds the tier from corpus; with one naming several partitions it folds
+// partitions 1..shards-1 into the tier and compacts the union into
+// partition 0's files. The manifest, written atomically, commits either,
+// and only then are the other partitions' files removed — also when a
+// crash cut an earlier removal short. Up to the manifest every step is
+// idempotent per id, so a crash anywhere reopens to the same documents.
+func settle(t *dynamic.Tier, dir string, shards, tau int, corpus []string) error {
+	switch {
+	case shards == 0 && dir != "" && t.MaxID() >= 0:
+		// Shard data without a manifest means a crash interrupted a
+		// previous seeding (the manifest is written last); silently
+		// re-seeding or adopting the partial state could lose documents.
+		return fmt.Errorf("passjoin: %s has shard data but no %s — partially initialized index, remove the directory to re-seed", dir, dynamicMetaName)
+	case shards == 0:
+		gids := make([]int64, len(corpus))
+		for i := range gids {
+			gids[i] = int64(i)
 		}
-		if hook := cfg.mutHook; hook != nil {
-			tcfg.OnApply = func(op dynamic.Op) {
-				hook(Mutation{Del: op.Del, ID: int(op.ID), Doc: op.Doc})
+		if err := t.Bootstrap(gids, slices.Clone(corpus)); err != nil {
+			return err
+		}
+	case shards > 1:
+		for k := 1; k < shards; k++ {
+			if err := t.Absorb(shardPaths(dir, k)); err != nil {
+				return err
 			}
 		}
-		if cfg.logger != nil {
-			tcfg.Logger = cfg.logger.With("shard", s)
+		if err := t.Compact(); err != nil {
+			return err
 		}
-		if dir != "" {
-			tcfg.WALPath = filepath.Join(dir, fmt.Sprintf("shard-%d.wal", s))
-			tcfg.SnapPath = filepath.Join(dir, fmt.Sprintf("shard-%d.snap", s))
-		}
-		t, err := dynamic.Open(tcfg)
+	}
+	if dir == "" {
+		return nil
+	}
+	if shards != 1 {
+		raw, err := json.Marshal(dynamicMeta{Version: 1, Tau: tau, Shards: 1})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ds.tiers[s] = t
-	}
-	if seed {
-		// No manifest, so this must be a truly fresh directory: shard
-		// files without one mean a crash interrupted a previous seeding
-		// (the manifest is written last) and silently re-seeding or
-		// adopting the partial state could lose documents.
-		if dir != "" {
-			for s, t := range ds.tiers {
-				if t.MaxID() >= 0 {
-					return nil, fmt.Errorf("passjoin: %s has shard data (shard %d) but no %s — partially initialized index, remove the directory to re-seed", dir, s, dynamicMetaName)
-				}
-			}
-		}
-		for s := 0; s < n; s++ {
-			var gids []int64
-			var docs []string
-			for i := s; i < len(corpus); i += n {
-				gids = append(gids, int64(i))
-				docs = append(docs, corpus[i])
-			}
-			if err := ds.tiers[s].Bootstrap(gids, docs); err != nil {
-				return nil, err
-			}
-		}
-		// The manifest commits the seeding: written only after every
-		// shard bootstrapped successfully.
-		if dir != "" {
-			meta := dynamicMeta{Version: 1, Tau: tau, Shards: n}
-			raw, _ := json.Marshal(meta)
-			if err := os.WriteFile(filepath.Join(dir, dynamicMetaName), raw, 0o644); err != nil {
-				return nil, err
-			}
+		err = persist.WriteFileAtomic(filepath.Join(dir, dynamicMetaName), func(w io.Writer) error {
+			_, err := w.Write(raw)
+			return err
+		})
+		if err != nil {
+			return err
 		}
 	}
-	next := int64(0)
-	for _, t := range ds.tiers {
-		if m := t.MaxID(); m+1 > next {
-			next = m + 1
-		}
+	stray, err := filepath.Glob(filepath.Join(dir, "shard-[1-9]*"))
+	for _, path := range stray {
+		err = errors.Join(err, os.Remove(path))
 	}
-	ds.nextID.Store(next)
-	opened = true
-	return ds, nil
+	return err
 }
 
 // Insert adds doc and returns its stable global id. The document is
 // immediately visible to Search; with durability it is WAL-logged before
 // Insert returns.
 func (ds *DynamicSearcher) Insert(doc string) (int, error) {
-	gid := ds.nextID.Add(1) - 1
-	if err := ds.tiers[gid%int64(len(ds.tiers))].Insert(gid, doc); err != nil {
+	gid, err := ds.tier.Insert(doc)
+	if err != nil {
 		return 0, err
 	}
 	return int(gid), nil
@@ -221,11 +239,7 @@ func (ds *DynamicSearcher) Insert(doc string) (int, error) {
 // id named a live document; deleting an absent or already-deleted id is
 // a no-op returning false.
 func (ds *DynamicSearcher) Delete(id int) (bool, error) {
-	if id < 0 {
-		return false, nil
-	}
-	gid := int64(id)
-	return ds.tiers[gid%int64(len(ds.tiers))].Delete(gid)
+	return ds.tier.Delete(int64(id))
 }
 
 // Mutation is one logical write applied to a DynamicSearcher: an insert
@@ -242,27 +256,13 @@ type Mutation struct {
 // insert whose id the searcher already knows is skipped, as is a delete
 // of an absent or already-deleted id — the same per-id discipline WAL
 // replay uses, so re-applying any already-applied prefix of a replication
-// stream is harmless. The id allocator is advanced past m.ID, so a
+// stream is harmless. An insert advances the id allocator past m.ID, so a
 // follower promoted to accept writes never re-issues a replicated id.
 // Applied mutations are WAL-logged (when durable), observed by the
 // mutation hook, and trigger background compaction exactly like local
 // writes. It reports whether the mutation changed the index.
 func (ds *DynamicSearcher) Apply(m Mutation) (bool, error) {
-	if m.ID < 0 {
-		return false, fmt.Errorf("passjoin: negative document id %d", m.ID)
-	}
-	gid := int64(m.ID)
-	applied, err := ds.tiers[gid%int64(len(ds.tiers))].Apply(dynamic.Op{Del: m.Del, ID: gid, Doc: m.Doc})
-	if err != nil {
-		return false, err
-	}
-	for {
-		cur := ds.nextID.Load()
-		if gid+1 <= cur || ds.nextID.CompareAndSwap(cur, gid+1) {
-			break
-		}
-	}
-	return applied, nil
+	return ds.tier.Apply(dynamic.Op{Del: m.Del, ID: int64(m.ID), Doc: m.Doc})
 }
 
 // NextID returns the id the next local Insert would assign — the
@@ -271,23 +271,20 @@ func (ds *DynamicSearcher) Apply(m Mutation) (bool, error) {
 // from every member to bootstrap a global allocator that never collides
 // with an id any member already issued.
 func (ds *DynamicSearcher) NextID() int {
-	return int(ds.nextID.Load())
+	return int(ds.tier.MaxID() + 1)
 }
 
-// All iterates over every live document as (id, doc) pairs, shard by
-// shard, in no particular order. Each shard's contents are captured
-// atomically under its read lock before being yielded, so the consumer
-// may mutate the index from inside the loop; concurrent writes that race
-// the capture of a later shard may or may not appear. The replication
-// source uses it to cut follower bootstrap snapshots.
+// All iterates over every live document as (id, doc) pairs, in no
+// particular order. The contents are captured atomically under the read
+// lock before the first pair is yielded, so the consumer may mutate the
+// index from inside the loop. The replication source uses it to cut
+// follower bootstrap snapshots.
 func (ds *DynamicSearcher) All() iter.Seq2[int, string] {
 	return func(yield func(int, string) bool) {
-		for _, t := range ds.tiers {
-			gids, docs := t.Live()
-			for i, gid := range gids {
-				if !yield(int(gid), docs[i]) {
-					return
-				}
+		gids, docs := ds.tier.Live()
+		for i, gid := range gids {
+			if !yield(int(gid), docs[i]) {
+				return
 			}
 		}
 	}
@@ -315,66 +312,38 @@ func (ds *DynamicSearcher) SearchTopK(q string, k int) []Match {
 	return ds.Search(q, QueryTopK(k))
 }
 
-// SearchSeq streams matches for q tier by tier, in no particular order
-// (use Search for ranked output; with QueryTopK the ranked matches are
-// materialized first and yielded in order). Each shard's base+delta merge
-// is materialized under the shard's read lock before its matches are
-// yielded, so consumers may mutate the index from inside the loop;
-// breaking out of the loop skips the remaining shards entirely. Safe for
-// concurrent use.
+// SearchSeq streams the matches Search returns for q, in the same order.
+// The base+delta merge is materialized under the read lock before the
+// first match is yielded, so consumers may mutate the index from inside
+// the loop. Safe for concurrent use.
 func (ds *DynamicSearcher) SearchSeq(q string, opts ...QueryOption) iter.Seq[Match] {
 	qc := resolveQuery(ds.tau, opts)
 	return func(yield func(Match) bool) {
 		if qc.empty {
 			return
 		}
-		if qc.topk > 0 {
-			for _, m := range ds.search(q, qc) {
-				if !yield(m) {
-					return
-				}
-			}
-			return
-		}
-		remaining := qc.limit // 0 = unlimited
-		for _, t := range ds.tiers {
-			hits := t.SearchOpt(q, core.QueryOpts{Tau: qc.tau, Limit: remaining, Trace: qc.trace})
-			for _, h := range hits {
-				if !yield(Match{ID: int(h.ID), Dist: h.Dist}) {
-					return
-				}
-			}
-			if qc.limit > 0 {
-				remaining -= len(hits)
-				if remaining <= 0 {
-					return
-				}
+		for _, m := range ds.search(q, qc) {
+			if !yield(m) {
+				return
 			}
 		}
 	}
 }
 
-// search probes the tiers one after another on the caller's goroutine — a
-// short-string probe costs less than handing it to another goroutine — and
-// ranks the union. A trace is additive, so the tiers share the query's.
+// search probes the tier on the caller's goroutine — a short-string probe
+// costs less than handing it to another goroutine — and ranks the hits.
 func (ds *DynamicSearcher) search(q string, qc queryConfig) []Match {
-	o := qc.coreOpts()
-	var out []Match
-	for _, t := range ds.tiers {
-		for _, h := range t.SearchOpt(q, o) {
-			out = append(out, Match{ID: int(h.ID), Dist: h.Dist})
-		}
+	hits := ds.tier.SearchOpt(q, qc.coreOpts())
+	out := make([]Match, len(hits))
+	for i, h := range hits {
+		out[i] = Match{ID: int(h.ID), Dist: h.Dist}
 	}
 	return qc.finish(out)
 }
 
 // Get returns the live document stored under id.
 func (ds *DynamicSearcher) Get(id int) (string, bool) {
-	if id < 0 {
-		return "", false
-	}
-	gid := int64(id)
-	return ds.tiers[gid%int64(len(ds.tiers))].Get(gid)
+	return ds.tier.Get(int64(id))
 }
 
 // At returns the live document stored under id, or "" when the id is
@@ -386,84 +355,55 @@ func (ds *DynamicSearcher) At(id int) string {
 }
 
 // Len returns the number of live documents.
-func (ds *DynamicSearcher) Len() int {
-	total := 0
-	for _, t := range ds.tiers {
-		total += t.Len()
-	}
-	return total
-}
+func (ds *DynamicSearcher) Len() int { return ds.tier.Len() }
 
 // Tau returns the searcher's threshold.
 func (ds *DynamicSearcher) Tau() int { return ds.tau }
 
-// NumShards returns the number of dynamic shards.
-func (ds *DynamicSearcher) NumShards() int { return len(ds.tiers) }
+// NumShards returns the resolved WithShards value: the number of workers
+// that build the frozen base at seeding, at reopen and at every
+// compaction. Queries and ids do not depend on it.
+func (ds *DynamicSearcher) NumShards() int { return ds.workers }
 
-// Compact synchronously compacts every shard: deltas and tombstones are
-// folded into fresh frozen bases (and, when durable, the base snapshots
-// are rewritten and the WALs truncated to their tails).
-func (ds *DynamicSearcher) Compact() error {
-	for _, t := range ds.tiers {
-		if err := t.Compact(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Compact synchronously folds the delta and the tombstones into a fresh
+// frozen base (and, when durable, rewrites the base snapshot and cuts the
+// WAL down to its tail).
+func (ds *DynamicSearcher) Compact() error { return ds.tier.Compact() }
 
-// Stats returns a point-in-time aggregate of the per-shard dynamic
-// counters: live documents, delta sizes, tombstones, compactions, WAL
-// footprint, and the frozen-base figures.
+// Stats returns a point-in-time snapshot of the dynamic counters: live
+// documents, delta size, tombstones, compactions, WAL footprint, and the
+// frozen-base figures.
 func (ds *DynamicSearcher) Stats() Stats {
-	merged := &metrics.Stats{}
-	for _, t := range ds.tiers {
-		ts := t.Stats()
-		merged.Add(&metrics.Stats{
-			Strings:       int64(ts.Live),
-			DeltaStrings:  int64(ts.DeltaDocs),
-			Tombstones:    int64(ts.Tombstones),
-			Compactions:   ts.Compactions,
-			CompactErrors: ts.CompactErrors,
-			WALBytes:      ts.WALBytes,
-			WALRecords:    ts.WALRecords,
-			FrozenBytes:   ts.FrozenBytes,
-			FrozenEntries: ts.FrozenEntries,
-		})
-	}
-	var st Stats
-	st.inner = merged
+	ts := ds.tier.Stats()
+	st := Stats{inner: &metrics.Stats{
+		Strings:       int64(ts.Live),
+		DeltaStrings:  int64(ts.DeltaDocs),
+		Tombstones:    int64(ts.Tombstones),
+		Compactions:   ts.Compactions,
+		CompactErrors: ts.CompactErrors,
+		WALBytes:      ts.WALBytes,
+		WALRecords:    ts.WALRecords,
+		FrozenBytes:   ts.FrozenBytes,
+		FrozenEntries: ts.FrozenEntries,
+	}}
 	st.fill()
 	return st
 }
 
-// Err returns the most recent background-compaction failure across the
-// shards, if any. A durable index whose compactions fail keeps serving
-// and accepting writes (the WAL still grows), but the condition deserves
-// monitoring — the server surfaces it on /v1/stats.
-func (ds *DynamicSearcher) Err() error {
-	for _, t := range ds.tiers {
-		if err := t.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Err returns the most recent background-compaction failure, if any. A
+// durable index whose compactions fail keeps serving and accepting writes
+// (the WAL still grows), but the condition deserves monitoring — the
+// server surfaces it on /v1/stats.
+func (ds *DynamicSearcher) Err() error { return ds.tier.Err() }
 
-// Close waits for in-flight background compactions, syncs and closes the
-// per-shard WALs, releases the directory lock, and surfaces any
-// background-compaction error. The searcher must not be used afterwards.
+// Close waits for an in-flight background compaction, syncs and closes the
+// WAL, releases the directory lock, and surfaces any background-compaction
+// error. The searcher must not be used afterwards.
 func (ds *DynamicSearcher) Close() error {
 	ds.closeOnce.Do(func() {
-		for _, t := range ds.tiers {
-			if err := t.Close(); err != nil && ds.closeErr == nil {
-				ds.closeErr = err
-			}
-		}
+		ds.closeErr = ds.tier.Close()
 		if ds.unlock != nil {
-			if err := ds.unlock(); err != nil && ds.closeErr == nil {
-				ds.closeErr = err
-			}
+			ds.closeErr = errors.Join(ds.closeErr, ds.unlock())
 		}
 	})
 	return ds.closeErr

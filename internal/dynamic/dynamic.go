@@ -2,8 +2,9 @@
 // LSM-style two-tier index that accepts inserts and deletes while serving
 // queries, with optional durability.
 //
-// A Tier is the unit of mutability (the public DynamicSearcher shards the
-// document space across several):
+// A Tier is the whole mutable index (the public DynamicSearcher holds one;
+// Pass-Join's length groups already partition it, so nothing splits it by
+// id):
 //
 //   - The base is a sealed core.Matcher — the frozen CSR index every
 //     static searcher serves from — held behind an atomic.Pointer so the
@@ -50,9 +51,9 @@ import (
 	"passjoin/internal/selection"
 )
 
-// DefaultCompactThreshold is the delta size (documents, live or
-// tombstoned) that triggers a background compaction when Config leaves
-// CompactThreshold at zero.
+// DefaultCompactThreshold is the delta size per build worker that
+// triggers a background compaction when Config leaves CompactThreshold at
+// zero.
 const DefaultCompactThreshold = 4096
 
 // Config configures a Tier.
@@ -63,10 +64,14 @@ type Config struct {
 	Selection selection.Method
 	// Verification algorithm; zero value is VerifyExtensionShared.
 	Verification core.VerifyKind
-	// CompactThreshold is the delta document count that triggers a
-	// background compaction. 0 selects DefaultCompactThreshold; negative
+	// CompactThreshold is the number of delta documents (live or
+	// tombstoned) plus tombstoned base documents that triggers a background
+	// compaction. 0 selects DefaultCompactThreshold × Workers; negative
 	// disables automatic compaction (Compact can still be called).
 	CompactThreshold int
+	// Workers is the number of goroutines that build the frozen base at
+	// Bootstrap, at Open and at every compaction; 0 means 1.
+	Workers int
 	// WALPath and SnapPath enable durability when non-empty (both must be
 	// set together): mutations append to the WAL, compactions rewrite the
 	// base snapshot, and Open replays snapshot + WAL tail.
@@ -122,21 +127,22 @@ func newBaseTier(m *core.Matcher, ids []int64) *baseTier {
 	return b
 }
 
-// Tier is a dynamic two-tier index over one shard of the document space.
+// Tier is a dynamic two-tier index over the whole document space.
 type Tier struct {
 	cfg  Config
 	base atomic.Pointer[baseTier]
 
-	mu       sync.RWMutex
-	delta    *core.Matcher
-	deltaIDs []int64
-	byID     map[int64]entry
-	tombs    map[int64]struct{}
-	live     int
-	maxID    int64 // largest gid ever observed; -1 when none
-	wal      *WAL
-	lastErr  error // most recent background-compaction failure
-	closed   bool
+	mu        sync.RWMutex
+	delta     *core.Matcher
+	deltaIDs  []int64
+	byID      map[int64]entry
+	tombs     map[int64]struct{}
+	baseTombs int // tombstones of base documents, counted toward the threshold
+	live      int
+	maxID     int64 // largest gid ever observed (the id allocator); -1 when none
+	wal       *WAL
+	lastErr   error // most recent background-compaction failure
+	closed    bool
 
 	cmu           sync.Mutex // serializes compactions
 	compacting    atomic.Bool
@@ -153,7 +159,6 @@ type Stats struct {
 	BaseDocs      int   // rows in the frozen base (including tombstoned)
 	DeltaDocs     int   // rows in the mutable delta (including tombstoned)
 	Tombstones    int   // pending deletes
-	MaxID         int64 // largest global id observed; -1 when none
 	Compactions   int64 // completed compactions
 	CompactErrors int64 // failed compactions (background and synchronous)
 	WALBytes      int64 // current WAL size (0 without durability)
@@ -172,8 +177,9 @@ func Open(cfg Config) (*Tier, error) {
 	if (cfg.WALPath == "") != (cfg.SnapPath == "") {
 		return nil, errors.New("dynamic: WALPath and SnapPath must be set together")
 	}
+	cfg.Workers = max(cfg.Workers, 1)
 	if cfg.CompactThreshold == 0 {
-		cfg.CompactThreshold = DefaultCompactThreshold
+		cfg.CompactThreshold = DefaultCompactThreshold * cfg.Workers
 	}
 	t := &Tier{
 		cfg:    cfg,
@@ -195,74 +201,98 @@ func Open(cfg Config) (*Tier, error) {
 		}
 	}
 	if cfg.WALPath != "" {
-		wal, ops, err := OpenWAL(cfg.WALPath, cfg.Fsync)
-		if err != nil {
+		if t.wal, err = t.replayWAL(cfg.WALPath, cfg.Fsync); err != nil {
 			return nil, err
-		}
-		t.wal = wal
-		if wal.Truncated != nil {
-			// Routine crash recovery, but operators should see it: the torn
-			// bytes were acknowledged writes only if fsync was off.
-			t.logger.Warn("wal torn tail truncated",
-				"path", cfg.WALPath,
-				"replayed_records", len(ops),
-				"kept_bytes", wal.Bytes(),
-				"error", wal.Truncated)
-		}
-		for _, op := range ops {
-			t.applyReplayed(op)
 		}
 	}
 	return t, nil
 }
 
-func (t *Tier) loadSnapshot(path string) error {
+// replayWAL opens the log at path, truncating any torn tail, and applies its
+// records as replayed operations.
+func (t *Tier) replayWAL(path string, fsync bool) (*WAL, error) {
+	wal, ops, err := OpenWAL(path, fsync)
+	if err != nil {
+		return nil, err
+	}
+	if wal.Truncated != nil {
+		// Routine crash recovery, but operators should see it: the torn
+		// bytes were acknowledged writes only if fsync was off.
+		t.logger.Warn("wal torn tail truncated",
+			"path", path,
+			"replayed_records", len(ops),
+			"kept_bytes", wal.Bytes(),
+			"error", wal.Truncated)
+	}
+	for _, op := range ops {
+		t.apply(&op, false) // a replayed op is not logged, so it cannot fail
+	}
+	return wal, nil
+}
+
+// readSnapshot reads the base snapshot at path; a missing file is an error
+// satisfying os.IsNotExist.
+func (t *Tier) readSnapshot(path string) (gids []int64, corpus []string, nextID int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // fresh directory: empty base
-		}
-		return err
+		return nil, nil, 0, err
 	}
 	defer f.Close()
 	gids, corpus, tau, nextID, err := readBaseSnapshot(f)
+	if err == nil && tau != t.cfg.Tau {
+		err = fmt.Errorf("dynamic: snapshot built for tau=%d, tier configured for tau=%d", tau, t.cfg.Tau)
+	}
+	return gids, corpus, nextID, err
+}
+
+func (t *Tier) loadSnapshot(path string) error {
+	gids, corpus, nextID, err := t.readSnapshot(path)
+	if os.IsNotExist(err) {
+		return nil // fresh directory: empty base
+	}
 	if err != nil {
 		return err
-	}
-	if tau != t.cfg.Tau {
-		return fmt.Errorf("dynamic: snapshot built for tau=%d, tier configured for tau=%d", tau, t.cfg.Tau)
 	}
 	m, err := t.buildSealed(corpus)
 	if err != nil {
 		return err
 	}
-	t.base.Store(newBaseTier(m, gids))
-	for i, gid := range gids {
-		t.byID[gid] = entry{pos: int32(i)}
-		if gid > t.maxID {
-			t.maxID = gid
-		}
-	}
-	if nextID-1 > t.maxID {
-		t.maxID = nextID - 1
-	}
-	t.live = len(gids)
+	t.setBase(m, gids, nextID-1) // readBaseSnapshot holds every gid below the hint
 	return nil
 }
 
-// applyReplayed applies one WAL operation during Open, without re-logging
-// it. Application is idempotent per gid: an add whose id already exists is
-// skipped (the base snapshot may already contain it if a crash landed
-// between the snapshot rename and the WAL rewrite), as is a delete of an
-// absent or already-dead id.
-func (t *Tier) applyReplayed(op Op) {
-	if op.Watermark {
-		if op.ID > t.maxID {
-			t.maxID = op.ID
-		}
-		return
+// setBase installs m, whose rows hold gids, as the base of an empty tier
+// that has observed ids up to maxID.
+func (t *Tier) setBase(m *core.Matcher, gids []int64, maxID int64) {
+	t.base.Store(newBaseTier(m, gids))
+	for i, gid := range gids {
+		t.byID[gid] = entry{pos: int32(i)}
 	}
-	_, _ = t.apply(op, false, false) // a replayed op is not logged, so it cannot fail
+	t.maxID = max(t.maxID, maxID)
+	t.live = len(gids)
+}
+
+// Absorb folds another tier's durable state — the base snapshot at
+// snapPath, then the WAL at walPath, torn tail truncated — into t the way
+// Open replays t's own WAL: no WAL append, no OnApply, and the other tier's
+// largest id (snapshot hint and watermarks included) carried into t's
+// allocator. Replay is idempotent per gid, so absorbing the same files twice
+// changes nothing. It converts a directory written when the index was split
+// by id; the folded documents are durable only after the next Compact.
+func (t *Tier) Absorb(snapPath, walPath string) error {
+	gids, docs, nextID, err := t.readSnapshot(snapPath)
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	t.apply(&Op{Watermark: true, ID: nextID - 1}, false)
+	for i, gid := range gids {
+		t.apply(&Op{ID: gid, Doc: docs[i]}, false)
+	}
+	wal, err := t.replayWAL(walPath, false)
+	if err != nil {
+		return err
+	}
+	return wal.Close()
 }
 
 // Bootstrap seeds an empty tier with an initial corpus, building the
@@ -298,45 +328,39 @@ func (t *Tier) Bootstrap(gids []int64, docs []string) error {
 			return err
 		}
 	}
-	t.base.Store(newBaseTier(m, gids))
-	for i, gid := range gids {
-		t.byID[gid] = entry{pos: int32(i)}
-	}
-	if maxID > t.maxID {
-		t.maxID = maxID
-	}
-	t.live = len(gids)
+	t.setBase(m, gids, maxID)
 	return nil
 }
 
 // buildSealed bulk-builds a frozen base over docs, which the base keeps.
 func (t *Tier) buildSealed(docs []string) (*core.Matcher, error) {
-	return core.BuildSealedMatcher(t.cfg.Tau, t.cfg.Selection, t.cfg.Verification, nil, docs, 1)
+	return core.BuildSealedMatcher(t.cfg.Tau, t.cfg.Selection, t.cfg.Verification, nil, docs, t.cfg.Workers)
 }
 
-// Insert adds doc under global id gid. The id must be fresh; the caller
-// (DynamicSearcher) allocates them from a monotone counter. With
+// Insert adds doc under the next global id — one past the largest the tier
+// has observed, allocated under the write lock — and returns that id. With
 // durability the operation is appended to the WAL before it becomes
 // visible.
-func (t *Tier) Insert(gid int64, doc string) error {
-	if gid < 0 {
-		return fmt.Errorf("dynamic: negative document id %d", gid)
-	}
-	_, err := t.apply(Op{ID: gid, Doc: doc}, true, true)
-	return err
+func (t *Tier) Insert(doc string) (int64, error) {
+	op := Op{ID: -1, Doc: doc}
+	_, err := t.apply(&op, true)
+	return op.ID, err
 }
 
-// apply is the one write path, under Insert, Delete, Apply and WAL replay:
-// with the write lock held, skip an operation that would change nothing,
-// append it to the WAL, mutate the delta or the tombstones, count, fire
-// OnApply — in that order, so an operation is durable before it is visible
-// and visible before it is observed — and, the lock released, start a
-// background compaction when an add filled the delta. live is false for
-// replay at Open, which neither logs the operation again, nor fires the
-// hook, nor compacts. strict makes an add of a known id an error (Insert
-// allocates fresh ids) where the idempotent callers skip it. It reports
-// whether the operation changed the tier.
-func (t *Tier) apply(op Op, live, strict bool) (bool, error) {
+// apply is the one write path, under Insert, Delete, Apply, WAL replay and
+// Absorb: with the write lock held, raise the id allocator to a watermark,
+// give an add with a negative id (Insert) the next id, skip an operation
+// that would change nothing, append it to the WAL, mutate the delta or the
+// tombstones, count, fire OnApply — in that order, so an operation is
+// durable before it is visible and visible before it is observed — and,
+// the lock released, start a background compaction when the delta and the
+// base tombstones reach the threshold. live is false for replay, which
+// neither logs the operation again, nor fires the hook, nor compacts.
+// Replay is idempotent per gid: an add whose id already exists is skipped
+// (the base snapshot may already contain it if a crash landed between the
+// snapshot rename and the WAL rewrite), as is a delete of an absent or
+// already-dead id. It reports whether the operation changed the tier.
+func (t *Tier) apply(op *Op, live bool) (bool, error) {
 	trigger := false
 	t.mu.Lock()
 	defer func() {
@@ -346,37 +370,42 @@ func (t *Tier) apply(op Op, live, strict bool) (bool, error) {
 	if t.closed {
 		return false, errors.New("dynamic: tier is closed")
 	}
-	_, known := t.byID[op.ID]
+	if op.Watermark {
+		t.maxID = max(t.maxID, op.ID)
+		return false, nil
+	}
+	if !op.Del && op.ID < 0 {
+		op.ID = t.maxID + 1
+	}
+	e, known := t.byID[op.ID]
 	if op.Del {
 		if _, dead := t.tombs[op.ID]; !known || dead {
 			return false, nil
 		}
 	} else if known {
-		if strict {
-			return false, fmt.Errorf("dynamic: duplicate document id %d", op.ID)
-		}
 		return false, nil
 	}
 	if live && t.wal != nil {
-		if err := t.wal.Append(op); err != nil {
+		if err := t.wal.Append(*op); err != nil {
 			return false, err
 		}
 	}
 	if op.Del {
 		t.tombs[op.ID] = struct{}{}
+		if !e.delta {
+			t.baseTombs++
+		}
 		t.live--
 	} else {
 		t.delta.InsertSilent(op.Doc)
 		t.deltaIDs = append(t.deltaIDs, op.ID)
 		t.byID[op.ID] = entry{pos: int32(len(t.deltaIDs) - 1), delta: true}
-		if op.ID > t.maxID {
-			t.maxID = op.ID
-		}
+		t.maxID = max(t.maxID, op.ID)
 		t.live++
-		trigger = live && t.cfg.CompactThreshold > 0 && t.delta.Len() >= t.cfg.CompactThreshold
 	}
+	trigger = live && t.cfg.CompactThreshold > 0 && t.delta.Len()+t.baseTombs >= t.cfg.CompactThreshold
 	if live && t.cfg.OnApply != nil {
-		t.cfg.OnApply(op)
+		t.cfg.OnApply(*op)
 	}
 	return true, nil
 }
@@ -408,8 +437,9 @@ func (t *Tier) maybeCompact(trigger bool) {
 // already-dead id (the same discipline WAL replay uses, so re-applying any
 // already-applied prefix of a replication stream is harmless). Applied
 // operations are WAL-logged, observed by OnApply, and trigger background
-// compaction exactly like local mutations. It reports whether the
-// operation changed the tier.
+// compaction exactly like local mutations; an applied add raises the id
+// allocator past its id. It reports whether the operation changed the
+// tier.
 func (t *Tier) Apply(op Op) (bool, error) {
 	if op.Watermark {
 		return false, fmt.Errorf("dynamic: watermark ops are not replicable")
@@ -417,13 +447,13 @@ func (t *Tier) Apply(op Op) (bool, error) {
 	if op.ID < 0 {
 		return false, fmt.Errorf("dynamic: negative document id %d", op.ID)
 	}
-	return t.apply(op, true, false)
+	return t.apply(&op, true)
 }
 
 // Delete tombstones gid. It reports whether the document existed and was
 // live.
 func (t *Tier) Delete(gid int64) (bool, error) {
-	return t.apply(Op{Del: true, ID: gid}, true, false)
+	return t.apply(&Op{Del: true, ID: gid}, true)
 }
 
 // Live returns every live document with its global id, captured
@@ -452,19 +482,14 @@ func (t *Tier) Live() ([]int64, []string) {
 	return gids, docs
 }
 
-// Search returns every live document within tau of q as (global id, exact
-// distance), sorted by ascending distance with ties broken by id. It is
-// safe for any number of concurrent callers.
-func (t *Tier) Search(q string) []Hit {
-	return t.SearchOpt(q, core.QueryOpts{Tau: t.cfg.Tau})
-}
-
-// SearchOpt is Search with per-query options: the probe threshold (which
-// must be in [0, cfg.Tau] — both the frozen base and the mutable delta
-// were partitioned for cfg.Tau and answer any smaller budget exactly) and
-// an optional cap on the number of live hits returned. The cap counts
-// live documents only: tombstoned hits never displace live ones, so a
-// capped result is short only when fewer live matches exist.
+// SearchOpt returns the live documents within o.Tau of q as (global id,
+// exact distance), in no particular order (the caller ranks). o.Tau must be
+// in [0, cfg.Tau] — both the frozen base and the mutable delta were
+// partitioned for cfg.Tau and answer any smaller budget exactly — and
+// o.Limit, when positive, caps the number of live hits returned. The cap
+// counts live documents only: tombstoned hits never displace live ones, so
+// a capped result is short only when fewer live matches exist. It is safe
+// for any number of concurrent callers.
 func (t *Tier) SearchOpt(q string, o core.QueryOpts) []Hit {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -496,12 +521,6 @@ func (t *Tier) SearchOpt(q string, o core.QueryOpts) []Hit {
 			return !full()
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
 }
 
@@ -530,7 +549,7 @@ func (t *Tier) Len() int {
 }
 
 // MaxID returns the largest global id this tier has observed (-1 when
-// none); the parent uses it to restart its id allocator.
+// none); Insert assigns MaxID()+1 next.
 func (t *Tier) MaxID() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -614,11 +633,10 @@ func (t *Tier) compact() error {
 		}
 	}
 	// Local inserts arrive in allocation order, but replicated applies
-	// (Apply) can land gids below the base range or out of order within
-	// the delta — e.g. a follower whose shard count differs from its
-	// primary interleaves several primary shards into one tier. The
-	// frozen base and the PJDT snapshot both require ascending gids, so
-	// restore the invariant here rather than constraining every caller.
+	// (Apply) and absorbed shards (Absorb) can land gids below the base
+	// range or out of order within the delta. The frozen base and the PJDT
+	// snapshot both require ascending gids, so restore the invariant here
+	// rather than constraining every caller.
 	if !sort.SliceIsSorted(gids, func(a, b int) bool { return gids[a] < gids[b] }) {
 		ord := make([]int, len(gids))
 		for i := range ord {
@@ -705,6 +723,7 @@ func (t *Tier) compact() error {
 	for gid := range appliedTail {
 		delete(t.tombs, gid)
 	}
+	t.baseTombs = len(t.tombs) // the raced deletes left all target the new base
 	t.base.Store(nb)
 	t.delta = newDelta
 	t.deltaIDs = newIDs
@@ -732,7 +751,6 @@ func (t *Tier) Stats() Stats {
 		Live:          t.live,
 		DeltaDocs:     t.delta.Len(),
 		Tombstones:    len(t.tombs),
-		MaxID:         t.maxID,
 		Compactions:   t.compactions.Load(),
 		CompactErrors: t.compactErrors.Load(),
 	}

@@ -1,12 +1,14 @@
 package dynamic
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,6 +47,15 @@ func refSearch(t *testing.T, tau int, docs []string, q string) []Hit {
 	return out
 }
 
+// search is SearchOpt at the tier's threshold, ranked by distance, then id.
+func search(tier *Tier, q string) []Hit {
+	hits := tier.SearchOpt(q, core.QueryOpts{Tau: tier.cfg.Tau})
+	slices.SortFunc(hits, func(a, b Hit) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+	})
+	return hits
+}
+
 // asDistDoc projects hits onto (dist, doc) pairs for id-agnostic
 // comparison, sorted.
 func asDistDoc(hits []Hit, doc func(int64) string) []string {
@@ -64,14 +75,14 @@ func TestTierBasic(t *testing.T) {
 	defer tier.Close()
 	docs := []string{"vldb", "pvldb", "sigmod", "vldbj"}
 	for i, d := range docs {
-		if err := tier.Insert(int64(i), d); err != nil {
-			t.Fatal(err)
+		if gid, err := tier.Insert(d); err != nil || gid != int64(i) {
+			t.Fatalf("Insert(%q) = %d, %v; want id %d", d, gid, err, i)
 		}
 	}
 	if tier.Len() != 4 {
 		t.Fatalf("Len=%d", tier.Len())
 	}
-	hits := tier.Search("vldb")
+	hits := search(tier, "vldb")
 	if len(hits) != 3 || hits[0].ID != 0 || hits[0].Dist != 0 {
 		t.Fatalf("search: %+v", hits)
 	}
@@ -85,7 +96,7 @@ func TestTierBasic(t *testing.T) {
 	if ok, _ := tier.Delete(1); ok {
 		t.Fatal("double delete reported live")
 	}
-	if hits := tier.Search("vldb"); len(hits) != 2 {
+	if hits := search(tier, "vldb"); len(hits) != 2 {
 		t.Fatalf("post-delete search: %+v", hits)
 	}
 	if _, ok := tier.Get(1); ok {
@@ -94,8 +105,8 @@ func TestTierBasic(t *testing.T) {
 	if doc, ok := tier.Get(2); !ok || doc != "sigmod" {
 		t.Fatalf("Get(2) = %q, %v", doc, ok)
 	}
-	if err := tier.Insert(0, "dup"); err == nil {
-		t.Fatal("duplicate id accepted")
+	if ok, err := tier.Apply(Op{ID: 0, Doc: "dup"}); ok || err != nil {
+		t.Fatalf("Apply of a known id = %v, %v; want a no-op", ok, err)
 	}
 	if ok, _ := tier.Delete(99); ok {
 		t.Fatal("unknown id deleted")
@@ -109,12 +120,12 @@ func TestTierCompactFoldsTombstones(t *testing.T) {
 	}
 	defer tier.Close()
 	for i := 0; i < 50; i++ {
-		tier.Insert(int64(i), fmt.Sprintf("doc%02d", i))
+		tier.Insert(fmt.Sprintf("doc%02d", i))
 	}
 	for i := 0; i < 50; i += 3 {
 		tier.Delete(int64(i))
 	}
-	before := tier.Search("doc07")
+	before := search(tier, "doc07")
 	if err := tier.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +133,14 @@ func TestTierCompactFoldsTombstones(t *testing.T) {
 	if st.Tombstones != 0 || st.DeltaDocs != 0 || st.BaseDocs != 33 || st.Live != 33 {
 		t.Fatalf("post-compact stats: %+v", st)
 	}
-	if got := tier.Search("doc07"); !reflect.DeepEqual(got, before) {
+	if got := search(tier, "doc07"); !reflect.DeepEqual(got, before) {
 		t.Fatalf("compaction changed results: %+v vs %+v", got, before)
 	}
 	// The tier stays writable after compaction and ids never recycle.
-	if err := tier.Insert(50, "doc07x"); err != nil {
-		t.Fatal(err)
+	if gid, err := tier.Insert("doc07x"); err != nil || gid != 50 {
+		t.Fatalf("post-compact Insert = %d, %v; want id 50", gid, err)
 	}
-	if got := tier.Search("doc07"); len(got) != len(before)+1 {
+	if got := search(tier, "doc07"); len(got) != len(before)+1 {
 		t.Fatalf("post-compact insert invisible: %+v", got)
 	}
 }
@@ -152,8 +163,8 @@ func TestTierEquivalenceProperty(t *testing.T) {
 			switch r := rng.Float64(); {
 			case r < 0.55 || len(ids) == 0:
 				doc := randWord(rng)
-				if err := tier.Insert(next, doc); err != nil {
-					t.Fatal(err)
+				if gid, err := tier.Insert(doc); err != nil || gid != next {
+					t.Fatalf("Insert = %d, %v; want id %d", gid, err, next)
 				}
 				live[next] = doc
 				ids = append(ids, next)
@@ -184,7 +195,7 @@ func TestTierEquivalenceProperty(t *testing.T) {
 			}
 			sort.Strings(docs)
 			want := asDistDoc(refSearch(t, tau, docs, q), func(id int64) string { return docs[id] })
-			got := asDistDoc(tier.Search(q), func(id int64) string {
+			got := asDistDoc(search(tier, q), func(id int64) string {
 				d, ok := tier.Get(id)
 				if !ok {
 					t.Fatalf("hit %d not gettable", id)
@@ -218,8 +229,8 @@ func driveOps(t *testing.T, tier *Tier, rng *rand.Rand, steps int, tr *opTrace) 
 		switch r := rng.Float64(); {
 		case r < 0.6 || len(ids) == 0:
 			doc := randWord(rng)
-			if err := tier.Insert(tr.next, doc); err != nil {
-				t.Fatal(err)
+			if gid, err := tier.Insert(doc); err != nil || gid != tr.next {
+				t.Fatalf("Insert = %d, %v; want id %d", gid, err, tr.next)
 			}
 			tr.live[tr.next] = doc
 			ids = append(ids, tr.next)
@@ -257,7 +268,7 @@ func checkRecovered(t *testing.T, tier *Tier, tr *opTrace, tau int, rng *rand.Ra
 	for i := 0; i < 20; i++ {
 		q := randWord(rng)
 		want := asDistDoc(refSearch(t, tau, docs, q), func(id int64) string { return docs[id] })
-		got := asDistDoc(tier.Search(q), func(id int64) string { d, _ := tier.Get(id); return d })
+		got := asDistDoc(search(tier, q), func(id int64) string { d, _ := tier.Get(id); return d })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("recovered q=%q: got %v want %v", q, got, want)
 		}
@@ -338,8 +349,8 @@ func TestTierReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	docs := []string{"alpha", "alphb", "beta", "betb"}
-	for i, d := range docs {
-		tier.Insert(int64(i), d)
+	for _, d := range docs {
+		tier.Insert(d)
 	}
 	tier.Delete(2)
 	// Save the pre-compaction WAL (it holds every op), compact (which
@@ -367,7 +378,7 @@ func TestTierReplayIdempotent(t *testing.T) {
 	if _, ok := re.Get(2); ok {
 		t.Fatal("tombstoned doc resurrected by stale WAL")
 	}
-	if hits := re.Search("alpha"); len(hits) != 2 {
+	if hits := search(re, "alpha"); len(hits) != 2 {
 		t.Fatalf("search after stale replay: %+v", hits)
 	}
 }
@@ -405,7 +416,7 @@ func TestTierBootstrapDurable(t *testing.T) {
 	if re.Len() != 3 || re.MaxID() != 4 {
 		t.Fatalf("recovered Len=%d MaxID=%d", re.Len(), re.MaxID())
 	}
-	if hits := re.Search("vldb"); len(hits) != 2 || hits[0].ID != 0 || hits[1].ID != 4 {
+	if hits := search(re, "vldb"); len(hits) != 2 || hits[0].ID != 0 || hits[1].ID != 4 {
 		t.Fatalf("recovered search: %+v", hits)
 	}
 }
@@ -425,7 +436,7 @@ func TestTierCorruptSnapshotRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		tier.Insert(int64(i), fmt.Sprintf("record%02d", i))
+		tier.Insert(fmt.Sprintf("record%02d", i))
 	}
 	if err := tier.Compact(); err != nil {
 		t.Fatal(err)
@@ -472,15 +483,14 @@ func TestTierConcurrentChurn(t *testing.T) {
 	const readers = 4
 	const perWriter = 300
 	var writeWG, readWG sync.WaitGroup
-	var nextID atomic64
 	for w := 0; w < writers; w++ {
 		writeWG.Add(1)
 		go func(w int) {
 			defer writeWG.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWriter; i++ {
-				gid := nextID.inc()
-				if err := tier.Insert(gid, randWord(rng)); err != nil {
+				gid, err := tier.Insert(randWord(rng))
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -503,7 +513,7 @@ func TestTierConcurrentChurn(t *testing.T) {
 				default:
 				}
 				q := randWord(rng)
-				for _, h := range tier.Search(q) {
+				for _, h := range search(tier, q) {
 					if h.Dist > 1 {
 						t.Errorf("hit %+v beyond threshold", h)
 						return
@@ -538,20 +548,6 @@ func TestTierConcurrentChurn(t *testing.T) {
 	}
 }
 
-// atomic64 is a tiny helper for test-local id allocation.
-type atomic64 struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (a *atomic64) inc() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	v := a.v
-	a.v++
-	return v
-}
-
 // TestCompactWALCarriesWatermark: the rewritten WAL's first record pins
 // the id allocator, so even an id whose document was inserted and
 // deleted within one compaction cycle (leaving no add record and no
@@ -568,10 +564,10 @@ func TestCompactWALCarriesWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier.Insert(0, "alpha")
+	tier.Insert("alpha")
 	// gid 7 lives and dies entirely before the compaction finishes: no
 	// add record survives the rewrite, no snapshot row exists.
-	tier.Insert(7, "ghost")
+	tier.Apply(Op{ID: 7, Doc: "ghost"})
 	tier.Delete(7)
 	if err := tier.Compact(); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package persist implements the PJIX binary snapshot codec: a compact
 // serialization of an indexed corpus and its threshold. The root passjoin
 // package exposes it as Searcher.WriteTo / ReadSearcherFrom; internal/dynamic
-// embeds the same payload inside its per-shard base snapshots so a dynamic
+// embeds the same payload inside its base snapshots so a dynamic
 // restart reuses the exact cold-start path. WriteFileAtomic (atomic.go) is
 // how every file of the repository that replaces an older one gets to disk.
 //

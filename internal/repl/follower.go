@@ -54,8 +54,10 @@ type FollowerConfig struct {
 	// index plus the repl.json watermark live here. Required; must not be
 	// shared with the primary or another follower.
 	Dir string
-	// Shards, CompactThreshold and WALSync configure the local searcher
-	// exactly like the corresponding passjoin options on the primary.
+	// Shards (the build workers of the local index, free to differ from
+	// the primary's and from one start to the next), CompactThreshold and
+	// WALSync configure the local searcher exactly like the corresponding
+	// passjoin options on the primary.
 	Shards           int
 	CompactThreshold int
 	WALSync          bool
@@ -489,8 +491,13 @@ func (f *Follower) installSnapshot(br *bufio.Reader, h hello, watchdog *time.Tim
 		return nil, err
 	}
 
+	// The marker must be on disk before the old state is deleted below.
 	marker := filepath.Join(f.cfg.Dir, installingFile)
-	if err := os.WriteFile(marker, []byte("snapshot install in progress\n"), 0o644); err != nil {
+	err = persist.WriteFileAtomic(marker, func(w io.Writer) error {
+		_, err := io.WriteString(w, "snapshot install in progress\n")
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	// Past this point the old durable state is gone: until the new state
@@ -705,8 +712,8 @@ func (f *Follower) Len() int { return f.cur().Len() }
 // primary's hello).
 func (f *Follower) Tau() int { return f.cur().Tau() }
 
-// NumShards returns the local shard count (a follower may shard
-// differently than its primary).
+// NumShards returns the local searcher's build workers (a follower may
+// use a different count than its primary).
 func (f *Follower) NumShards() int { return f.cur().NumShards() }
 
 // All iterates over every live replicated document as (id, doc) pairs,

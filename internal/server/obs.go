@@ -187,8 +187,8 @@ func newServerObs(s *Server) *serverObs {
 	return o
 }
 
-// indexStats returns the freshest index-shape counters: live per-shard
-// stats for a dynamic index — mutable or a read-only replication
+// indexStats returns the freshest index-shape counters: live stats for
+// a dynamic index — mutable or a read-only replication
 // follower — the build-time snapshot otherwise.
 func (s *Server) indexStats() passjoin.Stats {
 	if sp, ok := s.idx.(StatsProvider); ok {

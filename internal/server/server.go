@@ -655,8 +655,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // handleListDocs streams every live document as NDJSON {"id":n,"doc":s}
 // records in whatever order the index yields them. A coordinator's
 // rebalance enumerates each member through this route; it is cheap
-// enough for operators too (the capture is per-shard, never a global
-// lock).
+// enough for operators too (one capture under the index's read lock,
+// which writers wait out but readers share).
 func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)

@@ -188,18 +188,16 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// maxShards bounds WithShards: every dynamic shard carries fixed
-// per-partition state (index, pools, WAL and snapshot files) and every
-// build worker is a goroutine, so an absurd count is a resource bomb
-// rather than a tuning choice.
+// maxShards bounds WithShards: every build worker is a goroutine, so an
+// absurd count is a resource bomb rather than a tuning choice.
 const maxShards = 1 << 16
 
-// WithShards sets, for NewShardedSearcher and ReadShardedSearcherFrom, the
-// number of workers that build the one index in parallel — queries do not
-// depend on it, and
-// NumShards reports it — and, for NewDynamicSearcher and
-// OpenDynamicSearcher, the number of index partitions, each with its own
-// write lock, log and compactor (see the options table in the package
+// WithShards sets the number of workers that build the one index in
+// parallel: for NewShardedSearcher and ReadShardedSearcherFrom its build,
+// for NewDynamicSearcher and OpenDynamicSearcher the frozen base at
+// seeding, at reopen and at every compaction. Queries and document ids do
+// not depend on it, NumShards reports it, and a durable dynamic directory
+// may be reopened at any count (see the options table in the package
 // documentation for which constructors honor which options). n == 0
 // selects GOMAXPROCS; negative or implausibly large counts (> 65536) are
 // rejected.
@@ -217,11 +215,13 @@ func WithShards(n int) Option {
 }
 
 // WithCompactThreshold sets, for NewDynamicSearcher and
-// OpenDynamicSearcher, the per-shard delta size (documents, live or
-// tombstoned) that triggers a background compaction. n == 0 keeps the
-// default (dynamic.DefaultCompactThreshold); n == -1 disables automatic
-// compaction, leaving compaction to explicit Compact calls. Other negative
-// values are rejected rather than silently treated as -1.
+// OpenDynamicSearcher, the number of delta documents (live or tombstoned)
+// plus deleted base documents that triggers a background compaction, so
+// deletes alone compact too. n == 0 keeps the default,
+// dynamic.DefaultCompactThreshold (4096) per WithShards worker; n == -1
+// disables automatic compaction, leaving compaction to explicit Compact
+// calls. Other negative values are rejected rather than silently treated
+// as -1.
 func WithCompactThreshold(n int) Option {
 	return func(c *config) error {
 		if n < -1 {
@@ -233,10 +233,10 @@ func WithCompactThreshold(n int) Option {
 }
 
 // WithLogger attaches a structured logger to NewDynamicSearcher and
-// OpenDynamicSearcher. The dynamic tiers log their write-path events
+// OpenDynamicSearcher. The dynamic index logs its write-path events
 // through it — compaction start/finish with durations and sizes,
-// background-compaction failures, WAL torn-tail truncations at startup —
-// each annotated with its shard number. Without it those events are
+// background-compaction failures, WAL torn-tail truncations at startup.
+// Without it those events are
 // discarded (the counters on Stats still record them). Ignored by the
 // static entry points, which have no background activity to report.
 func WithLogger(l *slog.Logger) Option {
@@ -253,7 +253,7 @@ func WithLogger(l *slog.Logger) Option {
 // NewDynamicSearcher and OpenDynamicSearcher: h observes every mutation
 // the searcher applies — Insert, Delete, and replicated operations
 // accepted by Apply — after it is durable and visible. The hook runs with
-// the owning shard's write lock held, so for any given document id the
+// the index's write lock held, so for any given document id the
 // observation order is exactly the apply order (the property a
 // replication log needs); keep it fast and never call back into the
 // searcher from inside it. Replay during Open and initial corpus seeding
