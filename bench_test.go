@@ -338,13 +338,13 @@ func BenchmarkShardedSearch(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("build/workers=%d", workers), func(b *testing.B) {
 			for b.Loop() {
-				if _, err := passjoin.NewShardedSearcher(strs, 2, passjoin.WithShards(workers)); err != nil {
+				if _, err := passjoin.NewSearcher(strs, 2, passjoin.WithShards(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	ss, err := passjoin.NewShardedSearcher(strs, 2)
+	ss, err := passjoin.NewSearcher(strs, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -463,9 +463,9 @@ func BenchmarkFrozenVsMapProbe(b *testing.B) {
 	})
 }
 
-// BenchmarkSearchTopK measures the k-bounded heap path against corpora
+// BenchmarkQueryTopK measures the k-bounded heap path against corpora
 // where matches far outnumber k.
-func BenchmarkSearchTopK(b *testing.B) {
+func BenchmarkQueryTopK(b *testing.B) {
 	cs := corpora(b)
 	strs := cs["author"]
 	s, err := passjoin.NewSearcher(strs, 3)
@@ -476,7 +476,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.SearchTopK(strs[i%len(strs)], k)
+				s.Search(strs[i%len(strs)], passjoin.QueryTopK(k))
 			}
 		})
 	}
@@ -485,7 +485,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 // BenchmarkColdStart times a snapshot in both directions on the corpora of
 // bench/'s persist.* rungs: write is WriteTo into memory; read is those bytes
 // back to a searcher that answers — the parse, then the index build on one
-// worker (ReadSearcherFrom) or two (ReadShardedSearcherFrom).
+// worker or two.
 func BenchmarkColdStart(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -517,7 +517,7 @@ func BenchmarkColdStart(b *testing.B) {
 		b.Run(c.name+"/read/workers=1", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := passjoin.ReadSearcherFrom(bytes.NewReader(snap.Bytes())); err != nil {
+				if _, err := passjoin.ReadSearcherFrom(bytes.NewReader(snap.Bytes()), passjoin.WithShards(1)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -525,7 +525,7 @@ func BenchmarkColdStart(b *testing.B) {
 		b.Run(c.name+"/read/workers=2", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := passjoin.ReadShardedSearcherFrom(bytes.NewReader(snap.Bytes()), passjoin.WithShards(2)); err != nil {
+				if _, err := passjoin.ReadSearcherFrom(bytes.NewReader(snap.Bytes()), passjoin.WithShards(2)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,18 +4,13 @@
 //	passjoin -tau 2 r.txt s.txt                 R x S join
 //	passjoin -tau 2 -parallel 8 r.txt s.txt     parallel probe workers (both join kinds)
 //	passjoin -tau 3 -query-tau 1 strings.txt    join at 1 over an index partitioned for 3
-//	passjoin -tau 2 -algo edjoin -q 3 in.txt    baseline algorithms
-//	passjoin -tau 2 -algo triejoin r.txt s.txt  baselines join two sets as well
 //
 // Input files contain one string per line. Output is one result pair per
 // line: the two (0-based) line numbers and the two strings, tab-separated.
 //
-// -algo accepts every name of the library's WithEngine option (bar its
-// "auto" alias of passjoin) plus triesearch, with the per-algorithm knobs
-// -q, -selection and -verify. The baselines are self-join algorithms; they
-// answer a two-set join by self-joining the concatenation and keeping the
-// cross-boundary pairs (internal/engine.RSJoin) — exact, and costlier than
-// Pass-Join's native R×S path.
+// The join is Pass-Join; -selection and -verify pick the paper's variants.
+// The paper's competitors are reached through cmd/experiments (fig15,
+// table3, ablation), not from here.
 //
 // -query-tau answers the join at a threshold below -tau using the index
 // partitioned for -tau (exact via the pigeonhole bound) — the CLI
@@ -39,24 +34,20 @@ import (
 
 	"passjoin/internal/core"
 	"passjoin/internal/dataset"
-	"passjoin/internal/edjoin"
-	"passjoin/internal/engine"
 	"passjoin/internal/metrics"
-	"passjoin/internal/ngpp"
-	"passjoin/internal/partenum"
 	"passjoin/internal/selection"
-	"passjoin/internal/triejoin"
 )
+
+// verifyUsage is the -verify help; passjoind's flag lists the same names.
+const verifyUsage = "verification: shareprefix, extension, lengthaware, naive, bitparallel (alias myers)"
 
 func main() {
 	tau := flag.Int("tau", 2, "edit-distance threshold")
-	algo := flag.String("algo", "passjoin", "join algorithm: passjoin, edjoin, allpairs, qgram, triejoin, triesearch, ngpp, partenum")
-	sel := flag.String("selection", "multimatch", "pass-join substring selection: multimatch, position, shift, length")
-	ver := flag.String("verify", "shareprefix", "pass-join verification: shareprefix, extension, lengthaware, naive")
-	q := flag.Int("q", 3, "gram length for edjoin/allpairs/qgram/partenum")
+	sel := flag.String("selection", "multimatch", "substring selection: multimatch, position, shift, length")
+	ver := flag.String("verify", "shareprefix", verifyUsage)
 	queryTau := flag.Int("query-tau", -1,
-		"answer the join at this threshold (<= tau) from the index partitioned for -tau; -1 = tau (passjoin only)")
-	parallel := flag.Int("parallel", 1, "pass-join parallel probe workers (self and R×S joins)")
+		"answer the join at this threshold (<= tau) from the index partitioned for -tau; -1 = tau")
+	parallel := flag.Int("parallel", 1, "parallel probe workers (self and R×S joins)")
 	quiet := flag.Bool("quiet", false, "suppress result pairs, print summary only")
 	showStats := flag.Bool("stats", false, "print instrumentation counters to stderr")
 	flag.Parse()
@@ -80,7 +71,7 @@ func main() {
 
 	st := &metrics.Stats{}
 	start := time.Now()
-	pairs, err := runJoin(strs, sset, *tau, *queryTau, *algo, *sel, *ver, *q, *parallel, st)
+	pairs, err := runJoin(strs, sset, *tau, *queryTau, *sel, *ver, *parallel, st)
 	if err != nil {
 		fatal(err)
 	}
@@ -97,68 +88,33 @@ func main() {
 		}
 		w.Flush()
 	}
-	fmt.Fprintf(os.Stderr, "passjoin: %d pairs in %v (%d strings, tau=%d, algo=%s)\n",
-		len(pairs), elapsed.Round(time.Millisecond), len(strs)+len(sset), *tau, *algo)
+	fmt.Fprintf(os.Stderr, "passjoin: %d pairs in %v (%d strings, tau=%d)\n",
+		len(pairs), elapsed.Round(time.Millisecond), len(strs)+len(sset), *tau)
 	if *showStats {
 		fmt.Fprintln(os.Stderr, "stats:", st)
 	}
 }
 
-func runJoin(strs, sset []string, tau, queryTau int, algo, sel, ver string, q, parallel int, st *metrics.Stats) ([]core.Pair, error) {
-	var baseline engine.SelfJoinFunc
-	switch algo {
-	case "passjoin":
-		m, err := selection.ParseMethod(sel)
-		if err != nil {
-			return nil, err
-		}
-		vk, err := core.ParseVerifyKind(ver)
-		if err != nil {
-			return nil, err
-		}
-		if queryTau != -1 {
-			if queryTau < 0 || queryTau > tau {
-				return nil, fmt.Errorf("-query-tau %d outside [0, %d] (an index partitioned for tau=%d answers only thresholds up to it)", queryTau, tau, tau)
-			}
-			return searchJoin(strs, sset, tau, queryTau, m, vk, parallel, st)
-		}
-		opt := core.Options{Tau: tau, Selection: m, Verification: vk, Stats: st, Parallel: parallel}
-		if sset != nil {
-			return core.Join(strs, sset, opt)
-		}
-		return core.SelfJoin(strs, opt)
-	case "edjoin":
-		baseline = func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
-			return edjoin.Join(strs, tau, q, st)
-		}
-	case "allpairs":
-		baseline = func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
-			return edjoin.JoinConfig(strs, tau, edjoin.Config{Q: q}, st)
-		}
-	case "qgram":
-		baseline = func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
-			return edjoin.JoinConfig(strs, tau, edjoin.Config{Q: q, LocationPrefix: true}, st)
-		}
-	case "triejoin":
-		baseline = triejoin.Join
-	case "triesearch":
-		baseline = triejoin.JoinSearch
-	case "ngpp":
-		baseline = ngpp.Join
-	case "partenum":
-		baseline = func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error) {
-			return partenum.Join(strs, tau, q, st)
-		}
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", algo)
+func runJoin(strs, sset []string, tau, queryTau int, sel, ver string, parallel int, st *metrics.Stats) ([]core.Pair, error) {
+	m, err := selection.ParseMethod(sel)
+	if err != nil {
+		return nil, err
+	}
+	vk, err := core.ParseVerifyKind(ver)
+	if err != nil {
+		return nil, err
 	}
 	if queryTau != -1 {
-		return nil, fmt.Errorf("-query-tau is only implemented for -algo passjoin")
+		if queryTau < 0 || queryTau > tau {
+			return nil, fmt.Errorf("-query-tau %d outside [0, %d] (an index partitioned for tau=%d answers only thresholds up to it)", queryTau, tau, tau)
+		}
+		return searchJoin(strs, sset, tau, queryTau, m, vk, parallel, st)
 	}
+	opt := core.Options{Tau: tau, Selection: m, Verification: vk, Stats: st, Parallel: parallel}
 	if sset != nil {
-		return engine.RSJoin(baseline, strs, sset, tau, st)
+		return core.Join(strs, sset, opt)
 	}
-	return baseline(strs, tau, st)
+	return core.SelfJoin(strs, opt)
 }
 
 // searchJoin runs the join in search mode for a per-query threshold below

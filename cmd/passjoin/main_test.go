@@ -2,9 +2,11 @@ package main
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"passjoin/internal/bruteforce"
+	"passjoin/internal/core"
 	"passjoin/internal/dataset"
 	"passjoin/internal/engine"
 	"passjoin/internal/metrics"
@@ -12,68 +14,86 @@ import (
 
 var corpus = []string{"vldb", "pvldb", "sigmod", "sigmmod", "icde", "vldbj"}
 
-// algos is every -algo name: the engine registry's (asserted below, so a
-// new registration cannot be missed here) plus triesearch.
-var algos = []string{"passjoin", "edjoin", "allpairs", "qgram", "triejoin", "triesearch", "ngpp", "partenum"}
+// verifyNames is every -verify name; cmd/passjoind's test holds the same
+// list, so both binaries accept one vocabulary.
+var verifyNames = []string{"shareprefix", "extension", "lengthaware", "naive", "bitparallel", "myers"}
 
-func TestRunJoinAllAlgorithms(t *testing.T) {
+// Every -verify name is accepted and named in the flag's help.
+func TestRunJoinVerifyNames(t *testing.T) {
 	want := len(bruteforce.SelfJoin(corpus, 2))
-	for _, algo := range algos {
-		st := &metrics.Stats{}
-		pairs, err := runJoin(corpus, nil, 2, -1, algo, "multimatch", "shareprefix", 2, 1, st)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+	for _, ver := range verifyNames {
+		pairs, err := runJoin(corpus, nil, 2, -1, "multimatch", ver, 1, nil)
+		if err != nil || len(pairs) != want {
+			t.Errorf("-verify %s: %d pairs, %v; want %d", ver, len(pairs), err, want)
 		}
-		if len(pairs) != want {
-			t.Errorf("%s: %d pairs, want %d", algo, len(pairs), want)
+		if !strings.Contains(verifyUsage, ver) {
+			t.Errorf("-verify help %q does not name %s", verifyUsage, ver)
 		}
 	}
 }
 
-// Golden test for -algo: every engine of the registry is reachable by its
-// name and prints exactly the pair list the default pass-join path does,
-// in the same order.
+// Every -selection × -verify variant is exact.
+func TestRunJoinAllAlgorithms(t *testing.T) {
+	want := len(bruteforce.SelfJoin(corpus, 2))
+	for _, sel := range []string{"multimatch", "position", "shift", "length"} {
+		for _, ver := range verifyNames {
+			st := &metrics.Stats{}
+			pairs, err := runJoin(corpus, nil, 2, -1, sel, ver, 1, st)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", sel, ver, err)
+			}
+			if len(pairs) != want {
+				t.Errorf("%s/%s: %d pairs, want %d", sel, ver, len(pairs), want)
+			}
+		}
+	}
+}
+
+// The CLI prints exactly the pair list of every Fig. 15 oracle, in the
+// same order.
 func TestRunEngineMatchesPassjoinOutput(t *testing.T) {
 	strs := dataset.Author(200, 3)
-	want, err := runJoin(strs, nil, 2, -1, "passjoin", "multimatch", "shareprefix", 2, 1, nil)
+	got, err := runJoin(strs, nil, 2, -1, "multimatch", "shareprefix", 1, &metrics.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range engine.All() {
-		if !slices.Contains(algos, e.Name()) {
-			t.Errorf("engine %s missing from the test's -algo list", e.Name())
-		}
-	}
-	for _, algo := range algos {
-		pairs, err := runJoin(strs, nil, 2, -1, algo, "multimatch", "shareprefix", 2, 1, &metrics.Stats{})
+		want, err := e.SelfJoin(strs, 2, nil)
 		if err != nil {
-			t.Fatalf("-algo %s: %v", algo, err)
+			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		if !slices.Equal(pairs, want) {
-			t.Fatalf("-algo %s: pairs %v, want %v", algo, pairs, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: pairs %v, CLI %v", e.Name(), want, got)
 		}
 	}
 }
 
-// The baselines answer a two-set join through the disjoint-union
-// reduction, with the pair list of pass-join's native R×S path.
+// A two-set join prints every oracle's cross pairs of the concatenated
+// sets, shifted back to the second set's line numbers.
 func TestRunEngineTwoSets(t *testing.T) {
 	r := []string{"vldb", "sigmod", "icde"}
 	s := []string{"pvldb", "sigmmod", "icdm", "vldbj"}
-	want, err := runJoin(r, s, 2, -1, "passjoin", "multimatch", "shareprefix", 2, 1, nil)
+	got, err := runJoin(r, s, 2, -1, "multimatch", "shareprefix", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) == 0 {
+	if len(got) == 0 {
 		t.Fatal("no pairs to compare")
 	}
-	for _, algo := range algos {
-		pairs, err := runJoin(r, s, 2, -1, algo, "multimatch", "shareprefix", 2, 1, nil)
+	n := int32(len(r))
+	for _, e := range engine.All() {
+		union, err := e.SelfJoin(append(slices.Clone(r), s...), 2, nil)
 		if err != nil {
-			t.Fatalf("-algo %s: %v", algo, err)
+			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		if !slices.Equal(pairs, want) {
-			t.Fatalf("-algo %s: pairs %v, want %v", algo, pairs, want)
+		var want []core.Pair
+		for _, p := range union {
+			if p.R < n && p.S >= n {
+				want = append(want, core.Pair{R: p.R, S: p.S - n})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: pairs %v, CLI %v", e.Name(), want, got)
 		}
 	}
 }
@@ -81,7 +101,7 @@ func TestRunEngineTwoSets(t *testing.T) {
 func TestRunJoinTwoSets(t *testing.T) {
 	r := []string{"vldb"}
 	s := []string{"pvldb", "icde"}
-	pairs, err := runJoin(r, s, 1, -1, "passjoin", "multimatch", "shareprefix", 2, 1, nil)
+	pairs, err := runJoin(r, s, 1, -1, "multimatch", "shareprefix", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,25 +111,22 @@ func TestRunJoinTwoSets(t *testing.T) {
 }
 
 func TestRunJoinBadFlags(t *testing.T) {
-	if _, err := runJoin(corpus, nil, 1, -1, "nope", "multimatch", "shareprefix", 2, 1, nil); err == nil {
-		t.Error("unknown algo accepted")
-	}
-	if _, err := runJoin(corpus, nil, 1, -1, "passjoin", "nope", "shareprefix", 2, 1, nil); err == nil {
+	if _, err := runJoin(corpus, nil, 1, -1, "nope", "shareprefix", 1, nil); err == nil {
 		t.Error("unknown selection accepted")
 	}
-	if _, err := runJoin(corpus, nil, 1, -1, "passjoin", "multimatch", "nope", 2, 1, nil); err == nil {
+	if _, err := runJoin(corpus, nil, 1, -1, "multimatch", "nope", 1, nil); err == nil {
 		t.Error("unknown verification accepted")
 	}
 }
 
 func TestRunJoinQueryTau(t *testing.T) {
 	for _, qt := range []int{0, 1, 2} {
-		want, err := runJoin(corpus, nil, qt, -1, "passjoin", "multimatch", "shareprefix", 2, 1, nil)
+		want, err := runJoin(corpus, nil, qt, -1, "multimatch", "shareprefix", 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			got, err := runJoin(corpus, nil, 3, qt, "passjoin", "multimatch", "shareprefix", 2, workers, nil)
+			got, err := runJoin(corpus, nil, 3, qt, "multimatch", "shareprefix", workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,11 +145,11 @@ func TestRunJoinQueryTau(t *testing.T) {
 func TestRunJoinQueryTauTwoSets(t *testing.T) {
 	r := []string{"vldb", "sigmod", "icde"}
 	s := []string{"pvldb", "sigmmod", "icdm", "vldbj"}
-	want, err := runJoin(r, s, 1, -1, "passjoin", "multimatch", "shareprefix", 2, 1, nil)
+	want, err := runJoin(r, s, 1, -1, "multimatch", "shareprefix", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runJoin(r, s, 3, 1, "passjoin", "multimatch", "shareprefix", 2, 1, nil)
+	got, err := runJoin(r, s, 3, 1, "multimatch", "shareprefix", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,23 +164,20 @@ func TestRunJoinQueryTauTwoSets(t *testing.T) {
 }
 
 func TestRunJoinQueryTauRejected(t *testing.T) {
-	if _, err := runJoin(corpus, nil, 2, 3, "passjoin", "multimatch", "shareprefix", 2, 1, nil); err == nil {
+	if _, err := runJoin(corpus, nil, 2, 3, "multimatch", "shareprefix", 1, nil); err == nil {
 		t.Error("query-tau above tau accepted")
 	}
-	if _, err := runJoin(corpus, nil, 2, -2, "passjoin", "multimatch", "shareprefix", 2, 1, nil); err == nil {
+	if _, err := runJoin(corpus, nil, 2, -2, "multimatch", "shareprefix", 1, nil); err == nil {
 		t.Error("negative query-tau accepted")
-	}
-	if _, err := runJoin(corpus, nil, 2, 1, "edjoin", "", "", 2, 1, nil); err == nil {
-		t.Error("query-tau accepted for a baseline algorithm")
 	}
 }
 
 func TestRunJoinParallel(t *testing.T) {
-	seq, err := runJoin(corpus, nil, 2, -1, "passjoin", "multimatch", "shareprefix", 2, 1, nil)
+	seq, err := runJoin(corpus, nil, 2, -1, "multimatch", "shareprefix", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runJoin(corpus, nil, 2, -1, "passjoin", "multimatch", "shareprefix", 2, 4, nil)
+	par, err := runJoin(corpus, nil, 2, -1, "multimatch", "shareprefix", 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +189,11 @@ func TestRunJoinParallel(t *testing.T) {
 func TestRunJoinParallelTwoSets(t *testing.T) {
 	r := []string{"vldb", "sigmod", "icde"}
 	s := []string{"pvldb", "sigmmod", "icdm", "vldbj"}
-	seq, err := runJoin(r, s, 2, -1, "passjoin", "multimatch", "shareprefix", 2, 1, nil)
+	seq, err := runJoin(r, s, 2, -1, "multimatch", "shareprefix", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runJoin(r, s, 2, -1, "passjoin", "multimatch", "shareprefix", 2, 4, nil)
+	par, err := runJoin(r, s, 2, -1, "multimatch", "shareprefix", 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Command passjoind serves a sharded Pass-Join similarity index over
+// Command passjoind serves a Pass-Join similarity index over
 // HTTP/JSON — the online counterpart of the batch passjoin command.
 //
 //	passjoind -tau 2 -shards 8 -addr :7878 corpus.txt
@@ -69,7 +69,7 @@ func main() {
 	tau := flag.Int("tau", 2, "edit-distance threshold (ignored with -snapshot)")
 	shards := flag.Int("shards", 0, "index build workers, also of every -dynamic/-wal compaction; free to change between -wal restarts (0 = GOMAXPROCS)")
 	sel := flag.String("selection", "multimatch", "substring selection: multimatch, position, shift, length")
-	ver := flag.String("verify", "shareprefix", "verification: shareprefix, extension, lengthaware, naive, bitparallel")
+	ver := flag.String("verify", "shareprefix", verifyUsage)
 	snapshot := flag.String("snapshot", "", "load the index from this snapshot instead of a corpus file")
 	save := flag.String("save", "", "write a snapshot of the built index to this path")
 	wal := flag.String("wal", "", "serve a durable mutable index rooted at this directory (WAL + base snapshots)")
@@ -219,7 +219,7 @@ func main() {
 	}
 
 	if *save != "" {
-		if err := writeSnapshot(idx.(*passjoin.ShardedSearcher), *save); err != nil {
+		if err := writeSnapshot(idx.(*passjoin.Searcher), *save); err != nil {
 			fatal(logger, err)
 		}
 		logger.Info("snapshot written", "path", *save)
@@ -457,7 +457,7 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 
 // buildIndex loads the index from a snapshot when snapshotPath is set,
 // otherwise builds it from the corpus file.
-func buildIndex(corpusPath, snapshotPath string, tau, shards int, sel, ver string, st *passjoin.Stats) (*passjoin.ShardedSearcher, error) {
+func buildIndex(corpusPath, snapshotPath string, tau, shards int, sel, ver string, st *passjoin.Stats) (*passjoin.Searcher, error) {
 	opts, err := indexOptions(shards, sel, ver, st)
 	if err != nil {
 		return nil, err
@@ -468,13 +468,13 @@ func buildIndex(corpusPath, snapshotPath string, tau, shards int, sel, ver strin
 			return nil, err
 		}
 		defer f.Close()
-		return passjoin.ReadShardedSearcherFrom(f, opts...)
+		return passjoin.ReadSearcherFrom(f, opts...)
 	}
 	corpus, err := dataset.LoadFile(corpusPath)
 	if err != nil {
 		return nil, err
 	}
-	return passjoin.NewShardedSearcher(corpus, tau, opts...)
+	return passjoin.NewSearcher(corpus, tau, opts...)
 }
 
 // buildDynamicIndex opens (or seeds) a mutable index. With walDir set the
@@ -516,6 +516,9 @@ func buildDynamicIndex(corpusPath, walDir string, tau, shards int, sel, ver stri
 	return passjoin.OpenDynamicSearcher(walDir, corpus, tau, opts...)
 }
 
+// verifyUsage is the -verify help; passjoin's flag lists the same names.
+const verifyUsage = "verification: shareprefix, extension, lengthaware, naive, bitparallel (alias myers)"
+
 func indexOptions(shards int, sel, ver string, st *passjoin.Stats) ([]passjoin.Option, error) {
 	selections := map[string]passjoin.SelectionMethod{
 		"multimatch": passjoin.SelectionMultiMatch,
@@ -529,6 +532,7 @@ func indexOptions(shards int, sel, ver string, st *passjoin.Stats) ([]passjoin.O
 		"lengthaware": passjoin.VerifyLengthAware,
 		"naive":       passjoin.VerifyNaive,
 		"bitparallel": passjoin.VerifyBitParallel,
+		"myers":       passjoin.VerifyBitParallel,
 	}
 	m, ok := selections[sel]
 	if !ok {

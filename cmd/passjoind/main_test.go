@@ -88,6 +88,24 @@ func (s tornSnapshot) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), errors.New("disk full")
 }
 
+// verifyNames is every -verify name; cmd/passjoin's test holds the same
+// list, so both binaries accept one vocabulary.
+var verifyNames = []string{"shareprefix", "extension", "lengthaware", "naive", "bitparallel", "myers"}
+
+// Every -verify name is accepted and named in the flag's help.
+func TestBuildIndexVerifyNames(t *testing.T) {
+	path := writeCorpusFile(t)
+	for _, ver := range verifyNames {
+		idx, err := buildIndex(path, "", 1, 1, "multimatch", ver, nil)
+		if err != nil || len(idx.Search("vldb")) != 3 {
+			t.Errorf("-verify %s: %v", ver, err)
+		}
+		if !strings.Contains(verifyUsage, ver) {
+			t.Errorf("-verify help %q does not name %s", verifyUsage, ver)
+		}
+	}
+}
+
 func TestBuildIndexBadFlags(t *testing.T) {
 	path := writeCorpusFile(t)
 	if _, err := buildIndex(path, "", 1, 1, "nope", "shareprefix", nil); err == nil {

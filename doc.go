@@ -32,18 +32,17 @@
 //
 // Every Option validates its argument and errors from the constructor it
 // is passed to; an option a constructor does not honor is silently
-// ignored, per this table (the snapshot loaders ReadSearcherFrom /
-// ReadShardedSearcherFrom follow their searcher kind):
+// ignored, per this table (the snapshot loader ReadSearcherFrom follows
+// NewSearcher):
 //
-//	Option                SelfJoin/Join  Matcher  NewSearcher  NewShardedSearcher  New/OpenDynamicSearcher
-//	WithSelection         honored        honored  honored      honored             honored
-//	WithVerification      honored        honored  honored      honored             honored
-//	WithStats             honored        honored  build only   build only          ignored (use Stats())
-//	WithParallelism       honored        ignored  ignored      ignored             ignored
-//	WithEngine            honored        ignored  ignored      ignored             ignored
-//	WithShards            ignored        ignored  ignored      build workers       build workers (seed, reopen, compaction)
-//	WithCompactThreshold  ignored        ignored  ignored      ignored             honored (default 4096 per worker)
-//	WithWALSync           ignored        ignored  ignored      ignored             OpenDynamicSearcher only
+//	Option                SelfJoin/Join  Matcher  NewSearcher    New/OpenDynamicSearcher
+//	WithSelection         honored        honored  honored        honored
+//	WithVerification      honored        honored  honored        honored
+//	WithStats             honored        honored  build only     ignored (use Stats())
+//	WithParallelism       honored        ignored  ignored        ignored
+//	WithShards            ignored        ignored  build workers  build workers (seed, reopen, compaction)
+//	WithCompactThreshold  ignored        ignored  ignored        honored (default 4096 per worker)
+//	WithWALSync           ignored        ignored  ignored        OpenDynamicSearcher only
 //
 // # Streaming and cancellable joins
 //
@@ -69,13 +68,10 @@
 // docs/ARCHITECTURE.md ("The streaming join path") for the fan-out and
 // backpressure design.
 //
-// WithEngine routes any join entry point through one of the registered
-// exact join engines — the paper's competitors (ED-Join, All-Pairs-Ed,
-// positional q-grams, Trie-Join, NGPP, Part-Enum) alongside Pass-Join,
-// which is the default and the fastest on every measured regime; the
-// others serve as cross-checking oracles. Engines() lists the valid
-// names ("auto" is an alias of "passjoin"); Stats.Engine reports what
-// ran. Every engine returns the identical pair set.
+// Every join entry point runs Pass-Join. The paper's competitors (ED-Join,
+// All-Pairs-Ed, Trie-Join, NGPP, Part-Enum) live under internal/ as the
+// Fig. 15 baselines of cmd/experiments and as the test suite's
+// conformance oracles; Pass-Join is the fastest on every regime measured.
 //
 // The online Matcher supports streaming workloads: inserting a string
 // reports all previously inserted strings within the threshold.
@@ -85,12 +81,11 @@
 //
 // # Serving layer: one index, many queries
 //
-// For query serving, all three searchers — Searcher, ShardedSearcher
-// (the same index, built in parallel) and DynamicSearcher (live updates)
-// — implement the one Index interface: Search, the streaming SearchSeq, the
-// checked Get, Len and Tau. Every searcher is safe for concurrent use by
-// any number of goroutines without cloning; query scratch state lives in
-// internal snapshot pools.
+// For query serving, both searchers — Searcher (a fixed corpus) and
+// DynamicSearcher (live updates) — implement the one Index interface:
+// Search, the streaming SearchSeq, the checked Get, Len and Tau. Every
+// searcher is safe for concurrent use by any number of goroutines; query
+// scratch state lives in internal snapshot pools.
 //
 // The threshold passed at construction is the partition threshold — the
 // largest the index can answer — not the only one: by the pigeonhole
@@ -99,7 +94,7 @@
 // below its build τ exactly. Per-query options select the threshold,
 // ranking and result bounds of each call:
 //
-//	s, _ := passjoin.NewShardedSearcher(corpus, 3, passjoin.WithShards(8))
+//	s, _ := passjoin.NewSearcher(corpus, 3, passjoin.WithShards(8))
 //	matches := s.Search("kaushik chakrab")                       // all within 3
 //	strict := s.Search("kaushik chakrab", passjoin.QueryTau(1))  // exact, same index
 //	nearest := s.Search("kaushik", passjoin.QueryTopK(5))        // 5 closest
@@ -107,28 +102,26 @@
 //	        // first hit only; the probe stops as soon as the loop breaks
 //	}
 //
-// Both static searchers build their segment index straight into an
-// immutable form (flat hash tables of 8-byte rows instead of Go maps, a
-// single posting in its row, longer lists packed per slot) and report each
-// match's exact distance
-// straight out of verification — see docs/ARCHITECTURE.md for the bulk
-// build. A query probes that one index once, on the caller's goroutine —
-// it first enumerates its selected substrings and then resolves their
-// lookups a batch at a time, so the cache misses of one query overlap:
-// concurrency comes from concurrent callers, and a single expensive query
-// on an otherwise idle many-core machine is not split across cores.
-// Both snapshot to a compact CRC-protected binary format (WriteTo /
-// ReadSearcherFrom / ReadShardedSearcherFrom, "PJIX v3") for cold
-// starts — the snapshot is the corpus and the threshold, and a reader
-// rebuilds the index as the constructor of its type would, which is
-// faster than loading stored postings was. Every release reads the
-// snapshots of the releases before it (v1, v2, and v3 files that still
-// carry an index, which is skipped); a release older than v3 rejects a v3
-// file by its version instead of misreading it.
+// A Searcher builds its segment index on WithShards workers straight into
+// an immutable form (flat hash tables of 8-byte rows instead of Go maps, a
+// single posting in its row, longer lists packed per slot) and reports each
+// match's exact distance straight out of verification — see
+// docs/ARCHITECTURE.md for the bulk build. A query probes that one index
+// once, on the caller's goroutine — it first enumerates its selected
+// substrings and then resolves their lookups a batch at a time, so the
+// cache misses of one query overlap: concurrency comes from concurrent
+// callers, and a single expensive query on an otherwise idle many-core
+// machine is not split across cores. A Searcher snapshots to a compact
+// CRC-protected binary format (WriteTo / ReadSearcherFrom, "PJIX v3") for
+// cold starts — the snapshot is the corpus and the threshold, and the
+// reader rebuilds the index as NewSearcher would, which is faster than
+// loading stored postings was. Every release reads the snapshots of the
+// releases before it (v1, v2, and v3 files that still carry an index,
+// which is skipped); a release older than v3 rejects a v3 file by its
+// version instead of misreading it.
 //
-// The SearchTopK methods and Searcher.Clone are deprecated: QueryTopK
-// subsumes the former, and concurrent Search makes the latter
-// unnecessary. Both keep working.
+// ShardedSearcher, NewShardedSearcher and ReadShardedSearcherFrom are
+// deprecated names of Searcher, NewSearcher and ReadSearcherFrom.
 //
 // # Live updates
 //
@@ -136,8 +129,8 @@
 // one index pairs the frozen base with a small mutable delta and a
 // tombstone set, and a background compactor folds the delta and the
 // tombstones back into a fresh frozen base (swapped in atomically; readers
-// never wait for a rebuild). Like the static searchers it is not split by
-// document id; WithShards sets the workers that build the base.
+// never wait for a rebuild). Like Searcher it is not split by document id;
+// WithShards sets the workers that build the base.
 // OpenDynamicSearcher is the durable variant — every mutation is
 // write-ahead-logged before it becomes visible and reopening the same
 // directory recovers the exact live corpus from the base snapshot + WAL
@@ -163,7 +156,7 @@
 // within τ, so most candidates are dropped before their bytes are read.
 // The survivors go to the paper's banded dynamic program — τ+1 cells per
 // row, stopped early once no cell of a row can still lead to a match —
-// or, with VerifyMyers, to a bit-parallel kernel. Distances and
+// or, with VerifyBitParallel, to the Myers bit-parallel kernel. Distances and
 // thresholds count bytes, not runes: a multi-byte UTF-8 character costs
 // as many edits as it has differing bytes. A threshold larger than the
 // strings is no costlier than one equal to the longer string's length.

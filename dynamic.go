@@ -8,7 +8,6 @@ import (
 	"iter"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -18,7 +17,7 @@ import (
 )
 
 // DynamicSearcher answers approximate string search queries like
-// ShardedSearcher, but accepts inserts and deletes while serving — the
+// Searcher, but accepts inserts and deletes while serving — the
 // live-update counterpart of the static searchers. Documents get stable
 // global ids from a monotone counter. Like the static searchers, the index
 // is not partitioned by id: it is one two-tier dynamic index
@@ -85,10 +84,7 @@ func openDynamic(dir string, corpus []string, tau int, opts []Option) (*DynamicS
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.shards
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := cfg.workers()
 	tcfg := dynamic.Config{
 		Tau:              tau,
 		Selection:        cfg.sel.internal(),
@@ -300,16 +296,6 @@ func (ds *DynamicSearcher) Search(q string, opts ...QueryOption) []Match {
 		return nil
 	}
 	return ds.search(q, qc)
-}
-
-// SearchTopK returns the k closest live documents to q among those within
-// the threshold, sorted by ascending distance (ties by document id).
-// k <= 0 returns nil.
-//
-// Deprecated: use Search(q, QueryTopK(k)), which composes with the other
-// per-query options.
-func (ds *DynamicSearcher) SearchTopK(q string, k int) []Match {
-	return ds.Search(q, QueryTopK(k))
 }
 
 // SearchSeq streams the matches Search returns for q, in the same order.

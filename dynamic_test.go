@@ -62,7 +62,7 @@ func TestDynamicSearcherMatchesStatic(t *testing.T) {
 			if !reflect.DeepEqual(got, wantM) {
 				t.Fatalf("shards=%d q=%q: %v vs %v", shards, q, got, want)
 			}
-			if k := 3; !reflect.DeepEqual(ds.SearchTopK(q, k), ref.SearchTopK(q, k)) {
+			if k := 3; !reflect.DeepEqual(ds.Search(q, QueryTopK(k)), ref.Search(q, QueryTopK(k))) {
 				t.Fatalf("shards=%d q=%q: top-k diverges", shards, q)
 			}
 		}
@@ -286,7 +286,7 @@ func TestDynamicSearcherConcurrent(t *testing.T) {
 						return
 					}
 				}
-				ds.SearchTopK(q, 5)
+				ds.Search(q, QueryTopK(5))
 				ds.Len()
 				ds.Stats()
 			}
@@ -324,7 +324,7 @@ func TestResultOrderDeterministic(t *testing.T) {
 		}
 	}
 	for _, shards := range []int{1, 2, 3, 5, 9} {
-		ss, err := NewShardedSearcher(corpus, tau, WithShards(shards))
+		ss, err := NewSearcher(corpus, tau, WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestResultOrderDeterministic(t *testing.T) {
 			t.Fatalf("shards=%d: %v want %v", shards, got, want)
 		}
 		for k := 1; k <= len(want); k++ {
-			if got := ss.SearchTopK(q, k); !reflect.DeepEqual(got, want[:k]) {
+			if got := ss.Search(q, QueryTopK(k)); !reflect.DeepEqual(got, want[:k]) {
 				t.Fatalf("shards=%d k=%d: %v want %v", shards, k, got, want[:k])
 			}
 		}
@@ -344,7 +344,7 @@ func TestResultOrderDeterministic(t *testing.T) {
 			t.Fatalf("dynamic shards=%d: %v want %v", shards, got, want)
 		}
 		for k := 1; k <= len(want); k++ {
-			if got := ds.SearchTopK(q, k); !reflect.DeepEqual(got, want[:k]) {
+			if got := ds.Search(q, QueryTopK(k)); !reflect.DeepEqual(got, want[:k]) {
 				t.Fatalf("dynamic shards=%d k=%d: %v want %v", shards, k, got, want[:k])
 			}
 		}

@@ -1,55 +1,59 @@
 package passjoin_test
 
-// The cross-engine conformance suite: every engine the registry exposes
-// (and the "auto" alias) must return the identical pair set as the
-// default Pass-Join path through the *public* API, on every corpus
+// The public joins against the paper's Fig. 15 competitors: on every corpus
 // regime the repository knows about — the paper's three corpora, the
 // small-alphabet DNA regime, the adversarial corpora, and the degenerate
 // edge cases (empty corpus, mass duplicates, strings shorter than the
-// threshold). This is the load-bearing contract of the engine subsystem:
-// engines may differ only in cost, never in answers.
+// threshold) — SelfJoin and Join must return exactly what every oracle of
+// internal/engine and brute force return, and all six entry points must
+// agree with each other.
 
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
-	"time"
 
 	"passjoin"
+	"passjoin/internal/bruteforce"
 	"passjoin/internal/dataset"
+	"passjoin/internal/engine"
 )
 
+// TestEngineConformance holds every oracle to brute force and the public
+// SelfJoin with no option — "auto", the join the library picks by itself —
+// to the same pairs.
 func TestEngineConformance(t *testing.T) {
 	for _, reg := range dataset.JoinRegimes(7) {
 		for _, tau := range reg.Taus {
-			want, err := passjoin.SelfJoin(reg.Strs, tau)
-			if err != nil {
-				t.Fatalf("%s/tau=%d: reference join: %v", reg.Name, tau, err)
+			var want []passjoin.Pair
+			for _, p := range bruteforce.SelfJoin(reg.Strs, tau) {
+				want = append(want, passjoin.Pair{R: int(p.R), S: int(p.S)})
 			}
-			for _, name := range passjoin.Engines() {
+			slices.SortFunc(want, byRS)
+			joins := map[string]func() ([]passjoin.Pair, error){
+				"auto": func() ([]passjoin.Pair, error) { return passjoin.SelfJoin(reg.Strs, tau) },
+			}
+			for _, e := range engine.All() {
+				joins[e.Name()] = func() ([]passjoin.Pair, error) {
+					pairs, err := e.SelfJoin(reg.Strs, tau, nil)
+					out := make([]passjoin.Pair, len(pairs))
+					for i, p := range pairs {
+						out[i] = passjoin.Pair{R: int(p.R), S: int(p.S)}
+					}
+					return out, err
+				}
+			}
+			for name, join := range joins {
 				t.Run(fmt.Sprintf("%s/tau=%d/%s", reg.Name, tau, name), func(t *testing.T) {
-					var st passjoin.Stats
-					got, err := passjoin.SelfJoin(reg.Strs, tau, passjoin.WithEngine(name), passjoin.WithStats(&st))
+					got, err := join()
 					if err != nil {
-						t.Fatalf("engine %s: %v", name, err)
+						t.Fatal(err)
 					}
 					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-						t.Fatalf("engine %s: %d pairs, want %d (pair sets differ)", name, len(got), len(want))
-					}
-					if st.Engine == "" {
-						t.Fatalf("engine %s: Stats.Engine not reported", name)
-					}
-					ran := name
-					if name == "auto" {
-						ran = "passjoin"
-					}
-					if st.Engine != ran {
-						t.Fatalf("engine %s: Stats.Engine = %q", name, st.Engine)
+						t.Fatalf("%d pairs, want %d (pair sets differ)", len(got), len(want))
 					}
 				})
 			}
@@ -57,38 +61,12 @@ func TestEngineConformance(t *testing.T) {
 	}
 }
 
-// The streaming forms must re-deliver exactly the materialized pair set,
-// in order, for a materializing engine.
-func TestEngineStreamingMatchesMaterialized(t *testing.T) {
-	strs := dataset.Author(200, 11)
-	want, err := passjoin.SelfJoin(strs, 2, passjoin.WithEngine("triejoin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []passjoin.Pair
-	err = passjoin.SelfJoinEach(strs, 2, func(r, s int) bool {
-		got = append(got, passjoin.Pair{R: r, S: s})
-		return true
-	}, passjoin.WithEngine("triejoin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed %d pairs != materialized %d", len(got), len(want))
-	}
-	// Early stop still honored on the drain path.
-	n := 0
-	err = passjoin.SelfJoinEach(strs, 2, func(r, s int) bool {
-		n++
-		return n < 3
-	}, passjoin.WithEngine("triejoin"))
-	if err != nil || n != 3 {
-		t.Fatalf("early stop: n=%d err=%v", n, err)
-	}
-}
+// byRS orders pairs as the joins return them.
+func byRS(a, b passjoin.Pair) int { return cmp.Or(a.R-b.R, a.S-b.S) }
 
-// R×S joins run through the disjoint-union reduction for every engine
-// and must agree with Pass-Join's native R×S path.
+// Every oracle answers an R×S join through the disjoint-union reduction —
+// self-join rset‖sset, keep the pairs that cross the boundary — with the
+// pairs of the public Join.
 func TestEngineRSJoinConformance(t *testing.T) {
 	rset := dataset.Author(120, 3)
 	sset := dataset.Author(150, 4)
@@ -96,27 +74,26 @@ func TestEngineRSJoinConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range passjoin.Engines() {
-		got, err := passjoin.Join(rset, sset, 2, passjoin.WithEngine(name))
+	union := append(slices.Clone(rset), sset...)
+	for _, e := range engine.All() {
+		pairs, err := e.SelfJoin(union, 2, nil)
 		if err != nil {
-			t.Fatalf("engine %s: %v", name, err)
+			t.Fatalf("engine %s: %v", e.Name(), err)
+		}
+		var got []passjoin.Pair
+		for _, p := range pairs {
+			if r, s := int(p.R), int(p.S); r < len(rset) && s >= len(rset) {
+				got = append(got, passjoin.Pair{R: r, S: s - len(rset)})
+			}
 		}
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("engine %s: %d pairs, want %d (pair sets differ)", name, len(got), len(want))
+			t.Fatalf("engine %s: %d pairs, want %d (pair sets differ)", e.Name(), len(got), len(want))
 		}
 	}
 }
 
-func TestWithEngineUnknownName(t *testing.T) {
-	if _, err := passjoin.SelfJoin([]string{"a"}, 1, passjoin.WithEngine("nope")); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
-// All six join entry points go through one dispatch: with no engine
-// option, with the default's name, with its "auto" alias and with a
-// materializing baseline each returns the same pair set, reports the
-// engine that ran and fills the attached counters.
+// All six join entry points go through one dispatch: each returns the same
+// pair set and fills the attached counters.
 func TestJoinEntryPointsDispatch(t *testing.T) {
 	reg := dataset.JoinRegimes(7)[0] // author
 	const tau = 2
@@ -167,70 +144,21 @@ func TestJoinEntryPointsDispatch(t *testing.T) {
 			return passjoin.JoinEachCtx(ctx, rset, sset, tau, y, opts...)
 		})},
 	}
-	engines := []struct{ option, ran string }{
-		{"", "passjoin"}, {"passjoin", "passjoin"}, {"auto", "passjoin"}, {"edjoin", "edjoin"},
-	}
 	for _, e := range entries {
-		for _, eng := range engines {
-			t.Run(e.name+"/"+cmp.Or(eng.option, "default"), func(t *testing.T) {
-				var st passjoin.Stats
-				opts := []passjoin.Option{passjoin.WithStats(&st)}
-				if eng.option != "" {
-					opts = append(opts, passjoin.WithEngine(eng.option))
-				}
-				got, err := e.run(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				slices.SortFunc(got, func(a, b passjoin.Pair) int {
-					return cmp.Or(a.R-b.R, a.S-b.S)
-				})
-				if !reflect.DeepEqual(got, e.want) {
-					t.Fatalf("%d pairs, want %d (pair sets differ)", len(got), len(e.want))
-				}
-				if st.Engine != eng.ran {
-					t.Errorf("Stats.Engine = %q, want %q", st.Engine, eng.ran)
-				}
-				if st.Strings == 0 || st.Candidates == 0 || st.Results < int64(len(got)) {
-					t.Errorf("counters not filled: strings=%d candidates=%d results=%d for %d pairs",
-						st.Strings, st.Candidates, st.Results, len(got))
-				}
-			})
-		}
-	}
-}
-
-// No baseline watches a context, so a cancellable streaming join runs one
-// on a helper goroutine: cancellation must return ctx.Err() while the
-// engine is still running — before any pair is re-delivered and in a
-// fraction of the time the engine takes — not when its run ends.
-func TestSelfJoinEachCtxCancelAbandonsEngine(t *testing.T) {
-	base := strings.Repeat("kaushik chakrabarti ", 3)
-	corpus := make([]string, 2000)
-	for i := range corpus {
-		b := []byte(base)
-		b[i%len(b)] = byte('a' + i%4)
-		corpus[i] = string(b)
-	}
-	run := func(ctx context.Context) (yielded int, took time.Duration, err error) {
-		start := time.Now()
-		err = passjoin.SelfJoinEachCtx(ctx, corpus, 3, func(r, s int) bool {
-			yielded++
-			return true
-		}, passjoin.WithEngine("triejoin"))
-		return yielded, time.Since(start), err
-	}
-	pairs, full, err := run(context.Background())
-	if err != nil || pairs == 0 {
-		t.Fatalf("uncancelled run: %d pairs, %v", pairs, err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), full/20)
-	defer cancel()
-	yielded, took, err := run(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v after %v, want the context's deadline error", err, took)
-	}
-	if yielded != 0 || took > full/2 {
-		t.Fatalf("cancelled join returned after %v and %d pairs; the engine alone takes %v", took, yielded, full)
+		t.Run(e.name+"/default", func(t *testing.T) {
+			var st passjoin.Stats
+			got, err := e.run(passjoin.WithStats(&st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(got, byRS)
+			if !reflect.DeepEqual(got, e.want) {
+				t.Fatalf("%d pairs, want %d (pair sets differ)", len(got), len(e.want))
+			}
+			if st.Strings == 0 || st.Candidates == 0 || st.Results < int64(len(got)) {
+				t.Errorf("counters not filled: strings=%d candidates=%d results=%d for %d pairs",
+					st.Strings, st.Candidates, st.Results, len(got))
+			}
+		})
 	}
 }

@@ -38,9 +38,9 @@ func ExampleSearcher_SearchSeq() {
 	// found "vldb" (dist 0)
 }
 
-// ExampleIndex shows the one interface all three searchers implement:
-// code written against passjoin.Index serves a static, sharded or dynamic
-// index interchangeably, per-query options included.
+// ExampleIndex shows the one interface both searchers implement: code
+// written against passjoin.Index serves a static or a dynamic index
+// interchangeably, per-query options included.
 func ExampleIndex() {
 	corpus := []string{"vldb", "pvldb", "vldbj", "sigmod", "sigmmod"}
 	nearest := func(idx passjoin.Index, q string) string {
@@ -51,14 +51,12 @@ func ExampleIndex() {
 		return q + " -> no match"
 	}
 	st, _ := passjoin.NewSearcher(corpus, 2)
-	sh, _ := passjoin.NewShardedSearcher(corpus, 2, passjoin.WithShards(2))
 	dy, _ := passjoin.NewDynamicSearcher(corpus, 2)
 	defer dy.Close()
-	for _, idx := range []passjoin.Index{st, sh, dy} {
+	for _, idx := range []passjoin.Index{st, dy} {
 		fmt.Println(nearest(idx, "sigmmod"))
 	}
 	// Output:
-	// sigmmod -> sigmmod (dist 0)
 	// sigmmod -> sigmmod (dist 0)
 	// sigmmod -> sigmmod (dist 0)
 }

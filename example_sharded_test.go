@@ -7,17 +7,17 @@ import (
 	"passjoin"
 )
 
-// ExampleNewShardedSearcher shows the concurrent-safe serving index: the
-// corpus is hash-partitioned across shards and queries fan out to all of
-// them, so any number of goroutines may Search the same value.
-func ExampleNewShardedSearcher() {
+// ExampleWithShards builds one index on two workers and shares it between
+// goroutines: a Searcher is safe for concurrent use, and a query probes the
+// one index on its caller's goroutine whatever the worker count was.
+func ExampleWithShards() {
 	corpus := []string{"vldb", "pvldb", "sigmod", "sigmmod", "icde", "vldbj"}
-	s, err := passjoin.NewShardedSearcher(corpus, 1, passjoin.WithShards(2))
+	s, err := passjoin.NewSearcher(corpus, 1, passjoin.WithShards(2))
 	if err != nil {
 		panic(err)
 	}
 	done := make(chan struct{})
-	go func() { // no Clone needed, unlike Searcher
+	go func() {
 		s.Search("sigmod")
 		close(done)
 	}()
@@ -25,21 +25,23 @@ func ExampleNewShardedSearcher() {
 		fmt.Printf("%s (dist %d)\n", s.At(m.ID), m.Dist)
 	}
 	<-done
+	fmt.Println("workers:", s.NumShards())
 	// Output:
 	// vldb (dist 0)
 	// pvldb (dist 1)
 	// vldbj (dist 1)
+	// workers: 2
 }
 
-// ExampleShardedSearcher_SearchTopK shows top-k search: the k nearest
-// corpus strings among those within the indexed threshold.
-func ExampleShardedSearcher_SearchTopK() {
+// ExampleQueryTopK shows top-k search: the k nearest corpus strings among
+// those within the indexed threshold.
+func ExampleQueryTopK() {
 	corpus := []string{"icde", "vldb", "pvldb", "vldbj", "icdt"}
-	s, err := passjoin.NewShardedSearcher(corpus, 2, passjoin.WithShards(2))
+	s, err := passjoin.NewSearcher(corpus, 2, passjoin.WithShards(2))
 	if err != nil {
 		panic(err)
 	}
-	for _, m := range s.SearchTopK("vldb", 2) {
+	for _, m := range s.Search("vldb", passjoin.QueryTopK(2)) {
 		fmt.Printf("%s (dist %d)\n", s.At(m.ID), m.Dist)
 	}
 	// Output:
@@ -47,15 +49,15 @@ func ExampleShardedSearcher_SearchTopK() {
 	// pvldb (dist 1)
 }
 
-// ExampleSearcher_SearchTopK shows the same top-k search on the
-// single-index Searcher.
-func ExampleSearcher_SearchTopK() {
+// ExampleSearcher_Search_topK shows the same top-k search on an index built
+// with the default worker count.
+func ExampleSearcher_Search_topK() {
 	corpus := []string{"icde", "vldb", "pvldb", "vldbj", "icdt"}
 	s, err := passjoin.NewSearcher(corpus, 2)
 	if err != nil {
 		panic(err)
 	}
-	for _, m := range s.SearchTopK("icde", 2) {
+	for _, m := range s.Search("icde", passjoin.QueryTopK(2)) {
 		fmt.Printf("%s (dist %d)\n", s.At(m.ID), m.Dist)
 	}
 	// Output:
@@ -63,12 +65,12 @@ func ExampleSearcher_SearchTopK() {
 	// icdt (dist 1)
 }
 
-// ExampleShardedSearcher_WriteTo snapshots a sharded index and reloads it
-// with a different shard count — the snapshot stores only the corpus, so
-// shard topology is a load-time choice.
-func ExampleShardedSearcher_WriteTo() {
+// ExampleReadSearcherFrom snapshots an index and reloads it on a different
+// number of build workers — the snapshot stores only the corpus, so the
+// worker count is a load-time choice.
+func ExampleReadSearcherFrom() {
 	corpus := []string{"vldb", "pvldb", "sigmod"}
-	s, err := passjoin.NewShardedSearcher(corpus, 1, passjoin.WithShards(3))
+	s, err := passjoin.NewSearcher(corpus, 1, passjoin.WithShards(3))
 	if err != nil {
 		panic(err)
 	}
@@ -76,7 +78,7 @@ func ExampleShardedSearcher_WriteTo() {
 	if _, err := s.WriteTo(&buf); err != nil {
 		panic(err)
 	}
-	re, err := passjoin.ReadShardedSearcherFrom(&buf, passjoin.WithShards(1))
+	re, err := passjoin.ReadSearcherFrom(&buf, passjoin.WithShards(1))
 	if err != nil {
 		panic(err)
 	}

@@ -30,7 +30,7 @@ func hitLess(a, b Hit) bool {
 // keeping the smaller (dist, id) — a document transiently present on
 // two members mid-rebalance must count once, never twice — the merged
 // set is ordered by (dist, id), and k > 0 keeps only the k nearest via
-// a k-bounded max-heap (the same selection SearchTopK uses, so the
+// a k-bounded max-heap (the same selection QueryTopK makes, so the
 // truncated order matches too). Always returns a non-nil slice: an
 // empty result must encode as [], exactly like a member's.
 func MergeHits(parts [][]Hit, k int) []Hit {

@@ -56,7 +56,7 @@ func TestMergeHitsDedup(t *testing.T) {
 }
 
 // TestMergeHitsTopK checks the k-bounded selection matches a full sort
-// plus truncation — the single-node SearchTopK contract.
+// plus truncation — the single-node QueryTopK contract.
 func TestMergeHitsTopK(t *testing.T) {
 	parts := [][]Hit{
 		{{ID: 0, Dist: 3}, {ID: 3, Dist: 1}, {ID: 6, Dist: 0}},

@@ -83,7 +83,7 @@ func ParseVerifyKind(name string) (VerifyKind, error) {
 		return VerifyExtension, nil
 	case "shareprefix", "SharePrefix", "shared":
 		return VerifyExtensionShared, nil
-	case "myers", "Myers":
+	case "bitparallel", "myers", "Myers":
 		return VerifyMyers, nil
 	}
 	return 0, fmt.Errorf("core: unknown verify kind %q", name)

@@ -109,6 +109,39 @@ func TestAllPairsConfigEquivalence(t *testing.T) {
 	}
 }
 
+// All-Pairs-Ed is JoinConfig with the count prefix alone; it must be exact
+// on a second corpus too.
+func TestAllPairsEquivalence(t *testing.T) {
+	strs := corpus(rand.New(rand.NewSource(71)), 110, 16, 3)
+	for tau := 0; tau <= 3; tau++ {
+		for _, q := range []int{2, 3} {
+			got, err := JoinConfig(strs, tau, Config{Q: q}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertEquiv(t, fmt.Sprintf("tau=%d/q=%d", tau, q), strs, tau, got)
+		}
+	}
+}
+
+// All-Pairs-Ed must generate at least as many prefix grams as ED-Join's
+// location-shortened prefix (the paper's claim that ED-Join dominates it).
+func TestAllPairsSelectsMoreGramsThanEdJoin(t *testing.T) {
+	strs := corpus(rand.New(rand.NewSource(72)), 200, 40, 6)
+	tau, q := 2, 3
+	stAll := &metrics.Stats{}
+	stEd := &metrics.Stats{}
+	if _, err := JoinConfig(strs, tau, Config{Q: q}, stAll); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Join(strs, tau, q, stEd); err != nil {
+		t.Fatal(err)
+	}
+	if stAll.SelectedSubstrings < stEd.SelectedSubstrings {
+		t.Errorf("all-pairs selected %d grams, edjoin %d", stAll.SelectedSubstrings, stEd.SelectedSubstrings)
+	}
+}
+
 func TestFilterCombinations(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	strs := corpus(rng, 80, 15, 3)
@@ -168,6 +201,15 @@ func TestBadArgs(t *testing.T) {
 		t.Error("negative tau accepted")
 	}
 	if _, err := Join([]string{"a"}, 1, 0, nil); err == nil {
+		t.Error("q=0 accepted")
+	}
+}
+
+func TestAllPairsBadArgs(t *testing.T) {
+	if _, err := JoinConfig([]string{"a"}, -1, Config{Q: 2}, nil); err == nil {
+		t.Error("negative tau accepted")
+	}
+	if _, err := JoinConfig([]string{"a"}, 1, Config{}, nil); err == nil {
 		t.Error("q=0 accepted")
 	}
 }

@@ -1,21 +1,20 @@
 // Package engine wraps every self-join algorithm in the repository behind
-// one Engine interface and a name registry.
+// one Engine interface.
 //
-// The seed shipped six complete join algorithms — Pass-Join
-// (internal/core), ED-Join and All-Pairs-Ed (internal/edjoin,
-// internal/allpairs), Trie-Join (internal/triejoin), NGPP
-// (internal/ngpp) and Part-Enum (internal/partenum) — that the paper's
-// evaluation compares. All of them are exact: on any input they produce
-// the identical pair set, differing only in cost. That equivalence is the
-// package's load-bearing contract, enforced by the cross-engine
-// conformance suite and the brute-force differential fuzzer; the registry
-// exists so every consumer (public API, benchmark, tests) constructs
-// engines from one source of truth.
+// The repository holds six complete join algorithms — Pass-Join
+// (internal/core), ED-Join and All-Pairs-Ed (internal/edjoin), Trie-Join
+// (internal/triejoin), NGPP (internal/ngpp) and Part-Enum
+// (internal/partenum) — that the paper's evaluation compares. All of them
+// are exact: on any input they produce the identical pair set, differing
+// only in cost. That equivalence is the package's load-bearing contract,
+// enforced by the cross-engine conformance suites and the brute-force
+// differential fuzzer; the table exists so every consumer (benchmark,
+// tests, fuzzer) constructs engines from one source of truth.
 //
 // Pass-Join measures fastest on every regime this repository has raced
-// (cmd/experiments fig15, BenchmarkEngineJoin), so nothing chooses between
-// the engines at run time: the others are the paper's Fig. 15 baselines
-// and cross-checking oracles, reached by name.
+// (cmd/experiments fig15, BenchmarkEngineJoin), so the library, passjoin
+// and passjoind run nothing else: the others are the paper's Fig. 15
+// baselines and cross-checking oracles.
 package engine
 
 import (
@@ -31,8 +30,8 @@ type SelfJoinFunc func(strs []string, tau int, st *metrics.Stats) ([]core.Pair, 
 // Engine is one self-join algorithm. Implementations are exact — the
 // returned pair set must equal brute force on every input.
 type Engine interface {
-	// Name is the registry key, a lowercase identifier stable across
-	// releases ("passjoin", "edjoin", ...).
+	// Name is the table key, a lowercase identifier ("passjoin",
+	// "edjoin", ...).
 	Name() string
 	// SelfJoin is the algorithm's SelfJoinFunc.
 	SelfJoin(strs []string, tau int, st *metrics.Stats) ([]core.Pair, error)

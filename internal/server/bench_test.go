@@ -23,7 +23,7 @@ func BenchmarkShardScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx, err := passjoin.NewShardedSearcher(corpus, 2)
+	idx, err := passjoin.NewSearcher(corpus, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func BenchmarkServerSearchObserved(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx, err := passjoin.NewShardedSearcher(corpus, 2, passjoin.WithShards(4))
+	idx, err := passjoin.NewSearcher(corpus, 2, passjoin.WithShards(4))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func BenchmarkBatchEndpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx, err := passjoin.NewShardedSearcher(corpus, 2)
+	idx, err := passjoin.NewSearcher(corpus, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

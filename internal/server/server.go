@@ -1,10 +1,10 @@
 // Package server implements the passjoind HTTP serving layer: a
 // concurrent similarity-search service over a Pass-Join index.
 //
-// The server owns an Index — either the static, immutable
-// passjoin.ShardedSearcher (one frozen index, built in parallel) or the
-// mutable, partitioned passjoin.DynamicSearcher — and exposes it over
-// HTTP/JSON:
+// The server owns an Index — either the static, immutable passjoin.Searcher
+// (one frozen index, built in parallel) or the mutable
+// passjoin.DynamicSearcher (one frozen base, a delta and tombstones) — and
+// exposes it over HTTP/JSON:
 //
 //	GET    /healthz            liveness + index shape
 //	GET    /v1/search?q=...    single lookup (all matches within tau);

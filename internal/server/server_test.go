@@ -28,7 +28,7 @@ func testCorpus(t testing.TB, n int) []string {
 func newTestServer(t testing.TB, corpus []string, tau, shards int, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	var st passjoin.Stats
-	idx, err := passjoin.NewShardedSearcher(corpus, tau,
+	idx, err := passjoin.NewSearcher(corpus, tau,
 		passjoin.WithShards(shards), passjoin.WithStats(&st))
 	if err != nil {
 		t.Fatal(err)
@@ -134,13 +134,13 @@ func TestTopK(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/topk?q="+urlQueryEscape(q)+"&k=3", &got); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	checkMatches(t, q, got.Matches, ref.SearchTopK(q, 3), corpus)
+	checkMatches(t, q, got.Matches, ref.Search(q, passjoin.QueryTopK(3)), corpus)
 
 	// Default k comes from config.
 	if code := getJSON(t, ts.URL+"/v1/topk?q="+urlQueryEscape(q), &got); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	checkMatches(t, q, got.Matches, ref.SearchTopK(q, 2), corpus)
+	checkMatches(t, q, got.Matches, ref.Search(q, passjoin.QueryTopK(2)), corpus)
 }
 
 func TestBatch(t *testing.T) {
@@ -263,7 +263,6 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ref := ref.Clone() // plain Searcher is clone-per-goroutine
 			for i := 0; i < 40; i++ {
 				q := corpus[(g*53+i*17)%len(corpus)]
 				var got SearchResponse

@@ -3,9 +3,9 @@ package passjoin
 import (
 	"fmt"
 	"log/slog"
+	"runtime"
 
 	"passjoin/internal/core"
-	"passjoin/internal/engine"
 	"passjoin/internal/selection"
 )
 
@@ -100,7 +100,6 @@ type config struct {
 	shards           int
 	compactThreshold int
 	walSync          bool
-	engine           string
 	logger           *slog.Logger
 	mutHook          func(Mutation)
 }
@@ -129,37 +128,6 @@ func WithVerification(v VerificationMethod) Option {
 		return nil
 	}
 }
-
-// WithEngine selects the join algorithm run by SelfJoin, Join and the
-// streaming forms (SelfJoinEach, JoinEach and their Ctx variants). Valid
-// names are listed by Engines: the default "passjoin" plus the paper's
-// baselines — "edjoin", "allpairs", "qgram" (gram-based prefix
-// filtering), "triejoin" (trie-based subtrie pruning), "ngpp"
-// (partition + deletion neighborhoods), "partenum" (gram-vector
-// signatures) — and "auto", an alias of "passjoin". Every engine is
-// exact, so the result set is identical regardless of the choice; only
-// the cost differs, and Pass-Join's is the lowest on every regime
-// measured — the baselines are here as cross-checking oracles. The engine
-// that ran is reported in Stats.Engine ("passjoin" for "auto").
-//
-// Engines other than "passjoin" materialize their result set before the
-// streaming forms re-deliver it pair by pair, and they run the other
-// join options (selection, verification, parallelism) as no-ops. The
-// searcher constructors ignore this option: the search path is always
-// Pass-Join's segment index.
-func WithEngine(name string) Option {
-	return func(c *config) error {
-		if !engine.Valid(name) {
-			return fmt.Errorf("passjoin: unknown engine %q (valid: %v)", name, Engines())
-		}
-		c.engine = name
-		return nil
-	}
-}
-
-// Engines lists every engine name WithEngine accepts, sorted, "auto"
-// included.
-func Engines() []string { return engine.Names() }
 
 // WithStats attaches an instrumentation sink; it is overwritten with this
 // run's counters when the join returns.
@@ -193,9 +161,9 @@ func WithParallelism(n int) Option {
 const maxShards = 1 << 16
 
 // WithShards sets the number of workers that build the one index in
-// parallel: for NewShardedSearcher and ReadShardedSearcherFrom its build,
-// for NewDynamicSearcher and OpenDynamicSearcher the frozen base at
-// seeding, at reopen and at every compaction. Queries and document ids do
+// parallel: for NewSearcher and ReadSearcherFrom its build, for
+// NewDynamicSearcher and OpenDynamicSearcher the frozen base at seeding, at
+// reopen and at every compaction. Queries and document ids do
 // not depend on it, NumShards reports it, and a durable dynamic directory
 // may be reopened at any count (see the options table in the package
 // documentation for which constructors honor which options). n == 0
@@ -280,6 +248,14 @@ func WithWALSync() Option {
 		c.walSync = true
 		return nil
 	}
+}
+
+// workers resolves WithShards: GOMAXPROCS when unset.
+func (c config) workers() int {
+	if c.shards > 0 {
+		return c.shards
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 func buildConfig(tau int, opts []Option) (config, error) {

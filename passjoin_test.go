@@ -333,19 +333,12 @@ func TestHugeTauJoins(t *testing.T) {
 				t.Fatalf("SelfJoinEachCtx tau=%d workers=%d: %d pairs, err %v", tau, workers, n, err)
 			}
 		}
-		s, err := NewSearcher(strs, tau)
+		s, err := NewSearcher(strs, tau, WithShards(2))
 		if err != nil {
 			t.Fatalf("NewSearcher tau=%d: %v", tau, err)
 		}
 		if got := s.Search("vldb"); len(got) != len(strs) {
 			t.Fatalf("Searcher tau=%d: %d matches, want all %d", tau, len(got), len(strs))
-		}
-		ss, err := NewShardedSearcher(strs, tau, WithShards(2))
-		if err != nil {
-			t.Fatalf("NewShardedSearcher tau=%d: %v", tau, err)
-		}
-		if got := ss.Search("vldb"); len(got) != len(strs) {
-			t.Fatalf("ShardedSearcher tau=%d: %d matches, want all %d", tau, len(got), len(strs))
 		}
 	}
 }

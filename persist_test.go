@@ -123,8 +123,8 @@ func TestReadSearcherFromV1(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ReadShardedSearcherFrom(bytes.NewReader(blob), WithShards(3)); err != nil {
-		t.Fatalf("sharded reader rejected v1 snapshot: %v", err)
+	if _, err := ReadSearcherFrom(bytes.NewReader(blob), WithShards(3)); err != nil {
+		t.Fatalf("reader on 3 workers rejected v1 snapshot: %v", err)
 	}
 }
 
@@ -150,7 +150,7 @@ func corpusOf(s *Searcher) []string {
 	return corpus
 }
 
-// searchFunc is Search of either static searcher.
+// searchFunc is a searcher's Search.
 type searchFunc func(q string, opts ...QueryOption) []Match
 
 // requireBruteForceAnswers fails unless every reader's searcher over a
@@ -205,20 +205,20 @@ func TestV2SnapshotCarriesFrozenIndex(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotRestoresFrozenIndex (named likewise): a sharded
-// searcher writes the snapshot a plain one writes, and that snapshot is what
-// every build that reads version 3 already accepts — version 3, the corpus,
-// a zero hasFrozen byte, the checksum of those bytes and nothing more — from
-// which both readers, the sharded one on one build worker, three or five,
-// give searchers that answer exactly like the original.
+// TestShardedSnapshotRestoresFrozenIndex (named likewise): a searcher built
+// on three workers writes the snapshot a one-worker one writes, and that
+// snapshot is what every build that reads version 3 already accepts —
+// version 3, the corpus, a zero hasFrozen byte, the checksum of those bytes
+// and nothing more — from which the reader, on the default, one, three or
+// five build workers, gives searchers that answer exactly like the original.
 func TestShardedSnapshotRestoresFrozenIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	corpus := testCorpus(rng, 180)
-	orig, err := NewShardedSearcher(corpus, 2, WithShards(3))
+	orig, err := NewSearcher(corpus, 2, WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewSearcher(corpus, 2)
+	plain, err := NewSearcher(corpus, 2, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestShardedSnapshotRestoresFrozenIndex(t *testing.T) {
 	}
 	blob := buf.Bytes()
 	if !bytes.Equal(blob, plainBuf.Bytes()) {
-		t.Fatalf("sharded snapshot (%d B) differs from the plain searcher's (%d B)", buf.Len(), plainBuf.Len())
+		t.Fatalf("the 3-worker snapshot (%d B) differs from the 1-worker one (%d B)", buf.Len(), plainBuf.Len())
 	}
 	want := append(writeV1Snapshot(2, corpus), 0) // the corpus, then hasFrozen
 	want[4] = 3
@@ -247,14 +247,14 @@ func TestShardedSnapshotRestoresFrozenIndex(t *testing.T) {
 	searchers["ReadSearcherFrom"] = s.Search
 	for _, shards := range []int{1, 3, 5} {
 		var st Stats
-		loaded, err := ReadShardedSearcherFrom(bytes.NewReader(blob), WithShards(shards), WithStats(&st))
+		loaded, err := ReadSearcherFrom(bytes.NewReader(blob), WithShards(shards), WithStats(&st))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if loaded.NumShards() != shards || loaded.Len() != len(corpus) || loaded.Tau() != 2 || st.FrozenEntries == 0 {
 			t.Fatalf("loaded: shards=%d len=%d tau=%d stats %+v", loaded.NumShards(), loaded.Len(), loaded.Tau(), st)
 		}
-		searchers[fmt.Sprintf("ReadShardedSearcherFrom/%d", shards)] = loaded.Search
+		searchers[fmt.Sprintf("ReadSearcherFrom/%d", shards)] = loaded.Search
 	}
 	for _, q := range append(testCorpus(rng, 40), corpus[:40]...) {
 		want := orig.Search(q)
@@ -270,8 +270,8 @@ func TestShardedSnapshotRestoresFrozenIndex(t *testing.T) {
 // before the bulk builder (testdata/, 125 strings at tau 2): a
 // ShardedSearcher's, which was corpus-only, and a Searcher's, whose frozen
 // section (Index.Freeze's, with the segment hashes of its day) is walked
-// past. Both readers must answer like brute force over the file's strings,
-// and report the build they made.
+// past. The reader, on one build worker and on two, must answer like brute
+// force over the file's strings, and report the build it made.
 func TestParentCommitSnapshotsLoad(t *testing.T) {
 	for _, name := range []string{"parent-sharded.pjix", "parent-searcher.pjix"} {
 		blob, err := os.ReadFile("testdata/" + name)
@@ -279,11 +279,11 @@ func TestParentCommitSnapshotsLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		var st, sst Stats
-		s, err := ReadSearcherFrom(bytes.NewReader(blob), WithStats(&st))
+		s, err := ReadSearcherFrom(bytes.NewReader(blob), WithShards(1), WithStats(&st))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ss, err := ReadShardedSearcherFrom(bytes.NewReader(blob), WithShards(2), WithStats(&sst))
+		ss, err := ReadSearcherFrom(bytes.NewReader(blob), WithShards(2), WithStats(&sst))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -293,15 +293,15 @@ func TestParentCommitSnapshotsLoad(t *testing.T) {
 		if st.IndexBytes == 0 || st.FrozenEntries == 0 || sst.IndexBytes != st.IndexBytes || sst.FrozenEntries != st.FrozenEntries {
 			t.Fatalf("%s: stats %+v / %+v", name, st, sst)
 		}
-		requireBruteForceAnswers(t, name, corpusOf(s), 2, map[string]searchFunc{"searcher": s.Search, "sharded": ss.Search})
+		requireBruteForceAnswers(t, name, corpusOf(s), 2, map[string]searchFunc{"1 worker": s.Search, "2 workers": ss.Search})
 	}
 }
 
 // TestParentV3SnapshotsLoad: the two version 3 files the commit before the
 // 8-byte table rows wrote (testdata/, see internal/persist's
 // TestParentSnapshots), each with a frozen section, open as exactly the
-// generator's corpus through either reader and answer like brute force over
-// it.
+// generator's corpus on any number of build workers and answer like brute
+// force over it.
 func TestParentV3SnapshotsLoad(t *testing.T) {
 	for name, want := range map[string]struct {
 		tau    int
@@ -319,11 +319,11 @@ func TestParentV3SnapshotsLoad(t *testing.T) {
 		if err != nil || s.Tau() != want.tau || st.FrozenEntries == 0 || !slices.Equal(corpusOf(s), want.corpus) {
 			t.Fatalf("%s: err %v, stats %+v, or not the generator's corpus", name, err, st)
 		}
-		ss, err := ReadShardedSearcherFrom(bytes.NewReader(blob), WithShards(3))
+		ss, err := ReadSearcherFrom(bytes.NewReader(blob), WithShards(3))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		requireBruteForceAnswers(t, name, want.corpus, want.tau, map[string]searchFunc{"searcher": s.Search, "sharded": ss.Search})
+		requireBruteForceAnswers(t, name, want.corpus, want.tau, map[string]searchFunc{"default workers": s.Search, "3 workers": ss.Search})
 	}
 }
 
@@ -364,21 +364,6 @@ func TestSnapshotChecksum(t *testing.T) {
 	relabeled[4] = 1
 	if _, err := ReadSearcherFrom(bytes.NewReader(relabeled)); err == nil {
 		t.Fatal("v2 snapshot relabeled as v1 accepted")
-	}
-	// Same through the sharded writer and reader.
-	ss, err := NewShardedSearcher(corpus, 2, WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sbuf bytes.Buffer
-	if _, err := ss.WriteTo(&sbuf); err != nil {
-		t.Fatal(err)
-	}
-	sblob := sbuf.Bytes()
-	bad := append([]byte(nil), sblob...)
-	bad[len(bad)/2] ^= 0x01
-	if _, err := ReadShardedSearcherFrom(bytes.NewReader(bad)); err == nil {
-		t.Fatal("corrupted sharded snapshot accepted")
 	}
 }
 
@@ -443,8 +428,5 @@ func TestReadSearcherFromHugeCountRejected(t *testing.T) {
 	blob = append(blob, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40) // varint 2^62
 	if _, err := ReadSearcherFrom(bytes.NewReader(blob)); err == nil {
 		t.Error("huge corpus count accepted")
-	}
-	if _, err := ReadShardedSearcherFrom(bytes.NewReader(blob)); err == nil {
-		t.Error("huge corpus count accepted by sharded reader")
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"passjoin/internal/obs"
 )
 
-// Index is the read contract shared by all three searchers — Searcher,
-// ShardedSearcher and DynamicSearcher. One segment index, built once at a
+// Index is the read contract shared by both searchers — the static Searcher
+// and the live-update DynamicSearcher. One segment index, built once at a
 // threshold, answers many query shapes: the full match set, a smaller
 // per-query threshold (QueryTau — exact via the pigeonhole bound, since a
 // string partitioned into τ+1 segments shares a segment with any query
@@ -39,10 +39,9 @@ type Index interface {
 	Tau() int
 }
 
-// The three searchers converge on the one Index contract.
+// Both searchers converge on the one Index contract.
 var (
 	_ Index = (*Searcher)(nil)
-	_ Index = (*ShardedSearcher)(nil)
 	_ Index = (*DynamicSearcher)(nil)
 )
 
@@ -73,7 +72,7 @@ func QueryTau(t int) QueryOption {
 }
 
 // QueryTopK keeps only the k nearest matches (ascending distance, ties by
-// id) — the per-query form of the deprecated SearchTopK method. k <= 0
+// id), selected with a k-bounded heap rather than a full sort. k <= 0
 // yields no matches.
 func QueryTopK(k int) QueryOption {
 	return func(qc *queryConfig) {

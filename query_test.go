@@ -8,7 +8,8 @@ import (
 )
 
 // searcherKinds builds each Index implementation over the same corpus at
-// the same build threshold, named for subtests. The dynamic variants cover
+// the same build threshold, named for subtests: a Searcher at the default
+// and at 1, 2 and 3 build workers ("sharded-n"). The dynamic variants cover
 // the base/delta split space: all-base (bootstrap), half base + half delta
 // (inserted live), and a churned index (deletes + compaction + reinserts,
 // ids remapped by the caller via the returned live-id translation).
@@ -23,7 +24,7 @@ func searcherKinds(t *testing.T, corpus []string, tau int) map[string]Index {
 	kinds["searcher"] = s
 
 	for _, shards := range []int{1, 2, 3} {
-		ss, err := NewShardedSearcher(corpus, tau, WithShards(shards))
+		ss, err := NewSearcher(corpus, tau, WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,8 +259,8 @@ func TestSearchSeqMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestQueryTopKOption checks QueryTopK against the deprecated SearchTopK
-// methods and the manual rank-and-truncate of the full result.
+// TestQueryTopKOption checks QueryTopK against the manual rank-and-truncate
+// of the full result.
 func TestQueryTopKOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	corpus := testCorpus(rng, 90)
@@ -291,31 +292,6 @@ func TestQueryTopKOption(t *testing.T) {
 				}
 			}
 		})
-	}
-
-	// The deprecated methods must agree with their option forms.
-	s, _ := NewSearcher(corpus, 2)
-	ss, _ := NewShardedSearcher(corpus, 2, WithShards(2))
-	ds, _ := NewDynamicSearcher(corpus, 2, WithShards(2))
-	defer ds.Close()
-	for _, q := range queries {
-		for _, k := range []int{1, 4} {
-			pairs := [][2][]Match{
-				{s.SearchTopK(q, k), s.Search(q, QueryTopK(k))},
-				{ss.SearchTopK(q, k), ss.Search(q, QueryTopK(k))},
-				{ds.SearchTopK(q, k), ds.Search(q, QueryTopK(k))},
-			}
-			for i, p := range pairs {
-				if len(p[0]) != len(p[1]) {
-					t.Fatalf("kind %d k=%d: deprecated %v vs option %v", i, k, p[0], p[1])
-				}
-				for j := range p[0] {
-					if p[0][j] != p[1][j] {
-						t.Fatalf("kind %d k=%d: match %d differs: %+v vs %+v", i, k, j, p[0][j], p[1][j])
-					}
-				}
-			}
-		}
 	}
 }
 

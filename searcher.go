@@ -16,22 +16,37 @@ import (
 // substring selection.
 //
 // Construction bulk-builds the index straight into its frozen form (see
-// docs/ARCHITECTURE.md): queries probe flat hash tables over packed
-// posting lists rather than per-segment Go maps.
+// docs/ARCHITECTURE.md) with WithShards workers. Pass-Join's index is
+// already partitioned by string length into independent groups (§3.2), so
+// the workers build one frozen index together, largest group first, with
+// nothing to merge: queries probe flat hash tables over packed posting
+// lists, once, on the caller's goroutine, at a cost that does not depend on
+// the worker count. Ids are corpus positions, and results are the same at
+// every worker count.
 //
 // A Searcher is immutable after construction and safe for concurrent use
 // by any number of goroutines: query scratch state (verifier buffers,
 // dedup stamps) lives in an internal sync.Pool of index snapshots that all
-// share the one frozen arena, so no caller-side cloning is needed.
+// share the one frozen arena, so throughput scales with concurrent
+// callers. The trade: one expensive query on an otherwise idle many-core
+// machine is not split across cores (splitting was measured and lost; see
+// the "Sharding" section of docs/ARCHITECTURE.md).
 //
 // The threshold passed at construction is the partition threshold — the
 // largest the index can answer. Any smaller threshold is served exactly
 // from the same index with QueryTau; see Index.
 type Searcher struct {
-	m    *core.Matcher
-	tau  int
-	pool sync.Pool // *core.Matcher query snapshots (shared arena, private scratch)
+	m       *core.Matcher
+	tau     int
+	workers int
+	pool    sync.Pool // *core.Matcher query snapshots (shared arena, private scratch)
 }
+
+// ShardedSearcher is the name Searcher had when a second static searcher
+// type built the same index in parallel.
+//
+// Deprecated: use Searcher, whose constructors honor WithShards.
+type ShardedSearcher = Searcher
 
 // Match is one search hit: the corpus index and the exact edit distance.
 type Match struct {
@@ -39,58 +54,53 @@ type Match struct {
 	Dist int
 }
 
-// NewSearcher indexes corpus for queries at thresholds up to tau.
-// WithStats reports the build-time counters (like NewShardedSearcher);
-// per-query work runs on pooled snapshots and is not accumulated into the
-// sink — concurrent queries would otherwise race on its plain counters.
+// NewSearcher indexes corpus for queries at thresholds up to tau with
+// WithShards build workers (default: GOMAXPROCS). WithStats reports the
+// build-time counters; per-query work runs on pooled snapshots and is not
+// accumulated into the sink — concurrent queries would otherwise race on
+// its plain counters.
 func NewSearcher(corpus []string, tau int, opts ...Option) (*Searcher, error) {
 	cfg, err := buildConfig(tau, opts)
 	if err != nil {
 		return nil, err
 	}
-	return buildSearcher(slices.Clone(corpus), tau, cfg, 1)
+	return buildSearcher(slices.Clone(corpus), tau, cfg)
 }
 
-// buildSearcher indexes corpus with the given number of build workers —
-// the one build path of both static searchers. The searcher keeps corpus:
-// constructors pass a copy of their caller's slice.
-func buildSearcher(corpus []string, tau int, cfg config, workers int) (*Searcher, error) {
+// NewShardedSearcher is NewSearcher.
+//
+// Deprecated: use NewSearcher.
+func NewShardedSearcher(corpus []string, tau int, opts ...Option) (*ShardedSearcher, error) {
+	return NewSearcher(corpus, tau, opts...)
+}
+
+// buildSearcher indexes corpus, which the searcher keeps, with the build
+// workers cfg resolves to — never more than one per string — and wires the
+// snapshot pool that makes concurrent Search calls race-free.
+func buildSearcher(corpus []string, tau int, cfg config) (*Searcher, error) {
+	workers := max(1, min(cfg.workers(), len(corpus)))
 	inner := cfg.coreOptions(tau)
 	m, err := core.BuildSealedMatcher(tau, inner.Selection, inner.Verification, inner.Stats, corpus, workers)
 	if err != nil {
 		return nil, err
 	}
 	cfg.stats.fill()
-	return newSearcher(m, tau), nil
-}
-
-// newSearcher wraps a sealed matcher, wiring the snapshot pool that makes
-// concurrent Search calls race-free: each in-flight query checks out a
-// snapshot (shared frozen arena, private scratch) and returns it after.
-func newSearcher(m *core.Matcher, tau int) *Searcher {
-	s := &Searcher{m: m, tau: tau}
+	s := &Searcher{m: m, tau: tau, workers: workers}
 	s.pool.New = func() any { return s.m.Snapshot() }
-	return s
+	return s, nil
 }
 
 // Tau returns the searcher's build threshold — the largest threshold a
 // query may ask for.
 func (s *Searcher) Tau() int { return s.tau }
 
-// Clone returns a searcher that shares this one's immutable frozen index
-// but owns its own query scratch state.
-//
-// Deprecated: a Searcher is safe for concurrent use from any number of
-// goroutines — call Search directly instead of cloning per goroutine.
-// Clone remains for compatibility and is equivalent to sharing the
-// original.
-func (s *Searcher) Clone() *Searcher {
-	return newSearcher(s.m.Snapshot(), s.tau)
-}
+// NumShards returns the resolved WithShards value: the number of workers
+// the index was built with.
+func (s *Searcher) NumShards() int { return s.workers }
 
-// Search returns every corpus string within the threshold of q — the
-// build threshold, or any smaller per-query threshold given with QueryTau
-// — sorted by ascending distance (ties by corpus index). Distances are
+// Search returns every corpus string within the threshold of q — the build
+// threshold, or any smaller per-query threshold given with QueryTau —
+// sorted by ascending distance (ties by corpus index). Distances are
 // recovered from the verification pass itself; no separate edit-distance
 // computation runs per hit. Safe for concurrent use.
 func (s *Searcher) Search(q string, opts ...QueryOption) []Match {
@@ -140,17 +150,6 @@ func (s *Searcher) collect(q string, qc queryConfig) []core.Hit {
 func (s *Searcher) acquire() *core.Matcher  { return s.pool.Get().(*core.Matcher) }
 func (s *Searcher) release(m *core.Matcher) { s.pool.Put(m) }
 
-// SearchTopK returns the k closest corpus strings to q among those within
-// the threshold, sorted by ascending distance (ties by corpus index).
-// Fewer than k matches are returned when fewer exist within the threshold;
-// k <= 0 returns nil.
-//
-// Deprecated: use Search(q, QueryTopK(k)), which composes with the other
-// per-query options.
-func (s *Searcher) SearchTopK(q string, k int) []Match {
-	return s.Search(q, QueryTopK(k))
-}
-
 // Len returns the corpus size.
 func (s *Searcher) Len() int { return s.m.Len() }
 
@@ -165,6 +164,19 @@ func (s *Searcher) Get(id int) (string, bool) {
 		return "", false
 	}
 	return s.m.String(id), true
+}
+
+// All iterates over every corpus string as (id, doc) pairs in ascending id
+// order — the static counterpart of DynamicSearcher.All, so the serving
+// layer's document-listing endpoint works over either index kind.
+func (s *Searcher) All() iter.Seq2[int, string] {
+	return func(yield func(int, string) bool) {
+		for id := range s.Len() {
+			if !yield(id, s.At(id)) {
+				return
+			}
+		}
+	}
 }
 
 // matchesFromHits converts engine hits to public matches.

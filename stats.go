@@ -4,13 +4,10 @@ import (
 	"passjoin/internal/metrics"
 )
 
-// Stats reports instrumentation counters from a join run. Attach with
-// WithStats; the struct is overwritten when the join returns.
+// Stats reports instrumentation counters. Attach with WithStats to a join,
+// a Matcher or a searcher build; the struct is overwritten when the call
+// returns. DynamicSearcher.Stats returns one instead.
 type Stats struct {
-	// Engine is the join algorithm that ran: the WithEngine name, or
-	// "passjoin" for the default path and for its alias "auto". Empty
-	// for runs that never reach a join (searcher construction, lookups).
-	Engine string
 	// Strings is the number of input strings scanned.
 	Strings int64
 	// ShortStrings counts strings of length <= tau, which bypass the
@@ -45,13 +42,13 @@ type Stats struct {
 	// (Table 3's metric); IndexEntries is its posting count.
 	IndexBytes   int64
 	IndexEntries int64
-	// FrozenBytes is the exact retained size of the sealed (frozen CSR)
-	// index a Searcher or ShardedSearcher serves from; FrozenEntries is
-	// its posting count. Zero for runs that never seal (joins, Matcher).
+	// FrozenBytes is the exact retained size of the frozen index a Searcher
+	// or a DynamicSearcher's base serves from; FrozenEntries is its posting
+	// count. Zero for runs that never seal (joins, Matcher).
 	FrozenBytes   int64
 	FrozenEntries int64
 	// Dynamic-index counters, populated by DynamicSearcher.Stats and zero
-	// everywhere else: documents in the mutable deltas (live or
+	// everywhere else: documents in the mutable delta (live or
 	// tombstoned), deletes pending compaction, completed and failed
 	// compactions, and the write-ahead-log footprint.
 	DeltaDocs     int64
@@ -62,13 +59,6 @@ type Stats struct {
 	WALRecords    int64
 
 	inner *metrics.Stats
-}
-
-// setEngine records which join algorithm ran; nil-safe like fill.
-func (s *Stats) setEngine(name string) {
-	if s != nil {
-		s.Engine = name
-	}
 }
 
 // reset prepares the internal sink for a fresh run.

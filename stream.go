@@ -9,32 +9,17 @@ import (
 
 var errNilYield = errors.New("passjoin: nil yield callback")
 
-// each is dispatch for the streaming entry points: native streams its
-// pairs through emit as it finds them, while a baseline's materialized
-// pair set is re-delivered through yield on the calling goroutine, in the
-// engine's deterministic (R, S)-sorted order. yield returning false stops
-// either; the re-delivery re-checks ctx periodically so a disconnect
-// during a huge one is also prompt.
-func each(ctx context.Context, tau int, yield func(r, s int) bool, opts []Option, alt altRun,
-	native func(o core.Options, emit func(core.Pair) bool) error) error {
+// each is dispatch for the streaming entry points: run streams its pairs
+// through emit as it finds them, and yield returning false stops it.
+func each(tau int, yield func(r, s int) bool, opts []Option,
+	run func(o core.Options, emit func(core.Pair) bool) error) error {
 	if yield == nil {
 		return errNilYield
 	}
-	pairs, err := dispatch(ctx, tau, opts, alt, func(o core.Options) ([]core.Pair, error) {
-		return nil, native(o, func(p core.Pair) bool { return yield(int(p.R), int(p.S)) })
+	_, err := dispatch(tau, opts, func(o core.Options) ([]core.Pair, error) {
+		return nil, run(o, func(p core.Pair) bool { return yield(int(p.R), int(p.S)) })
 	})
-	if err != nil {
-		return err
-	}
-	for i, p := range pairs {
-		if i%1024 == 1023 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if !yield(int(p.R), int(p.S)) {
-			return nil
-		}
-	}
-	return nil
+	return err
 }
 
 // SelfJoinEach streams self-join results to yield as they are found,
@@ -52,7 +37,7 @@ func each(ctx context.Context, tau int, yield func(r, s int) bool, opts []Option
 // yield is still invoked from the calling goroutine only, so it needs no
 // synchronization in either mode.
 func SelfJoinEach(strs []string, tau int, yield func(r, s int) bool, opts ...Option) error {
-	return each(context.Background(), tau, yield, opts, altSelf(strs, tau),
+	return each(tau, yield, opts,
 		func(o core.Options, emit func(core.Pair) bool) error {
 			if o.Parallel > 1 {
 				return core.SelfJoinStream(context.Background(), strs, o, emit)
@@ -67,7 +52,7 @@ func SelfJoinEach(strs []string, tau int, yield func(r, s int) bool, opts ...Opt
 // length of the rset string by default, n-worker fan-out with arbitrary
 // order under WithParallelism(n > 1), yield always on the calling goroutine.
 func JoinEach(rset, sset []string, tau int, yield func(r, s int) bool, opts ...Option) error {
-	return each(context.Background(), tau, yield, opts, altRS(rset, sset, tau),
+	return each(tau, yield, opts,
 		func(o core.Options, emit func(core.Pair) bool) error {
 			if o.Parallel > 1 {
 				return core.JoinStream(context.Background(), rset, sset, o, emit)
@@ -90,7 +75,7 @@ func JoinEach(rset, sset []string, tau int, yield func(r, s int) bool, opts ...O
 // (they check between batches: every 64 strings' worth of one index
 // lookup, not once per string) and the error is ctx.Err().
 func SelfJoinEachCtx(ctx context.Context, strs []string, tau int, yield func(r, s int) bool, opts ...Option) error {
-	return each(ctx, tau, yield, opts, altSelf(strs, tau),
+	return each(tau, yield, opts,
 		func(o core.Options, emit func(core.Pair) bool) error {
 			return core.SelfJoinStream(ctx, strs, o, emit)
 		})
@@ -100,7 +85,7 @@ func SelfJoinEachCtx(ctx context.Context, strs []string, tau int, yield func(r, 
 // and frozen, then WithParallelism(n) workers stream the rset probes.
 // Cancellation, ordering and early-stop semantics match SelfJoinEachCtx.
 func JoinEachCtx(ctx context.Context, rset, sset []string, tau int, yield func(r, s int) bool, opts ...Option) error {
-	return each(ctx, tau, yield, opts, altRS(rset, sset, tau),
+	return each(tau, yield, opts,
 		func(o core.Options, emit func(core.Pair) bool) error {
 			return core.JoinStream(ctx, rset, sset, o, emit)
 		})

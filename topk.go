@@ -1,20 +1,29 @@
 package passjoin
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"passjoin/internal/core"
 )
 
-// matchLess is the result order shared by Search and SearchTopK: ascending
-// distance, ties by corpus index.
+// matchLess is the result order of Search, with or without QueryTopK:
+// ascending distance, ties by corpus index.
 func matchLess(a, b Match) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
 	}
 	return a.ID < b.ID
+}
+
+// sortMatches puts out in matchLess order.
+func sortMatches(out []Match) {
+	slices.SortFunc(out, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+	})
 }
 
 // matchMaxHeap is a max-heap on matchLess order — the root is the worst

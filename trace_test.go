@@ -23,16 +23,16 @@ type traceIdx struct {
 	shards int
 }
 
-// searchers builds one of each public searcher kind over the same corpus,
-// so trace behavior is asserted across the whole fan-out spectrum
-// (sequential, parallel sharded, dynamic base+delta).
+// traceSearchers builds a Searcher on one build worker and on four and a
+// dynamic searcher over the same corpus, so trace behavior is asserted on
+// every index kind (frozen, dynamic base+delta) whatever built it.
 func traceSearchers(t *testing.T, corpus []string) map[string]traceIdx {
 	t.Helper()
-	single, err := NewSearcher(corpus, 2)
+	single, err := NewSearcher(corpus, 2, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedSearcher(corpus, 2, WithShards(4))
+	sharded, err := NewSearcher(corpus, 2, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestQueryTraceAcrossSearchers(t *testing.T) {
 
 func TestQueryTraceSeq(t *testing.T) {
 	corpus := traceCorpus(t)
-	s, err := NewShardedSearcher(corpus, 2, WithShards(2))
+	s, err := NewSearcher(corpus, 2, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
