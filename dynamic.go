@@ -22,9 +22,9 @@ import (
 // global ids from a monotone counter. Like the static searchers, the index
 // is not partitioned by id: it is one two-tier dynamic index
 // (internal/dynamic) — a frozen CSR base swapped atomically by a
-// background compactor, a small mutable delta receiving writes, and a
-// tombstone set hiding deleted documents until the next compaction folds
-// them out — whose base is built by WithShards workers.
+// background compactor, a small mutable delta receiving writes, and one
+// tombstone bit per row hiding deleted documents until the next compaction
+// folds them out — whose base is built by WithShards workers.
 //
 // A DynamicSearcher opened with OpenDynamicSearcher is durable: every
 // mutation is appended to a write-ahead log before it becomes visible,
@@ -256,7 +256,9 @@ type Mutation struct {
 // follower promoted to accept writes never re-issues a replicated id.
 // Applied mutations are WAL-logged (when durable), observed by the
 // mutation hook, and trigger background compaction exactly like local
-// writes. It reports whether the mutation changed the index.
+// writes. An id outside [0, 2^62-1] is refused with an error wrapping
+// strconv.ErrRange, before anything is logged. It reports whether the
+// mutation changed the index.
 func (ds *DynamicSearcher) Apply(m Mutation) (bool, error) {
 	return ds.tier.Apply(dynamic.Op{Del: m.Del, ID: int64(m.ID), Doc: m.Doc})
 }

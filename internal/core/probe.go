@@ -282,8 +282,9 @@ func (p *prober) countSlots(upTo int64) {
 }
 
 // probeMap is the probe loop over the map index of an unsealed Matcher,
-// one lookup at a time (ROADMAP item 2 deletes the map index and this). It
-// is not hot enough to guard its trace calls: a nil trace records nothing.
+// one lookup at a time. The map index stays as the index of a dynamic
+// tier's delta, which takes inserts one by one. The loop is not hot enough
+// to guard its trace calls: a nil trace records nothing.
 func (p *prober) probeMap(s string, lmin, lmax int) {
 	tr := p.trace
 	p.selected, p.counted = 0, 0

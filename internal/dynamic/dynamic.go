@@ -7,22 +7,27 @@
 // id):
 //
 //   - The base is a sealed core.Matcher — the frozen CSR index every
-//     static searcher serves from — held behind an atomic.Pointer so the
-//     compactor can swap in a rebuilt base without readers ever observing
-//     a half-built index.
+//     static searcher serves from — with the global id of each row in
+//     ascending order, held behind an atomic.Pointer so the compactor can
+//     swap in a rebuilt base without readers ever observing a half-built
+//     index. A base document is found by binary search over those ids.
 //   - The delta is a small mutable map-based core.Matcher receiving every
-//     insert. Queries fan out over base + delta and merge.
-//   - Deletes are tombstones: a set of dead global ids filtered out of
-//     both tiers' results. The documents are physically dropped at the
-//     next compaction.
+//     insert, with a map from global id to delta row (at most the
+//     compaction threshold entries). Queries fan out over base + delta
+//     and merge.
+//   - Deletes are tombstones: one bit per dead row, in a bitset over base
+//     rows and one over delta rows, tested per hit. The documents are
+//     physically dropped at the next compaction.
 //   - The compactor re-freezes base+delta into a fresh arena once the
-//     delta crosses a size threshold. The heavy rebuild (and the base
-//     snapshot write, in durable mode) runs outside any lock, so queries
-//     proceed against the old view for the whole build; the final swap
-//     takes the write lock for the pointer store, the delta-tail rebuild
-//     and — in durable mode — one small WAL rewrite (tail records +
-//     fsync + rename), so writers and readers see a brief pause bounded
-//     by the tail size, not the corpus size.
+//     delta and the dead base rows cross a size threshold. The heavy
+//     rebuild (and the base snapshot write, in durable mode) runs outside
+//     any lock, against copies of the two bitsets taken at the cut, so
+//     queries proceed against the old view for the whole build. The swap
+//     takes the write lock for the pointer store, the delta-tail rebuild,
+//     one scan of the base bitset's words (n/64 for n base rows) that
+//     moves each delete that raced the rebuild onto the new base by binary
+//     search, and — in durable mode — one small WAL rewrite (the tail's
+//     records, fsync, rename). No step of it touches every document.
 //
 // Durability is a write-ahead log (wal.go) appended before every mutation
 // plus a base snapshot (snapshot.go) rewritten at each compaction; restart
@@ -41,8 +46,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/bits"
 	"os"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,15 +114,13 @@ type Hit struct {
 	Dist int
 }
 
-// entry locates a live or tombstoned document in the current view.
-type entry struct {
-	pos   int32
-	delta bool
-}
+// maxDocID is the largest global id a tier accepts: the WAL and the base
+// snapshot bound a gid, and the snapshot's nextID hint, by 2^62.
+const maxDocID = 1<<62 - 1
 
 // baseTier is one immutable generation of the frozen base: a sealed
-// matcher, the global id of each of its rows, and a pool of query
-// snapshots (shared arena, private scratch).
+// matcher, the global id of each of its rows (strictly ascending), and a
+// pool of query snapshots (shared arena, private scratch).
 type baseTier struct {
 	m    *core.Matcher
 	ids  []int64
@@ -135,9 +141,10 @@ type Tier struct {
 	mu        sync.RWMutex
 	delta     *core.Matcher
 	deltaIDs  []int64
-	byID      map[int64]entry
-	tombs     map[int64]struct{}
-	baseTombs int // tombstones of base documents, counted toward the threshold
+	byID      map[int64]int32 // delta row of each delta document
+	deadBase  bitset          // tombstoned base rows
+	deadDelta bitset          // tombstoned delta rows
+	baseTombs int             // bits set in deadBase, counted toward the threshold
 	live      int
 	maxID     int64 // largest gid ever observed (the id allocator); -1 when none
 	wal       *WAL
@@ -151,6 +158,23 @@ type Tier struct {
 	compactErrors atomic.Int64 // failed compactions (background and synchronous)
 
 	logger *slog.Logger // never nil; discards when unconfigured
+
+	beforeSwap func() // test hook: runs between a compaction's rebuild and its swap
+}
+
+// bitset is a set of row positions, grown on demand.
+type bitset []uint64
+
+func (s bitset) has(i int) bool {
+	w := i >> 6
+	return w < len(s) && s[w]&(1<<(i&63)) != 0
+}
+
+func (s *bitset) set(i int) {
+	for len(*s) <= i>>6 {
+		*s = append(*s, 0)
+	}
+	(*s)[i>>6] |= 1 << (i & 63)
 }
 
 // Stats is a point-in-time summary of a tier's shape.
@@ -158,7 +182,7 @@ type Stats struct {
 	Live          int   // documents visible to queries
 	BaseDocs      int   // rows in the frozen base (including tombstoned)
 	DeltaDocs     int   // rows in the mutable delta (including tombstoned)
-	Tombstones    int   // pending deletes
+	Tombstones    int   // tombstoned rows of base and delta: deletes pending compaction
 	Compactions   int64 // completed compactions
 	CompactErrors int64 // failed compactions (background and synchronous)
 	WALBytes      int64 // current WAL size (0 without durability)
@@ -183,8 +207,7 @@ func Open(cfg Config) (*Tier, error) {
 	}
 	t := &Tier{
 		cfg:    cfg,
-		byID:   make(map[int64]entry),
-		tombs:  make(map[int64]struct{}),
+		byID:   make(map[int64]int32),
 		maxID:  -1,
 		logger: cfg.Logger,
 	}
@@ -195,11 +218,15 @@ func Open(cfg Config) (*Tier, error) {
 	if t.delta, err = core.NewMatcher(cfg.Tau, cfg.Selection, cfg.Verification, nil); err != nil {
 		return nil, err
 	}
-	if cfg.SnapPath != "" {
-		if err := t.loadSnapshot(cfg.SnapPath); err != nil {
-			return nil, err
-		}
+	gids, corpus, nextID, err := t.readSnapshot(cfg.SnapPath)
+	if err != nil {
+		return nil, err
 	}
+	m, err := t.buildSealed(corpus)
+	if err != nil {
+		return nil, err
+	}
+	t.setBase(m, gids, nextID-1) // readBaseSnapshot holds every gid below the hint
 	if cfg.WALPath != "" {
 		if t.wal, err = t.replayWAL(cfg.WALPath, cfg.Fsync); err != nil {
 			return nil, err
@@ -230,10 +257,13 @@ func (t *Tier) replayWAL(path string, fsync bool) (*WAL, error) {
 	return wal, nil
 }
 
-// readSnapshot reads the base snapshot at path; a missing file is an error
-// satisfying os.IsNotExist.
+// readSnapshot reads the base snapshot at path. No path, or no file there,
+// reads as an empty base that has observed no id.
 func (t *Tier) readSnapshot(path string) (gids []int64, corpus []string, nextID int64, err error) {
 	f, err := os.Open(path)
+	if path == "" || os.IsNotExist(err) {
+		return nil, nil, 0, nil
+	}
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -245,29 +275,10 @@ func (t *Tier) readSnapshot(path string) (gids []int64, corpus []string, nextID 
 	return gids, corpus, nextID, err
 }
 
-func (t *Tier) loadSnapshot(path string) error {
-	gids, corpus, nextID, err := t.readSnapshot(path)
-	if os.IsNotExist(err) {
-		return nil // fresh directory: empty base
-	}
-	if err != nil {
-		return err
-	}
-	m, err := t.buildSealed(corpus)
-	if err != nil {
-		return err
-	}
-	t.setBase(m, gids, nextID-1) // readBaseSnapshot holds every gid below the hint
-	return nil
-}
-
-// setBase installs m, whose rows hold gids, as the base of an empty tier
-// that has observed ids up to maxID.
+// setBase installs m, whose rows hold gids, as the base of a tier with no
+// other document, and raises the id allocator to maxID.
 func (t *Tier) setBase(m *core.Matcher, gids []int64, maxID int64) {
 	t.base.Store(newBaseTier(m, gids))
-	for i, gid := range gids {
-		t.byID[gid] = entry{pos: int32(i)}
-	}
 	t.maxID = max(t.maxID, maxID)
 	t.live = len(gids)
 }
@@ -281,7 +292,7 @@ func (t *Tier) setBase(m *core.Matcher, gids []int64, maxID int64) {
 // by id; the folded documents are durable only after the next Compact.
 func (t *Tier) Absorb(snapPath, walPath string) error {
 	gids, docs, nextID, err := t.readSnapshot(snapPath)
-	if err != nil && !os.IsNotExist(err) {
+	if err != nil {
 		return err
 	}
 	t.apply(&Op{Watermark: true, ID: nextID - 1}, false)
@@ -309,8 +320,8 @@ func (t *Tier) Bootstrap(gids []int64, docs []string) error {
 	if t.closed {
 		return errors.New("dynamic: tier is closed")
 	}
-	if t.base.Load() != nil || t.delta.Len() > 0 || len(t.tombs) > 0 {
-		return errors.New("dynamic: Bootstrap on a non-empty tier")
+	if t.maxID >= 0 {
+		return errors.New("dynamic: Bootstrap on a tier that has seen documents")
 	}
 	m, err := t.buildSealed(docs)
 	if err != nil {
@@ -338,9 +349,9 @@ func (t *Tier) buildSealed(docs []string) (*core.Matcher, error) {
 }
 
 // Insert adds doc under the next global id — one past the largest the tier
-// has observed, allocated under the write lock — and returns that id. With
-// durability the operation is appended to the WAL before it becomes
-// visible.
+// has observed, allocated under the write lock — and returns that id; it
+// fails once that id would pass the id space. With durability the
+// operation is appended to the WAL before it becomes visible.
 func (t *Tier) Insert(doc string) (int64, error) {
 	op := Op{ID: -1, Doc: doc}
 	_, err := t.apply(&op, true)
@@ -375,11 +386,14 @@ func (t *Tier) apply(op *Op, live bool) (bool, error) {
 		return false, nil
 	}
 	if !op.Del && op.ID < 0 {
+		if t.maxID >= maxDocID {
+			return false, errors.New("dynamic: document id space exhausted")
+		}
 		op.ID = t.maxID + 1
 	}
-	e, known := t.byID[op.ID]
+	pos, dead, known := t.locate(op.ID)
 	if op.Del {
-		if _, dead := t.tombs[op.ID]; !known || dead {
+		if !known || dead.has(pos) {
 			return false, nil
 		}
 	} else if known {
@@ -391,15 +405,15 @@ func (t *Tier) apply(op *Op, live bool) (bool, error) {
 		}
 	}
 	if op.Del {
-		t.tombs[op.ID] = struct{}{}
-		if !e.delta {
+		dead.set(pos)
+		if dead == &t.deadBase {
 			t.baseTombs++
 		}
 		t.live--
 	} else {
 		t.delta.InsertSilent(op.Doc)
+		t.byID[op.ID] = int32(len(t.deltaIDs))
 		t.deltaIDs = append(t.deltaIDs, op.ID)
-		t.byID[op.ID] = entry{pos: int32(len(t.deltaIDs) - 1), delta: true}
 		t.maxID = max(t.maxID, op.ID)
 		t.live++
 	}
@@ -408,6 +422,18 @@ func (t *Tier) apply(op *Op, live bool) (bool, error) {
 		t.cfg.OnApply(*op)
 	}
 	return true, nil
+}
+
+// locate finds gid in the current view, tombstoned or not: its row and the
+// bitset holding that row's tombstone, &t.deadBase for a row of the base
+// and &t.deadDelta for one of the delta. A gid is in at most one of them,
+// since an add of a known id is skipped. The caller holds t.mu.
+func (t *Tier) locate(gid int64) (pos int, dead *bitset, ok bool) {
+	if i, found := slices.BinarySearch(t.base.Load().ids, gid); found {
+		return i, &t.deadBase, true
+	}
+	i, ok := t.byID[gid]
+	return int(i), &t.deadDelta, ok
 }
 
 // maybeCompact kicks off one background compaction when trigger is set and
@@ -438,14 +464,15 @@ func (t *Tier) maybeCompact(trigger bool) {
 // already-applied prefix of a replication stream is harmless). Applied
 // operations are WAL-logged, observed by OnApply, and trigger background
 // compaction exactly like local mutations; an applied add raises the id
-// allocator past its id. It reports whether the operation changed the
+// allocator past its id. An id outside [0, 2^62-1] is refused with an error
+// wrapping strconv.ErrRange. It reports whether the operation changed the
 // tier.
 func (t *Tier) Apply(op Op) (bool, error) {
 	if op.Watermark {
 		return false, fmt.Errorf("dynamic: watermark ops are not replicable")
 	}
-	if op.ID < 0 {
-		return false, fmt.Errorf("dynamic: negative document id %d", op.ID)
+	if op.ID < 0 || op.ID > maxDocID {
+		return false, fmt.Errorf("dynamic: document id %d outside [0, %d]: %w", op.ID, int64(maxDocID), strconv.ErrRange)
 	}
 	return t.apply(&op, true)
 }
@@ -465,16 +492,15 @@ func (t *Tier) Live() ([]int64, []string) {
 	defer t.mu.RUnlock()
 	gids := make([]int64, 0, t.live)
 	docs := make([]string, 0, t.live)
-	if b := t.base.Load(); b != nil {
-		for i, gid := range b.ids {
-			if _, dead := t.tombs[gid]; !dead {
-				gids = append(gids, gid)
-				docs = append(docs, b.m.String(i))
-			}
+	b := t.base.Load()
+	for i, gid := range b.ids {
+		if !t.deadBase.has(i) {
+			gids = append(gids, gid)
+			docs = append(docs, b.m.String(i))
 		}
 	}
 	for i, gid := range t.deltaIDs {
-		if _, dead := t.tombs[gid]; !dead {
+		if !t.deadDelta.has(i) {
 			gids = append(gids, gid)
 			docs = append(docs, t.delta.String(i))
 		}
@@ -500,23 +526,20 @@ func (t *Tier) SearchOpt(q string, o core.QueryOpts) []Hit {
 	// Base and delta probe sequentially on this goroutine, so they can
 	// share the caller's trace directly.
 	probe := core.QueryOpts{Tau: o.Tau, Trace: o.Trace}
-	if b := t.base.Load(); b != nil {
-		m := b.pool.Get().(*core.Matcher)
-		m.QuerySeq(q, probe, func(h core.Hit) bool {
-			gid := b.ids[h.ID]
-			if _, dead := t.tombs[gid]; !dead {
-				out = append(out, Hit{ID: gid, Dist: int(h.Dist)})
-			}
-			return !full()
-		})
-		b.pool.Put(m)
-	}
+	b := t.base.Load()
+	m := b.pool.Get().(*core.Matcher)
+	m.QuerySeq(q, probe, func(h core.Hit) bool {
+		if !t.deadBase.has(int(h.ID)) {
+			out = append(out, Hit{ID: b.ids[h.ID], Dist: int(h.Dist)})
+		}
+		return !full()
+	})
+	b.pool.Put(m)
 	if !full() && t.delta.Len() > 0 {
 		snap := t.delta.Snapshot()
 		snap.QuerySeq(q, probe, func(h core.Hit) bool {
-			gid := t.deltaIDs[h.ID]
-			if _, dead := t.tombs[gid]; !dead {
-				out = append(out, Hit{ID: gid, Dist: int(h.Dist)})
+			if !t.deadDelta.has(int(h.ID)) {
+				out = append(out, Hit{ID: t.deltaIDs[h.ID], Dist: int(h.Dist)})
 			}
 			return !full()
 		})
@@ -528,17 +551,14 @@ func (t *Tier) SearchOpt(q string, o core.QueryOpts) []Hit {
 func (t *Tier) Get(gid int64) (string, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	e, ok := t.byID[gid]
-	if !ok {
+	pos, dead, ok := t.locate(gid)
+	switch {
+	case !ok || dead.has(pos):
 		return "", false
+	case dead == &t.deadDelta:
+		return t.delta.String(pos), true
 	}
-	if _, dead := t.tombs[gid]; dead {
-		return "", false
-	}
-	if e.delta {
-		return t.delta.String(int(e.pos)), true
-	}
-	return t.base.Load().m.String(int(e.pos)), true
+	return t.base.Load().m.String(pos), true
 }
 
 // Len returns the number of live documents.
@@ -567,11 +587,11 @@ func (t *Tier) Err() error {
 // swaps it in. The rebuild runs without holding the tier lock — queries
 // and mutations proceed against the old view throughout — and the final
 // swap takes the write lock for the pointer store, the delta-tail
-// rebuild, and (durable mode) the WAL tail rewrite; that pause is
-// proportional to the mutations that raced the rebuild, not to the
-// corpus. Mutations that land during the rebuild stay in the new (small)
-// delta. With durability the new base snapshot is written before the
-// swap, outside the lock.
+// rebuild, one word scan of the base tombstone bits, and (durable mode)
+// the WAL tail rewrite; apart from that scan (n/64 words), the pause is
+// proportional to the mutations that raced the rebuild. Mutations that
+// land during the rebuild stay in the new (small) delta. With durability
+// the new base snapshot is written before the swap, outside the lock.
 func (t *Tier) Compact() error {
 	if err := t.compact(); err != nil {
 		t.compactErrors.Add(1)
@@ -586,48 +606,41 @@ func (t *Tier) compact() error {
 	start := time.Now()
 
 	// Capture a consistent cut: the current base generation, the delta
-	// prefix, and the tombstones accumulated so far.
+	// prefix, and the tombstone bits set so far.
 	t.mu.RLock()
 	if t.closed {
 		t.mu.RUnlock()
 		return errors.New("dynamic: tier is closed")
 	}
 	oldBase := t.base.Load()
+	oldIDs := oldBase.ids
 	cutLen := t.delta.Len()
-	cutIDs := append([]int64(nil), t.deltaIDs[:cutLen]...)
-	// The corpus prefix is append-only, so this cut stays valid while
-	// concurrent inserts extend the delta behind it — no copying needed.
+	// The delta's ids and corpus are append-only, so these prefixes stay
+	// valid while concurrent inserts extend the delta behind them — no
+	// copying needed.
+	cutIDs := t.deltaIDs[:cutLen]
 	cutDocs := t.delta.Corpus()[:cutLen]
-	cutTombs := make(map[int64]struct{}, len(t.tombs))
-	for gid := range t.tombs {
-		cutTombs[gid] = struct{}{}
-	}
+	cutDeadBase, cutDeadDelta := slices.Clone(t.deadBase), slices.Clone(t.deadDelta)
+	tombs := len(oldIDs) + cutLen - t.live
 	maxID := t.maxID
 	t.mu.RUnlock()
 
-	baseN := 0
-	if oldBase != nil {
-		baseN = len(oldBase.ids)
-	}
 	t.logger.Info("compaction started",
-		"base_docs", baseN,
+		"base_docs", len(oldIDs),
 		"delta_docs", cutLen,
-		"tombstones", len(cutTombs))
+		"tombstones", tombs)
 
 	// Rebuild the base from the survivors, outside any lock.
 	var survivors []string
 	var gids []int64
-	if oldBase != nil {
-		baseDocs := oldBase.m.Corpus()
-		for i, gid := range oldBase.ids {
-			if _, dead := cutTombs[gid]; !dead {
-				survivors = append(survivors, baseDocs[i])
-				gids = append(gids, gid)
-			}
+	for i, gid := range oldIDs {
+		if !cutDeadBase.has(i) {
+			survivors = append(survivors, oldBase.m.String(i))
+			gids = append(gids, gid)
 		}
 	}
 	for i, gid := range cutIDs {
-		if _, dead := cutTombs[gid]; !dead {
+		if !cutDeadDelta.has(i) {
 			survivors = append(survivors, cutDocs[i])
 			gids = append(gids, gid)
 		}
@@ -637,19 +650,8 @@ func (t *Tier) compact() error {
 	// range or out of order within the delta. The frozen base and the PJDT
 	// snapshot both require ascending gids, so restore the invariant here
 	// rather than constraining every caller.
-	if !sort.SliceIsSorted(gids, func(a, b int) bool { return gids[a] < gids[b] }) {
-		ord := make([]int, len(gids))
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.Slice(ord, func(a, b int) bool { return gids[ord[a]] < gids[ord[b]] })
-		sortedGids := make([]int64, len(gids))
-		sortedDocs := make([]string, len(survivors))
-		for i, j := range ord {
-			sortedGids[i] = gids[j]
-			sortedDocs[i] = survivors[j]
-		}
-		gids, survivors = sortedGids, sortedDocs
+	if !slices.IsSorted(gids) {
+		sort.Sort(byGID{gids, survivors})
 	}
 	m, err := t.buildSealed(survivors)
 	if err != nil {
@@ -660,6 +662,9 @@ func (t *Tier) compact() error {
 		if err := writeBaseSnapshot(t.cfg.SnapPath, t.cfg.Tau, maxID+1, gids, survivors); err != nil {
 			return err
 		}
+	}
+	if t.beforeSwap != nil {
+		t.beforeSwap()
 	}
 
 	// Swap. Everything the cut captured is now in the new base (or was a
@@ -679,6 +684,7 @@ func (t *Tier) compact() error {
 		return err
 	}
 	var newIDs []int64
+	newByID := make(map[int64]int32)
 	var tailOps []Op
 	// The watermark record pins the id allocator: the snapshot's nextID
 	// hint was taken at the cut, and a document inserted and deleted
@@ -687,53 +693,54 @@ func (t *Tier) compact() error {
 	if t.maxID >= 0 {
 		tailOps = append(tailOps, Op{Watermark: true, ID: t.maxID})
 	}
-	appliedTail := make(map[int64]struct{})
 	for j := cutLen; j < t.delta.Len(); j++ {
-		gid := t.deltaIDs[j]
-		doc := t.delta.String(j)
-		if _, dead := t.tombs[gid]; dead {
+		if t.deadDelta.has(j) {
 			// Inserted and deleted while the rebuild ran: the document
 			// exists nowhere else, so the tombstone is fully applied.
-			appliedTail[gid] = struct{}{}
 			continue
 		}
+		gid, doc := t.deltaIDs[j], t.delta.String(j)
 		newDelta.InsertSilent(doc)
+		newByID[gid] = int32(len(newIDs))
 		newIDs = append(newIDs, gid)
 		tailOps = append(tailOps, Op{ID: gid, Doc: doc})
 	}
-	// Deletes that raced the rebuild target documents now in the new
-	// base; they stay tombstones and must survive a restart.
-	for gid := range t.tombs {
-		if _, cut := cutTombs[gid]; cut {
-			continue
+	// Deletes that raced the rebuild target documents now in the new base:
+	// each bit set since the cut on a row the cut covered (a row of ids)
+	// moves to the new row of the same gid, and its delete must survive a
+	// restart.
+	var deadBase bitset
+	moved := 0
+	carry := func(now, cut bitset, ids []int64) {
+		for w, word := range now {
+			if w < len(cut) {
+				word &^= cut[w]
+			}
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				if i >= len(ids) {
+					return
+				}
+				p, _ := slices.BinarySearch(gids, ids[i])
+				deadBase.set(p)
+				moved++
+				tailOps = append(tailOps, Op{Del: true, ID: ids[i]})
+			}
 		}
-		if _, applied := appliedTail[gid]; applied {
-			continue
-		}
-		tailOps = append(tailOps, Op{Del: true, ID: gid})
 	}
+	carry(t.deadBase, cutDeadBase, oldIDs)
+	carry(t.deadDelta, cutDeadDelta, cutIDs)
 	if t.wal != nil {
 		if err := t.wal.Rewrite(tailOps); err != nil {
 			return err
 		}
 	}
-	for gid := range cutTombs {
-		delete(t.tombs, gid)
-	}
-	for gid := range appliedTail {
-		delete(t.tombs, gid)
-	}
-	t.baseTombs = len(t.tombs) // the raced deletes left all target the new base
 	t.base.Store(nb)
 	t.delta = newDelta
 	t.deltaIDs = newIDs
-	t.byID = make(map[int64]entry, len(gids)+len(newIDs))
-	for i, gid := range gids {
-		t.byID[gid] = entry{pos: int32(i)}
-	}
-	for i, gid := range newIDs {
-		t.byID[gid] = entry{pos: int32(i), delta: true}
-	}
+	t.byID = newByID
+	t.deadBase, t.deadDelta = deadBase, nil
+	t.baseTombs = moved
 	t.compactions.Add(1)
 	t.logger.Info("compaction finished",
 		"duration", time.Since(start),
@@ -743,6 +750,19 @@ func (t *Tier) compact() error {
 	return nil
 }
 
+// byGID sorts a compaction's survivors, in place, by gid.
+type byGID struct {
+	gids []int64
+	docs []string
+}
+
+func (s byGID) Len() int           { return len(s.gids) }
+func (s byGID) Less(i, j int) bool { return s.gids[i] < s.gids[j] }
+func (s byGID) Swap(i, j int) {
+	s.gids[i], s.gids[j] = s.gids[j], s.gids[i]
+	s.docs[i], s.docs[j] = s.docs[j], s.docs[i]
+}
+
 // Stats returns a point-in-time summary.
 func (t *Tier) Stats() Stats {
 	t.mu.RLock()
@@ -750,15 +770,14 @@ func (t *Tier) Stats() Stats {
 	st := Stats{
 		Live:          t.live,
 		DeltaDocs:     t.delta.Len(),
-		Tombstones:    len(t.tombs),
 		Compactions:   t.compactions.Load(),
 		CompactErrors: t.compactErrors.Load(),
 	}
-	if b := t.base.Load(); b != nil {
-		st.BaseDocs = len(b.ids)
-		fz := b.m.FrozenIndex() // a base is a sealed matcher (buildSealed)
-		st.FrozenBytes, st.FrozenEntries = fz.Bytes(), fz.Entries()
-	}
+	b := t.base.Load()
+	st.BaseDocs = len(b.ids)
+	fz := b.m.FrozenIndex() // a base is a sealed matcher (buildSealed)
+	st.FrozenBytes, st.FrozenEntries = fz.Bytes(), fz.Entries()
+	st.Tombstones = st.BaseDocs + st.DeltaDocs - st.Live
 	if t.wal != nil {
 		st.WALBytes = t.wal.Bytes()
 		st.WALRecords = t.wal.Records()

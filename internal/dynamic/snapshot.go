@@ -106,26 +106,19 @@ func readBaseSnapshot(r io.Reader) (gids []int64, corpus []string, tau int, next
 	if err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("dynamic: reading base count: %w", err)
 	}
-	prealloc := count
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
-	}
-	gids = make([]int64, 0, prealloc)
+	gids = make([]int64, 0, min(count, 1<<20))
 	prev := int64(-1)
 	for i := uint64(0); i < count; i++ {
 		d, derr := binary.ReadUvarint(byteReader)
 		if derr != nil {
 			return nil, nil, 0, 0, fmt.Errorf("dynamic: reading gid %d: %w", i, derr)
 		}
-		if d > 1<<62 {
+		// Every gid lies below the hint: prev+1+d < next64, with no overflow.
+		if d >= next64-uint64(prev+1) {
 			return nil, nil, 0, 0, fmt.Errorf("dynamic: gid %d out of range", i)
 		}
-		gid := prev + 1 + int64(d)
-		if gid < 0 || int64(next64) <= gid {
-			return nil, nil, 0, 0, fmt.Errorf("dynamic: gid %d out of range", i)
-		}
-		gids = append(gids, gid)
-		prev = gid
+		prev += 1 + int64(d)
+		gids = append(gids, prev)
 	}
 	sum := crc.Sum32()
 	var footer [4]byte

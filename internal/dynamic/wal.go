@@ -93,15 +93,12 @@ func OpenWAL(path string, fsync bool) (*WAL, []Op, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	var truncated error
-	if errors.Is(err, ErrWALCorrupt) {
-		truncated = err
-	}
-	if err := f.Truncate(good); err != nil {
+	if terr := f.Truncate(good); terr != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, nil, terr
 	}
-	return &WAL{f: f, path: path, bytes: good, records: int64(len(ops)), fsync: fsync, Truncated: truncated}, ops, nil
+	// err is nil or the ErrWALCorrupt of a torn tail.
+	return &WAL{f: f, path: path, bytes: good, records: int64(len(ops)), fsync: fsync, Truncated: err}, ops, nil
 }
 
 // ErrWALCorrupt marks a log whose tail could not be parsed; everything
@@ -184,8 +181,6 @@ func decodeOp(payload []byte) (Op, error) {
 func EncodeRecord(op Op) []byte { return encodeOp(op) }
 
 func encodeOp(op Op) []byte {
-	var gidBuf [binary.MaxVarintLen64]byte
-	g := binary.PutUvarint(gidBuf[:], uint64(op.ID))
 	kind := byte(walOpAdd)
 	doc := op.Doc
 	switch {
@@ -196,15 +191,11 @@ func encodeOp(op Op) []byte {
 		kind = walOpWatermark
 		doc = ""
 	}
-	payload := make([]byte, 0, 1+g+len(doc))
-	payload = append(payload, kind)
-	payload = append(payload, gidBuf[:g]...)
-	payload = append(payload, doc...)
-
-	rec := make([]byte, 8+len(payload))
+	rec := make([]byte, 8, 8+1+binary.MaxVarintLen64+len(doc))
+	rec = append(binary.AppendUvarint(append(rec, kind), uint64(op.ID)), doc...)
+	payload := rec[8:]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	copy(rec[8:], payload)
 	return rec
 }
 
@@ -296,14 +287,6 @@ func (w *WAL) Rewrite(ops []Op) error {
 	w.bytes = total
 	w.records = int64(len(ops))
 	return nil
-}
-
-// Sync flushes appended records to stable storage.
-func (w *WAL) Sync() error {
-	if w.failed != nil {
-		return fmt.Errorf("dynamic: WAL unusable after earlier failure: %w", w.failed)
-	}
-	return w.f.Sync()
 }
 
 // Bytes returns the current log size; Records the current record count.

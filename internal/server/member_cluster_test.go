@@ -57,6 +57,25 @@ func TestExplicitIDInsert(t *testing.T) {
 	}
 }
 
+// TestExplicitIDBound pins the edge of the id space over HTTP: 2^62-1 is
+// accepted, 2^62 answers 400 and is not stored.
+func TestExplicitIDBound(t *testing.T) {
+	_, ts := newDynamicTestServer(t, testCorpus(t, 10), 2, 2, Config{})
+	edge, over := 1<<62-1, 1<<62
+	var resp DocResponse
+	if code := postJSON(t, ts.URL+"/v1/docs", DocRequest{ID: &edge, Doc: strPtr("edge")}, &resp); code != http.StatusCreated || resp.ID != edge {
+		t.Fatalf("id 2^62-1: status %d, %+v", code, resp)
+	}
+	var e errorResponse
+	if code := postJSON(t, ts.URL+"/v1/docs", DocRequest{ID: &over, Doc: strPtr("over")}, &e); code != http.StatusBadRequest {
+		t.Fatalf("id 2^62: status %d, want 400", code)
+	}
+	var st StatsResponse
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK || st.Strings != 11 {
+		t.Fatalf("stats after the bound: %d, %d strings, want 11", code, st.Strings)
+	}
+}
+
 // TestListDocs checks the NDJSON document listing on both index kinds:
 // every live document exactly once, ids intact.
 func TestListDocs(t *testing.T) {

@@ -628,11 +628,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "this index does not accept explicit-id inserts")
 			return
 		}
-		if *req.ID < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid document id %d", *req.ID))
+		applied, err := ap.Apply(passjoin.Mutation{ID: *req.ID, Doc: *req.Doc})
+		if errors.Is(err, strconv.ErrRange) {
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		applied, err := ap.Apply(passjoin.Mutation{ID: *req.ID, Doc: *req.Doc})
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
