@@ -15,8 +15,9 @@ import (
 // rset are scanned in (length, content) order and probe indexed lengths in
 // [|r|−τ, |r|+τ]. Indexing is incremental: an sset length group is built
 // once the scan reaches probes long enough to see it, and groups below the
-// scan window are released, so at most (τ+1)·(2τ+1) inverted indices are
-// live. opt.Parallel > 1 indexes all of sset once and probes it from that
+// scan window are released, their tables going to the groups built after
+// them (index.Window), so at most (τ+1)·(2τ+1) inverted indices are live.
+// opt.Parallel > 1 indexes all of sset once and probes it from that
 // many workers (JoinStream) instead, with the same results.
 func Join(rset, sset []string, opt Options) ([]Pair, error) {
 	return collect(func(emit func(Pair) bool) error {

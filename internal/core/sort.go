@@ -38,10 +38,13 @@ const packChunk = 64 << 10
 // offsets (index.LengthOffsets): the strings of length l are
 // ref[off[l]:off[l+1]].
 //
-// A counting sort by length fills the records; then every length group is
-// one task (sortGroup), handed largest first to workers goroutines
-// (tasks.LargestFirst), which share nothing but the arrays they fill
-// disjoint ranges of. With pack, the group's strings are copied, in order,
+// A counting sort by length fills orig with the positions of each length's
+// strings, ascending; then every length group is one task, handed largest
+// first to workers goroutines (tasks.LargestFirst), which share nothing but
+// the arrays they fill disjoint ranges of. A worker makes the records of
+// its group in a buffer of its own, sized for the first and largest group
+// it claims, sorts them (sortGroup) and writes the positions back to the
+// group's range of orig. With pack, the group's strings are copied, in order,
 // into one block of their own — ref's headers point into the blocks, none at
 // a caller's string, so the scan, the index build and every verification
 // read a length's bytes from one contiguous range — and signed (verify.Sigs)
@@ -58,18 +61,17 @@ func sortRecsBy(strs []string, workers int, pack bool, sortGroup func(strs []str
 		return nil, nil, nil, nil, fmt.Errorf("core: set of %d strings exceeds the %d a pair's index can name", len(strs), math.MaxInt32)
 	}
 	off := index.LengthOffsets(strs)
-	recs := make([]rec, len(strs))
+	orig := make([]int32, len(strs))
 	next := slices.Clone(off)
 	groups := 0 // the non-empty ones
 	for i, s := range strs {
 		if next[len(s)] == off[len(s)] {
 			groups++
 		}
-		recs[next[len(s)]] = rec{key: prefixKey(s), orig: int32(i)}
+		orig[next[len(s)]] = int32(i)
 		next[len(s)]++
 	}
 	ref := make([]string, len(strs))
-	orig := make([]int32, len(strs))
 	var sig []uint64
 	if pack {
 		sig = make([]uint64, len(strs))
@@ -83,15 +85,19 @@ func sortRecsBy(strs []string, workers int, pack bool, sortGroup func(strs []str
 	}
 	size := func(k int) int { return off[lengths[k]+1] - off[lengths[k]] }
 	err := tasks.LargestFirst(workers, len(lengths), size, func(int) func(int) bool {
-		var tmp []rec             // the radix sort's other buffer: the first group claimed is the largest
+		var recs, tmp []rec       // the group's records and the radix sort's other buffer: the first group claimed is the largest
 		var arena strings.Builder // the blocks: a large group's is its own, small ones share a packChunk
 		return func(k int) bool {
 			l := lengths[k]
 			lo, hi := off[l], off[l+1]
-			if tmp == nil {
-				tmp = make([]rec, hi-lo)
+			if recs == nil {
+				recs, tmp = make([]rec, hi-lo), make([]rec, hi-lo)
 			}
-			group := sortGroup(strs, l, recs[lo:hi], tmp)
+			group := recs[:hi-lo]
+			for i, o := range orig[lo:hi] {
+				group[i] = rec{key: prefixKey(strs[o]), orig: o}
+			}
+			group = sortGroup(strs, l, group, tmp)
 			for i, r := range group {
 				orig[lo+i] = r.orig
 			}

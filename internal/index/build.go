@@ -176,6 +176,9 @@ type slotBuilder struct {
 	hash   func(string) uint64
 	cells  []buildCell
 	cellOf []uint32 // per id of the slot, the cell of its segment
+	// free, a Window's, holds the arrays of released groups for the tables
+	// built next; nil (BuildFrozen) allocates every table at its exact size.
+	free *tableFree
 }
 
 // newSlotBuilder returns a builder whose scratch, allocated once, holds any
@@ -223,7 +226,7 @@ func (w *slotBuilder) build(g *FrozenGroup, slot int, ids []int32) {
 		}
 		cellOf[k] = c
 	}
-	table := newLinearTable(keys, len(ids)-keys+2*multi)
+	table := w.free.take(keys, len(ids)-keys+2*multi)
 	for k, id := range ids {
 		cell := &cells[cellOf[k]]
 		if cell.count == 1 {
@@ -239,16 +242,101 @@ func (w *slotBuilder) build(g *FrozenGroup, slot int, ids []int32) {
 	g.tables[slot] = table
 }
 
+// tableFree is a Window's free lists: the rows and posts arrays of the
+// groups it released, which the tables it builds next take before
+// allocating — rows arrays by their power-of-two capacity, posts arrays by
+// theirs. Neither list holds more than limit arrays, what the window's τ+1
+// groups of τ+1 tables hold live, so a scan whose groups only grow keeps
+// no more than a window's worth: the smallest array goes first.
+type tableFree struct {
+	rows  freeList[frozenRow]
+	posts freeList[int32]
+	limit int
+}
+
+// take returns an empty table sized for nKeys insertions and nPosts posting
+// words, as newLinearTable does, made of free arrays where one fits: the
+// smallest rows array of the table's size or larger, resliced to it and
+// cleared, and the smallest posts array of capacity nPosts or more. A nil
+// list allocates.
+func (p *tableFree) take(nKeys, nPosts int) linearTable {
+	if p == nil || nKeys <= 0 {
+		return newLinearTable(nKeys, nPosts)
+	}
+	size := tableSize(nKeys)
+	t := linearTable{mask: size - 1, rows: p.rows.take(int(size)), posts: p.posts.take(nPosts)}
+	if t.rows == nil {
+		t.rows = make([]frozenRow, size)
+	} else {
+		t.rows = t.rows[:size]
+		clear(t.rows)
+	}
+	if t.posts == nil {
+		t.posts = make([]int32, 0, nPosts)
+	}
+	return t
+}
+
+// put adds the arrays of a released table to the lists.
+func (p *tableFree) put(t linearTable) {
+	p.rows.put(t.rows[:cap(t.rows)], p.limit)
+	p.posts.put(t.posts[:0], p.limit)
+}
+
+// freeList is one of tableFree's lists.
+type freeList[T any] struct{ arrays [][]T }
+
+// take removes and returns the array of least capacity n or more, or nil if
+// n is 0 or no array is that large.
+func (l *freeList[T]) take(n int) []T {
+	k := l.smallest(n)
+	if n == 0 || k < 0 {
+		return nil
+	}
+	a := l.arrays[k]
+	l.arrays = slices.Delete(l.arrays, k, k+1) // clears the vacated slot: the list keeps nothing it lent
+	return a
+}
+
+// put adds a, if it has room for anything, and drops the smallest array
+// once the list holds more than limit.
+func (l *freeList[T]) put(a []T, limit int) {
+	if cap(a) == 0 {
+		return
+	}
+	if l.arrays = append(l.arrays, a); len(l.arrays) > limit {
+		k := l.smallest(0)
+		l.arrays = slices.Delete(l.arrays, k, k+1)
+	}
+}
+
+// smallest returns the index of the array of least capacity n or more, or
+// −1 if there is none.
+func (l *freeList[T]) smallest(n int) int {
+	best := -1
+	for k, a := range l.arrays {
+		if cap(a) >= n && (best < 0 || cap(a) < cap(l.arrays[best])) {
+			best = k
+		}
+	}
+	return best
+}
+
 // Window is the index of a sequential join scan (§3.2) over a corpus
 // sorted by length: a Frozen that holds only the length groups the scan's
 // window covers. Slide bulk-builds a group when the window reaches its
-// length and drops it, tables and lists, once the window has passed: at
-// most τ+1 groups (2τ+1 for R≠S) are ever live. Single-goroutine state.
+// length and releases it once the window has passed: at most τ+1 groups
+// (2τ+1 for R≠S) are ever live. A released group's tables go to the
+// window's free lists, where the groups built after it find them, and the
+// group itself is emptied — a pointer to it kept past the Slide that
+// released it answers nothing, and never reads a successor's arrays.
+// Single-goroutine state.
 type Window struct {
-	f   *Frozen
-	off []int
-	w   slotBuilder
-	ids []int32
+	f    *Frozen
+	off  []int
+	w    slotBuilder
+	free tableFree
+	ids  []int32
 	// Groups below low have been released and groups below next built
 	// (or skipped: no strings, or never inside the window).
 	low, next int
@@ -267,7 +355,12 @@ func NewWindow(ref []string, off []int, tau int) (*Window, error) {
 		return nil, err
 	}
 	f := &Frozen{tau: tau, ref: ref, groups: make([]*FrozenGroup, len(off)-1)}
-	return &Window{f: f, off: off, w: newSlotBuilder(ref, hash64, largestGroup(off, tau)), next: FirstIndexed(off, tau)}, nil
+	largest := largestGroup(off, tau)
+	w := &Window{f: f, off: off, w: newSlotBuilder(ref, hash64, largest), ids: make([]int32, 0, largest), next: FirstIndexed(off, tau)}
+	tables := min(tau, len(off)) + 1 // a group's: τ+1, which is less than any indexed length
+	w.free.limit = tables * tables
+	w.w.free = &w.free
+	return w, nil
 }
 
 // Frozen returns the index the window maintains; only the groups inside
@@ -275,13 +368,17 @@ func NewWindow(ref []string, off []int, tau int) (*Window, error) {
 func (w *Window) Frozen() *Frozen { return w.f }
 
 // Slide moves the window to the lengths [lo, hi]: it releases the groups
-// below lo and builds those up to hi that are not built yet. Both bounds
-// only ever grow.
+// below lo, their arrays to the free lists, and then builds those up to hi
+// that are not built yet. Both bounds only ever grow.
 func (w *Window) Slide(lo, hi int) {
 	groups, tau := w.f.groups, w.f.tau
 	for ; w.low < min(lo, len(groups)); w.low++ {
 		if g := groups[w.low]; g != nil {
 			w.account(g, -1)
+			for i := range g.tables {
+				w.free.put(g.tables[i])
+				g.tables[i] = linearTable{}
+			}
 			groups[w.low] = nil
 		}
 	}

@@ -102,66 +102,157 @@ func TestBuildFrozenMatchesAddFreeze(t *testing.T) {
 // window every group answers like the whole index, outside it nothing
 // does, at most τ+1 (2τ+1) groups are live, and the peak figures are those
 // of a map index that held the same strings.
+//
+// The window builds its groups from the arrays of those it released, so it
+// runs over two corpora: random lengths, and a ramp whose groups grow from 4
+// strings to 568 and shrink again to 4, where a released array is taken by
+// a larger group and by a smaller one. A group captured before the Slide that
+// releases it must answer nothing afterwards — not its old lists, and not
+// those of the group now holding its arrays.
 func TestWindowSlides(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	corpus := append(randomCorpus(rng, 600, 24), "", "a")
-	slices.SortStableFunc(corpus, func(a, b string) int { return len(a) - len(b) })
-	_, off := idsByLength(corpus) // sorted by length: the ids are the identity
-	maxLen := len(off) - 2
-	for tau := 0; tau <= 3; tau++ {
-		x, want := buildBoth(corpus, tau)
-		full, err := BuildFrozen(corpus, tau, 2)
-		if err != nil {
-			t.Fatal(err)
+	random := append(randomCorpus(rng, 600, 24), "", "a")
+	var ramp []string
+	for l, n := 4, 4.0; ; l++ {
+		if l > 25 {
+			n /= 2 // 22 lengths up, then halving: 568, 284, …, 4
+		} else if l > 4 {
+			n = math.Ceil(n * 1.25)
 		}
-		requireSameLists(t, corpus, tau, x, want, full, nil)
-		for _, ahead := range []int{0, tau} { // self join, R≠S join
-			w, err := NewWindow(corpus, off, tau)
+		if n < 4 {
+			break
+		}
+		for range int(n) {
+			b := make([]byte, l)
+			for j := range b {
+				b[j] = "abcd"[rng.Intn(4)]
+			}
+			ramp = append(ramp, string(b))
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		corpus []string
+		reuse  bool // must see a released array taken by a larger group and by a smaller one
+	}{{"random", random, false}, {"ramp", ramp, true}} {
+		corpus := c.corpus
+		slices.SortStableFunc(corpus, func(a, b string) int { return len(a) - len(b) })
+		_, off := idsByLength(corpus) // sorted by length: the ids are the identity
+		maxLen := len(off) - 2
+		for tau := 0; tau <= 3; tau++ {
+			x, want := buildBoth(corpus, tau)
+			full, err := BuildFrozen(corpus, tau, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantPeak, wantEntries int64
-			for L := 0; L <= maxLen+tau+1; L += 1 + rng.Intn(1+2*ahead) {
-				w.Slide(L-tau, L+ahead)
-				live := 0
-				for l := 0; l <= maxLen; l++ {
-					g, fg := w.Frozen().Group(l), full.Group(l)
-					if l < L-tau || l > L+ahead || fg == nil {
-						if g != nil {
-							t.Fatalf("tau=%d window [%d,%d]: group %d is live", tau, L-tau, L+ahead, l)
+			requireSameLists(t, corpus, tau, x, want, full, nil)
+			for _, ahead := range []int{0, tau} { // self join, R≠S join
+				w, err := NewWindow(corpus, off, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wantPeak, wantEntries int64
+				released := map[any]int{} // a released group's arrays, to the size of the group
+				var byLarger, bySmaller bool
+				for L := 0; L <= maxLen+tau+1; L += 1 + rng.Intn(1+2*ahead) {
+					before, arrays := map[int]*FrozenGroup{}, map[int][]any{}
+					for l := 0; l <= maxLen; l++ {
+						if g := w.Frozen().Group(l); g != nil {
+							before[l], arrays[l] = g, tableArrays(g)
 						}
-						continue
 					}
-					// A jump can carry the window past a length before it
-					// was ever built; it is then built on entry all the same.
-					if g == nil {
-						t.Fatalf("tau=%d window [%d,%d]: group %d missing", tau, L-tau, L+ahead, l)
+					w.Slide(L-tau, L+ahead)
+					for l, g := range before {
+						if w.Frozen().Group(l) == g {
+							continue
+						}
+						for _, a := range arrays[l] {
+							released[a] = off[l+1] - off[l]
+						}
+						requireEmpty(t, g, full.Group(l), corpus)
 					}
-					live++
-					for i := 1; i <= tau+1; i++ {
-						fg.Slot(i, func(postings []int32) {
-							pos, n := fg.Seg(i)
-							seg := corpus[postings[0]][pos-1 : pos-1+n]
-							if got := g.List(i, seg); !slices.Equal(got, postings) {
-								t.Fatalf("tau=%d l=%d slot=%d %q: window %v, whole index %v", tau, l, i, seg, got, postings)
+					live := 0
+					for l := 0; l <= maxLen; l++ {
+						g, fg := w.Frozen().Group(l), full.Group(l)
+						if l < L-tau || l > L+ahead || fg == nil {
+							if g != nil {
+								t.Fatalf("%s tau=%d window [%d,%d]: group %d is live", c.name, tau, L-tau, L+ahead, l)
 							}
-						})
+							continue
+						}
+						// A jump can carry the window past a length before it
+						// was ever built; it is then built on entry all the same.
+						if g == nil {
+							t.Fatalf("%s tau=%d window [%d,%d]: group %d missing", c.name, tau, L-tau, L+ahead, l)
+						}
+						live++
+						if before[l] == nil {
+							n := off[l+1] - off[l]
+							for _, a := range tableArrays(g) {
+								if m, ok := released[a]; ok {
+									byLarger, bySmaller = byLarger || n > m, bySmaller || n < m
+									delete(released, a)
+								}
+							}
+						}
+						for i := 1; i <= tau+1; i++ {
+							fg.Slot(i, func(postings []int32) {
+								pos, n := fg.Seg(i)
+								seg := corpus[postings[0]][pos-1 : pos-1+n]
+								if got := g.List(i, seg); !slices.Equal(got, postings) {
+									t.Fatalf("%s tau=%d l=%d slot=%d %q: window %v, whole index %v", c.name, tau, l, i, seg, got, postings)
+								}
+							})
+						}
+					}
+					if live > tau+ahead+1 {
+						t.Fatalf("%s tau=%d window [%d,%d]: %d live groups", c.name, tau, L-tau, L+ahead, live)
+					}
+					lo, hi := min(max(L-tau, 0), maxLen+1), min(L+ahead, maxLen)+1
+					if part, _ := BuildFrozen(corpus[off[lo]:max(off[hi], off[lo])], tau, 1); part.MapBytes() > wantPeak && part.Entries() > 0 {
+						wantPeak, wantEntries = part.MapBytes(), part.Entries()
 					}
 				}
-				if live > tau+ahead+1 {
-					t.Fatalf("tau=%d window [%d,%d]: %d live groups", tau, L-tau, L+ahead, live)
+				groups, bytes, entries := w.Peak()
+				if groups > tau+ahead+1 || bytes != wantPeak || entries != wantEntries {
+					t.Fatalf("%s tau=%d ahead=%d: peak %d groups, %d B, %d entries; want <= %d groups, %d B, %d entries",
+						c.name, tau, ahead, groups, bytes, entries, tau+ahead+1, wantPeak, wantEntries)
 				}
-				lo, hi := min(max(L-tau, 0), maxLen+1), min(L+ahead, maxLen)+1
-				if part, _ := BuildFrozen(corpus[off[lo]:max(off[hi], off[lo])], tau, 1); part.MapBytes() > wantPeak && part.Entries() > 0 {
-					wantPeak, wantEntries = part.MapBytes(), part.Entries()
+				if c.reuse && (!byLarger || !bySmaller) {
+					t.Fatalf("%s tau=%d ahead=%d: released arrays taken by a larger group %v, by a smaller one %v; want both",
+						c.name, tau, ahead, byLarger, bySmaller)
 				}
-			}
-			groups, bytes, entries := w.Peak()
-			if groups > tau+ahead+1 || bytes != wantPeak || entries != wantEntries {
-				t.Fatalf("tau=%d ahead=%d: peak %d groups, %d B, %d entries; want <= %d groups, %d B, %d entries",
-					tau, ahead, groups, bytes, entries, tau+ahead+1, wantPeak, wantEntries)
 			}
 		}
+	}
+}
+
+// tableArrays returns the first element of every backing array g's tables
+// hold, which names the array.
+func tableArrays(g *FrozenGroup) (out []any) {
+	for i := range g.tables {
+		t := &g.tables[i]
+		if cap(t.rows) > 0 {
+			out = append(out, &t.rows[:1][0])
+		}
+		if cap(t.posts) > 0 {
+			out = append(out, &t.posts[:1][0])
+		}
+	}
+	return out
+}
+
+// requireEmpty fails unless g, a released group, answers no segment of
+// the strings full's group of its length indexes.
+func requireEmpty(t *testing.T, g, full *FrozenGroup, corpus []string) {
+	t.Helper()
+	for i := 1; i <= len(g.segs); i++ {
+		full.Slot(i, func(postings []int32) {
+			pos, n := full.Seg(i)
+			if got := g.List(i, corpus[postings[0]][pos-1:pos-1+n]); got != nil {
+				t.Fatalf("released group %d slot %d: lists %v", g.L, i, got)
+			}
+		})
 	}
 }
 
