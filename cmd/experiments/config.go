@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"text/tabwriter"
 	"time"
 
@@ -68,9 +69,9 @@ func (c *runConfig) corpus(spec corpusSpec) []string {
 	return strs
 }
 
-// header prints an experiment banner.
+// header prints an experiment banner, with the GOMAXPROCS it runs at.
 func header(title string) {
-	fmt.Printf("\n== %s ==\n", title)
+	fmt.Printf("\n== %s (GOMAXPROCS=%d) ==\n", title, runtime.GOMAXPROCS(0))
 }
 
 // newTable returns a tab-aligned writer for result rows.

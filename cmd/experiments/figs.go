@@ -272,20 +272,23 @@ func (c *runConfig) ablation() error {
 		return err
 	}
 
-	header("Ablation C: parallel probe speedup (author, tau=3)")
-	w = newTable()
-	fmt.Fprintln(w, "workers\ttime (ms)\tspeedup")
-	var base time.Duration
-	for _, workers := range []int{1, 2, 4, 8} {
-		d := timeIt(func() {
-			core.SelfJoin(strs, core.Options{Tau: 3, Parallel: workers})
-		})
-		if workers == 1 {
-			base = d
+	// Parallel speedup needs the cores the command was given.
+	if err := onProcs(procs, func() error {
+		header("Ablation C: parallel probe speedup (author, tau=3)")
+		w := newTable()
+		fmt.Fprintln(w, "workers\ttime (ms)\tspeedup")
+		var base time.Duration
+		for _, workers := range []int{1, 2, 4, 8} {
+			d := timeIt(func() {
+				core.SelfJoin(strs, core.Options{Tau: 3, Parallel: workers})
+			})
+			if workers == 1 {
+				base = d
+			}
+			fmt.Fprintf(w, "%d\t%s\t%.2fx\n", workers, ms(d), float64(base)/float64(d))
 		}
-		fmt.Fprintf(w, "%d\t%s\t%.2fx\n", workers, ms(d), float64(base)/float64(d))
-	}
-	if err := w.Flush(); err != nil {
+		return w.Flush()
+	}); err != nil {
 		return err
 	}
 

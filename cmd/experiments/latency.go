@@ -96,8 +96,8 @@ func runLatency(args []string) error {
 		return fmt.Errorf("latency: /metrics recorded no /v1/search requests for this run")
 	}
 
-	fmt.Printf("latency: %d requests (%d errors), %d clients, %.0f req/s wall\n",
-		*n, errs.Load(), *c, float64(*n)/wall.Seconds())
+	fmt.Printf("latency: %d requests (%d errors), %d clients, GOMAXPROCS=%d, %.0f req/s wall\n",
+		*n, errs.Load(), *c, procs, float64(*n)/wall.Seconds())
 	fmt.Printf("  served:  %.0f requests observed by the daemon histogram\n", diff.count())
 	fmt.Printf("  mean:    %s\n", secondsDur(diff.sum/diff.count()))
 	for _, q := range []float64{0.50, 0.90, 0.99} {

@@ -17,6 +17,10 @@
 //	all       every table and figure above, in order (hotpath and
 //	          latency excluded)
 //
+// Every experiment runs at GOMAXPROCS=1, as the paper's single-threaded
+// methods did, except ablation C's parallel rows and latency, which keep the
+// setting the command started with; each header prints it.
+//
 // Corpus sizes scale with -scale small|medium|full; absolute numbers are
 // machine-dependent; the paper's SHAPES (orderings, ratios, crossovers) are
 // what to compare, by eye for now: writing them down and pinning them in a
@@ -27,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 )
 
@@ -62,7 +67,22 @@ func main() {
 	}
 }
 
+// procs is the GOMAXPROCS the command started with: what ablation C's
+// parallel rows and latency's clients run at.
+var procs = runtime.GOMAXPROCS(0)
+
+// onProcs runs f at GOMAXPROCS n and then restores the setting.
+func onProcs(n int, f func() error) error {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return f()
+}
+
+// run runs one experiment at GOMAXPROCS=1: the paper's figures time
+// single-threaded methods, and a default Pass-Join join would otherwise look
+// up on one core while it verifies on another. Ablation C's parallel rows are
+// the exception, and every header says which setting it ran at.
 func run(cfg *runConfig, cmd string) error {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	switch cmd {
 	case "table2":
 		return cfg.table2()

@@ -2,12 +2,14 @@ package main
 
 import (
 	"os"
+	"runtime"
 	"testing"
 )
 
 // TestAllExperimentsRun smoke-tests every experiment at tiny scale with
 // stdout redirected to /dev/null; fig15's built-in result cross-check
-// makes this a real correctness test, not just a crash test.
+// makes this a real correctness test, not just a crash test. The experiments
+// leave GOMAXPROCS as they found it.
 func TestAllExperimentsRun(t *testing.T) {
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
@@ -24,6 +26,9 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 	if err := run(cfg, "all"); err != nil {
 		t.Fatalf("experiments all: %v", err)
+	}
+	if got := runtime.GOMAXPROCS(0); got != procs {
+		t.Errorf("GOMAXPROCS %d after the experiments, %d before", got, procs)
 	}
 }
 

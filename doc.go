@@ -62,7 +62,10 @@
 // A sequential join delivers pairs by non-decreasing length of the longer
 // (for Join: the first set's) string, in no particular order within a
 // length — it probes a run of equal-length strings at a time; under
-// parallelism pairs arrive in no deterministic order at all. A cancelled ctx
+// parallelism pairs arrive in no deterministic order at all. The sequential
+// scan uses at most two goroutines: the index lookups and the signature
+// filter run on a helper goroutine, verification and the callback on the
+// caller's, and GOMAXPROCS=1 keeps the scan on one core. A cancelled ctx
 // stops the workers promptly — they check between batches of lookups, not
 // between strings — and surfaces ctx.Err(). See
 // docs/ARCHITECTURE.md ("The streaming join path") for the fan-out and

@@ -69,6 +69,29 @@ func BenchmarkSortRecs(b *testing.B) {
 	}
 }
 
+// BenchmarkSortPairs is the sort that canonicalizes every SelfJoin's result:
+// the pairs of the two bench corpora, in the order the serial join emits
+// them.
+func BenchmarkSortPairs(b *testing.B) {
+	for _, c := range joinBenchCorpora() {
+		var emitted []Pair
+		if err := SelfJoinFunc(c.corpus, Options{Tau: c.tau}, func(p Pair) bool {
+			emitted = append(emitted, p)
+			return true
+		}); err != nil {
+			b.Fatal(err)
+		}
+		ps := make([]Pair, len(emitted))
+		b.Run(fmt.Sprintf("%s/pairs=%d", c.name, len(ps)), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				copy(ps, emitted)
+				SortPairs(ps)
+			}
+		})
+	}
+}
+
 // BenchmarkQueryCold is one query against an index several times the size
 // of the cache, the regime of the bench/ harness's search-lib: author names
 // in shuffled order (so neighbouring ids are not neighbouring strings) under

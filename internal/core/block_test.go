@@ -220,7 +220,9 @@ func mutateSub(rng *rand.Rand, s string, k int) string {
 // TestEarlyStopMidBatch: an emit that says stop at the k-th pair — inside a
 // batch of a chunk thick with pairs — has been handed exactly k pairs, the
 // join counts k results, and no goroutine is left behind, in all four
-// joins.
+// joins. An emit that panics at the k-th pair hands its panic to the caller
+// of a serial join, which leaves no goroutine behind either, and the next
+// join of the corpus finds every pair.
 func TestEarlyStopMidBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	var strs []string
@@ -228,6 +230,16 @@ func TestEarlyStopMidBatch(t *testing.T) {
 		strs = append(strs, mutateSub(rng, "kaushik chakrabarti", rng.Intn(2)))
 	}
 	rset := strs[:120]
+	serial := map[string][]Pair{} // what each serial join finds, by brute force
+	for _, p := range bruteforce.SelfJoin(strs, 2) {
+		serial["SelfJoinFunc"] = append(serial["SelfJoinFunc"], Pair(p))
+	}
+	for _, p := range bruteforce.Join(rset, strs, 2) {
+		serial["JoinFunc"] = append(serial["JoinFunc"], Pair(p))
+	}
+	for _, ps := range serial {
+		SortPairs(ps)
+	}
 	before := runtime.NumGoroutine()
 	for _, k := range []int{1, 7, 100, 1000} {
 		joins := map[string]func(opt Options, emit func(Pair) bool) error{
@@ -251,15 +263,79 @@ func TestEarlyStopMidBatch(t *testing.T) {
 				if n != k || st.Results != int64(k) {
 					t.Fatalf("%s %v k=%d: %d pairs delivered, Results %d", name, vk, k, n, st.Results)
 				}
+				want, ok := serial[name]
+				if !ok {
+					continue
+				}
+				opt := Options{Tau: 2, Verification: vk}
+				n = 0
+				v := panicked(func() {
+					join(opt, func(Pair) bool {
+						if n++; n == k {
+							panic("emit bails")
+						}
+						return true
+					})
+				})
+				if v != "emit bails" || n != k {
+					t.Fatalf("%s %v k=%d: recovered %v after %d pairs, want the emit's panic at pair %d", name, vk, k, v, n, k)
+				}
+				got, err := collect(func(emit func(Pair) bool) error { return join(opt, emit) })
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s %v k=%d: after the panic the join finds %d pairs (err %v), brute force %d", name, vk, k, len(got), err, len(want))
+				}
 			}
 		}
 	}
+	waitGoroutines(t, before)
+}
+
+// panicked runs f and returns what it panicked with; nil if it returned.
+func panicked(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// waitGoroutines fails t unless the goroutines are back to before within a
+// second: whatever the joins started has exited.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	for wait := time.Millisecond; runtime.NumGoroutine() > before; wait *= 2 {
 		if wait > time.Second {
 			t.Fatalf("%d goroutines after the joins, %d before", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(wait)
 	}
+}
+
+// TestLookupPanicSurfacesAsError: a panic in a serial join's lookup stage —
+// here in the window's slide, at the corpus's second length — comes back from
+// the scan as an error, as a stream worker's does, and leaves no goroutine
+// behind.
+func TestLookupPanicSurfacesAsError(t *testing.T) {
+	ref, _, off, sig, err := sortRecs([]string{"abcd", "abce", "abcde", "abcdf"}, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := index.NewWindow(ref, off, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newProber(1, selection.MultiMatch, VerifyExtensionShared, nil, nil, win.Frozen(), ref, sig)
+	j := newBlockJoin(p, off, true)
+	p.emit = func(int32, int32) bool { return true }
+	before := runtime.NumGoroutine()
+	err = j.pipe(ref, chunksOf(off), func(l int) {
+		if l == 5 {
+			panic("slide blew up")
+		}
+		win.Slide(l-1, l)
+	})
+	if err == nil || !strings.Contains(err.Error(), "slide blew up") {
+		t.Fatalf("err = %v, want the lookup stage's panic", err)
+	}
+	waitGoroutines(t, before)
 }
 
 // TestTickStopsWithinABatch: a join worker looks up between batches — a tick

@@ -125,10 +125,16 @@ func recordScan(st *metrics.Stats, win *index.Window, results int64, shorts int)
 }
 
 // SortPairs orders pairs lexicographically; used to canonicalize results.
+// Indices are non-negative, so one packed key compares as the two fields do.
 func SortPairs(ps []Pair) {
 	slices.SortFunc(ps, func(a, b Pair) int {
-		return cmp.Or(cmp.Compare(a.R, b.R), cmp.Compare(a.S, b.S))
+		return cmp.Compare(pairKey(a), pairKey(b))
 	})
+}
+
+// pairKey packs p into one word that orders as (R, S).
+func pairKey(p Pair) uint64 {
+	return uint64(uint32(p.R))<<32 | uint64(uint32(p.S))
 }
 
 // normalize returns a self-join pair with the smaller original index first.

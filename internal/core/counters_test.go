@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"slices"
 	"testing"
 
@@ -18,7 +20,7 @@ import (
 // never noise. One default-options self join per regime — long strings
 // (titles, tau 8) and short ones (author names, tau 2) — serial and with two
 // workers, which probe the same index under the same two counting rules
-// (probeBlock) and so must report the same work. A change that means to move
+// (blockJoin.lookup) and so must report the same work. A change that means to move
 // a counter updates its row here and says why.
 func TestWorkCountersPinned(t *testing.T) {
 	type counters struct {
@@ -50,6 +52,63 @@ func TestWorkCountersPinned(t *testing.T) {
 		if n := len(bruteforce.SelfJoin(c.corpus, c.tau)); int64(n) != c.want.Results {
 			t.Errorf("%s: brute force finds %d pairs, the pinned Results is %d", c.name, n, c.want.Results)
 		}
+	}
+}
+
+// TestSerialEmitOrder pins the sequence, not the set, of the pairs the
+// serial joins hand emit: by non-decreasing length of the probing string
+// and, within a length, in the order the scan meets them. The values are
+// FNV-64a hashes of the (R, S) sequence, little-endian, from the commit
+// before the scan's lookups and verifications ran on two goroutines: an R≠S
+// join probes the first quarter of the corpus against all of it.
+func TestSerialEmitOrder(t *testing.T) {
+	cases := []struct {
+		name       string
+		corpus     []string
+		tau        int
+		self, rset map[VerifyKind]uint64
+	}{
+		{"AuthorTitle(2000,1) tau=8", dataset.AuthorTitle(2000, 1), 8,
+			byVerifier(0x44c28c15b336bfb1, 0x447cab33175060b1),
+			byVerifier(0xc1089536d0ec9452, 0xa38b8a3e687d1ea6)},
+		{"Author(5000,1) tau=2", dataset.Author(5000, 1), 2,
+			byVerifier(0x6654f61093d0d6d0, 0x0598bac201be70b8),
+			byVerifier(0x4a2537ce031accab, 0xe0598c32f6a7f987)},
+	}
+	for _, c := range cases {
+		for _, vk := range VerifyKinds {
+			h := fnv.New64a()
+			emit := func(p Pair) bool {
+				h.Write(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(p.R)), uint32(p.S)))
+				return true
+			}
+			opt := Options{Tau: c.tau, Verification: vk}
+			if err := SelfJoinFunc(c.corpus, opt, emit); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Sum64(); got != c.self[vk] {
+				t.Errorf("%s %v SelfJoinFunc: sequence hash %#x, want %#x", c.name, vk, got, c.self[vk])
+			}
+			h.Reset()
+			if err := JoinFunc(c.corpus[:len(c.corpus)/4], c.corpus, opt, emit); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Sum64(); got != c.rset[vk] {
+				t.Errorf("%s %v JoinFunc: sequence hash %#x, want %#x", c.name, vk, got, c.rset[vk])
+			}
+		}
+	}
+}
+
+// byVerifier spreads two values over the verifiers: ext for the two
+// extension verifiers, which emit a pair where the alignment that accepts
+// it is met, and whole for the three whole-string ones, which emit a chunk's
+// pairs once its lookups are through, by string and candidate — the same
+// sequence for all three, since they agree on every pair.
+func byVerifier(ext, whole uint64) map[VerifyKind]uint64 {
+	return map[VerifyKind]uint64{
+		VerifyExtensionShared: ext, VerifyExtension: ext,
+		VerifyLengthAware: whole, VerifyNaive: whole, VerifyMyers: whole,
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 // Exactly one of idx (the mutable index of an unsealed Matcher) and fz (the
 // frozen index of everything else: sealed matchers and every join) is
 // non-nil; probe dispatches on which. A query is one probe; a join never
-// calls probe — its loop is blockJoin.probeBlock, which hands the lists it
-// resolves to the same handleList.
+// calls probe — its loop is blockJoin's, which does handleList's work in two
+// stages split at the signature filter, with collect and extend as the
+// second.
 type prober struct {
 	tau int
 	// qtau is the per-probe threshold, distinct from the partition
@@ -55,6 +56,7 @@ type prober struct {
 
 	ver        verify.Verifier
 	incL, incR verify.Incremental
+	ext        extension // of the list in hand, for the extension verifiers
 
 	// pat is the query-side bit-parallel profile, built once per probe and
 	// reused across the whole candidate set (the per-pair Peq rebuild it
@@ -321,8 +323,7 @@ func (p *prober) probeMap(s string, lmin, lmax int) {
 // the whole-string verifiers only stamp and collect there, the extension
 // verifiers verify.
 func (p *prober) listPhase() obs.Phase {
-	switch p.vk {
-	case VerifyNaive, VerifyLengthAware, VerifyMyers:
+	if p.wholeString() {
 		return obs.PhaseDedup
 	}
 	return obs.PhaseVerify
@@ -340,19 +341,55 @@ func (p *prober) isHit(lst []int32) bool {
 	return true
 }
 
-// handleList routes one inverted list: whole-string verifiers collect the
-// candidates into the probe's batch (verified together in flushBatch, or
-// a join's flushWhole);
-// extension verifiers depend on the matched alignment (i, pos) and verify
-// in place. s matched the i-th segment (start pi, length li, of indexed
-// strings) with its substring at 1-based position pos.
+// handleList routes one inverted list: each candidate the signature filter
+// lets through is collected into the probe's batch by a whole-string
+// verifier (verified together in flushBatch) or verified in place, at the
+// matched alignment, by an extension verifier. s matched the i-th segment
+// (start pi, length li, of indexed strings) with its substring at 1-based
+// position pos. A join splits the same work in two at the filter
+// (blockJoin): its lookup stage filters, and its verify stage hands the
+// survivors to collect or, after beginExtension at each list, to extend.
 func (p *prober) handleList(s string, lst []int32, i, pos, pi, li int) {
+	whole := p.wholeString()
+	if whole {
+		if p.trace != nil {
+			p.trace.AddCount(obs.PhaseDedup, int64(len(lst)))
+		}
+	} else {
+		p.beginExtension(s, i, pos, pi, li)
+	}
+	nv := int64(0)
+	for _, rid := range lst {
+		if p.st != nil {
+			p.st.Candidates++
+		}
+		if p.sigReject(rid) {
+			continue
+		}
+		if whole {
+			p.collect(rid)
+			continue
+		}
+		if p.extend(rid) {
+			nv++
+		}
+		if p.stopped {
+			break
+		}
+	}
+	if !whole && p.trace != nil {
+		p.trace.AddCount(obs.PhaseVerify, nv)
+	}
+}
+
+// wholeString reports whether the verifier in use verifies whole strings,
+// whose verdict does not depend on the alignment a candidate was found at.
+func (p *prober) wholeString() bool {
 	switch p.vk {
 	case VerifyNaive, VerifyLengthAware, VerifyMyers:
-		p.collectWhole(lst)
-	default:
-		p.verifyExtension(s, lst, i, pos, pi, li)
+		return true
 	}
+	return false
 }
 
 // sigReject reports whether candidate rid's signature already rules it out
@@ -385,30 +422,22 @@ func (p *prober) settle(rid int32) {
 	p.stamp[rid] = p.epoch
 }
 
-// collectWhole settles and batches the not-yet-seen candidates of one
-// inverted list that pass the signature filter. The whole-string verdict
-// does not depend on the matched alignment, so each pair enters the batch
-// at most once per probe.
-func (p *prober) collectWhole(lst []int32) {
-	if p.trace != nil {
-		p.trace.AddCount(obs.PhaseDedup, int64(len(lst)))
+// collect settles and batches candidate rid, which passed the signature
+// filter, unless it is settled already. The whole-string verdict does not
+// depend on the matched alignment, so each pair enters the batch at most
+// once per probe.
+func (p *prober) collect(rid int32) {
+	if p.settled(rid) {
+		return
 	}
-	for _, rid := range lst {
-		if p.st != nil {
-			p.st.Candidates++
-		}
-		if p.sigReject(rid) || p.settled(rid) {
-			continue
-		}
-		p.settle(rid)
-		if p.st != nil {
-			p.st.UniqueCandidates++
-		}
-		if j := p.join; j != nil {
-			j.whole = append(j.whole, j.key(rid))
-		} else {
-			p.batch = append(p.batch, rid)
-		}
+	p.settle(rid)
+	if p.st != nil {
+		p.st.UniqueCandidates++
+	}
+	if j := p.join; j != nil {
+		j.whole = append(j.whole, j.key(rid))
+	} else {
+		p.batch = append(p.batch, rid)
 	}
 }
 
@@ -452,78 +481,87 @@ func (p *prober) distWhole(rid int32, s string) int {
 	return p.ver.Dist(p.ref[rid], s, p.qtau)
 }
 
-// verifyExtension verifies candidates with the extension-based method of
-// §5.2: split both strings at the matched segment, verify the left parts
+// extension is the alignment of the inverted list an extension verifier is
+// verifying: the probe string's parts left and right of its matched
+// substring, their thresholds, and where the matched segment lies in the
+// list's strings.
+type extension struct {
+	sl, sr     string
+	tauL, tauR int
+	pi, li     int
+}
+
+// beginExtension sets up the extension-based method of §5.2 for one list:
+// both strings are split at the matched segment, the left parts verified
 // under τl = min(i−1, τ′) and the right parts under τr = min(τ+1−i, τ′),
 // where τ′ is the per-probe threshold (τ′ = τ leaves the paper's original
 // bounds). When τ′ < τ the per-side bounds no longer sum to the budget, so
 // acceptance additionally requires dl+dr ≤ τ′ — sound because the edit
 // distance is at most dl+dr, and complete because the witness alignment of
 // the paper's completeness lemma restricts the optimal alignment to the two
-// sides, giving dl+dr ≤ ed ≤ τ′ there. A pair rejected here may still be
-// accepted at a later alignment, so only accepted pairs are settled.
-func (p *prober) verifyExtension(s string, lst []int32, i, pos, pi, li int) {
-	tauL := minInt(i-1, p.qtau)
-	tauR := minInt(p.tau+1-i, p.qtau)
-	sl := s[:pos-1]
-	sr := s[pos-1+li:]
+// sides, giving dl+dr ≤ ed ≤ τ′ there. The shared verifier's rows start
+// over here, at every list.
+func (p *prober) beginExtension(s string, i, pos, pi, li int) {
+	x := &p.ext
+	x.tauL = minInt(i-1, p.qtau)
+	x.tauR = minInt(p.tau+1-i, p.qtau)
+	x.sl = s[:pos-1]
+	x.sr = s[pos-1+li:]
+	x.pi, x.li = pi, li
+	if p.vk == VerifyExtensionShared {
+		p.incL.Reset(x.sl, x.tauL)
+		p.incR.Reset(x.sr, x.tauR)
+	}
+}
+
+// extend verifies candidate rid, which passed the signature filter, at the
+// alignment of the list in hand (beginExtension), and accepts it if both
+// sides are within reach; it reports whether it verified rid, which it does
+// not when the pair is settled. A pair rejected here may still be accepted
+// at a later alignment, so only accepted pairs are settled. An emit that
+// says stop sets p.stopped.
+func (p *prober) extend(rid int32) bool {
+	if p.settled(rid) {
+		return false
+	}
+	if p.st != nil {
+		p.st.Verifications++
+	}
+	x := &p.ext
 	shared := p.vk == VerifyExtensionShared
-	if shared {
-		p.incL.Reset(sl, tauL)
-		p.incR.Reset(sr, tauR)
+	r := p.ref[rid]
+	var dl int
+	if rl := r[:x.pi-1]; shared {
+		dl = p.incL.Dist(rl)
+	} else {
+		dl = p.ver.Dist(rl, x.sl, x.tauL)
 	}
-	nv := int64(0)
-	for _, rid := range lst {
-		if p.st != nil {
-			p.st.Candidates++
-		}
-		if p.sigReject(rid) || p.settled(rid) {
-			continue
-		}
-		if p.st != nil {
-			p.st.Verifications++
-		}
-		nv++
-		r := p.ref[rid]
-		rl := r[:pi-1]
-		rr := r[pi-1+li:]
-		var dl int
-		if shared {
-			dl = p.incL.Dist(rl)
-		} else {
-			dl = p.ver.Dist(rl, sl, tauL)
-		}
-		if dl > tauL {
-			continue
-		}
-		var dr int
-		if shared {
-			dr = p.incR.Dist(rr)
-		} else {
-			dr = p.ver.Dist(rr, sr, tauR)
-		}
-		if dr > tauR || dl+dr > p.qtau {
-			continue
-		}
-		p.settle(rid)
-		var d int32 = -1
-		if p.needDist {
-			// dl+dr only bounds the distance from above (the optimal
-			// alignment need not pass through this segment match), so
-			// recover the exact value — the bit-parallel kernel is the
-			// cheapest exact computer for word-sized strings, and the
-			// accepted pair is guaranteed within the query threshold so the
-			// thresholded result is exact. The query-side Pattern was built
-			// once at probe start and serves every accepted candidate.
-			d = int32(p.ver.DistPattern(&p.pat, r, p.qtau))
-		}
-		if !p.accept(rid, d) {
-			break
-		}
+	if dl > x.tauL {
+		return true
 	}
-	if p.trace != nil {
-		p.trace.AddCount(obs.PhaseVerify, nv)
+	var dr int
+	if rr := r[x.pi-1+x.li:]; shared {
+		dr = p.incR.Dist(rr)
+	} else {
+		dr = p.ver.Dist(rr, x.sr, x.tauR)
 	}
+	if dr > x.tauR || dl+dr > p.qtau {
+		return true
+	}
+	p.settle(rid)
+	var d int32 = -1
+	if p.needDist {
+		// dl+dr only bounds the distance from above (the optimal
+		// alignment need not pass through this segment match), so
+		// recover the exact value — the bit-parallel kernel is the
+		// cheapest exact computer for word-sized strings, and the
+		// accepted pair is guaranteed within the query threshold so the
+		// thresholded result is exact. The query-side Pattern was built
+		// once at probe start and serves every accepted candidate.
+		d = int32(p.ver.DistPattern(&p.pat, r, p.qtau))
+	}
+	p.accept(rid, d)
+	return true
 }
 
 // accept records one verified hit: streamed to emit when set, collected

@@ -30,7 +30,8 @@ func Join(rset, sset []string, opt Options) ([]Pair, error) {
 
 // JoinFunc streams R×S join results to emit as they are found, by
 // non-decreasing length of the rset string (not sorted). emit returning
-// false stops the join early.
+// false stops the join early. Like SelfJoinFunc it scans on at most two
+// goroutines and calls emit on the caller's.
 func JoinFunc(rset, sset []string, opt Options, emit func(Pair) bool) error {
 	if opt.Tau < 0 {
 		return fmt.Errorf("core: negative threshold %d", opt.Tau)
@@ -60,16 +61,9 @@ func JoinFunc(rset, sset []string, opt Options, emit func(Pair) bool) error {
 		results++
 		return emit(Pair{R: rOrig[j.cur()], S: orig[sid]})
 	}
-	for _, c := range chunksOf(rOff) {
-		l := len(rRef[c.lo])
+	err = j.pipe(rRef, chunksOf(rOff), func(l int) {
 		win.Slide(l-tau, l+min(tau, len(off))) // no group is as long as len(off), and l+tau may wrap
-		if !j.probeBlock(rRef[c.lo:c.hi], c.lo) {
-			break
-		}
-		if st != nil {
-			st.Strings += int64(c.hi - c.lo)
-		}
-	}
+	})
 	recordScan(st, win, results, off[index.FirstIndexed(off, tau)])
-	return nil
+	return err
 }

@@ -40,8 +40,12 @@ func collect(join func(emit func(Pair) bool) error) ([]Pair, error) {
 // SelfJoinFunc streams the self-join results to emit as they are found —
 // by non-decreasing length of the longer string, in no particular order
 // within a length — without materializing the result set. emit returning
-// false stops the join early. opt.Parallel is ignored — the streaming form
-// is sequential so emit needs no synchronization.
+// false stops the join early. opt.Parallel is ignored: the scan is the
+// sequential one of §3.2, on at most two goroutines — the index lookups and
+// the signature filter on one of its own, verification and emit on the
+// caller's — so emit needs no synchronization, and the pairs, their order
+// and every counter are those of a scan on one goroutine. At GOMAXPROCS=1
+// the two take turns on one core.
 func SelfJoinFunc(strs []string, opt Options, emit func(Pair) bool) error {
 	if opt.Tau < 0 {
 		return fmt.Errorf("core: negative threshold %d", opt.Tau)
@@ -66,21 +70,12 @@ func SelfJoinFunc(strs []string, opt Options, emit func(Pair) bool) error {
 		results++
 		return emit(normalize(orig[rid], orig[j.cur()]))
 	}
-	for _, c := range chunksOf(off) {
-		// The window of §3.2: the groups of lengths [|s|−τ, |s|], bulk-built
-		// on entry — group |s| ahead of the strings it indexes, which
-		// probeBlock's cut at a string's own id hides from their predecessors.
-		l := len(ref[c.lo])
-		win.Slide(l-tau, l)
-		if !j.probeBlock(ref[c.lo:c.hi], c.lo) {
-			break
-		}
-		if st != nil {
-			st.Strings += int64(c.hi - c.lo)
-		}
-	}
+	// The window of §3.2: the groups of lengths [|s|−τ, |s|], bulk-built on
+	// entry — group |s| ahead of the strings it indexes, which the lookup
+	// stage's cut at a string's own id hides from their predecessors.
+	err = j.pipe(ref, chunksOf(off), func(l int) { win.Slide(l-tau, l) })
 	recordScan(st, win, results, off[index.FirstIndexed(off, tau)])
-	return nil
+	return err
 }
 
 // IndexFootprint builds the full Pass-Join index over strs (no eviction)

@@ -150,10 +150,10 @@ type streamEngine struct {
 	chunks  []span
 	stats   *metrics.Stats
 	// newWorker returns what one worker probes a chunk with. The worker
-	// counts into wst, delivers through push, and calls tick wherever it
-	// can stop (between the batches of a chunk); push, tick or the returned
-	// function reporting false means the consumer is gone and the worker
-	// must unwind.
+	// counts into wst (the chunk's strings too, once it is through), delivers
+	// through push, and calls tick wherever it can stop (between the batches
+	// of a chunk); push, tick or the returned function reporting false means
+	// the consumer is gone and the worker must unwind.
 	newWorker func(wst *metrics.Stats, push func(Pair) bool, tick func() bool) (probe func(c span) bool)
 	// finish records final whole-join stats; emitted is the number of pairs
 	// actually delivered to emit.
@@ -220,13 +220,7 @@ func (e *streamEngine) run(ctx context.Context, emit func(Pair) bool) error {
 			}
 			probe := e.newWorker(wst, push, tick)
 			return func(k int) bool {
-				if !tick() || !probe(e.chunks[k]) || !flush() {
-					return false
-				}
-				if wst != nil {
-					wst.Strings += int64(size(k))
-				}
-				return true
+				return tick() && probe(e.chunks[k]) && flush()
 			}
 		})
 	}()

@@ -145,7 +145,9 @@ func WithStats(st *Stats) Option {
 // workers for SelfJoin/Join, the streaming SelfJoinEach/JoinEach, and the
 // context-aware SelfJoinEachCtx/JoinEachCtx. n <= 1 keeps the sequential
 // sliding-window scan (except in the Ctx forms, which always run the
-// streaming engine with a single worker).
+// streaming engine with a single worker), which uses at most two goroutines
+// — lookups on a helper, verification and any callback on the caller's — and
+// stays on one core at GOMAXPROCS=1.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
