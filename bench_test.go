@@ -301,10 +301,10 @@ func BenchmarkAblationParallel(b *testing.B) {
 // BenchmarkStreamJoinParallel measures the streaming join engine behind
 // SelfJoinEachCtx / the /v1/join endpoints: index once, fan the probe
 // pass out over N workers, deliver pairs through a bounded channel
-// without materializing the result set. Compare against the sequential
-// stream (workers=1) for scaling and against BenchmarkAblationParallel
-// (which materializes and sorts) for the streaming overhead; ns/pair is
-// reported per emitted pair.
+// without materializing the result set. workers=1 is the sequential
+// windowed scan, which every entry point runs at one worker; compare
+// against BenchmarkAblationParallel (which materializes and sorts) for the
+// streaming overhead; ns/pair is reported per emitted pair.
 func BenchmarkStreamJoinParallel(b *testing.B) {
 	cs := corpora(b)
 	strs := cs["author"]

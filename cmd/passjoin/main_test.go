@@ -22,7 +22,7 @@ var verifyNames = []string{"shareprefix", "extension", "lengthaware", "naive", "
 func TestRunJoinVerifyNames(t *testing.T) {
 	want := len(bruteforce.SelfJoin(corpus, 2))
 	for _, ver := range verifyNames {
-		pairs, err := runJoin(corpus, nil, 2, -1, "multimatch", ver, 1, nil)
+		pairs, err := runJoin(corpus, nil, 2, "multimatch", ver, 1, nil)
 		if err != nil || len(pairs) != want {
 			t.Errorf("-verify %s: %d pairs, %v; want %d", ver, len(pairs), err, want)
 		}
@@ -38,7 +38,7 @@ func TestRunJoinAllAlgorithms(t *testing.T) {
 	for _, sel := range []string{"multimatch", "position", "shift", "length"} {
 		for _, ver := range verifyNames {
 			st := &metrics.Stats{}
-			pairs, err := runJoin(corpus, nil, 2, -1, sel, ver, 1, st)
+			pairs, err := runJoin(corpus, nil, 2, sel, ver, 1, st)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", sel, ver, err)
 			}
@@ -53,7 +53,7 @@ func TestRunJoinAllAlgorithms(t *testing.T) {
 // same order.
 func TestRunEngineMatchesPassjoinOutput(t *testing.T) {
 	strs := dataset.Author(200, 3)
-	got, err := runJoin(strs, nil, 2, -1, "multimatch", "shareprefix", 1, &metrics.Stats{})
+	got, err := runJoin(strs, nil, 2, "multimatch", "shareprefix", 1, &metrics.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRunEngineMatchesPassjoinOutput(t *testing.T) {
 func TestRunEngineTwoSets(t *testing.T) {
 	r := []string{"vldb", "sigmod", "icde"}
 	s := []string{"pvldb", "sigmmod", "icdm", "vldbj"}
-	got, err := runJoin(r, s, 2, -1, "multimatch", "shareprefix", 1, nil)
+	got, err := runJoin(r, s, 2, "multimatch", "shareprefix", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRunEngineTwoSets(t *testing.T) {
 func TestRunJoinTwoSets(t *testing.T) {
 	r := []string{"vldb"}
 	s := []string{"pvldb", "icde"}
-	pairs, err := runJoin(r, s, 1, -1, "multimatch", "shareprefix", 1, nil)
+	pairs, err := runJoin(r, s, 1, "multimatch", "shareprefix", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,73 +111,20 @@ func TestRunJoinTwoSets(t *testing.T) {
 }
 
 func TestRunJoinBadFlags(t *testing.T) {
-	if _, err := runJoin(corpus, nil, 1, -1, "nope", "shareprefix", 1, nil); err == nil {
+	if _, err := runJoin(corpus, nil, 1, "nope", "shareprefix", 1, nil); err == nil {
 		t.Error("unknown selection accepted")
 	}
-	if _, err := runJoin(corpus, nil, 1, -1, "multimatch", "nope", 1, nil); err == nil {
+	if _, err := runJoin(corpus, nil, 1, "multimatch", "nope", 1, nil); err == nil {
 		t.Error("unknown verification accepted")
 	}
 }
 
-func TestRunJoinQueryTau(t *testing.T) {
-	for _, qt := range []int{0, 1, 2} {
-		want, err := runJoin(corpus, nil, qt, -1, "multimatch", "shareprefix", 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			got, err := runJoin(corpus, nil, 3, qt, "multimatch", "shareprefix", workers, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("query-tau %d (workers=%d): %d pairs, want %d", qt, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("query-tau %d (workers=%d): pair %d = %v, want %v", qt, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestRunJoinQueryTauTwoSets(t *testing.T) {
-	r := []string{"vldb", "sigmod", "icde"}
-	s := []string{"pvldb", "sigmmod", "icdm", "vldbj"}
-	want, err := runJoin(r, s, 1, -1, "multimatch", "shareprefix", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runJoin(r, s, 3, 1, "multimatch", "shareprefix", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d pairs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestRunJoinQueryTauRejected(t *testing.T) {
-	if _, err := runJoin(corpus, nil, 2, 3, "multimatch", "shareprefix", 1, nil); err == nil {
-		t.Error("query-tau above tau accepted")
-	}
-	if _, err := runJoin(corpus, nil, 2, -2, "multimatch", "shareprefix", 1, nil); err == nil {
-		t.Error("negative query-tau accepted")
-	}
-}
-
 func TestRunJoinParallel(t *testing.T) {
-	seq, err := runJoin(corpus, nil, 2, -1, "multimatch", "shareprefix", 1, nil)
+	seq, err := runJoin(corpus, nil, 2, "multimatch", "shareprefix", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runJoin(corpus, nil, 2, -1, "multimatch", "shareprefix", 4, nil)
+	par, err := runJoin(corpus, nil, 2, "multimatch", "shareprefix", 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +136,11 @@ func TestRunJoinParallel(t *testing.T) {
 func TestRunJoinParallelTwoSets(t *testing.T) {
 	r := []string{"vldb", "sigmod", "icde"}
 	s := []string{"pvldb", "sigmmod", "icdm", "vldbj"}
-	seq, err := runJoin(r, s, 2, -1, "multimatch", "shareprefix", 1, nil)
+	seq, err := runJoin(r, s, 2, "multimatch", "shareprefix", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runJoin(r, s, 2, -1, "multimatch", "shareprefix", 4, nil)
+	par, err := runJoin(r, s, 2, "multimatch", "shareprefix", 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,10 +47,7 @@
 // # Streaming and cancellable joins
 //
 // The Each forms stream results to a callback without materializing the
-// result set; returning false stops the join early. With
-// WithParallelism(n > 1) the probe pass fans out over n workers that
-// feed the callback through a bounded channel with backpressure (the
-// callback still runs on the calling goroutine). The Ctx forms
+// result set; returning false stops the join early. The Ctx forms
 // additionally honor context cancellation mid-join — the building block
 // of the passjoind bulk-join endpoints:
 //
@@ -59,17 +56,21 @@
 //	        return true
 //	}, passjoin.WithParallelism(8))
 //
-// A sequential join delivers pairs by non-decreasing length of the longer
-// (for Join: the first set's) string, in no particular order within a
-// length — it probes a run of equal-length strings at a time; under
-// parallelism pairs arrive in no deterministic order at all. The sequential
-// scan uses at most two goroutines: the index lookups and the signature
-// filter run on a helper goroutine, verification and the callback on the
-// caller's, and GOMAXPROCS=1 keeps the scan on one core. A cancelled ctx
-// stops the workers promptly — they check between batches of lookups, not
-// between strings — and surfaces ctx.Err(). See
-// docs/ARCHITECTURE.md ("The streaming join path") for the fan-out and
-// backpressure design.
+// WithParallelism picks one of two modes, the same in all six join entry
+// points. By default (n <= 1) a join runs the paper's sequential scan over
+// a sliding window of length groups and delivers pairs by non-decreasing
+// length of the longer (for Join: the first set's) string, in no particular
+// order within a length — it probes a run of equal-length strings at a
+// time. The scan uses at most two goroutines: the index lookups and the
+// signature filter run on a helper goroutine, verification and the callback
+// on the caller's, and GOMAXPROCS=1 keeps the scan on one core. With n > 1
+// the whole corpus is indexed once and the probe pass fans out over n
+// workers that feed the callback through a bounded channel with
+// backpressure; pairs then arrive in no deterministic order at all. In
+// either mode the callback runs on the calling goroutine, and a cancelled
+// ctx stops the join promptly — it is checked between batches of lookups,
+// not between strings — and surfaces ctx.Err(). See docs/ARCHITECTURE.md
+// ("The streaming join path") for the fan-out and backpressure design.
 //
 // Every join entry point runs Pass-Join. The paper's competitors (ED-Join,
 // All-Pairs-Ed, Trie-Join, NGPP, Part-Enum) live under internal/ as the

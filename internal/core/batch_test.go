@@ -149,7 +149,7 @@ func TestBatchJoins(t *testing.T) {
 				got, err = Join(rset, strs, Options{Tau: tau, Verification: vk})
 				cmp("rsjoin", got, wantRS, err)
 				var stream []Pair
-				err = SelfJoinStream(context.Background(), strs, Options{Tau: tau, Verification: vk, Parallel: 3},
+				err = SelfJoinEach(context.Background(), strs, Options{Tau: tau, Verification: vk, Parallel: 3},
 					func(p Pair) bool { stream = append(stream, p); return true })
 				cmp("selfjoin-stream", stream, wantSelf, err)
 			})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -75,7 +76,7 @@ func BenchmarkSortRecs(b *testing.B) {
 func BenchmarkSortPairs(b *testing.B) {
 	for _, c := range joinBenchCorpora() {
 		var emitted []Pair
-		if err := SelfJoinFunc(c.corpus, Options{Tau: c.tau}, func(p Pair) bool {
+		if err := SelfJoinEach(context.Background(), c.corpus, Options{Tau: c.tau}, func(p Pair) bool {
 			emitted = append(emitted, p)
 			return true
 		}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -71,7 +72,8 @@ type blockJoin struct {
 	// that very id and pairs with the ids below it only.
 	self bool
 	// tick, when non-nil, runs after every resolved batch of lookups;
-	// returning false abandons the join (a parallel join's consumer is gone).
+	// returning false abandons the join (its consumer is gone, or its ctx
+	// cancelled).
 	tick func() bool
 
 	// The lookup stage's state. It fills out, and ships it when it is full:
@@ -168,12 +170,16 @@ func (j *blockJoin) probeBlock(strs []string, base int) bool {
 // pipeBatches batches are all the scan allocates for it. A batch carries the
 // lookup stage's counts, which go to the join's stats when the verify stage
 // takes it: a join stopped at its k-th pair has counted the same, whichever
-// stage ran ahead. The scan returns once the lookup stage is gone — when
-// emit stops the join or panics too — and reports a panic of that stage as
-// an error.
-func (j *blockJoin) pipe(side []string, chunks []span, slide func(l int)) (err error) {
+// stage ran ahead.
+//
+// A cancelled ctx stops the lookup stage at its next tick, and the verify
+// stage before the next batch it takes; the scan then returns ctx.Err(),
+// unless emit had stopped it. It returns once the lookup stage is gone —
+// when emit stops the join or panics too — and reports a panic of that stage
+// as an error.
+func (j *blockJoin) pipe(ctx context.Context, side []string, chunks []span, slide func(l int)) (err error) {
 	p := j.p
-	q := newQueue(p.ref)
+	q := newQueue(p.ref, ctx.Done())
 	j.q, j.tick = q, q.open
 	j.take(<-q.free)
 	j.strs, j.base = side, 0
@@ -201,6 +207,9 @@ func (j *blockJoin) pipe(side []string, chunks []span, slide func(l int)) (err e
 		}
 	}()
 	for b := range q.full {
+		if ctx.Err() != nil {
+			break
+		}
 		p.st.Add(&b.st)
 		b.st = metrics.Stats{}
 		ok := j.verify(b.tasks)
@@ -210,26 +219,32 @@ func (j *blockJoin) pipe(side []string, chunks []span, slide func(l int)) (err e
 			break
 		}
 	}
-	return nil
+	if p.stopped {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // queue is what the two stages of a serial join share: its batches, in free
 // (the lookup stage's to fill) or in full (the verify stage's to verify),
-// and done, closed when the verify stage is through. Neither channel ever
-// blocks a send, since each can hold every batch.
+// done, closed when the verify stage is through, and cancel, the join's
+// ctx.Done() (nil when the ctx cannot be cancelled). Neither channel of
+// batches ever blocks a send, since each can hold every batch.
 type queue struct {
 	free, full chan *taskBatch
 	done       chan struct{}
+	cancel     <-chan struct{}
 	err        error // a panic of the lookup stage; read once full is closed
 }
 
 // newQueue returns the queue of a serial join over the corpus ref, its
-// batches in free.
-func newQueue(ref []string) *queue {
+// batches in free, run under a ctx whose Done channel is cancel.
+func newQueue(ref []string, cancel <-chan struct{}) *queue {
 	q := &queue{
-		free: make(chan *taskBatch, pipeBatches),
-		full: make(chan *taskBatch, pipeBatches),
-		done: make(chan struct{}),
+		free:   make(chan *taskBatch, pipeBatches),
+		full:   make(chan *taskBatch, pipeBatches),
+		done:   make(chan struct{}),
+		cancel: cancel,
 	}
 	n := min(taskBatchSize, max(len(ref), 1))
 	bs, ts := make([]taskBatch, pipeBatches), make([]task, pipeBatches*n)
@@ -240,15 +255,23 @@ func newQueue(ref []string) *queue {
 	return q
 }
 
-// open is the lookup stage's tick: it reports whether the verify stage is
-// still there.
+// open is a serial join's tick: it reports whether the verify stage is
+// still there and the join's ctx is live. A ctx that cannot be cancelled
+// costs it a nil compare.
 func (q *queue) open() bool {
 	select {
 	case <-q.done:
 		return false
 	default:
-		return true
 	}
+	if q.cancel != nil {
+		select {
+		case <-q.cancel:
+			return false
+		default:
+		}
+	}
+	return true
 }
 
 // take makes b the batch the lookup stage fills.

@@ -122,13 +122,7 @@ func TestFirstOfLengthAtChunkStart(t *testing.T) {
 		var st metrics.Stats
 		pairs := 0
 		opt, emit := Options{Tau: 1, Stats: &st, Parallel: workers}, func(Pair) bool { pairs++; return true }
-		var err error
-		if workers > 0 {
-			err = SelfJoinStream(context.Background(), strs, opt, emit)
-		} else {
-			err = SelfJoinFunc(strs, opt, emit)
-		}
-		if err != nil {
+		if err := SelfJoinEach(context.Background(), strs, opt, emit); err != nil {
 			t.Fatal(err)
 		}
 		if want := n * (n - 1) / 2; pairs != want || st.Results != int64(want) || st.Verifications != int64(want) {
@@ -232,10 +226,10 @@ func TestEarlyStopMidBatch(t *testing.T) {
 	rset := strs[:120]
 	serial := map[string][]Pair{} // what each serial join finds, by brute force
 	for _, p := range bruteforce.SelfJoin(strs, 2) {
-		serial["SelfJoinFunc"] = append(serial["SelfJoinFunc"], Pair(p))
+		serial["serial SelfJoinEach"] = append(serial["serial SelfJoinEach"], Pair(p))
 	}
 	for _, p := range bruteforce.Join(rset, strs, 2) {
-		serial["JoinFunc"] = append(serial["JoinFunc"], Pair(p))
+		serial["serial JoinEach"] = append(serial["serial JoinEach"], Pair(p))
 	}
 	for _, ps := range serial {
 		SortPairs(ps)
@@ -243,13 +237,17 @@ func TestEarlyStopMidBatch(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, k := range []int{1, 7, 100, 1000} {
 		joins := map[string]func(opt Options, emit func(Pair) bool) error{
-			"SelfJoinFunc": func(opt Options, emit func(Pair) bool) error { return SelfJoinFunc(strs, opt, emit) },
-			"JoinFunc":     func(opt Options, emit func(Pair) bool) error { return JoinFunc(rset, strs, opt, emit) },
-			"SelfJoinStream": func(opt Options, emit func(Pair) bool) error {
-				return SelfJoinStream(context.Background(), strs, opt, emit)
+			"serial SelfJoinEach": func(opt Options, emit func(Pair) bool) error {
+				return SelfJoinEach(context.Background(), strs, serialOpt(opt), emit)
 			},
-			"JoinStream": func(opt Options, emit func(Pair) bool) error {
-				return JoinStream(context.Background(), rset, strs, opt, emit)
+			"serial JoinEach": func(opt Options, emit func(Pair) bool) error {
+				return JoinEach(context.Background(), rset, strs, serialOpt(opt), emit)
+			},
+			"SelfJoinEach": func(opt Options, emit func(Pair) bool) error {
+				return SelfJoinEach(context.Background(), strs, opt, emit)
+			},
+			"JoinEach": func(opt Options, emit func(Pair) bool) error {
+				return JoinEach(context.Background(), rset, strs, opt, emit)
 			},
 		}
 		for name, join := range joins {
@@ -290,6 +288,13 @@ func TestEarlyStopMidBatch(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// serialOpt is opt for the sequential windowed scan, whatever parallelism
+// it asked for.
+func serialOpt(opt Options) Options {
+	opt.Parallel = 1
+	return opt
+}
+
 // panicked runs f and returns what it panicked with; nil if it returned.
 func panicked(f func()) (v any) {
 	defer func() { v = recover() }()
@@ -326,7 +331,7 @@ func TestLookupPanicSurfacesAsError(t *testing.T) {
 	j := newBlockJoin(p, off, true)
 	p.emit = func(int32, int32) bool { return true }
 	before := runtime.NumGoroutine()
-	err = j.pipe(ref, chunksOf(off), func(l int) {
+	err = j.pipe(context.Background(), ref, chunksOf(off), func(l int) {
 		if l == 5 {
 			panic("slide blew up")
 		}
@@ -389,7 +394,7 @@ func TestCancelMidChunk(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var st metrics.Stats
-		err := SelfJoinStream(ctx, strs, Options{Tau: 8, Stats: &st, Parallel: workers}, func(Pair) bool {
+		err := SelfJoinEach(ctx, strs, Options{Tau: 8, Stats: &st, Parallel: workers}, func(Pair) bool {
 			cancel()
 			return true
 		})
@@ -401,4 +406,48 @@ func TestCancelMidChunk(t *testing.T) {
 			t.Fatalf("workers=%d: %d strings scanned after %d lookups; the chunk should have been abandoned", workers, st.Strings, st.Lookups)
 		}
 	}
+}
+
+// TestCancelStopsLookupStage: a serial join's lookup stage notices a
+// cancelled ctx at its next tick, not only once the verify stage takes a
+// batch — in this join of random strings no candidate survives to fill
+// one, so it would otherwise slide through every length — and the scan
+// returns ctx.Err() with no goroutine left behind.
+func TestCancelStopsLookupStage(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var strs []string
+	for l := 20; l < 40; l++ {
+		for range 2 * index.BlockBatchSize {
+			b := make([]byte, l)
+			for i := range b {
+				b[i] = byte('a' + rng.Intn(26))
+			}
+			strs = append(strs, string(b))
+		}
+	}
+	ref, _, off, sig, err := sortRecs(strs, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := index.NewWindow(ref, off, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newProber(1, selection.MultiMatch, VerifyExtensionShared, nil, nil, win.Frozen(), ref, sig)
+	j := newBlockJoin(p, off, true)
+	p.emit = func(int32, int32) bool { return true }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := runtime.NumGoroutine()
+	slides := 0
+	err = j.pipe(ctx, ref, chunksOf(off), func(l int) {
+		if slides++; slides == 2 {
+			cancel()
+		}
+		win.Slide(l-1, l)
+	})
+	if err != context.Canceled || slides != 2 {
+		t.Fatalf("err = %v after %d slides; want context.Canceled after 2", err, slides)
+	}
+	waitGoroutines(t, before)
 }

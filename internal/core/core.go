@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"slices"
 
-	"passjoin/internal/index"
 	"passjoin/internal/metrics"
 	"passjoin/internal/selection"
 )
@@ -99,9 +98,10 @@ type Options struct {
 	Verification VerifyKind
 	// Stats, when non-nil, receives instrumentation counters.
 	Stats *metrics.Stats
-	// Parallel, when > 1, enables the index-once/probe-parallel mode of
-	// SelfJoin and Join, and is the number of workers the stream joins sort,
-	// index and probe with; SelfJoinFunc and JoinFunc ignore it.
+	// Parallel picks a join's mode and is the number of workers it sorts
+	// with (at least 1). At most 1, every join runs the sequential scan over
+	// a sliding window of length groups; above 1, the index-once mode, in
+	// which that many workers build the whole index and then probe it.
 	Parallel int
 }
 
@@ -109,19 +109,6 @@ type Options struct {
 // shorter than l.
 func offAt(off []int, l int) int {
 	return off[min(max(l, 0), len(off)-1)]
-}
-
-// recordScan adds the whole-join figures of a finished serial scan to st:
-// the pairs delivered, the strings too short to partition, and the window
-// at its largest.
-func recordScan(st *metrics.Stats, win *index.Window, results int64, shorts int) {
-	if st == nil {
-		return
-	}
-	st.Results += results
-	st.ShortStrings += int64(shorts)
-	groups, bytes, entries := win.Peak()
-	st.IndexBytes, st.IndexEntries, st.PeakLiveGroups = bytes, entries, int64(groups)
 }
 
 // SortPairs orders pairs lexicographically; used to canonicalize results.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"slices"
@@ -83,18 +84,18 @@ func TestSerialEmitOrder(t *testing.T) {
 				return true
 			}
 			opt := Options{Tau: c.tau, Verification: vk}
-			if err := SelfJoinFunc(c.corpus, opt, emit); err != nil {
+			if err := SelfJoinEach(context.Background(), c.corpus, opt, emit); err != nil {
 				t.Fatal(err)
 			}
 			if got := h.Sum64(); got != c.self[vk] {
-				t.Errorf("%s %v SelfJoinFunc: sequence hash %#x, want %#x", c.name, vk, got, c.self[vk])
+				t.Errorf("%s %v SelfJoinEach: sequence hash %#x, want %#x", c.name, vk, got, c.self[vk])
 			}
 			h.Reset()
-			if err := JoinFunc(c.corpus[:len(c.corpus)/4], c.corpus, opt, emit); err != nil {
+			if err := JoinEach(context.Background(), c.corpus[:len(c.corpus)/4], c.corpus, opt, emit); err != nil {
 				t.Fatal(err)
 			}
 			if got := h.Sum64(); got != c.rset[vk] {
-				t.Errorf("%s %v JoinFunc: sequence hash %#x, want %#x", c.name, vk, got, c.rset[vk])
+				t.Errorf("%s %v JoinEach: sequence hash %#x, want %#x", c.name, vk, got, c.rset[vk])
 			}
 		}
 	}

@@ -9,16 +9,11 @@ import (
 
 // SelfJoin finds every unordered pair of strings in strs whose edit
 // distance is at most opt.Tau. Result pairs carry original input indices
-// with R < S; the slice is sorted lexicographically. opt.Parallel > 1
-// selects the index-once/probe-parallel mode of SelfJoinStream — full
-// index residency instead of the sliding window's O((τ+1)²) live groups,
-// an extension beyond the single-threaded paper — with the same results.
+// with R < S; the slice is sorted lexicographically. It runs SelfJoinEach,
+// in the mode opt.Parallel picks, and sorts what it delivers.
 func SelfJoin(strs []string, opt Options) ([]Pair, error) {
 	return collect(func(emit func(Pair) bool) error {
-		if opt.Parallel > 1 {
-			return SelfJoinStream(context.Background(), strs, opt, emit)
-		}
-		return SelfJoinFunc(strs, opt, emit)
+		return SelfJoinEach(context.Background(), strs, opt, emit)
 	})
 }
 
@@ -37,45 +32,50 @@ func collect(join func(emit func(Pair) bool) error) ([]Pair, error) {
 	return out, nil
 }
 
-// SelfJoinFunc streams the self-join results to emit as they are found —
-// by non-decreasing length of the longer string, in no particular order
-// within a length — without materializing the result set. emit returning
-// false stops the join early. opt.Parallel is ignored: the scan is the
-// sequential one of §3.2, on at most two goroutines — the index lookups and
-// the signature filter on one of its own, verification and emit on the
-// caller's — so emit needs no synchronization, and the pairs, their order
-// and every counter are those of a scan on one goroutine. At GOMAXPROCS=1
-// the two take turns on one core.
-func SelfJoinFunc(strs []string, opt Options, emit func(Pair) bool) error {
-	if opt.Tau < 0 {
-		return fmt.Errorf("core: negative threshold %d", opt.Tau)
-	}
-	if emit == nil {
-		return fmt.Errorf("core: nil emit callback")
-	}
-	ref, orig, off, sig, err := sortRecs(strs, 1, true)
+// SelfJoinEach streams the self-join results to emit as they are found,
+// without materializing the result set, in the mode opt.Parallel picks
+// (joinPlan.run). emit is always called from the calling goroutine, so it
+// needs no synchronization. The sequential scan delivers pairs by
+// non-decreasing length of the longer string, in no particular order within
+// a length — the order, and every counter, of a scan on one goroutine; the
+// parallel mode, in no deterministic order. emit returning false stops the
+// join early and returns nil; a ctx cancellation stops it within a batch of
+// lookups and returns ctx.Err(). A nil ctx means Background.
+func SelfJoinEach(ctx context.Context, strs []string, opt Options, emit func(Pair) bool) error {
+	ctx, err := begin(ctx, opt, emit)
 	if err != nil {
 		return err
 	}
-	tau := opt.Tau
-	st := opt.Stats
-	win, err := index.NewWindow(ref, off, tau)
+	ref, orig, off, sig, err := sortRecs(strs, max(opt.Parallel, 1), true)
 	if err != nil {
-		return fmt.Errorf("core: building index: %w", err)
+		return err
 	}
-	p := newProber(tau, opt.Selection, opt.Verification, st, nil, win.Frozen(), ref, sig)
-	j := newBlockJoin(p, off, true)
-	var results int64
-	p.emit = func(rid, _ int32) bool {
-		results++
-		return emit(normalize(orig[rid], orig[j.cur()]))
+	j := &joinPlan{
+		ref: ref, off: off, sig: sig,
+		side: ref, chunks: chunksOf(off), self: true,
+		pair: func(cur int, rid int32) Pair { return normalize(orig[rid], orig[cur]) },
+		// above is 0: the window of §3.2, the groups of lengths [|s|−τ, |s|],
+		// bulk-built on entry — group |s| ahead of the strings it indexes,
+		// which the lookup stage's cut at a string's own id hides from
+		// their predecessors.
 	}
-	// The window of §3.2: the groups of lengths [|s|−τ, |s|], bulk-built on
-	// entry — group |s| ahead of the strings it indexes, which the lookup
-	// stage's cut at a string's own id hides from their predecessors.
-	err = j.pipe(ref, chunksOf(off), func(l int) { win.Slide(l-tau, l) })
-	recordScan(st, win, results, off[index.FirstIndexed(off, tau)])
-	return err
+	return j.run(ctx, opt, emit)
+}
+
+// begin checks the arguments every streaming join shares, and returns the
+// ctx to run under: Background for a nil one. A ctx that is already
+// cancelled stops the join before it sorts anything.
+func begin(ctx context.Context, opt Options, emit func(Pair) bool) (context.Context, error) {
+	if opt.Tau < 0 {
+		return nil, fmt.Errorf("core: negative threshold %d", opt.Tau)
+	}
+	if emit == nil {
+		return nil, fmt.Errorf("core: nil emit callback")
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return ctx, ctx.Err()
 }
 
 // IndexFootprint builds the full Pass-Join index over strs (no eviction)

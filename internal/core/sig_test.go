@@ -166,7 +166,7 @@ func TestJoinModesAgree(t *testing.T) {
 
 				st = metrics.Stats{}
 				var rs []Pair
-				err := JoinStream(context.Background(), rset, strs, opt, func(p Pair) bool {
+				err := JoinEach(context.Background(), rset, strs, opt, func(p Pair) bool {
 					rs = append(rs, p)
 					return true
 				})

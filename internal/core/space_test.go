@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestSelfJoinFuncMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Pair
-	if err := SelfJoinFunc(strs, Options{Tau: 2}, func(p Pair) bool {
+	if err := SelfJoinEach(context.Background(), strs, Options{Tau: 2}, func(p Pair) bool {
 		got = append(got, p)
 		return true
 	}); err != nil {
@@ -77,7 +78,7 @@ func TestSelfJoinFuncEarlyStopCounts(t *testing.T) {
 	strs := randomCorpus(rng, 150, 16, 3, 0.6, 2)
 	st := &metrics.Stats{}
 	n := 0
-	if err := SelfJoinFunc(strs, Options{Tau: 2, Stats: st}, func(Pair) bool {
+	if err := SelfJoinEach(context.Background(), strs, Options{Tau: 2, Stats: st}, func(Pair) bool {
 		n++
 		return n < 5
 	}); err != nil {
@@ -92,10 +93,10 @@ func TestSelfJoinFuncEarlyStopCounts(t *testing.T) {
 }
 
 func TestJoinFuncNilEmit(t *testing.T) {
-	if err := SelfJoinFunc(nil, Options{Tau: 1}, nil); err == nil {
+	if err := SelfJoinEach(context.Background(), nil, Options{Tau: 1}, nil); err == nil {
 		t.Error("nil emit accepted")
 	}
-	if err := JoinFunc(nil, nil, Options{Tau: 1}, nil); err == nil {
+	if err := JoinEach(context.Background(), nil, nil, Options{Tau: 1}, nil); err == nil {
 		t.Error("nil emit accepted")
 	}
 }

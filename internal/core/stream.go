@@ -16,130 +16,91 @@ import (
 // result-set size.
 const streamBatchSize = 256
 
-// SelfJoinStream is the parallel, cancellable streaming form of SelfJoin:
-// the frozen segment index is bulk-built once over all of strs (no
-// eviction) by opt.Parallel workers (min 1), which then probe it — a chunk
-// of equal-length strings at a time (blockJoin), the chunks claimed largest
-// first — and feed result pairs through a bounded channel to emit. The full
-// result set is never materialized — memory stays at the index plus
-// O(workers) pair batches, with backpressure: when emit falls behind, the
-// probe workers block.
+// joinPlan is what a streaming join hands its runner: the indexed side —
+// sorted by length, off its per-length offsets, sig its signatures — the
+// probing side (ref itself for a self join) and its chunks, whether the
+// chunks are the indexed side's own, how a match names its Pair — the
+// probing string by its position cur in side, the indexed one by its id —
+// and above, how far past a probing length l the window must reach: while
+// strings of length l probe it, it holds the groups of [l−τ, l+above].
+type joinPlan struct {
+	ref    []string
+	off    []int
+	sig    []uint64
+	side   []string
+	chunks []span
+	self   bool
+	pair   func(cur int, rid int32) Pair
+	above  int
+}
+
+// run runs the join j describes in the mode opt.Parallel picks, delivers
+// its pairs to emit, and records the whole-join figures — the pairs
+// delivered, the strings too short to partition, the index — in opt.Stats.
 //
-// emit is always called from the calling goroutine, so it needs no
-// synchronization; pairs arrive in no deterministic order (canonicalize
-// with SortPairs when order matters). emit returning false stops the join
-// early and returns nil. A ctx cancellation stops the workers promptly
-// (they check between batches of index.BlockBatchSize strings' lookups) and
-// returns ctx.Err().
-func SelfJoinStream(ctx context.Context, strs []string, opt Options, emit func(Pair) bool) error {
-	if opt.Tau < 0 {
-		return fmt.Errorf("core: negative threshold %d", opt.Tau)
+// At most one worker, it is the sequential scan of §3.2: a window of
+// length groups, bulk-built as the scan reaches them (index.Window), probed
+// by the two stages of blockJoin.pipe on two goroutines, which take turns at
+// GOMAXPROCS=1. More, and the whole indexed side is
+// known before any probe starts, so it is bulk-built once, by that many
+// workers, into the immutable CSR arena every one of them then probes
+// (streamEngine): full index residency instead of the window's O((τ+1)²)
+// live groups, an extension beyond the single-threaded paper.
+func (j *joinPlan) run(ctx context.Context, opt Options, emit func(Pair) bool) error {
+	tau, st := opt.Tau, opt.Stats
+	var results int64
+	count := func(p Pair) bool {
+		results++
+		return emit(p)
 	}
-	if emit == nil {
-		return fmt.Errorf("core: nil emit callback")
+	// arm returns a block join over fz that counts into pst and delivers
+	// its matches to deliver.
+	arm := func(fz *index.Frozen, pst *metrics.Stats, deliver func(Pair) bool) *blockJoin {
+		p := newProber(tau, opt.Selection, opt.Verification, pst, nil, fz, j.ref, j.sig)
+		b := newBlockJoin(p, j.off, j.self)
+		p.emit = func(rid, _ int32) bool { return deliver(j.pair(b.cur(), rid)) }
+		return b
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	tau := opt.Tau
-	st := opt.Stats
-	ref, orig, off, sig, err := sortRecs(strs, opt.Parallel, true) // sig: one array, read by every worker
-	if err != nil {
-		return err
-	}
-	// The whole corpus is known before any probe starts, so the index is
-	// bulk-built straight into the immutable CSR arena every worker probes.
-	fz, err := index.BuildFrozen(ref, tau, opt.Parallel)
-	if err != nil {
-		return fmt.Errorf("core: building index: %w", err)
-	}
-
-	e := &streamEngine{
-		workers: opt.Parallel,
-		chunks:  chunksOf(off),
-		stats:   st,
-		newWorker: func(wst *metrics.Stats, push func(Pair) bool, tick func() bool) func(span) bool {
-			p := newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref, sig)
-			j := newBlockJoin(p, off, true)
-			j.tick = tick
-			p.emit = func(rid, _ int32) bool { return push(normalize(orig[rid], orig[j.cur()])) }
-			return func(c span) bool { return j.probeBlock(ref[c.lo:c.hi], c.lo) }
-		},
-		finish: streamFinish(st, fz, off[index.FirstIndexed(off, tau)]),
-	}
-	return e.run(ctx, emit)
-}
-
-// JoinStream is the parallel, cancellable streaming form of Join: all of
-// sset is bulk-indexed once by opt.Parallel workers, which then probe the
-// rset strings, sorted into chunks of one length, and feed pairs through a
-// bounded channel to emit. Semantics (callback goroutine, ordering, early
-// stop, cancellation, backpressure) match SelfJoinStream.
-func JoinStream(ctx context.Context, rset, sset []string, opt Options, emit func(Pair) bool) error {
-	if opt.Tau < 0 {
-		return fmt.Errorf("core: negative threshold %d", opt.Tau)
-	}
-	if emit == nil {
-		return fmt.Errorf("core: nil emit callback")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	tau := opt.Tau
-	st := opt.Stats
-	rRef, rOrig, rOff, _, err := sortRecs(rset, opt.Parallel, false) // only probed with: ordered, not copied
-	if err != nil {
-		return err
-	}
-	ref, orig, off, sig, err := sortRecs(sset, opt.Parallel, true) // sig: one array, read by every worker
-	if err != nil {
-		return err
-	}
-	fz, err := index.BuildFrozen(ref, tau, opt.Parallel)
-	if err != nil {
-		return fmt.Errorf("core: building index: %w", err)
-	}
-
-	e := &streamEngine{
-		workers: opt.Parallel,
-		chunks:  chunksOf(rOff),
-		stats:   st,
-		newWorker: func(wst *metrics.Stats, push func(Pair) bool, tick func() bool) func(span) bool {
-			p := newProber(tau, opt.Selection, opt.Verification, wst, nil, fz, ref, sig)
-			j := newBlockJoin(p, off, false)
-			j.tick = tick
-			p.emit = func(sid, _ int32) bool { return push(Pair{R: rOrig[j.cur()], S: orig[sid]}) }
-			return func(c span) bool { return j.probeBlock(rRef[c.lo:c.hi], c.lo) }
-		},
-		finish: streamFinish(st, fz, off[index.FirstIndexed(off, tau)]),
-	}
-	return e.run(ctx, emit)
-}
-
-// streamFinish returns the whole-join stats a stream join records once its
-// workers are done: the pairs delivered, the strings too short to
-// partition, and the footprint of the index all of them probed.
-func streamFinish(st *metrics.Stats, fz *index.Frozen, shorts int) func(emitted int64) {
-	return func(emitted int64) {
+	// record adds the whole-join figures to st once the join is through.
+	record := func(groups int, bytes, entries int64) {
 		if st != nil {
-			st.Results += emitted
-			st.ShortStrings += int64(shorts)
-			st.IndexBytes = fz.MapBytes()
-			st.IndexEntries = fz.Entries()
+			st.Results += results
+			st.ShortStrings += int64(j.off[index.FirstIndexed(j.off, tau)])
+			st.IndexBytes, st.IndexEntries, st.PeakLiveGroups = bytes, entries, int64(groups)
 		}
 	}
+	if opt.Parallel > 1 {
+		fz, err := index.BuildFrozen(j.ref, tau, opt.Parallel)
+		if err != nil {
+			return fmt.Errorf("core: building index: %w", err)
+		}
+		e := &streamEngine{
+			workers: opt.Parallel,
+			chunks:  j.chunks,
+			stats:   st,
+			newWorker: func(wst *metrics.Stats, push func(Pair) bool, tick func() bool) func(span) bool {
+				b := arm(fz, wst, push)
+				b.tick = tick
+				return func(c span) bool { return b.probeBlock(j.side[c.lo:c.hi], c.lo) }
+			},
+		}
+		err = e.run(ctx, count)
+		record(0, fz.MapBytes(), fz.Entries())
+		return err
+	}
+	win, err := index.NewWindow(j.ref, j.off, tau)
+	if err != nil {
+		return fmt.Errorf("core: building index: %w", err)
+	}
+	err = arm(win.Frozen(), st, count).pipe(ctx, j.side, j.chunks, func(l int) { win.Slide(l-tau, l+j.above) })
+	record(win.Peak())
+	return err
 }
 
-// streamEngine is the fan-out/collect machinery shared by SelfJoinStream
-// and JoinStream. The chunks of the probe side are claimed largest first by
-// up to workers goroutines (tasks.LargestFirst; min 1, and
-// one worker still probes off the caller's goroutine), each pushing result
+// streamEngine is the fan-out/collect machinery of a join on more than one
+// worker. The chunks of the probe side are claimed largest first by up to
+// workers goroutines (tasks.LargestFirst; a join of one chunk has one
+// worker, still off the caller's goroutine), each pushing result
 // pairs into a batch of its own that is published on a bounded channel; the
 // consumer — the calling goroutine — drains batches and invokes emit
 // sequentially. Workers block on the channel when the consumer falls behind
@@ -155,9 +116,6 @@ type streamEngine struct {
 	// of a chunk); push, tick or the returned function reporting false means
 	// the consumer is gone and the worker must unwind.
 	newWorker func(wst *metrics.Stats, push func(Pair) bool, tick func() bool) (probe func(c span) bool)
-	// finish records final whole-join stats; emitted is the number of pairs
-	// actually delivered to emit.
-	finish func(emitted int64)
 }
 
 func (e *streamEngine) run(ctx context.Context, emit func(Pair) bool) error {
@@ -225,7 +183,6 @@ func (e *streamEngine) run(ctx context.Context, emit func(Pair) bool) error {
 		})
 	}()
 
-	var emitted int64
 	var err error
 consume:
 	for {
@@ -243,7 +200,6 @@ consume:
 				break consume
 			}
 			for _, pr := range b {
-				emitted++
 				if !emit(pr) {
 					break consume
 				}
@@ -258,9 +214,6 @@ consume:
 	}
 	for w := range wstats {
 		e.stats.Add(&wstats[w])
-	}
-	if e.finish != nil {
-		e.finish(emitted)
 	}
 	if err == nil && workErr != nil {
 		err = fmt.Errorf("core: join %w", workErr)

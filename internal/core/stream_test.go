@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func collectStream(t *testing.T, ctx context.Context, strs []string, opt Options) []Pair {
 	t.Helper()
 	var out []Pair
-	if err := SelfJoinStream(ctx, strs, opt, func(p Pair) bool {
+	if err := SelfJoinEach(ctx, strs, opt, func(p Pair) bool {
 		out = append(out, p)
 		return true
 	}); err != nil {
@@ -58,7 +59,7 @@ func TestJoinStreamMatchesSequential(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3, 6} {
 			var got []Pair
-			err := JoinStream(context.Background(), rset, sset, Options{Tau: tau, Parallel: workers}, func(p Pair) bool {
+			err := JoinEach(context.Background(), rset, sset, Options{Tau: tau, Parallel: workers}, func(p Pair) bool {
 				got = append(got, p)
 				return true
 			})
@@ -83,7 +84,7 @@ func TestSelfJoinStreamEarlyStop(t *testing.T) {
 	strs := randomCorpus(rng, 200, 14, 3, 0.6, 2)
 	for _, workers := range []int{1, 4} {
 		seen := 0
-		err := SelfJoinStream(context.Background(), strs, Options{Tau: 2, Parallel: workers}, func(Pair) bool {
+		err := SelfJoinEach(context.Background(), strs, Options{Tau: 2, Parallel: workers}, func(Pair) bool {
 			seen++
 			return seen < 3
 		})
@@ -96,16 +97,19 @@ func TestSelfJoinStreamEarlyStop(t *testing.T) {
 	}
 }
 
-// Cancelling mid-join must stop the workers and surface ctx.Err(); the
-// test hangs (and times out) if a worker never observes the cancellation.
-// Run under -race to exercise the shutdown handshake.
+// Cancelling mid-join must stop it in either mode — the sequential scan's
+// two stages or the parallel workers — surface ctx.Err() and leave no
+// goroutine behind; the test hangs (and times out) if a stage or a worker
+// never observes the cancellation. Run under -race to exercise the shutdown
+// handshake.
 func TestSelfJoinStreamCancelMidJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	strs := randomCorpus(rng, 400, 14, 2, 0.8, 1) // dense: many pairs
-	for _, workers := range []int{1, 4} {
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{0, 1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		seen := 0
-		err := SelfJoinStream(ctx, strs, Options{Tau: 2, Parallel: workers}, func(Pair) bool {
+		err := SelfJoinEach(ctx, strs, Options{Tau: 2, Parallel: workers}, func(Pair) bool {
 			seen++
 			if seen == 2 {
 				cancel()
@@ -119,6 +123,7 @@ func TestSelfJoinStreamCancelMidJoin(t *testing.T) {
 		if seen < 2 {
 			t.Fatalf("workers=%d: cancelled before any pair was seen (%d)", workers, seen)
 		}
+		waitGoroutines(t, before)
 	}
 }
 
@@ -126,53 +131,57 @@ func TestJoinStreamCancelMidJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	rset := randomCorpus(rng, 300, 12, 2, 0.8, 1)
 	sset := randomCorpus(rng, 300, 12, 2, 0.8, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	seen := 0
-	err := JoinStream(ctx, rset, sset, Options{Tau: 2, Parallel: 4}, func(Pair) bool {
-		seen++
-		if seen == 2 {
-			cancel()
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{0, 1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		err := JoinEach(ctx, rset, sset, Options{Tau: 2, Parallel: workers}, func(Pair) bool {
+			seen++
+			if seen == 2 {
+				cancel()
+			}
+			return true
+		})
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		return true
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		waitGoroutines(t, before)
 	}
 }
 
 func TestStreamCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := SelfJoinStream(ctx, []string{"abc", "abd"}, Options{Tau: 1, Parallel: 2}, func(Pair) bool {
+	err := SelfJoinEach(ctx, []string{"abc", "abd"}, Options{Tau: 1, Parallel: 2}, func(Pair) bool {
 		t.Fatal("emit called on a dead context")
 		return false
 	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	err = JoinStream(ctx, []string{"abc"}, []string{"abd"}, Options{Tau: 1}, func(Pair) bool { return true })
+	err = JoinEach(ctx, []string{"abc"}, []string{"abd"}, Options{Tau: 1}, func(Pair) bool { return true })
 	if err != context.Canceled {
-		t.Fatalf("JoinStream err = %v, want context.Canceled", err)
+		t.Fatalf("JoinEach err = %v, want context.Canceled", err)
 	}
 }
 
 func TestStreamValidationErrors(t *testing.T) {
 	bg := context.Background()
-	if err := SelfJoinStream(bg, nil, Options{Tau: -1}, func(Pair) bool { return true }); err == nil {
-		t.Error("negative tau accepted by SelfJoinStream")
+	if err := SelfJoinEach(bg, nil, Options{Tau: -1}, func(Pair) bool { return true }); err == nil {
+		t.Error("negative tau accepted by SelfJoinEach")
 	}
-	if err := SelfJoinStream(bg, nil, Options{Tau: 1}, nil); err == nil {
-		t.Error("nil emit accepted by SelfJoinStream")
+	if err := SelfJoinEach(bg, nil, Options{Tau: 1}, nil); err == nil {
+		t.Error("nil emit accepted by SelfJoinEach")
 	}
-	if err := JoinStream(bg, nil, nil, Options{Tau: -1}, func(Pair) bool { return true }); err == nil {
-		t.Error("negative tau accepted by JoinStream")
+	if err := JoinEach(bg, nil, nil, Options{Tau: -1}, func(Pair) bool { return true }); err == nil {
+		t.Error("negative tau accepted by JoinEach")
 	}
-	if err := JoinStream(bg, nil, nil, Options{Tau: 1}, nil); err == nil {
-		t.Error("nil emit accepted by JoinStream")
+	if err := JoinEach(bg, nil, nil, Options{Tau: 1}, nil); err == nil {
+		t.Error("nil emit accepted by JoinEach")
 	}
 	// A nil context defaults to Background instead of panicking.
-	if err := SelfJoinStream(nil, []string{"ab", "ac"}, Options{Tau: 1}, func(Pair) bool { return true }); err != nil {
+	if err := SelfJoinEach(nil, []string{"ab", "ac"}, Options{Tau: 1}, func(Pair) bool { return true }); err != nil {
 		t.Errorf("nil ctx: %v", err)
 	}
 }
@@ -232,15 +241,26 @@ func TestSortPanicSurfacesAsError(t *testing.T) {
 }
 
 // Stream stats must match the sequential run's totals for the whole-join
-// counters that are parallelism-invariant, and the index footprint must be
-// the map index's (IndexFootprint builds it with Add, as the stream joins
-// did before they bulk-built) at any worker count.
+// counters that are parallelism-invariant, and the index footprint of a
+// join on several workers must be that of the whole index (IndexFootprint)
+// at any worker count. One worker runs the windowed scan, whose footprint
+// is the window's at its largest: live groups, and no more than the whole.
 func TestStreamStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	strs := randomCorpus(rng, 150, 15, 3, 0.5, 3)
 	probes := randomCorpus(rng, 40, 15, 3, 0.5, 3)
 	wantBytes, wantEntries := IndexFootprint(strs, 2)
-	for _, workers := range []int{1, 4} {
+	checkIndex := func(workers int, join string, st *metrics.Stats) {
+		t.Helper()
+		if workers <= 1 {
+			if st.PeakLiveGroups == 0 || st.IndexBytes > wantBytes || st.IndexEntries > wantEntries {
+				t.Errorf("workers=%d: %s window peak %d groups, %d B / %d entries; whole index %d / %d", workers, join, st.PeakLiveGroups, st.IndexBytes, st.IndexEntries, wantBytes, wantEntries)
+			}
+		} else if st.IndexBytes != wantBytes || st.IndexEntries != wantEntries {
+			t.Errorf("workers=%d: %s index %d B / %d entries, whole index %d / %d", workers, join, st.IndexBytes, st.IndexEntries, wantBytes, wantEntries)
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
 		st := &metrics.Stats{}
 		got := collectStream(t, context.Background(), strs, Options{Tau: 2, Parallel: workers, Stats: st})
 		if st.Results != int64(len(got)) {
@@ -249,16 +269,12 @@ func TestStreamStats(t *testing.T) {
 		if st.Strings != int64(len(strs)) {
 			t.Errorf("workers=%d: Strings=%d, want %d", workers, st.Strings, len(strs))
 		}
-		if st.IndexBytes != wantBytes || st.IndexEntries != wantEntries {
-			t.Errorf("workers=%d: self join index %d B / %d entries, map index %d / %d", workers, st.IndexBytes, st.IndexEntries, wantBytes, wantEntries)
-		}
+		checkIndex(workers, "self join", st)
 		st = &metrics.Stats{}
-		if err := JoinStream(context.Background(), probes, strs, Options{Tau: 2, Parallel: workers, Stats: st}, func(Pair) bool { return true }); err != nil {
+		if err := JoinEach(context.Background(), probes, strs, Options{Tau: 2, Parallel: workers, Stats: st}, func(Pair) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
-		if st.IndexBytes != wantBytes || st.IndexEntries != wantEntries {
-			t.Errorf("workers=%d: R-S join index %d B / %d entries, map index %d / %d", workers, st.IndexBytes, st.IndexEntries, wantBytes, wantEntries)
-		}
+		checkIndex(workers, "R-S join", st)
 	}
 }
 
@@ -269,7 +285,7 @@ func BenchmarkStreamSelfJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				n := 0
-				err := SelfJoinStream(context.Background(), strs, Options{Tau: 2, Parallel: workers}, func(Pair) bool {
+				err := SelfJoinEach(context.Background(), strs, Options{Tau: 2, Parallel: workers}, func(Pair) bool {
 					n++
 					return true
 				})

@@ -533,10 +533,7 @@ func (co *Coordinator) ensureIDFloor(ctx context.Context) error {
 
 func (co *Coordinator) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req DocRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
+	if !decodeJSON(w, r, co.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Doc == nil {

@@ -194,6 +194,19 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 			t.Fatalf("%s: coordinator (%d) %s vs single-node (%d) %s", path, gotCode, got, wantCode, want)
 		}
 	}
+	// A write body over the size limit (413) or with an unknown field (400)
+	// is refused in the same words; neither store changes.
+	oversized := `{"doc":"` + strings.Repeat("a", defaultMaxBodyBytes+10-len(`{"doc":""}`)) + `"}`
+	for name, body := range map[string]string{
+		"oversized":     oversized,
+		"unknown field": `{"doc":"x","bogus":1}`,
+	} {
+		wantCode, want := rawPost(t, union.URL+"/v1/docs", "application/json", body)
+		gotCode, got := rawPost(t, h.ts.URL+"/v1/docs", "application/json", body)
+		if gotCode != wantCode || !bytes.Equal(got, want) {
+			t.Fatalf("POST /v1/docs, %s body: coordinator (%d) %s vs single-node (%d) %s", name, gotCode, got, wantCode, want)
+		}
+	}
 }
 
 func mustJSON(t testing.TB, v any) string {

@@ -317,6 +317,19 @@ func TestJoinClientDisconnectCancelsWorkers(t *testing.T) {
 		b[i%len(b)] = byte('a' + i%4)
 		corpus[i] = string(b)
 	}
+	// One worker runs the sequential scan, two the parallel probe workers:
+	// a dropped client stops either.
+	for _, parallel := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+			joinUntilDisconnect(t, corpus, parallel)
+		})
+	}
+}
+
+// joinUntilDisconnect posts corpus to a self join at the given parallelism,
+// reads one pair, drops the connection, and fails t unless the handler
+// returns promptly without counting the join as completed.
+func joinUntilDisconnect(t *testing.T, corpus []string, parallel int) {
 	srv, _ := newTestServer(t, corpus[:10], 2, 1, Config{})
 	handlerDone := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -330,7 +343,7 @@ func TestJoinClientDisconnectCancelsWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		ts.URL+"/v1/join/self?tau=3&parallel=2", strings.NewReader(strings.Join(corpus, "\n")))
+		ts.URL+fmt.Sprintf("/v1/join/self?tau=3&parallel=%d", parallel), strings.NewReader(strings.Join(corpus, "\n")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -516,7 +516,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	default: // POST, enforced by the mux pattern
 		var req searchRequest
-		if !s.decodeJSON(w, r, &req) {
+		if !decodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
 			return
 		}
 		if req.Query == "" {
@@ -562,7 +562,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatch {
@@ -615,7 +615,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // stable for the life of the index (and across restarts with a WAL).
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req DocRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Doc == nil {
@@ -1057,10 +1057,13 @@ func (s *Server) lookup(q string, k, tau int, tr *passjoin.Trace) []Match {
 	return out
 }
 
-// decodeJSON parses a size-capped JSON body into v, writing the error
-// response itself when parsing fails.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// decodeJSON parses a JSON body of at most limit bytes into v, rejecting
+// unknown fields, and writes the error response itself when parsing fails:
+// 413 for a body over the limit, 400 for any other fault. The daemon's and
+// the coordinator's handlers both decode with it, so they answer a bad body
+// byte-identically.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		status := http.StatusBadRequest

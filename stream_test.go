@@ -3,8 +3,11 @@ package passjoin
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+
+	"passjoin/internal/core"
 )
 
 func sortPairs(ps []Pair) {
@@ -157,6 +160,22 @@ func TestJoinEachParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// sequentialOpts are the two ways to ask for the sequential scan.
+var sequentialOpts = map[string][]Option{"default": nil, "WithParallelism(1)": {WithParallelism(1)}}
+
+// checkWindowStats fails t unless st is a sequential scan's: a window of
+// live groups at its peak, no larger than the whole index over indexed.
+func checkWindowStats(t *testing.T, name string, st *Stats, indexed []string, tau int) {
+	t.Helper()
+	bytes, _ := core.IndexFootprint(indexed, tau)
+	if st.inner.PeakLiveGroups <= 0 || st.IndexBytes <= 0 || st.IndexBytes > bytes {
+		t.Errorf("%s: peak %d live groups, %d index bytes; want a window, at most the whole index's %d", name, st.inner.PeakLiveGroups, st.IndexBytes, bytes)
+	}
+}
+
+// The Ctx form runs the mode WithParallelism picks, as the other forms do:
+// at the default and at one worker, the sequential scan, which yields
+// exactly the sequence SelfJoinEach does; with workers, the same set.
 func TestSelfJoinEachCtxMatchesSelfJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
 	strs := testCorpus(rng, 200)
@@ -164,7 +183,27 @@ func TestSelfJoinEachCtxMatchesSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
+	for name, opts := range sequentialOpts {
+		var seq, got []Pair
+		if err := SelfJoinEach(strs, 2, func(r, s int) bool {
+			seq = append(seq, Pair{R: r, S: s})
+			return true
+		}, opts...); err != nil {
+			t.Fatal(err)
+		}
+		var st Stats
+		if err := SelfJoinEachCtx(context.Background(), strs, 2, func(r, s int) bool {
+			got = append(got, Pair{R: r, S: s})
+			return true
+		}, append(opts, WithStats(&st))...); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || !slices.Equal(got, seq) {
+			t.Fatalf("%s: SelfJoinEachCtx yielded %d pairs, not SelfJoinEach's sequence of %d", name, len(got), len(seq))
+		}
+		checkWindowStats(t, name, &st, strs, 2)
+	}
+	for _, workers := range []int{2, 4} {
 		var got []Pair
 		err := SelfJoinEachCtx(context.Background(), strs, 2, func(r, s int) bool {
 			got = append(got, Pair{R: r, S: s})
@@ -174,7 +213,7 @@ func TestSelfJoinEachCtxMatchesSelfJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		sortPairs(got)
-		if len(got) != len(want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(got), len(want))
 		}
 	}
@@ -187,6 +226,26 @@ func TestJoinEachCtxMatchesJoin(t *testing.T) {
 	want, err := Join(rset, sset, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for name, opts := range sequentialOpts {
+		var seq, got []Pair
+		if err := JoinEach(rset, sset, 2, func(r, s int) bool {
+			seq = append(seq, Pair{R: r, S: s})
+			return true
+		}, opts...); err != nil {
+			t.Fatal(err)
+		}
+		var st Stats
+		if err := JoinEachCtx(context.Background(), rset, sset, 2, func(r, s int) bool {
+			got = append(got, Pair{R: r, S: s})
+			return true
+		}, append(opts, WithStats(&st))...); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || !slices.Equal(got, seq) {
+			t.Fatalf("%s: JoinEachCtx yielded %d pairs, not JoinEach's sequence of %d", name, len(got), len(seq))
+		}
+		checkWindowStats(t, name, &st, sset, 2)
 	}
 	var got []Pair
 	err = JoinEachCtx(context.Background(), rset, sset, 2, func(r, s int) bool {
