@@ -23,8 +23,8 @@
 //
 // Corpus sizes scale with -scale small|medium|full; absolute numbers are
 // machine-dependent; the paper's SHAPES (orderings, ratios, crossovers) are
-// what to compare, by eye for now: writing them down and pinning them in a
-// test is ROADMAP item 7(a).
+// what to compare. Figs. 12 and 14's orderings are pinned by
+// TestSelectionScanCountsOrdered in internal/core.
 package main
 
 import (

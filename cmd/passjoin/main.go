@@ -7,9 +7,10 @@
 // Input files contain one string per line. Output is one result pair per
 // line: the two (0-based) line numbers and the two strings, tab-separated.
 //
-// The join is Pass-Join; -selection and -verify pick the paper's variants.
-// The paper's competitors are reached through cmd/experiments (fig15,
-// table3, ablation), not from here.
+// The join is Pass-Join with the paper's full method: multi-match-aware
+// selection and share-prefix verification. The paper's other selection and
+// verification methods (fig12, fig14) and its competitors (fig15, table3,
+// ablation) are reached through cmd/experiments, not from here.
 package main
 
 import (
@@ -17,21 +18,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
-	"passjoin/internal/core"
+	"passjoin"
 	"passjoin/internal/dataset"
-	"passjoin/internal/metrics"
-	"passjoin/internal/selection"
 )
-
-// verifyUsage is the -verify help; passjoind's flag lists the same names.
-const verifyUsage = "verification: shareprefix, extension, lengthaware, naive, bitparallel (alias myers)"
 
 func main() {
 	tau := flag.Int("tau", 2, "edit-distance threshold")
-	sel := flag.String("selection", "multimatch", "substring selection: multimatch, position, shift, length")
-	ver := flag.String("verify", "shareprefix", verifyUsage)
 	parallel := flag.Int("parallel", 1, "parallel probe workers (self and R×S joins)")
 	quiet := flag.Bool("quiet", false, "suppress result pairs, print summary only")
 	showStats := flag.Bool("stats", false, "print instrumentation counters to stderr")
@@ -54,9 +49,12 @@ func main() {
 		}
 	}
 
-	st := &metrics.Stats{}
+	var st *passjoin.Stats
+	if *showStats {
+		st = &passjoin.Stats{}
+	}
 	start := time.Now()
-	pairs, err := runJoin(strs, sset, *tau, *sel, *ver, *parallel, st)
+	pairs, err := runJoin(strs, sset, *tau, *parallel, st)
 	if err != nil {
 		fatal(err)
 	}
@@ -80,23 +78,28 @@ func main() {
 	}
 }
 
-func runJoin(strs, sset []string, tau int, sel, ver string, parallel int, st *metrics.Stats) ([]core.Pair, error) {
-	m, err := selection.ParseMethod(sel)
-	if err != nil {
-		return nil, err
+func runJoin(strs, sset []string, tau, parallel int, st *passjoin.Stats) ([]passjoin.Pair, error) {
+	opts := []passjoin.Option{passjoin.WithParallelism(parallel)}
+	if st != nil {
+		opts = append(opts, passjoin.WithStats(st))
 	}
-	vk, err := core.ParseVerifyKind(ver)
-	if err != nil {
-		return nil, err
-	}
-	opt := core.Options{Tau: tau, Selection: m, Verification: vk, Stats: st, Parallel: parallel}
 	if sset != nil {
-		return core.Join(strs, sset, opt)
+		return passjoin.Join(strs, sset, tau, opts...)
 	}
-	return core.SelfJoin(strs, opt)
+	return passjoin.SelfJoin(strs, tau, opts...)
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "passjoin:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine prefixes err with the command name once: the library's errors
+// already carry it.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "passjoin: ") {
+		return msg
+	}
+	return "passjoin: " + msg
 }

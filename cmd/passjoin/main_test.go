@@ -1,62 +1,36 @@
 package main
 
 import (
+	"errors"
 	"slices"
-	"strings"
 	"testing"
 
-	"passjoin/internal/bruteforce"
+	"passjoin"
 	"passjoin/internal/core"
 	"passjoin/internal/dataset"
 	"passjoin/internal/engine"
-	"passjoin/internal/metrics"
 )
 
 var corpus = []string{"vldb", "pvldb", "sigmod", "sigmmod", "icde", "vldbj"}
 
-// verifyNames is every -verify name; cmd/passjoind's test holds the same
-// list, so both binaries accept one vocabulary.
-var verifyNames = []string{"shareprefix", "extension", "lengthaware", "naive", "bitparallel", "myers"}
-
-// Every -verify name is accepted and named in the flag's help.
-func TestRunJoinVerifyNames(t *testing.T) {
-	want := len(bruteforce.SelfJoin(corpus, 2))
-	for _, ver := range verifyNames {
-		pairs, err := runJoin(corpus, nil, 2, "multimatch", ver, 1, nil)
-		if err != nil || len(pairs) != want {
-			t.Errorf("-verify %s: %d pairs, %v; want %d", ver, len(pairs), err, want)
-		}
-		if !strings.Contains(verifyUsage, ver) {
-			t.Errorf("-verify help %q does not name %s", verifyUsage, ver)
-		}
+// corePairs converts the CLI's pairs to the oracles' representation.
+func corePairs(ps []passjoin.Pair) []core.Pair {
+	out := make([]core.Pair, len(ps))
+	for i, p := range ps {
+		out[i] = core.Pair{R: int32(p.R), S: int32(p.S)}
 	}
-}
-
-// Every -selection × -verify variant is exact.
-func TestRunJoinAllAlgorithms(t *testing.T) {
-	want := len(bruteforce.SelfJoin(corpus, 2))
-	for _, sel := range []string{"multimatch", "position", "shift", "length"} {
-		for _, ver := range verifyNames {
-			st := &metrics.Stats{}
-			pairs, err := runJoin(corpus, nil, 2, sel, ver, 1, st)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", sel, ver, err)
-			}
-			if len(pairs) != want {
-				t.Errorf("%s/%s: %d pairs, want %d", sel, ver, len(pairs), want)
-			}
-		}
-	}
+	return out
 }
 
 // The CLI prints exactly the pair list of every Fig. 15 oracle, in the
 // same order.
 func TestRunEngineMatchesPassjoinOutput(t *testing.T) {
 	strs := dataset.Author(200, 3)
-	got, err := runJoin(strs, nil, 2, "multimatch", "shareprefix", 1, &metrics.Stats{})
+	pairs, err := runJoin(strs, nil, 2, 1, &passjoin.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := corePairs(pairs)
 	for _, e := range engine.All() {
 		want, err := e.SelfJoin(strs, 2, nil)
 		if err != nil {
@@ -73,10 +47,11 @@ func TestRunEngineMatchesPassjoinOutput(t *testing.T) {
 func TestRunEngineTwoSets(t *testing.T) {
 	r := []string{"vldb", "sigmod", "icde"}
 	s := []string{"pvldb", "sigmmod", "icdm", "vldbj"}
-	got, err := runJoin(r, s, 2, "multimatch", "shareprefix", 1, nil)
+	pairs, err := runJoin(r, s, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := corePairs(pairs)
 	if len(got) == 0 {
 		t.Fatal("no pairs to compare")
 	}
@@ -101,7 +76,7 @@ func TestRunEngineTwoSets(t *testing.T) {
 func TestRunJoinTwoSets(t *testing.T) {
 	r := []string{"vldb"}
 	s := []string{"pvldb", "icde"}
-	pairs, err := runJoin(r, s, 1, "multimatch", "shareprefix", 1, nil)
+	pairs, err := runJoin(r, s, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,21 +85,36 @@ func TestRunJoinTwoSets(t *testing.T) {
 	}
 }
 
+// A negative -tau or -parallel is rejected with one "passjoin: " prefix;
+// an error without the prefix gets it.
 func TestRunJoinBadFlags(t *testing.T) {
-	if _, err := runJoin(corpus, nil, 1, "nope", "shareprefix", 1, nil); err == nil {
-		t.Error("unknown selection accepted")
+	for _, c := range []struct {
+		tau, parallel int
+		want          string
+	}{
+		{-1, 1, "passjoin: threshold must be non-negative, got -1"},
+		{2, -1, "passjoin: negative parallelism -1"},
+	} {
+		_, err := runJoin(corpus, nil, c.tau, c.parallel, nil)
+		if err == nil {
+			t.Errorf("-tau %d -parallel %d accepted", c.tau, c.parallel)
+			continue
+		}
+		if got := errorLine(err); got != c.want {
+			t.Errorf("-tau %d -parallel %d: %q, want %q", c.tau, c.parallel, got, c.want)
+		}
 	}
-	if _, err := runJoin(corpus, nil, 1, "multimatch", "nope", 1, nil); err == nil {
-		t.Error("unknown verification accepted")
+	if got := errorLine(errors.New("open x: no such file")); got != "passjoin: open x: no such file" {
+		t.Errorf("unprefixed error rendered %q", got)
 	}
 }
 
 func TestRunJoinParallel(t *testing.T) {
-	seq, err := runJoin(corpus, nil, 2, "multimatch", "shareprefix", 1, nil)
+	seq, err := runJoin(corpus, nil, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runJoin(corpus, nil, 2, "multimatch", "shareprefix", 4, nil)
+	par, err := runJoin(corpus, nil, 2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +126,11 @@ func TestRunJoinParallel(t *testing.T) {
 func TestRunJoinParallelTwoSets(t *testing.T) {
 	r := []string{"vldb", "sigmod", "icde"}
 	s := []string{"pvldb", "sigmmod", "icdm", "vldbj"}
-	seq, err := runJoin(r, s, 2, "multimatch", "shareprefix", 1, nil)
+	seq, err := runJoin(r, s, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runJoin(r, s, 2, "multimatch", "shareprefix", 4, nil)
+	par, err := runJoin(r, s, 2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

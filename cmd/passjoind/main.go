@@ -68,8 +68,6 @@ func main() {
 	addr := flag.String("addr", ":7878", "listen address")
 	tau := flag.Int("tau", 2, "edit-distance threshold (ignored with -snapshot)")
 	shards := flag.Int("shards", 0, "index build workers, also of every -dynamic/-wal compaction; free to change between -wal restarts (0 = GOMAXPROCS)")
-	sel := flag.String("selection", "multimatch", "substring selection: multimatch, position, shift, length")
-	ver := flag.String("verify", "shareprefix", verifyUsage)
 	snapshot := flag.String("snapshot", "", "load the index from this snapshot instead of a corpus file")
 	save := flag.String("save", "", "write a snapshot of the built index to this path")
 	wal := flag.String("wal", "", "serve a durable mutable index rooted at this directory (WAL + base snapshots)")
@@ -183,10 +181,10 @@ func main() {
 			replLog = repl.NewLog(0)
 			extra = append(extra, passjoin.WithMutationHook(replLog.Publish))
 		}
-		dyn, err = buildDynamicIndex(flag.Arg(0), *wal, *tau, *shards, *sel, *ver, *compactEvery, *walSync, logger, extra...)
+		dyn, err = buildDynamicIndex(flag.Arg(0), *wal, *tau, *shards, *compactEvery, *walSync, logger, extra...)
 		idx = dyn
 	default:
-		idx, err = buildIndex(flag.Arg(0), *snapshot, *tau, *shards, *sel, *ver, &st)
+		idx, err = buildIndex(flag.Arg(0), *snapshot, *tau, *shards, &st)
 	}
 	if err != nil {
 		fatal(logger, err)
@@ -276,8 +274,8 @@ func main() {
 	}
 }
 
-// modeFlags captures the mode-selection flag state so the combination
-// rules can be validated (and tested) in one place.
+// modeFlags captures the mode flags so the combination rules can be
+// validated (and tested) in one place.
 type modeFlags struct {
 	coordinator   bool
 	members       int // count of -member flags
@@ -457,11 +455,8 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 
 // buildIndex loads the index from a snapshot when snapshotPath is set,
 // otherwise builds it from the corpus file.
-func buildIndex(corpusPath, snapshotPath string, tau, shards int, sel, ver string, st *passjoin.Stats) (*passjoin.Searcher, error) {
-	opts, err := indexOptions(shards, sel, ver, st)
-	if err != nil {
-		return nil, err
-	}
+func buildIndex(corpusPath, snapshotPath string, tau, shards int, st *passjoin.Stats) (*passjoin.Searcher, error) {
+	opts := indexOptions(shards, st)
 	if snapshotPath != "" {
 		f, err := os.Open(snapshotPath)
 		if err != nil {
@@ -482,12 +477,8 @@ func buildIndex(corpusPath, snapshotPath string, tau, shards int, sel, ver strin
 // snapshots + WAL tails and the corpus file, if given, is ignored with a
 // notice. extra options (the replication mutation hook) are appended
 // last.
-func buildDynamicIndex(corpusPath, walDir string, tau, shards int, sel, ver string, compactThreshold int, walSync bool, logger *slog.Logger, extra ...passjoin.Option) (*passjoin.DynamicSearcher, error) {
-	opts, err := indexOptions(shards, sel, ver, nil)
-	if err != nil {
-		return nil, err
-	}
-	opts = append(opts, passjoin.WithLogger(logger))
+func buildDynamicIndex(corpusPath, walDir string, tau, shards, compactThreshold int, walSync bool, logger *slog.Logger, extra ...passjoin.Option) (*passjoin.DynamicSearcher, error) {
+	opts := append(indexOptions(shards, nil), passjoin.WithLogger(logger))
 	opts = append(opts, extra...)
 	if compactThreshold < 0 {
 		compactThreshold = -1 // flag help says "negative = manual only"; the library wants exactly -1
@@ -500,6 +491,7 @@ func buildDynamicIndex(corpusPath, walDir string, tau, shards int, sel, ver stri
 	}
 	var corpus []string
 	if corpusPath != "" {
+		var err error
 		if corpus, err = dataset.LoadFile(corpusPath); err != nil {
 			return nil, err
 		}
@@ -516,41 +508,12 @@ func buildDynamicIndex(corpusPath, walDir string, tau, shards int, sel, ver stri
 	return passjoin.OpenDynamicSearcher(walDir, corpus, tau, opts...)
 }
 
-// verifyUsage is the -verify help; passjoin's flag lists the same names.
-const verifyUsage = "verification: shareprefix, extension, lengthaware, naive, bitparallel (alias myers)"
-
-func indexOptions(shards int, sel, ver string, st *passjoin.Stats) ([]passjoin.Option, error) {
-	selections := map[string]passjoin.SelectionMethod{
-		"multimatch": passjoin.SelectionMultiMatch,
-		"position":   passjoin.SelectionPosition,
-		"shift":      passjoin.SelectionShift,
-		"length":     passjoin.SelectionLength,
-	}
-	verifications := map[string]passjoin.VerificationMethod{
-		"shareprefix": passjoin.VerifySharePrefix,
-		"extension":   passjoin.VerifyExtension,
-		"lengthaware": passjoin.VerifyLengthAware,
-		"naive":       passjoin.VerifyNaive,
-		"bitparallel": passjoin.VerifyBitParallel,
-		"myers":       passjoin.VerifyBitParallel,
-	}
-	m, ok := selections[sel]
-	if !ok {
-		return nil, fmt.Errorf("unknown selection method %q", sel)
-	}
-	v, ok := verifications[ver]
-	if !ok {
-		return nil, fmt.Errorf("unknown verification method %q", ver)
-	}
-	opts := []passjoin.Option{
-		passjoin.WithShards(shards),
-		passjoin.WithSelection(m),
-		passjoin.WithVerification(v),
-	}
+func indexOptions(shards int, st *passjoin.Stats) []passjoin.Option {
+	opts := []passjoin.Option{passjoin.WithShards(shards)}
 	if st != nil {
 		opts = append(opts, passjoin.WithStats(st))
 	}
-	return opts, nil
+	return opts
 }
 
 // writeSnapshot saves idx at path (-save) without ever leaving less than a

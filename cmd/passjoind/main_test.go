@@ -32,7 +32,7 @@ func writeCorpusFile(t *testing.T) string {
 
 func TestBuildIndexFromCorpus(t *testing.T) {
 	var st passjoin.Stats
-	idx, err := buildIndex(writeCorpusFile(t), "", 1, 2, "multimatch", "shareprefix", &st)
+	idx, err := buildIndex(writeCorpusFile(t), "", 1, 2, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestBuildIndexFromCorpus(t *testing.T) {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	idx, err := buildIndex(writeCorpusFile(t), "", 1, 2, "multimatch", "shareprefix", nil)
+	idx, err := buildIndex(writeCorpusFile(t), "", 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := writeSnapshot(idx, snap); err != nil {
 		t.Fatal(err)
 	}
-	re, err := buildIndex("", snap, 99 /* ignored */, 3, "multimatch", "shareprefix", nil)
+	re, err := buildIndex("", snap, 99 /* ignored */, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,42 +88,17 @@ func (s tornSnapshot) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), errors.New("disk full")
 }
 
-// verifyNames is every -verify name; cmd/passjoin's test holds the same
-// list, so both binaries accept one vocabulary.
-var verifyNames = []string{"shareprefix", "extension", "lengthaware", "naive", "bitparallel", "myers"}
-
-// Every -verify name is accepted and named in the flag's help.
-func TestBuildIndexVerifyNames(t *testing.T) {
-	path := writeCorpusFile(t)
-	for _, ver := range verifyNames {
-		idx, err := buildIndex(path, "", 1, 1, "multimatch", ver, nil)
-		if err != nil || len(idx.Search("vldb")) != 3 {
-			t.Errorf("-verify %s: %v", ver, err)
-		}
-		if !strings.Contains(verifyUsage, ver) {
-			t.Errorf("-verify help %q does not name %s", verifyUsage, ver)
-		}
-	}
-}
-
 func TestBuildIndexBadFlags(t *testing.T) {
-	path := writeCorpusFile(t)
-	if _, err := buildIndex(path, "", 1, 1, "nope", "shareprefix", nil); err == nil {
-		t.Error("unknown selection accepted")
-	}
-	if _, err := buildIndex(path, "", 1, 1, "multimatch", "nope", nil); err == nil {
-		t.Error("unknown verification accepted")
-	}
-	if _, err := buildIndex("/nonexistent/corpus.txt", "", 1, 1, "multimatch", "shareprefix", nil); err == nil {
+	if _, err := buildIndex("/nonexistent/corpus.txt", "", 1, 1, nil); err == nil {
 		t.Error("missing corpus accepted")
 	}
-	if _, err := buildIndex("", "/nonexistent/idx.pjix", 1, 1, "multimatch", "shareprefix", nil); err == nil {
+	if _, err := buildIndex("", "/nonexistent/idx.pjix", 1, 1, nil); err == nil {
 		t.Error("missing snapshot accepted")
 	}
 }
 
 func TestBuildDynamicIndexVolatile(t *testing.T) {
-	idx, err := buildDynamicIndex(writeCorpusFile(t), "", 1, 2, "multimatch", "shareprefix", 0, false, discardLogger())
+	idx, err := buildDynamicIndex(writeCorpusFile(t), "", 1, 2, 0, false, discardLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +126,7 @@ func TestBuildDynamicIndexVolatile(t *testing.T) {
 // file, mutates, and reopens the same directory — the daemon restart path.
 func TestBuildDynamicIndexDurableRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	idx, err := buildDynamicIndex(writeCorpusFile(t), dir, 1, 2, "multimatch", "shareprefix", 4, true, discardLogger())
+	idx, err := buildDynamicIndex(writeCorpusFile(t), dir, 1, 2, 4, true, discardLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +141,7 @@ func TestBuildDynamicIndexDurableRestart(t *testing.T) {
 	}
 	// Restart at another -shards (corpus file is ignored now): it only
 	// sets the build workers.
-	re, err := buildDynamicIndex(writeCorpusFile(t), dir, 1, 3, "multimatch", "shareprefix", 4, true, discardLogger())
+	re, err := buildDynamicIndex(writeCorpusFile(t), dir, 1, 3, 4, true, discardLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +161,7 @@ func TestBuildDynamicIndexDurableRestart(t *testing.T) {
 }
 
 func TestBuildDynamicIndexBadFlags(t *testing.T) {
-	if _, err := buildDynamicIndex(writeCorpusFile(t), "", 1, 1, "nope", "shareprefix", 0, false, discardLogger()); err == nil {
-		t.Error("unknown selection accepted")
-	}
-	if _, err := buildDynamicIndex("/nonexistent/corpus.txt", "", 1, 1, "multimatch", "shareprefix", 0, false, discardLogger()); err == nil {
+	if _, err := buildDynamicIndex("/nonexistent/corpus.txt", "", 1, 1, 0, false, discardLogger()); err == nil {
 		t.Error("missing corpus accepted")
 	}
 }

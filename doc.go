@@ -19,14 +19,14 @@
 //	pairs, err := passjoin.SelfJoin(names, 2)       // ed(a,b) <= 2
 //	pairs, err := passjoin.Join(dirty, clean, 2)    // R x S join
 //
-// Options select the algorithm variants evaluated in the paper (substring
-// selection methods, verification algorithms), attach instrumentation, or
+// Every join runs the paper's full method: multi-match-aware substring
+// selection (§4.2) and share-prefix extension verification (§5.3), which
+// win at every threshold in its Figs. 12 and 14; cmd/experiments reproduces
+// those figures with the other methods. Options attach instrumentation or
 // enable parallel probing:
 //
 //	var st passjoin.Stats
 //	pairs, err := passjoin.SelfJoin(names, 2,
-//	        passjoin.WithSelection(passjoin.SelectionMultiMatch),
-//	        passjoin.WithVerification(passjoin.VerifySharePrefix),
 //	        passjoin.WithStats(&st),
 //	        passjoin.WithParallelism(8))
 //
@@ -36,12 +36,12 @@
 // NewSearcher):
 //
 //	Option                SelfJoin/Join  Matcher  NewSearcher    New/OpenDynamicSearcher
-//	WithSelection         honored        honored  honored        honored
-//	WithVerification      honored        honored  honored        honored
 //	WithStats             honored        honored  build only     ignored (use Stats())
 //	WithParallelism       honored        ignored  ignored        ignored
 //	WithShards            ignored        ignored  build workers  build workers (seed, reopen, compaction)
 //	WithCompactThreshold  ignored        ignored  ignored        honored (default 4096 per worker)
+//	WithLogger            ignored        ignored  ignored        honored
+//	WithMutationHook      ignored        ignored  ignored        honored
 //	WithWALSync           ignored        ignored  ignored        OpenDynamicSearcher only
 //
 // # Streaming and cancellable joins
@@ -160,7 +160,8 @@
 // within τ, so most candidates are dropped before their bytes are read.
 // The survivors go to the paper's banded dynamic program — τ+1 cells per
 // row, stopped early once no cell of a row can still lead to a match —
-// or, with VerifyBitParallel, to the Myers bit-parallel kernel. Distances and
+// and a search that reports distances recovers each accepted match's exact
+// one with the Myers bit-parallel kernel. Distances and
 // thresholds count bytes, not runes: a multi-byte UTF-8 character costs
 // as many edits as it has differing bytes. A threshold larger than the
 // strings is no costlier than one equal to the longer string's length.

@@ -57,8 +57,8 @@ const dynamicMetaName = "meta.json"
 // NewDynamicSearcher creates an in-memory dynamic searcher seeded with
 // corpus (which may be nil to start empty). Corpus document i gets global
 // id i. Updates are not persisted; use OpenDynamicSearcher for
-// durability. Accepts WithShards, WithCompactThreshold, WithSelection and
-// WithVerification.
+// durability. Accepts WithShards, WithCompactThreshold, WithLogger and
+// WithMutationHook.
 func NewDynamicSearcher(corpus []string, tau int, opts ...Option) (*DynamicSearcher, error) {
 	return openDynamic("", corpus, tau, opts)
 }
@@ -87,8 +87,6 @@ func openDynamic(dir string, corpus []string, tau int, opts []Option) (*DynamicS
 	workers := cfg.workers()
 	tcfg := dynamic.Config{
 		Tau:              tau,
-		Selection:        cfg.sel.internal(),
-		Verification:     cfg.ver.internal(),
 		CompactThreshold: cfg.compactThreshold,
 		Workers:          workers,
 		Fsync:            cfg.walSync,

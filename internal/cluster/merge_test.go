@@ -77,7 +77,7 @@ func TestMergeHitsTopK(t *testing.T) {
 }
 
 // TestMergeHitsDedupBeforeTopK: the duplicate must be collapsed before
-// the k-selection, or a doubled doc could squeeze a real hit out of the
+// the top-k cut, or a doubled doc could squeeze a real hit out of the
 // top k.
 func TestMergeHitsDedupBeforeTopK(t *testing.T) {
 	parts := [][]Hit{

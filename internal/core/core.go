@@ -71,23 +71,6 @@ func (k VerifyKind) String() string {
 	}
 }
 
-// ParseVerifyKind converts a user-facing name into a VerifyKind.
-func ParseVerifyKind(name string) (VerifyKind, error) {
-	switch name {
-	case "naive", "2tau+1":
-		return VerifyNaive, nil
-	case "lengthaware", "tau+1":
-		return VerifyLengthAware, nil
-	case "extension", "Extension":
-		return VerifyExtension, nil
-	case "shareprefix", "SharePrefix", "shared":
-		return VerifyExtensionShared, nil
-	case "bitparallel", "myers", "Myers":
-		return VerifyMyers, nil
-	}
-	return 0, fmt.Errorf("core: unknown verify kind %q", name)
-}
-
 // Options configures a join.
 type Options struct {
 	// Tau is the edit-distance threshold (required, >= 0).

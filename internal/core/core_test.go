@@ -376,23 +376,58 @@ func TestMatcherQueryDoesNotInsert(t *testing.T) {
 	}
 }
 
+// TestSelectionScanCountsOrdered pins the shapes of the paper's Figs. 12
+// and 14 on the three corpus kinds cmd/experiments draws them on, across
+// each kind's threshold range: selected substrings Multi-Match < Position
+// < Shift < Length, and the DP cells a self join computes SharePrefix <
+// Extension < τ+1 < 2τ+1 (the Myers kernel, beyond the paper, counts one
+// unit per text byte rather than DP cells and is left out). Each ordering
+// is strict in every case.
 func TestSelectionScanCountsOrdered(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var strs []string
-	for i := 0; i < 200; i++ {
-		strs = append(strs, randStr(rng, 10+rng.Intn(10), 4))
+	author := dataset.Author(5000, 1)
+	authorTitle := dataset.AuthorTitle(2000, 1)
+	queryLog := dataset.QueryLog(3000, 1)
+	cases := []struct {
+		name string
+		strs []string
+		taus []int
+	}{
+		{"Author", author, []int{1, 2, 3, 4}},
+		{"AuthorTitle", authorTitle, []int{4, 6, 8}},
+		{"QueryLog", queryLog, []int{2, 4, 6, 8}},
 	}
-	tau := 3
-	counts := make(map[selection.Method]int64)
-	for _, m := range selection.Methods {
-		c, _ := SelectionScan(strs, tau, m)
-		counts[m] = c
+	for _, c := range cases {
+		for _, tau := range c.taus {
+			var substrings []int64
+			for _, m := range selection.Methods {
+				n, _ := SelectionScan(c.strs, tau, m)
+				substrings = append(substrings, n)
+			}
+			if !strictlyIncreasing(substrings) {
+				t.Errorf("%s tau=%d: selected substrings %v, want Multi-Match < Position < Shift < Length", c.name, tau, substrings)
+			}
+			var cells []int64
+			for _, vk := range []VerifyKind{VerifyExtensionShared, VerifyExtension, VerifyLengthAware, VerifyNaive} {
+				var st metrics.Stats
+				if _, err := SelfJoin(c.strs, Options{Tau: tau, Verification: vk, Stats: &st}); err != nil {
+					t.Fatal(err)
+				}
+				cells = append(cells, st.DPCells)
+			}
+			if !strictlyIncreasing(cells) {
+				t.Errorf("%s tau=%d: DP cells %v, want SharePrefix < Extension < tau+1 < 2tau+1", c.name, tau, cells)
+			}
+		}
 	}
-	if !(counts[selection.MultiMatch] < counts[selection.Position] &&
-		counts[selection.Position] < counts[selection.Shift] &&
-		counts[selection.Shift] < counts[selection.Length]) {
-		t.Fatalf("selection counts not ordered: %v", counts)
+}
+
+func strictlyIncreasing(xs []int64) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i-1] >= xs[i] {
+			return false
+		}
 	}
+	return true
 }
 
 func TestSelectionScanBoundsEngineCounter(t *testing.T) {
@@ -663,16 +698,19 @@ func TestShortStringsWindow(t *testing.T) {
 	}
 }
 
+// Every verification kind renders a distinct Fig. 14 label, and an unknown
+// one still renders.
 func TestVerifyKindStrings(t *testing.T) {
+	seen := make(map[string]bool)
 	for _, k := range VerifyKinds {
-		name := k.String()
-		got, err := ParseVerifyKind(name)
-		if err != nil || got != k {
-			t.Errorf("ParseVerifyKind(%q) = %v, %v", name, got, err)
+		if name := k.String(); name == "" || seen[name] {
+			t.Errorf("%d: label %q empty or repeated", int(k), name)
+		} else {
+			seen[name] = true
 		}
 	}
-	if _, err := ParseVerifyKind("nope"); err == nil {
-		t.Error("expected parse error")
+	if VerifyKind(99).String() == "" {
+		t.Error("unknown verify kind should still render")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // segment slot. It returns the total number of selected substrings and a
 // content checksum (so the enumeration cannot be optimized away).
 //
-// This isolates the substring-selection step, which is exactly what
+// This isolates the substring selection step, which is exactly what
 // Figures 12 (counts) and 13 (generation time) of the paper measure.
 func SelectionScan(strs []string, tau int, m selection.Method) (count int64, checksum uint64) {
 	for _, s := range strs {

@@ -68,10 +68,6 @@ const DefaultCompactThreshold = 4096
 type Config struct {
 	// Tau is the edit-distance threshold (required, >= 0).
 	Tau int
-	// Selection method for probes; zero value is MultiMatch.
-	Selection selection.Method
-	// Verification algorithm; zero value is VerifyExtensionShared.
-	Verification core.VerifyKind
 	// CompactThreshold is the number of delta documents (live or
 	// tombstoned) plus tombstoned base documents that triggers a background
 	// compaction. 0 selects DefaultCompactThreshold × Workers; negative
@@ -215,7 +211,7 @@ func Open(cfg Config) (*Tier, error) {
 		t.logger = slog.New(slog.DiscardHandler)
 	}
 	var err error
-	if t.delta, err = core.NewMatcher(cfg.Tau, cfg.Selection, cfg.Verification, nil); err != nil {
+	if t.delta, err = core.NewMatcher(cfg.Tau, selection.MultiMatch, core.VerifyExtensionShared, nil); err != nil {
 		return nil, err
 	}
 	gids, corpus, nextID, err := t.readSnapshot(cfg.SnapPath)
@@ -345,7 +341,7 @@ func (t *Tier) Bootstrap(gids []int64, docs []string) error {
 
 // buildSealed bulk-builds a frozen base over docs, which the base keeps.
 func (t *Tier) buildSealed(docs []string) (*core.Matcher, error) {
-	return core.BuildSealedMatcher(t.cfg.Tau, t.cfg.Selection, t.cfg.Verification, nil, docs, t.cfg.Workers)
+	return core.BuildSealedMatcher(t.cfg.Tau, selection.MultiMatch, core.VerifyExtensionShared, nil, docs, t.cfg.Workers)
 }
 
 // Insert adds doc under the next global id — one past the largest the tier
@@ -679,7 +675,7 @@ func (t *Tier) compact() error {
 	if t.closed {
 		return errors.New("dynamic: tier is closed")
 	}
-	newDelta, err := core.NewMatcher(t.cfg.Tau, t.cfg.Selection, t.cfg.Verification, nil)
+	newDelta, err := core.NewMatcher(t.cfg.Tau, selection.MultiMatch, core.VerifyExtensionShared, nil)
 	if err != nil {
 		return err
 	}

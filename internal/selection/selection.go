@@ -1,4 +1,4 @@
-// Package selection implements the substring-selection methods of Pass-Join
+// Package selection implements the substring selection methods of Pass-Join
 // (§4). Given a probe string s and an inverted index L^i_l (the i-th
 // segments of indexed strings of length l), each method chooses which
 // substrings of s to look up. All four methods of the paper are provided:
@@ -18,7 +18,7 @@ package selection
 
 import "fmt"
 
-// Method selects one of the paper's substring-selection strategies.
+// Method selects one of the paper's substring selection strategies.
 type Method int
 
 const (
@@ -50,21 +50,6 @@ func (m Method) String() string {
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
-}
-
-// ParseMethod converts a user-facing name into a Method.
-func ParseMethod(name string) (Method, error) {
-	switch name {
-	case "length", "Length":
-		return Length, nil
-	case "shift", "Shift":
-		return Shift, nil
-	case "position", "Position":
-		return Position, nil
-	case "multimatch", "multi-match", "Multi-Match", "MultiMatch":
-		return MultiMatch, nil
-	}
-	return 0, fmt.Errorf("selection: unknown method %q", name)
 }
 
 // Window returns the inclusive 1-based range [lo, hi] of start positions of

@@ -239,15 +239,16 @@ func TestWindowEmptyWhenProbeTooShort(t *testing.T) {
 	}
 }
 
-func TestParseMethod(t *testing.T) {
+// Every method renders a distinct figure label, and an unknown one still
+// renders.
+func TestMethodString(t *testing.T) {
+	seen := make(map[string]bool)
 	for _, m := range Methods {
-		got, err := ParseMethod(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseMethod(%q) = %v, %v", m.String(), got, err)
+		if name := m.String(); name == "" || seen[name] {
+			t.Errorf("%d: label %q empty or repeated", int(m), name)
+		} else {
+			seen[name] = true
 		}
-	}
-	if _, err := ParseMethod("bogus"); err == nil {
-		t.Error("expected error for bogus method")
 	}
 	if Method(99).String() == "" {
 		t.Error("unknown method should still render")

@@ -6,95 +6,9 @@ import (
 	"runtime"
 
 	"passjoin/internal/core"
-	"passjoin/internal/selection"
 )
-
-// SelectionMethod selects how probe substrings are chosen (§4 of the
-// paper). All methods are exact; they differ only in how many substrings
-// they enumerate.
-type SelectionMethod int
-
-const (
-	// SelectionMultiMatch is the multi-match-aware method (§4.2): the
-	// provably minimal substring set, ⌊(τ²−Δ²)/2⌋+τ+1 per string pair of
-	// lengths differing by Δ. Default.
-	SelectionMultiMatch SelectionMethod = iota
-	// SelectionPosition is the position-aware method (§4.1): (τ+1)²
-	// substrings.
-	SelectionPosition
-	// SelectionShift selects start positions within τ of each segment:
-	// (τ+1)(2τ+1) substrings.
-	SelectionShift
-	// SelectionLength selects every substring of matching length:
-	// (τ+1)(|s|+1)−l substrings.
-	SelectionLength
-)
-
-// String returns the name used in the paper's figures.
-func (m SelectionMethod) String() string { return m.internal().String() }
-
-func (m SelectionMethod) internal() selection.Method {
-	switch m {
-	case SelectionMultiMatch:
-		return selection.MultiMatch
-	case SelectionPosition:
-		return selection.Position
-	case SelectionShift:
-		return selection.Shift
-	case SelectionLength:
-		return selection.Length
-	default:
-		return selection.Method(-1)
-	}
-}
-
-// VerificationMethod selects the candidate verification algorithm (§5).
-// All methods are exact; they differ in how much of the DP matrix they
-// compute.
-type VerificationMethod int
-
-const (
-	// VerifySharePrefix is extension-based verification with shared
-	// computation on common prefixes — the paper's full method and the
-	// fastest. Default.
-	VerifySharePrefix VerificationMethod = iota
-	// VerifyExtension is extension-based verification without sharing.
-	VerifyExtension
-	// VerifyLengthAware computes τ+1 cells per DP row with
-	// expected-edit-distance early termination.
-	VerifyLengthAware
-	// VerifyNaive computes 2τ+1 cells per row with prefix pruning, the
-	// baseline of prior work.
-	VerifyNaive
-	// VerifyBitParallel verifies whole candidates with the Myers
-	// bit-parallel kernel — an extension beyond the paper, fastest for
-	// short strings on modern hardware.
-	VerifyBitParallel
-)
-
-// String returns the name used in the paper's figures.
-func (v VerificationMethod) String() string { return v.internal().String() }
-
-func (v VerificationMethod) internal() core.VerifyKind {
-	switch v {
-	case VerifySharePrefix:
-		return core.VerifyExtensionShared
-	case VerifyExtension:
-		return core.VerifyExtension
-	case VerifyLengthAware:
-		return core.VerifyLengthAware
-	case VerifyNaive:
-		return core.VerifyNaive
-	case VerifyBitParallel:
-		return core.VerifyMyers
-	default:
-		return core.VerifyKind(-1)
-	}
-}
 
 type config struct {
-	sel              SelectionMethod
-	ver              VerificationMethod
 	stats            *Stats
 	parallel         int
 	shards           int
@@ -106,28 +20,6 @@ type config struct {
 
 // Option customizes a join or matcher.
 type Option func(*config) error
-
-// WithSelection sets the substring selection method.
-func WithSelection(m SelectionMethod) Option {
-	return func(c *config) error {
-		if m < SelectionMultiMatch || m > SelectionLength {
-			return fmt.Errorf("passjoin: invalid selection method %d", int(m))
-		}
-		c.sel = m
-		return nil
-	}
-}
-
-// WithVerification sets the verification algorithm.
-func WithVerification(v VerificationMethod) Option {
-	return func(c *config) error {
-		if v < VerifySharePrefix || v > VerifyBitParallel {
-			return fmt.Errorf("passjoin: invalid verification method %d", int(v))
-		}
-		c.ver = v
-		return nil
-	}
-}
 
 // WithStats attaches an instrumentation sink; it is overwritten with this
 // run's counters when the join returns.
@@ -277,10 +169,8 @@ func buildConfig(tau int, opts []Option) (config, error) {
 
 func (c config) coreOptions(tau int) core.Options {
 	o := core.Options{
-		Tau:          tau,
-		Selection:    c.sel.internal(),
-		Verification: c.ver.internal(),
-		Parallel:     c.parallel,
+		Tau:      tau,
+		Parallel: c.parallel,
 	}
 	if c.stats != nil {
 		o.Stats = c.stats.reset()

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"passjoin/internal/bruteforce"
 	"passjoin/internal/dataset"
 )
 
@@ -29,23 +28,6 @@ func TestSelfJoinPaperExample(t *testing.T) {
 	}
 	if len(pairs) != 1 || pairs[0] != (Pair{R: 1, S: 3}) {
 		t.Fatalf("got %v, want [{1 3}]", pairs)
-	}
-}
-
-func TestSelfJoinAllOptionCombos(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	strs := testCorpus(rng, 120)
-	want := bruteforce.SelfJoin(strs, 2)
-	for _, sel := range []SelectionMethod{SelectionMultiMatch, SelectionPosition, SelectionShift, SelectionLength} {
-		for _, ver := range []VerificationMethod{VerifySharePrefix, VerifyExtension, VerifyLengthAware, VerifyNaive} {
-			got, err := SelfJoin(strs, 2, WithSelection(sel), WithVerification(ver))
-			if err != nil {
-				t.Fatalf("%v/%v: %v", sel, ver, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v/%v: %d pairs, want %d", sel, ver, len(got), len(want))
-			}
-		}
 	}
 }
 
@@ -124,12 +106,6 @@ func TestJoinAllocCeiling(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	if _, err := SelfJoin(nil, -1); err == nil {
 		t.Error("negative tau accepted")
-	}
-	if _, err := SelfJoin(nil, 1, WithSelection(SelectionMethod(99))); err == nil {
-		t.Error("invalid selection accepted")
-	}
-	if _, err := SelfJoin(nil, 1, WithVerification(VerificationMethod(99))); err == nil {
-		t.Error("invalid verification accepted")
 	}
 	if _, err := SelfJoin(nil, 1, WithStats(nil)); err == nil {
 		t.Error("nil stats accepted")
@@ -277,15 +253,6 @@ func TestEditDistanceHelpers(t *testing.T) {
 		if !Within("kitten", "sitting", tau) || !Within("", "sitting", tau) {
 			t.Errorf("Within(..., %d) = false", tau)
 		}
-	}
-}
-
-func TestSelectionVerificationStrings(t *testing.T) {
-	if SelectionMultiMatch.String() != "Multi-Match" || SelectionLength.String() != "Length" {
-		t.Error("selection names")
-	}
-	if VerifySharePrefix.String() != "SharePrefix" || VerifyNaive.String() != "2tau+1" {
-		t.Error("verification names")
 	}
 }
 
