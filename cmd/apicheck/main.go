@@ -5,7 +5,8 @@
 // — functions, methods on exported receivers, types with their exported
 // fields and interface methods, consts and vars — as one normalized line,
 // and compares the sorted result against the checked-in golden file
-// api/passjoin.txt.
+// api/passjoin.txt. A type defined over, or aliasing, another package's
+// struct in this module lists that struct's exported fields as its own.
 //
 //	go run ./cmd/apicheck              # fail with a diff on any change
 //	go run ./cmd/apicheck -write       # intentional change: regenerate
@@ -25,6 +26,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -78,11 +80,75 @@ func packageSurface(dir string) ([]string, error) {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				lines = append(lines, declSurface(fset, decl)...)
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+					for _, spec := range gd.Specs {
+						fields, err := fieldsOver(dir, file, spec.(*ast.TypeSpec))
+						if err != nil {
+							return nil, err
+						}
+						lines = append(lines, fields...)
+					}
+				}
 			}
 		}
 	}
 	sort.Strings(lines)
 	return lines, nil
+}
+
+// fieldsOver returns the field lines of the struct that sp is defined over
+// or aliases, under sp's name, when that struct is declared in a package
+// of the module containing dir; nil for any other type.
+func fieldsOver(dir string, file *ast.File, sp *ast.TypeSpec) ([]string, error) {
+	sel, ok := sp.Type.(*ast.SelectorExpr)
+	if !ok || !sp.Name.IsExported() {
+		return nil, nil
+	}
+	root, modPath, err := findModule(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, is := range file.Imports {
+		path := strings.Trim(is.Path.Value, `"`)
+		name := path[strings.LastIndex(path, "/")+1:] // the package name, in this module
+		if is.Name != nil {
+			name = is.Name.Name
+		}
+		if name != sel.X.(*ast.Ident).Name {
+			continue
+		}
+		if path != modPath && !strings.HasPrefix(path, modPath+"/") {
+			return nil, nil
+		}
+		other, err := packageSurface(filepath.Join(root, strings.TrimPrefix(path, modPath)))
+		var out []string
+		for _, l := range other {
+			if f, ok := strings.CutPrefix(l, "field "+sel.Sel.Name+"."); ok {
+				out = append(out, "field "+sp.Name.Name+"."+f)
+			}
+		}
+		return out, err
+	}
+	return nil, nil
+}
+
+var moduleLine = regexp.MustCompile(`(?m)^\s*module\s+"?([^\s"]+)`)
+
+// findModule returns the directory of the go.mod at or above dir and the
+// module path its module line declares.
+func findModule(dir string) (root, modPath string, err error) {
+	for root, err = filepath.Abs(dir); err == nil; root = filepath.Dir(root) {
+		if mod, err := os.ReadFile(filepath.Join(root, "go.mod")); err == nil {
+			if m := moduleLine.FindSubmatch(mod); m != nil {
+				return root, string(m[1]), nil
+			}
+			return "", "", fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
+		}
+		if root == filepath.Dir(root) {
+			err = fmt.Errorf("no go.mod at or above %s", dir)
+		}
+	}
+	return "", "", err
 }
 
 func declSurface(fset *token.FileSet, decl ast.Decl) []string {

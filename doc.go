@@ -36,7 +36,7 @@
 // NewSearcher):
 //
 //	Option                SelfJoin/Join  Matcher  NewSearcher    New/OpenDynamicSearcher
-//	WithStats             honored        honored  build only     ignored (use Stats())
+//	WithStats             per call       adds up  build only     ignored (use Stats())
 //	WithParallelism       honored        ignored  ignored        ignored
 //	WithShards            ignored        ignored  build workers  build workers (seed, reopen, compaction)
 //	WithCompactThreshold  ignored        ignored  ignored        honored (default 4096 per worker)

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"passjoin/internal/dynamic"
-	"passjoin/internal/metrics"
 	"passjoin/internal/persist"
 )
 
@@ -359,22 +358,7 @@ func (ds *DynamicSearcher) Compact() error { return ds.tier.Compact() }
 // Stats returns a point-in-time snapshot of the dynamic counters: live
 // documents, delta size, tombstones, compactions, WAL footprint, and the
 // frozen-base figures.
-func (ds *DynamicSearcher) Stats() Stats {
-	ts := ds.tier.Stats()
-	st := Stats{inner: &metrics.Stats{
-		Strings:       int64(ts.Live),
-		DeltaStrings:  int64(ts.DeltaDocs),
-		Tombstones:    int64(ts.Tombstones),
-		Compactions:   ts.Compactions,
-		CompactErrors: ts.CompactErrors,
-		WALBytes:      ts.WALBytes,
-		WALRecords:    ts.WALRecords,
-		FrozenBytes:   ts.FrozenBytes,
-		FrozenEntries: ts.FrozenEntries,
-	}}
-	st.fill()
-	return st
-}
+func (ds *DynamicSearcher) Stats() Stats { return Stats(ds.tier.Stats()) }
 
 // Err returns the most recent background-compaction failure, if any. A
 // durable index whose compactions fail keeps serving and accepting writes

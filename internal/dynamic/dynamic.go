@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"passjoin/internal/core"
+	"passjoin/internal/metrics"
 	"passjoin/internal/selection"
 )
 
@@ -171,20 +172,6 @@ func (s *bitset) set(i int) {
 		*s = append(*s, 0)
 	}
 	(*s)[i>>6] |= 1 << (i & 63)
-}
-
-// Stats is a point-in-time summary of a tier's shape.
-type Stats struct {
-	Live          int   // documents visible to queries
-	BaseDocs      int   // rows in the frozen base (including tombstoned)
-	DeltaDocs     int   // rows in the mutable delta (including tombstoned)
-	Tombstones    int   // tombstoned rows of base and delta: deletes pending compaction
-	Compactions   int64 // completed compactions
-	CompactErrors int64 // failed compactions (background and synchronous)
-	WALBytes      int64 // current WAL size (0 without durability)
-	WALRecords    int64 // current WAL record count
-	FrozenBytes   int64 // retained size of the frozen base
-	FrozenEntries int64 // postings in the frozen base
 }
 
 // Open creates or reopens a tier. With durability configured it loads the
@@ -759,21 +746,23 @@ func (s byGID) Swap(i, j int) {
 	s.docs[i], s.docs[j] = s.docs[j], s.docs[i]
 }
 
-// Stats returns a point-in-time summary.
-func (t *Tier) Stats() Stats {
+// Stats returns a point-in-time summary. Strings counts live documents,
+// and Tombstones the dead rows of base and delta, so the base holds
+// Strings + Tombstones - DeltaDocs rows.
+func (t *Tier) Stats() metrics.Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	st := Stats{
-		Live:          t.live,
-		DeltaDocs:     t.delta.Len(),
+	b := t.base.Load()
+	fz := b.m.FrozenIndex() // a base is a sealed matcher (buildSealed)
+	st := metrics.Stats{
+		Strings:       int64(t.live),
+		DeltaDocs:     int64(t.delta.Len()),
+		Tombstones:    int64(len(b.ids) + t.delta.Len() - t.live),
 		Compactions:   t.compactions.Load(),
 		CompactErrors: t.compactErrors.Load(),
+		FrozenBytes:   fz.Bytes(),
+		FrozenEntries: fz.Entries(),
 	}
-	b := t.base.Load()
-	st.BaseDocs = len(b.ids)
-	fz := b.m.FrozenIndex() // a base is a sealed matcher (buildSealed)
-	st.FrozenBytes, st.FrozenEntries = fz.Bytes(), fz.Entries()
-	st.Tombstones = st.BaseDocs + st.DeltaDocs - st.Live
 	if t.wal != nil {
 		st.WALBytes = t.wal.Bytes()
 		st.WALRecords = t.wal.Records()

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"testing"
 
+	"passjoin/internal/metrics"
 	"passjoin/internal/verify"
 )
 
@@ -44,6 +45,25 @@ func bruteSearch(live map[int64]string, tau int, q string) []Hit {
 
 // checkModel holds tier to the map model live: Len, Get of every id in
 // seen, Live, Stats' live count, and a brute-force search per query.
+// tierShape is Tier.Stats in the row accounting the tests assert: live
+// documents, base rows, delta rows and tombstones. The base rows are
+// live + tombstones - delta rows, the identity Tier.Stats is built on.
+type tierShape struct {
+	metrics.Stats
+	Live, BaseDocs, DeltaDocs, Tombstones int
+}
+
+func shapeOf(tier *Tier) tierShape {
+	st := tier.Stats()
+	return tierShape{
+		Stats:      st,
+		Live:       int(st.Strings),
+		BaseDocs:   int(st.Strings + st.Tombstones - st.DeltaDocs),
+		DeltaDocs:  int(st.DeltaDocs),
+		Tombstones: int(st.Tombstones),
+	}
+}
+
 func checkModel(t *testing.T, tier *Tier, live map[int64]string, seen []int64, queries ...string) {
 	t.Helper()
 	if n := tier.Len(); n != len(live) {
@@ -63,7 +83,7 @@ func checkModel(t *testing.T, tier *Tier, live map[int64]string, seen []int64, q
 	if len(got) != len(gids) || !maps.Equal(got, live) {
 		t.Fatalf("Live = %v, want %v", got, live)
 	}
-	if st := tier.Stats(); st.Live != len(live) || st.BaseDocs+st.DeltaDocs-st.Tombstones != len(live) {
+	if st := shapeOf(tier); st.Live != len(live) || st.BaseDocs+st.DeltaDocs-st.Tombstones != len(live) {
 		t.Fatalf("Stats %+v disagree with %d live documents", st, len(live))
 	}
 	for _, q := range queries {
@@ -198,7 +218,7 @@ func TestCompactRacedMutations(t *testing.T) {
 	shape := func(tier *Tier, base, delta, tombs int) {
 		t.Helper()
 		checkModel(t, tier, live, seen, queries...)
-		if st := tier.Stats(); st.BaseDocs != base || st.DeltaDocs != delta || st.Tombstones != tombs {
+		if st := shapeOf(tier); st.BaseDocs != base || st.DeltaDocs != delta || st.Tombstones != tombs {
 			t.Fatalf("Stats %+v, want %d base rows, %d delta rows, %d tombstones", st, base, delta, tombs)
 		}
 	}

@@ -129,7 +129,7 @@ func TestTierCompactFoldsTombstones(t *testing.T) {
 	if err := tier.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	st := tier.Stats()
+	st := shapeOf(tier)
 	if st.Tombstones != 0 || st.DeltaDocs != 0 || st.BaseDocs != 33 || st.Live != 33 {
 		t.Fatalf("post-compact stats: %+v", st)
 	}
@@ -403,7 +403,7 @@ func TestTierBootstrapDurable(t *testing.T) {
 	if err := tier.Bootstrap([]int64{9}, []string{"late"}); err == nil {
 		t.Fatal("second Bootstrap accepted")
 	}
-	st := tier.Stats()
+	st := shapeOf(tier)
 	if st.BaseDocs != 3 || st.WALRecords != 0 || st.FrozenBytes == 0 {
 		t.Fatalf("bootstrap stats: %+v", st)
 	}

@@ -1,7 +1,7 @@
-// Package metrics provides lightweight counters shared by the Pass-Join
-// engine, the baselines and the experiment harness. Counters are plain
-// int64 fields; callers that do not need instrumentation pass a nil *Stats
-// and every recording helper tolerates that.
+// Package metrics provides the work counters of the Pass-Join engine, the
+// baselines and the experiment harness; passjoin.Stats is defined over its
+// Stats, whose field docs are the public ones. Counters are plain int64
+// fields; callers that do not need instrumentation pass a nil *Stats.
 package metrics
 
 import (
@@ -9,17 +9,18 @@ import (
 	"strings"
 )
 
-// Stats accumulates per-run instrumentation. All counts are totals over a
-// single join (or probe batch). A nil *Stats is valid everywhere and records
-// nothing.
+// Stats accumulates per-run instrumentation: totals over one join, one
+// index build or one Matcher's lifetime. A nil *Stats is valid everywhere
+// and records nothing.
 type Stats struct {
-	// Strings is the number of strings scanned by the join loop.
+	// Strings is the number of input strings scanned (on a dynamic index,
+	// the live documents).
 	Strings int64
-	// ShortStrings counts strings with length <= tau that bypass the
-	// partition index (they cannot be split into tau+1 non-empty segments).
+	// ShortStrings counts strings of length <= tau, which bypass the
+	// segment index (they cannot be split into tau+1 non-empty segments).
 	ShortStrings int64
 	// SelectedSubstrings counts substrings enumerated by the selection
-	// method, i.e. |W(s,l)| summed over every probed (s, l).
+	// method, |W(s,l)| summed over every probed (s, l): Figure 12's metric.
 	SelectedSubstrings int64
 	// Lookups counts inverted-index probes; LookupHits those that found a
 	// non-empty list.
@@ -38,44 +39,45 @@ type Stats struct {
 	// signature filter — verify.SigDist of the two strings' verify.SigOf
 	// words exceeding twice the threshold — before any verifier, stamp or
 	// string was touched; SigRejects + Verifications <= Candidates.
+	// Verifications, DPCells, EarlyTerms and SharedRows count only the
+	// survivors.
 	SigRejects int64
 	// Verifications counts verifier invocations (a pair verified through the
 	// extension method counts once per attempted alignment).
 	Verifications int64
 	// DPCells counts dynamic-programming matrix cells computed across all
-	// verifications.
+	// verifications (Figure 14's metric).
 	DPCells int64
-	// EarlyTerms counts verifications cut short by an early-termination rule.
-	EarlyTerms int64
-	// SharedRows counts DP rows skipped thanks to common-prefix sharing.
+	// EarlyTerms counts verifications stopped by the expected-edit-distance
+	// rule (Lemma 4).
+	EarlyTerms int64 `json:"EarlyTerminations"`
+	// SharedRows counts DP rows reused via common-prefix sharing (§5.3).
 	SharedRows int64
-	// Results is the number of similar pairs reported.
+	// Results is the number of similar pairs found.
 	Results int64
-	// IndexBytes is the approximate retained size of the similarity index in
-	// bytes (for Table 3).
-	IndexBytes int64
-	// IndexEntries is the number of postings stored in the index.
+	// IndexBytes approximates the peak retained size of the segment index
+	// (Table 3's metric); IndexEntries is its posting count.
+	IndexBytes   int64
 	IndexEntries int64
-	// FrozenBytes is the exact retained size of the frozen (CSR) form of
-	// the index after sealing; FrozenEntries is its posting count. Zero
-	// when the run never froze an index.
+	// FrozenBytes is the exact retained size of the frozen (CSR) index a
+	// Searcher or a DynamicSearcher's base serves from; FrozenEntries is its
+	// posting count. Zero for runs that never seal (joins, Matcher).
 	FrozenBytes   int64
 	FrozenEntries int64
-	// Dynamic-tier counters (internal/dynamic). DeltaStrings counts
-	// documents held in the mutable delta (live or tombstoned),
-	// Tombstones the deletes pending compaction, Compactions the
-	// completed base rebuilds, and WALBytes/WALRecords the current
-	// write-ahead-log footprint. All zero for static runs.
-	DeltaStrings  int64
+	// Dynamic-index counters, populated by DynamicSearcher.Stats and zero
+	// everywhere else: documents in the mutable delta (live or
+	// tombstoned), deletes pending compaction, completed and failed
+	// compactions, and the write-ahead-log footprint.
+	DeltaDocs     int64
 	Tombstones    int64
 	Compactions   int64
 	CompactErrors int64
 	WALBytes      int64
 	WALRecords    int64
 	// PeakLiveGroups is the largest number of simultaneously live length
-	// groups (the paper bounds this by τ+1 for self joins and 2τ+1 for R≠S
-	// joins under the sliding-window scan).
-	PeakLiveGroups int64
+	// groups, reported by the sequential sliding-window join alone (the
+	// paper bounds it by τ+1 for self joins and 2τ+1 for R≠S joins).
+	PeakLiveGroups int64 `json:",omitempty"`
 }
 
 // Add accumulates o into s. Either receiver or argument may be nil.
@@ -100,7 +102,7 @@ func (s *Stats) Add(o *Stats) {
 	s.IndexEntries += o.IndexEntries
 	s.FrozenBytes += o.FrozenBytes
 	s.FrozenEntries += o.FrozenEntries
-	s.DeltaStrings += o.DeltaStrings
+	s.DeltaDocs += o.DeltaDocs
 	s.Tombstones += o.Tombstones
 	s.Compactions += o.Compactions
 	s.CompactErrors += o.CompactErrors
@@ -151,7 +153,7 @@ func (s *Stats) String() string {
 	w("indexEntries", s.IndexEntries)
 	w("frozenBytes", s.FrozenBytes)
 	w("frozenEntries", s.FrozenEntries)
-	w("deltaStrings", s.DeltaStrings)
+	w("deltaStrings", s.DeltaDocs)
 	w("tombstones", s.Tombstones)
 	w("compactions", s.Compactions)
 	w("compactErrors", s.CompactErrors)

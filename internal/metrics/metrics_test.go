@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,23 +35,39 @@ func TestReset(t *testing.T) {
 	nilStats.Reset() // must not panic
 }
 
-func TestAddAllFields(t *testing.T) {
-	one := &Stats{
-		Strings: 1, ShortStrings: 1, SelectedSubstrings: 1, Lookups: 1,
-		LookupHits: 1, Candidates: 1, UniqueCandidates: 1, SigRejects: 1, Verifications: 1,
-		DPCells: 1, EarlyTerms: 1, SharedRows: 1, Results: 1, IndexBytes: 1,
-		IndexEntries: 1,
+// fields returns every counter of st by name, failing t on a field that
+// is not an int64 (which the reflection checks below would not cover).
+func fields(t *testing.T, st *Stats) map[string]reflect.Value {
+	t.Helper()
+	v := reflect.ValueOf(st).Elem()
+	out := make(map[string]reflect.Value, v.NumField())
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		if f.Type.Kind() != reflect.Int64 {
+			t.Fatalf("field %s is %s, not int64", f.Name, f.Type)
+		}
+		out[f.Name] = v.Field(i)
 	}
-	sum := &Stats{}
-	sum.Add(one)
-	sum.Add(one)
-	if *sum != (Stats{
-		Strings: 2, ShortStrings: 2, SelectedSubstrings: 2, Lookups: 2,
-		LookupHits: 2, Candidates: 2, UniqueCandidates: 2, SigRejects: 2, Verifications: 2,
-		DPCells: 2, EarlyTerms: 2, SharedRows: 2, Results: 2, IndexBytes: 2,
-		IndexEntries: 2,
-	}) {
-		t.Errorf("Add missed a field: %+v", sum)
+	return out
+}
+
+// TestAddAllFields: Add sums every counter, so a parallel join's per-worker
+// counts all reach the caller, except PeakLiveGroups, which takes the max.
+func TestAddAllFields(t *testing.T) {
+	var one, sum Stats
+	for _, f := range fields(t, &one) {
+		f.SetInt(1)
+	}
+	sum.Add(&one)
+	sum.Add(&one)
+	for name, f := range fields(t, &sum) {
+		want := int64(2)
+		if name == "PeakLiveGroups" {
+			want = 1
+		}
+		if f.Int() != want {
+			t.Errorf("after two Adds of all-ones, %s = %d, want %d", name, f.Int(), want)
+		}
 	}
 }
 
@@ -69,5 +86,13 @@ func TestString(t *testing.T) {
 	}
 	if strings.Contains(out, "dpCells") {
 		t.Errorf("zero counters should be omitted: %q", out)
+	}
+	// Every counter, set alone to a value no other counter holds, shows.
+	for name := range fields(t, &Stats{}) {
+		var st Stats
+		fields(t, &st)[name].SetInt(987654321)
+		if out := st.String(); !strings.Contains(out, "=987654321") {
+			t.Errorf("String() with only %s set = %q", name, out)
+		}
 	}
 }

@@ -122,25 +122,22 @@ func newServerObs(s *Server) *serverObs {
 		func() float64 { return float64(s.idx.NumShards()) })
 	r.GaugeFunc("passjoin_index_tau", "Build threshold (largest answerable tau).",
 		func() float64 { return float64(s.idx.Tau()) })
-	gaugeStat := func(name, help string, f func(passjoin.Stats) int64) {
-		r.GaugeFunc(name, help, func() float64 { return float64(f(s.indexStats())) })
+	stat := func(register func(string, string, func() float64), name, help string, f func(passjoin.Stats) int64) {
+		register(name, help, func() float64 { return float64(f(s.indexStats())) })
 	}
-	counterStat := func(name, help string, f func(passjoin.Stats) int64) {
-		r.CounterFunc(name, help, func() float64 { return float64(f(s.indexStats())) })
-	}
-	gaugeStat("passjoin_frozen_bytes", "Retained size of the frozen (CSR) segment indices, summed across shards.",
+	stat(r.GaugeFunc, "passjoin_frozen_bytes", "Retained size of the frozen (CSR) segment indices, summed across shards.",
 		func(st passjoin.Stats) int64 { return st.FrozenBytes })
-	gaugeStat("passjoin_delta_docs", "Documents in the mutable deltas (live or tombstoned).",
+	stat(r.GaugeFunc, "passjoin_delta_docs", "Documents in the mutable deltas (live or tombstoned).",
 		func(st passjoin.Stats) int64 { return st.DeltaDocs })
-	gaugeStat("passjoin_tombstones", "Deletes pending compaction.",
+	stat(r.GaugeFunc, "passjoin_tombstones", "Deletes pending compaction.",
 		func(st passjoin.Stats) int64 { return st.Tombstones })
-	gaugeStat("passjoin_wal_bytes", "Current write-ahead-log footprint in bytes.",
+	stat(r.GaugeFunc, "passjoin_wal_bytes", "Current write-ahead-log footprint in bytes.",
 		func(st passjoin.Stats) int64 { return st.WALBytes })
-	gaugeStat("passjoin_wal_records", "Current write-ahead-log record count.",
+	stat(r.GaugeFunc, "passjoin_wal_records", "Current write-ahead-log record count.",
 		func(st passjoin.Stats) int64 { return st.WALRecords })
-	counterStat("passjoin_compactions_total", "Completed compactions across shards.",
+	stat(r.CounterFunc, "passjoin_compactions_total", "Completed compactions across shards.",
 		func(st passjoin.Stats) int64 { return st.Compactions })
-	counterStat("passjoin_compact_errors_total", "Failed compactions across shards.",
+	stat(r.CounterFunc, "passjoin_compact_errors_total", "Failed compactions across shards.",
 		func(st passjoin.Stats) int64 { return st.CompactErrors })
 
 	// Replication link health, sampled from the Source/Follower status on
@@ -187,9 +184,8 @@ func newServerObs(s *Server) *serverObs {
 	return o
 }
 
-// indexStats returns the freshest index-shape counters: live stats for
-// a dynamic index — mutable or a read-only replication
-// follower — the build-time snapshot otherwise.
+// indexStats returns the freshest index-shape counters: a dynamic index's
+// live stats (mutable or a follower), else the build-time snapshot.
 func (s *Server) indexStats() passjoin.Stats {
 	if sp, ok := s.idx.(StatsProvider); ok {
 		return sp.Stats()
@@ -291,29 +287,13 @@ type Timings struct {
 	// probe, dedup, verify. Phase times are exclusive and sum to the
 	// traced probe time, which is <= TotalNanos (merge/rank/fetch run
 	// outside the probe).
-	Phases []PhaseTiming `json:"phases"`
+	Phases []passjoin.PhaseTiming `json:"phases"`
 }
 
-// PhaseTiming is one probe phase's share of a traced lookup.
-type PhaseTiming struct {
-	Phase string `json:"phase"`
-	Nanos int64  `json:"nanos"`
-	Count int64  `json:"count"`
-}
-
-func timingsFrom(tr *passjoin.Trace, total time.Duration) *Timings {
-	ps := tr.Phases()
-	t := &Timings{TotalNanos: total.Nanoseconds(), Phases: make([]PhaseTiming, len(ps))}
-	for i, p := range ps {
-		t.Phases[i] = PhaseTiming{Phase: p.Phase, Nanos: p.Nanos, Count: p.Count}
-	}
-	return t
-}
-
-// observeTrace feeds one traced lookup into the per-phase histograms and
-// the slow-query log.
-func (s *Server) observeTrace(q string, tr *passjoin.Trace, total time.Duration) {
-	for i, p := range tr.Phases() {
+// observeTrace feeds one traced lookup's phases, in Trace.Phases order,
+// into the per-phase histograms and the slow-query log.
+func (s *Server) observeTrace(q string, phases []passjoin.PhaseTiming, total time.Duration) {
+	for i, p := range phases {
 		if p.Nanos > 0 || p.Count > 0 {
 			s.obsv.phaseHist[i].Observe(float64(p.Nanos) / 1e9)
 		}
@@ -325,7 +305,7 @@ func (s *Server) observeTrace(q string, tr *passjoin.Trace, total time.Duration)
 			slog.String("query", truncateForLog(q)),
 			slog.Duration("total", total),
 			slog.Duration("threshold", s.cfg.SlowQuery))
-		for _, p := range tr.Phases() {
+		for _, p := range phases {
 			attrs = append(attrs, slog.Duration(p.Phase, time.Duration(p.Nanos)))
 		}
 		s.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow query", attrs...)

@@ -79,17 +79,12 @@ type Index interface {
 }
 
 // MutableIndex is the additional write contract of
-// passjoin.DynamicSearcher. Stats must be cheap enough to call per
-// request.
+// passjoin.DynamicSearcher.
 type MutableIndex interface {
 	Index
+	StatsProvider
 	Insert(doc string) (int, error)
 	Delete(id int) (bool, error)
-	Stats() passjoin.Stats
-	// Err reports the most recent background-compaction failure, if any
-	// — surfaced on /v1/stats so operators see a wedged compactor long
-	// before shutdown.
-	Err() error
 }
 
 // applier is the explicit-id write contract of passjoin.DynamicSearcher:
@@ -113,11 +108,11 @@ type idAllocator interface {
 	NextID() int
 }
 
-// StatsProvider is the live-counter contract a read-only dynamic index
-// (a replication follower) satisfies without being mutable: /v1/stats and
-// the metric exposition prefer it over the static build-time snapshot.
-// MutableIndex embeds the same two methods, so one structural check
-// covers both.
+// StatsProvider is the live-counter contract of a dynamic index (mutable
+// or a replication follower), which /v1/stats and /metrics prefer over the
+// build-time snapshot. Stats must be cheap enough to call per request; Err
+// is the last background-compaction failure, surfaced on /v1/stats so
+// operators see a wedged compactor long before shutdown.
 type StatsProvider interface {
 	Stats() passjoin.Stats
 	Err() error
@@ -600,7 +595,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					var tr passjoin.Trace
 					qstart := time.Now()
 					results[i] = s.lookup(req.Queries[i], req.K, tau, &tr)
-					s.observeTrace(req.Queries[i], &tr, time.Since(qstart))
+					s.observeTrace(req.Queries[i], tr.Phases(), time.Since(qstart))
 				} else {
 					results[i] = s.lookup(req.Queries[i], req.K, tau, nil)
 				}
@@ -964,10 +959,9 @@ func scanErrStatus(err error) int {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	ist := s.stats
+	ist := s.indexStats()
 	var compactErr string
 	if sp, ok := s.idx.(StatsProvider); ok {
-		ist = sp.Stats()
 		if err := sp.Err(); err != nil {
 			compactErr = err.Error()
 		}
@@ -1022,11 +1016,12 @@ func (s *Server) tracedLookup(params url.Values, q string, k, tau int) ([]Match,
 	start := time.Now()
 	matches := s.lookup(q, k, tau, &tr)
 	total := time.Since(start)
-	s.observeTrace(q, &tr, total)
+	phases := tr.Phases()
+	s.observeTrace(q, phases, total)
 	if !debug {
 		return matches, nil
 	}
-	return matches, timingsFrom(&tr, total)
+	return matches, &Timings{TotalNanos: total.Nanoseconds(), Phases: phases}
 }
 
 // lookup answers one query against the shared index: all matches within

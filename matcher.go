@@ -12,8 +12,7 @@ import (
 //
 // A Matcher is not safe for concurrent use.
 type Matcher struct {
-	m   *core.Matcher
-	cfg config
+	m *core.Matcher
 }
 
 // NewMatcher creates an online matcher for the given threshold.
@@ -27,23 +26,19 @@ func NewMatcher(tau int, opts ...Option) (*Matcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Matcher{m: m, cfg: cfg}, nil
+	return &Matcher{m: m}, nil
 }
 
 // Insert adds s and returns the ids (insertion order, 0-based) of all
 // previously inserted strings within the threshold, sorted ascending.
 func (m *Matcher) Insert(s string) []int {
-	ids := m.m.Insert(s)
-	m.cfg.stats.fill()
-	return toInts(ids)
+	return toInts(m.m.Insert(s))
 }
 
 // Query reports the ids of inserted strings within the threshold of s
 // without inserting s.
 func (m *Matcher) Query(s string) []int {
-	ids := m.m.QueryIDs(s)
-	m.cfg.stats.fill()
-	return toInts(ids)
+	return toInts(m.m.QueryIDs(s))
 }
 
 // Len returns the number of inserted strings.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 
 	"passjoin/internal/core"
+	"passjoin/internal/metrics"
 )
 
 type config struct {
@@ -21,8 +22,19 @@ type config struct {
 // Option customizes a join or matcher.
 type Option func(*config) error
 
-// WithStats attaches an instrumentation sink; it is overwritten with this
-// run's counters when the join returns.
+// Stats holds the work counters of a join, a Matcher or a searcher build
+// (WithStats) or of a dynamic index (DynamicSearcher.Stats): substrings
+// selected (the paper's Fig. 12), DP cells (Fig. 14), index size (Table 3)
+// and more. Its fields are internal/metrics.Stats's, documented there.
+type Stats metrics.Stats
+
+// String renders the non-zero counters on one line.
+func (s *Stats) String() string { return (*metrics.Stats)(s).String() }
+
+// WithStats attaches an instrumentation sink. A join, a top-k join or a
+// searcher build zeroes it and leaves that call's counters in it. A
+// Matcher zeroes it once, at NewMatcher, and adds into it on each Insert
+// and Query. The sink must not be read while the call that writes it runs.
 func WithStats(st *Stats) Option {
 	return func(c *config) error {
 		if st == nil {
@@ -173,7 +185,8 @@ func (c config) coreOptions(tau int) core.Options {
 		Parallel: c.parallel,
 	}
 	if c.stats != nil {
-		o.Stats = c.stats.reset()
+		*c.stats = Stats{}
+		o.Stats = (*metrics.Stats)(c.stats)
 	}
 	return o
 }

@@ -39,16 +39,14 @@ func Join(rset, sset []string, tau int, opts ...Option) ([]Pair, error) {
 }
 
 // dispatch is the one way into a join, under all six entry points: build
-// the configuration, run the join on the core options it resolves to, then
-// publish the run's counters on the attached Stats.
+// the configuration and run the join on the core options it resolves to,
+// which write the run's counters into the attached Stats.
 func dispatch(tau int, opts []Option, run func(o core.Options) ([]core.Pair, error)) ([]core.Pair, error) {
 	cfg, err := buildConfig(tau, opts)
 	if err != nil {
 		return nil, err
 	}
-	pairs, err := run(cfg.coreOptions(tau))
-	cfg.stats.fill()
-	return pairs, err
+	return run(cfg.coreOptions(tau))
 }
 
 func convert(ps []core.Pair) []Pair {

@@ -194,7 +194,6 @@ func TestV2SnapshotCarriesFrozenIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.inner, st.inner = nil, nil
 	if st.FrozenBytes == 0 || st.FrozenEntries == 0 || st.IndexEntries == 0 || st != built {
 		t.Fatalf("load reports %+v, the constructor %+v", st, built)
 	}

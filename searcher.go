@@ -84,7 +84,6 @@ func buildSearcher(corpus []string, tau int, cfg config) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.stats.fill()
 	s := &Searcher{m: m, tau: tau, workers: workers}
 	s.pool.New = func() any { return s.m.Snapshot() }
 	return s, nil

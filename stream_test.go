@@ -168,8 +168,8 @@ var sequentialOpts = map[string][]Option{"default": nil, "WithParallelism(1)": {
 func checkWindowStats(t *testing.T, name string, st *Stats, indexed []string, tau int) {
 	t.Helper()
 	bytes, _ := core.IndexFootprint(indexed, tau)
-	if st.inner.PeakLiveGroups <= 0 || st.IndexBytes <= 0 || st.IndexBytes > bytes {
-		t.Errorf("%s: peak %d live groups, %d index bytes; want a window, at most the whole index's %d", name, st.inner.PeakLiveGroups, st.IndexBytes, bytes)
+	if st.PeakLiveGroups <= 0 || st.IndexBytes <= 0 || st.IndexBytes > bytes {
+		t.Errorf("%s: peak %d live groups, %d index bytes; want a window, at most the whole index's %d", name, st.PeakLiveGroups, st.IndexBytes, bytes)
 	}
 }
 

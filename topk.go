@@ -100,8 +100,7 @@ func TopK(strs []string, k int, opts ...Option) ([]PairDist, error) {
 		k = totalPairs
 	}
 	for tau := 0; ; tau++ {
-		o := cfg.coreOptions(tau)
-		pairs, err := core.SelfJoin(strs, o)
+		pairs, err := core.SelfJoin(strs, cfg.coreOptions(tau))
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +128,6 @@ func TopK(strs []string, k int, opts ...Option) ([]PairDist, error) {
 			if len(out) > k {
 				out = out[:k]
 			}
-			cfg.stats.fill()
 			return out, nil
 		}
 	}

@@ -25,15 +25,16 @@ type Trace struct {
 	inner obs.QueryTrace
 }
 
-// PhaseTiming is one phase's share of a traced query.
+// PhaseTiming is one phase's share of a traced query; ?debug=timings
+// encodes it under the JSON keys below.
 type PhaseTiming struct {
 	// Phase names the stage: "selection", "probe", "dedup" or "verify".
-	Phase string
+	Phase string `json:"phase"`
 	// Nanos is the exclusive wall time spent in the phase.
-	Nanos int64
+	Nanos int64 `json:"nanos"`
 	// Count is the phase's operation count: substrings selected, lists
 	// looked up, candidate occurrences scanned, verifier invocations.
-	Count int64
+	Count int64 `json:"count"`
 }
 
 // Phases returns the breakdown in fixed phase order (selection, probe,
