@@ -1,13 +1,9 @@
 package cluster
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
-// Hit is one search match on the cluster wire. Its JSON shape is
-// exactly the serving layer's Match — same fields, same tags, same
-// order — so a coordinator response built from merged Hits is
+// Hit is one search match on the cluster wire and the serving layer's
+// Match (an alias), so a coordinator response built from merged Hits is
 // byte-identical to a single-node daemon's response over the union
 // corpus.
 type Hit struct {
@@ -29,10 +25,11 @@ func hitLess(a, b Hit) bool {
 // over the union corpus: hits sharing a document id are deduplicated
 // keeping the smaller (dist, id) — a document transiently present on
 // two members mid-rebalance must count once, never twice — the merged
-// set is ordered by (dist, id), and k > 0 keeps only the k nearest via
-// a k-bounded max-heap (the same selection QueryTopK makes, so the
-// truncated order matches too). Always returns a non-nil slice: an
-// empty result must encode as [], exactly like a member's.
+// set is ordered by (dist, id), and k > 0 keeps only the k nearest. Every
+// member already truncates at the same k, so the merged set holds at most
+// members·k hits and a full sort is the selection. Always returns a
+// non-nil slice: an empty result must encode as [], exactly like a
+// member's.
 func MergeHits(parts [][]Hit, k int) []Hit {
 	total := 0
 	for _, p := range parts {
@@ -52,27 +49,9 @@ func MergeHits(parts [][]Hit, k int) []Hit {
 			merged = append(merged, h)
 		}
 	}
-	if k > 0 && len(merged) > k {
-		h := hitMaxHeap(merged[:k])
-		heap.Init(&h)
-		for _, m := range merged[k:] {
-			if hitLess(m, h[0]) {
-				h[0] = m
-				heap.Fix(&h, 0)
-			}
-		}
-		merged = []Hit(h)
-	}
 	sort.Slice(merged, func(i, j int) bool { return hitLess(merged[i], merged[j]) })
+	if k > 0 && len(merged) > k {
+		merged = merged[:k]
+	}
 	return merged
 }
-
-// hitMaxHeap is a max-heap on hitLess order: the root is the worst
-// retained hit, displaced first when a better one arrives.
-type hitMaxHeap []Hit
-
-func (h hitMaxHeap) Len() int           { return len(h) }
-func (h hitMaxHeap) Less(i, j int) bool { return hitLess(h[j], h[i]) }
-func (h hitMaxHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *hitMaxHeap) Push(x any)        { *h = append(*h, x.(Hit)) }
-func (h *hitMaxHeap) Pop() any          { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }

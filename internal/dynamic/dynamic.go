@@ -447,17 +447,25 @@ func (t *Tier) maybeCompact(trigger bool) {
 // already-applied prefix of a replication stream is harmless). Applied
 // operations are WAL-logged, observed by OnApply, and trigger background
 // compaction exactly like local mutations; an applied add raises the id
-// allocator past its id. An id outside [0, 2^62-1] is refused with an error
-// wrapping strconv.ErrRange. It reports whether the operation changed the
-// tier.
+// allocator past its id. An id CheckID refuses is refused with its error.
+// It reports whether the operation changed the tier.
 func (t *Tier) Apply(op Op) (bool, error) {
 	if op.Watermark {
 		return false, fmt.Errorf("dynamic: watermark ops are not replicable")
 	}
-	if op.ID < 0 || op.ID > maxDocID {
-		return false, fmt.Errorf("dynamic: document id %d outside [0, %d]: %w", op.ID, int64(maxDocID), strconv.ErrRange)
+	if err := CheckID(op.ID); err != nil {
+		return false, err
 	}
 	return t.apply(&op, true)
+}
+
+// CheckID refuses a document id outside [0, 2^62-1], the ids a tier
+// accepts, with an error wrapping strconv.ErrRange.
+func CheckID(gid int64) error {
+	if gid < 0 || gid > maxDocID {
+		return fmt.Errorf("dynamic: document id %d outside [0, %d]: %w", gid, int64(maxDocID), strconv.ErrRange)
+	}
+	return nil
 }
 
 // Delete tombstones gid. It reports whether the document existed and was

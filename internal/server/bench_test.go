@@ -64,7 +64,7 @@ func BenchmarkServerSearchObserved(b *testing.B) {
 
 	b.Run("raw", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			srv.lookup(corpus[i%len(corpus)], 0, -1, nil)
+			srv.lookup(corpus[i%len(corpus)], 0, nil, nil)
 		}
 	})
 	run := func(s *Server) func(b *testing.B) {

@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"passjoin/internal/cluster"
-	"passjoin/internal/obs"
+	"passjoin/internal/dynamic"
 )
 
 // Coordinator is the cluster-tier front door: it owns no index, only a
@@ -41,13 +41,8 @@ import (
 //
 // It implements http.Handler.
 type Coordinator struct {
-	cl     *cluster.Cluster
-	cfg    Config
-	mux    *http.ServeMux
-	start  time.Time
-	logger *slog.Logger
-	obsv   *coordObs
-	build  buildInfo
+	daemon
+	cl *cluster.Cluster
 
 	// The global id allocator. Members assign ids independently when used
 	// standalone, so before the first routed write the coordinator folds
@@ -70,63 +65,26 @@ type Coordinator struct {
 // same as a member server's (body caps, default k, logger); the
 // index-specific knobs (SlowQuery, Replica, ReplStatus) are ignored.
 func NewCoordinator(cl *cluster.Cluster, cfg Config) *Coordinator {
-	co := &Coordinator{
-		cl:     cl,
-		cfg:    cfg.withDefaults(),
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-		seeded: map[string]bool{},
-	}
-	co.logger = co.cfg.Logger
-	if co.logger == nil {
-		co.logger = slog.New(slog.DiscardHandler)
-	}
-	co.build = readBuildInfo()
-	co.obsv = newCoordObs(co)
-	handle := func(method, path string, h http.HandlerFunc) {
-		co.mux.Handle(method+" "+path, co.obsv.instrument(path, h))
-	}
-	handle("GET", "/healthz", co.handleHealth)
-	handle("GET", "/v1/search", co.handleSearch)
-	handle("POST", "/v1/search", co.handleSearch)
-	handle("POST", "/v1/batch", co.handleBatch)
-	handle("GET", "/v1/topk", co.handleTopK)
-	handle("POST", "/v1/dedup", co.handleDedup)
-	handle("POST", "/v1/join/self", co.handleJoinSelf)
-	handle("POST", "/v1/join", co.handleJoinRS)
-	handle("GET", "/v1/stats", co.handleStats)
-	handle("GET", "/metrics", co.handleMetrics)
-	handle("POST", "/v1/docs", co.handleInsert)
-	handle("GET", "/v1/docs/{id}", co.handleGetDoc)
-	handle("DELETE", "/v1/docs/{id}", co.handleDeleteDoc)
-	handle("POST", "/v1/cluster/rebalance", co.handleRebalance)
-	allow := map[string]string{
-		"/healthz":              "GET",
-		"/v1/search":            "GET, POST",
-		"/v1/batch":             "POST",
-		"/v1/topk":              "GET",
-		"/v1/dedup":             "POST",
-		"/v1/join/self":         "POST",
-		"/v1/join":              "POST",
-		"/v1/stats":             "GET",
-		"/metrics":              "GET",
-		"/v1/docs":              "POST",
-		"/v1/docs/{id}":         "GET, DELETE",
-		"/v1/cluster/rebalance": "POST",
-	}
-	for path, methods := range allow {
-		co.mux.Handle(path, co.obsv.instrument(path, methodNotAllowed(methods)))
-	}
+	co := &Coordinator{daemon: newDaemon(cfg), cl: cl, seeded: map[string]bool{}}
+	co.registerMetrics()
+	co.serve([]route{
+		{"GET", "/healthz", co.handleHealth},
+		{"GET", "/v1/search", co.handleLookup},
+		{"POST", "/v1/search", co.handleLookup},
+		{"POST", "/v1/batch", co.handleBatch},
+		{"GET", "/v1/topk", co.handleLookup},
+		{"POST", "/v1/dedup", co.handleDedup},
+		{"POST", "/v1/join/self", co.handleJoinSelf},
+		{"POST", "/v1/join", co.handleJoinRS},
+		{"GET", "/v1/stats", co.handleStats},
+		{"GET", "/metrics", co.handleMetrics},
+		{"POST", "/v1/docs", co.handleInsert},
+		{"GET", "/v1/docs/{id}", co.handleGetDoc},
+		{"DELETE", "/v1/docs/{id}", co.handleDeleteDoc},
+		{"POST", "/v1/cluster/rebalance", co.handleRebalance},
+	})
 	return co
 }
-
-func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	co.mux.ServeHTTP(w, r)
-}
-
-// Metrics returns the coordinator's metric registry for tests and
-// embedders.
-func (co *Coordinator) Metrics() http.Handler { return co.obsv.reg.Handler() }
 
 // InvalidateIDFloor forces the next routed write to re-bootstrap the
 // global id allocator from any members it has not seen yet — call it
@@ -138,18 +96,12 @@ func (co *Coordinator) InvalidateIDFloor() {
 	co.idMu.Unlock()
 }
 
-// coordObs wires the cluster-tier metric families: the shared per-route
-// HTTP middleware plus member health, per-member request outcomes and
-// the partial-response counter, all sampled at scrape time from state
-// the coordinator and cluster already own.
-type coordObs struct {
-	reg *obs.Registry
-	*httpObs
-}
-
-func newCoordObs(co *Coordinator) *coordObs {
-	r := obs.NewRegistry()
-	o := &coordObs{reg: r, httpObs: newHTTPObs(r, co.logger)}
+// registerMetrics wires the cluster-tier metric families: member health,
+// per-member request outcomes and the partial-response counter, all
+// sampled at scrape time from state the coordinator and cluster already
+// own.
+func (co *Coordinator) registerMetrics() {
+	r := co.reg
 	r.Collect("passjoin_cluster_member_up",
 		"Per-member health: 1 when the member's circuit breaker is closed.",
 		"gauge", []string{"member"},
@@ -182,20 +134,7 @@ func newCoordObs(co *Coordinator) *coordObs {
 	r.CounterFunc("passjoin_deletes_total",
 		"Documents deleted cluster-wide via DELETE /v1/docs/{id}.",
 		func() float64 { return float64(co.deletes.Load()) })
-	r.GaugeFunc("passjoin_uptime_seconds", "Seconds since the coordinator started.",
-		func() float64 { return time.Since(co.start).Seconds() })
-	r.Collect("passjoin_build_info",
-		"Build metadata; value is always 1.",
-		"gauge", []string{"go_version", "revision"},
-		func(emit func([]string, float64)) {
-			emit([]string{co.build.goVersion, co.build.revision}, 1)
-		})
-	obs.RegisterRuntime(r)
-	return o
-}
-
-func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	co.obsv.reg.Handler().ServeHTTP(w, r)
+	co.registerProcess("Seconds since the coordinator started.")
 }
 
 func (co *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -272,55 +211,37 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // --- Scatter reads -------------------------------------------------------
 
-// coordSearchResponse is the coordinator's /v1/search and /v1/topk reply.
-// Field names and order match SearchResponse exactly, and the partial
-// markers only appear on degraded (206) responses, so a full response is
-// byte-identical to a single-node daemon's.
-type coordSearchResponse struct {
-	Query   string        `json:"query"`
-	Matches []cluster.Hit `json:"matches"`
-	Partial bool          `json:"partial,omitempty"`
-	Missing []string      `json:"missing,omitempty"`
-}
-
-// coordBatchResponse mirrors BatchResponse the same way.
-type coordBatchResponse struct {
-	Results [][]cluster.Hit `json:"results"`
-	Partial bool            `json:"partial,omitempty"`
-	Missing []string        `json:"missing,omitempty"`
-}
-
-// memberSearchBody is the slice of a member search response the merge
-// needs.
-type memberSearchBody struct {
-	Matches []cluster.Hit `json:"matches"`
-}
-
-// scatterCall fans one buffered request over every member (down members
-// fail fast on their open breakers and land in missing). It returns the
-// per-member successes, the missing member names, and — when a member
-// answered a client error — that response to relay verbatim.
-func (co *Coordinator) scatterCall(ctx context.Context, o cluster.CallOpts) (oks []cluster.Result1[cluster.Result], missing []string, clientErr *cluster.Result) {
-	members := co.cl.Members()
-	results := cluster.Scatter(ctx, members, func(ctx context.Context, m cluster.Info) (cluster.Result, error) {
+// scatterRead fans one buffered read over every member (down members
+// fail fast on their open breakers and land in missing) and returns the
+// per-member successes, the missing member names and the status to answer
+// with: 200 when every member answered, 206 (counted as a partial) when
+// some were missing. Status 0 means the response is already written: the
+// first member client error relayed verbatim, or a 503 when no member was
+// reachable.
+func (co *Coordinator) scatterRead(w http.ResponseWriter, r *http.Request, o cluster.CallOpts) (oks []cluster.Result1[cluster.Result], missing []string, status int) {
+	results := cluster.Scatter(r.Context(), co.cl.Members(), func(ctx context.Context, m cluster.Info) (cluster.Result, error) {
 		return co.cl.Call(ctx, m.Name, o)
 	})
-	for _, r := range results {
+	for _, res := range results {
 		switch {
-		case r.Err != nil:
-			missing = append(missing, r.Member.Name)
-		case r.Value.Status >= 500:
-			missing = append(missing, r.Member.Name)
-		case r.Value.Status >= 400:
-			if clientErr == nil {
-				v := r.Value
-				clientErr = &v
-			}
+		case res.Err != nil || res.Value.Status >= 500:
+			missing = append(missing, res.Member.Name)
+		case res.Value.Status >= 400:
+			relay(w, res.Value)
+			return nil, nil, 0
 		default:
-			oks = append(oks, r)
+			oks = append(oks, res)
 		}
 	}
-	return oks, missing, clientErr
+	switch {
+	case len(oks) == 0:
+		writeError(w, http.StatusServiceUnavailable, "no cluster members reachable")
+		return nil, nil, 0
+	case len(missing) > 0:
+		co.partials.Add(1)
+		return oks, missing, http.StatusPartialContent
+	}
+	return oks, nil, http.StatusOK
 }
 
 // relay copies a member response to the client verbatim.
@@ -332,149 +253,73 @@ func relay(w http.ResponseWriter, res cluster.Result) {
 	w.Write(res.Body)
 }
 
-// partialStatus finalizes a scatter read: 200 when every member
-// answered, 206 (and the partial counter) when some were missing, and a
-// 503 error when none were reachable. The boolean reports whether the
-// caller should write its merged payload.
-func (co *Coordinator) partialStatus(w http.ResponseWriter, reached, missing int) (int, bool) {
-	if reached == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no cluster members reachable")
-		return 0, false
-	}
-	if missing > 0 {
-		co.partials.Add(1)
-		return http.StatusPartialContent, true
-	}
-	return http.StatusOK, true
-}
-
-func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var q string
-	var k int
-	var body []byte
-	path := "/v1/search"
-	contentType := ""
-	if r.Method == http.MethodGet {
-		params := r.URL.Query()
-		q = params.Get("q")
-		k, _ = strconv.Atoi(params.Get("k"))
-		if raw := r.URL.RawQuery; raw != "" {
-			path += "?" + raw
-		}
-	} else {
-		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes))
-		if err != nil {
-			writeError(w, scanErrStatus(err), "reading body: "+err.Error())
-			return
-		}
-		// Lenient decode for the echo and merge parameters; members
-		// enforce the strict contract and their 400s relay verbatim.
-		var req searchRequest
-		if json.Unmarshal(body, &req) == nil {
-			q, k = req.Query, req.K
-		}
-		contentType = "application/json"
-		if raw := r.URL.RawQuery; raw != "" {
-			path += "?" + raw
-		}
-	}
-	co.scatterSearch(w, r, cluster.CallOpts{
-		Route: "/v1/search", Method: r.Method, Path: path,
-		Body: body, ContentType: contentType, Retry: true,
-	}, q, k)
-}
-
-func (co *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	q := params.Get("q")
-	k := co.cfg.DefaultTopK
-	if raw := params.Get("k"); raw != "" {
-		if v, err := strconv.Atoi(raw); err == nil {
-			k = v
-		}
-	}
-	path := "/v1/topk"
-	if raw := r.URL.RawQuery; raw != "" {
-		path += "?" + raw
-	}
-	co.scatterSearch(w, r, cluster.CallOpts{
-		Route: "/v1/topk", Method: http.MethodGet, Path: path, Retry: true,
-	}, q, k)
-}
-
-// scatterSearch fans one search-shaped request over the members and
-// merges the (dist, id)-ordered per-member lists into the single-node
-// answer.
-func (co *Coordinator) scatterSearch(w http.ResponseWriter, r *http.Request, o cluster.CallOpts, q string, k int) {
-	oks, missing, clientErr := co.scatterCall(r.Context(), o)
-	if clientErr != nil {
-		relay(w, *clientErr)
-		return
-	}
-	status, ok := co.partialStatus(w, len(oks), len(missing))
+// handleLookup serves /v1/search and /v1/topk. The request is parsed and
+// refused exactly as a member would refuse it; each member then gets the
+// parsed request, k resolved, in the client's form: a GET keeps its bytes
+// in a query string, a POST body goes as JSON (a JSON string could not
+// carry a GET query's invalid UTF-8). Every member truncates at the same
+// k the merge does.
+func (co *Coordinator) handleLookup(w http.ResponseWriter, r *http.Request) {
+	req, ok := parseLookup(w, r, co.cfg)
 	if !ok {
 		return
 	}
-	parts := make([][]cluster.Hit, 0, len(oks))
-	for _, res := range oks {
-		var mb memberSearchBody
+	o := cluster.CallOpts{Route: r.URL.Path, Method: r.Method, Path: "/v1/search", Retry: true}
+	if r.Method == http.MethodGet {
+		o.Path += "?q=" + url.QueryEscape(req.Query) + "&k=" + strconv.Itoa(req.K)
+		if req.Tau != nil {
+			o.Path += "&tau=" + strconv.Itoa(*req.Tau)
+		}
+	} else {
+		o.Body, _ = json.Marshal(req)
+		o.ContentType = "application/json"
+	}
+	oks, missing, status := co.scatterRead(w, r, o)
+	if status == 0 {
+		return
+	}
+	parts := make([][]cluster.Hit, len(oks))
+	for i, res := range oks {
+		var mb SearchResponse
 		if err := json.Unmarshal(res.Value.Body, &mb); err != nil {
 			writeError(w, http.StatusBadGateway,
 				fmt.Sprintf("member %s answered malformed JSON: %v", res.Member.Name, err))
 			return
 		}
-		parts = append(parts, mb.Matches)
+		parts[i] = mb.Matches
 	}
 	co.queries.Add(1)
-	writeJSON(w, status, coordSearchResponse{
-		Query:   q,
-		Matches: cluster.MergeHits(parts, k),
+	writeJSON(w, status, SearchResponse{
+		Query:   req.Query,
+		Matches: cluster.MergeHits(parts, req.K),
 		Partial: len(missing) > 0,
 		Missing: missing,
 	})
 }
 
 func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, scanErrStatus(err), "reading body: "+err.Error())
-		return
-	}
-	var req BatchRequest
-	if json.Unmarshal(body, &req) == nil && len(req.Queries) > co.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), co.cfg.MaxBatch))
-		return
-	}
-	path := "/v1/batch"
-	if raw := r.URL.RawQuery; raw != "" {
-		path += "?" + raw
-	}
-	oks, missing, clientErr := co.scatterCall(r.Context(), cluster.CallOpts{
-		Route: "/v1/batch", Method: http.MethodPost, Path: path,
-		Body: body, ContentType: "application/json", Retry: true,
-	})
-	if clientErr != nil {
-		relay(w, *clientErr)
-		return
-	}
-	status, ok := co.partialStatus(w, len(oks), len(missing))
+	req, ok := parseBatch(w, r, co.cfg)
 	if !ok {
 		return
 	}
+	body, _ := json.Marshal(req)
+	oks, missing, status := co.scatterRead(w, r, cluster.CallOpts{
+		Route: "/v1/batch", Method: http.MethodPost, Path: "/v1/batch",
+		Body: body, ContentType: "application/json", Retry: true,
+	})
+	if status == 0 {
+		return
+	}
 	// Column-wise merge: Results[i] of every member answers Queries[i].
-	perMember := make([][][]cluster.Hit, 0, len(oks))
-	for _, res := range oks {
-		var mb struct {
-			Results [][]cluster.Hit `json:"results"`
-		}
+	perMember := make([][][]cluster.Hit, len(oks))
+	for m, res := range oks {
+		var mb BatchResponse
 		if err := json.Unmarshal(res.Value.Body, &mb); err != nil || len(mb.Results) != len(req.Queries) {
 			writeError(w, http.StatusBadGateway,
 				fmt.Sprintf("member %s answered a malformed batch response", res.Member.Name))
 			return
 		}
-		perMember = append(perMember, mb.Results)
+		perMember[m] = mb.Results
 	}
 	merged := make([][]cluster.Hit, len(req.Queries))
 	column := make([][]cluster.Hit, len(perMember))
@@ -485,7 +330,7 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		merged[i] = cluster.MergeHits(column, req.K)
 	}
 	co.queries.Add(int64(len(req.Queries)))
-	writeJSON(w, status, coordBatchResponse{
+	writeJSON(w, status, BatchResponse{
 		Results: merged,
 		Partial: len(missing) > 0,
 		Missing: missing,
@@ -540,16 +385,19 @@ func (co *Coordinator) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing doc field")
 		return
 	}
+	// An id a member's tier would refuse never reaches the allocator.
+	if req.ID != nil {
+		if err := dynamic.CheckID(int64(*req.ID)); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
 	if err := co.ensureIDFloor(r.Context()); err != nil {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	var id int
 	if req.ID != nil {
-		if *req.ID < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid document id %d", *req.ID))
-			return
-		}
 		id = *req.ID
 		co.idMu.Lock()
 		if id >= co.nextID {
@@ -909,7 +757,7 @@ func (co *Coordinator) runJoinTasks(w http.ResponseWriter, r *http.Request, rout
 						if len(raw) == 0 {
 							continue
 						}
-						var p JoinPair
+						var p PairRecord
 						if err := json.Unmarshal(raw, &p); err != nil {
 							return fmt.Errorf("malformed pair record: %w", err)
 						}

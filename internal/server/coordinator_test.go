@@ -209,6 +209,122 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 	}
 }
 
+// rawDo sends one request and returns the status, the Allow header and
+// the body.
+func rawDo(t testing.TB, method, url, body string) (int, string, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("Allow"), b
+}
+
+// requireSameAnswer sends one request to the coordinator and to the
+// single node and requires the same status, Allow header and body bytes.
+func requireSameAnswer(t testing.TB, coord, single, method, path, body string) {
+	t.Helper()
+	gotCode, gotAllow, got := rawDo(t, method, coord+path, body)
+	wantCode, wantAllow, want := rawDo(t, method, single+path, body)
+	if gotCode != wantCode || gotAllow != wantAllow || !bytes.Equal(got, want) {
+		t.Fatalf("%s %s %s:\ncoordinator (%d, Allow %q): %s\nsingle-node (%d, Allow %q): %s",
+			method, path, body, gotCode, gotAllow, got, wantCode, wantAllow, want)
+	}
+}
+
+// TestCoordinatorTopKDefaultK: a /v1/topk without k truncates at the
+// coordinator's default k on every member too, so a coordinator whose
+// default differs from its members' still answers what one node with the
+// coordinator's default answers.
+func TestCoordinatorTopKDefaultK(t *testing.T) {
+	corpus := make([]string, 90)
+	for i := range corpus {
+		corpus[i] = fmt.Sprintf("doc-%02d", i)
+	}
+	h := newClusterHarness(t, 3, 2, cluster.Config{}) // members at the default k 10
+	h.seed(t, corpus)
+	coord := httptest.NewServer(NewCoordinator(h.cl, Config{DefaultTopK: 25}))
+	t.Cleanup(coord.Close)
+	idx, err := passjoin.NewDynamicSearcher(corpus, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { idx.Close() })
+	single := httptest.NewServer(New(idx, nil, Config{DefaultTopK: 25}))
+	t.Cleanup(single.Close)
+
+	for _, path := range []string{"/v1/topk?q=doc-00", "/v1/topk?q=doc-45&tau=1", "/v1/topk?q=doc-00&k=30"} {
+		requireSameAnswer(t, coord.URL, single.URL, "GET", path, "")
+	}
+}
+
+// TestCoordinatorExplicitIDs: an explicit id a member's tier would refuse
+// is refused by the coordinator in the member's words, and never reaches
+// the global allocator — the next plain insert still gets id 0.
+func TestCoordinatorExplicitIDs(t *testing.T) {
+	h := newClusterHarness(t, 3, 2, cluster.Config{})
+	single := newUnionServer(t, nil, 2)
+	for _, body := range []string{
+		`{"id":4611686018427387904,"doc":"x"}`,
+		`{"id":9223372036854775807,"doc":"x"}`,
+		`{"id":-1,"doc":"x"}`,
+	} {
+		requireSameAnswer(t, h.ts.URL, single.URL, "POST", "/v1/docs", body)
+	}
+	var resp DocResponse
+	if code := postJSON(t, h.ts.URL+"/v1/docs", map[string]string{"doc": "fresh"}, &resp); code != http.StatusCreated || resp.ID != 0 {
+		t.Fatalf("plain insert after refused ids: status %d, id %d, want 201 and id 0", code, resp.ID)
+	}
+}
+
+// TestCoordinatorRefusesMalformedReads: a malformed lookup is the
+// client's fault whether or not any member is reachable, so with every
+// member down the coordinator still answers the single node's 400, not a
+// 503.
+func TestCoordinatorRefusesMalformedReads(t *testing.T) {
+	h := newClusterHarness(t, 2, 2, cluster.Config{BackoffMin: time.Hour})
+	for _, m := range h.members {
+		m.ts.Close()
+	}
+	single := newUnionServer(t, testCorpus(t, 20), 2)
+	for _, c := range []struct{ method, path, body string }{
+		{"GET", "/v1/search?q=", ""},
+		{"GET", "/v1/search?q=x&k=-1", ""},
+		{"GET", "/v1/search?q=x&k=zap", ""},
+		{"GET", "/v1/search?q=x&tau=abc", ""},
+		{"GET", "/v1/topk?q=x&k=0", ""},
+		{"POST", "/v1/search", `{}`},
+		{"POST", "/v1/search", `{"query":"x","tau":-1}`},
+		{"POST", "/v1/batch", `{"queries":["x"],"k":-1}`},
+		{"POST", "/v1/batch", `{"bogus":1}`},
+	} {
+		requireSameAnswer(t, h.ts.URL, single.URL, c.method, c.path, c.body)
+	}
+}
+
+// TestCoordinatorQueryBytes: a GET query that is not valid UTF-8 reaches
+// the members byte for byte (a JSON body would have replaced the invalid
+// byte and lost every match below), so the coordinator answers what the
+// single node answers.
+func TestCoordinatorQueryBytes(t *testing.T) {
+	corpus := []string{"vldb", "xvldb", "avld"}
+	h := newClusterHarness(t, 2, 2, cluster.Config{})
+	h.seed(t, corpus)
+	single := newUnionServer(t, corpus, 2)
+	for _, path := range []string{"/v1/search?q=%FFvldb", "/v1/topk?q=%FFvldb&k=1"} {
+		requireSameAnswer(t, h.ts.URL, single.URL, "GET", path, "")
+	}
+}
+
 func mustJSON(t testing.TB, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -337,7 +453,7 @@ func TestCoordinatorPartialSearch(t *testing.T) {
 	if resp.StatusCode != http.StatusPartialContent {
 		t.Fatalf("search with a dead member: status %d body %s", resp.StatusCode, body)
 	}
-	var sr coordSearchResponse
+	var sr SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +464,7 @@ func TestCoordinatorPartialSearch(t *testing.T) {
 		t.Fatal("matches must stay a non-nil slice on partial responses")
 	}
 	// Batch degrades the same way.
-	var br coordBatchResponse
+	var br BatchResponse
 	code := postJSON(t, h.ts.URL+"/v1/batch", BatchRequest{Queries: corpus[:5]}, &br)
 	if code != http.StatusPartialContent || !br.Partial || len(br.Missing) != 1 {
 		t.Fatalf("batch with a dead member: %d %+v", code, br)
@@ -407,7 +523,7 @@ func TestCoordinatorSlowMember(t *testing.T) {
 	if resp.StatusCode != http.StatusPartialContent {
 		t.Fatalf("slow member: status %d body %s", resp.StatusCode, body)
 	}
-	var sr coordSearchResponse
+	var sr SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +551,7 @@ func TestCoordinatorMergeDedup(t *testing.T) {
 	if _, err := h.members[0].idx.Apply(passjoin.Mutation{ID: 9, Doc: "vldbx"}); err != nil {
 		t.Fatal(err)
 	}
-	var sr coordSearchResponse
+	var sr SearchResponse
 	if code := getJSON(t, h.ts.URL+"/v1/search?q=vldb", &sr); code != http.StatusOK {
 		t.Fatalf("search: %d", code)
 	}
@@ -499,7 +615,7 @@ func TestCoordinatorMaxBatchCapsOnlyBatches(t *testing.T) {
 	ts := httptest.NewServer(NewCoordinator(cl, Config{MaxBatch: 1}))
 	t.Cleanup(ts.Close)
 
-	var sr coordSearchResponse
+	var sr SearchResponse
 	if code := getJSON(t, ts.URL+"/v1/search?q=vldb", &sr); code != http.StatusOK {
 		t.Fatalf("search: status %d, missing %v", code, sr.Missing)
 	}
@@ -641,8 +757,8 @@ func TestCoordinatorJoinMemberDiesMidStream(t *testing.T) {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc := json.NewEncoder(w)
-		enc.Encode(JoinPair{R: 0, S: 1, Left: "a", Right: "b", Dist: 1})
-		enc.Encode(JoinPair{R: 0, S: 2, Left: "a", Right: "c", Dist: 1})
+		enc.Encode(PairRecord{R: 0, S: 1, Left: "a", Right: "b", Dist: 1})
+		enc.Encode(PairRecord{R: 0, S: 2, Left: "a", Right: "c", Dist: 1})
 		w.(http.Flusher).Flush()
 		panic(http.ErrAbortHandler)
 	}))

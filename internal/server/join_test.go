@@ -27,7 +27,7 @@ func postLines(t *testing.T, url, body string) (*http.Response, func()) {
 	return resp, func() { resp.Body.Close() }
 }
 
-func decodeJoinStream(t *testing.T, resp *http.Response) []JoinPair {
+func decodeJoinStream(t *testing.T, resp *http.Response) []PairRecord {
 	t.Helper()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -35,11 +35,11 @@ func decodeJoinStream(t *testing.T, resp *http.Response) []JoinPair {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("content type %q", ct)
 	}
-	var out []JoinPair
+	var out []PairRecord
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
 	for sc.Scan() {
-		var p JoinPair
+		var p PairRecord
 		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -71,7 +71,7 @@ func TestJoinSelfStreamsExactPairSet(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("parallel=%d: streamed %d pairs, want %d", parallel, len(got), len(want))
 		}
-		set := make(map[pairKey]JoinPair, len(got))
+		set := make(map[pairKey]PairRecord, len(got))
 		for _, p := range got {
 			set[pairKey{p.R, p.S}] = p
 		}
@@ -275,7 +275,7 @@ func TestJoinRSEngineSelection(t *testing.T) {
 
 func checkEngineParamIgnored(t *testing.T, url, body string) {
 	t.Helper()
-	var want []JoinPair
+	var want []PairRecord
 	for _, query := range []string{"", "?engine=edjoin", "?engine=auto", "?engine=bogus"} {
 		resp, closeBody := postLines(t, url+query, body)
 		got := decodeJoinStream(t, resp)
@@ -283,7 +283,7 @@ func checkEngineParamIgnored(t *testing.T, url, body string) {
 		if h, ok := resp.Header["X-Join-Engine"]; ok {
 			t.Errorf("%s: X-Join-Engine header %q", query, h)
 		}
-		slices.SortFunc(got, func(a, b JoinPair) int { return cmp.Or(a.R-b.R, a.S-b.S) })
+		slices.SortFunc(got, func(a, b PairRecord) int { return cmp.Or(a.R-b.R, a.S-b.S) })
 		if query == "" {
 			if want = got; len(want) == 0 {
 				t.Fatal("no pairs to compare")

@@ -27,44 +27,20 @@ import (
 //     double-maintained.
 //   - Runtime series come from runtime/metrics via obs.RegisterRuntime.
 type serverObs struct {
-	reg      *obs.Registry
-	*httpObs              // shared request middleware (counters, latency, access log)
-	slow     *obs.Counter // passjoin_slow_queries_total
+	slow *obs.Counter // passjoin_slow_queries_total
 	// phaseHist caches the per-phase histograms in obs.Phase order so the
 	// per-query observe path skips the label lookup.
 	phaseHist [obs.NumPhases]*obs.Histogram
-}
-
-// httpObs is the per-route HTTP flight recorder shared by the member
-// server and the cluster coordinator: request counters, the latency
-// histogram, request-ID propagation and the access log — everything
-// instrument needs, detached from either handler set.
-type httpObs struct {
-	httpReqs *obs.CounterVec   // passjoin_http_requests_total{route,method,code}
-	httpLat  *obs.HistogramVec // passjoin_http_request_duration_seconds{route}
-	logger   *slog.Logger
-}
-
-func newHTTPObs(r *obs.Registry, logger *slog.Logger) *httpObs {
-	return &httpObs{
-		httpReqs: r.CounterVec("passjoin_http_requests_total",
-			"HTTP requests served, by route, method and status code.",
-			"route", "method", "code"),
-		httpLat: r.HistogramVec("passjoin_http_request_duration_seconds",
-			"HTTP request latency in seconds, by route.",
-			obs.LatencyBuckets, "route"),
-		logger: logger,
-	}
 }
 
 // instrument wraps one route's handler with the flight-recorder
 // middleware: request-ID propagation, per-route/status counting, the
 // per-route latency histogram, and the access log. The route label is
 // fixed at registration (http.Request.Pattern is only set on the mux's
-// own copy of the request), so every registration goes through here with
-// an explicit label and cardinality stays bounded by the route table.
-func (o *httpObs) instrument(route string, next http.Handler) http.Handler {
-	lat := o.httpLat.With(route)
+// own copy of the request), so every registration goes through serve
+// with an explicit label and cardinality stays bounded by the route table.
+func (d *daemon) instrument(route string, next http.Handler) http.Handler {
+	lat := d.httpLat.With(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rid := r.Header.Get("X-Request-Id")
@@ -74,24 +50,22 @@ func (o *httpObs) instrument(route string, next http.Handler) http.Handler {
 		w.Header().Set("X-Request-Id", rid)
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
-		d := time.Since(start)
-		lat.ObserveDuration(d)
-		o.httpReqs.With(route, r.Method, strconv.Itoa(sw.Status())).Inc()
-		o.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+		dur := time.Since(start)
+		lat.ObserveDuration(dur)
+		d.httpReqs.With(route, r.Method, strconv.Itoa(sw.Status())).Inc()
+		d.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("id", rid),
 			slog.String("method", r.Method),
 			slog.String("route", route),
 			slog.Int("status", sw.Status()),
 			slog.Int64("bytes", sw.bytes),
-			slog.Duration("duration", d))
+			slog.Duration("duration", dur))
 	})
 }
 
 func newServerObs(s *Server) *serverObs {
-	r := obs.NewRegistry()
+	r := s.reg
 	o := &serverObs{
-		reg:     r,
-		httpObs: newHTTPObs(r, s.logger),
 		slow: r.Counter("passjoin_slow_queries_total",
 			"Lookups slower than the -slow-query threshold."),
 	}
@@ -172,15 +146,7 @@ func newServerObs(s *Server) *serverObs {
 			func() float64 { return float64(rs().Reconnects) })
 	}
 
-	r.GaugeFunc("passjoin_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return time.Since(s.start).Seconds() })
-	r.Collect("passjoin_build_info",
-		"Build metadata; value is always 1.",
-		"gauge", []string{"go_version", "revision"},
-		func(emit func([]string, float64)) {
-			emit([]string{s.build.goVersion, s.build.revision}, 1)
-		})
-	obs.RegisterRuntime(r)
+	s.registerProcess("Seconds since the server started.")
 	return o
 }
 
@@ -216,11 +182,6 @@ func readBuildInfo() buildInfo {
 		}
 	}
 	return b
-}
-
-// instrument delegates to the shared httpObs middleware.
-func (s *Server) instrument(route string, next http.Handler) http.Handler {
-	return s.obsv.httpObs.instrument(route, next)
 }
 
 // newRequestID returns 16 hex characters of crypto randomness — unique
@@ -320,9 +281,4 @@ func truncateForLog(q string) string {
 		return q
 	}
 	return q[:max] + "..."
-}
-
-// handleMetrics serves the Prometheus text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.obsv.reg.Handler().ServeHTTP(w, r)
 }

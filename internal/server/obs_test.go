@@ -400,7 +400,7 @@ func TestAccessLogAndStatusCounter(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if got := srv.obsv.httpReqs.With("/v1/search", "GET", "400").Value(); got != 1 {
+	if got := srv.httpReqs.With("/v1/search", "GET", "400").Value(); got != 1 {
 		t.Fatalf("400 counter = %d, want 1", got)
 	}
 	logged := buf.String()

@@ -58,12 +58,12 @@ import (
 	"net/url"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"passjoin"
+	"passjoin/internal/cluster"
 	"passjoin/internal/repl"
 	"passjoin/internal/verify"
 )
@@ -190,15 +190,11 @@ func (c Config) withDefaults() Config {
 // the index is mutable — accepts live document inserts and deletes. It
 // implements http.Handler.
 type Server struct {
-	idx    Index
-	dyn    MutableIndex // non-nil when idx is mutable
-	stats  passjoin.Stats
-	cfg    Config
-	mux    *http.ServeMux
-	start  time.Time
-	logger *slog.Logger // never nil; discards when unconfigured
-	obsv   *serverObs
-	build  buildInfo
+	daemon
+	idx   Index
+	dyn   MutableIndex // non-nil when idx is mutable
+	stats passjoin.Stats
+	obsv  *serverObs
 
 	queries   atomic.Int64 // lookups answered across search/batch/topk
 	matches   atomic.Int64 // matches returned across those lookups
@@ -214,113 +210,57 @@ type Server struct {
 // sink given to the searcher constructor via WithStats); a mutable index
 // reports its own live stats instead.
 func New(idx Index, indexStats *passjoin.Stats, cfg Config) *Server {
-	s := &Server{
-		idx:   idx,
-		cfg:   cfg.withDefaults(),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
-	}
+	s := &Server{daemon: newDaemon(cfg), idx: idx}
 	s.dyn, _ = idx.(MutableIndex)
 	if indexStats != nil {
 		s.stats = *indexStats
 	}
-	s.logger = s.cfg.Logger
-	if s.logger == nil {
-		s.logger = slog.New(slog.DiscardHandler)
-	}
-	s.build = readBuildInfo()
 	s.obsv = newServerObs(s)
-	// Every route goes through instrument (request IDs, access log,
-	// per-route counters and latency histograms). The route label is the
-	// registration pattern's path, fixed here so its cardinality is the
-	// route table, never the request URL.
-	handle := func(method, path string, h http.HandlerFunc) {
-		s.mux.Handle(method+" "+path, s.instrument(path, h))
-	}
-	handle("GET", "/healthz", s.handleHealth)
-	handle("GET", "/v1/search", s.handleSearch)
-	handle("POST", "/v1/search", s.handleSearch)
-	handle("POST", "/v1/batch", s.handleBatch)
-	handle("GET", "/v1/topk", s.handleTopK)
-	handle("POST", "/v1/dedup", s.handleDedup)
-	handle("POST", "/v1/join/self", s.handleJoinSelf)
-	handle("POST", "/v1/join", s.handleJoinRS)
-	handle("GET", "/v1/stats", s.handleStats)
-	handle("GET", "/metrics", s.handleMetrics)
-	allow := map[string]string{
-		"/healthz":      "GET",
-		"/v1/search":    "GET, POST",
-		"/v1/batch":     "POST",
-		"/v1/topk":      "GET",
-		"/v1/dedup":     "POST",
-		"/v1/join/self": "POST",
-		"/v1/join":      "POST",
-		"/v1/stats":     "GET",
-		"/metrics":      "GET",
-	}
-	if s.dyn != nil {
-		handle("POST", "/v1/docs", s.handleInsert)
-		handle("GET", "/v1/docs/{id}", s.handleGetDoc)
-		handle("DELETE", "/v1/docs/{id}", s.handleDeleteDoc)
-		allow["/v1/docs"] = "POST"
-		allow["/v1/docs/{id}"] = "GET, DELETE"
-	} else if s.cfg.Replica != "" {
-		// Read replica: document reads are served from the replicated
-		// index, writes answer a structured 409 naming the primary so
-		// clients can redirect instead of guessing.
-		handle("POST", "/v1/docs", s.handleReadOnly)
-		handle("GET", "/v1/docs/{id}", s.handleGetDoc)
-		handle("DELETE", "/v1/docs/{id}", s.handleReadOnly)
-		allow["/v1/docs"] = "POST"
-		allow["/v1/docs/{id}"] = "GET, DELETE"
+	routes := []route{
+		{"GET", "/healthz", s.handleHealth},
+		{"GET", "/v1/search", s.handleLookup},
+		{"POST", "/v1/search", s.handleLookup},
+		{"POST", "/v1/batch", s.handleBatch},
+		{"GET", "/v1/topk", s.handleLookup},
+		{"POST", "/v1/dedup", s.handleDedup},
+		{"POST", "/v1/join/self", s.handleJoinSelf},
+		{"POST", "/v1/join", s.handleJoinRS},
+		{"GET", "/v1/stats", s.handleStats},
+		{"GET", "/metrics", s.handleMetrics},
 	}
 	if _, ok := idx.(allLister); ok {
-		handle("GET", "/v1/docs", s.handleListDocs)
-		if strings.Contains(allow["/v1/docs"], "POST") {
-			allow["/v1/docs"] = "GET, POST"
-		} else {
-			allow["/v1/docs"] = "GET"
+		routes = append(routes, route{"GET", "/v1/docs", s.handleListDocs})
+	}
+	if s.dyn != nil || s.cfg.Replica != "" {
+		// A read replica serves document reads from the replicated index;
+		// its writes answer a structured 409 naming the primary so clients
+		// can redirect instead of guessing.
+		insert, del := s.handleReadOnly, s.handleReadOnly
+		if s.dyn != nil {
+			insert, del = s.handleInsert, s.handleDeleteDoc
 		}
+		routes = append(routes,
+			route{"POST", "/v1/docs", insert},
+			route{"GET", "/v1/docs/{id}", s.handleGetDoc},
+			route{"DELETE", "/v1/docs/{id}", del})
 	}
-	// Method-less fallbacks: a wrong-method hit on a known route answers
-	// a JSON 405 with an Allow header instead of the mux default (the
-	// method-specific patterns above are more specific, so they keep
-	// winning for supported methods). Instrumented too: 405s show up in
-	// the per-status counters under their route.
-	for path, methods := range allow {
-		s.mux.Handle(path, s.instrument(path, methodNotAllowed(methods)))
-	}
+	s.serve(routes)
 	return s
 }
 
-// Metrics returns the server's metric registry — the same families
-// /metrics exposes — for tests and embedders.
-func (s *Server) Metrics() http.Handler { return s.obsv.reg.Handler() }
+// Match is one hit in a JSON response. It is the cluster wire's Hit, so a
+// coordinator merges member matches without converting them.
+type Match = cluster.Hit
 
-func methodNotAllowed(allow string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		writeError(w, http.StatusMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed; allowed: %s", r.Method, allow))
-	}
-}
-
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-// Match is one hit in a JSON response.
-type Match struct {
-	ID     int    `json:"id"`
-	String string `json:"string"`
-	Dist   int    `json:"dist"`
-}
-
-// SearchResponse is the reply to /v1/search and /v1/topk. Timings is
-// present only when the request asked with ?debug=timings.
+// SearchResponse is the reply to /v1/search and /v1/topk. Partial and
+// Missing appear only on a coordinator's degraded (206) answer, naming the
+// members it could not reach; Timings only when the request asked with
+// ?debug=timings.
 type SearchResponse struct {
 	Query   string   `json:"query"`
 	Matches []Match  `json:"matches"`
+	Partial bool     `json:"partial,omitempty"`
+	Missing []string `json:"missing,omitempty"`
 	Timings *Timings `json:"timings,omitempty"`
 }
 
@@ -335,24 +275,18 @@ type BatchRequest struct {
 }
 
 // BatchResponse is the reply to /v1/batch; Results[i] answers Queries[i].
+// Partial and Missing are as in SearchResponse.
 type BatchResponse struct {
 	Results [][]Match `json:"results"`
+	Partial bool      `json:"partial,omitempty"`
+	Missing []string  `json:"missing,omitempty"`
 }
 
-// DedupPair is one NDJSON event on the /v1/dedup stream: input lines R
-// and S (0-based) are within the threshold.
-type DedupPair struct {
-	R     int    `json:"r"`
-	S     int    `json:"s"`
-	Left  string `json:"left"`
-	Right string `json:"right"`
-	Dist  int    `json:"dist"`
-}
-
-// JoinPair is one NDJSON event on the /v1/join and /v1/join/self streams:
-// line R of the first (or only) uploaded section is within the threshold
-// of line S of the second (for self joins, of the same section; R < S).
-type JoinPair struct {
+// PairRecord is one NDJSON event on the /v1/dedup, /v1/join and
+// /v1/join/self streams: line R of the first (or only) uploaded section is
+// within the threshold of line S of the second (for dedup and self joins,
+// of the same section; R < S).
+type PairRecord struct {
 	R     int    `json:"r"`
 	S     int    `json:"s"`
 	Left  string `json:"left"`
@@ -438,139 +372,125 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// searchRequest is the POST body form of /v1/search. Tau, when present,
+// lookupRequest is one parsed /v1/search or /v1/topk request, and the
+// POST body form of /v1/search. K > 0 keeps the k nearest (on /v1/topk it
+// is always resolved, Config.DefaultTopK when absent). Tau, when present,
 // answers the query at that threshold instead of the index threshold
 // (0 <= tau <= index tau).
-type searchRequest struct {
+type lookupRequest struct {
 	Query string `json:"query"`
 	K     int    `json:"k,omitempty"`
 	Tau   *int   `json:"tau,omitempty"`
+	debug bool   // ?debug=timings
 }
 
-// tauParam parses the optional ?tau= threshold override from the parsed
-// query string, writing the error response itself when the value is
-// malformed or unanswerable. The second return is false on failure; -1
-// means the parameter was absent (use the index threshold).
-func (s *Server) tauParam(w http.ResponseWriter, params url.Values) (int, bool) {
-	raw := params.Get("tau")
-	if raw == "" {
-		return -1, true
+// parseLookup parses and validates a search or top-k request — the GET
+// query string or the POST body — writing the 400 or 413 itself. It
+// checks syntax and signs only: the bound by the index threshold is the
+// serving node's (Server.checkTau). Both daemons parse with it, so they
+// refuse a malformed request in the same words.
+func parseLookup(w http.ResponseWriter, r *http.Request, cfg Config) (lookupRequest, bool) {
+	params := r.URL.Query() // parsed once per request: every read below shares it
+	var req lookupRequest
+	topk := r.URL.Path == "/v1/topk"
+	if r.Method == http.MethodGet {
+		if req.Query = params.Get("q"); req.Query == "" {
+			writeError(w, http.StatusBadRequest, "missing query parameter q")
+			return req, false
+		}
+		def := 0
+		if topk {
+			def = cfg.DefaultTopK
+		}
+		var ok bool
+		if req.K, ok = intParam(w, params, "k", def); !ok {
+			return req, false
+		}
+		if raw := params.Get("tau"); raw != "" {
+			tau, err := strconv.Atoi(raw)
+			if err != nil || tau < 0 {
+				writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid tau: %q (must be a non-negative integer)", raw))
+				return req, false
+			}
+			req.Tau = &tau
+		}
+	} else { // POST /v1/search, enforced by the route table
+		// A branch-local body keeps a GET's request off the heap.
+		var body lookupRequest
+		if !decodeJSON(w, r, cfg.MaxBodyBytes, &body) {
+			return req, false
+		}
+		if req = body; req.Query == "" {
+			writeError(w, http.StatusBadRequest, "missing query field")
+			return req, false
+		}
 	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid tau: %q (must be a non-negative integer)", raw))
-		return 0, false
-	}
-	return v, s.checkTau(w, v)
+	req.debug = params.Get("debug") == "timings"
+	return req, checkSigns(w, req.K, req.Tau, topk)
 }
 
-// tauField validates an optional JSON-body threshold override, mapping a
-// nil pointer to -1 (absent).
-func (s *Server) tauField(w http.ResponseWriter, tau *int) (int, bool) {
-	if tau == nil {
-		return -1, true
+// parseBatch parses and validates a /v1/batch body, writing the 400 or 413
+// itself; as with parseLookup, the index-threshold bound is left to the
+// serving node.
+func parseBatch(w http.ResponseWriter, r *http.Request, cfg Config) (BatchRequest, bool) {
+	var req BatchRequest
+	if !decodeJSON(w, r, cfg.MaxBodyBytes, &req) {
+		return req, false
 	}
-	if *tau < 0 {
-		writeError(w, http.StatusBadRequest, "tau must be non-negative")
-		return 0, false
+	if len(req.Queries) > cfg.MaxBatch {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), cfg.MaxBatch))
+		return req, false
 	}
-	return *tau, s.checkTau(w, *tau)
+	return req, checkSigns(w, req.K, req.Tau, false)
+}
+
+// checkSigns writes the 400 for an out-of-range k or a negative tau: top-k
+// needs a positive k, search and batch a non-negative one (0 = no
+// truncation).
+func checkSigns(w http.ResponseWriter, k int, tau *int, topk bool) bool {
+	msg := ""
+	switch {
+	case topk && k <= 0:
+		msg = "k must be positive"
+	case k < 0:
+		msg = "k must be non-negative"
+	case tau != nil && *tau < 0:
+		msg = "tau must be non-negative"
+	default:
+		return true
+	}
+	writeError(w, http.StatusBadRequest, msg)
+	return false
 }
 
 // checkTau bounds an explicit per-request threshold by the build
 // threshold: the partition is built into idx.Tau()+1 segments, so any
 // smaller threshold is answerable exactly and anything larger is a client
-// error.
-func (s *Server) checkTau(w http.ResponseWriter, tau int) bool {
-	if tau > s.idx.Tau() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("tau %d exceeds index tau %d (the index partition answers thresholds up to its build tau; start the server with a larger -tau)", tau, s.idx.Tau()))
-		return false
+// error. A coordinator holds no index, so this is the one check it leaves
+// to its members (and relays their 400).
+func (s *Server) checkTau(w http.ResponseWriter, tau *int) bool {
+	if tau == nil || *tau <= s.idx.Tau() {
+		return true
 	}
-	return true
+	writeError(w, http.StatusBadRequest,
+		fmt.Sprintf("tau %d exceeds index tau %d (the index partition answers thresholds up to its build tau; start the server with a larger -tau)", *tau, s.idx.Tau()))
+	return false
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query() // parsed once per request: every read below shares it
-	var q string
-	var k int
-	tau := -1
-	switch r.Method {
-	case http.MethodGet:
-		q = params.Get("q")
-		if q == "" {
-			writeError(w, http.StatusBadRequest, "missing query parameter q")
-			return
-		}
-		var ok bool
-		if k, ok = intParam(w, params, "k", 0); !ok {
-			return
-		}
-		if tau, ok = s.tauParam(w, params); !ok {
-			return
-		}
-	default: // POST, enforced by the mux pattern
-		var req searchRequest
-		if !decodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
-			return
-		}
-		if req.Query == "" {
-			writeError(w, http.StatusBadRequest, "missing query field")
-			return
-		}
-		q, k = req.Query, req.K
-		var ok bool
-		if tau, ok = s.tauField(w, req.Tau); !ok {
-			return
-		}
-	}
-	if k < 0 {
-		writeError(w, http.StatusBadRequest, "k must be non-negative")
+// handleLookup serves /v1/search (GET and POST) and /v1/topk.
+func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
+	req, ok := parseLookup(w, r, s.cfg)
+	if !ok || !s.checkTau(w, req.Tau) {
 		return
 	}
-	matches, timings := s.tracedLookup(params, q, k, tau)
-	writeJSON(w, http.StatusOK, SearchResponse{Query: q, Matches: matches, Timings: timings})
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	q := params.Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing query parameter q")
-		return
-	}
-	k, ok := intParam(w, params, "k", s.cfg.DefaultTopK)
-	if !ok {
-		return
-	}
-	if k <= 0 {
-		writeError(w, http.StatusBadRequest, "k must be positive")
-		return
-	}
-	tau, ok := s.tauParam(w, params)
-	if !ok {
-		return
-	}
-	matches, timings := s.tracedLookup(params, q, k, tau)
-	writeJSON(w, http.StatusOK, SearchResponse{Query: q, Matches: matches, Timings: timings})
+	matches, timings := s.tracedLookup(req)
+	writeJSON(w, http.StatusOK, SearchResponse{Query: req.Query, Matches: matches, Timings: timings})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !decodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
-		return
-	}
-	if req.K < 0 {
-		writeError(w, http.StatusBadRequest, "k must be non-negative")
-		return
-	}
-	tau, ok := s.tauField(w, req.Tau)
-	if !ok {
+	req, ok := parseBatch(w, r, s.cfg)
+	if !ok || !s.checkTau(w, req.Tau) {
 		return
 	}
 	results := make([][]Match, len(req.Queries))
@@ -594,10 +514,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				if traced {
 					var tr passjoin.Trace
 					qstart := time.Now()
-					results[i] = s.lookup(req.Queries[i], req.K, tau, &tr)
+					results[i] = s.lookup(req.Queries[i], req.K, req.Tau, &tr)
 					s.observeTrace(req.Queries[i], tr.Phases(), time.Since(qstart))
 				} else {
-					results[i] = s.lookup(req.Queries[i], req.K, tau, nil)
+					results[i] = s.lookup(req.Queries[i], req.K, req.Tau, nil)
 				}
 			}
 		}()
@@ -748,7 +668,7 @@ func (s *Server) handleDedup(w http.ResponseWriter, r *http.Request) {
 	for sc.Scan() {
 		str := sc.Text()
 		for _, dup := range m.Insert(str) {
-			pair := DedupPair{
+			pair := PairRecord{
 				R:     dup,
 				S:     line,
 				Left:  m.At(dup),
@@ -842,7 +762,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			wrote = true
 		}
-		p := JoinPair{R: ri, S: si, Left: left, Right: right, Dist: ver.Dist(left, right, tau)}
+		p := PairRecord{R: ri, S: si, Left: left, Right: right, Dist: ver.Dist(left, right, tau)}
 		if err := enc.Encode(p); err != nil {
 			clientGone = true // write failed; stop the join
 			return false
@@ -1005,35 +925,34 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // tracedLookup answers one query, attaching a phase trace when the
-// request's query string asks for ?debug=timings or slow-query logging is
-// armed. The returned Timings is non-nil only for the debug case.
-func (s *Server) tracedLookup(params url.Values, q string, k, tau int) ([]Match, *Timings) {
-	debug := params.Get("debug") == "timings"
-	if !debug && s.cfg.SlowQuery <= 0 {
-		return s.lookup(q, k, tau, nil), nil
+// request asks for ?debug=timings or slow-query logging is armed. The
+// returned Timings is non-nil only for the debug case.
+func (s *Server) tracedLookup(req lookupRequest) ([]Match, *Timings) {
+	if !req.debug && s.cfg.SlowQuery <= 0 {
+		return s.lookup(req.Query, req.K, req.Tau, nil), nil
 	}
 	var tr passjoin.Trace
 	start := time.Now()
-	matches := s.lookup(q, k, tau, &tr)
+	matches := s.lookup(req.Query, req.K, req.Tau, &tr)
 	total := time.Since(start)
 	phases := tr.Phases()
-	s.observeTrace(q, phases, total)
-	if !debug {
+	s.observeTrace(req.Query, phases, total)
+	if !req.debug {
 		return matches, nil
 	}
 	return matches, &Timings{TotalNanos: total.Nanoseconds(), Phases: phases}
 }
 
 // lookup answers one query against the shared index: all matches within
-// the effective threshold (tau >= 0 overrides the index threshold),
+// the effective threshold (a non-nil tau overrides the index threshold),
 // truncated to the k nearest when k > 0. One frozen index serves the
 // whole spectrum of thresholds, so the override costs no extra memory.
 // tr, when non-nil, records the probe's per-phase breakdown; it must not
 // be shared with a concurrent lookup.
-func (s *Server) lookup(q string, k, tau int, tr *passjoin.Trace) []Match {
+func (s *Server) lookup(q string, k int, tau *int, tr *passjoin.Trace) []Match {
 	var opts []passjoin.QueryOption
-	if tau >= 0 {
-		opts = append(opts, passjoin.QueryTau(tau))
+	if tau != nil {
+		opts = append(opts, passjoin.QueryTau(*tau))
 	}
 	if k > 0 {
 		opts = append(opts, passjoin.QueryTopK(k))

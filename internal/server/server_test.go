@@ -5,14 +5,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"passjoin"
+	"passjoin/internal/cluster"
 	"passjoin/internal/dataset"
 )
 
@@ -99,7 +102,7 @@ func TestSearch(t *testing.T) {
 		checkMatches(t, q, got.Matches, want, corpus)
 
 		var posted SearchResponse
-		if code := postJSON(t, ts.URL+"/v1/search", searchRequest{Query: q}, &posted); code != http.StatusOK {
+		if code := postJSON(t, ts.URL+"/v1/search", lookupRequest{Query: q}, &posted); code != http.StatusOK {
 			t.Fatalf("POST q=%q status %d", q, code)
 		}
 		if !reflect.DeepEqual(posted, got) {
@@ -190,7 +193,7 @@ func TestDedupStream(t *testing.T) {
 	var got []passjoin.Pair
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var p DedupPair
+		var p PairRecord
 		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -436,7 +439,7 @@ func TestQueryTauValidationHTTP(t *testing.T) {
 	for _, bad := range []int{3, -1} {
 		bad := bad
 		var e map[string]any
-		if code := postJSON(t, ts.URL+"/v1/search", searchRequest{Query: "x", Tau: &bad}, &e); code != http.StatusBadRequest {
+		if code := postJSON(t, ts.URL+"/v1/search", lookupRequest{Query: "x", Tau: &bad}, &e); code != http.StatusBadRequest {
 			t.Errorf("POST search tau=%d: status %d, want 400", bad, code)
 		}
 		if code := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Queries: []string{"x"}, Tau: &bad}, &e); code != http.StatusBadRequest {
@@ -612,58 +615,84 @@ func TestDocsRoutesAbsentOnStaticIndex(t *testing.T) {
 	}
 }
 
-// TestMethodNotAllowed checks the wrong-method contract on /v1/* routes:
-// 405 status, an Allow header naming the supported methods, and a JSON
-// error body.
+// TestMethodNotAllowed checks the wrong-method contract of every daemon
+// kind through one body: on every registered path, each of GET, POST, PUT
+// and DELETE that the path does not serve answers 405, an Allow header
+// naming the supported methods in route-table order, and a JSON error
+// body. The supported /healthz still answers, with the daemon's shape.
 func TestMethodNotAllowed(t *testing.T) {
 	corpus := testCorpus(t, 30)
-	_, ts := newDynamicTestServer(t, corpus, 2, 2, Config{})
-	cases := []struct {
-		method, path string
-		wantAllow    string
+	common := map[string]string{
+		"/healthz":      "GET",
+		"/v1/search":    "GET, POST",
+		"/v1/batch":     "POST",
+		"/v1/topk":      "GET",
+		"/v1/dedup":     "POST",
+		"/v1/join/self": "POST",
+		"/v1/join":      "POST",
+		"/v1/stats":     "GET",
+		"/metrics":      "GET",
+	}
+	with := func(extra map[string]string) map[string]string {
+		m := maps.Clone(common)
+		maps.Copy(m, extra)
+		return m
+	}
+	daemons := []struct {
+		name   string
+		url    func(t *testing.T) string
+		allow  map[string]string // path -> Allow; {id} paths are probed as /7
+		health map[string]any    // fields /healthz must carry
 	}{
-		{"DELETE", "/v1/search", "GET, POST"},
-		{"PUT", "/v1/search", "GET, POST"},
-		{"GET", "/v1/batch", "POST"},
-		{"POST", "/v1/topk", "GET"},
-		{"GET", "/v1/dedup", "POST"},
-		{"GET", "/v1/join", "POST"},
-		{"GET", "/v1/join/self", "POST"},
-		{"DELETE", "/v1/stats", "GET"},
-		{"POST", "/healthz", "GET"},
-		{"DELETE", "/v1/docs", "GET, POST"},
-		{"POST", "/v1/docs/7", "GET, DELETE"},
+		{"static", func(t *testing.T) string {
+			_, ts := newTestServer(t, corpus, 2, 2, Config{})
+			return ts.URL
+		}, with(map[string]string{"/v1/docs": "GET"}),
+			map[string]any{"status": "ok", "mutable": false}},
+		{"dynamic", func(t *testing.T) string {
+			_, ts := newDynamicTestServer(t, corpus, 2, 2, Config{})
+			return ts.URL
+		}, with(map[string]string{"/v1/docs": "GET, POST", "/v1/docs/{id}": "GET, DELETE"}),
+			map[string]any{"status": "ok", "mutable": true}},
+		{"replica", func(t *testing.T) string {
+			_, ts := newTestServer(t, corpus, 2, 2, Config{Replica: "http://primary.example:7401"})
+			return ts.URL
+		}, with(map[string]string{"/v1/docs": "GET, POST", "/v1/docs/{id}": "GET, DELETE"}),
+			map[string]any{"status": "ok", "replica": true, "primary": "http://primary.example:7401"}},
+		{"coordinator", func(t *testing.T) string {
+			return newClusterHarness(t, 1, 2, cluster.Config{}).ts.URL
+		}, with(map[string]string{"/v1/docs": "POST", "/v1/docs/{id}": "GET, DELETE", "/v1/cluster/rebalance": "POST"}),
+			map[string]any{"status": "ok"}},
 	}
-	for _, c := range cases {
-		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader("{}"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e errorResponse
-		decErr := json.NewDecoder(resp.Body).Decode(&e)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("%s %s: status %d want 405", c.method, c.path, resp.StatusCode)
-			continue
-		}
-		if got := resp.Header.Get("Allow"); got != c.wantAllow {
-			t.Errorf("%s %s: Allow %q want %q", c.method, c.path, got, c.wantAllow)
-		}
-		if decErr != nil || e.Error == "" {
-			t.Errorf("%s %s: non-JSON 405 body (err %v)", c.method, c.path, decErr)
-		}
-	}
-	// Supported methods are unaffected by the fallbacks.
-	var h map[string]any
-	if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK {
-		t.Fatalf("health status %d", code)
-	}
-	if h["mutable"] != true {
-		t.Fatalf("health: %v", h)
+	for _, d := range daemons {
+		t.Run(d.name, func(t *testing.T) {
+			base := d.url(t)
+			for path, allow := range d.allow {
+				url := base + strings.Replace(path, "{id}", "7", 1)
+				for _, method := range []string{"GET", "POST", "PUT", "DELETE"} {
+					if slices.Contains(strings.Split(allow, ", "), method) {
+						continue
+					}
+					code, gotAllow, body := rawDo(t, method, url, "{}")
+					var e errorResponse
+					decErr := json.Unmarshal(body, &e)
+					if code != http.StatusMethodNotAllowed || gotAllow != allow || decErr != nil || e.Error == "" {
+						t.Errorf("%s %s: status %d, Allow %q, body %s; want 405, Allow %q and a JSON error",
+							method, path, code, gotAllow, body, allow)
+					}
+				}
+			}
+			// Supported methods are unaffected by the fallbacks.
+			var h map[string]any
+			if code := getJSON(t, base+"/healthz", &h); code != http.StatusOK {
+				t.Fatalf("health: status %d", code)
+			}
+			for k, want := range d.health {
+				if h[k] != want {
+					t.Errorf("health %s = %v, want %v (body %v)", k, h[k], want, h)
+				}
+			}
+		})
 	}
 }
 

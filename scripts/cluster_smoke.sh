@@ -2,7 +2,8 @@
 # End-to-end cluster smoke test: build passjoind, start three dynamic
 # member daemons and a coordinator as real processes, route 900 writes,
 # require byte-identical reads vs a single-node daemon over the union
-# corpus, then kill a member and require a 206 partial response.
+# corpus (refusals and 405s included), then kill a member and require a
+# 206 partial response.
 # Used by CI; runnable locally: ./scripts/cluster_smoke.sh
 set -euo pipefail
 
@@ -101,6 +102,24 @@ body='{"queries":["document-0001","document-0500","nope"],"k":2}'
 c=$(curl -fsS -d "$body" "http://$COORD/v1/batch")
 s=$(curl -fsS -d "$body" "http://$SINGLE/v1/batch")
 [ "$c" = "$s" ] || { echo "batch divergence:" >&2; echo "  cluster: $c" >&2; echo "  single:  $s" >&2; exit 1; }
+
+say "refusals and defaults match the single node too (status, Allow, body)"
+answer() { # method host path -> status, Allow header and body on stdout
+  local hdr="$workdir/headers"
+  local body
+  body=$(curl -s -X "$1" -D "$hdr" "http://$2$3")
+  printf '%s\n%s\n%s\n' "$(head -n 1 "$hdr" | cut -d' ' -f2)" \
+    "$(grep -i '^allow:' "$hdr" | tr -d '\r')" "$body"
+}
+for req in 'GET /v1/search?q=' 'GET /v1/search?q=x&k=-1' 'GET /v1/search?q=x&tau=abc' \
+  'GET /v1/search?q=x&tau=99' 'GET /v1/topk?q=x&k=0' 'DELETE /v1/search' \
+  'GET /v1/topk?q=document-000'; do
+  read -r method path <<< "$req"
+  c=$(answer "$method" "$COORD" "$path")
+  s=$(answer "$method" "$SINGLE" "$path")
+  [[ "$c" =~ ^[0-9]{3} ]] || { echo "no answer to $req: $c" >&2; exit 1; }
+  [ "$c" = "$s" ] || { echo "divergence on $req:" >&2; echo "  cluster: $c" >&2; echo "  single:  $s" >&2; exit 1; }
+done
 
 say "killing member m2 -> degraded partial responses"
 kill "${pids[$m2_pid_index]}"
