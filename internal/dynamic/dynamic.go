@@ -343,17 +343,19 @@ func (t *Tier) Insert(doc string) (int64, error) {
 
 // apply is the one write path, under Insert, Delete, Apply, WAL replay and
 // Absorb: with the write lock held, raise the id allocator to a watermark,
-// give an add with a negative id (Insert) the next id, skip an operation
-// that would change nothing, append it to the WAL, mutate the delta or the
+// refuse a document over MaxDoc (its record no follower could read), give
+// an add with a negative id (Insert) the next id, skip an operation that
+// would change nothing, append it to the WAL, mutate the delta or the
 // tombstones, count, fire OnApply — in that order, so an operation is
 // durable before it is visible and visible before it is observed — and,
 // the lock released, start a background compaction when the delta and the
 // base tombstones reach the threshold. live is false for replay, which
-// neither logs the operation again, nor fires the hook, nor compacts.
-// Replay is idempotent per gid: an add whose id already exists is skipped
-// (the base snapshot may already contain it if a crash landed between the
-// snapshot rename and the WAL rewrite), as is a delete of an absent or
-// already-dead id. It reports whether the operation changed the tier.
+// neither checks MaxDoc, nor logs the operation again, nor fires the hook,
+// nor compacts. Replay is idempotent per gid: an add whose id already
+// exists is skipped (the base snapshot may already contain it if a crash
+// landed between the snapshot rename and the WAL rewrite), as is a delete
+// of an absent or already-dead id. It reports whether the operation
+// changed the tier.
 func (t *Tier) apply(op *Op, live bool) (bool, error) {
 	trigger := false
 	t.mu.Lock()
@@ -367,6 +369,9 @@ func (t *Tier) apply(op *Op, live bool) (bool, error) {
 	if op.Watermark {
 		t.maxID = max(t.maxID, op.ID)
 		return false, nil
+	}
+	if live && len(op.Doc) > MaxDoc {
+		return false, fmt.Errorf("dynamic: document of %d bytes exceeds the %d-byte limit", len(op.Doc), MaxDoc)
 	}
 	if !op.Del && op.ID < 0 {
 		if t.maxID >= maxDocID {

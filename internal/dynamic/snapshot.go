@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"passjoin/internal/persist"
@@ -35,81 +34,66 @@ const (
 // describing (gids, corpus); see persist.WriteFileAtomic.
 func writeBaseSnapshot(path string, tau int, nextID int64, gids []int64, corpus []string) error {
 	return persist.WriteFileAtomic(path, func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		crc := crc32.NewIEEE()
-		hdr := io.MultiWriter(bw, crc)
-		// A failed write sticks to bw, which accepts no more and reports it
-		// from Flush: the header's writes need no check of their own.
-		var scratch [binary.MaxVarintLen64]byte
-		emitUvarint := func(v uint64) {
-			_, _ = hdr.Write(scratch[:binary.PutUvarint(scratch[:], v)])
-		}
-		_, _ = io.WriteString(hdr, snapMagic)
-		emitUvarint(snapVersion)
-		emitUvarint(uint64(nextID))
-		emitUvarint(uint64(len(gids)))
-		prev := int64(-1)
-		for _, gid := range gids {
-			if gid <= prev {
-				return fmt.Errorf("dynamic: base gids not strictly increasing (%d after %d)", gid, prev)
-			}
-			emitUvarint(uint64(gid - prev - 1))
-			prev = gid
-		}
-		_, _ = bw.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		_, err := persist.WriteSnapshot(w, tau, len(corpus), func(i int) string { return corpus[i] })
-		return err
+		return encodeBaseSnapshot(w, tau, nextID, gids, corpus)
 	})
+}
+
+// encodeBaseSnapshot writes the snapshot's bytes to w.
+func encodeBaseSnapshot(w io.Writer, tau int, nextID int64, gids []int64, corpus []string) error {
+	hdr := persist.NewSumWriter(w)
+	hdr.Write([]byte(snapMagic))
+	hdr.Uvarint(snapVersion)
+	hdr.Uvarint(uint64(nextID))
+	hdr.Uvarint(uint64(len(gids)))
+	prev := int64(-1)
+	for _, gid := range gids {
+		if gid <= prev {
+			return fmt.Errorf("dynamic: base gids not strictly increasing (%d after %d)", gid, prev)
+		}
+		hdr.Uvarint(uint64(gid - prev - 1))
+		prev = gid
+	}
+	if _, err := hdr.Footer(); err != nil {
+		return err
+	}
+	_, err := persist.WriteSnapshot(w, tau, len(corpus), func(i int) string { return corpus[i] })
+	return err
 }
 
 // readBaseSnapshot parses a snapshot written by writeBaseSnapshot back
 // into (gids, corpus, tau, nextID hint).
 func readBaseSnapshot(r io.Reader) (gids []int64, corpus []string, tau int, nextID int64, err error) {
 	br := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	one := make([]byte, 1)
-	readByte := func() (byte, error) {
-		b, rerr := br.ReadByte()
-		if rerr == nil {
-			one[0] = b
-			crc.Write(one)
-		}
-		return b, rerr
-	}
-	byteReader := byteReaderFunc(readByte)
-
-	hdr := make([]byte, len(snapMagic))
-	if _, err = io.ReadFull(io.TeeReader(br, crc), hdr[:]); err != nil {
+	hdr := persist.NewSumReader(br)
+	magic := make([]byte, len(snapMagic))
+	if _, err = io.ReadFull(hdr, magic); err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("dynamic: reading snapshot magic: %w", err)
 	}
-	if string(hdr) != snapMagic {
-		return nil, nil, 0, 0, fmt.Errorf("dynamic: not a dynamic base snapshot (magic %q)", hdr)
+	if string(magic) != snapMagic {
+		return nil, nil, 0, 0, fmt.Errorf("dynamic: not a dynamic base snapshot (magic %q)", magic)
 	}
-	version, err := binary.ReadUvarint(byteReader)
+	version, err := binary.ReadUvarint(hdr)
 	if err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("dynamic: reading snapshot version: %w", err)
 	}
 	if version != snapVersion {
 		return nil, nil, 0, 0, fmt.Errorf("dynamic: unsupported base snapshot version %d", version)
 	}
-	next64, err := binary.ReadUvarint(byteReader)
+	next64, err := binary.ReadUvarint(hdr)
 	if err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("dynamic: reading nextID hint: %w", err)
 	}
 	if next64 > 1<<62 {
 		return nil, nil, 0, 0, fmt.Errorf("dynamic: nextID hint %d out of range", next64)
 	}
-	count, err := binary.ReadUvarint(byteReader)
+	count, err := binary.ReadUvarint(hdr)
 	if err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("dynamic: reading base count: %w", err)
 	}
 	gids = make([]int64, 0, min(count, 1<<20))
 	prev := int64(-1)
 	for i := uint64(0); i < count; i++ {
-		d, derr := binary.ReadUvarint(byteReader)
+		d, derr := binary.ReadUvarint(hdr)
 		if derr != nil {
 			return nil, nil, 0, 0, fmt.Errorf("dynamic: reading gid %d: %w", i, derr)
 		}
@@ -120,13 +104,8 @@ func readBaseSnapshot(r io.Reader) (gids []int64, corpus []string, tau int, next
 		prev += 1 + int64(d)
 		gids = append(gids, prev)
 	}
-	sum := crc.Sum32()
-	var footer [4]byte
-	if _, err = io.ReadFull(br, footer[:]); err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("dynamic: reading header checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(footer[:]); got != sum {
-		return nil, nil, 0, 0, fmt.Errorf("dynamic: base snapshot header checksum mismatch (stored %08x, computed %08x)", got, sum)
+	if err := hdr.Footer(); err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("dynamic: base snapshot header %w", err)
 	}
 	corpus, tau, err = persist.ReadSnapshot(br)
 	if err != nil {
@@ -137,7 +116,3 @@ func readBaseSnapshot(r io.Reader) (gids []int64, corpus []string, tau int, next
 	}
 	return gids, corpus, tau, int64(next64), nil
 }
-
-type byteReaderFunc func() (byte, error)
-
-func (f byteReaderFunc) ReadByte() (byte, error) { return f() }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
@@ -17,13 +16,12 @@ import (
 // fresh snapshot and rewrites the log down to the operations that are not
 // yet in any snapshot.
 //
-// The log is a flat sequence of length-prefixed, CRC-checked records:
+// The log is a flat sequence of persist records (length, CRC, body; see
+// internal/persist/record.go) whose bodies are
 //
-//	uint32-LE payload length | uint32-LE crc32-IEEE of payload | payload
+//	kind byte (1 = add, 2 = delete, 3 = watermark) | uvarint gid | (add only) doc bytes
 //
-// payload:
-//
-//	op byte (1 = add, 2 = delete) | uvarint gid | (add only) doc bytes
+// The replication stream ships the same records inside its frames.
 //
 // Replay is prefix-greedy: records are applied in order until the first
 // torn or corrupted one, which marks the durable end of the log (a crash
@@ -36,9 +34,11 @@ const (
 	walOpDelete    = 2
 	walOpWatermark = 3
 
-	// maxWALRecord bounds one record's payload so a corrupted length
-	// prefix cannot force an enormous allocation during replay.
-	maxWALRecord = 1 << 26 // 64 MiB
+	// MaxDoc bounds the document of a live write, so that its record fits
+	// persist.MaxRecord even nested in a replication ops frame, whose type
+	// byte, sequence and count varints and the nested record's header, kind
+	// byte and gid varint take at most 39 bytes.
+	MaxDoc = persist.MaxRecord - 64
 )
 
 // Op is one logical WAL operation: an add, a delete, or a watermark. A
@@ -113,32 +113,21 @@ var ErrWALCorrupt = errors.New("dynamic: corrupt WAL tail")
 func ReplayWAL(r io.Reader) ([]Op, int64, error) {
 	var ops []Op
 	var good int64
-	var hdr [8]byte
+	rr := persist.RecordReader{R: r}
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return ops, good, nil
-			}
-			return ops, good, fmt.Errorf("%w: torn record header at offset %d", ErrWALCorrupt, good)
+		body, err := rr.Next()
+		if err == io.EOF {
+			return ops, good, nil
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxWALRecord {
-			return ops, good, fmt.Errorf("%w: implausible record length %d at offset %d", ErrWALCorrupt, n, good)
+		var op Op
+		if err == nil {
+			op, err = decodeOp(body)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return ops, good, fmt.Errorf("%w: torn record payload at offset %d", ErrWALCorrupt, good)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return ops, good, fmt.Errorf("%w: checksum mismatch at offset %d", ErrWALCorrupt, good)
-		}
-		op, err := decodeOp(payload)
 		if err != nil {
 			return ops, good, fmt.Errorf("%w: %v at offset %d", ErrWALCorrupt, err, good)
 		}
 		ops = append(ops, op)
-		good += int64(8 + n)
+		good += int64(persist.HeaderLen + len(body))
 	}
 }
 
@@ -174,13 +163,9 @@ func decodeOp(payload []byte) (Op, error) {
 	}
 }
 
-// EncodeRecord renders op in the WAL's length-prefixed, CRC-checked
-// record form — exactly the bytes Append writes. The replication layer
-// reuses it as its wire encoding for shipped operations, so a replication
-// frame's op section is parseable by ReplayWAL.
-func EncodeRecord(op Op) []byte { return encodeOp(op) }
-
-func encodeOp(op Op) []byte {
+// AppendOp appends op's record to dst: what Append writes, and what a
+// replication frame carries.
+func AppendOp(dst []byte, op Op) []byte {
 	kind := byte(walOpAdd)
 	doc := op.Doc
 	switch {
@@ -191,12 +176,8 @@ func encodeOp(op Op) []byte {
 		kind = walOpWatermark
 		doc = ""
 	}
-	rec := make([]byte, 8, 8+1+binary.MaxVarintLen64+len(doc))
-	rec = append(binary.AppendUvarint(append(rec, kind), uint64(op.ID)), doc...)
-	payload := rec[8:]
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	return rec
+	var gid [binary.MaxVarintLen64]byte
+	return persist.AppendRecord(dst, kind, binary.AppendUvarint(gid[:0], uint64(op.ID)), doc)
 }
 
 // Append orders op after every prior record (one write syscall, plus an
@@ -211,10 +192,7 @@ func (w *WAL) Append(op Op) error {
 	if op.ID < 0 {
 		return fmt.Errorf("dynamic: negative WAL gid %d", op.ID)
 	}
-	if !op.Del && len(op.Doc) > maxWALRecord-16 {
-		return fmt.Errorf("dynamic: document of %d bytes exceeds WAL record limit", len(op.Doc))
-	}
-	rec := encodeOp(op)
+	rec := AppendOp(nil, op)
 	if _, err := w.f.Write(rec); err != nil {
 		w.rollbackTo(w.bytes, err)
 		return err
@@ -251,8 +229,9 @@ func (w *WAL) Rewrite(ops []Op) error {
 	}
 	var total int64
 	err := persist.WriteFileAtomic(w.path, func(out io.Writer) error {
+		var rec []byte
 		for _, op := range ops {
-			rec := encodeOp(op)
+			rec = AppendOp(rec[:0], op)
 			if _, err := out.Write(rec); err != nil {
 				return err
 			}

@@ -1,9 +1,12 @@
-// Package persist implements the PJIX binary snapshot codec: a compact
-// serialization of an indexed corpus and its threshold. The root passjoin
-// package exposes it as Searcher.WriteTo / ReadSearcherFrom; internal/dynamic
-// embeds the same payload inside its base snapshots so a dynamic
-// restart reuses the exact cold-start path. WriteFileAtomic (atomic.go) is
-// how every file of the repository that replaces an older one gets to disk.
+// Package persist owns every byte format of the repository. This file is
+// the PJIX snapshot codec: a compact serialization of an indexed corpus and
+// its threshold. The root passjoin package exposes it as Searcher.WriteTo /
+// ReadSearcherFrom; internal/dynamic embeds the same payload inside its base
+// snapshots so a dynamic restart reuses the exact cold-start path.
+// record.go holds the length + CRC record that every WAL entry and
+// replication frame is, and the checksummed stream that PJIX and a base
+// snapshot's header are. WriteFileAtomic (atomic.go) is how every file of
+// the repository that replaces an older one gets to disk.
 //
 // A snapshot is a corpus. The segment index (§3.2) is a pure function of the
 // strings and tau, and index.BuildFrozen computes it faster than stored
@@ -28,12 +31,9 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 )
 
@@ -50,56 +50,18 @@ const (
 // WriteSnapshot emits a PJIX v3 snapshot of a corpus exposed as (count, at)
 // and returns the bytes written.
 func WriteSnapshot(w io.Writer, tau, count int, at func(int) string) (int64, error) {
-	bw := bufio.NewWriter(w)
-	crc := crc32.NewIEEE()
-	out := io.MultiWriter(bw, crc)
-	var written int64
-	var scratch [binary.MaxVarintLen64]byte
-	// A failed write sticks to bw, which accepts no more and reports it from
-	// Flush: no write below needs a check of its own.
-	emit := func(p []byte) {
-		n, _ := out.Write(p)
-		written += int64(n)
-	}
-	emitUvarint := func(v uint64) { emit(scratch[:binary.PutUvarint(scratch[:], v)]) }
-	emit([]byte(magic))
-	emitUvarint(version3)
-	emitUvarint(uint64(tau))
-	emitUvarint(uint64(count))
+	sw := NewSumWriter(w)
+	sw.Write([]byte(magic))
+	sw.Uvarint(version3)
+	sw.Uvarint(uint64(tau))
+	sw.Uvarint(uint64(count))
 	for id := 0; id < count; id++ {
 		str := at(id)
-		emitUvarint(uint64(len(str)))
-		emit([]byte(str))
+		sw.Uvarint(uint64(len(str)))
+		sw.Write([]byte(str))
 	}
-	emit([]byte{0}) // hasFrozen: no section follows
-	n, _ := bw.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
-	return written + int64(n), bw.Flush()
-}
-
-// crcReader tracks a CRC32 over exactly the bytes handed to the parser —
-// unlike an io.TeeReader around the raw source, it is not confused by
-// bufio read-ahead (which would also swallow the footer into the sum).
-type crcReader struct {
-	br      *bufio.Reader
-	crc     hash.Hash32
-	scratch [1]byte
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	if n > 0 {
-		c.crc.Write(p[:n])
-	}
-	return n, err
-}
-
-func (c *crcReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.scratch[0] = b
-		c.crc.Write(c.scratch[:])
-	}
-	return b, err
+	sw.Write([]byte{0}) // hasFrozen: no section follows
+	return sw.Footer()
 }
 
 // ReadSnapshot parses a PJIX snapshot, of any version, back into (corpus,
@@ -110,11 +72,7 @@ func (c *crcReader) ReadByte() (byte, error) {
 // on this to parse its own header and the embedded PJIX payload from one
 // buffered stream.
 func ReadSnapshot(r io.Reader) ([]string, int, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	cr := &crcReader{br: br, crc: crc32.NewIEEE()}
+	cr := NewSumReader(r)
 	hdr := make([]byte, len(magic))
 	if _, err := io.ReadFull(cr, hdr); err != nil {
 		return nil, 0, fmt.Errorf("passjoin: reading snapshot header: %w", err)
@@ -176,7 +134,7 @@ func ReadSnapshot(r io.Reader) ([]string, int, error) {
 		// here: trailing bytes mean the stream is not really v1 (e.g. a
 		// later snapshot whose version byte was corrupted), and accepting
 		// it would bypass the checksum.
-		if _, err := br.ReadByte(); err != io.EOF {
+		if _, err := cr.br.ReadByte(); err != io.EOF {
 			return nil, 0, fmt.Errorf("passjoin: trailing bytes after v1 snapshot")
 		}
 		return corpus, int(tau64), nil
@@ -194,13 +152,8 @@ func ReadSnapshot(r io.Reader) ([]string, int, error) {
 	default:
 		return nil, 0, fmt.Errorf("passjoin: invalid frozen-section flag %d", flag)
 	}
-	sum := cr.crc.Sum32()
-	var footer [4]byte
-	if _, err := io.ReadFull(br, footer[:]); err != nil {
-		return nil, 0, fmt.Errorf("passjoin: reading checksum footer: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(footer[:]); got != sum {
-		return nil, 0, fmt.Errorf("passjoin: snapshot checksum mismatch (stored %08x, computed %08x)", got, sum)
+	if err := cr.Footer(); err != nil {
+		return nil, 0, fmt.Errorf("passjoin: snapshot %w", err)
 	}
 	return corpus, int(tau64), nil
 }
@@ -211,7 +164,7 @@ func ReadSnapshot(r io.Reader) ([]string, int, error) {
 // stops exactly where the snapshot does, and it holds every count to what a
 // corpus of n strings allows, as the loader it replaces did. storedHashes
 // says that each list is preceded by the 8 bytes v2 wrote.
-func skipFrozen(cr *crcReader, tau int, n uint64, storedHashes bool) error {
+func skipFrozen(cr *SumReader, tau int, n uint64, storedHashes bool) error {
 	// next reads one count of the section and refuses it above limit.
 	next := func(what string, limit uint64) (uint64, error) {
 		v, err := binary.ReadUvarint(cr)

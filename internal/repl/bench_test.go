@@ -25,7 +25,7 @@ func BenchmarkLogPublish(b *testing.B) {
 }
 
 // BenchmarkReplOpsCodec round-trips a full 512-op frame through
-// encodeOps/decodeOps — the wire cost per batch on both ends.
+// encodeOps/decodeRecords — the wire cost per batch on both ends.
 func BenchmarkReplOpsCodec(b *testing.B) {
 	ops := make([]dynamic.Op, 512)
 	for i := range ops {
@@ -36,7 +36,7 @@ func BenchmarkReplOpsCodec(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decodeOps(payload); err != nil {
+		if _, _, err := decodeRecords(frameOps, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -429,7 +429,7 @@ func (f *Follower) streamOnce(ctx context.Context) (streamed bool, err error) {
 		watchdog.Reset(f.cfg.StallTimeout)
 		switch typ {
 		case frameOps:
-			firstSeq, ops, err := decodeOps(payload)
+			firstSeq, ops, err := decodeRecords(frameOps, payload)
 			if err != nil {
 				return true, err
 			}
@@ -557,7 +557,7 @@ func (f *Follower) installSnapshot(br *bufio.Reader, h hello, watchdog *time.Tim
 		if typ != frameSnapChunk {
 			return nil, fmt.Errorf("%w: unexpected frame type %d inside snapshot", ErrProtocol, typ)
 		}
-		ops, err := decodeSnapChunk(payload)
+		_, ops, err := decodeRecords(frameSnapChunk, payload)
 		if err != nil {
 			return nil, err
 		}

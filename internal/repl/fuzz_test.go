@@ -41,7 +41,7 @@ func frameBytes(typ byte, payload []byte) []byte {
 //     i.e. whatever prefix survives validation is applied faithfully;
 //   - the applied watermark only moves forward, one step at a time.
 func FuzzReplStream(f *testing.F) {
-	snapDoc := dynamic.EncodeRecord(dynamic.Op{ID: 0, Doc: "seed"})
+	snapDoc := dynamic.AppendOp(nil, dynamic.Op{ID: 0, Doc: "seed"})
 	f.Add([]byte{})
 	f.Add(buildStream(hello{Proto: protocolVersion, Epoch: 7, Tau: 1, Next: 1, Snap: false}))
 	f.Add(buildStream(
@@ -150,7 +150,7 @@ func FuzzReplStream(f *testing.F) {
 						if typ != frameSnapChunk {
 							break stream
 						}
-						ops, err := decodeSnapChunk(payload)
+						_, ops, err := decodeRecords(frameSnapChunk, payload)
 						if err != nil {
 							requireProto(err)
 							break stream
@@ -165,7 +165,7 @@ func FuzzReplStream(f *testing.F) {
 					applied = cut
 				}
 			case typ == frameOps:
-				firstSeq, ops, err := decodeOps(payload)
+				firstSeq, ops, err := decodeRecords(frameOps, payload)
 				if err != nil {
 					requireProto(err)
 					break stream

@@ -22,10 +22,11 @@
 //     never silently divergent — whenever the stream cannot prove
 //     continuity.
 //
-// The wire format is length-prefixed, CRC-checked frames; the op payloads
-// inside them are verbatim WAL records (internal/dynamic's codec), so the
-// stream is parsed by the same ReplayWAL routine that crash recovery
-// uses. See docs/REPLICATION.md for the full protocol and failure matrix.
+// A frame is one internal/persist record whose kind is the frame type, and
+// the records an ops or snapshot frame carries are the WAL's own
+// (dynamic.AppendOp), so one writer and one reader handle every byte on
+// the wire and on disk. See docs/REPLICATION.md for the full protocol and
+// failure matrix.
 package repl
 
 import (
@@ -34,20 +35,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"passjoin/internal/dynamic"
+	"passjoin/internal/persist"
 )
 
-// Frame layout:
-//
-//	uint32-LE payload length | uint32-LE crc32-IEEE of payload | payload
-//
-// payload[0] is the frame type; the rest is type-specific. The envelope
-// is deliberately the same shape as a WAL record, and the op-carrying
-// frames embed whole WAL records, so every byte of state that crosses the
-// wire is covered by at least one CRC.
+// Frame layout: a persist record (uint32-LE length | uint32-LE crc32 |
+// body) whose body is the frame type followed by a type-specific payload.
+// The op-carrying frames embed whole WAL records, so every byte of state
+// that crosses the wire is covered by at least one CRC.
 const (
 	// frameHello opens every stream: uvarint protocol version, uvarint
 	// epoch, uvarint tau, uvarint next sequence number, and one byte
@@ -56,9 +53,8 @@ const (
 	// frameSnapBegin starts a corpus snapshot: uvarint snapshot sequence
 	// number (the stream resumes at seq+1 after the snapshot).
 	frameSnapBegin = 2
-	// frameSnapChunk carries a batch of snapshot documents as verbatim
-	// WAL add records (op byte, uvarint gid, doc bytes — each wrapped in
-	// its own length+CRC header).
+	// frameSnapChunk carries a batch of snapshot documents as WAL add
+	// records (each with its own length and CRC).
 	frameSnapChunk = 3
 	// frameSnapEnd closes the snapshot: uvarint total document count,
 	// checked against the chunks actually received.
@@ -75,15 +71,10 @@ const (
 	// follower refuses a hello it does not speak.
 	protocolVersion = 1
 
-	// maxFramePayload bounds one frame so a corrupted length prefix cannot
-	// force an enormous allocation (matches the WAL's record bound).
-	maxFramePayload = 1 << 26 // 64 MiB
-
-	// snapChunkDocs and snapChunkBytes bound one snapshot chunk: a chunk
-	// closes at whichever limit it hits first, so frames stay small enough
-	// to checksum and retransmit cheaply.
-	snapChunkDocs  = 512
-	snapChunkBytes = 1 << 20
+	// batchRecords and batchBytes bound the records of one ops or
+	// snapshot-chunk frame; see batch.
+	batchRecords = 512
+	batchBytes   = 1 << 20
 )
 
 // ErrProtocol marks a stream the follower must not keep consuming: a torn
@@ -95,38 +86,20 @@ var ErrProtocol = errors.New("repl: protocol violation")
 
 // writeFrame writes one frame to w.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	buf := make([]byte, 8+1+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(1+len(payload)))
-	body := buf[8:]
-	body[0] = typ
-	copy(body[1:], payload)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
-	_, err := w.Write(buf)
+	_, err := w.Write(persist.AppendRecord(nil, typ, payload, ""))
 	return err
 }
 
-// readFrame reads one frame, verifying length bounds and the checksum. It
-// returns io.EOF only on a clean boundary (no bytes of a next frame);
-// anything torn or corrupt is an ErrProtocol.
+// readFrame reads one frame. It returns io.EOF only on a clean boundary
+// (no bytes of a next frame); anything torn or corrupt is an ErrProtocol.
 func readFrame(br *bufio.Reader) (typ byte, payload []byte, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("%w: torn frame header: %v", ErrProtocol, err)
+	rr := persist.RecordReader{R: br}
+	body, err := rr.Next()
+	if err == io.EOF {
+		return 0, nil, io.EOF
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if n == 0 || n > maxFramePayload {
-		return 0, nil, fmt.Errorf("%w: implausible frame length %d", ErrProtocol, n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return 0, nil, fmt.Errorf("%w: torn frame payload: %v", ErrProtocol, err)
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, nil, fmt.Errorf("%w: frame checksum mismatch", ErrProtocol)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %w", ErrProtocol, err)
 	}
 	return body[0], body[1:], nil
 }
@@ -172,55 +145,74 @@ func decodeHello(payload []byte) (hello, error) {
 	return h, nil
 }
 
-// encodeOps renders an ops frame payload: firstSeq, count, then each op
-// as a verbatim WAL record.
+// batch is the one batching rule of the two frames that carry records: it
+// takes ops until it holds batchRecords of them, or until the next document
+// would carry its documents past batchBytes. A first op always goes in, so
+// a document over batchBytes travels alone, in a frame that
+// dynamic.MaxDoc keeps within persist.MaxRecord.
+type batch struct {
+	ops  []dynamic.Op
+	size int
+}
+
+// add takes op unless the batch is full, and reports whether it did.
+func (b *batch) add(op dynamic.Op) bool {
+	if len(b.ops) > 0 && (len(b.ops) == batchRecords || b.size+len(op.Doc) > batchBytes) {
+		return false
+	}
+	b.ops = append(b.ops, op)
+	b.size += len(op.Doc)
+	return true
+}
+
+func (b *batch) reset() { b.ops, b.size = b.ops[:0], 0 }
+
+// encodeOps renders an ops frame payload: firstSeq, count, then each op's
+// record.
 func encodeOps(firstSeq uint64, ops []dynamic.Op) []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, firstSeq)
+	buf := binary.AppendUvarint(nil, firstSeq)
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
+	return appendOps(buf, ops)
+}
+
+func appendOps(buf []byte, ops []dynamic.Op) []byte {
 	for _, op := range ops {
-		buf = append(buf, dynamic.EncodeRecord(op)...)
+		buf = dynamic.AppendOp(buf, op)
 	}
 	return buf
 }
 
-// decodeOps parses an ops frame payload. The embedded records must parse
-// cleanly (each carries its own CRC), consume the payload exactly, and
-// match the declared count.
-func decodeOps(payload []byte) (firstSeq uint64, ops []dynamic.Op, err error) {
-	first, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: short ops frame", ErrProtocol)
+// decodeRecords is the one decoder of the frames that carry records: an
+// ops frame (firstSeq, count, then count records of adds and deletes) and a
+// snapshot chunk (records of adds alone). The records must fill the
+// payload, and a watermark travels in neither.
+func decodeRecords(typ byte, payload []byte) (firstSeq uint64, ops []dynamic.Op, err error) {
+	var count uint64
+	if typ == frameOps {
+		var n, m int
+		firstSeq, n = binary.Uvarint(payload)
+		if n > 0 {
+			count, m = binary.Uvarint(payload[n:])
+		}
+		if n <= 0 || m <= 0 {
+			return 0, nil, fmt.Errorf("%w: short ops frame", ErrProtocol)
+		}
+		payload = payload[n+m:]
 	}
-	payload = payload[n:]
-	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: short ops frame", ErrProtocol)
+	// ReplayWAL stops cleanly only at the end of the payload.
+	ops, _, err = dynamic.ReplayWAL(bytes.NewReader(payload))
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: malformed records in frame type %d: %v", ErrProtocol, typ, err)
 	}
-	payload = payload[n:]
-	ops, good, rerr := dynamic.ReplayWAL(bytes.NewReader(payload))
-	if rerr != nil || good != int64(len(payload)) {
-		return 0, nil, fmt.Errorf("%w: malformed op records: %v", ErrProtocol, rerr)
-	}
-	if uint64(len(ops)) != count {
+	if typ == frameOps && uint64(len(ops)) != count {
 		return 0, nil, fmt.Errorf("%w: ops frame declares %d records, carries %d", ErrProtocol, count, len(ops))
 	}
-	return first, ops, nil
-}
-
-// decodeSnapChunk parses a snapshot chunk into its documents. Only add
-// records are legal in a snapshot.
-func decodeSnapChunk(payload []byte) ([]dynamic.Op, error) {
-	ops, good, err := dynamic.ReplayWAL(bytes.NewReader(payload))
-	if err != nil || good != int64(len(payload)) {
-		return nil, fmt.Errorf("%w: malformed snapshot records: %v", ErrProtocol, err)
-	}
 	for _, op := range ops {
-		if op.Del || op.Watermark {
-			return nil, fmt.Errorf("%w: non-add record in snapshot", ErrProtocol)
+		if op.Watermark || op.Del && typ != frameOps {
+			return 0, nil, fmt.Errorf("%w: record kind not allowed in frame type %d", ErrProtocol, typ)
 		}
 	}
-	return ops, nil
+	return firstSeq, ops, nil
 }
 
 // uvarintPayload decodes a payload that is one bare uvarint (snapBegin,

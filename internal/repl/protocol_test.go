@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"passjoin/internal/dynamic"
+	"passjoin/internal/persist"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -36,6 +37,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameCorruption: every envelope failure (internal/persist's
+// TestRecordCorruption owns the table) reaches the follower as
+// ErrProtocol, which drops the link, still wrapping persist.ErrRecord.
 func TestReadFrameCorruption(t *testing.T) {
 	frame := func() []byte {
 		var buf bytes.Buffer
@@ -55,8 +59,8 @@ func TestReadFrameCorruption(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			b := mutate(frame())
 			_, _, err := readFrame(bufio.NewReader(bytes.NewReader(b)))
-			if !errors.Is(err, ErrProtocol) {
-				t.Fatalf("err = %v, want ErrProtocol", err)
+			if !errors.Is(err, ErrProtocol) || !errors.Is(err, persist.ErrRecord) {
+				t.Fatalf("err = %v, want ErrProtocol wrapping persist.ErrRecord", err)
 			}
 		})
 	}
@@ -93,7 +97,7 @@ func TestOpsRoundTrip(t *testing.T) {
 		{ID: 7, Doc: ""},
 		{Del: true, ID: 3},
 	}
-	first, got, err := decodeOps(encodeOps(99, ops))
+	first, got, err := decodeRecords(frameOps, encodeOps(99, ops))
 	if err != nil {
 		t.Fatalf("decodeOps: %v", err)
 	}
@@ -115,24 +119,27 @@ func TestDecodeOpsRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          {},
 		"truncated":      valid[:len(valid)-2],
-		"wrong count":    append(encodeOps(5, nil), dynamic.EncodeRecord(dynamic.Op{ID: 1, Doc: "x"})...),
+		"wrong count":    append(encodeOps(5, nil), dynamic.AppendOp(nil, dynamic.Op{ID: 1, Doc: "x"})...),
 		"corrupt record": flip(valid, len(valid)-1),
 		"trailing bytes": append(append([]byte{}, valid...), 0xFF),
+		// A watermark is a WAL record no frame carries: accepted, the
+		// follower would insert an empty document under its id.
+		"watermark": encodeOps(5, []dynamic.Op{{Watermark: true, ID: 9}}),
 	}
 	for name, raw := range cases {
-		if _, _, err := decodeOps(raw); !errors.Is(err, ErrProtocol) {
+		if _, _, err := decodeRecords(frameOps, raw); !errors.Is(err, ErrProtocol) {
 			t.Fatalf("%s: err = %v, want ErrProtocol", name, err)
 		}
 	}
 }
 
 func TestDecodeSnapChunkRejectsNonAdds(t *testing.T) {
-	del := dynamic.EncodeRecord(dynamic.Op{Del: true, ID: 1})
-	if _, err := decodeSnapChunk(del); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("delete in snapshot: err = %v, want ErrProtocol", err)
+	for _, op := range []dynamic.Op{{Del: true, ID: 1}, {Watermark: true, ID: 1}} {
+		if _, _, err := decodeRecords(frameSnapChunk, dynamic.AppendOp(nil, op)); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("%+v in snapshot: err = %v, want ErrProtocol", op, err)
+		}
 	}
-	add := dynamic.EncodeRecord(dynamic.Op{ID: 1, Doc: "x"})
-	ops, err := decodeSnapChunk(add)
+	_, ops, err := decodeRecords(frameSnapChunk, dynamic.AppendOp(nil, dynamic.Op{ID: 1, Doc: "x"}))
 	if err != nil || len(ops) != 1 || ops[0].Doc != "x" {
 		t.Fatalf("add in snapshot: ops=%v err=%v", ops, err)
 	}

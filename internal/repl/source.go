@@ -129,10 +129,6 @@ func (s *Source) Handler() http.Handler {
 	return mux
 }
 
-// opsBatchMax bounds one ops frame so a fast writer cannot grow a single
-// frame without bound while a stream drains.
-const opsBatchMax = 512
-
 func (s *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 63)
@@ -192,11 +188,12 @@ func (s *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	heartbeat := time.NewTimer(s.heartbeat)
 	defer heartbeat.Stop()
+	var b batch
 	for {
 		// Capture the wakeup channel before reading: an op published
 		// between the read and the wait still closes this channel.
 		wake := s.log.Wait()
-		ops, ok := s.log.ReadFrom(from+1, opsBatchMax)
+		ops, ok := s.log.ReadFrom(from+1, batchRecords)
 		if !ok {
 			// The follower fell out of retention mid-stream (it consumed
 			// slower than the primary wrote for long enough to wrap the
@@ -208,10 +205,16 @@ func (s *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(ops) > 0 {
-			if err := writeFrame(bw, frameOps, encodeOps(from+1, ops)); err != nil {
+			b.reset()
+			for _, op := range ops {
+				if !b.add(op) {
+					break
+				}
+			}
+			if err := writeFrame(bw, frameOps, encodeOps(from+1, b.ops)); err != nil {
 				return
 			}
-			from += uint64(len(ops))
+			from += uint64(len(b.ops))
 			if err := flush(bw); err != nil {
 				return
 			}
@@ -245,33 +248,33 @@ func (s *Source) writeSnapshot(bw *bufio.Writer) (uint64, error) {
 	if err := writeFrame(bw, frameSnapBegin, binary.AppendUvarint(nil, cut)); err != nil {
 		return 0, err
 	}
+	var b batch
 	var chunk []byte
-	var inChunk, total uint64
+	var total uint64
 	flushChunk := func() error {
-		if inChunk == 0 {
-			return nil
-		}
-		err := writeFrame(bw, frameSnapChunk, chunk)
-		chunk, inChunk = chunk[:0], 0
-		return err
+		chunk = appendOps(chunk[:0], b.ops)
+		b.reset()
+		return writeFrame(bw, frameSnapChunk, chunk)
 	}
 	var werr error
 	s.idx.All()(func(id int, doc string) bool {
-		chunk = append(chunk, dynamic.EncodeRecord(dynamic.Op{ID: int64(id), Doc: doc})...)
-		inChunk++
-		total++
-		if inChunk >= snapChunkDocs || len(chunk) >= snapChunkBytes {
+		op := dynamic.Op{ID: int64(id), Doc: doc}
+		if !b.add(op) {
 			if werr = flushChunk(); werr != nil {
 				return false
 			}
+			b.add(op)
 		}
+		total++
 		return true
 	})
 	if werr != nil {
 		return 0, werr
 	}
-	if err := flushChunk(); err != nil {
-		return 0, err
+	if len(b.ops) > 0 {
+		if err := flushChunk(); err != nil {
+			return 0, err
+		}
 	}
 	if err := writeFrame(bw, frameSnapEnd, binary.AppendUvarint(nil, total)); err != nil {
 		return 0, err
