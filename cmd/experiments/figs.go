@@ -108,7 +108,9 @@ func (c *runConfig) fig13() error {
 // verification methods (selection fixed to multi-match, as in the paper).
 // Every method sits behind the same signature filter, so the table also
 // says how many candidate occurrences there were and how many the filter
-// dropped before any verifier ran (the same for every method).
+// dropped before any verifier ran (the same for every method). The 2τ+1
+// column times the band's scalar cells and the others its word kernel
+// (see the package comment).
 func (c *runConfig) fig14() error {
 	header("Figure 14: Verification methods, join time (ms)")
 	for _, spec := range c.specs {

@@ -25,6 +25,11 @@
 // machine-dependent; the paper's SHAPES (orderings, ratios, crossovers) are
 // what to compare. Figs. 12 and 14's orderings are pinned by
 // TestSelectionScanCountsOrdered in internal/core.
+//
+// Fig. 14's 2τ+1 series runs the band's scalar cells, and its other banded
+// series run the word kernel (one 64-bit step per row, for bands of at most
+// 64 cells). Its wall-clock ordering therefore mixes two kernels; the DP
+// cells it counts do not, since both kernels count the same cells.
 package main
 
 import (

@@ -159,9 +159,13 @@
 // and two strings whose histograms are further apart than 2τ cannot be
 // within τ, so most candidates are dropped before their bytes are read.
 // The survivors go to the paper's banded dynamic program — τ+1 cells per
-// row, stopped early once no cell of a row can still lead to a match —
-// and a search that reports distances recovers each accepted match's exact
-// one with the Myers bit-parallel kernel. Distances and
+// row, stopped early once no cell of a row can still lead to a match,
+// which one cell per row decides. Whenever the band is at most 64 cells
+// wide, which is every τ ≤ 63, a row is one 64-bit word advanced by Myers'
+// bit-parallel step, a constant number of word operations per row; wider
+// bands are computed cell by cell. A search that reports distances
+// recovers each accepted match's exact one with the Myers bit-parallel
+// kernel. Distances and
 // thresholds count bytes, not runes: a multi-byte UTF-8 character costs
 // as many edits as it has differing bytes. A threshold larger than the
 // strings is no costlier than one equal to the longer string's length.

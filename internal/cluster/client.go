@@ -121,7 +121,20 @@ func (c *Cluster) newRequest(ctx context.Context, m *member, o CallOpts) (*http.
 	if o.ContentType != "" {
 		req.Header.Set("Content-Type", o.ContentType)
 	}
+	if id, _ := ctx.Value(requestIDKey{}).(string); id != "" {
+		req.Header.Set("X-Request-Id", id)
+	}
 	return req, nil
+}
+
+// requestIDKey is the context key of WithRequestID.
+type requestIDKey struct{}
+
+// WithRequestID returns a copy of ctx carrying id: every Call and Stream
+// made under it sends id to the member as its X-Request-Id, so one
+// request's log lines share an id on every hop.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey{}, id)
 }
 
 // attempts runs one request attempt (twice with Retry) against m,

@@ -67,7 +67,7 @@ type Coordinator struct {
 func NewCoordinator(cl *cluster.Cluster, cfg Config) *Coordinator {
 	co := &Coordinator{daemon: newDaemon(cfg), cl: cl, seeded: map[string]bool{}}
 	co.registerMetrics()
-	co.serve([]route{
+	routes := []route{
 		{"GET", "/healthz", co.handleHealth},
 		{"GET", "/v1/search", co.handleLookup},
 		{"POST", "/v1/search", co.handleLookup},
@@ -82,8 +82,23 @@ func NewCoordinator(cl *cluster.Cluster, cfg Config) *Coordinator {
 		{"GET", "/v1/docs/{id}", co.handleGetDoc},
 		{"DELETE", "/v1/docs/{id}", co.handleDeleteDoc},
 		{"POST", "/v1/cluster/rebalance", co.handleRebalance},
-	})
+	}
+	for i := range routes {
+		routes[i].handler = forwardRequestID(routes[i].handler)
+	}
+	co.serve(routes)
 	return co
+}
+
+// forwardRequestID hands the id the coordinator answers with — the
+// client's X-Request-Id, or the one instrument generated, already set on
+// w — to every member call the handler makes, through the request's
+// context. It wraps the coordinator's routes only, so a member's request
+// path does not pay for the context.
+func forwardRequestID(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		h(w, r.WithContext(cluster.WithRequestID(r.Context(), w.Header().Get("X-Request-Id"))))
+	}
 }
 
 // InvalidateIDFloor forces the next routed write to re-bootstrap the

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -998,5 +999,92 @@ func BenchmarkClusterScatterGather(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestCoordinatorForwardsRequestID: every member call a coordinator request
+// makes carries the id the coordinator answered with — the client's own
+// X-Request-Id, or the one generated for it — on a scatter search, a routed
+// write (its id bootstrap's stats calls included) and a join's task streams.
+func TestCoordinatorForwardsRequestID(t *testing.T) {
+	type call struct{ path, id string }
+	var mu sync.Mutex
+	var calls []call
+	var ms []cluster.Member
+	for i := 0; i < 3; i++ {
+		idx, err := passjoin.NewDynamicSearcher(nil, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { idx.Close() })
+		if _, err := idx.Apply(passjoin.Mutation{ID: i, Doc: "vldb"}); err != nil {
+			t.Fatal(err)
+		}
+		member := New(idx, nil, Config{})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/healthz" { // background probes belong to no request
+				mu.Lock()
+				calls = append(calls, call{r.URL.Path, r.Header.Get("X-Request-Id")})
+				mu.Unlock()
+			}
+			member.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		ms = append(ms, cluster.Member{Name: fmt.Sprintf("m%d", i), URL: ts.URL})
+	}
+	cl, err := cluster.New(ms, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := httptest.NewServer(NewCoordinator(cl, Config{}))
+	t.Cleanup(co.Close)
+
+	ops := []struct{ name, method, path, ctype, body, memberPath string }{
+		{"scatter search", "GET", "/v1/search?q=vldb", "", "", "/v1/search"},
+		{"routed write", "POST", "/v1/docs", "application/json", `{"doc":"pvldb"}`, "/v1/docs"},
+		{"join stream", "POST", "/v1/join/self?tau=1", "text/plain", "vldb\npvldb\nvldbj\nsigmod\nsigir\n", "/v1/join"},
+	}
+	for _, op := range ops {
+		for _, clientID := range []string{"client-trace-7", ""} {
+			mu.Lock()
+			calls = nil
+			mu.Unlock()
+			req, err := http.NewRequest(op.method, co.URL+op.path, strings.NewReader(op.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if op.ctype != "" {
+				req.Header.Set("Content-Type", op.ctype)
+			}
+			if clientID != "" {
+				req.Header.Set("X-Request-Id", clientID)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode/100 != 2 {
+				t.Fatalf("%s (client id %q): status %d", op.name, clientID, resp.StatusCode)
+			}
+			want := resp.Header.Get("X-Request-Id")
+			if want == "" || clientID != "" && want != clientID {
+				t.Fatalf("%s (client id %q): coordinator answered with id %q", op.name, clientID, want)
+			}
+			mu.Lock()
+			got := calls
+			mu.Unlock()
+			reached := false
+			for _, c := range got {
+				if c.id != want {
+					t.Errorf("%s (client id %q): member call %s carried id %q, want %q", op.name, clientID, c.path, c.id, want)
+				}
+				reached = reached || strings.HasPrefix(c.path, op.memberPath)
+			}
+			if !reached {
+				t.Errorf("%s (client id %q): no member call to %s among %v", op.name, clientID, op.memberPath, got)
+			}
+		}
 	}
 }

@@ -70,42 +70,59 @@ func BenchmarkVerifyPair(b *testing.B) {
 // title corpus. pair is one whole-string banded verification; list is what
 // the extension verifier does with an inverted list — one Reset and a few
 // sorted same-length sources against one target — reported per source.
+// list-author-tau2 is list on 12–20-byte strings at tau 2, the narrow band
+// of the author corpus. pair-tau63 and pair-tau64 are pair on either side of
+// the word kernel's reach: a band of 64 columns runs it, one of 65 runs the
+// scalar cells.
 func BenchmarkVerifyLong(b *testing.B) {
-	const tau = 8
-	type list struct {
-		q     string
-		cands []string
-	}
-	var lists []list
-	for i, l := range []int{73, 90, 120, 150, 190} {
-		q, cands := benchPairs(int64(20+i), 4, l)
-		sortStrings(cands)
-		lists = append(lists, list{q, cands})
-	}
+	titles := verifyLists(20, 73, 90, 120, 150, 190)
+	authors := verifyLists(30, 12, 14, 16, 18, 20)
+	b.Run("pair", func(b *testing.B) { benchVerifyPairs(b, titles, 8) })
+	b.Run("list", func(b *testing.B) { benchVerifyList(b, titles, 8) })
+	b.Run("list-author-tau2", func(b *testing.B) { benchVerifyList(b, authors, 2) })
+	b.Run("pair-tau63", func(b *testing.B) { benchVerifyPairs(b, titles, 63) })
+	b.Run("pair-tau64", func(b *testing.B) { benchVerifyPairs(b, titles, 64) })
+}
 
-	b.Run("pair", func(b *testing.B) {
-		b.ReportAllocs()
-		var v Verifier
-		var sink int
-		for i := 0; i < b.N; i++ {
-			l := lists[i%len(lists)]
-			sink += v.Dist(l.q, l.cands[i%len(l.cands)], tau)
+// verifyList is one target and four sorted candidates of its length.
+type verifyList struct {
+	q     string
+	cands []string
+}
+
+func verifyLists(seed int64, lens ...int) []verifyList {
+	var lists []verifyList
+	for i, l := range lens {
+		q, cands := benchPairs(seed+int64(i), 4, l)
+		sortStrings(cands)
+		lists = append(lists, verifyList{q, cands})
+	}
+	return lists
+}
+
+func benchVerifyPairs(b *testing.B, lists []verifyList, tau int) {
+	b.ReportAllocs()
+	var v Verifier
+	var sink int
+	for i := 0; i < b.N; i++ {
+		l := lists[i%len(lists)]
+		sink += v.Dist(l.q, l.cands[i%len(l.cands)], tau)
+	}
+	_ = sink
+}
+
+func benchVerifyList(b *testing.B, lists []verifyList, tau int) {
+	b.ReportAllocs()
+	var inc Incremental
+	var sink int
+	for i := 0; i < b.N; i += len(lists[0].cands) {
+		l := lists[i%len(lists)]
+		inc.Reset(l.q, tau)
+		for _, c := range l.cands {
+			sink += inc.Dist(c)
 		}
-		_ = sink
-	})
-	b.Run("list", func(b *testing.B) {
-		b.ReportAllocs()
-		var inc Incremental
-		var sink int
-		for i := 0; i < b.N; i += len(lists[0].cands) {
-			l := lists[i%len(lists)]
-			inc.Reset(l.q, tau)
-			for _, c := range l.cands {
-				sink += inc.Dist(c)
-			}
-		}
-		_ = sink
-	})
+	}
+	_ = sink
 }
 
 // BenchmarkEditDistance compares the allocating package function against

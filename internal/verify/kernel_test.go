@@ -97,6 +97,62 @@ func TestBandedKernelCorners(t *testing.T) {
 			kernelCase{a, randomString(rng, l+2, 4), []int{2, 8, l + 2}},
 		)
 	}
+	// The word kernel's edges. Bands of 63, 64 and 65 columns at Δ = −τ,
+	// −1, 0, 1 and τ: the last width the word holds, and the first the
+	// scalar cells take over.
+	for _, tau := range []int{62, 63, 64, 65} {
+		for _, d := range []int{-tau, -1, 0, 1, tau} {
+			if w := (tau-d)/2 + (tau+d)/2 + 1; w < 63 || w > 65 {
+				continue
+			}
+			a := randomString(rng, 100, 4)
+			b := a[:100-max(0, -d)] + randomString(rng, max(0, d), 4)
+			cases = append(cases,
+				kernelCase{a, b, []int{tau}},
+				kernelCase{a, mutateFixedLen(rng, b, 20, 4), []int{tau}},
+				kernelCase{a, randomString(rng, len(b), 4), []int{tau}},
+			)
+		}
+	}
+	// Sources and targets on either side of one and two eight-byte loads,
+	// and of the word: the window's loads start at every offset of the
+	// target and run into its tail, over bands one and two loads wide.
+	lens := []int{7, 8, 9, 15, 16, 17, 63, 64, 65}
+	for _, l := range lens {
+		a := randomString(rng, l, 3)
+		for _, l2 := range lens {
+			if abs(l2-l) <= 2 {
+				b := mutateFixedLen(rng, a[:min(l, l2)]+randomString(rng, max(0, l2-l), 3), 2, 3)
+				cases = append(cases, kernelCase{a, b, []int{0, 1, 2, 7, 8, 9, 15, 16}})
+			}
+		}
+	}
+	// Bytes around the zero-byte test's borrows, side by side: a test that
+	// lets a borrow cross bytes reads c^1 just above a match as a match too
+	// (0x01 after 0x00, 0x81 after 0x80), and the distance drops.
+	borrow := func(s string) string {
+		b := []byte(s)
+		for i := range b {
+			b[i] = "\x00\x01\x7f\x80\x81\xff"[b[i]-'a']
+		}
+		return string(b)
+	}
+	for _, l := range []int{12, 24, 40} {
+		a := randomString(rng, l, 6)
+		cases = append(cases,
+			kernelCase{borrow(a), borrow(mutate(rng, a, 3, 6)), []int{0, 1, 3, 8}},
+			kernelCase{borrow(a), borrow(randomString(rng, l, 6)), []int{3, 8}},
+			kernelCase{strings.Repeat("\x00", l), strings.Repeat("\x00\x01", l/2), []int{2, 8}},
+			kernelCase{strings.Repeat("\x80\x7f", l/2), strings.Repeat("\x80\x81\x7f\xff", l/4), []int{2, 8}},
+		)
+	}
+	// Targets under eight bytes: no load fits and the bytes are compared
+	// one at a time.
+	cases = append(cases,
+		kernelCase{"abcdefgh", "abdefg", []int{1, 2, 3, 4}},
+		kernelCase{"\x00\x01\x00\x00\x80", "\x00\x00\x01\x00\x00\xff\x00", []int{0, 1, 2, 3}},
+	)
+
 	for _, c := range cases {
 		for _, tau := range c.taus {
 			checkKernelPair(t, c.a, c.b, tau)
