@@ -1,9 +1,7 @@
-// Benchmark harness: one testing.B family per table and figure of the
-// Pass-Join paper's evaluation (§6). The cmd/experiments tool prints the
-// same series at larger scales; these benchmarks are the CI-sized
-// regenerators. Absolute numbers are machine-dependent; the paper's shapes
-// (orderings between methods, growth rates) are what matters and hold at
-// this scale.
+// Benchmarks of the library's product paths: the parallel and streaming
+// joins, the searchers, the dynamic index and the hot kernels. The paper's
+// tables and figures are internal/repro's (BenchmarkFigures). Absolute
+// numbers are machine-dependent.
 //
 //	go test -bench=. -benchmem
 package passjoin_test
@@ -19,11 +17,7 @@ import (
 	"passjoin"
 	"passjoin/internal/core"
 	"passjoin/internal/dataset"
-	"passjoin/internal/edjoin"
-	"passjoin/internal/ngpp"
-	"passjoin/internal/partenum"
 	"passjoin/internal/selection"
-	"passjoin/internal/triejoin"
 	"passjoin/internal/verify"
 )
 
@@ -33,23 +27,11 @@ var (
 	benchCorpora map[string][]string
 )
 
-type benchSpec struct {
-	name string
-	taus []int
-	edq  int
-}
-
-var benchSpecs = []benchSpec{
-	{name: "author", taus: []int{1, 2, 3, 4}, edq: 2},
-	{name: "querylog", taus: []int{4, 6, 8}, edq: 3},
-	{name: "authortitle", taus: []int{5, 8, 10}, edq: 4},
-}
-
 func corpora(b *testing.B) map[string][]string {
 	b.Helper()
 	benchOnce.Do(func() {
 		benchCorpora = map[string][]string{}
-		sizes := map[string]int{"author": 2000, "querylog": 800, "authortitle": 500}
+		sizes := map[string]int{"author": 2000, "querylog": 800}
 		for name, n := range sizes {
 			strs, err := dataset.ByName(name, n, 1)
 			if err != nil {
@@ -59,228 +41,6 @@ func corpora(b *testing.B) map[string][]string {
 		}
 	})
 	return benchCorpora
-}
-
-// BenchmarkTable2Datasets regenerates Table 2: corpus synthesis plus the
-// cardinality / length statistics.
-func BenchmarkTable2Datasets(b *testing.B) {
-	for _, spec := range benchSpecs {
-		b.Run(spec.name, func(b *testing.B) {
-			var s dataset.Summary
-			for i := 0; i < b.N; i++ {
-				strs, err := dataset.ByName(spec.name, 1000, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s = dataset.Summarize(strs)
-			}
-			b.ReportMetric(s.AvgLen, "avgLen")
-			b.ReportMetric(float64(s.MaxLen), "maxLen")
-		})
-	}
-}
-
-// BenchmarkFig11Histogram regenerates Figure 11's length distributions.
-func BenchmarkFig11Histogram(b *testing.B) {
-	cs := corpora(b)
-	for _, spec := range benchSpecs {
-		strs := cs[spec.name]
-		b.Run(spec.name, func(b *testing.B) {
-			bins := 0
-			for i := 0; i < b.N; i++ {
-				bins = len(dataset.LengthHistogram(strs, 2))
-			}
-			b.ReportMetric(float64(bins), "bins")
-		})
-	}
-}
-
-// BenchmarkFig12Fig13Selection regenerates Figures 12 and 13 together:
-// ns/op is Figure 13's generation time, the "substrings" metric is
-// Figure 12's count.
-func BenchmarkFig12Fig13Selection(b *testing.B) {
-	cs := corpora(b)
-	for _, spec := range benchSpecs {
-		strs := cs[spec.name]
-		for _, tau := range spec.taus {
-			for _, m := range selection.Methods {
-				b.Run(fmt.Sprintf("%s/tau=%d/%v", spec.name, tau, m), func(b *testing.B) {
-					var count int64
-					for i := 0; i < b.N; i++ {
-						count, _ = core.SelectionScan(strs, tau, m)
-					}
-					b.ReportMetric(float64(count), "substrings")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig14Verification regenerates Figure 14: the self join under
-// each verification method (selection fixed to multi-match).
-func BenchmarkFig14Verification(b *testing.B) {
-	cs := corpora(b)
-	for _, spec := range benchSpecs {
-		strs := cs[spec.name]
-		tau := spec.taus[len(spec.taus)-1]
-		for _, vk := range core.VerifyKinds {
-			b.Run(fmt.Sprintf("%s/tau=%d/%v", spec.name, tau, vk), func(b *testing.B) {
-				var n int
-				for i := 0; i < b.N; i++ {
-					pairs, err := core.SelfJoin(strs, core.Options{Tau: tau, Verification: vk})
-					if err != nil {
-						b.Fatal(err)
-					}
-					n = len(pairs)
-				}
-				b.ReportMetric(float64(n), "pairs")
-			})
-		}
-	}
-}
-
-// BenchmarkFig15Compare regenerates Figure 15: Pass-Join vs ED-Join vs
-// Trie-Join total time (indexing + join).
-func BenchmarkFig15Compare(b *testing.B) {
-	cs := corpora(b)
-	for _, spec := range benchSpecs {
-		strs := cs[spec.name]
-		taus := []int{spec.taus[0], spec.taus[len(spec.taus)-1]}
-		for _, tau := range taus {
-			b.Run(fmt.Sprintf("%s/tau=%d/PassJoin", spec.name, tau), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.SelfJoin(strs, core.Options{Tau: tau}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s/tau=%d/EdJoin", spec.name, tau), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := edjoin.Join(strs, tau, spec.edq, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s/tau=%d/TrieJoin", spec.name, tau), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := triejoin.Join(strs, tau, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig16Scalability regenerates Figure 16: join time as the
-// dataset grows.
-func BenchmarkFig16Scalability(b *testing.B) {
-	cs := corpora(b)
-	strs := cs["author"]
-	for _, frac := range []int{2, 4, 6} {
-		n := len(strs) * frac / 6
-		for _, tau := range []int{2, 4} {
-			b.Run(fmt.Sprintf("author/n=%d/tau=%d", n, tau), func(b *testing.B) {
-				sub := strs[:n]
-				for i := 0; i < b.N; i++ {
-					if _, err := core.SelfJoin(sub, core.Options{Tau: tau}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable3IndexSizes regenerates Table 3: index footprints, reported
-// as bytes metrics.
-func BenchmarkTable3IndexSizes(b *testing.B) {
-	cs := corpora(b)
-	for _, spec := range benchSpecs {
-		strs := cs[spec.name]
-		b.Run(spec.name+"/PassJoin", func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				bytes, _ = core.IndexFootprint(strs, 4)
-			}
-			b.ReportMetric(float64(bytes), "indexBytes")
-		})
-		b.Run(spec.name+"/EdJoin", func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				bytes, _ = edjoin.IndexFootprint(strs, 4, 4)
-			}
-			b.ReportMetric(float64(bytes), "indexBytes")
-		})
-		b.Run(spec.name+"/TrieJoin", func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				bytes, _ = triejoin.IndexFootprint(strs)
-			}
-			b.ReportMetric(float64(bytes), "indexBytes")
-		})
-	}
-}
-
-// BenchmarkAblationSelectionMatrix measures every selection × verification
-// combination (extension beyond the paper's one-dimension-at-a-time plots).
-func BenchmarkAblationSelectionMatrix(b *testing.B) {
-	cs := corpora(b)
-	strs := cs["author"]
-	for _, sel := range selection.Methods {
-		for _, vk := range core.VerifyKinds {
-			b.Run(fmt.Sprintf("%v/%v", sel, vk), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.SelfJoin(strs, core.Options{Tau: 2, Selection: sel, Verification: vk}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationBaselines measures the secondary baselines All-Pairs-Ed
-// and Part-Enum against Pass-Join.
-func BenchmarkAblationBaselines(b *testing.B) {
-	cs := corpora(b)
-	strs := cs["author"]
-	tau := 2
-	b.Run("AllPairsEd", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := edjoin.JoinConfig(strs, tau, edjoin.Config{Q: 2}, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("PartEnum", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := partenum.Join(strs, tau, 2, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("NGPP", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ngpp.Join(strs, tau, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("TrieSearch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := triejoin.JoinSearch(strs, tau, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("PassJoin", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SelfJoin(strs, core.Options{Tau: tau}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationParallel measures the index-once/probe-parallel mode.

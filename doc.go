@@ -124,8 +124,8 @@
 // which is skipped); a release older than v3 rejects a v3 file by its
 // version instead of misreading it.
 //
-// ShardedSearcher, NewShardedSearcher and ReadShardedSearcherFrom are
-// deprecated names of Searcher, NewSearcher and ReadSearcherFrom.
+// ShardedSearcher and NewShardedSearcher are deprecated names of Searcher
+// and NewSearcher.
 //
 // # Live updates
 //

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"passjoin/internal/index"
 )
 
 // SelfJoin finds every unordered pair of strings in strs whose edit
@@ -76,17 +74,4 @@ func begin(ctx context.Context, opt Options, emit func(Pair) bool) (context.Cont
 		ctx = context.Background()
 	}
 	return ctx, ctx.Err()
-}
-
-// IndexFootprint builds the full Pass-Join index over strs (no eviction)
-// and reports its approximate size in bytes and its posting count. Used by
-// the Table 3 experiment, which compares whole-dataset index sizes across
-// methods; like index.New it panics on a threshold or corpus no index can
-// be built for, rather than report an empty one.
-func IndexFootprint(strs []string, tau int) (bytes, entries int64) {
-	fz, err := index.BuildFrozen(strs, tau, 1)
-	if err != nil {
-		panic(fmt.Sprintf("core: IndexFootprint(%d strings, tau=%d): %v", len(strs), tau, err))
-	}
-	return fz.MapBytes(), fz.Entries()
 }

@@ -82,7 +82,7 @@ func TestSigFilterMatchersMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b, e := IndexFootprint(corpus, tau); bulkStats.IndexBytes != b || bulkStats.IndexEntries != e || bulkStats.FrozenEntries != e {
+		if b, e := wholeIndex(t, corpus, tau); bulkStats.IndexBytes != b || bulkStats.IndexEntries != e || bulkStats.FrozenEntries != e {
 			t.Fatalf("bulk build stats %+v, map index is %d B / %d entries", bulkStats, b, e)
 		}
 		matchers := map[string]*Matcher{

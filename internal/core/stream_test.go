@@ -242,14 +242,14 @@ func TestSortPanicSurfacesAsError(t *testing.T) {
 
 // Stream stats must match the sequential run's totals for the whole-join
 // counters that are parallelism-invariant, and the index footprint of a
-// join on several workers must be that of the whole index (IndexFootprint)
+// join on several workers must be that of the whole index (wholeIndex)
 // at any worker count. One worker runs the windowed scan, whose footprint
 // is the window's at its largest: live groups, and no more than the whole.
 func TestStreamStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	strs := randomCorpus(rng, 150, 15, 3, 0.5, 3)
 	probes := randomCorpus(rng, 40, 15, 3, 0.5, 3)
-	wantBytes, wantEntries := IndexFootprint(strs, 2)
+	wantBytes, wantEntries := wholeIndex(t, strs, 2)
 	checkIndex := func(workers int, join string, st *metrics.Stats) {
 		t.Helper()
 		if workers <= 1 {

@@ -660,6 +660,12 @@ type joinTask struct {
 // Corpora with empty lines fall back to a single-member proxy: a blank
 // line inside a chunk would corrupt the two-section R×S task encoding.
 func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
+	// The members apply the parameters; the coordinator only refuses what
+	// every member would refuse, before any task is sent. Absent, ?tau=
+	// stays the member's own threshold: the query string is forwarded as is.
+	if _, _, ok := parseJoinParams(w, r.URL.Query(), 0); !ok {
+		return
+	}
 	rset, sset, hasBlank, ok := readJoinBody(w, r, co.cfg.MaxJoinBytes, self)
 	if !ok {
 		return
@@ -764,6 +770,11 @@ func (co *Coordinator) runJoinTasks(w http.ResponseWriter, r *http.Request, rout
 				if err != nil {
 					continue // nothing emitted; next candidate
 				}
+				if resp.StatusCode != http.StatusOK {
+					// A refused task: its body is an error, not pairs.
+					resp.Body.Close()
+					continue
+				}
 				readErr := func() error {
 					sc := bufio.NewScanner(resp.Body)
 					sc.Buffer(make([]byte, 64*1024), 4<<20)
@@ -816,7 +827,9 @@ func (co *Coordinator) runJoinTasks(w http.ResponseWriter, r *http.Request, rout
 				// Nothing emitted; the loop tries the next candidate.
 			}
 			outMu.Lock()
-			missingSet[strings.Join(memberNames(healthy), ",")] = true
+			for _, m := range healthy {
+				missingSet[m.Name] = true
+			}
 			outMu.Unlock()
 		}(ti, t)
 	}
@@ -838,15 +851,6 @@ func (co *Coordinator) runJoinTasks(w http.ResponseWriter, r *http.Request, rout
 	if flusher != nil {
 		flusher.Flush()
 	}
-}
-
-func memberNames(ms []cluster.Info) []string {
-	out := make([]string, len(ms))
-	for i, m := range ms {
-		out[i] = m.Name
-	}
-	sort.Strings(out)
-	return out
 }
 
 // chunkLines splits lines into n contiguous chunks (the first len%n

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -802,6 +803,56 @@ func contains(s []string, v string) bool {
 		}
 	}
 	return false
+}
+
+// TestCoordinatorJoinBadParams: a join parameter a member would refuse is
+// refused by the coordinator in the member's words, before any task is
+// sent, instead of streaming the members' error bodies as pairs.
+func TestCoordinatorJoinBadParams(t *testing.T) {
+	corpus := testCorpus(t, 40)
+	h := newClusterHarness(t, 3, 2, cluster.Config{})
+	single := newUnionServer(t, nil, 2)
+	self := strings.Join(corpus, "\n") + "\n"
+	rs := strings.Join(corpus[:20], "\n") + "\n\n" + strings.Join(corpus[20:], "\n") + "\n"
+	for _, param := range []string{"tau=-1", "parallel=-2", "tau=abc", "tau=99999999"} {
+		requireSameAnswer(t, h.ts.URL, single.URL, "POST", "/v1/join/self?"+param, self)
+		requireSameAnswer(t, h.ts.URL, single.URL, "POST", "/v1/join?"+param, rs)
+	}
+}
+
+// TestCoordinatorJoinRefusedTasks: a member that answers a task with
+// anything but 200 has failed it; its error body is never read as pairs,
+// and a task every member refused names each of them in the terminal
+// record.
+func TestCoordinatorJoinRefusedTasks(t *testing.T) {
+	h := newClusterHarness(t, 2, 2, cluster.Config{BackoffMin: time.Hour})
+	var refusers []cluster.Member
+	for _, name := range []string{"m0", "m1"} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/healthz" {
+				w.Write([]byte(`{"status":"ok"}`))
+				return
+			}
+			writeError(w, http.StatusBadRequest, "refused")
+		}))
+		t.Cleanup(ts.Close)
+		refusers = append(refusers, cluster.Member{Name: name, URL: ts.URL})
+	}
+	if err := h.cl.SetMembers(refusers); err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Join(testCorpus(t, 40), "\n") + "\n"
+	resp, err := http.Post(h.ts.URL+"/v1/join/self", "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, terminal := readJoinStream(t, resp)
+	if len(pairs) != 0 {
+		t.Fatalf("refused tasks produced %d pairs, first %+v", len(pairs), pairs[0])
+	}
+	if terminal == nil || !slices.Equal(terminal.Missing, []string{"m0", "m1"}) {
+		t.Fatalf("terminal record %+v, want missing [m0 m1]", terminal)
+	}
 }
 
 // TestCoordinatorJoinBlankLineFallback: corpora with empty lines cannot

@@ -651,7 +651,7 @@ func pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
 // every previously seen line within the threshold is emitted immediately
 // as one NDJSON object. An optional ?tau= overrides the index threshold.
 func (s *Server) handleDedup(w http.ResponseWriter, r *http.Request) {
-	tau, ok := s.uploadTau(w, r.URL.Query())
+	tau, ok := uploadTau(w, r.URL.Query(), s.idx.Tau())
 	if !ok {
 		return
 	}
@@ -716,17 +716,8 @@ func (s *Server) handleJoinRS(w http.ResponseWriter, r *http.Request)   { s.hand
 // GOMAXPROCS, capped at 4×GOMAXPROCS). The join runs under the request
 // context, so a dropped client connection cancels the probe workers.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
-	params := r.URL.Query()
-	tau, ok := s.uploadTau(w, params)
+	tau, par, ok := parseJoinParams(w, r.URL.Query(), s.idx.Tau())
 	if !ok {
-		return
-	}
-	par, ok := intParam(w, params, "parallel", 0)
-	if !ok {
-		return
-	}
-	if par < 0 {
-		writeError(w, http.StatusBadRequest, "parallel must be non-negative")
 		return
 	}
 	if par == 0 {
@@ -806,12 +797,30 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
 	s.joinPairs.Add(pairs)
 }
 
+// parseJoinParams parses the join routes' ?tau= (see uploadTau) and
+// ?parallel=, a non-negative worker count, writing the 400 itself. Both
+// daemons parse with it, so they refuse a bad parameter in the same words
+// before they read the upload.
+func parseJoinParams(w http.ResponseWriter, params url.Values, defTau int) (tau, par int, ok bool) {
+	if tau, ok = uploadTau(w, params, defTau); !ok {
+		return 0, 0, false
+	}
+	if par, ok = intParam(w, params, "parallel", 0); !ok {
+		return 0, 0, false
+	}
+	if par < 0 {
+		writeError(w, http.StatusBadRequest, "parallel must be non-negative")
+		return 0, 0, false
+	}
+	return tau, par, true
+}
+
 // uploadTau parses the optional ?tau= override of the upload routes
 // (/v1/dedup, /v1/join, /v1/join/self), which run at any threshold
 // rather than against the index: non-negative and at most maxJoinTau,
-// defaulting to the index threshold. It writes the 400 itself.
-func (s *Server) uploadTau(w http.ResponseWriter, params url.Values) (int, bool) {
-	tau, ok := intParam(w, params, "tau", s.idx.Tau())
+// defaulting to def, the index threshold. It writes the 400 itself.
+func uploadTau(w http.ResponseWriter, params url.Values, def int) (int, bool) {
+	tau, ok := intParam(w, params, "tau", def)
 	switch {
 	case !ok:
 		return 0, false

@@ -37,10 +37,3 @@ func ReadSearcherFrom(r io.Reader, opts ...Option) (*Searcher, error) {
 	}
 	return buildSearcher(corpus, tau, cfg)
 }
-
-// ReadShardedSearcherFrom is ReadSearcherFrom.
-//
-// Deprecated: use ReadSearcherFrom.
-func ReadShardedSearcherFrom(r io.Reader, opts ...Option) (*ShardedSearcher, error) {
-	return ReadSearcherFrom(r, opts...)
-}

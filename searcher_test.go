@@ -258,8 +258,8 @@ func bruteMatches(corpus []string, q string, tau int) []Match {
 }
 
 // TestShardedSearcherMatchesSearcher: ShardedSearcher's deprecated
-// constructor and reader answer exactly what the functions they wrap
-// answer, with the same shape.
+// constructor, and a snapshot read back at the same worker count, answer
+// exactly what NewSearcher's index answers, with the same shape.
 func TestShardedSearcherMatchesSearcher(t *testing.T) {
 	corpus := authorCorpus(t, 400)
 	const tau = 3
@@ -276,7 +276,7 @@ func TestShardedSearcherMatchesSearcher(t *testing.T) {
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		read, err := ReadShardedSearcherFrom(&buf, WithShards(shards))
+		read, err := ReadSearcherFrom(&buf, WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 	"sort"
 	"testing"
 
-	"passjoin/internal/core"
+	"passjoin/internal/index"
 )
 
 func sortPairs(ps []Pair) {
@@ -167,7 +167,11 @@ var sequentialOpts = map[string][]Option{"default": nil, "WithParallelism(1)": {
 // live groups at its peak, no larger than the whole index over indexed.
 func checkWindowStats(t *testing.T, name string, st *Stats, indexed []string, tau int) {
 	t.Helper()
-	bytes, _ := core.IndexFootprint(indexed, tau)
+	fz, err := index.BuildFrozen(indexed, tau, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := fz.MapBytes()
 	if st.PeakLiveGroups <= 0 || st.IndexBytes <= 0 || st.IndexBytes > bytes {
 		t.Errorf("%s: peak %d live groups, %d index bytes; want a window, at most the whole index's %d", name, st.PeakLiveGroups, st.IndexBytes, bytes)
 	}
