@@ -61,11 +61,13 @@
 // a sliding window of length groups and delivers pairs by non-decreasing
 // length of the longer (for Join: the first set's) string, in no particular
 // order within a length — it probes a run of equal-length strings at a
-// time. The scan uses at most two goroutines: the index lookups and the
-// signature filter run on a helper goroutine, verification and the callback
-// on the caller's, and GOMAXPROCS=1 keeps the scan on one core. With n > 1
-// the whole corpus is indexed once and the probe pass fans out over n
-// workers that feed the callback through a bounded channel with
+// time. Its index lookups and signature filter run on two helper
+// goroutines (one at GOMAXPROCS=1), a run of strings against one length
+// group at a time, and verification and the callback on the caller's, in
+// the scan's order; the pairs, their order and the Stats work counters are
+// the same at every GOMAXPROCS, and only GOMAXPROCS=1 keeps the scan on one
+// core. With n > 1 the whole corpus is indexed once and the probe pass fans
+// out over n workers that feed the callback through a bounded channel with
 // backpressure; pairs then arrive in no deterministic order at all. In
 // either mode the callback runs on the calling goroutine, and a cancelled
 // ctx stops the join promptly — it is checked between batches of lookups,

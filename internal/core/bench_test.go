@@ -55,6 +55,23 @@ func BenchmarkSelfJoinSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinSerial is the default-options R≠S join of each corpus's
+// first half against its second: the window holds 2τ+1 groups, and the
+// probing side's signatures are computed a chunk at a time.
+func BenchmarkJoinSerial(b *testing.B) {
+	for _, c := range joinBenchCorpora() {
+		r, s := c.corpus[:len(c.corpus)/2], c.corpus[len(c.corpus)/2:]
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Join(r, s, Options{Tau: c.tau}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSortRecs is the join's prologue alone — order, pack and sign the
 // corpus — on one goroutine and on two.
 func BenchmarkSortRecs(b *testing.B) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"slices"
 
 	"passjoin/internal/index"
@@ -50,16 +48,18 @@ func chunksOf(off []int) []span {
 // order in which the lists are met and nothing else.
 //
 // The loop runs in two stages, cut at the signature filter. The lookup
-// stage (lookup) resolves the lists and filters their candidates; the verify
-// stage (verify) deduplicates and verifies the survivors — the task each
-// survivor becomes names the pair and its alignment, nothing else — and
+// stage (lookupStage) resolves the lists and filters their candidates; the
+// verify stage (verify) deduplicates and verifies the survivors — the task
+// each survivor becomes names the pair and its alignment, nothing else — and
 // emits. The cut is there because nothing before it may cross goroutines: a
 // list aliases a table of the index, which a serial join's window clears and
 // recycles once it slides past the table's group (index.Window). The verify
 // stage reads only the corpus and the partition geometry, which outlive the
-// scan. A serial join runs the stages on two goroutines (pipe); a stream
-// join's worker runs both on its own, a batch of tasks at a time
-// (probeBlock).
+// scan. A serial join runs the lookup stage on up to two goroutines
+// (maxLookups), a segment — one chunk against one length group — at a time,
+// and the verify
+// stage on the caller's (pipe); a stream join's worker runs both on its own,
+// a batch of tasks at a time (probeBlock).
 //
 // The prober behind it keeps verifying: a join arms it with emit, to hear of
 // every match, and with join, which sends its deduplication here (settled)
@@ -75,17 +75,9 @@ type blockJoin struct {
 	// returning false abandons the join (its consumer is gone, or its ctx
 	// cancelled).
 	tick func() bool
-
-	// The lookup stage's state. It fills out, and ships it when it is full:
-	// through q when the stages run on two goroutines (pipe), to the verify
-	// stage at once when they share one. cnt is where the stage counts: the
-	// prober's stats when the stages share a goroutine, the batch's own when
-	// they do not; nil when the join counts nothing.
-	out  *taskBatch
-	q    *queue
-	cnt  *metrics.Stats
-	sigs []uint64 // of an R≠S chunk's strings; a self join's are p.sig's
-	res  index.BlockResolver
+	// look is the lookup stage when it shares this goroutine (probeBlock);
+	// nil until the first chunk.
+	look *lookupStage
 
 	// The verify stage's state. strs[k] is the probing string at position
 	// base+k of its side — one chunk, or a whole side — and id the one in
@@ -99,6 +91,29 @@ type blockJoin struct {
 	whole []uint64
 }
 
+// lookupStage is the state of one goroutine of a join's lookup stage. Of
+// its join it reads only what no stage writes during the join: the prober's
+// index, selection method, signatures and threshold, and off, self and tick.
+//
+// It fills out and ships it when it is full: to the join's verify stage at
+// once when the stages share a goroutine (sc is nil), through sc when they do
+// not (pipe) — and then also at the end of every segment, which it names
+// (seq), taking each batch from sc only once it has a task or a segment end
+// to ship. cnt is where the stage counts: the prober's stats when the stages
+// share a goroutine, st — which goes with the next batch shipped — when they
+// do not; nil when the join counts nothing.
+type lookupStage struct {
+	j      *blockJoin
+	out    *taskBatch
+	cnt    *metrics.Stats
+	sigs   []uint64 // of an R≠S chunk's strings, the one at position sigsAt of its side
+	sigsAt int
+	res    index.BlockResolver
+	sc     *scan
+	w, seq int // w is the stage's place in sc.held
+	st     metrics.Stats
+}
+
 // task is what crosses from a join's lookup stage to its verify stage: one
 // candidate that passed the signature filter, found by the probing string
 // at position id of its side with its substring at pos matching segment
@@ -109,34 +124,57 @@ type task struct {
 	id, rid, slot, pos int32
 }
 
-// taskBatch is a batch of tasks, with what the lookup stage counted while it
-// filled it when the stages run on two goroutines.
+// taskBatch is a batch of tasks. Between the goroutines of a serial join
+// (pipe) it names the segment whose tasks it carries (seq), says whether it
+// is that segment's last (end), and carries what the lookup stage counted
+// since the batch before.
 type taskBatch struct {
 	tasks []task
+	seq   int
+	end   bool
 	st    metrics.Stats
 }
 
 const (
-	// taskBatchSize is the most tasks a batch holds: 16 KiB, so that the
-	// batches in flight between the two stages of a serial join stay in
-	// cache. A batch is no larger than the indexed corpus has strings, so
-	// that a small join does not pay for a large one.
+	// taskBatchSize is the most tasks a stream worker verifies at a time:
+	// 16 KiB, which stays in cache. A batch is no larger than the indexed
+	// corpus has strings, so that a small join does not pay for a large one.
 	taskBatchSize = 1024
 	// pipeBatches is how many batches a serial join's stages pass between
-	// them: one being filled, one being verified, and slack for the stage
-	// that runs ahead.
-	pipeBatches = 4
+	// them, however many goroutines look up, and pipeBatchSize the most
+	// tasks each holds: 64 KiB of tasks in all. A segment ships at least one
+	// batch, however few tasks it has — most have a few hundred on the
+	// benchmark corpora — so it is the number of batches, not their size,
+	// that bounds how far the lookup goroutines run ahead of the verify
+	// stage. Four batches of 1 024 kept them waiting for a free one about
+	// 27 ms of a 120 ms join, sixteen of 256 about 5 ms (block profile of
+	// BenchmarkSelfJoinSerial on Author 100k at -cpu 2).
+	pipeBatches   = 16
+	pipeBatchSize = 4 * taskBatchSize / pipeBatches
 )
 
 // newBlockJoin arms p for a join over the corpus it probes, off its offsets.
 // The caller sets p.emit (and tick, if it wants one).
 func newBlockJoin(p *prober, off []int, self bool) *blockJoin {
 	j := &blockJoin{p: p, off: off, self: self}
-	if !self {
-		j.sigs = make([]uint64, blockChunk)
-	}
 	p.join = j
 	return j
+}
+
+// newLookupStage returns a lookup stage of j that ships through sc, in
+// place w of sc.held, or — sc nil — to j's verify stage.
+func (j *blockJoin) newLookupStage(sc *scan, w int) *lookupStage {
+	k := &lookupStage{j: j, sc: sc, w: w, sigsAt: -1}
+	if !j.self {
+		k.sigs = make([]uint64, blockChunk)
+	}
+	if sc == nil {
+		k.out = &taskBatch{tasks: make([]task, 0, min(taskBatchSize, max(len(j.p.ref), 1)))}
+		k.cnt = j.p.st
+	} else if j.p.st != nil {
+		k.cnt = &k.st
+	}
+	return k
 }
 
 // cur returns the position of the string in hand in its sorted side: what
@@ -148,239 +186,162 @@ func (j *blockJoin) key(rid int32) uint64 {
 	return uint64(j.id+1)<<32 | uint64(uint32(rid))
 }
 
+// window returns the lengths [lo, hi] of the groups that probing strings of
+// length L look up: those at least τ+1 long (FirstIndexed) in [L−τ, L] for a
+// self join, and in [L−τ, L+τ] for an R≠S one, cut at the longest indexed
+// string.
+func (j *blockJoin) window(L int) (lo, hi int) {
+	tau := j.p.tau
+	lo, hi = max(L-tau, index.FirstIndexed(j.off, tau)), L
+	if !j.self {
+		// L+tau wraps at thresholds near math.MaxInt.
+		hi = min(L+min(tau, len(j.off)), len(j.off)-2)
+	}
+	return lo, hi
+}
+
+// groupFrom returns the least length in [l, hi] with strings indexed, or −1
+// if there is none.
+func (j *blockJoin) groupFrom(l, hi int) int {
+	for ; l <= hi; l++ {
+		if j.off[l+1] > j.off[l] {
+			return l
+		}
+	}
+	return -1
+}
+
 // probeBlock finds, for every string of strs — one chunk, beginning at
 // position base of its side — the indexed strings within tau of it, and
 // reports each to p.emit with cur set, running both stages on the calling
 // goroutine. It reports false when the join is to stop: emit or tick said
 // so.
 func (j *blockJoin) probeBlock(strs []string, base int) bool {
-	if j.out == nil {
-		j.out = &taskBatch{tasks: make([]task, 0, min(taskBatchSize, max(len(j.p.ref), 1)))}
-		j.cnt = j.p.st
+	if j.look == nil {
+		j.look = j.newLookupStage(nil, 0)
 	}
+	k := j.look
 	j.strs, j.base = strs, base
-	return j.lookup(strs, base) && j.ship()
-}
-
-// pipe runs a serial join's scan — the chunks of side, the probing strings
-// sorted by length, each after slide has moved the index's window to the
-// chunk's length — with the lookup stage on a goroutine of its own and the
-// verify stage, emit included, on the caller's. The stages pass batches of
-// tasks through a queue, full ones forward and verified ones back, so its
-// pipeBatches batches are all the scan allocates for it. A batch carries the
-// lookup stage's counts, which go to the join's stats when the verify stage
-// takes it: a join stopped at its k-th pair has counted the same, whichever
-// stage ran ahead.
-//
-// A cancelled ctx stops the lookup stage at its next tick, and the verify
-// stage before the next batch it takes; the scan then returns ctx.Err(),
-// unless emit had stopped it. It returns once the lookup stage is gone —
-// when emit stops the join or panics too — and reports a panic of that stage
-// as an error.
-func (j *blockJoin) pipe(ctx context.Context, side []string, chunks []span, slide func(l int)) (err error) {
-	p := j.p
-	q := newQueue(p.ref, ctx.Done())
-	j.q, j.tick = q, q.open
-	j.take(<-q.free)
-	j.strs, j.base = side, 0
-	go func() {
-		defer close(q.full)
-		defer func() {
-			if v := recover(); v != nil {
-				q.err = fmt.Errorf("core: join lookup panic: %v", v)
-			}
-		}()
-		for _, c := range chunks {
-			slide(len(side[c.lo]))
-			if !j.lookup(side[c.lo:c.hi], c.lo) {
-				return
-			}
-		}
-		q.full <- j.out
-	}()
-	defer func() {
-		close(q.done)
-		for range q.full {
-		}
-		if err == nil {
-			err = q.err
-		}
-	}()
-	for b := range q.full {
-		if ctx.Err() != nil {
-			break
-		}
-		p.st.Add(&b.st)
-		b.st = metrics.Stats{}
-		ok := j.verify(b.tasks)
-		b.tasks = b.tasks[:0]
-		q.free <- b
-		if !ok {
-			break
-		}
-	}
-	if p.stopped {
-		return nil
-	}
-	return ctx.Err()
-}
-
-// queue is what the two stages of a serial join share: its batches, in free
-// (the lookup stage's to fill) or in full (the verify stage's to verify),
-// done, closed when the verify stage is through, and cancel, the join's
-// ctx.Done() (nil when the ctx cannot be cancelled). Neither channel of
-// batches ever blocks a send, since each can hold every batch.
-type queue struct {
-	free, full chan *taskBatch
-	done       chan struct{}
-	cancel     <-chan struct{}
-	err        error // a panic of the lookup stage; read once full is closed
-}
-
-// newQueue returns the queue of a serial join over the corpus ref, its
-// batches in free, run under a ctx whose Done channel is cancel.
-func newQueue(ref []string, cancel <-chan struct{}) *queue {
-	q := &queue{
-		free:   make(chan *taskBatch, pipeBatches),
-		full:   make(chan *taskBatch, pipeBatches),
-		done:   make(chan struct{}),
-		cancel: cancel,
-	}
-	n := min(taskBatchSize, max(len(ref), 1))
-	bs, ts := make([]taskBatch, pipeBatches), make([]task, pipeBatches*n)
-	for k := range bs {
-		bs[k].tasks = ts[k*n : k*n : (k+1)*n]
-		q.free <- &bs[k]
-	}
-	return q
-}
-
-// open is a serial join's tick: it reports whether the verify stage is
-// still there and the join's ctx is live. A ctx that cannot be cancelled
-// costs it a nil compare.
-func (q *queue) open() bool {
-	select {
-	case <-q.done:
-		return false
-	default:
-	}
-	if q.cancel != nil {
-		select {
-		case <-q.cancel:
+	lo, hi := j.window(len(strs[0]))
+	for l := lo; l <= hi; l++ {
+		if !k.lookup(strs, base, l) {
 			return false
-		default:
 		}
 	}
+	return k.push(task{id: int32(base), rid: int32(base + len(strs))}) && k.ship(false)
+}
+
+// ship hands the batch being filled on to the verify stage — at once when
+// the stages share a goroutine, through sc when they do not, with end saying
+// whether it is the last of its segment; the stage then takes its next batch
+// from sc once it needs one. It reports false when the join is to stop.
+func (k *lookupStage) ship(end bool) bool {
+	if k.sc == nil {
+		ok := k.j.verify(k.out.tasks)
+		k.out.tasks = k.out.tasks[:0]
+		return ok
+	}
+	if k.out == nil && !k.fetch() {
+		return false
+	}
+	b := k.out
+	k.out = nil
+	b.seq, b.end, b.st = k.seq, end, k.st
+	k.st = metrics.Stats{}
+	k.sc.full <- b
 	return true
 }
 
-// take makes b the batch the lookup stage fills.
-func (j *blockJoin) take(b *taskBatch) {
-	j.out = b
-	if j.p.st != nil {
-		j.cnt = &b.st
-	}
-}
-
-// ship hands the full batch on to the verify stage and leaves an empty one
-// in its place — through the queue when the stages run on two goroutines,
-// by verifying it at once when they share one. It reports false when the
-// join is to stop.
-func (j *blockJoin) ship() bool {
-	q := j.q
-	if q == nil {
-		ok := j.verify(j.out.tasks)
-		j.out.tasks = j.out.tasks[:0]
-		return ok
-	}
-	q.full <- j.out
-	select {
-	case b := <-q.free:
-		j.take(b)
-		return true
-	case <-q.done:
-		return false
-	}
+// fetch takes the next batch to fill from sc; it reports false when the join
+// is to stop.
+func (k *lookupStage) fetch() bool {
+	k.out = k.sc.take(k.seq)
+	return k.out != nil
 }
 
 // push adds t to the batch being filled, shipping the batch if that fills
 // it; it reports false when the join is to stop.
-func (j *blockJoin) push(t task) bool {
-	b := j.out
+func (k *lookupStage) push(t task) bool {
+	if k.out == nil && !k.fetch() {
+		return false
+	}
+	b := k.out
 	b.tasks = append(b.tasks, t)
-	return len(b.tasks) < cap(b.tasks) || j.ship()
+	return len(b.tasks) < cap(b.tasks) || k.ship(false)
 }
 
-// lookup is the lookup stage for one chunk: strs, beginning at position base
-// of its side. It resolves every list the chunk's strings select and pushes
-// the candidates on them that the signature filter lets through, then the
-// task that ends the chunk. It reports false when the join is to stop.
+// sigsOf returns the signatures of strs, the chunk at position base of its
+// side.
+func (k *lookupStage) sigsOf(strs []string, base int) []uint64 {
+	if k.j.self {
+		return k.j.p.sig[base : base+len(strs)]
+	}
+	sigs := k.sigs[:len(strs)]
+	if k.sigsAt != base {
+		verify.Sigs(sigs, strs)
+		k.sigsAt = base
+	}
+	return sigs
+}
+
+// lookup is the lookup stage for one chunk — strs, beginning at position
+// base of its side — against the group of length l: it resolves every list
+// the chunk's strings select there and pushes the candidates on them that
+// the signature filter lets through. It reports false when the join is to
+// stop. The task that ends the chunk is its caller's to push, once the
+// chunk's last group is through.
 //
-// Each string meets its lists in Algorithm 1's order, (l, i, pos) ascending,
-// exactly as if it had been probed alone, so what is verified, rejected and
-// found — every counter of metrics.Stats — is what string-at-a-time probing
-// gives. For a self join that includes the two rules of a scan that indexes
-// each string after probing it, whether the index holds the whole corpus or
-// a window of bulk-built groups: the first string of a length does not probe
+// Run over a chunk's groups by ascending length, it meets each string's
+// lists in Algorithm 1's order, (l, i, pos) ascending, exactly as if the
+// string had been probed alone, so what is verified, rejected and found —
+// every counter of metrics.Stats — is what string-at-a-time probing gives.
+// For a self join that includes the two rules of a scan that indexes each
+// string after probing it, whether the index holds the whole corpus or a
+// window of bulk-built groups: the first string of a length does not probe
 // its own length's group, which such a scan has not created yet, and a list
 // is cut at the string's own id — a list that begins at or past it is no
 // lookup hit.
-func (j *blockJoin) lookup(strs []string, base int) bool {
-	p := j.p
+func (k *lookupStage) lookup(strs []string, base, l int) bool {
+	j, p := k.j, k.j.p
+	g := p.fz.Group(l)
+	if g == nil {
+		return true
+	}
 	n, L, tau := len(strs), len(strs[0]), p.tau
-	var sigs []uint64
-	if j.self {
-		sigs = p.sig[base : base+n]
-	} else {
-		sigs = j.sigs[:n]
-		verify.Sigs(sigs, strs)
+	sigs := k.sigsOf(strs, base)
+	own := j.self && l == L
+	first := 0
+	if own && base == j.off[L] {
+		first = 1
 	}
-
-	lmax := L
-	if !j.self {
-		// L+tau, which wraps at thresholds near math.MaxInt, or the longest
-		// indexed string if that is shorter.
-		lmax = min(L+min(tau, len(j.off)), len(j.off)-2)
-	}
-	for l := max(L-tau, index.FirstIndexed(j.off, tau)); l <= lmax; l++ {
-		g := p.fz.Group(l)
-		if g == nil {
-			continue
-		}
-		own := j.self && l == L
-		first := 0
-		if own && base == j.off[L] {
-			first = 1
-		}
-		for i := 1; i <= tau+1; i++ {
-			pi, li := g.Seg(i)
-			lo, hi := p.sel.WindowQ(L, l, tau, tau+1, i, pi, li)
-			for pos := lo; pos <= hi; pos++ {
-				for b := first; b < n; b += index.BlockBatchSize {
-					batch := strs[b:min(b+index.BlockBatchSize, n)]
-					if c := j.cnt; c != nil {
-						c.SelectedSubstrings += int64(len(batch))
-						c.Lookups += int64(len(batch))
+	for i := 1; i <= tau+1; i++ {
+		pi, li := g.Seg(i)
+		lo, hi := p.sel.WindowQ(L, l, tau, tau+1, i, pi, li)
+		for pos := lo; pos <= hi; pos++ {
+			for b := first; b < n; b += index.BlockBatchSize {
+				batch := strs[b:min(b+index.BlockBatchSize, n)]
+				if c := k.cnt; c != nil {
+					c.SelectedSubstrings += int64(len(batch))
+					c.Lookups += int64(len(batch))
+				}
+				k.res.Resolve(g, i, pos, batch)
+				for _, h := range k.res.Hits() {
+					lst := k.res.List(h)
+					at := b + int(h)
+					if own {
+						lst = below(lst, int32(base+at))
 					}
-					j.res.Resolve(g, i, pos, batch)
-					for _, h := range j.res.Hits() {
-						lst := j.res.List(h)
-						k := b + int(h)
-						if own {
-							lst = below(lst, int32(base+k))
-						}
-						if len(lst) > 0 && !j.filter(lst, sigs[k], int32(base+k), int32(i), int32(pos)) {
-							return false
-						}
-					}
-					if j.tick != nil && !j.tick() {
+					if len(lst) > 0 && !k.filter(lst, sigs[at], int32(base+at), int32(i), int32(pos)) {
 						return false
 					}
+				}
+				if j.tick != nil && !j.tick() {
+					return false
 				}
 			}
 		}
 	}
-	return j.push(task{id: int32(base), rid: int32(base + n)})
+	return true
 }
 
 // filter counts lst, a list the probing string at position id found with its
@@ -388,21 +349,22 @@ func (j *blockJoin) lookup(strs []string, base int) bool {
 // tasks the candidates on it whose signatures are within 2τ of the string's,
 // qsig (verify.SigDist, which one edit moves by at most two). It reports
 // false when the join is to stop.
-func (j *blockJoin) filter(lst []int32, qsig uint64, id, slot, pos int32) bool {
-	if c := j.cnt; c != nil {
+func (k *lookupStage) filter(lst []int32, qsig uint64, id, slot, pos int32) bool {
+	if c := k.cnt; c != nil {
 		c.LookupHits++
 		c.Candidates += int64(len(lst))
 	}
-	sig, bound := j.p.sig, 2*j.p.tau
+	p := k.j.p
+	sig, bound := p.sig, 2*p.tau
 	at := -slot
 	for _, rid := range lst {
 		if verify.SigDist(sig[rid], qsig) > bound {
-			if c := j.cnt; c != nil {
+			if c := k.cnt; c != nil {
 				c.SigRejects++
 			}
 			continue
 		}
-		if !j.push(task{id: id, rid: rid, slot: at, pos: pos}) {
+		if !k.push(task{id: id, rid: rid, slot: at, pos: pos}) {
 			return false
 		}
 		at = slot

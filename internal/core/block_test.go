@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"passjoin/internal/bruteforce"
+	"passjoin/internal/dataset"
 	"passjoin/internal/index"
 	"passjoin/internal/metrics"
 	"passjoin/internal/selection"
@@ -216,8 +217,16 @@ func mutateSub(rng *rand.Rand, s string, k int) string {
 // join counts k results, and no goroutine is left behind, in all four
 // joins. An emit that panics at the k-th pair hands its panic to the caller
 // of a serial join, which leaves no goroutine behind either, and the next
-// join of the corpus finds every pair.
+// join of the corpus finds every pair. The serial joins run at GOMAXPROCS 1
+// and 4: one lookup goroutine, and four.
 func TestEarlyStopMidBatch(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		withProcs(procs, func() { checkEarlyStop(t) })
+	}
+}
+
+func checkEarlyStop(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
 	rng := rand.New(rand.NewSource(25))
 	var strs []string
 	for k := 0; k < 300; k++ {
@@ -256,10 +265,10 @@ func TestEarlyStopMidBatch(t *testing.T) {
 				n := 0
 				err := join(Options{Tau: 2, Verification: vk, Stats: &st, Parallel: 2}, func(Pair) bool { n++; return n < k })
 				if err != nil {
-					t.Fatalf("%s %v k=%d: %v", name, vk, k, err)
+					t.Fatalf("GOMAXPROCS=%d %s %v k=%d: %v", procs, name, vk, k, err)
 				}
 				if n != k || st.Results != int64(k) {
-					t.Fatalf("%s %v k=%d: %d pairs delivered, Results %d", name, vk, k, n, st.Results)
+					t.Fatalf("GOMAXPROCS=%d %s %v k=%d: %d pairs delivered, Results %d", procs, name, vk, k, n, st.Results)
 				}
 				want, ok := serial[name]
 				if !ok {
@@ -276,16 +285,63 @@ func TestEarlyStopMidBatch(t *testing.T) {
 					})
 				})
 				if v != "emit bails" || n != k {
-					t.Fatalf("%s %v k=%d: recovered %v after %d pairs, want the emit's panic at pair %d", name, vk, k, v, n, k)
+					t.Fatalf("GOMAXPROCS=%d %s %v k=%d: recovered %v after %d pairs, want the emit's panic at pair %d", procs, name, vk, k, v, n, k)
 				}
 				got, err := collect(func(emit func(Pair) bool) error { return join(opt, emit) })
 				if err != nil || !slices.Equal(got, want) {
-					t.Fatalf("%s %v k=%d: after the panic the join finds %d pairs (err %v), brute force %d", name, vk, k, len(got), err, len(want))
+					t.Fatalf("GOMAXPROCS=%d %s %v k=%d: after the panic the join finds %d pairs (err %v), brute force %d", procs, name, vk, k, len(got), err, len(want))
 				}
 			}
 		}
 	}
 	waitGoroutines(t, before)
+}
+
+// TestEarlyStopStatsAcrossProcs: a default join stopped at its k-th pair has
+// counted the same work at GOMAXPROCS 1 and 4 — the lookups that filled the
+// batches its verify stage took, however far its lookup goroutines ran
+// ahead — self and R≠S, under an extension and a whole-string verifier. The
+// window's footprint (IndexBytes, IndexEntries, PeakLiveGroups) is not work:
+// it is the peak over the slides the lookups had reached, which depends on
+// how far ahead they ran, and is not compared.
+func TestEarlyStopStatsAcrossProcs(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	strs := dataset.Author(4000, 5)
+	for k := 0; k < 300; k++ {
+		strs = append(strs, mutateSub(rng, "kaushik chakrabarti", rng.Intn(3)))
+	}
+	var rset []string
+	for k := 0; k < len(strs); k += 3 {
+		rset = append(rset, strs[k])
+	}
+	joins := map[string]func(opt Options, emit func(Pair) bool) error{
+		"SelfJoinEach": func(opt Options, emit func(Pair) bool) error {
+			return SelfJoinEach(context.Background(), strs, opt, emit)
+		},
+		"JoinEach": func(opt Options, emit func(Pair) bool) error {
+			return JoinEach(context.Background(), rset, strs, opt, emit)
+		},
+	}
+	for name, join := range joins {
+		for _, vk := range []VerifyKind{VerifyExtensionShared, VerifyMyers} {
+			for _, k := range []int{1, 7, 100, 1000} {
+				var at [2]metrics.Stats
+				for w, procs := range []int{1, 4} {
+					n := 0
+					var err error
+					withProcs(procs, func() {
+						err = join(Options{Tau: 2, Verification: vk, Stats: &at[w]}, func(Pair) bool { n++; return n < k })
+					})
+					if err != nil || n != k {
+						t.Fatalf("%s %v k=%d GOMAXPROCS=%d: %d pairs delivered (err %v)", name, vk, k, procs, n, err)
+					}
+				}
+				if workOnly(at[0]) != workOnly(at[1]) {
+					t.Errorf("%s %v k=%d: stats differ\n GOMAXPROCS=1 %+v\n GOMAXPROCS=4 %+v", name, vk, k, at[0], at[1])
+				}
+			}
+		}
+	}
 }
 
 // serialOpt is opt for the sequential windowed scan, whatever parallelism
@@ -302,6 +358,12 @@ func panicked(f func()) (v any) {
 	return nil
 }
 
+// withProcs runs f at GOMAXPROCS n, and then restores GOMAXPROCS.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // waitGoroutines fails t unless the goroutines are back to before within a
 // second: whatever the joins started has exited.
 func waitGoroutines(t *testing.T, before int) {
@@ -315,32 +377,43 @@ func waitGoroutines(t *testing.T, before int) {
 }
 
 // TestLookupPanicSurfacesAsError: a panic in a serial join's lookup stage —
-// here in the window's slide, at the corpus's second length — comes back from
+// in the window's slide, at the corpus's second length, or in a lookup
+// goroutine's own work, here a signature table cut short — comes back from
 // the scan as an error, as a stream worker's does, and leaves no goroutine
-// behind.
+// behind, at GOMAXPROCS 1 and 4.
 func TestLookupPanicSurfacesAsError(t *testing.T) {
 	ref, _, off, sig, err := sortRecs([]string{"abcd", "abce", "abcde", "abcdf"}, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	win, err := index.NewWindow(ref, off, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newProber(1, selection.MultiMatch, VerifyExtensionShared, nil, nil, win.Frozen(), ref, sig)
-	j := newBlockJoin(p, off, true)
-	p.emit = func(int32, int32) bool { return true }
-	before := runtime.NumGoroutine()
-	err = j.pipe(context.Background(), ref, chunksOf(off), func(l int) {
-		if l == 5 {
-			panic("slide blew up")
+	for _, procs := range []int{1, 4} {
+		for _, where := range []string{"slide", "lookup"} {
+			win, err := index.NewWindow(ref, off, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := newProber(1, selection.MultiMatch, VerifyExtensionShared, nil, nil, win.Frozen(), ref, sig)
+			want := "slide blew up"
+			if where == "lookup" {
+				p.sig, want = sig[:2], "out of range"
+			}
+			j := newBlockJoin(p, off, true)
+			p.emit = func(int32, int32) bool { return true }
+			before := runtime.NumGoroutine()
+			withProcs(procs, func() {
+				err = j.pipe(context.Background(), ref, chunksOf(off), func(l int) {
+					if where == "slide" && l == 5 {
+						panic("slide blew up")
+					}
+					win.Slide(l-1, l)
+				})
+			})
+			if err == nil || !strings.Contains(err.Error(), "join lookup panic") || !strings.Contains(err.Error(), want) {
+				t.Fatalf("GOMAXPROCS=%d %s: err = %v, want the lookup stage's panic", procs, where, err)
+			}
+			waitGoroutines(t, before)
 		}
-		win.Slide(l-1, l)
-	})
-	if err == nil || !strings.Contains(err.Error(), "slide blew up") {
-		t.Fatalf("err = %v, want the lookup stage's panic", err)
 	}
-	waitGoroutines(t, before)
 }
 
 // TestTickStopsWithinABatch: a join worker looks up between batches — a tick
@@ -384,26 +457,32 @@ func TestTickStopsWithinABatch(t *testing.T) {
 // TestCancelMidChunk: a context cancelled while a worker is inside a chunk
 // stops the join there, not at the chunk's end: the one chunk of this corpus
 // is never counted as scanned. (The worker has a few thousand batches to go
-// when the first pair reaches the consumer.)
+// when the first pair reaches the consumer.) Both modes run at GOMAXPROCS 1
+// and 4.
 func TestCancelMidChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	strs := make([]string, 0, blockChunk)
 	for len(strs) < cap(strs) {
 		strs = append(strs, mutateSub(rng, strings.Repeat("abcab", 12), 6))
 	}
-	for _, workers := range []int{1, 2} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var st metrics.Stats
-		err := SelfJoinEach(ctx, strs, Options{Tau: 8, Stats: &st, Parallel: workers}, func(Pair) bool {
+	for _, procs := range []int{1, 4} {
+		for _, workers := range []int{1, 2} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var st metrics.Stats
+			var err error
+			withProcs(procs, func() {
+				err = SelfJoinEach(ctx, strs, Options{Tau: 8, Stats: &st, Parallel: workers}, func(Pair) bool {
+					cancel()
+					return true
+				})
+			})
 			cancel()
-			return true
-		})
-		cancel()
-		if err != context.Canceled {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if st.Strings != 0 || st.Lookups == 0 {
-			t.Fatalf("workers=%d: %d strings scanned after %d lookups; the chunk should have been abandoned", workers, st.Strings, st.Lookups)
+			if err != context.Canceled {
+				t.Fatalf("GOMAXPROCS=%d workers=%d: err = %v, want context.Canceled", procs, workers, err)
+			}
+			if st.Strings != 0 || st.Lookups == 0 {
+				t.Fatalf("GOMAXPROCS=%d workers=%d: %d strings scanned after %d lookups; the chunk should have been abandoned", procs, workers, st.Strings, st.Lookups)
+			}
 		}
 	}
 }
@@ -412,7 +491,7 @@ func TestCancelMidChunk(t *testing.T) {
 // cancelled ctx at its next tick, not only once the verify stage takes a
 // batch — in this join of random strings no candidate survives to fill
 // one, so it would otherwise slide through every length — and the scan
-// returns ctx.Err() with no goroutine left behind.
+// returns ctx.Err() with no goroutine left behind, at GOMAXPROCS 1 and 4.
 func TestCancelStopsLookupStage(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	var strs []string
@@ -429,25 +508,29 @@ func TestCancelStopsLookupStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win, err := index.NewWindow(ref, off, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newProber(1, selection.MultiMatch, VerifyExtensionShared, nil, nil, win.Frozen(), ref, sig)
-	j := newBlockJoin(p, off, true)
-	p.emit = func(int32, int32) bool { return true }
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	before := runtime.NumGoroutine()
-	slides := 0
-	err = j.pipe(ctx, ref, chunksOf(off), func(l int) {
-		if slides++; slides == 2 {
-			cancel()
+	for _, procs := range []int{1, 4} {
+		win, err := index.NewWindow(ref, off, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		win.Slide(l-1, l)
-	})
-	if err != context.Canceled || slides != 2 {
-		t.Fatalf("err = %v after %d slides; want context.Canceled after 2", err, slides)
+		p := newProber(1, selection.MultiMatch, VerifyExtensionShared, nil, nil, win.Frozen(), ref, sig)
+		j := newBlockJoin(p, off, true)
+		p.emit = func(int32, int32) bool { return true }
+		ctx, cancel := context.WithCancel(context.Background())
+		before := runtime.NumGoroutine()
+		slides := 0
+		withProcs(procs, func() {
+			err = j.pipe(ctx, ref, chunksOf(off), func(l int) {
+				if slides++; slides == 2 {
+					cancel()
+				}
+				win.Slide(l-1, l)
+			})
+		})
+		cancel()
+		if err != context.Canceled || slides != 2 {
+			t.Fatalf("GOMAXPROCS=%d: err = %v after %d slides; want context.Canceled after 2", procs, err, slides)
+		}
+		waitGoroutines(t, before)
 	}
-	waitGoroutines(t, before)
 }

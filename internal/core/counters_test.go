@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/fnv"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -21,8 +22,10 @@ import (
 // never noise. One default-options self join per regime — long strings
 // (titles, tau 8) and short ones (author names, tau 2) — serial and with two
 // workers, which probe the same index under the same two counting rules
-// (blockJoin.lookup) and so must report the same work. A change that means to move
-// a counter updates its row here and says why.
+// (lookupStage.lookup) and so must report the same work — the serial join at
+// GOMAXPROCS 1 to 4, which splits its lookups over one goroutine at 1 and
+// two (maxLookups) above. A
+// change that means to move a counter updates its row here and says why.
 func TestWorkCountersPinned(t *testing.T) {
 	type counters struct {
 		SelectedSubstrings, Lookups, LookupHits                                         int64
@@ -38,15 +41,17 @@ func TestWorkCountersPinned(t *testing.T) {
 		{"Author(5000,1) tau=2", dataset.Author(5000, 1), 2, counters{59755, 59755, 7903, 13882, 12080, 1279, 20392, 490, 185, 785}},
 	}
 	for _, c := range cases {
-		for _, parallel := range []int{0, 2} {
+		for _, mode := range []struct{ parallel, procs int }{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {2, runtime.GOMAXPROCS(0)}} {
 			var st metrics.Stats
-			if _, err := SelfJoin(c.corpus, Options{Tau: c.tau, Stats: &st, Parallel: parallel}); err != nil {
+			var err error
+			withProcs(mode.procs, func() { _, err = SelfJoin(c.corpus, Options{Tau: c.tau, Stats: &st, Parallel: mode.parallel}) })
+			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			got := counters{st.SelectedSubstrings, st.Lookups, st.LookupHits,
 				st.Candidates, st.SigRejects, st.Verifications, st.DPCells, st.EarlyTerms, st.SharedRows, st.Results}
 			if got != c.want {
-				t.Errorf("%s Parallel=%d:\n got %+v\nwant %+v", c.name, parallel, got, c.want)
+				t.Errorf("%s Parallel=%d GOMAXPROCS=%d:\n got %+v\nwant %+v", c.name, mode.parallel, mode.procs, got, c.want)
 			}
 		}
 		// The one counter with a ground truth outside this package.
@@ -61,7 +66,9 @@ func TestWorkCountersPinned(t *testing.T) {
 // and, within a length, in the order the scan meets them. The values are
 // FNV-64a hashes of the (R, S) sequence, little-endian, from the commit
 // before the scan's lookups and verifications ran on two goroutines: an R≠S
-// join probes the first quarter of the corpus against all of it.
+// join probes the first quarter of the corpus against all of it. The
+// sequence is the same at every GOMAXPROCS, however many goroutines share
+// the lookups; it is checked at 1 to 4.
 func TestSerialEmitOrder(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -77,26 +84,30 @@ func TestSerialEmitOrder(t *testing.T) {
 			byVerifier(0x4a2537ce031accab, 0xe0598c32f6a7f987)},
 	}
 	for _, c := range cases {
-		for _, vk := range VerifyKinds {
-			h := fnv.New64a()
-			emit := func(p Pair) bool {
-				h.Write(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(p.R)), uint32(p.S)))
-				return true
-			}
-			opt := Options{Tau: c.tau, Verification: vk}
-			if err := SelfJoinEach(context.Background(), c.corpus, opt, emit); err != nil {
-				t.Fatal(err)
-			}
-			if got := h.Sum64(); got != c.self[vk] {
-				t.Errorf("%s %v SelfJoinEach: sequence hash %#x, want %#x", c.name, vk, got, c.self[vk])
-			}
-			h.Reset()
-			if err := JoinEach(context.Background(), c.corpus[:len(c.corpus)/4], c.corpus, opt, emit); err != nil {
-				t.Fatal(err)
-			}
-			if got := h.Sum64(); got != c.rset[vk] {
-				t.Errorf("%s %v JoinEach: sequence hash %#x, want %#x", c.name, vk, got, c.rset[vk])
-			}
+		for procs := 1; procs <= 4; procs++ {
+			withProcs(procs, func() {
+				for _, vk := range VerifyKinds {
+					h := fnv.New64a()
+					emit := func(p Pair) bool {
+						h.Write(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(p.R)), uint32(p.S)))
+						return true
+					}
+					opt := Options{Tau: c.tau, Verification: vk}
+					if err := SelfJoinEach(context.Background(), c.corpus, opt, emit); err != nil {
+						t.Fatal(err)
+					}
+					if got := h.Sum64(); got != c.self[vk] {
+						t.Errorf("%s %v GOMAXPROCS=%d SelfJoinEach: sequence hash %#x, want %#x", c.name, vk, procs, got, c.self[vk])
+					}
+					h.Reset()
+					if err := JoinEach(context.Background(), c.corpus[:len(c.corpus)/4], c.corpus, opt, emit); err != nil {
+						t.Fatal(err)
+					}
+					if got := h.Sum64(); got != c.rset[vk] {
+						t.Errorf("%s %v GOMAXPROCS=%d JoinEach: sequence hash %#x, want %#x", c.name, vk, procs, got, c.rset[vk])
+					}
+				}
+			})
 		}
 	}
 }

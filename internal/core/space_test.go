@@ -10,25 +10,30 @@ import (
 
 // §3.2's space bound: during a sequential self join the sliding window
 // keeps groups for at most τ+1 lengths live — i.e. at most (τ+1)² inverted
-// indices.
+// indices — however many goroutines share its lookups (GOMAXPROCS 1 to 4).
 func TestSelfJoinLiveGroupBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	var strs []string
 	for i := 0; i < 400; i++ {
 		strs = append(strs, randStr(rng, 5+rng.Intn(40), 4))
 	}
-	for tau := 0; tau <= 4; tau++ {
-		st := &metrics.Stats{}
-		if _, err := SelfJoin(strs, Options{Tau: tau, Stats: st}); err != nil {
-			t.Fatal(err)
-		}
-		if st.PeakLiveGroups > int64(tau+1) {
-			t.Errorf("tau=%d: %d live groups, bound %d", tau, st.PeakLiveGroups, tau+1)
+	for procs := 1; procs <= 4; procs++ {
+		for tau := 0; tau <= 4; tau++ {
+			st := &metrics.Stats{}
+			var err error
+			withProcs(procs, func() { _, err = SelfJoin(strs, Options{Tau: tau, Stats: st}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.PeakLiveGroups > int64(tau+1) {
+				t.Errorf("GOMAXPROCS=%d tau=%d: %d live groups, bound %d", procs, tau, st.PeakLiveGroups, tau+1)
+			}
 		}
 	}
 }
 
-// The R≠S scan keeps lengths in [|r|−τ, |r|+τ]: at most 2τ+1 live groups.
+// The R≠S scan keeps lengths in [|r|−τ, |r|+τ]: at most 2τ+1 live groups, at
+// GOMAXPROCS 1 to 4.
 func TestJoinLiveGroupBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	var rset, sset []string
@@ -36,13 +41,17 @@ func TestJoinLiveGroupBound(t *testing.T) {
 		rset = append(rset, randStr(rng, 5+rng.Intn(40), 4))
 		sset = append(sset, randStr(rng, 5+rng.Intn(40), 4))
 	}
-	for tau := 0; tau <= 4; tau++ {
-		st := &metrics.Stats{}
-		if _, err := Join(rset, sset, Options{Tau: tau, Stats: st}); err != nil {
-			t.Fatal(err)
-		}
-		if st.PeakLiveGroups > int64(2*tau+1) {
-			t.Errorf("tau=%d: %d live groups, bound %d", tau, st.PeakLiveGroups, 2*tau+1)
+	for procs := 1; procs <= 4; procs++ {
+		for tau := 0; tau <= 4; tau++ {
+			st := &metrics.Stats{}
+			var err error
+			withProcs(procs, func() { _, err = Join(rset, sset, Options{Tau: tau, Stats: st}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.PeakLiveGroups > int64(2*tau+1) {
+				t.Errorf("GOMAXPROCS=%d tau=%d: %d live groups, bound %d", procs, tau, st.PeakLiveGroups, 2*tau+1)
+			}
 		}
 	}
 }

@@ -38,10 +38,11 @@ type joinPlan struct {
 // its pairs to emit, and records the whole-join figures — the pairs
 // delivered, the strings too short to partition, the index — in opt.Stats.
 //
-// At most one worker, it is the sequential scan of §3.2: a window of
+// At Parallel ≤ 1 it is the sequential scan of §3.2: a window of
 // length groups, bulk-built as the scan reaches them (index.Window), probed
-// by the two stages of blockJoin.pipe on two goroutines, which take turns at
-// GOMAXPROCS=1. More, and the whole indexed side is
+// by the two stages of blockJoin.pipe — the lookups on up to two goroutines
+// (maxLookups), a chunk against one group at a time, the verification on the
+// caller's, in the scan's order. More, and the whole indexed side is
 // known before any probe starts, so it is bulk-built once, by that many
 // workers, into the immutable CSR arena every one of them then probes
 // (streamEngine): full index residency instead of the window's O((τ+1)²)

@@ -330,7 +330,12 @@ func (l *freeList[T]) smallest(n int) int {
 // window's free lists, where the groups built after it find them, and the
 // group itself is emptied — a pointer to it kept past the Slide that
 // released it answers nothing, and never reads a successor's arrays.
-// Single-goroutine state.
+//
+// One goroutine at a time may call Slide, and while it does, other
+// goroutines may read through Frozen the groups that it neither releases nor
+// builds: those already built that stay inside [lo, hi]. The caller orders
+// the two: a group is read only after the Slide that built it has returned,
+// and released only once its last reader is through.
 type Window struct {
 	f    *Frozen
 	off  []int

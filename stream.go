@@ -31,10 +31,11 @@ func each(tau int, yield func(r, s int) bool, opts []Option,
 // sequential sliding-window scan: pairs arrive by non-decreasing length of
 // the longer string, in no particular order within a length (the scan
 // probes a run of equal-length strings at a time), and index memory stays
-// bounded by the (τ+1)² live length groups. The scan uses at most two
-// goroutines — its index lookups and signature filter on a helper goroutine,
-// verification and yield on the calling goroutine — and GOMAXPROCS=1 keeps it
-// on one core. With WithParallelism(n > 1) the whole corpus is indexed once
+// bounded by the (τ+1)² live length groups. Its index lookups and signature
+// filter run on two helper goroutines (one at GOMAXPROCS=1), verification and
+// yield on the calling goroutine, in the scan's order — the same pairs in the
+// same order at every GOMAXPROCS — and only GOMAXPROCS=1 keeps it on one core.
+// With WithParallelism(n > 1) the whole corpus is indexed once
 // and the probe pass fans out over n workers that feed a bounded channel:
 // pairs then arrive in no deterministic order, but yield is still invoked
 // from the calling goroutine only, so it needs no synchronization in either

@@ -3,10 +3,13 @@ package passjoin
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
+	"passjoin/internal/bruteforce"
 	"passjoin/internal/index"
 )
 
@@ -343,4 +346,98 @@ func TestStreamWithStats(t *testing.T) {
 	if st.Results != 1 || st.Strings != 3 {
 		t.Errorf("stats: %+v", st)
 	}
+}
+
+// cornerWords is the join rung's table of corner-case words for edit
+// distance: the empty string, words no longer than tau, words on either side
+// of 32 and 64 bytes — the verifiers' word sizes — non-ASCII ones, whose
+// bytes differ where their runes do not, and more strings of one length than
+// a join probes as one chunk (1 024), so that the length spans two: random
+// words and a near copy of each.
+func cornerWords() []string {
+	words := []string{"", "", "a", "b", "ab", "ba", "abc"}
+	for _, n := range []int{31, 32, 33, 63, 64, 65} {
+		w := strings.Repeat("pass-join ", 7)[:n]
+		words = append(words, w, w[:n-1]+"x", "y"+w[1:], w[1:])
+	}
+	words = append(words, "naïve", "naive", "café", "cafe", "caf", "日本語", "日本", "日本人",
+		"Straße", "Strasse", "ÅÄÖ", "AAO", "\x00\xff", "\xff\x00")
+	rng := rand.New(rand.NewSource(38))
+	for range 550 {
+		b := make([]byte, 12)
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		words = append(words, string(b))
+		for e := 1 + rng.Intn(3); e > 0; e-- {
+			b[rng.Intn(len(b))] = byte('a' + rng.Intn(26))
+		}
+		words = append(words, string(b))
+	}
+	return words
+}
+
+// TestJoinCornerWords runs cornerWords through the four join entry points —
+// self and R≠S, sorted and streamed — in the window scan at GOMAXPROCS 1 and
+// 4 and in the index-once mode, and holds each to brute force.
+func TestJoinCornerWords(t *testing.T) {
+	sset := cornerWords()
+	var rset []string
+	for k := 0; k < len(sset); k += 3 {
+		rset = append(rset, sset[k])
+	}
+	for _, tau := range []int{0, 1, 2, 3} {
+		wantSelf, wantRS := []Pair{}, []Pair{}
+		for _, p := range bruteforce.SelfJoin(sset, tau) {
+			wantSelf = append(wantSelf, Pair{int(p.R), int(p.S)})
+		}
+		for _, p := range bruteforce.Join(rset, sset, tau) {
+			wantRS = append(wantRS, Pair{int(p.R), int(p.S)})
+		}
+		sortPairs(wantSelf)
+		sortPairs(wantRS)
+		streamed := func(join func(yield func(r, s int) bool) error) ([]Pair, error) {
+			got := []Pair{}
+			err := join(func(r, s int) bool {
+				got = append(got, Pair{r, s})
+				return true
+			})
+			sortPairs(got)
+			return got, err
+		}
+		for _, mode := range []struct {
+			name  string
+			procs int
+			opts  []Option
+		}{{"window/procs=1", 1, nil}, {"window/procs=4", 4, nil}, {"parallel=2", runtime.GOMAXPROCS(0), []Option{WithParallelism(2)}}} {
+			joins := map[string]func() ([]Pair, error){
+				"SelfJoin": func() ([]Pair, error) { return SelfJoin(sset, tau, mode.opts...) },
+				"Join":     func() ([]Pair, error) { return Join(rset, sset, tau, mode.opts...) },
+				"SelfJoinEach": func() ([]Pair, error) {
+					return streamed(func(yield func(r, s int) bool) error { return SelfJoinEach(sset, tau, yield, mode.opts...) })
+				},
+				"JoinEach": func() ([]Pair, error) {
+					return streamed(func(yield func(r, s int) bool) error { return JoinEach(rset, sset, tau, yield, mode.opts...) })
+				},
+			}
+			for name, join := range joins {
+				var got []Pair
+				var err error
+				withProcs(mode.procs, func() { got, err = join() })
+				want := wantSelf
+				if !strings.HasPrefix(name, "Self") {
+					want = wantRS
+				}
+				if err != nil || !slices.Equal(got, want) {
+					t.Errorf("tau=%d %s %s: %d pairs (err %v), brute force %d", tau, mode.name, name, len(got), err, len(want))
+				}
+			}
+		}
+	}
+}
+
+// withProcs runs f at GOMAXPROCS n, and then restores GOMAXPROCS.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
 }
