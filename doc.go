@@ -61,12 +61,12 @@
 // a sliding window of length groups and delivers pairs by non-decreasing
 // length of the longer (for Join: the first set's) string, in no particular
 // order within a length — it probes a run of equal-length strings at a
-// time. Its index lookups and signature filter run on two helper
-// goroutines (one at GOMAXPROCS=1), a run of strings against one length
-// group at a time, and verification and the callback on the caller's, in
-// the scan's order; the pairs, their order and the Stats work counters are
-// the same at every GOMAXPROCS, and only GOMAXPROCS=1 keeps the scan on one
-// core. With n > 1 the whole corpus is indexed once and the probe pass fans
+// time. Those runs — lookups, signature filter and verification — go to
+// the caller's goroutine and one helper (none at GOMAXPROCS=1), and their
+// pairs to the callback on the caller's, in the scan's order: the pairs,
+// their order and the Stats are the same at every GOMAXPROCS, a join the
+// callback stops at its k-th pair having counted all of the run that held
+// it, and only GOMAXPROCS=1 keeps the scan on one core. With n > 1 the whole corpus is indexed once and the probe pass fans
 // out over n workers that feed the callback through a bounded channel with
 // backpressure; pairs then arrive in no deterministic order at all. In
 // either mode the callback runs on the calling goroutine, and a cancelled

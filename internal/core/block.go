@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"passjoin/internal/index"
-	"passjoin/internal/metrics"
 	"passjoin/internal/partition"
 	"passjoin/internal/verify"
 )
@@ -48,18 +47,17 @@ func chunksOf(off []int) []span {
 // order in which the lists are met and nothing else.
 //
 // The loop runs in two stages, cut at the signature filter. The lookup
-// stage (lookupStage) resolves the lists and filters their candidates; the
+// stage (lookup) resolves the lists and filters their candidates; the
 // verify stage (verify) deduplicates and verifies the survivors — the task
 // each survivor becomes names the pair and its alignment, nothing else — and
-// emits. The cut is there because nothing before it may cross goroutines: a
-// list aliases a table of the index, which a serial join's window clears and
-// recycles once it slides past the table's group (index.Window). The verify
-// stage reads only the corpus and the partition geometry, which outlive the
-// scan. A serial join runs the lookup stage on up to two goroutines
-// (maxLookups), a segment — one chunk against one length group — at a time,
-// and the verify
-// stage on the caller's (pipe); a stream join's worker runs both on its own,
-// a batch of tasks at a time (probeBlock).
+// emits, a batch of tasks at a time, on the same goroutine (probeBlock). A
+// task outlives the list it came from: a list aliases a table of the index,
+// which a serial join's window clears and recycles once it slides past the
+// table's group (index.Window), while the verify stage reads only the corpus
+// and the partition geometry, which outlive the scan. Every join runs whole
+// chunks on each of its workers this way: a serial join on the caller and
+// one helper, sharing the window (pipe); a stream join on its workers,
+// sharing the whole index (streamEngine).
 //
 // The prober behind it keeps verifying: a join arms it with emit, to hear of
 // every match, and with join, which sends its deduplication here (settled)
@@ -75,9 +73,19 @@ type blockJoin struct {
 	// returning false abandons the join (its consumer is gone, or its ctx
 	// cancelled).
 	tick func() bool
-	// look is the lookup stage when it shares this goroutine (probeBlock);
-	// nil until the first chunk.
-	look *lookupStage
+	// reach, when non-nil, runs before the lookups in each group of a
+	// chunk (probeBlock): a serial join's window is then still to reach the
+	// group.
+	reach func(l int) bool
+
+	// The lookup stage's state: out is the batch of tasks being filled,
+	// which goes to the verify stage when it is full and at the end of the
+	// chunk; sigs, for an R≠S join, the signatures of the chunk at position
+	// sigsAt of its side.
+	out    []task
+	sigs   []uint64
+	sigsAt int
+	res    index.BlockResolver
 
 	// The verify stage's state. strs[k] is the probing string at position
 	// base+k of its side — one chunk, or a whole side — and id the one in
@@ -89,29 +97,9 @@ type blockJoin struct {
 	// settled's keys; they are verified, string by string, once the chunk's
 	// lookups are through.
 	whole []uint64
-}
-
-// lookupStage is the state of one goroutine of a join's lookup stage. Of
-// its join it reads only what no stage writes during the join: the prober's
-// index, selection method, signatures and threshold, and off, self and tick.
-//
-// It fills out and ships it when it is full: to the join's verify stage at
-// once when the stages share a goroutine (sc is nil), through sc when they do
-// not (pipe) — and then also at the end of every segment, which it names
-// (seq), taking each batch from sc only once it has a task or a segment end
-// to ship. cnt is where the stage counts: the prober's stats when the stages
-// share a goroutine, st — which goes with the next batch shipped — when they
-// do not; nil when the join counts nothing.
-type lookupStage struct {
-	j      *blockJoin
-	out    *taskBatch
-	cnt    *metrics.Stats
-	sigs   []uint64 // of an R≠S chunk's strings, the one at position sigsAt of its side
-	sigsAt int
-	res    index.BlockResolver
-	sc     *scan
-	w, seq int // w is the stage's place in sc.held
-	st     metrics.Stats
+	// slot, for a worker of a serial join (pipe), is where the chunk in hand
+	// puts its matches.
+	slot *chunkSlot
 }
 
 // task is what crosses from a join's lookup stage to its verify stage: one
@@ -124,57 +112,27 @@ type task struct {
 	id, rid, slot, pos int32
 }
 
-// taskBatch is a batch of tasks. Between the goroutines of a serial join
-// (pipe) it names the segment whose tasks it carries (seq), says whether it
-// is that segment's last (end), and carries what the lookup stage counted
-// since the batch before.
-type taskBatch struct {
-	tasks []task
-	seq   int
-	end   bool
-	st    metrics.Stats
-}
-
+// taskBatchSize is the most tasks a stream worker verifies at a time:
+// 16 KiB, which stays in cache, and pipeBatchSize a serial join worker's
+// (pipe): 4 KiB, of which a serial join holds one per worker. A batch is no
+// larger than the indexed corpus has strings, so that a small join does not
+// pay for a large one.
 const (
-	// taskBatchSize is the most tasks a stream worker verifies at a time:
-	// 16 KiB, which stays in cache. A batch is no larger than the indexed
-	// corpus has strings, so that a small join does not pay for a large one.
 	taskBatchSize = 1024
-	// pipeBatches is how many batches a serial join's stages pass between
-	// them, however many goroutines look up, and pipeBatchSize the most
-	// tasks each holds: 64 KiB of tasks in all. A segment ships at least one
-	// batch, however few tasks it has — most have a few hundred on the
-	// benchmark corpora — so it is the number of batches, not their size,
-	// that bounds how far the lookup goroutines run ahead of the verify
-	// stage. Four batches of 1 024 kept them waiting for a free one about
-	// 27 ms of a 120 ms join, sixteen of 256 about 5 ms (block profile of
-	// BenchmarkSelfJoinSerial on Author 100k at -cpu 2).
-	pipeBatches   = 16
-	pipeBatchSize = 4 * taskBatchSize / pipeBatches
+	pipeBatchSize = 256
 )
 
-// newBlockJoin arms p for a join over the corpus it probes, off its offsets.
-// The caller sets p.emit (and tick, if it wants one).
-func newBlockJoin(p *prober, off []int, self bool) *blockJoin {
-	j := &blockJoin{p: p, off: off, self: self}
+// newBlockJoin arms p for a join over the corpus it probes, off its offsets,
+// that verifies up to batch tasks at a time. The caller sets p.emit (and
+// tick, if it wants one).
+func newBlockJoin(p *prober, off []int, self bool, batch int) *blockJoin {
+	j := &blockJoin{p: p, off: off, self: self, sigsAt: -1}
+	if !self {
+		j.sigs = make([]uint64, blockChunk)
+	}
+	j.out = make([]task, 0, min(batch, max(len(p.ref), 1)))
 	p.join = j
 	return j
-}
-
-// newLookupStage returns a lookup stage of j that ships through sc, in
-// place w of sc.held, or — sc nil — to j's verify stage.
-func (j *blockJoin) newLookupStage(sc *scan, w int) *lookupStage {
-	k := &lookupStage{j: j, sc: sc, w: w, sigsAt: -1}
-	if !j.self {
-		k.sigs = make([]uint64, blockChunk)
-	}
-	if sc == nil {
-		k.out = &taskBatch{tasks: make([]task, 0, min(taskBatchSize, max(len(j.p.ref), 1)))}
-		k.cnt = j.p.st
-	} else if j.p.st != nil {
-		k.cnt = &k.st
-	}
-	return k
 }
 
 // cur returns the position of the string in hand in its sorted side: what
@@ -184,6 +142,12 @@ func (j *blockJoin) cur() int { return j.id }
 // key names the pair (string in hand, rid); never zero.
 func (j *blockJoin) key(rid int32) uint64 {
 	return uint64(j.id+1)<<32 | uint64(uint32(rid))
+}
+
+// unkey returns the pair key names: the probing string's position in its
+// side, and the indexed string's id.
+func unkey(key uint64) (cur int, rid int32) {
+	return int(key>>32) - 1, int32(uint32(key))
 }
 
 // window returns the lengths [lo, hi] of the groups that probing strings of
@@ -213,73 +177,51 @@ func (j *blockJoin) groupFrom(l, hi int) int {
 
 // probeBlock finds, for every string of strs — one chunk, beginning at
 // position base of its side — the indexed strings within tau of it, and
-// reports each to p.emit with cur set, running both stages on the calling
-// goroutine. It reports false when the join is to stop: emit or tick said
-// so.
+// reports each to p.emit with cur set. It runs the lookup stage over the
+// chunk's groups by ascending length, and the verify stage on every batch
+// the lookups fill and on the one that ends the chunk. Before the lookups in
+// a group it calls reach, if set, with the group's length, and once more
+// with noGroup when the chunk's lookups are through. It reports false when
+// the join is to stop: emit, tick or reach said so.
 func (j *blockJoin) probeBlock(strs []string, base int) bool {
-	if j.look == nil {
-		j.look = j.newLookupStage(nil, 0)
-	}
-	k := j.look
 	j.strs, j.base = strs, base
 	lo, hi := j.window(len(strs[0]))
-	for l := lo; l <= hi; l++ {
-		if !k.lookup(strs, base, l) {
+	for l := j.groupFrom(lo, hi); l >= 0; l = j.groupFrom(l+1, hi) {
+		if j.reach != nil && !j.reach(l) || !j.lookup(strs, base, l) {
 			return false
 		}
 	}
-	return k.push(task{id: int32(base), rid: int32(base + len(strs))}) && k.ship(false)
-}
-
-// ship hands the batch being filled on to the verify stage — at once when
-// the stages share a goroutine, through sc when they do not, with end saying
-// whether it is the last of its segment; the stage then takes its next batch
-// from sc once it needs one. It reports false when the join is to stop.
-func (k *lookupStage) ship(end bool) bool {
-	if k.sc == nil {
-		ok := k.j.verify(k.out.tasks)
-		k.out.tasks = k.out.tasks[:0]
-		return ok
-	}
-	if k.out == nil && !k.fetch() {
+	if j.reach != nil && !j.reach(noGroup) {
 		return false
 	}
-	b := k.out
-	k.out = nil
-	b.seq, b.end, b.st = k.seq, end, k.st
-	k.st = metrics.Stats{}
-	k.sc.full <- b
-	return true
+	return j.push(task{id: int32(base), rid: int32(base + len(strs))}) && j.ship()
 }
 
-// fetch takes the next batch to fill from sc; it reports false when the join
-// is to stop.
-func (k *lookupStage) fetch() bool {
-	k.out = k.sc.take(k.seq)
-	return k.out != nil
+// ship hands the batch being filled to the verify stage; it reports false
+// when the join is to stop.
+func (j *blockJoin) ship() bool {
+	ok := j.verify(j.out)
+	j.out = j.out[:0]
+	return ok
 }
 
 // push adds t to the batch being filled, shipping the batch if that fills
 // it; it reports false when the join is to stop.
-func (k *lookupStage) push(t task) bool {
-	if k.out == nil && !k.fetch() {
-		return false
-	}
-	b := k.out
-	b.tasks = append(b.tasks, t)
-	return len(b.tasks) < cap(b.tasks) || k.ship(false)
+func (j *blockJoin) push(t task) bool {
+	j.out = append(j.out, t)
+	return len(j.out) < cap(j.out) || j.ship()
 }
 
 // sigsOf returns the signatures of strs, the chunk at position base of its
 // side.
-func (k *lookupStage) sigsOf(strs []string, base int) []uint64 {
-	if k.j.self {
-		return k.j.p.sig[base : base+len(strs)]
+func (j *blockJoin) sigsOf(strs []string, base int) []uint64 {
+	if j.self {
+		return j.p.sig[base : base+len(strs)]
 	}
-	sigs := k.sigs[:len(strs)]
-	if k.sigsAt != base {
+	sigs := j.sigs[:len(strs)]
+	if j.sigsAt != base {
 		verify.Sigs(sigs, strs)
-		k.sigsAt = base
+		j.sigsAt = base
 	}
 	return sigs
 }
@@ -301,14 +243,14 @@ func (k *lookupStage) sigsOf(strs []string, base int) []uint64 {
 // its own length's group, which such a scan has not created yet, and a list
 // is cut at the string's own id — a list that begins at or past it is no
 // lookup hit.
-func (k *lookupStage) lookup(strs []string, base, l int) bool {
-	j, p := k.j, k.j.p
+func (j *blockJoin) lookup(strs []string, base, l int) bool {
+	p := j.p
 	g := p.fz.Group(l)
 	if g == nil {
 		return true
 	}
 	n, L, tau := len(strs), len(strs[0]), p.tau
-	sigs := k.sigsOf(strs, base)
+	sigs := j.sigsOf(strs, base)
 	own := j.self && l == L
 	first := 0
 	if own && base == j.off[L] {
@@ -320,18 +262,18 @@ func (k *lookupStage) lookup(strs []string, base, l int) bool {
 		for pos := lo; pos <= hi; pos++ {
 			for b := first; b < n; b += index.BlockBatchSize {
 				batch := strs[b:min(b+index.BlockBatchSize, n)]
-				if c := k.cnt; c != nil {
+				if c := p.st; c != nil {
 					c.SelectedSubstrings += int64(len(batch))
 					c.Lookups += int64(len(batch))
 				}
-				k.res.Resolve(g, i, pos, batch)
-				for _, h := range k.res.Hits() {
-					lst := k.res.List(h)
+				j.res.Resolve(g, i, pos, batch)
+				for _, h := range j.res.Hits() {
+					lst := j.res.List(h)
 					at := b + int(h)
 					if own {
 						lst = below(lst, int32(base+at))
 					}
-					if len(lst) > 0 && !k.filter(lst, sigs[at], int32(base+at), int32(i), int32(pos)) {
+					if len(lst) > 0 && !j.filter(lst, sigs[at], int32(base+at), int32(i), int32(pos)) {
 						return false
 					}
 				}
@@ -349,22 +291,22 @@ func (k *lookupStage) lookup(strs []string, base, l int) bool {
 // tasks the candidates on it whose signatures are within 2τ of the string's,
 // qsig (verify.SigDist, which one edit moves by at most two). It reports
 // false when the join is to stop.
-func (k *lookupStage) filter(lst []int32, qsig uint64, id, slot, pos int32) bool {
-	if c := k.cnt; c != nil {
+func (j *blockJoin) filter(lst []int32, qsig uint64, id, slot, pos int32) bool {
+	p := j.p
+	if c := p.st; c != nil {
 		c.LookupHits++
 		c.Candidates += int64(len(lst))
 	}
-	p := k.j.p
 	sig, bound := p.sig, 2*p.tau
 	at := -slot
 	for _, rid := range lst {
 		if verify.SigDist(sig[rid], qsig) > bound {
-			if c := k.cnt; c != nil {
+			if c := p.st; c != nil {
 				c.SigRejects++
 			}
 			continue
 		}
-		if !k.push(task{id: id, rid: rid, slot: at, pos: pos}) {
+		if !j.push(task{id: id, rid: rid, slot: at, pos: pos}) {
 			return false
 		}
 		at = slot
@@ -459,8 +401,9 @@ func (j *blockJoin) flushWhole() bool {
 	j.whole = j.whole[:0]
 	slices.Sort(whole)
 	for _, key := range whole {
-		j.id = int(key>>32) - 1
-		s, rid := j.strs[j.id-j.base], int32(uint32(key))
+		var rid int32
+		j.id, rid = unkey(key)
+		s := j.strs[j.id-j.base]
 		if p.vk == VerifyMyers {
 			p.pat.Set(s) // a no-op for the string already set
 		}
@@ -471,9 +414,13 @@ func (j *blockJoin) flushWhole() bool {
 	return true
 }
 
-// pairSetCells is the size a pairSet starts at and returns to: 2048 pairs,
-// several times what a chunk of either benchmark corpus settles.
-const pairSetCells = 4096
+// pairSetCells is the size a pairSet starts at: 512 pairs, more than a
+// chunk of either benchmark corpus settles (470 at most). A set that a chunk
+// of many matches grew is kept up to pairSetKeep cells, 2048 pairs.
+const (
+	pairSetCells = 1024
+	pairSetKeep  = 4096
+)
 
 // pairSet is the set of (string, candidate) pairs a chunk has settled — what
 // prober.stamp is to a single probe string: verified, for the whole-string
@@ -529,7 +476,7 @@ func (s *pairSet) place(key uint64) {
 // reset empties the set. A table that one chunk of many matches grew is let
 // go, so that the chunks after it do not each clear it.
 func (s *pairSet) reset() {
-	if len(s.cells) > pairSetCells {
+	if len(s.cells) > pairSetKeep {
 		s.cells = nil
 	} else if s.n > 0 {
 		clear(s.cells)

@@ -14,10 +14,8 @@ import (
 // prober owns the per-scan state of one matcher or one join worker: the
 // segment index being probed, the verifier scratch space, and the
 // deduplication stamps. The corpus (ref) and its signatures (sig) are
-// shared, read-only. It is single-goroutine state — but for the index,
-// selection method, signatures and threshold, which a serial join's lookup
-// goroutines read while its verify stage uses the rest (pipe) — and the
-// parallel mode gives each worker its own prober.
+// shared, read-only. It is single-goroutine state: every worker of a join,
+// serial (pipe) or parallel (streamEngine), has a prober of its own.
 //
 // Exactly one of idx (the mutable index of an unsealed Matcher) and fz (the
 // frozen index of everything else: sealed matchers and every join) is

@@ -37,8 +37,10 @@ func collect(join func(emit func(Pair) bool) error) ([]Pair, error) {
 // non-decreasing length of the longer string, in no particular order within
 // a length — the order, and every counter, of a scan on one goroutine; the
 // parallel mode, in no deterministic order. emit returning false stops the
-// join early and returns nil; a ctx cancellation stops it within a batch of
-// lookups and returns ctx.Err(). A nil ctx means Background.
+// join early and returns nil — the sequential scan having counted all of
+// the chunk that held the last pair delivered, and none after it; a ctx
+// cancellation stops it within a batch of lookups and returns ctx.Err(). A
+// nil ctx means Background.
 func SelfJoinEach(ctx context.Context, strs []string, opt Options, emit func(Pair) bool) error {
 	ctx, err := begin(ctx, opt, emit)
 	if err != nil {

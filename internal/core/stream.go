@@ -40,13 +40,15 @@ type joinPlan struct {
 //
 // At Parallel ≤ 1 it is the sequential scan of §3.2: a window of
 // length groups, bulk-built as the scan reaches them (index.Window), probed
-// by the two stages of blockJoin.pipe — the lookups on up to two goroutines
-// (maxLookups), a chunk against one group at a time, the verification on the
-// caller's, in the scan's order. More, and the whole indexed side is
-// known before any probe starts, so it is bulk-built once, by that many
-// workers, into the immutable CSR arena every one of them then probes
-// (streamEngine): full index residency instead of the window's O((τ+1)²)
-// live groups, an extension beyond the single-threaded paper.
+// a chunk at a time by the caller and one helper (joinPlan.pipe), whose
+// pairs are delivered in the scan's order. Its footprint — IndexBytes,
+// IndexEntries, PeakLiveGroups — is the window's at its largest over the
+// slides up to that of the last chunk counted: the whole scan, or for a
+// join emit stopped, the chunk that held its last pair. More, and the whole
+// indexed side is known before any probe starts, so it is bulk-built once,
+// by that many workers, into the immutable CSR arena every one of them then
+// probes (streamEngine): full index residency instead of the window's
+// O((τ+1)²) live groups, an extension beyond the single-threaded paper.
 func (j *joinPlan) run(ctx context.Context, opt Options, emit func(Pair) bool) error {
 	tau, st := opt.Tau, opt.Stats
 	var results int64
@@ -54,13 +56,11 @@ func (j *joinPlan) run(ctx context.Context, opt Options, emit func(Pair) bool) e
 		results++
 		return emit(p)
 	}
-	// arm returns a block join over fz that counts into pst and delivers
-	// its matches to deliver.
-	arm := func(fz *index.Frozen, pst *metrics.Stats, deliver func(Pair) bool) *blockJoin {
+	// arm returns a block join over fz that counts into pst and verifies
+	// batch tasks at a time.
+	arm := func(fz *index.Frozen, pst *metrics.Stats, batch int) *blockJoin {
 		p := newProber(tau, opt.Selection, opt.Verification, pst, nil, fz, j.ref, j.sig)
-		b := newBlockJoin(p, j.off, j.self)
-		p.emit = func(rid, _ int32) bool { return deliver(j.pair(b.cur(), rid)) }
-		return b
+		return newBlockJoin(p, j.off, j.self, batch)
 	}
 	// record adds the whole-join figures to st once the join is through.
 	record := func(groups int, bytes, entries int64) {
@@ -80,7 +80,8 @@ func (j *joinPlan) run(ctx context.Context, opt Options, emit func(Pair) bool) e
 			chunks:  j.chunks,
 			stats:   st,
 			newWorker: func(wst *metrics.Stats, push func(Pair) bool, tick func() bool) func(span) bool {
-				b := arm(fz, wst, push)
+				b := arm(fz, wst, taskBatchSize)
+				b.p.emit = func(rid, _ int32) bool { return push(j.pair(b.cur(), rid)) }
 				b.tick = tick
 				return func(c span) bool { return b.probeBlock(j.side[c.lo:c.hi], c.lo) }
 			},
@@ -93,8 +94,34 @@ func (j *joinPlan) run(ctx context.Context, opt Options, emit func(Pair) bool) e
 	if err != nil {
 		return fmt.Errorf("core: building index: %w", err)
 	}
-	err = arm(win.Frozen(), st, count).pipe(ctx, j.side, j.chunks, func(l int) { win.Slide(l-tau, l+j.above) })
-	record(win.Peak())
+	// marks[k] is the window's length after its k-th slide, and its
+	// footprint at its largest so far; kept only when st is.
+	type mark struct {
+		l, groups      int
+		bytes, entries int64
+	}
+	var marks []mark
+	counted, err := j.pipe(ctx, st, func(pst *metrics.Stats) *blockJoin { return arm(win.Frozen(), pst, pipeBatchSize) }, func(l int) {
+		win.Slide(l-tau, l+j.above)
+		if st != nil {
+			g, b, e := win.Peak()
+			marks = append(marks, mark{l, g, b, e})
+		}
+	}, count)
+	// The footprint is the window's as of the slide to the last chunk
+	// counted: the same slides, in the same order, at every GOMAXPROCS. A
+	// chunk whose window has no group may have been verified before its
+	// slide, but such a slide builds nothing, and leaves the peak alone.
+	var m mark
+	if counted > 0 {
+		L := len(j.side[j.chunks[counted-1].lo])
+		for _, x := range marks {
+			if x.l <= L {
+				m = x
+			}
+		}
+	}
+	record(m.groups, m.bytes, m.entries)
 	return err
 }
 

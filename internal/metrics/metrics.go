@@ -58,11 +58,9 @@ type Stats struct {
 	// IndexBytes approximates the peak retained size of the segment index
 	// (Table 3's metric); IndexEntries is its posting count. For the
 	// sliding-window join they are the window at its largest over the
-	// slides made, and so is PeakLiveGroups: exact for a join that runs to
-	// its end, but for one its emit stopped early they cover the groups its
-	// lookup goroutines had built ahead of the pair it stopped at, which
-	// depends on scheduling and may differ from run to run. Its work
-	// counters do not.
+	// slides made, and so is PeakLiveGroups; for one its emit stopped
+	// early, over the slides up to that of the chunk that held its last
+	// pair, whatever its helper had built ahead.
 	IndexBytes   int64
 	IndexEntries int64
 	// FrozenBytes is the exact retained size of the frozen (CSR) index a

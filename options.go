@@ -35,11 +35,10 @@ func (s *Stats) String() string { return (*metrics.Stats)(s).String() }
 // searcher build zeroes it and leaves that call's counters in it. A
 // Matcher zeroes it once, at NewMatcher, and adds into it on each Insert
 // and Query. The sink must not be read while the call that writes it runs.
-// A default (window-scan) join that its callback stops early records the
-// same work counters at every GOMAXPROCS and on every run, but its index
-// footprint (IndexBytes, IndexEntries, PeakLiveGroups) is the window's
-// largest over the groups its lookups had built by then, which depends on
-// scheduling.
+// A default (window-scan) join that its callback stops early records all of
+// the run of equal-length strings (up to 1 024) that held its last pair and
+// nothing after it — index footprint included — the same at every
+// GOMAXPROCS and on every run.
 func WithStats(st *Stats) Option {
 	return func(c *config) error {
 		if st == nil {
@@ -53,9 +52,10 @@ func WithStats(st *Stats) Option {
 // WithParallelism enables the index-once/probe-parallel mode with n
 // workers for all six join entry points: SelfJoin/Join, the streaming
 // SelfJoinEach/JoinEach, and the context-aware SelfJoinEachCtx/JoinEachCtx.
-// n <= 1 keeps the sequential sliding-window scan: its index lookups run on
-// two helper goroutines (one at GOMAXPROCS=1), verification and any callback
-// on the caller's, and only GOMAXPROCS=1 keeps it on one core.
+// n <= 1 keeps the sequential sliding-window scan: it looks up and verifies
+// runs of equal-length strings on the caller's goroutine and one helper
+// (none at GOMAXPROCS=1), calls any callback on the caller's, in the scan's
+// order, and only GOMAXPROCS=1 keeps it on one core.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

@@ -64,18 +64,19 @@ func TestJoinDistinctSets(t *testing.T) {
 // recycles released tables and the sort keeps a record buffer per worker
 // (781 288 B in 1 132 allocations and 652 544 B in 201 on one goroutine) and
 // below what it allocated when every group's tables were new and every string
-// had a record (1 129 240 B in 4 076 and 887 144 B in 303). The scan's two
-// goroutines add their queue — four batches of 1 024 16-byte tasks, two
-// channels — once per join: 849 520 B in 1 143 allocations and 720 344 B in
-// 212, so both ceilings rose by 11 allocations and 68 000 B, the queue's
-// 68 232 B rounded down. The scan's lookups now run on min(GOMAXPROCS, 2)
-// goroutines (core's maxLookups), each with its own resolver: the second
-// adds about 4.6 KB, which the ceilings absorb, and the cap keeps the bytes
-// under them at every GOMAXPROCS. CI runs this test at -cpu 1,2,4
-// under the same ceilings (the titles: 869 096 B at 1 and 873 288 to
-// 879 240 B from run to run at 2, 4 and 8, in 1 138 and 1 136 allocations,
-// with the queue cut into sixteen batches of 256). A change that means to
-// allocate more raises a ceiling here and says why.
+// had a record (1 129 240 B in 4 076 and 887 144 B in 303). The serial
+// scan's queue of tasks between goroutines (PRs 29–38: 68 232 B) took both
+// ceilings to their values. Since the scan runs whole chunks on the caller
+// and at most one helper (core's maxWorkers), there is no queue: each worker
+// has its own 256-task batch, and the helper its own prober, pairSet and
+// shared rows, armed at its first chunk. At -cpu 1, 2, 4 and 8 the titles
+// allocate 781 984, 828 768, 843 008 and 846 624 B in 1 143 and 1 141
+// allocations, and the names 637 856, 667 232, 667 136 and 664 912 B in 217
+// (with the queue and one verifying goroutine: 869 096 / 873 736 B and
+// 724 968 / 729 080 B at -cpu 1 / 2); the cap keeps the bytes level from
+// GOMAXPROCS 2 up, within the 20 KB by which runs differ there. CI runs
+// this test at -cpu 1,2,4. A change that means to allocate more raises a
+// ceiling here and says why.
 func TestJoinAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -31,10 +31,11 @@ func each(tau int, yield func(r, s int) bool, opts []Option,
 // sequential sliding-window scan: pairs arrive by non-decreasing length of
 // the longer string, in no particular order within a length (the scan
 // probes a run of equal-length strings at a time), and index memory stays
-// bounded by the (τ+1)² live length groups. Its index lookups and signature
-// filter run on two helper goroutines (one at GOMAXPROCS=1), verification and
-// yield on the calling goroutine, in the scan's order — the same pairs in the
-// same order at every GOMAXPROCS — and only GOMAXPROCS=1 keeps it on one core.
+// bounded by the (τ+1)² live length groups. Those runs are looked up and
+// verified on the calling goroutine and one helper (none at GOMAXPROCS=1),
+// and a run's pairs are handed to yield on the calling goroutine once the
+// run is verified, in the scan's order — the same pairs in the same order at
+// every GOMAXPROCS — and only GOMAXPROCS=1 keeps it on one core.
 // With WithParallelism(n > 1) the whole corpus is indexed once
 // and the probe pass fans out over n workers that feed a bounded channel:
 // pairs then arrive in no deterministic order, but yield is still invoked
@@ -60,7 +61,7 @@ func JoinEach(rset, sset []string, tau int, yield func(r, s int) bool, opts ...O
 // workers under WithParallelism(n > 1).
 //
 // yield returning false stops the join early and returns nil. When ctx is
-// cancelled the join stops promptly — the scan's lookup stage and the probe
+// cancelled the join stops promptly — the scan's goroutines and the probe
 // workers check between batches of lookups (64 strings' worth of one index
 // lookup), not once per string — and the error is ctx.Err().
 func SelfJoinEachCtx(ctx context.Context, strs []string, tau int, yield func(r, s int) bool, opts ...Option) error {

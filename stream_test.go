@@ -348,35 +348,6 @@ func TestStreamWithStats(t *testing.T) {
 	}
 }
 
-// cornerWords is the join rung's table of corner-case words for edit
-// distance: the empty string, words no longer than tau, words on either side
-// of 32 and 64 bytes — the verifiers' word sizes — non-ASCII ones, whose
-// bytes differ where their runes do not, and more strings of one length than
-// a join probes as one chunk (1 024), so that the length spans two: random
-// words and a near copy of each.
-func cornerWords() []string {
-	words := []string{"", "", "a", "b", "ab", "ba", "abc"}
-	for _, n := range []int{31, 32, 33, 63, 64, 65} {
-		w := strings.Repeat("pass-join ", 7)[:n]
-		words = append(words, w, w[:n-1]+"x", "y"+w[1:], w[1:])
-	}
-	words = append(words, "naïve", "naive", "café", "cafe", "caf", "日本語", "日本", "日本人",
-		"Straße", "Strasse", "ÅÄÖ", "AAO", "\x00\xff", "\xff\x00")
-	rng := rand.New(rand.NewSource(38))
-	for range 550 {
-		b := make([]byte, 12)
-		for i := range b {
-			b[i] = byte('a' + rng.Intn(26))
-		}
-		words = append(words, string(b))
-		for e := 1 + rng.Intn(3); e > 0; e-- {
-			b[rng.Intn(len(b))] = byte('a' + rng.Intn(26))
-		}
-		words = append(words, string(b))
-	}
-	return words
-}
-
 // TestJoinCornerWords runs cornerWords through the four join entry points —
 // self and R≠S, sorted and streamed — in the window scan at GOMAXPROCS 1 and
 // 4 and in the index-once mode, and holds each to brute force.
