@@ -43,7 +43,8 @@ func corpora(b *testing.B) map[string][]string {
 	return benchCorpora
 }
 
-// BenchmarkAblationParallel measures the index-once/probe-parallel mode.
+// BenchmarkAblationParallel measures the join at 1 to 8 workers: at 1 and 2
+// the caller and one helper, above that up to GOMAXPROCS.
 func BenchmarkAblationParallel(b *testing.B) {
 	cs := corpora(b)
 	strs := cs["author"]
@@ -58,13 +59,11 @@ func BenchmarkAblationParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamJoinParallel measures the streaming join engine behind
-// SelfJoinEachCtx / the /v1/join endpoints: index once, fan the probe
-// pass out over N workers, deliver pairs through a bounded channel
-// without materializing the result set. workers=1 is the sequential
-// windowed scan, which every entry point runs at one worker; compare
-// against BenchmarkAblationParallel (which materializes and sorts) for the
-// streaming overhead; ns/pair is reported per emitted pair.
+// BenchmarkStreamJoinParallel measures the streaming join behind
+// SelfJoinEachCtx / the /v1/join endpoints: the window scan on its
+// workers, delivering pairs in scan order without materializing the result
+// set; compare against BenchmarkAblationParallel (which materializes and
+// sorts) for the streaming overhead; ns/pair is reported per emitted pair.
 func BenchmarkStreamJoinParallel(b *testing.B) {
 	cs := corpora(b)
 	strs := cs["author"]

@@ -2,15 +2,16 @@
 //
 //	passjoin -tau 2 strings.txt                 self join
 //	passjoin -tau 2 r.txt s.txt                 R x S join
-//	passjoin -tau 2 -parallel 8 r.txt s.txt     parallel probe workers (both join kinds)
+//	passjoin -tau 2 -parallel 8 r.txt s.txt     join workers (both join kinds)
 //
 // Input files contain one string per line. Output is one result pair per
 // line: the two (0-based) line numbers and the two strings, tab-separated.
 //
 // The join is Pass-Join with the paper's full method: multi-match-aware
 // selection and share-prefix verification. The paper's other selection and
-// verification methods (fig12, fig14) and its competitors (fig15, table3,
-// ablation) are reached through cmd/experiments, not from here.
+// verification methods (Figs. 12 and 14) and its competitors (Fig. 15,
+// Table 3, the ablations) are measured by internal/repro's TestExperiments,
+// not from here.
 package main
 
 import (
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	tau := flag.Int("tau", 2, "edit-distance threshold")
-	parallel := flag.Int("parallel", 1, "parallel probe workers (self and R×S joins)")
+	parallel := flag.Int("parallel", 1, "join workers: at least 2 and at most GOMAXPROCS (self and R×S joins)")
 	quiet := flag.Bool("quiet", false, "suppress result pairs, print summary only")
 	showStats := flag.Bool("stats", false, "print instrumentation counters to stderr")
 	flag.Parse()

@@ -21,9 +21,9 @@
 //
 // Every join runs the paper's full method: multi-match-aware substring
 // selection (§4.2) and share-prefix extension verification (§5.3), which
-// win at every threshold in its Figs. 12 and 14; cmd/experiments reproduces
-// those figures with the other methods. Options attach instrumentation or
-// enable parallel probing:
+// win at every threshold in its Figs. 12 and 14; internal/repro's
+// TestExperiments reproduces those figures with the other methods. Options
+// attach instrumentation or set the join's workers:
 //
 //	var st passjoin.Stats
 //	pairs, err := passjoin.SelfJoin(names, 2,
@@ -56,28 +56,27 @@
 //	        return true
 //	}, passjoin.WithParallelism(8))
 //
-// WithParallelism picks one of two modes, the same in all six join entry
-// points. By default (n <= 1) a join runs the paper's sequential scan over
-// a sliding window of length groups and delivers pairs by non-decreasing
-// length of the longer (for Join: the first set's) string, in no particular
-// order within a length — it probes a run of equal-length strings at a
-// time. Those runs — lookups, signature filter and verification — go to
-// the caller's goroutine and one helper (none at GOMAXPROCS=1), and their
-// pairs to the callback on the caller's, in the scan's order: the pairs,
-// their order and the Stats are the same at every GOMAXPROCS, a join the
-// callback stops at its k-th pair having counted all of the run that held
-// it, and only GOMAXPROCS=1 keeps the scan on one core. With n > 1 the whole corpus is indexed once and the probe pass fans
-// out over n workers that feed the callback through a bounded channel with
-// backpressure; pairs then arrive in no deterministic order at all. In
-// either mode the callback runs on the calling goroutine, and a cancelled
-// ctx stops the join promptly — it is checked between batches of lookups,
-// not between strings — and surfaces ctx.Err(). See docs/ARCHITECTURE.md
-// ("The streaming join path") for the fan-out and backpressure design.
+// Every join, in all six entry points, runs the paper's scan over a
+// sliding window of length groups — the index holds no more than τ+1 or
+// 2τ+1 lengths' groups at once — and delivers pairs by non-decreasing length of the longer (for Join:
+// the first set's) string, in no particular order within a length: it
+// probes a run of equal-length strings at a time. Those runs — lookups,
+// signature filter and verification — go to min(max(n, 2), GOMAXPROCS)
+// workers for WithParallelism(n): by default, and at n = 1 or 2, the
+// caller's goroutine and one helper (none at GOMAXPROCS=1); only n > 2
+// adds goroutines. Their pairs go to the callback on the caller's
+// goroutine, in the scan's order, so the pairs, their order and the Stats
+// — index footprint included — are the same at every parallelism and every
+// GOMAXPROCS, a join the callback stops at its k-th pair having counted all
+// of the run that held it. A cancelled ctx stops the join promptly — it is
+// checked between batches of lookups, not between strings — and surfaces
+// ctx.Err(). See docs/ARCHITECTURE.md ("The streaming join path") for the
+// design.
 //
 // Every join entry point runs Pass-Join. The paper's competitors (ED-Join,
 // All-Pairs-Ed, Trie-Join, NGPP, Part-Enum) live under internal/ as the
-// Fig. 15 baselines of cmd/experiments and as the test suite's
-// conformance oracles; Pass-Join is the fastest on every regime measured.
+// Fig. 15 baselines of internal/repro's TestExperiments and as the test
+// suite's conformance oracles; Pass-Join is the fastest on every regime measured.
 //
 // The online Matcher supports streaming workloads: inserting a string
 // reports all previously inserted strings within the threshold.

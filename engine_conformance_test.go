@@ -2,7 +2,7 @@ package passjoin_test
 
 // Every join in the repository goes through one conformance body: the
 // public joins, Pass-Join's selection × verification variants and its
-// parallel mode, and the paper's competitors (internal/edjoin, triejoin,
+// join at four workers, and the paper's competitors (internal/edjoin, triejoin,
 // ngpp, partenum) must return exactly brute force's pairs on every corpus
 // regime the repository knows about — the paper's three corpora, the
 // small-alphabet DNA regime, the adversarial corpora, and the degenerate

@@ -34,11 +34,12 @@ type joinBenchCorpus struct {
 	tau    int
 }
 
-// BenchmarkSelfJoinSerial is the default-options self join, and the same
-// join at Parallel: 2.
+// BenchmarkSelfJoinSerial is the default-options self join — the caller
+// and one helper, as at Parallel: 1 and 2 — and the same join at
+// Parallel: 4, on min(4, GOMAXPROCS) workers.
 func BenchmarkSelfJoinSerial(b *testing.B) {
 	for _, c := range joinBenchCorpora() {
-		for _, par := range []int{0, 2} {
+		for _, par := range []int{0, 4} {
 			name := c.name
 			if par > 0 {
 				name += fmt.Sprintf("/parallel=%d", par)

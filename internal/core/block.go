@@ -9,11 +9,10 @@ import (
 )
 
 // blockChunk is the most strings a join probes as one chunk — a run of
-// consecutive strings of one length, the unit a parallel join hands its
-// workers and the scope of a join's deduplication. Chunks from 64 strings to
-// a whole length group measured level; 1024 keeps the state of one (the
-// pairs it has settled) in cache and leaves a parallel join enough chunks to
-// balance.
+// consecutive strings of one length, the unit a join hands its workers and
+// the scope of its deduplication. Chunks from 64 strings to a whole length
+// group measured level; 1024 keeps the state of one (the pairs it has
+// settled) in cache and leaves a join's workers enough chunks to balance.
 const blockChunk = 1024
 
 // span is one chunk: the strings [lo, hi) of a side sorted by length, all
@@ -52,12 +51,11 @@ func chunksOf(off []int) []span {
 // each survivor becomes names the pair and its alignment, nothing else — and
 // emits, a batch of tasks at a time, on the same goroutine (probeBlock). A
 // task outlives the list it came from: a list aliases a table of the index,
-// which a serial join's window clears and recycles once it slides past the
+// which a join's window clears and recycles once it slides past the
 // table's group (index.Window), while the verify stage reads only the corpus
 // and the partition geometry, which outlive the scan. Every join runs whole
-// chunks on each of its workers this way: a serial join on the caller and
-// one helper, sharing the window (pipe); a stream join on its workers,
-// sharing the whole index (streamEngine).
+// chunks on each of its workers this way, the caller and its helpers
+// sharing the window (pipe).
 //
 // The prober behind it keeps verifying: a join arms it with emit, to hear of
 // every match, and with join, which sends its deduplication here (settled)
@@ -74,7 +72,7 @@ type blockJoin struct {
 	// cancelled).
 	tick func() bool
 	// reach, when non-nil, runs before the lookups in each group of a
-	// chunk (probeBlock): a serial join's window is then still to reach the
+	// chunk (probeBlock): the join's window is then still to reach the
 	// group.
 	reach func(l int) bool
 
@@ -97,7 +95,7 @@ type blockJoin struct {
 	// settled's keys; they are verified, string by string, once the chunk's
 	// lookups are through.
 	whole []uint64
-	// slot, for a worker of a serial join (pipe), is where the chunk in hand
+	// slot, for a worker of a join (pipe), is where the chunk in hand
 	// puts its matches.
 	slot *chunkSlot
 }
@@ -112,25 +110,20 @@ type task struct {
 	id, rid, slot, pos int32
 }
 
-// taskBatchSize is the most tasks a stream worker verifies at a time:
-// 16 KiB, which stays in cache, and pipeBatchSize a serial join worker's
-// (pipe): 4 KiB, of which a serial join holds one per worker. A batch is no
-// larger than the indexed corpus has strings, so that a small join does not
-// pay for a large one.
-const (
-	taskBatchSize = 1024
-	pipeBatchSize = 256
-)
+// pipeBatchSize is the most tasks a join worker verifies at a time (pipe):
+// 4 KiB, of which a join holds one per worker. A batch is no larger than the
+// indexed corpus has strings, so that a small join does not pay for a large
+// one.
+const pipeBatchSize = 256
 
-// newBlockJoin arms p for a join over the corpus it probes, off its offsets,
-// that verifies up to batch tasks at a time. The caller sets p.emit (and
-// tick, if it wants one).
-func newBlockJoin(p *prober, off []int, self bool, batch int) *blockJoin {
+// newBlockJoin arms p for a join over the corpus it probes, off its offsets.
+// The caller sets p.emit (and tick, if it wants one).
+func newBlockJoin(p *prober, off []int, self bool) *blockJoin {
 	j := &blockJoin{p: p, off: off, self: self, sigsAt: -1}
 	if !self {
 		j.sigs = make([]uint64, blockChunk)
 	}
-	j.out = make([]task, 0, min(batch, max(len(p.ref), 1)))
+	j.out = make([]task, 0, min(pipeBatchSize, max(len(p.ref), 1)))
 	p.join = j
 	return j
 }

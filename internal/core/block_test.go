@@ -18,14 +18,6 @@ import (
 	"passjoin/internal/selection"
 )
 
-// workOnly strips what legitimately differs between the serial and the
-// parallel mode from a join's stats: the footprint of a window of groups
-// against that of the whole index.
-func workOnly(st metrics.Stats) metrics.Stats {
-	st.IndexBytes, st.IndexEntries, st.PeakLiveGroups = 0, 0, 0
-	return st
-}
-
 // boundaryCorpus returns, shuffled, n strings of twelve bytes — near copies
 // of a few bases, so the group is dense with pairs — five of which are one
 // string that sorts to positions 1021..1025 of the group: duplicates on both
@@ -101,7 +93,7 @@ func TestChunkBoundaries(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("n=%d workers=%d: %d pairs, brute force %d", n, workers, len(got), len(want))
 			}
-			if workOnly(st) != workOnly(serial) {
+			if st != serial {
 				t.Errorf("n=%d workers=%d: stats differ from the serial join's:\n serial   %+v\n parallel %+v", n, workers, serial, st)
 			}
 		}
@@ -349,8 +341,8 @@ func TestEarlyStopStatsAcrossProcs(t *testing.T) {
 // has counted all of the chunk that held the pair and nothing after it: its
 // Stats are those of a full run over the chunks up to that one — footprint
 // included — but for Results, the k pairs delivered. Self and R≠S, under an
-// extension and a whole-string verifier, at GOMAXPROCS 1 and 4, with k from
-// the first pair to the last.
+// extension and a whole-string verifier, at every parallelism and
+// GOMAXPROCS of sweep, with k from the first pair to the last.
 func TestEarlyStopCountsWholeChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	strs := dataset.Author(3000, 6)
@@ -383,19 +375,17 @@ func TestEarlyStopCountsWholeChunk(t *testing.T) {
 					t.Fatal(err)
 				}
 				want.Results = int64(k)
-				for _, procs := range []int{1, 4} {
+				sweep(func(parallel, procs int) {
 					var got metrics.Stats
 					n := 0
-					withProcs(procs, func() {
-						err := pl.run(context.Background(), Options{Tau: tau, Verification: vk, Stats: &got}, func(Pair) bool { n++; return n < k })
-						if err != nil {
-							t.Fatal(err)
-						}
-					})
-					if got != want {
-						t.Errorf("%s %v k=%d (chunk %d of %d) GOMAXPROCS=%d: stats differ from the chunks up to the stopping one\n got  %+v\n want %+v", name, vk, k, c, len(pl.chunks), procs, got, want)
+					err := pl.run(context.Background(), Options{Tau: tau, Verification: vk, Stats: &got, Parallel: parallel}, func(Pair) bool { n++; return n < k })
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
+					if got != want {
+						t.Errorf("%s %v k=%d (chunk %d of %d) Parallel=%d GOMAXPROCS=%d: stats differ from the chunks up to the stopping one\n got  %+v\n want %+v", name, vk, k, c, len(pl.chunks), parallel, procs, got, want)
+					}
+				})
 			}
 		}
 	}
@@ -462,9 +452,9 @@ func waitGoroutines(t *testing.T, before int) {
 // window's slide, at the corpus's second length, in a worker's lookups, here
 // a signature table cut short, or in its verification, here a corpus cut
 // short, so that the first task is out of range — comes back from the scan
-// as an error, as a stream worker's does, and leaves no goroutine behind, at
-// GOMAXPROCS 1 and 4: on the caller's goroutine, and on whichever worker
-// holds a chunk. A helper alone corrupt panics as soon as it holds a chunk.
+// as an error, and leaves no goroutine behind, at GOMAXPROCS 1 and 4: on the
+// caller's goroutine, and on whichever worker holds a chunk. A helper alone
+// corrupt panics as soon as it holds a chunk.
 func TestLookupPanicSurfacesAsError(t *testing.T) {
 	ref, _, off, sig, err := sortRecs([]string{"abcd", "abce", "abcde", "abcdf"}, 1, true)
 	if err != nil {
@@ -548,13 +538,13 @@ func pipeOver(ref []string, off []int, sig []uint64, ctx context.Context, st *me
 		pair: func(cur int, rid int32) Pair { return Pair{R: rid, S: int32(cur)} }}
 	var mu sync.Mutex
 	armed := 0
-	return pl.pipe(ctx, st, func(wst *metrics.Stats) *blockJoin {
+	return pl.pipe(ctx, st, joinWorkers(0), func(wst *metrics.Stats) *blockJoin {
 		p := newProber(1, selection.MultiMatch, VerifyExtensionShared, wst, nil, win.Frozen(), ref, sig)
 		mu.Lock()
 		corrupt(p, armed)
 		armed++
 		mu.Unlock()
-		return newBlockJoin(p, off, true, pipeBatchSize)
+		return newBlockJoin(p, off, true)
 	}, func(l int) {
 		if slide != nil {
 			slide(l)
@@ -587,7 +577,7 @@ func TestTickStopsWithinABatch(t *testing.T) {
 		for _, m := range []int{1, 2, batches, batches + 1, 3*batches + 2} {
 			var st metrics.Stats
 			p := newProber(2, selection.MultiMatch, VerifyExtensionShared, &st, nil, fz, ref, sig)
-			j := newBlockJoin(p, off, self, taskBatchSize)
+			j := newBlockJoin(p, off, self)
 			p.emit = func(int32, int32) bool { return true }
 			ticks := 0
 			j.tick = func() bool { ticks++; return ticks < m }
@@ -605,48 +595,24 @@ func TestTickStopsWithinABatch(t *testing.T) {
 // stops the join there, not at the chunk's end; the chunk is not counted,
 // and no goroutine is left behind; at GOMAXPROCS 1 and 4.
 //
-// The index-once mode meets a pair inside its one chunk — 1 024 strings of
-// 60 bytes, with a few thousand batches to go when the first pair reaches
-// the consumer — and the consumer cancels. The default join emits a chunk
-// only once it is through, so there the window cancels: in a self join at
-// τ 1 of a chunk A of 1 024 strings of length 59, the long chunk B of 1 024
-// of length 60 and one string of length 61, the slide to 61 releases group
-// 59, which B looks up in before group 60. It waits until B's worker has
-// moved on to group 60 and A's is past its lookups, and cancels: B's worker
-// stops having made at least B's lookups in group 59 and at most all of
-// B's, counts no string, and B is not counted. A is counted whole or not at all;
-// at GOMAXPROCS 1 whole, since it is emitted before B is claimed, and B
-// stops at group 60 exactly. At GOMAXPROCS 4 B's worker may be through
-// B's lookups before A's worker is through A's, and finish B before the
-// slide; nothing of B is counted then either. The join is repeated until
-// the helper stopped inside B.
+// A join emits a chunk only once it is through, so the window cancels: in a
+// self join at τ 1 of a chunk A of 1 024 strings of length 59, the long
+// chunk B of 1 024 of length 60 and one string of length 61, the slide to
+// 61 releases group 59, which B looks up in before group 60. It waits until
+// B's worker has moved on to group 60 and A's is past its lookups, and
+// cancels: B's worker stops having made at least B's lookups in group 59
+// and at most all of B's, counts no string, and B is not counted. A is
+// counted whole or not at all; at GOMAXPROCS 1 whole, since it is emitted
+// before B is claimed, and B stops at group 60 exactly. At GOMAXPROCS 4 B's
+// worker may be through B's lookups before A's worker is through A's, and
+// finish B before the slide; nothing of B is counted then either. The join
+// is repeated until the helper stopped inside B.
 func TestCancelMidChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	long := make([]string, 0, blockChunk)
 	for len(long) < cap(long) {
 		long = append(long, mutateSub(rng, strings.Repeat("abcab", 12), 6))
 	}
-	for _, procs := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var st metrics.Stats
-		var err error
-		before := runtime.NumGoroutine()
-		withProcs(procs, func() {
-			err = SelfJoinEach(ctx, long, Options{Tau: 8, Stats: &st, Parallel: 2}, func(Pair) bool {
-				cancel()
-				return true
-			})
-		})
-		cancel()
-		if err != context.Canceled {
-			t.Fatalf("GOMAXPROCS=%d index-once: err = %v, want context.Canceled", procs, err)
-		}
-		if st.Strings != 0 || st.Lookups == 0 {
-			t.Fatalf("GOMAXPROCS=%d index-once: %d strings scanned after %d lookups; the chunk should have been abandoned", procs, st.Strings, st.Lookups)
-		}
-		waitGoroutines(t, before)
-	}
-
 	strs := append([]string{strings.Repeat("abcab", 12) + "a"}, long...)
 	for range blockChunk {
 		strs = append(strs, mutateSub(rng, strings.Repeat("abcab", 12)[1:], 6))
@@ -664,7 +630,7 @@ func TestCancelMidChunk(t *testing.T) {
 	lookups := func(L, stop int) (int64, int64) {
 		var st metrics.Stats
 		p := newProber(1, selection.MultiMatch, VerifyExtensionShared, &st, nil, fz, ref, sig)
-		j := newBlockJoin(p, off, true, taskBatchSize)
+		j := newBlockJoin(p, off, true)
 		p.emit = func(int32, int32) bool { return true }
 		j.reach = func(l int) bool { return l != stop }
 		j.probeBlock(ref[off[L]:off[L+1]], off[L])
@@ -681,7 +647,7 @@ func TestCancelMidChunk(t *testing.T) {
 		for try := 0; try < 50 && !helperHeld; try++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			var st metrics.Stats
-			var probers [maxWorkers]*prober
+			var probers [2]*prober // the default join's: the caller's and a helper's
 			before := runtime.NumGoroutine()
 			withProcs(procs, func() {
 				_, err = pipeOver(ref, off, sig, ctx, &st, func(p *prober, w int) { probers[w] = p }, func(l int) {
@@ -718,9 +684,9 @@ func TestCancelMidChunk(t *testing.T) {
 }
 
 // TestDenseEmitOrder: a join whose chunks each hold more matches than a
-// serial join buffers (maxBuffered) delivers the sequence of the caller
-// alone at GOMAXPROCS 2 and 4, where the helper must wait for the caller to
-// emit before it claims another chunk. Each of the three chunks is a cluster
+// join buffers (maxBuffered) delivers the sequence of the caller alone at
+// every parallelism and GOMAXPROCS of sweep, where a helper must wait for
+// the caller to emit before it claims another chunk. Each of the three chunks is a cluster
 // of near-duplicates, every pair of them a match, and strings that match
 // nothing, which sort after the cluster (they begin with the next letter).
 func TestDenseEmitOrder(t *testing.T) {
@@ -747,27 +713,25 @@ func TestDenseEmitOrder(t *testing.T) {
 		t.Fatalf("a chunk holds %d matches, no more than the %d a join buffers", perChunk, maxBuffered)
 	}
 	var want uint64
-	for _, procs := range []int{1, 2, 4} {
+	sweep(func(parallel, procs int) {
 		var h uint64 // of the sequence: a pair at a time, as FNV-1a takes a byte
 		n := 0
-		withProcs(procs, func() {
-			if err := SelfJoinEach(context.Background(), strs, Options{Tau: 2}, func(p Pair) bool {
-				h = (h ^ uint64(p.R)<<32 ^ uint64(uint32(p.S))) * 1099511628211
-				n++
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if n != 3*perChunk {
-			t.Fatalf("GOMAXPROCS=%d: %d pairs, want %d", procs, n, 3*perChunk)
+		if err := SelfJoinEach(context.Background(), strs, Options{Tau: 2, Parallel: parallel}, func(p Pair) bool {
+			h = (h ^ uint64(p.R)<<32 ^ uint64(uint32(p.S))) * 1099511628211
+			n++
+			return true
+		}); err != nil {
+			t.Fatal(err)
 		}
-		if procs == 1 {
+		if n != 3*perChunk {
+			t.Fatalf("Parallel=%d GOMAXPROCS=%d: %d pairs, want %d", parallel, procs, n, 3*perChunk)
+		}
+		if procs == 1 && parallel == 0 {
 			want = h
 		} else if h != want {
-			t.Fatalf("GOMAXPROCS=%d: sequence hash %#x, the caller alone's %#x", procs, h, want)
+			t.Fatalf("Parallel=%d GOMAXPROCS=%d: sequence hash %#x, the caller alone's %#x", parallel, procs, h, want)
 		}
-	}
+	})
 }
 
 // TestCancelStopsLookupStage: a serial join's lookup stage notices a

@@ -5,9 +5,9 @@
 // scan's window — bulk-built, one length group at a time, as the window
 // reaches them — with the substrings chosen by a selection method, and
 // verify the candidates that precede the current string with a configurable
-// verifier. The engine also supports
-// R≠S joins, an online matcher, and a parallel probe mode (index everything
-// once, probe read-only from several goroutines).
+// verifier. The scan's chunks run on several workers, which share the
+// window, and come out in scan order (pipe). The engine also supports R≠S
+// joins and an online matcher.
 package core
 
 import (
@@ -81,10 +81,11 @@ type Options struct {
 	Verification VerifyKind
 	// Stats, when non-nil, receives instrumentation counters.
 	Stats *metrics.Stats
-	// Parallel picks a join's mode and is the number of workers it sorts
-	// with (at least 1). At most 1, every join runs the sequential scan over
-	// a sliding window of length groups; above 1, the index-once mode, in
-	// which that many workers build the whole index and then probe it.
+	// Parallel is how many workers a join scans with:
+	// min(max(Parallel, 2), GOMAXPROCS), never more than the scan has chunks
+	// (joinWorkers); above 2 it sorts on as many (sortWorkers). The default,
+	// 1 and 2 are the same join; whatever the count, the pairs, their order,
+	// the counters and the footprint are the same.
 	Parallel int
 }
 
@@ -113,18 +114,4 @@ func normalize(a, b int32) Pair {
 		a, b = b, a
 	}
 	return Pair{R: a, S: b}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

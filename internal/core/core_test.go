@@ -377,12 +377,12 @@ func TestMatcherQueryDoesNotInsert(t *testing.T) {
 }
 
 // TestSelectionScanCountsOrdered pins the shapes of the paper's Figs. 12
-// and 14 on the three corpus kinds cmd/experiments draws them on, across
-// each kind's threshold range: selected substrings Multi-Match < Position
-// < Shift < Length, and the DP cells a self join computes SharePrefix <
-// Extension < τ+1 < 2τ+1 (the Myers kernel, beyond the paper, counts one
-// unit per text byte rather than DP cells and is left out). Each ordering
-// is strict in every case.
+// and 14 on the three corpus kinds internal/repro's TestExperiments draws
+// them on, across each kind's threshold range: selected substrings
+// Multi-Match < Position < Shift < Length, and the DP cells a self join
+// computes SharePrefix < Extension < τ+1 < 2τ+1 (the Myers kernel, beyond
+// the paper, counts one unit per text byte rather than DP cells and is left
+// out). Each ordering is strict in every case.
 func TestSelectionScanCountsOrdered(t *testing.T) {
 	author := dataset.Author(5000, 1)
 	authorTitle := dataset.AuthorTitle(2000, 1)

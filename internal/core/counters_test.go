@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/fnv"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -20,12 +19,11 @@ import (
 // (Figs. 12–14) are exact functions of corpus and threshold, so any drift
 // is a real change to selection, the signature filter or the verifiers —
 // never noise. One default-options self join per regime — long strings
-// (titles, tau 8) and short ones (author names, tau 2) — serial and with two
-// workers, which probe the same index under the same two counting rules
-// (lookupStage.lookup) and so must report the same work — the serial join at
-// GOMAXPROCS 1 to 4, which splits its lookups over one goroutine at 1 and
-// two (maxLookups) above. A
-// change that means to move a counter updates its row here and says why.
+// (titles, tau 8) and short ones (author names, tau 2) — at every
+// parallelism and GOMAXPROCS of sweep: however many workers share the
+// chunks, each chunk's lookups follow the same two counting rules
+// (blockJoin.lookup), so every run reports the same work. A change that
+// means to move a counter updates its row here and says why.
 func TestWorkCountersPinned(t *testing.T) {
 	type counters struct {
 		SelectedSubstrings, Lookups, LookupHits                                         int64
@@ -41,19 +39,17 @@ func TestWorkCountersPinned(t *testing.T) {
 		{"Author(5000,1) tau=2", dataset.Author(5000, 1), 2, counters{59755, 59755, 7903, 13882, 12080, 1279, 20392, 490, 185, 785}},
 	}
 	for _, c := range cases {
-		for _, mode := range []struct{ parallel, procs int }{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {2, runtime.GOMAXPROCS(0)}} {
+		sweep(func(parallel, procs int) {
 			var st metrics.Stats
-			var err error
-			withProcs(mode.procs, func() { _, err = SelfJoin(c.corpus, Options{Tau: c.tau, Stats: &st, Parallel: mode.parallel}) })
-			if err != nil {
+			if _, err := SelfJoin(c.corpus, Options{Tau: c.tau, Stats: &st, Parallel: parallel}); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			got := counters{st.SelectedSubstrings, st.Lookups, st.LookupHits,
 				st.Candidates, st.SigRejects, st.Verifications, st.DPCells, st.EarlyTerms, st.SharedRows, st.Results}
 			if got != c.want {
-				t.Errorf("%s Parallel=%d GOMAXPROCS=%d:\n got %+v\nwant %+v", c.name, mode.parallel, mode.procs, got, c.want)
+				t.Errorf("%s Parallel=%d GOMAXPROCS=%d:\n got %+v\nwant %+v", c.name, parallel, procs, got, c.want)
 			}
-		}
+		})
 		// The one counter with a ground truth outside this package.
 		if n := len(bruteforce.SelfJoin(c.corpus, c.tau)); int64(n) != c.want.Results {
 			t.Errorf("%s: brute force finds %d pairs, the pinned Results is %d", c.name, n, c.want.Results)
@@ -62,13 +58,16 @@ func TestWorkCountersPinned(t *testing.T) {
 }
 
 // TestSerialEmitOrder pins the sequence, not the set, of the pairs the
-// serial joins hand emit: by non-decreasing length of the probing string
-// and, within a length, in the order the scan meets them. The values are
-// FNV-64a hashes of the (R, S) sequence, little-endian, from the commit
-// before the scan's lookups and verifications ran on two goroutines: an R≠S
-// join probes the first quarter of the corpus against all of it. The
-// sequence is the same at every GOMAXPROCS, however many goroutines share
-// the lookups; it is checked at 1 to 4.
+// joins hand emit: by non-decreasing length of the probing string and,
+// within a length, in the order the scan meets them. The values are FNV-64a
+// hashes of the (R, S) sequence, little-endian, from the commit before the
+// scan's lookups and verifications ran on two goroutines: an R≠S join probes
+// the first quarter of the corpus against all of it. The sequence is the
+// same at every parallelism and GOMAXPROCS, however many workers share the
+// chunks; it is checked at those of sweep. DNA strings, of few lengths, keep
+// the workers waiting on each other's groups (scan.held) more than the other
+// corpora do; their values are those of the join on one goroutine, under an
+// extension and a whole-string verifier.
 func TestSerialEmitOrder(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -82,33 +81,58 @@ func TestSerialEmitOrder(t *testing.T) {
 		{"Author(5000,1) tau=2", dataset.Author(5000, 1), 2,
 			byVerifier(0x6654f61093d0d6d0, 0x0598bac201be70b8),
 			byVerifier(0x4a2537ce031accab, 0xe0598c32f6a7f987)},
+		{"DNA(20000,1) tau=2", dataset.DNA(20000, 1), 2,
+			map[VerifyKind]uint64{VerifyExtensionShared: 0x8c222f073a2bcf27, VerifyMyers: 0xf03fadc6bb381df3},
+			map[VerifyKind]uint64{VerifyExtensionShared: 0x318b6eacbcce7693, VerifyMyers: 0x1b34d9452ffd6b37}},
 	}
 	for _, c := range cases {
-		for procs := 1; procs <= 4; procs++ {
-			withProcs(procs, func() {
-				for _, vk := range VerifyKinds {
-					h := fnv.New64a()
-					emit := func(p Pair) bool {
-						h.Write(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(p.R)), uint32(p.S)))
-						return true
-					}
-					opt := Options{Tau: c.tau, Verification: vk}
-					if err := SelfJoinEach(context.Background(), c.corpus, opt, emit); err != nil {
-						t.Fatal(err)
-					}
-					if got := h.Sum64(); got != c.self[vk] {
-						t.Errorf("%s %v GOMAXPROCS=%d SelfJoinEach: sequence hash %#x, want %#x", c.name, vk, procs, got, c.self[vk])
-					}
-					h.Reset()
-					if err := JoinEach(context.Background(), c.corpus[:len(c.corpus)/4], c.corpus, opt, emit); err != nil {
-						t.Fatal(err)
-					}
-					if got := h.Sum64(); got != c.rset[vk] {
-						t.Errorf("%s %v GOMAXPROCS=%d JoinEach: sequence hash %#x, want %#x", c.name, vk, procs, got, c.rset[vk])
-					}
+		sweep(func(parallel, procs int) {
+			for _, vk := range VerifyKinds {
+				if _, ok := c.self[vk]; !ok {
+					continue
 				}
-			})
-		}
+				h := fnv.New64a()
+				emit := func(p Pair) bool {
+					h.Write(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(p.R)), uint32(p.S)))
+					return true
+				}
+				opt := Options{Tau: c.tau, Verification: vk, Parallel: parallel}
+				if err := SelfJoinEach(context.Background(), c.corpus, opt, emit); err != nil {
+					t.Fatal(err)
+				}
+				if got := h.Sum64(); got != c.self[vk] {
+					t.Errorf("%s %v Parallel=%d GOMAXPROCS=%d SelfJoinEach: sequence hash %#x, want %#x", c.name, vk, parallel, procs, got, c.self[vk])
+				}
+				h.Reset()
+				if err := JoinEach(context.Background(), c.corpus[:len(c.corpus)/4], c.corpus, opt, emit); err != nil {
+					t.Fatal(err)
+				}
+				if got := h.Sum64(); got != c.rset[vk] {
+					t.Errorf("%s %v Parallel=%d GOMAXPROCS=%d JoinEach: sequence hash %#x, want %#x", c.name, vk, parallel, procs, got, c.rset[vk])
+				}
+			}
+		})
+	}
+}
+
+// sweep runs f at every parallelism a join may be asked for that differs —
+// 0, 1 and 2 are the default join's two workers, 3, 4 and 8 add helpers up
+// to GOMAXPROCS — under GOMAXPROCS 1, 2 and 4, and then restores
+// GOMAXPROCS. Under the race detector, where CI runs the sweeps once more
+// at each of -cpu 1, 2 and 4, it skips a parallelism that runs as many
+// workers (joinWorkers) as one it has run at that GOMAXPROCS: the same
+// join, five of the eighteen left.
+func sweep(f func(parallel, procs int)) {
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(procs, func() {
+			ran := map[int]bool{}
+			for _, parallel := range []int{0, 1, 2, 3, 4, 8} {
+				if w := joinWorkers(parallel); !ran[w] || !raceEnabled {
+					ran[w] = true
+					f(parallel, procs)
+				}
+			}
+		})
 	}
 }
 

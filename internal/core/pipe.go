@@ -11,13 +11,13 @@ import (
 	"passjoin/internal/metrics"
 )
 
-// pipe runs a serial join's scan — the chunks of side, the probing strings
-// sorted by length, against a window of length groups that slide(L) moves to
-// a chunk length L — on up to maxWorkers goroutines: the caller's, and
-// helpers. arm returns a worker: a block join over the window's index that
-// counts into the Stats it is given (nil when the join counts nothing). The
-// join counts into st and delivers its pairs to emit, on the caller's
-// goroutine.
+// pipe runs a join's scan — the chunks of side, the probing strings sorted
+// by length, against a window of length groups that slide(L) moves to a
+// chunk length L — on workers goroutines, never more than there are chunks:
+// the caller's, and helpers. arm returns a worker: a block join over the
+// window's index that counts into the Stats it is given (nil when the join
+// counts nothing). The join counts into st and delivers its pairs to emit,
+// on the caller's goroutine.
 //
 // The unit of work is a chunk. Each worker claims the next chunk in scan
 // order and runs it whole with state of its own — prober, pairSet, shared
@@ -40,7 +40,7 @@ import (
 // The window slides to a chunk length once every chunk before it is claimed
 // and no worker still reads a group that the slide releases (held, advance),
 // so that no more groups are ever live than the scan of §3.2 keeps; a
-// worker slides it while the other looks up in the groups it keeps, and a
+// worker slides it while the others look up in the groups it keeps, and a
 // worker waits only until the group it is to read next is in the window.
 //
 // A cancelled ctx stops the workers at their next tick; the scan then
@@ -48,8 +48,12 @@ import (
 // helper is gone — when emit stops the join or panics too — and reports a
 // panic of a worker, or of slide, as an error. counted is the number of
 // chunks whose counts went to st.
-func (pl *joinPlan) pipe(ctx context.Context, st *metrics.Stats, arm func(*metrics.Stats) *blockJoin, slide func(l int), emit func(Pair) bool) (counted int, err error) {
-	var wst [maxWorkers]metrics.Stats
+func (pl *joinPlan) pipe(ctx context.Context, st *metrics.Stats, workers int, arm func(*metrics.Stats) *blockJoin, slide func(l int), emit func(Pair) bool) (counted int, err error) {
+	workers = max(min(workers, len(pl.chunks)), 1)
+	var wst []metrics.Stats
+	if st != nil {
+		wst = make([]metrics.Stats, workers)
+	}
 	counts := func(w int) *metrics.Stats {
 		if st == nil {
 			return nil
@@ -57,7 +61,7 @@ func (pl *joinPlan) pipe(ctx context.Context, st *metrics.Stats, arm func(*metri
 		return &wst[w]
 	}
 	j := arm(counts(0))
-	s := newScan(j, ctx.Done(), pl.side, pl.chunks, slide)
+	s := newScan(j, ctx.Done(), pl.side, pl.chunks, slide, workers)
 	s.enlist(0, j)
 	for w := range s.helpers {
 		go s.help(w+1, func() *blockJoin { return arm(counts(w + 1)) })
@@ -111,20 +115,37 @@ func (sl *chunkSlot) len() int {
 	return (n-1)*slotBlock + len(sl.pairs[n-1])
 }
 
+// joinWorkers returns how many workers a join asked for parallel runs its
+// scan on (pipe cuts them at its chunks): parallel, but at least two — the
+// caller and one helper, the count measured on two cores — and no more than
+// GOMAXPROCS. The default (0), 1 and 2 are therefore the same join at any
+// GOMAXPROCS, and only a parallel above two adds goroutines. A helper costs
+// its own prober, pairSet, shared rows, resolver and task batch.
+func joinWorkers(parallel int) int {
+	return min(max(parallel, 2), runtime.GOMAXPROCS(0))
+}
+
+// sortWorkers returns how many workers a join asked for parallel sorts its
+// sides on (sortRecs): the default join's one, and joinWorkers above two. A
+// second sort worker's record buffers, sized for the largest group it
+// claims, cost the default self join of 100 000 names 0.4 MB, 4 % of what
+// it allocates.
+func sortWorkers(parallel int) int {
+	if parallel <= 2 {
+		return 1
+	}
+	return joinWorkers(parallel)
+}
+
 const (
-	// maxWorkers caps a serial join's workers: min(GOMAXPROCS, maxWorkers)
-	// of them — the caller and a helper — never more than there are chunks.
-	// Two is the count that was measured (docs/perf/PR-39.md, on 2 vCPUs);
-	// the helper costs its own prober, pairSet, shared rows, resolver and
-	// task batch. Raise it only with a measurement on more cores.
-	maxWorkers = 2
-	// slotRing is how many chunks may be claimed and not yet emitted: the
-	// helper runs up to seven chunks ahead of the oldest one the caller has
-	// yet to emit, so that a slow chunk on one worker, or the caller's
-	// emitting, seldom stalls the other. In back-to-back joins of the
-	// benchmark corpora (-cpu 2) a ring of four kept the helper waiting for
-	// a slot 15–21 ms a join, eight 1–4 ms (docs/perf/PR-39.md).
-	slotRing = 8
+	// slotsPerWorker sizes the ring of chunks that may be claimed and not yet
+	// emitted: four slots a worker, eight at two, where a helper runs up to
+	// seven chunks ahead of the oldest one the caller has yet to emit, so
+	// that a slow chunk on one worker, or the caller's emitting, seldom
+	// stalls another. In back-to-back joins of the benchmark corpora (two
+	// workers) a ring of four kept the helper waiting for a slot 15–21 ms a
+	// join, eight 1–4 ms.
+	slotsPerWorker = 4
 	// slotBlock is how many matches a block of a slot holds: 1 KiB, which
 	// a chunk of the benchmark corpora (470 matches at most) fills a few
 	// times over, and which a sparse chunk does not waste.
@@ -132,7 +153,7 @@ const (
 	// maxBuffered bounds the matches of verified chunks that wait to be
 	// emitted: past it no worker claims a chunk until the caller has emitted
 	// them, so that a corpus of many near-duplicates does not have the
-	// helper buffer chunk after chunk ahead of the caller, and the scan
+	// helpers buffer chunk after chunk ahead of the caller, and the scan
 	// keeps no more blocks than it holds (2 MiB).
 	maxBuffered = 1 << 18
 )
@@ -140,7 +161,7 @@ const (
 // noGroup is what scan.held records for a worker that reads no group.
 const noGroup = math.MaxInt
 
-// scan is what the workers of a serial join share (pipe): they claim chunks
+// scan is what the workers of a join share (pipe): they claim chunks
 // and slots from it, wait on it for the window to reach their groups, and
 // hand it their verified chunks, which the caller emits (turn, retire).
 // stopped says the scan is through or a worker panicked; cancel is the
@@ -167,10 +188,10 @@ type scan struct {
 	// held[w] is the least group worker w may still read, noGroup when it
 	// reads none: from its claim of a chunk until the chunk's lookups are
 	// through.
-	held [maxWorkers]int
-	// ring[c%slotRing] is the slot of chunk c from its claim until it is
+	held []int
+	// ring[c%len(ring)] is the slot of chunk c from its claim until it is
 	// emitted: the chunks [emitted, next) hold theirs.
-	ring    [slotRing]chunkSlot
+	ring    []chunkSlot
 	emitted int
 	// buffered is the matches of the verified chunks not yet emitted, and
 	// free the blocks that emitted chunks gave back.
@@ -180,16 +201,17 @@ type scan struct {
 	err      error // of a panic; read once every helper is gone
 }
 
-// newScan returns the scan of j over side's chunks, with helpers to start:
-// one less than min(GOMAXPROCS, maxWorkers), never more than there are
-// chunks.
-func newScan(j *blockJoin, cancel <-chan struct{}, side []string, chunks []span, slide func(l int)) *scan {
+// newScan returns the scan of j over side's chunks on workers workers, the
+// caller and workers−1 helpers to start.
+func newScan(j *blockJoin, cancel <-chan struct{}, side []string, chunks []span, slide func(l int), workers int) *scan {
 	s := &scan{j: j, side: side, chunks: chunks, slide: slide, cancel: cancel, top: -1}
 	s.wake.L = &s.mu
+	s.held = make([]int, workers)
 	for w := range s.held {
 		s.held[w] = noGroup
 	}
-	s.helpers = max(min(runtime.GOMAXPROCS(0), maxWorkers, len(chunks))-1, 0)
+	s.ring = make([]chunkSlot, slotsPerWorker*workers)
+	s.helpers = workers - 1
 	return s
 }
 
@@ -275,7 +297,7 @@ func (s *scan) block() []uint64 {
 	return make([]uint64, 0, slotBlock)
 }
 
-// open is a serial join's tick: it reports whether the scan is still on —
+// open is a join's tick: it reports whether the scan is still on —
 // not stopped, and its ctx live. A ctx that cannot be cancelled costs it a
 // nil compare.
 func (s *scan) open() bool {
@@ -297,11 +319,11 @@ func (s *scan) open() bool {
 // (nil); mu is held.
 func (s *scan) claim(w int) *chunkSlot {
 	c := s.next
-	if c == len(s.chunks) || c >= s.emitted+slotRing || s.buffered > maxBuffered {
+	if c == len(s.chunks) || c >= s.emitted+len(s.ring) || s.buffered > maxBuffered {
 		return nil
 	}
 	s.next++
-	sl := &s.ring[c%slotRing]
+	sl := &s.ring[c%len(s.ring)]
 	sl.c = c
 	if l := s.j.groupFrom(s.j.window(s.length(c))); l >= 0 {
 		s.held[w] = l
@@ -392,7 +414,7 @@ func (s *scan) turn() (done, next *chunkSlot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.open() && s.emitted < len(s.chunks) {
-		if sl := &s.ring[s.emitted%slotRing]; s.emitted < s.next && sl.done {
+		if sl := &s.ring[s.emitted%len(s.ring)]; s.emitted < s.next && sl.done {
 			return sl, nil
 		}
 		if sl := s.claim(0); sl != nil {

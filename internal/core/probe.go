@@ -14,8 +14,8 @@ import (
 // prober owns the per-scan state of one matcher or one join worker: the
 // segment index being probed, the verifier scratch space, and the
 // deduplication stamps. The corpus (ref) and its signatures (sig) are
-// shared, read-only. It is single-goroutine state: every worker of a join,
-// serial (pipe) or parallel (streamEngine), has a prober of its own.
+// shared, read-only. It is single-goroutine state: every worker of a join
+// (pipe) has a prober of its own.
 //
 // Exactly one of idx (the mutable index of an unsealed Matcher) and fz (the
 // frozen index of everything else: sealed matchers and every join) is
@@ -503,8 +503,8 @@ type extension struct {
 // over here, at every list.
 func (p *prober) beginExtension(s string, i, pos, pi, li int) {
 	x := &p.ext
-	x.tauL = minInt(i-1, p.qtau)
-	x.tauR = minInt(p.tau+1-i, p.qtau)
+	x.tauL = min(i-1, p.qtau)
+	x.tauR = min(p.tau+1-i, p.qtau)
 	x.sl = s[:pos-1]
 	x.sr = s[pos-1+li:]
 	x.pi, x.li = pi, li

@@ -16,7 +16,7 @@ import (
 // Figures 12 (counts) and 13 (generation time) of the paper measure.
 func SelectionScan(strs []string, tau int, m selection.Method) (count int64, checksum uint64) {
 	for _, s := range strs {
-		lmin := maxInt(tau+1, len(s)-tau)
+		lmin := max(tau+1, len(s)-tau)
 		for l := lmin; l <= len(s); l++ {
 			for i := 1; i <= tau+1; i++ {
 				pi := partition.SegPos(l, tau, i)

@@ -7,8 +7,8 @@ import (
 
 // SelfJoin finds every unordered pair of strings in strs whose edit
 // distance is at most opt.Tau. Result pairs carry original input indices
-// with R < S; the slice is sorted lexicographically. It runs SelfJoinEach,
-// in the mode opt.Parallel picks, and sorts what it delivers.
+// with R < S; the slice is sorted lexicographically. It runs SelfJoinEach
+// and sorts what it delivers.
 func SelfJoin(strs []string, opt Options) ([]Pair, error) {
 	return collect(func(emit func(Pair) bool) error {
 		return SelfJoinEach(context.Background(), strs, opt, emit)
@@ -31,22 +31,21 @@ func collect(join func(emit func(Pair) bool) error) ([]Pair, error) {
 }
 
 // SelfJoinEach streams the self-join results to emit as they are found,
-// without materializing the result set, in the mode opt.Parallel picks
-// (joinPlan.run). emit is always called from the calling goroutine, so it
-// needs no synchronization. The sequential scan delivers pairs by
-// non-decreasing length of the longer string, in no particular order within
-// a length — the order, and every counter, of a scan on one goroutine; the
-// parallel mode, in no deterministic order. emit returning false stops the
-// join early and returns nil — the sequential scan having counted all of
-// the chunk that held the last pair delivered, and none after it; a ctx
-// cancellation stops it within a batch of lookups and returns ctx.Err(). A
-// nil ctx means Background.
+// without materializing the result set, on the workers opt.Parallel asks
+// for (joinPlan.run). emit is always called from the calling goroutine, so
+// it needs no synchronization. Pairs come by non-decreasing length of the
+// longer string, in no particular order within a length — the order, and
+// every counter, of a scan on one goroutine, at every parallelism. emit
+// returning false stops the join early and returns nil, the scan having
+// counted all of the chunk that held the last pair delivered, and none
+// after it; a ctx cancellation stops it within a batch of lookups and
+// returns ctx.Err(). A nil ctx means Background.
 func SelfJoinEach(ctx context.Context, strs []string, opt Options, emit func(Pair) bool) error {
 	ctx, err := begin(ctx, opt, emit)
 	if err != nil {
 		return err
 	}
-	ref, orig, off, sig, err := sortRecs(strs, max(opt.Parallel, 1), true)
+	ref, orig, off, sig, err := sortRecs(strs, sortWorkers(opt.Parallel), true)
 	if err != nil {
 		return err
 	}

@@ -108,13 +108,12 @@ func TestSigFilterMatchersMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestJoinModesAgree: every join entry point — serial SelfJoin and Join, the
+// TestJoinModesAgree: every join entry point — SelfJoin and Join, the
 // stream joins at 1 and 4 workers — answers what brute force answers on the
 // adversarial corpus, for every verification kind and threshold (joins
-// probe at their build threshold, so the threshold itself varies), and the
-// serial and parallel modes report the same Stats field by field: they
-// probe the same frozen groups under the same counting rules. Only the
-// index footprint differs — a window of groups against the whole index.
+// probe at their build threshold, so the threshold itself varies), and
+// every parallelism reports the same Stats field by field, index footprint
+// included: the same scan, whatever the workers.
 func TestJoinModesAgree(t *testing.T) {
 	strs := sigCorpus()
 	rng := rand.New(rand.NewSource(7))
@@ -124,11 +123,8 @@ func TestJoinModesAgree(t *testing.T) {
 	}
 	sameWork := func(label string, serial, parallel metrics.Stats) {
 		t.Helper()
-		if serial.Lookups == 0 || serial.PeakLiveGroups == 0 || parallel.IndexEntries < serial.IndexEntries {
-			t.Fatalf("%s: implausible stats: serial %+v, parallel %+v", label, serial, parallel)
-		}
-		for _, st := range []*metrics.Stats{&serial, &parallel} {
-			st.IndexBytes, st.IndexEntries, st.PeakLiveGroups = 0, 0, 0
+		if serial.Lookups == 0 || serial.PeakLiveGroups == 0 {
+			t.Fatalf("%s: implausible stats: %+v", label, serial)
 		}
 		if serial != parallel {
 			t.Fatalf("%s: serial and parallel stats differ:\n serial   %+v\n parallel %+v", label, serial, parallel)

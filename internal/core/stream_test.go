@@ -97,9 +97,8 @@ func TestSelfJoinStreamEarlyStop(t *testing.T) {
 	}
 }
 
-// Cancelling mid-join must stop it in either mode — the sequential scan's
-// two stages or the parallel workers — surface ctx.Err() and leave no
-// goroutine behind; the test hangs (and times out) if a stage or a worker
+// Cancelling mid-join must stop it at every parallelism — the caller and
+// every helper — surface ctx.Err() and leave no goroutine behind; the test hangs (and times out) if a stage or a worker
 // never observes the cancellation. Run under -race to exercise the shutdown
 // handshake.
 func TestSelfJoinStreamCancelMidJoin(t *testing.T) {
@@ -201,27 +200,6 @@ func TestStreamEmptyAndTinyInputs(t *testing.T) {
 	}
 }
 
-// A panic inside a probe worker must come back as an error from run, not
-// kill the process — the workers execute outside any caller recovery.
-func TestStreamWorkerPanicSurfacesAsError(t *testing.T) {
-	e := &streamEngine{
-		workers: 2,
-		chunks:  chunksOf([]int{0, 10 * blockChunk}), // ten chunks
-		newWorker: func(_ *metrics.Stats, push func(Pair) bool, _ func() bool) func(span) bool {
-			return func(c span) bool {
-				if c.lo == 3*blockChunk {
-					panic("probe blew up")
-				}
-				return push(Pair{R: int32(c.lo), S: int32(c.hi)})
-			}
-		},
-	}
-	err := e.run(context.Background(), func(Pair) bool { return true })
-	if err == nil || !strings.Contains(err.Error(), "probe blew up") {
-		t.Fatalf("err = %v, want surfaced worker panic", err)
-	}
-}
-
 // The sort's tasks run on the same helper: a panic in one comes back as an
 // error from the join that asked for the sort, serial or parallel, not as a
 // crash of a worker goroutine no caller's recover covers.
@@ -241,26 +219,27 @@ func TestSortPanicSurfacesAsError(t *testing.T) {
 }
 
 // Stream stats must match the sequential run's totals for the whole-join
-// counters that are parallelism-invariant, and the index footprint of a
-// join on several workers must be that of the whole index (wholeIndex)
-// at any worker count. One worker runs the windowed scan, whose footprint
-// is the window's at its largest: live groups, and no more than the whole.
+// counters, and the index footprint is the window's at its largest — live
+// groups, and no more than the whole index (wholeIndex) — and the same at
+// every parallelism: that of the default join.
 func TestStreamStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	strs := randomCorpus(rng, 150, 15, 3, 0.5, 3)
 	probes := randomCorpus(rng, 40, 15, 3, 0.5, 3)
-	wantBytes, wantEntries := wholeIndex(t, strs, 2)
-	checkIndex := func(workers int, join string, st *metrics.Stats) {
+	wholeBytes, wholeEntries := wholeIndex(t, strs, 2)
+	var self, rs metrics.Stats // the default join's
+	checkIndex := func(workers int, join string, st, want *metrics.Stats) {
 		t.Helper()
-		if workers <= 1 {
-			if st.PeakLiveGroups == 0 || st.IndexBytes > wantBytes || st.IndexEntries > wantEntries {
-				t.Errorf("workers=%d: %s window peak %d groups, %d B / %d entries; whole index %d / %d", workers, join, st.PeakLiveGroups, st.IndexBytes, st.IndexEntries, wantBytes, wantEntries)
+		if workers == 0 {
+			if st.PeakLiveGroups == 0 || st.IndexBytes > wholeBytes || st.IndexEntries > wholeEntries {
+				t.Errorf("%s window peak %d groups, %d B / %d entries; whole index %d / %d", join, st.PeakLiveGroups, st.IndexBytes, st.IndexEntries, wholeBytes, wholeEntries)
 			}
-		} else if st.IndexBytes != wantBytes || st.IndexEntries != wantEntries {
-			t.Errorf("workers=%d: %s index %d B / %d entries, whole index %d / %d", workers, join, st.IndexBytes, st.IndexEntries, wantBytes, wantEntries)
+			*want = *st
+		} else if st.IndexBytes != want.IndexBytes || st.IndexEntries != want.IndexEntries || st.PeakLiveGroups != want.PeakLiveGroups {
+			t.Errorf("workers=%d: %s index %d B / %d entries / %d groups, the default join's %d / %d / %d", workers, join, st.IndexBytes, st.IndexEntries, st.PeakLiveGroups, want.IndexBytes, want.IndexEntries, want.PeakLiveGroups)
 		}
 	}
-	for _, workers := range []int{1, 2, 4} {
+	for _, workers := range []int{0, 1, 2, 3, 4, 8} {
 		st := &metrics.Stats{}
 		got := collectStream(t, context.Background(), strs, Options{Tau: 2, Parallel: workers, Stats: st})
 		if st.Results != int64(len(got)) {
@@ -269,12 +248,12 @@ func TestStreamStats(t *testing.T) {
 		if st.Strings != int64(len(strs)) {
 			t.Errorf("workers=%d: Strings=%d, want %d", workers, st.Strings, len(strs))
 		}
-		checkIndex(workers, "self join", st)
+		checkIndex(workers, "self join", st, &self)
 		st = &metrics.Stats{}
 		if err := JoinEach(context.Background(), probes, strs, Options{Tau: 2, Parallel: workers, Stats: st}, func(Pair) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
-		checkIndex(workers, "R-S join", st)
+		checkIndex(workers, "R-S join", st, &rs)
 	}
 }
 

@@ -317,9 +317,9 @@ func TestJoinClientDisconnectCancelsWorkers(t *testing.T) {
 		b[i%len(b)] = byte('a' + i%4)
 		corpus[i] = string(b)
 	}
-	// One worker runs the sequential scan, two the parallel probe workers:
-	// a dropped client stops either.
-	for _, parallel := range []int{1, 2} {
+	// At 1 and 2 the join runs on the caller and one helper, at 4 on up to
+	// GOMAXPROCS workers: a dropped client stops each.
+	for _, parallel := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
 			joinUntilDisconnect(t, corpus, parallel)
 		})

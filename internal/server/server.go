@@ -712,9 +712,11 @@ func (s *Server) handleJoinRS(w http.ResponseWriter, r *http.Request)   { s.hand
 // running. The request body is text lines — one string per line; for the
 // R×S form, the R and S sections are separated by the first blank line
 // (later blank lines count as empty strings). ?tau= overrides the index
-// threshold and ?parallel= the probe worker count (0 or absent =
-// GOMAXPROCS, capped at 4×GOMAXPROCS). The join runs under the request
-// context, so a dropped client connection cancels the probe workers.
+// threshold and ?parallel= the join's worker count (0 or absent =
+// GOMAXPROCS; the join itself runs at least two and at most GOMAXPROCS).
+// Pairs stream in the join's scan order, the same at every ?parallel=. The
+// join runs under the request context, so a dropped client connection
+// cancels its workers.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
 	tau, par, ok := parseJoinParams(w, r.URL.Query(), s.idx.Tau())
 	if !ok {
@@ -722,9 +724,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, self bool) {
 	}
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
-	}
-	if limit := 4 * runtime.GOMAXPROCS(0); par > limit {
-		par = limit
 	}
 	rset, sset, _, ok := readJoinBody(w, r, s.cfg.MaxJoinBytes, self)
 	if !ok {

@@ -35,9 +35,9 @@ func (s *Stats) String() string { return (*metrics.Stats)(s).String() }
 // searcher build zeroes it and leaves that call's counters in it. A
 // Matcher zeroes it once, at NewMatcher, and adds into it on each Insert
 // and Query. The sink must not be read while the call that writes it runs.
-// A default (window-scan) join that its callback stops early records all of
-// the run of equal-length strings (up to 1 024) that held its last pair and
-// nothing after it — index footprint included — the same at every
+// A join that its callback stops early records all of the run of
+// equal-length strings (up to 1 024) that held its last pair and nothing
+// after it — index footprint included — the same at every parallelism and
 // GOMAXPROCS and on every run.
 func WithStats(st *Stats) Option {
 	return func(c *config) error {
@@ -49,13 +49,15 @@ func WithStats(st *Stats) Option {
 	}
 }
 
-// WithParallelism enables the index-once/probe-parallel mode with n
-// workers for all six join entry points: SelfJoin/Join, the streaming
-// SelfJoinEach/JoinEach, and the context-aware SelfJoinEachCtx/JoinEachCtx.
-// n <= 1 keeps the sequential sliding-window scan: it looks up and verifies
-// runs of equal-length strings on the caller's goroutine and one helper
-// (none at GOMAXPROCS=1), calls any callback on the caller's, in the scan's
-// order, and only GOMAXPROCS=1 keeps it on one core.
+// WithParallelism sets the workers of all six join entry points —
+// SelfJoin/Join, the streaming SelfJoinEach/JoinEach, and the
+// context-aware SelfJoinEachCtx/JoinEachCtx — to min(max(n, 2),
+// GOMAXPROCS). The sliding-window scan looks up and verifies runs of
+// equal-length strings on those workers — by default, and at n = 1 or 2,
+// the caller's goroutine and one helper (none at GOMAXPROCS=1) — and calls
+// any callback on the caller's, in the scan's order: the pairs, their order
+// and the Stats are the same at every n. Only GOMAXPROCS=1 keeps a join on
+// one core.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

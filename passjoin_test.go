@@ -67,16 +67,20 @@ func TestJoinDistinctSets(t *testing.T) {
 // had a record (1 129 240 B in 4 076 and 887 144 B in 303). The serial
 // scan's queue of tasks between goroutines (PRs 29–38: 68 232 B) took both
 // ceilings to their values. Since the scan runs whole chunks on the caller
-// and at most one helper (core's maxWorkers), there is no queue: each worker
-// has its own 256-task batch, and the helper its own prober, pairSet and
-// shared rows, armed at its first chunk. At -cpu 1, 2, 4 and 8 the titles
-// allocate 781 984, 828 768, 843 008 and 846 624 B in 1 143 and 1 141
+// and, by default, at most one helper, there is no queue: each worker has
+// its own 256-task batch, and the helper its own prober, pairSet and shared
+// rows, armed at its first chunk. At -cpu 1, 2, 4 and 8 the titles
+// allocated 781 984, 828 768, 843 008 and 846 624 B in 1 143 and 1 141
 // allocations, and the names 637 856, 667 232, 667 136 and 664 912 B in 217
 // (with the queue and one verifying goroutine: 869 096 / 873 736 B and
 // 724 968 / 729 080 B at -cpu 1 / 2); the cap keeps the bytes level from
-// GOMAXPROCS 2 up, within the 20 KB by which runs differ there. CI runs
-// this test at -cpu 1,2,4. A change that means to allocate more raises a
-// ceiling here and says why.
+// GOMAXPROCS 2 up, within the 20 KB by which runs differ there. Collecting
+// the pairs straight from the stream took them to 773 936 B in 1 135 and
+// 836–842 KB in 1 133 for the titles, 629 808 B and 659–660 KB in 209 for
+// the names, at -cpu 1 and at 2 and 4; sorting on a second worker as well
+// took the titles to 907 KB at -cpu 2 (its own records and its own 64 KiB
+// block). CI runs this test at -cpu 1,2,4. A change that
+// means to allocate more raises a ceiling here and says why.
 func TestJoinAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -180,9 +180,9 @@ func checkWindowStats(t *testing.T, name string, st *Stats, indexed []string, ta
 	}
 }
 
-// The Ctx form runs the mode WithParallelism picks, as the other forms do:
-// at the default and at one worker, the sequential scan, which yields
-// exactly the sequence SelfJoinEach does; with workers, the same set.
+// The Ctx form runs the join the other forms do: at the default and at
+// one worker it yields exactly the sequence SelfJoinEach does, and with
+// more workers the same set.
 func TestSelfJoinEachCtxMatchesSelfJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
 	strs := testCorpus(rng, 200)
@@ -349,8 +349,8 @@ func TestStreamWithStats(t *testing.T) {
 }
 
 // TestJoinCornerWords runs cornerWords through the four join entry points —
-// self and R≠S, sorted and streamed — in the window scan at GOMAXPROCS 1 and
-// 4 and in the index-once mode, and holds each to brute force.
+// self and R≠S, sorted and streamed — by default at GOMAXPROCS 1 and 4 and
+// at WithParallelism(2), and holds each to brute force.
 func TestJoinCornerWords(t *testing.T) {
 	sset := cornerWords()
 	var rset []string
