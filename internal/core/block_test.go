@@ -578,7 +578,7 @@ func TestTickStopsWithinABatch(t *testing.T) {
 			var st metrics.Stats
 			p := newProber(2, selection.MultiMatch, VerifyExtensionShared, &st, nil, fz, ref, sig)
 			j := newBlockJoin(p, off, self)
-			p.emit = func(int32, int32) bool { return true }
+			p.emit = func(Hit) bool { return true }
 			ticks := 0
 			j.tick = func() bool { ticks++; return ticks < m }
 			if j.probeBlock(chunk, index.BlockBatchSize) {
@@ -631,7 +631,7 @@ func TestCancelMidChunk(t *testing.T) {
 		var st metrics.Stats
 		p := newProber(1, selection.MultiMatch, VerifyExtensionShared, &st, nil, fz, ref, sig)
 		j := newBlockJoin(p, off, true)
-		p.emit = func(int32, int32) bool { return true }
+		p.emit = func(Hit) bool { return true }
 		j.reach = func(l int) bool { return l != stop }
 		j.probeBlock(ref[off[L]:off[L+1]], off[L])
 		return st.Lookups, st.Strings

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,18 +12,22 @@ import (
 	"passjoin/internal/verify"
 )
 
-// FuzzQueryTau differential-tests the per-probe threshold path — the
-// τ′ < τ selection-window and verification-bound math — against a brute
-// force scan: a matcher partitioned for tau must answer QueryOpt at every
-// qtau <= tau exactly, for every selection method and verification kind,
-// in both the mutable (map) and sealed (frozen CSR) phases.
+// FuzzQueryTau differential-tests the query pass — the per-probe threshold's
+// τ′ < τ selection-window and verification-bound math, the hit cap and the
+// strings too short to partition — against a brute force scan: a matcher
+// partitioned for tau must answer QueryOpt and QuerySeq at every qtau <= tau
+// exactly, unlimited and capped at limit (a capped query returns exactly
+// min(limit, all) of the hits, at their distances), and QueryIDs with every
+// id within tau, for every selection method and verification kind, in both
+// the mutable (map) and sealed (frozen CSR) phases.
 func FuzzQueryTau(f *testing.F) {
-	f.Add("abc\nabd\nxyz\nabcd", "abd", 2)
-	f.Add("a\n\nb\naa\nab", "ab", 3)
-	f.Add("aaaa\naaab\nbaaa\naabb", "aaba", 3)
-	f.Add("kaushik chakrab\ncaushik chakrabar\nkaushuk chakrabar", "kaushik chakrabarti", 4)
-	f.Fuzz(func(t *testing.T, blob, q string, tau int) {
-		if tau < 0 || tau > 4 || len(blob) > 400 || len(q) > 60 {
+	f.Add("abc\nabd\nxyz\nabcd", "abd", 2, uint8(0))
+	f.Add("a\n\nb\naa\nab", "ab", 3, uint8(2))
+	f.Add("aaaa\naaab\nbaaa\naabb", "aaba", 3, uint8(1))
+	f.Add("kaushik chakrab\ncaushik chakrabar\nkaushuk chakrabar", "kaushik chakrabarti", 4, uint8(2))
+	f.Add("b\nab\naab\naaab\naaaab\nc", "aab", 2, uint8(3))
+	f.Fuzz(func(t *testing.T, blob, q string, tau int, limit uint8) {
+		if tau < 0 || tau > 4 || len(blob) > 400 || len(q) > 60 || limit > 5 {
 			t.Skip()
 		}
 		strs := strings.Split(blob, "\n")
@@ -39,6 +45,7 @@ func FuzzQueryTau(f *testing.F) {
 				}
 			}
 		}
+		wantIDs := slices.Sorted(maps.Keys(want[tau]))
 		type combo struct {
 			sel selection.Method
 			vk  VerifyKind
@@ -62,40 +69,46 @@ func FuzzQueryTau(f *testing.F) {
 				if sealed {
 					m = sealedFrom(t, m, nil)
 				}
+				where := fmt.Sprintf("%v/%v sealed=%v (corpus %q query %q)", c.sel, c.vk, sealed, strs, q)
+				if got := m.QueryIDs(q); !slices.Equal(got, wantIDs) {
+					t.Fatalf("%s tau=%d: QueryIDs %v, want %v", where, tau, got, wantIDs)
+				}
 				for qt := 0; qt <= tau; qt++ {
-					got := m.QueryOpt(q, QueryOpts{Tau: qt})
-					if len(got) != len(want[qt]) {
-						t.Fatalf("%v/%v sealed=%v qtau=%d/%d: %d hits, want %d (corpus %q query %q)",
-							c.sel, c.vk, sealed, qt, tau, len(got), len(want[qt]), strs, q)
-					}
-					for _, h := range got {
-						if d, ok := want[qt][h.ID]; !ok || d != h.Dist {
-							t.Fatalf("%v/%v sealed=%v qtau=%d/%d: hit %+v, want dist %d (present %v)",
-								c.sel, c.vk, sealed, qt, tau, h, d, ok)
+					for _, lim := range []int{0, int(limit)} {
+						o := QueryOpts{Tau: qt, Limit: lim}
+						n := len(want[qt])
+						if lim > 0 {
+							n = min(n, lim)
 						}
-					}
-					// The streaming form must surface the same hit set.
-					seen := make(map[int32]int32)
-					m.QuerySeq(q, QueryOpts{Tau: qt}, func(h Hit) bool {
-						if _, dup := seen[h.ID]; dup {
-							t.Fatalf("QuerySeq duplicate id %d", h.ID)
-						}
-						seen[h.ID] = h.Dist
-						return true
-					})
-					if len(seen) != len(want[qt]) {
-						t.Fatalf("%v/%v sealed=%v qtau=%d: QuerySeq %d hits, want %d",
-							c.sel, c.vk, sealed, qt, len(seen), len(want[qt]))
-					}
-					for id, d := range want[qt] {
-						if seen[id] != d {
-							t.Fatalf("QuerySeq id %d dist %d, want %d", id, seen[id], d)
-						}
+						checkHits(t, fmt.Sprintf("%s qtau=%d/%d limit=%d: QueryOpt", where, qt, tau, lim), m.QueryOpt(q, o), want[qt], n)
+						// The streaming form must surface the same hits.
+						var seq []Hit
+						m.QuerySeq(q, o, func(h Hit) bool {
+							seq = append(seq, h)
+							return true
+						})
+						checkHits(t, fmt.Sprintf("%s qtau=%d/%d limit=%d: QuerySeq", where, qt, tau, lim), seq, want[qt], n)
 					}
 				}
 			}
 		}
 	})
+}
+
+// checkHits fails t unless got is n distinct hits of want, each at its
+// distance there.
+func checkHits(t *testing.T, where string, got []Hit, want map[int32]int32, n int) {
+	t.Helper()
+	if len(got) != n {
+		t.Fatalf("%s: %d hits %v, want %d of %v", where, len(got), got, n, want)
+	}
+	seen := make(map[int32]bool, len(got))
+	for _, h := range got {
+		if d, ok := want[h.ID]; !ok || d != h.Dist || seen[h.ID] {
+			t.Fatalf("%s: hit %+v (repeated %v), want dist %d (present %v)", where, h, seen[h.ID], d, ok)
+		}
+		seen[h.ID] = true
+	}
 }
 
 // FuzzSelfJoin holds the joins to brute force on fuzzer-chosen lines,

@@ -168,61 +168,18 @@ func (m *Matcher) Query(s string) []Hit {
 // o.Tau is outside [0, matcher tau] — a larger threshold cannot be answered
 // exactly by a partition built for a smaller one.
 func (m *Matcher) QueryOpt(s string, o QueryOpts) []Hit {
-	qtau := m.checkQueryTau(o.Tau)
-	p := m.arm(qtau, true)
-	// The trace hook is cleared via defer for the same reason as emit: a
-	// panic unwinding through the probe must not leave a dead query's trace
-	// armed on a pooled snapshot.
-	p.trace = o.Trace
+	p := m.arm(o, true)
+	// The trace hook is cleared via defer: a panic unwinding through the
+	// probe must not leave a dead query's trace armed on a pooled snapshot.
 	defer func() { p.trace = nil }()
-	var out []Hit
-	if o.Limit > 0 {
-		out = m.queryLimit(p, s, qtau, o.Limit)
-	} else {
-		p.probe(s, len(s)-qtau, len(s)+qtau)
-		out = make([]Hit, 0, len(p.hits))
-		for k, id := range p.hits {
-			out = append(out, Hit{ID: id, Dist: p.dists[k]})
-		}
-		for _, rid := range m.shorts {
-			if absInt(len(m.strs[rid])-len(s)) > qtau {
-				continue
-			}
-			if d := p.verifyDirect(m.strs[rid], s); d <= qtau {
-				out = append(out, Hit{ID: rid, Dist: int32(d)})
-			}
-		}
+	m.run(p, s)
+	out := make([]Hit, 0, len(p.hits))
+	for k, id := range p.hits {
+		out = append(out, Hit{ID: id, Dist: p.dists[k]})
 	}
 	slices.SortFunc(out, func(a, b Hit) int { return cmp.Compare(a.ID, b.ID) })
 	if m.st != nil {
 		m.st.Results += int64(len(out))
-	}
-	return out
-}
-
-// queryLimit is QueryOpt's early-exit path: it streams through the armed
-// prober and stops at the cap. (Its own function, so that the hits of an
-// unlimited query, which no closure captures, stay off the heap.)
-func (m *Matcher) queryLimit(p *prober, s string, qtau, limit int) (out []Hit) {
-	// The emit hook is cleared via defer so a panic unwinding through the
-	// probe cannot leave it armed on a pooled snapshot.
-	defer func() { p.emit = nil }()
-	p.emit = func(id, d int32) bool {
-		out = append(out, Hit{ID: id, Dist: d})
-		return len(out) < limit
-	}
-	p.probe(s, len(s)-qtau, len(s)+qtau)
-	p.emit = nil
-	for _, rid := range m.shorts {
-		if len(out) >= limit {
-			break
-		}
-		if absInt(len(m.strs[rid])-len(s)) > qtau {
-			continue
-		}
-		if d := p.verifyDirect(m.strs[rid], s); d <= qtau {
-			out = append(out, Hit{ID: rid, Dist: int32(d)})
-		}
 	}
 	return out
 }
@@ -233,73 +190,60 @@ func (m *Matcher) queryLimit(p *prober, s string, qtau, limit int) (out []Hit) {
 // deduplicated; distances are exact. The early exit is the point: a
 // consumer that needs only a few matches abandons the rest of the probe.
 func (m *Matcher) QuerySeq(s string, o QueryOpts, yield func(Hit) bool) {
-	qtau := m.checkQueryTau(o.Tau)
-	p := m.arm(qtau, true)
-	p.trace = o.Trace
-	defer func() { p.trace = nil }()
-	n := 0
-	stopped := false
+	p := m.arm(o, true)
 	// yield is consumer code: it can panic (or Goexit via t.Fatal), and
 	// this matcher may be a pooled snapshot that outlives the panic. The
-	// deferred reset keeps a dead iteration's hook from hijacking the
+	// deferred reset keeps a dead iteration's hooks from hijacking the
 	// next query on the same snapshot.
-	defer func() { p.emit = nil }()
-	p.emit = func(id, d int32) bool {
-		n++
-		if !yield(Hit{ID: id, Dist: d}) {
-			stopped = true
-			return false
-		}
-		return o.Limit <= 0 || n < o.Limit
-	}
-	p.probe(s, len(s)-qtau, len(s)+qtau)
-	p.emit = nil
-	if !stopped && (o.Limit <= 0 || n < o.Limit) {
-		for _, rid := range m.shorts {
-			if absInt(len(m.strs[rid])-len(s)) > qtau {
-				continue
-			}
-			if d := p.verifyDirect(m.strs[rid], s); d <= qtau {
-				n++
-				if !yield(Hit{ID: rid, Dist: int32(d)}) {
-					break
-				}
-				if o.Limit > 0 && n >= o.Limit {
-					break
-				}
-			}
-		}
-	}
+	defer func() { p.emit, p.trace = nil, nil }()
+	p.emit = yield
+	m.run(p, s)
 	if m.st != nil {
-		m.st.Results += int64(n)
+		m.st.Results += int64(p.found)
 	}
 }
 
 // arm points the prober at the matcher's current corpus and sets the
-// per-probe threshold. The probe itself claims a fresh dedup epoch, so a
-// probe that unwinds (a panicking QuerySeq consumer) cannot leave stamps
-// that suppress hits from the next query on this (possibly pooled) matcher.
-func (m *Matcher) arm(qtau int, needDist bool) *prober {
+// query's threshold, hit cap and trace, and whether it records distances.
+// It panics when o.Tau is outside [0, matcher tau]. The probe itself claims
+// a fresh dedup epoch, so a probe that unwinds (a panicking QuerySeq
+// consumer) cannot leave stamps that suppress hits from the next query on
+// this (possibly pooled) matcher.
+func (m *Matcher) arm(o QueryOpts, needDist bool) *prober {
+	if o.Tau < 0 || o.Tau > m.tau {
+		panic(fmt.Sprintf("core: query tau %d outside [0, %d]", o.Tau, m.tau))
+	}
 	p := m.p
-	p.ref = m.strs
-	p.sig = m.sigs
-	p.qtau = qtau
+	p.ref, p.sig = m.strs, m.sigs
+	p.qtau, p.limit, p.trace = o.Tau, o.Limit, o.Trace
 	p.needDist = needDist
 	return p
 }
 
-func (m *Matcher) checkQueryTau(qtau int) int {
-	if qtau < 0 || qtau > m.tau {
-		panic(fmt.Sprintf("core: query tau %d outside [0, %d]", qtau, m.tau))
+// run is the one query pass under every entry point: it probes the segment
+// indices for the strings of s's length window, then verifies the strings
+// too short to partition directly, and hands every hit to accept until the
+// cap or the consumer stops it.
+func (m *Matcher) run(p *prober, s string) {
+	p.probe(s, len(s)-p.qtau, len(s)+p.qtau)
+	for _, rid := range m.shorts {
+		if p.stopped {
+			return
+		}
+		if absInt(len(m.strs[rid])-len(s)) > p.qtau {
+			continue
+		}
+		if d := p.verifyDirect(m.strs[rid], s); d <= p.qtau {
+			p.accept(rid, int32(d))
+		}
 	}
-	return qtau
 }
 
 // QueryIDs is Query without the distance annotation: the extension
 // verifiers skip the per-result exact-distance DP, so it is the cheaper
 // form when only membership matters (streaming dedup, joins).
 func (m *Matcher) QueryIDs(s string) []int32 {
-	ids := m.match(s, false)
+	ids := m.match(s)
 	if m.st != nil {
 		m.st.Results += int64(len(ids))
 	}
@@ -314,7 +258,7 @@ func (m *Matcher) Insert(s string) []int32 {
 	if m.fz != nil {
 		panic("core: Insert into sealed Matcher")
 	}
-	out := m.match(s, false)
+	out := m.match(s)
 	m.InsertSilent(s)
 	if m.st != nil {
 		m.st.Results += int64(len(out))
@@ -366,20 +310,12 @@ func (m *Matcher) InsertSilent(s string) {
 	}
 }
 
-// match probes for s and returns matching ids sorted ascending.
-func (m *Matcher) match(s string, needDist bool) []int32 {
-	p := m.arm(m.tau, needDist) // a prior QueryOpt may have left a tighter budget
-	p.trace = nil               // and must not leave its trace armed either
-	p.probe(s, len(s)-m.tau, len(s)+m.tau)
+// match probes for s at the build threshold, with no cap, trace or
+// distances, and returns the matching ids sorted ascending.
+func (m *Matcher) match(s string) []int32 {
+	p := m.arm(QueryOpts{Tau: m.tau}, false)
+	m.run(p, s)
 	ids := append(make([]int32, 0, len(p.hits)), p.hits...)
-	for _, rid := range m.shorts {
-		if absInt(len(m.strs[rid])-len(s)) > m.tau {
-			continue
-		}
-		if p.verifyDirect(m.strs[rid], s) <= m.tau {
-			ids = append(ids, rid)
-		}
-	}
 	slices.Sort(ids)
 	return ids
 }

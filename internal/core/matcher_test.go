@@ -2,10 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"passjoin/internal/dataset"
 	"passjoin/internal/metrics"
+	"passjoin/internal/obs"
 	"passjoin/internal/selection"
 )
 
@@ -131,5 +134,110 @@ func TestManyHitsSorted(t *testing.T) {
 		if want := (Hit{ID: int32(id), Dist: int32(id % 2)}); hits[id] != want || ids[id] != want.ID {
 			t.Fatalf("position %d holds hit %+v and id %d, want %+v", id, hits[id], ids[id], want)
 		}
+	}
+}
+
+// TestQueryAllocs pins what one query allocates on a sealed matcher through
+// every entry point, unlimited and capped: for a query with no hit, one with
+// hits from the segment index and one answered by the strings too short to
+// partition. QueryOpt and QueryIDs allocate their result, and nothing when
+// it is empty; QuerySeq hands its consumer to the probe as is. It skips
+// under the race detector, whose instrumentation allocates.
+func TestQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	corpus := append(dataset.Author(2000, 7),
+		"zachariah quimby", "zachariah quimbey", "zachariah quimbly", "wilhelmina oxenford", "ab", "b")
+	m, err := BuildSealedMatcher(2, selection.MultiMatch, VerifyExtensionShared, nil, corpus, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q       string
+		hits    int // unlimited
+		results int // allocations of QueryOpt and QueryIDs
+	}{
+		{"qqqqqqq xxxxxxxx", 0, 0},
+		{"wilhelmina oxenfrod", 1, 1},
+		{"zachariah quimby", 3, 1},
+		{"ab", 2, 1}, // "ab" and "b", both short
+	} {
+		for _, limit := range []int{0, 2} {
+			o := QueryOpts{Tau: 2, Limit: limit}
+			want := c.hits
+			if limit > 0 {
+				want = min(want, limit)
+			}
+			if got := len(m.QueryOpt(c.q, o)); got != want {
+				t.Fatalf("QueryOpt(%q) limit %d: %d hits, want %d", c.q, limit, got, want)
+			}
+			type row struct {
+				name   string
+				allocs int
+				run    func()
+			}
+			rows := []row{
+				{"QueryOpt", c.results, func() { m.QueryOpt(c.q, o) }},
+				{"QuerySeq", 0, func() { m.QuerySeq(c.q, o, func(Hit) bool { return true }) }},
+			}
+			if limit == 0 {
+				rows = append(rows, row{"QueryIDs", c.results, func() { m.QueryIDs(c.q) }})
+			}
+			for _, r := range rows {
+				if got := testing.AllocsPerRun(200, r.run); got > float64(r.allocs) {
+					t.Errorf("%s(%q) limit %d, %d hits: %v allocs, want at most %d", r.name, c.q, limit, want, got, r.allocs)
+				}
+			}
+		}
+	}
+}
+
+// TestQueryHooksDoNotOutliveTheQuery runs three queries on one snapshot: a
+// capped, traced QuerySeq whose consumer panics, a capped, traced QueryOpt,
+// and a plain Query. Neither the dead consumer nor either cap or trace may
+// reach a later query: the QueryOpt answers its cap, and the Query answers
+// in full and records nothing in either trace.
+func TestQueryHooksDoNotOutliveTheQuery(t *testing.T) {
+	corpus, q := earlyStopCorpus()
+	base, err := BuildSealedMatcher(4, selection.MultiMatch, VerifyExtensionShared, nil, corpus, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := base.Snapshot()
+	full := bruteHits(corpus, q, 4)
+	var seqTrace, optTrace obs.QueryTrace
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the consumer's panic did not reach the caller")
+			}
+		}()
+		n := 0
+		m.QuerySeq(q, QueryOpts{Tau: 4, Limit: 5, Trace: &seqTrace}, func(Hit) bool {
+			if n++; n == 3 {
+				panic("consumer bails")
+			}
+			return true
+		})
+	}()
+	got := m.QueryOpt(q, QueryOpts{Tau: 4, Limit: 2, Trace: &optTrace})
+	if len(got) != 2 {
+		t.Fatalf("capped QueryOpt after a panicking QuerySeq: %v, want 2 hits", got)
+	}
+	for _, h := range got {
+		if !slices.Contains(full, h) {
+			t.Fatalf("capped QueryOpt answers %+v, not a hit of %v", h, full)
+		}
+	}
+	if optTrace.Phase(obs.PhaseSelect).Count == 0 {
+		t.Fatal("the traced QueryOpt recorded nothing")
+	}
+	seqAfter, optAfter := seqTrace, optTrace
+	if got := m.Query(q); !slices.Equal(got, full) {
+		t.Fatalf("Query after the capped queries answers %v, want %v", got, full)
+	}
+	if seqTrace != seqAfter || optTrace != optAfter {
+		t.Fatal("the plain Query recorded into an earlier query's trace")
 	}
 }

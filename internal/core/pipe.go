@@ -221,13 +221,13 @@ func newScan(j *blockJoin, cancel <-chan struct{}, side []string, chunks []span,
 func (s *scan) enlist(w int, v *blockJoin) *blockJoin {
 	v.tick = s.open
 	v.reach = func(l int) bool { return s.reach(w, l) }
-	v.p.emit = func(rid, _ int32) bool {
+	v.p.emit = func(h Hit) bool {
 		sl := v.slot
 		if n := len(sl.pairs); n == 0 || len(sl.pairs[n-1]) == slotBlock {
 			sl.pairs = append(sl.pairs, s.block())
 		}
 		b := &sl.pairs[len(sl.pairs)-1]
-		*b = append(*b, v.key(rid))
+		*b = append(*b, v.key(h.ID))
 		return true
 	}
 	return v

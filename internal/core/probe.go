@@ -104,7 +104,7 @@ type prober struct {
 	// pair, so join paths that only need pairs leave this off.
 	needDist bool
 
-	// hits collects accepted candidate ids for the current probe; dists the
+	// hits collects accepted candidate ids for the current query; dists the
 	// matching distances when needDist is set.
 	hits  []int32
 	dists []int32
@@ -113,8 +113,12 @@ type prober struct {
 	// instead of having it collected into hits — the streaming query path.
 	// Returning false sets stopped and abandons the rest of the probe.
 	// Distances passed to emit are exact only when needDist is set.
-	emit    func(id, dist int32) bool
+	emit    func(Hit) bool
 	stopped bool
+
+	// limit, when > 0, caps the current query's hits: accept sets stopped
+	// at the limit-th. found counts the hits accepted since probe began.
+	limit, found int
 }
 
 func newProber(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, idx *index.Index, fz *index.Frozen, ref []string, sig []uint64) *prober {
@@ -160,6 +164,7 @@ func (p *prober) probe(s string, lmin, lmax int) {
 	p.hits = p.hits[:0]
 	p.dists = p.dists[:0]
 	p.stopped = false
+	p.found = 0
 	p.batch = p.batch[:0]
 	p.nextEpoch()
 	p.qsig = verify.SigOf(s)
@@ -564,20 +569,26 @@ func (p *prober) extend(rid int32) bool {
 	return true
 }
 
-// accept records one verified hit: streamed to emit when set, collected
-// into hits/dists otherwise. It returns false — after setting stopped —
-// when the emit consumer wants no more results.
+// accept records one verified hit: it counts it, then streams it to emit
+// when set or collects it into hits/dists otherwise. It returns false —
+// after setting stopped — when the emit consumer wants no more results or
+// the hit is the limit-th.
 func (p *prober) accept(rid, d int32) bool {
+	p.found++
 	if p.emit != nil {
-		if !p.emit(rid, d) {
+		if !p.emit(Hit{ID: rid, Dist: d}) {
 			p.stopped = true
 			return false
 		}
-		return true
+	} else {
+		p.hits = append(p.hits, rid)
+		if p.needDist {
+			p.dists = append(p.dists, d)
+		}
 	}
-	p.hits = append(p.hits, rid)
-	if p.needDist {
-		p.dists = append(p.dists, d)
+	if p.limit > 0 && p.found >= p.limit {
+		p.stopped = true
+		return false
 	}
 	return true
 }

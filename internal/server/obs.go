@@ -92,14 +92,14 @@ func newServerObs(s *Server) *serverObs {
 	// same source (live dynamic stats or the static build snapshot).
 	r.GaugeFunc("passjoin_index_strings", "Live indexed strings.",
 		func() float64 { return float64(s.idx.Len()) })
-	r.GaugeFunc("passjoin_index_shards", "Index partitions.",
+	r.GaugeFunc("passjoin_index_shards", "Workers that build the index (-shards); the index is one.",
 		func() float64 { return float64(s.idx.NumShards()) })
 	r.GaugeFunc("passjoin_index_tau", "Build threshold (largest answerable tau).",
 		func() float64 { return float64(s.idx.Tau()) })
 	stat := func(register func(string, string, func() float64), name, help string, f func(passjoin.Stats) int64) {
 		register(name, help, func() float64 { return float64(f(s.indexStats())) })
 	}
-	stat(r.GaugeFunc, "passjoin_frozen_bytes", "Retained size of the frozen (CSR) segment indices, summed across shards.",
+	stat(r.GaugeFunc, "passjoin_frozen_bytes", "Retained size of the frozen (CSR) segment index serving queries.",
 		func(st passjoin.Stats) int64 { return st.FrozenBytes })
 	stat(r.GaugeFunc, "passjoin_delta_docs", "Documents in the mutable deltas (live or tombstoned).",
 		func(st passjoin.Stats) int64 { return st.DeltaDocs })
@@ -109,9 +109,9 @@ func newServerObs(s *Server) *serverObs {
 		func(st passjoin.Stats) int64 { return st.WALBytes })
 	stat(r.GaugeFunc, "passjoin_wal_records", "Current write-ahead-log record count.",
 		func(st passjoin.Stats) int64 { return st.WALRecords })
-	stat(r.CounterFunc, "passjoin_compactions_total", "Completed compactions across shards.",
+	stat(r.CounterFunc, "passjoin_compactions_total", "Completed compactions.",
 		func(st passjoin.Stats) int64 { return st.Compactions })
-	stat(r.CounterFunc, "passjoin_compact_errors_total", "Failed compactions across shards.",
+	stat(r.CounterFunc, "passjoin_compact_errors_total", "Failed compactions.",
 		func(st passjoin.Stats) int64 { return st.CompactErrors })
 
 	// Replication link health, sampled from the Source/Follower status on

@@ -186,7 +186,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves similarity queries against a sharded index, and — when
+// Server serves similarity queries against one index, and — when
 // the index is mutable — accepts live document inserts and deletes. It
 // implements http.Handler.
 type Server struct {
@@ -312,8 +312,8 @@ type DocResponse struct {
 }
 
 // StatsResponse is the reply to /v1/stats. FrozenBytes is the exact
-// retained size of the frozen (CSR) segment indices actually serving
-// queries, summed across shards; Index carries the full counter set. The
+// retained size of the frozen (CSR) segment index actually serving
+// queries (a mutable index's base); Index carries the full counter set. The
 // Delta*/Tombstones/Compactions/WAL* fields describe the dynamic write
 // path and stay zero for a static index.
 type StatsResponse struct {
@@ -660,21 +660,27 @@ func (s *Server) handleDedup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// The response streams while the body is still being read. Without
+	// full duplex, net/http discards the unread rest of the body (when
+	// under 256 KiB) at the first flush, and the next line fails to read.
+	// The error only says the writer has no such switch: HTTP/2 is full
+	// duplex already.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	sc := lineScanner(w, r, s.cfg.MaxBodyBytes)
+	// Every reported pair is within tau, so the tau-banded verifier gives
+	// its exact distance, as in handleJoin, without a DP quadratic in lines
+	// of up to 1 MiB (lineScanner).
+	var ver verify.Verifier
 	line := 0
 	wrote := false
 	for sc.Scan() {
 		str := sc.Text()
-		for _, dup := range m.Insert(str) {
-			pair := PairRecord{
-				R:     dup,
-				S:     line,
-				Left:  m.At(dup),
-				Right: str,
-				Dist:  passjoin.EditDistance(m.At(dup), str),
-			}
+		dups := m.Insert(str)
+		for _, dup := range dups {
+			left := m.At(dup)
+			pair := PairRecord{R: dup, S: line, Left: left, Right: str, Dist: ver.Dist(left, str, tau)}
 			if !wrote {
 				w.Header().Set("Content-Type", "application/x-ndjson")
 				wrote = true
@@ -683,7 +689,9 @@ func (s *Server) handleDedup(w http.ResponseWriter, r *http.Request) {
 				return // client went away; stop reading
 			}
 		}
-		if flusher != nil {
+		// A flush with nothing written would commit a 200 that a later
+		// read error could no longer replace.
+		if flusher != nil && len(dups) > 0 {
 			flusher.Flush()
 		}
 		line++

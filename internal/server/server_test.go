@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"passjoin"
 	"passjoin/internal/cluster"
@@ -175,9 +178,17 @@ func TestBatch(t *testing.T) {
 }
 
 // TestDedupStream posts lines and checks the streamed pairs equal the
-// batch self-join answer.
+// batch self-join answer: for a body read at once, and for one of about
+// 180 KiB, which the handler is still reading when it flushes its first
+// pairs.
 func TestDedupStream(t *testing.T) {
-	corpus := testCorpus(t, 200)
+	for _, n := range []int{200, 12000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) { testDedupStream(t, n) })
+	}
+}
+
+func testDedupStream(t *testing.T, n int) {
+	corpus := testCorpus(t, n)
 	tau := 2
 	_, ts := newTestServer(t, corpus[:50], tau, 2, Config{})
 
@@ -220,18 +231,52 @@ func TestDedupStream(t *testing.T) {
 
 // TestDedupOverlongLine checks that a body the line scanner cannot hold
 // fails loudly (413) instead of returning 200 with silently truncated
-// results.
+// results — also when lines that matched nothing came before it.
 func TestDedupOverlongLine(t *testing.T) {
 	corpus := testCorpus(t, 20)
 	_, ts := newTestServer(t, corpus, 2, 2, Config{})
-	resp, err := http.Post(ts.URL+"/v1/dedup", "text/plain",
-		strings.NewReader(strings.Repeat("x", 2<<20)))
+	for _, prefix := range []string{"", "hello world\nquixotic zebra\n"} {
+		resp, err := http.Post(ts.URL+"/v1/dedup", "text/plain",
+			strings.NewReader(prefix+strings.Repeat("x", 2<<20)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("after %q: status %d want %d", prefix, resp.StatusCode, http.StatusRequestEntityTooLarge)
+		}
+	}
+}
+
+// TestDedupLongLines: a pair of long lines one edit apart is reported at
+// its distance in a fraction of the client's patience — the distance comes
+// from the tau-banded verifier, not from a DP quadratic in the line length
+// (about 1.7·10¹⁰ cells here).
+func TestDedupLongLines(t *testing.T) {
+	_, ts := newTestServer(t, testCorpus(t, 20), 2, 2, Config{})
+	rng := rand.New(rand.NewSource(5))
+	line := make([]byte, 128<<10)
+	for i := range line {
+		line[i] = byte('a' + rng.Intn(26))
+	}
+	edited := slices.Clone(line)
+	edited[len(edited)/2]++
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/dedup", "text/plain", strings.NewReader(string(line)+"\n"+string(edited)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p PairRecord
+	if err := json.Unmarshal(body, &p); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %.200q: %v", resp.StatusCode, body, err)
+	}
+	if p.R != 0 || p.S != 1 || p.Dist != 1 {
+		t.Fatalf("pair (%d, %d) at distance %d, want (0, 1) at 1", p.R, p.S, p.Dist)
 	}
 }
 

@@ -125,25 +125,14 @@ func benchVerifyList(b *testing.B, lists []verifyList, tau int) {
 	_ = sink
 }
 
-// BenchmarkEditDistance compares the allocating package function against
-// the pooled Verifier method (satellite 1: two-row scratch reuse).
+// BenchmarkEditDistance is the full dynamic program, the reference the
+// banded and bit-parallel kernels are measured against.
 func BenchmarkEditDistance(b *testing.B) {
 	q, cands := benchPairs(11, 64, 48)
-	b.Run("package", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink int
-		for i := 0; i < b.N; i++ {
-			sink += EditDistance(q, cands[i%len(cands)])
-		}
-		_ = sink
-	})
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		var v Verifier
-		var sink int
-		for i := 0; i < b.N; i++ {
-			sink += v.EditDistance(q, cands[i%len(cands)])
-		}
-		_ = sink
-	})
+	b.ReportAllocs()
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += EditDistance(q, cands[i%len(cands)])
+	}
+	_ = sink
 }

@@ -49,48 +49,6 @@ func EditDistance(a, b string) int {
 	return prev[n]
 }
 
-// EditDistance is the pooled form of the package-level EditDistance: the
-// same full dynamic program over the Verifier's reusable row buffer, so
-// hot-loop callers that need unbounded distances pay no per-call
-// allocation. The buffer is shared with the banded verifiers (each call
-// grows it only when it is too small).
-func (v *Verifier) EditDistance(a, b string) int {
-	if a == b {
-		return 0
-	}
-	m, n := len(a), len(b)
-	if m == 0 {
-		return n
-	}
-	if n == 0 {
-		return m
-	}
-	if len(v.band.cells) < 2*(n+1) {
-		v.band.cells = make([]int32, 2*(n+1))
-	}
-	prev := v.band.cells[:n+1]
-	cur := v.band.cells[n+1 : 2*(n+1)]
-	for j := range prev {
-		prev[j] = int32(j)
-	}
-	for i := 1; i <= m; i++ {
-		cur[0] = int32(i)
-		ai := a[i-1]
-		for j := 1; j <= n; j++ {
-			d := prev[j-1]
-			if ai != b[j-1] {
-				d++
-			}
-			cur[j] = min(d, prev[j]+1, cur[j-1]+1)
-		}
-		prev, cur = cur, prev
-	}
-	if v.Stats != nil {
-		v.Stats.DPCells += int64(m) * int64(n)
-	}
-	return int(prev[n])
-}
-
 // Within reports whether ed(a,b) <= tau, using the length-aware banded
 // verifier. tau must be non-negative.
 func Within(a, b string, tau int) bool {

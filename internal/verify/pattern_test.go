@@ -118,35 +118,9 @@ func TestMyersLongStringsUseBand(t *testing.T) {
 	}
 }
 
-// TestVerifierEditDistancePooled checks the pooled full-DP form against the
-// allocating reference, interleaved with banded calls that share the same
-// row buffers.
-func TestVerifierEditDistancePooled(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var v Verifier
-	randStr := func(n int) string {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte('a' + rng.Intn(3))
-		}
-		return string(b)
-	}
-	for iter := 0; iter < 2000; iter++ {
-		a, b := randStr(rng.Intn(40)), randStr(rng.Intn(40))
-		if got, want := v.EditDistance(a, b), EditDistance(a, b); got != want {
-			t.Fatalf("pooled EditDistance(%q,%q) = %d, want %d", a, b, got, want)
-		}
-		// Interleave a banded call so buffer reuse across kernels is exercised.
-		tau := rng.Intn(4)
-		if got, want := v.Dist(a, b, tau), minInt(EditDistance(a, b), tau+1); got != want {
-			t.Fatalf("Dist(%q,%q,%d) after pooled DP = %d, want %d", a, b, tau, got, want)
-		}
-	}
-}
-
 // TestVerificationScratchAllocs asserts the pooled verification scratch
-// performs zero allocations at steady state: the banded kernels, the pooled
-// full DP, and the pattern-amortized bit-parallel kernel.
+// performs zero allocations at steady state: the banded kernels and the
+// pattern-amortized bit-parallel kernel.
 func TestVerificationScratchAllocs(t *testing.T) {
 	var v Verifier
 	var pat Pattern
@@ -156,7 +130,6 @@ func TestVerificationScratchAllocs(t *testing.T) {
 	longB := "x" + long[1:]
 	// Warm the pooled buffers once.
 	v.Dist(a, b, 4)
-	v.EditDistance(a, b)
 	pat.Set(a)
 	v.DistPattern(&pat, b, 4)
 	v.Dist(long, longB, 3)
@@ -169,7 +142,6 @@ func TestVerificationScratchAllocs(t *testing.T) {
 	}
 	check("Dist", func() { v.Dist(a, b, 4) })
 	check("DistNaive", func() { v.DistNaive(a, b, 4) })
-	check("EditDistance", func() { v.EditDistance(a, b) })
 	check("DistPattern", func() { v.DistPattern(&pat, b, 4) })
 	check("DistPattern/long", func() {
 		pat.Set(long)

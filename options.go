@@ -32,13 +32,14 @@ type Stats metrics.Stats
 func (s *Stats) String() string { return (*metrics.Stats)(s).String() }
 
 // WithStats attaches an instrumentation sink. A join, a top-k join or a
-// searcher build zeroes it and leaves that call's counters in it. A
-// Matcher zeroes it once, at NewMatcher, and adds into it on each Insert
-// and Query. The sink must not be read while the call that writes it runs.
-// A join that its callback stops early records all of the run of
-// equal-length strings (up to 1 024) that held its last pair and nothing
-// after it — index footprint included — the same at every parallelism and
-// GOMAXPROCS and on every run.
+// searcher build zeroes it and leaves that call's counters in it; for a
+// top-k join, those of all its rounds added together (PeakLiveGroups the
+// largest of them). A Matcher zeroes it once, at NewMatcher, and adds into
+// it on each Insert and Query. The sink must not be read while the call
+// that writes it runs. A join that its callback stops early records all of
+// the run of equal-length strings (up to 1 024) that held its last pair and
+// nothing after it — index footprint included — the same at every
+// parallelism and GOMAXPROCS and on every run.
 func WithStats(st *Stats) Option {
 	return func(c *config) error {
 		if st == nil {

@@ -5,9 +5,9 @@ import (
 	"container/heap"
 	"fmt"
 	"slices"
-	"sort"
 
-	"passjoin/internal/core"
+	"passjoin/internal/metrics"
+	"passjoin/internal/verify"
 )
 
 // matchLess is the result order of Search, with or without QueryTopK:
@@ -74,10 +74,9 @@ type PairDist struct {
 // This is the threshold-free variant discussed in the paper's related work
 // (top-k similarity joins, Xiao et al. [24]), implemented on top of
 // Pass-Join by progressively growing τ: the join runs at τ = 0, 1, 2, …
-// until at least k pairs are found, then one more level to collect every
-// pair that could still beat the current cutoff. Each run reuses the
-// partition index machinery, so small-distance results arrive after only
-// cheap rounds.
+// until at least k pairs are found. Each run reuses the partition index
+// machinery, so small-distance results arrive after only cheap rounds.
+// WithStats receives the counters of every round added together.
 func TopK(strs []string, k int, opts ...Option) ([]PairDist, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("passjoin: negative k %d", k)
@@ -89,46 +88,32 @@ func TopK(strs []string, k int, opts ...Option) ([]PairDist, error) {
 	if k == 0 || len(strs) < 2 {
 		return nil, nil
 	}
-	maxLen := 0
-	for _, s := range strs {
-		if len(s) > maxLen {
-			maxLen = len(s)
-		}
-	}
-	totalPairs := len(strs) * (len(strs) - 1) / 2
-	if k > totalPairs {
-		k = totalPairs
-	}
+	// The loop ends by τ = the longest length, where every pair is in.
+	k = min(k, len(strs)*(len(strs)-1)/2)
+	var sum metrics.Stats
 	for tau := 0; ; tau++ {
-		pairs, err := core.SelfJoin(strs, cfg.coreOptions(tau))
+		pairs, err := SelfJoin(strs, tau, opts...)
 		if err != nil {
 			return nil, err
 		}
+		sum.Add((*metrics.Stats)(cfg.stats)) // each round's join zeroes the sink first
 		// At threshold tau every pair with ed <= tau is present. If we have
 		// k of them, the k-th smallest distance is <= tau and no missing
 		// pair (all with ed > tau) can displace the chosen ones.
-		if len(pairs) >= k || tau >= maxLen {
-			out := make([]PairDist, len(pairs))
-			for i, p := range pairs {
-				out[i] = PairDist{
-					R:    int(p.R),
-					S:    int(p.S),
-					Dist: EditDistance(strs[p.R], strs[p.S]),
-				}
-			}
-			sort.Slice(out, func(a, b int) bool {
-				if out[a].Dist != out[b].Dist {
-					return out[a].Dist < out[b].Dist
-				}
-				if out[a].R != out[b].R {
-					return out[a].R < out[b].R
-				}
-				return out[a].S < out[b].S
-			})
-			if len(out) > k {
-				out = out[:k]
-			}
-			return out, nil
+		if len(pairs) < k {
+			continue
 		}
+		if cfg.stats != nil {
+			*cfg.stats = Stats(sum)
+		}
+		var ver verify.Verifier
+		out := make([]PairDist, len(pairs))
+		for i, p := range pairs {
+			out[i] = PairDist{R: p.R, S: p.S, Dist: ver.Dist(strs[p.R], strs[p.S], tau)}
+		}
+		// pairs ascend by (R, S), so a stable sort by distance breaks ties
+		// in that order.
+		slices.SortStableFunc(out, func(a, b PairDist) int { return cmp.Compare(a.Dist, b.Dist) })
+		return out[:k], nil
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"passjoin/internal/metrics"
 )
 
 func TestTopKBasic(t *testing.T) {
@@ -43,6 +45,38 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 				t.Fatalf("k=%d pair %d: got %+v, want %+v", k, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestTopKStatsSumsRounds: the WithStats sink of a TopK holds the counters
+// of all its rounds added together, as SelfJoin reports them at τ = 0, 1, …
+// up to the first τ with k pairs.
+func TestTopKStatsSumsRounds(t *testing.T) {
+	strs := []string{"vldb", "pvldb", "sigmod", "sigmmod", "icde", "icde ", "sigir", "kdd"}
+	const k = 4
+	var want metrics.Stats
+	rounds := 0
+	for tau := 0; ; tau++ {
+		var st Stats
+		pairs, err := SelfJoin(strs, tau, WithStats(&st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add((*metrics.Stats)(&st))
+		rounds++
+		if len(pairs) >= k {
+			break
+		}
+	}
+	if rounds < 2 || want.Lookups == 0 {
+		t.Fatalf("%d rounds, %d lookups: the corpus does not test a sum", rounds, want.Lookups)
+	}
+	var got Stats
+	if _, err := TopK(strs, k, WithStats(&got)); err != nil {
+		t.Fatal(err)
+	}
+	if metrics.Stats(got) != want {
+		t.Fatalf("TopK's stats over %d rounds:\n got %v\nwant %v", rounds, &got, (*Stats)(&want))
 	}
 }
 
