@@ -314,7 +314,7 @@ func BenchmarkMicroVerify(b *testing.B) {
 	})
 	b.Run("Myers", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			verify.Myers(r, s)
+			v.DistMyers(r, s, 8)
 		}
 	})
 }

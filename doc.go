@@ -90,7 +90,7 @@
 // DynamicSearcher (live updates) — implement the one Index interface:
 // Search, the streaming SearchSeq, the checked Get, Len and Tau. Every
 // searcher is safe for concurrent use by any number of goroutines; query
-// scratch state lives in internal snapshot pools.
+// scratch state lives in an internal pool of probers.
 //
 // The threshold passed at construction is the partition threshold — the
 // largest the index can answer — not the only one: by the pigeonhole

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"passjoin/internal/index"
 	"passjoin/internal/metrics"
@@ -29,12 +30,23 @@ import (
 // Matcher powers streaming deduplication workloads (mutable: feed records as
 // they arrive, react to near-duplicates immediately) and static search
 // serving (sealed).
+//
+// Queries (Query, QueryOpt, QuerySeq, QueryIDs) may run concurrently with
+// each other, but never with Insert or InsertSilent: each query takes its
+// scratch from the matcher's pool of probers. A stats sink is plain
+// counters, so only a matcher without one (see Snapshot) is safe for
+// concurrent queries.
 type Matcher struct {
-	tau  int
-	p    *prober
-	idx  *index.Index  // build index; nil when sealed
-	fz   *index.Frozen // frozen index; nil when mutable
-	strs []string
+	tau int
+	sel selection.Method
+	vk  VerifyKind
+	// probers pools the query scratch (*prober: verifier rows, lookup
+	// batch, dedup stamps). A query takes one in arm and returns it in
+	// release; one made when the pool is empty counts into st.
+	probers sync.Pool
+	idx     *index.Index  // build index; nil when sealed
+	fz      *index.Frozen // frozen index; nil when mutable
+	strs    []string
 	// sigs holds verify.SigOf of every inserted string, parallel to strs
 	// and shared with every Snapshot like strs is.
 	sigs []uint64
@@ -56,13 +68,7 @@ func NewMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats)
 	if tau < 0 {
 		return nil, fmt.Errorf("core: negative threshold %d", tau)
 	}
-	m := &Matcher{
-		tau: tau,
-		idx: index.New(tau),
-		st:  st,
-	}
-	m.p = newProber(tau, sel, vk, st, m.idx, nil, nil, nil)
-	return m, nil
+	return &Matcher{tau: tau, sel: sel, vk: vk, idx: index.New(tau), st: st}, nil
 }
 
 // NewSealedMatcher creates a sealed matcher over corpus from fz, its frozen
@@ -82,6 +88,8 @@ func NewSealedMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.
 	}
 	m := &Matcher{
 		tau:  tau,
+		sel:  sel,
+		vk:   vk,
 		fz:   fz,
 		strs: corpus,
 		sigs: make([]uint64, len(corpus)),
@@ -93,7 +101,6 @@ func NewSealedMatcher(tau int, sel selection.Method, vk VerifyKind, st *metrics.
 			m.shorts = append(m.shorts, int32(id))
 		}
 	}
-	m.p = newProber(tau, sel, vk, st, nil, fz, corpus, m.sigs)
 	if st != nil {
 		st.Strings = int64(len(corpus))
 		st.ShortStrings = int64(len(m.shorts))
@@ -169,9 +176,7 @@ func (m *Matcher) Query(s string) []Hit {
 // exactly by a partition built for a smaller one.
 func (m *Matcher) QueryOpt(s string, o QueryOpts) []Hit {
 	p := m.arm(o, true)
-	// The trace hook is cleared via defer: a panic unwinding through the
-	// probe must not leave a dead query's trace armed on a pooled snapshot.
-	defer func() { p.trace = nil }()
+	defer m.release(p)
 	m.run(p, s)
 	out := make([]Hit, 0, len(p.hits))
 	for k, id := range p.hits {
@@ -191,11 +196,7 @@ func (m *Matcher) QueryOpt(s string, o QueryOpts) []Hit {
 // consumer that needs only a few matches abandons the rest of the probe.
 func (m *Matcher) QuerySeq(s string, o QueryOpts, yield func(Hit) bool) {
 	p := m.arm(o, true)
-	// yield is consumer code: it can panic (or Goexit via t.Fatal), and
-	// this matcher may be a pooled snapshot that outlives the panic. The
-	// deferred reset keeps a dead iteration's hooks from hijacking the
-	// next query on the same snapshot.
-	defer func() { p.emit, p.trace = nil, nil }()
+	defer m.release(p)
 	p.emit = yield
 	m.run(p, s)
 	if m.st != nil {
@@ -203,21 +204,33 @@ func (m *Matcher) QuerySeq(s string, o QueryOpts, yield func(Hit) bool) {
 	}
 }
 
-// arm points the prober at the matcher's current corpus and sets the
-// query's threshold, hit cap and trace, and whether it records distances.
-// It panics when o.Tau is outside [0, matcher tau]. The probe itself claims
-// a fresh dedup epoch, so a probe that unwinds (a panicking QuerySeq
-// consumer) cannot leave stamps that suppress hits from the next query on
-// this (possibly pooled) matcher.
+// arm takes a prober from the pool (or makes one), points it at the
+// matcher's current corpus and sets the query's threshold, hit cap and
+// trace, and whether it records distances. It panics when o.Tau is outside
+// [0, matcher tau]. The probe itself claims a fresh dedup epoch, so a probe
+// that unwinds (a panicking QuerySeq consumer) cannot leave stamps that
+// suppress hits from the next query on the same prober.
 func (m *Matcher) arm(o QueryOpts, needDist bool) *prober {
 	if o.Tau < 0 || o.Tau > m.tau {
 		panic(fmt.Sprintf("core: query tau %d outside [0, %d]", o.Tau, m.tau))
 	}
-	p := m.p
+	p, _ := m.probers.Get().(*prober)
+	if p == nil {
+		p = newProber(m.tau, m.sel, m.vk, m.st, m.idx, m.fz, m.strs, m.sigs)
+	}
 	p.ref, p.sig = m.strs, m.sigs
 	p.qtau, p.limit, p.trace = o.Tau, o.Limit, o.Trace
 	p.needDist = needDist
 	return p
+}
+
+// release returns an armed prober to the pool. Every query defers it: the
+// consumer hook and the trace are cleared first, so a query that unwinds (a
+// panicking QuerySeq consumer, a Goexit) cannot hand its hooks to the next
+// query that takes this prober.
+func (m *Matcher) release(p *prober) {
+	p.emit, p.trace = nil, nil
+	m.probers.Put(p)
 }
 
 // run is the one query pass under every entry point: it probes the segment
@@ -266,22 +279,22 @@ func (m *Matcher) Insert(s string) []int32 {
 	return out
 }
 
-// Snapshot returns a read-only fork of the matcher: it shares the built
-// index (map or frozen) and corpus but owns fresh verifier scratch and
-// deduplication stamps, so Query on the fork and on the original can run
-// concurrently. Inserting into a snapshot (or into the original after
-// snapshotting, while forks are querying) is not supported.
+// Snapshot returns a read-only fork of the matcher without its stats sink:
+// it shares the built index (map or frozen) and corpus, and has its own
+// prober pool, so it answers concurrent queries while the original's sink
+// keeps the build counters. Inserting into a snapshot (or into the original
+// after snapshotting, while forks are querying) is not supported.
 func (m *Matcher) Snapshot() *Matcher {
-	n := &Matcher{
+	return &Matcher{
 		tau:    m.tau,
+		sel:    m.sel,
+		vk:     m.vk,
 		idx:    m.idx,
 		fz:     m.fz,
 		strs:   m.strs,
 		sigs:   m.sigs,
 		shorts: m.shorts,
 	}
-	n.p = newProber(m.p.tau, m.p.sel, m.p.vk, nil, m.idx, m.fz, m.strs, m.sigs)
-	return n
 }
 
 // InsertSilent adds s without reporting matches — the bulk-loading path
@@ -314,6 +327,7 @@ func (m *Matcher) InsertSilent(s string) {
 // distances, and returns the matching ids sorted ascending.
 func (m *Matcher) match(s string) []int32 {
 	p := m.arm(QueryOpts{Tau: m.tau}, false)
+	defer m.release(p)
 	m.run(p, s)
 	ids := append(make([]int32, 0, len(p.hits)), p.hits...)
 	slices.Sort(ids)

@@ -79,9 +79,8 @@ type prober struct {
 	// depend on the alignment); accepted, for the extension verifiers (a
 	// rejected pair must be retried at other alignments). probe claims a
 	// fresh epoch per call and sizes stamp to ref on demand, so a prober
-	// that never probes — the base matcher behind a snapshot pool, or a
-	// join's — holds no stamps, and a zero stamp never equals a live epoch
-	// (>= 1).
+	// that never probes — a join's — holds no stamps, and a zero stamp
+	// never equals a live epoch (>= 1).
 	stamp []int32
 	epoch int32
 
@@ -141,7 +140,7 @@ func newProber(tau int, sel selection.Method, vk VerifyKind, st *metrics.Stats, 
 
 // nextEpoch invalidates every stamp of the previous probe and makes room
 // for ids indexed since. Before the epoch counter would overflow, the
-// stamps are zeroed and the count restarts: a long-lived pooled snapshot
+// stamps are zeroed and the count restarts: a long-lived pooled prober
 // must not meet a stamp left by a probe 2³¹ queries ago.
 func (p *prober) nextEpoch() {
 	if p.epoch == math.MaxInt32 {

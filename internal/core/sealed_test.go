@@ -18,7 +18,7 @@ import (
 // which shares no code with the bulk build.
 func sealedFrom(t testing.TB, m *Matcher, st *metrics.Stats) *Matcher {
 	t.Helper()
-	sealed, err := BuildSealedMatcher(m.tau, m.p.sel, m.p.vk, st, slices.Clone(m.Corpus()), 1)
+	sealed, err := BuildSealedMatcher(m.tau, m.sel, m.vk, st, slices.Clone(m.Corpus()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -180,8 +182,8 @@ func TestJoinModesAgree(t *testing.T) {
 }
 
 // TestSigFilterStorage: the signatures are one array per corpus, shared by
-// snapshots, and a sealed base matcher that only hands out snapshots never
-// allocates dedup stamps.
+// snapshots and their probers, and a matcher that is never queried holds no
+// prober, so no dedup stamps.
 func TestSigFilterStorage(t *testing.T) {
 	corpus := sigCorpus()
 	base, err := BuildSealedMatcher(2, selection.MultiMatch, VerifyExtensionShared, nil, corpus, 1)
@@ -192,16 +194,19 @@ func TestSigFilterStorage(t *testing.T) {
 	for _, q := range corpus {
 		snap.Query(q)
 	}
-	if base.p.stamp != nil {
-		t.Errorf("base matcher allocated %d stamps without being queried", len(base.p.stamp))
+	if p := base.probers.Get(); p != nil {
+		t.Errorf("base matcher holds a prober with %d stamps without being queried", len(p.(*prober).stamp))
 	}
-	if len(snap.p.stamp) != len(corpus) {
-		t.Errorf("queried snapshot holds %d stamps, want %d", len(snap.p.stamp), len(corpus))
+	p := snap.arm(QueryOpts{Tau: 2}, true)
+	defer snap.release(p)
+	snap.run(p, corpus[len(corpus)-1])
+	if len(p.stamp) != len(corpus) {
+		t.Errorf("queried snapshot's prober holds %d stamps, want %d", len(p.stamp), len(corpus))
 	}
 	if len(base.sigs) != len(corpus) {
 		t.Fatalf("base holds %d signatures, want %d", len(base.sigs), len(corpus))
 	}
-	if &snap.sigs[0] != &base.sigs[0] || &snap.p.sig[0] != &base.sigs[0] {
+	if &snap.sigs[0] != &base.sigs[0] || &p.sig[0] != &base.sigs[0] {
 		t.Error("snapshot copied the signature array instead of sharing it")
 	}
 	for id, s := range corpus {
@@ -211,10 +216,12 @@ func TestSigFilterStorage(t *testing.T) {
 	}
 }
 
-// TestStampEpochWrap: a long-lived matcher's epoch counter reaches its
-// limit after 2³¹ probes; the stamps left by the earliest probes must not
-// then read as "already settled" and swallow hits. Queries across the wrap
-// answer exactly like a fresh matcher.
+// TestStampEpochWrap: a long-lived prober's epoch counter reaches its limit
+// after 2³¹ probes; the stamps left by the earliest probes must not then
+// read as "already settled" and swallow hits. Queries across the wrap
+// answer exactly like a fresh matcher. The probes run on one prober taken
+// with arm and released by hand, since the pool may hand a query any
+// prober (and under -race drops some at random).
 func TestStampEpochWrap(t *testing.T) {
 	corpus := sigCorpus()
 	for _, vk := range []VerifyKind{VerifyExtensionShared, VerifyLengthAware} {
@@ -226,8 +233,18 @@ func TestStampEpochWrap(t *testing.T) {
 			return m
 		}
 		old, fresh := build(), build()
-		// The k-th query of a matcher's life stamps what it settles with
-		// epoch k. Two more queries take the counter to its limit, after
+		p := old.arm(QueryOpts{Tau: 2}, true)
+		query := func(q string) []Hit {
+			old.run(p, q)
+			got := make([]Hit, len(p.hits))
+			for k, id := range p.hits {
+				got[k] = Hit{ID: id, Dist: p.dists[k]}
+			}
+			slices.SortFunc(got, func(a, b Hit) int { return cmp.Compare(a.ID, b.ID) })
+			return got
+		}
+		// The k-th probe of a prober's life stamps what it settles with
+		// epoch k. Two more probes take the counter to its limit, after
 		// which the same queries in the same order would meet exactly their
 		// own stale stamps if the wrap did not clear them.
 		var queries []string
@@ -237,17 +254,18 @@ func TestStampEpochWrap(t *testing.T) {
 			}
 		}
 		for _, q := range queries {
-			old.Query(q)
+			query(q)
 		}
-		old.p.epoch = math.MaxInt32 - 2
+		p.epoch = math.MaxInt32 - 2
 		for _, q := range append([]string{"filler", "filler"}, queries...) {
-			if got, want := old.Query(q), fresh.Query(q); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v q=%q at epoch %d: got %v, want %v", vk, q, old.p.epoch, got, want)
+			if got, want := query(q), fresh.Query(q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v q=%q at epoch %d: got %v, want %v", vk, q, p.epoch, got, want)
 			}
 		}
-		if got, want := old.p.epoch, int32(len(queries)); got != want {
+		if got, want := p.epoch, int32(len(queries)); got != want {
 			t.Fatalf("%v: epoch after the wrap = %d, want %d", vk, got, want)
 		}
+		old.release(p)
 	}
 }
 

@@ -116,18 +116,11 @@ type Hit struct {
 const maxDocID = 1<<62 - 1
 
 // baseTier is one immutable generation of the frozen base: a sealed
-// matcher, the global id of each of its rows (strictly ascending), and a
-// pool of query snapshots (shared arena, private scratch).
+// matcher without a stats sink, whose prober pool serves concurrent
+// queries, and the global id of each of its rows (strictly ascending).
 type baseTier struct {
-	m    *core.Matcher
-	ids  []int64
-	pool sync.Pool
-}
-
-func newBaseTier(m *core.Matcher, ids []int64) *baseTier {
-	b := &baseTier{m: m, ids: ids}
-	b.pool.New = func() any { return b.m.Snapshot() }
-	return b
+	m   *core.Matcher
+	ids []int64
 }
 
 // Tier is a dynamic two-tier index over the whole document space.
@@ -261,7 +254,7 @@ func (t *Tier) readSnapshot(path string) (gids []int64, corpus []string, nextID 
 // setBase installs m, whose rows hold gids, as the base of a tier with no
 // other document, and raises the id allocator to maxID.
 func (t *Tier) setBase(m *core.Matcher, gids []int64, maxID int64) {
-	t.base.Store(newBaseTier(m, gids))
+	t.base.Store(&baseTier{m: m, ids: gids})
 	t.maxID = max(t.maxID, maxID)
 	t.live = len(gids)
 }
@@ -520,20 +513,19 @@ func (t *Tier) SearchOpt(q string, o core.QueryOpts) []Hit {
 	// The engine-level cap cannot see tombstones, so the filtering and
 	// capping happen here, streaming via QuerySeq for the early exit.
 	// Base and delta probe sequentially on this goroutine, so they can
-	// share the caller's trace directly.
+	// share the caller's trace directly. Each query takes its scratch from
+	// the matcher's prober pool; the delta is queried in place, which the
+	// read lock makes safe (inserts take the write lock).
 	probe := core.QueryOpts{Tau: o.Tau, Trace: o.Trace}
 	b := t.base.Load()
-	m := b.pool.Get().(*core.Matcher)
-	m.QuerySeq(q, probe, func(h core.Hit) bool {
+	b.m.QuerySeq(q, probe, func(h core.Hit) bool {
 		if !t.deadBase.has(int(h.ID)) {
 			out = append(out, Hit{ID: b.ids[h.ID], Dist: int(h.Dist)})
 		}
 		return !full()
 	})
-	b.pool.Put(m)
 	if !full() && t.delta.Len() > 0 {
-		snap := t.delta.Snapshot()
-		snap.QuerySeq(q, probe, func(h core.Hit) bool {
+		t.delta.QuerySeq(q, probe, func(h core.Hit) bool {
 			if !t.deadDelta.has(int(h.ID)) {
 				out = append(out, Hit{ID: t.deltaIDs[h.ID], Dist: int(h.Dist)})
 			}
@@ -653,7 +645,7 @@ func (t *Tier) compact() error {
 	if err != nil {
 		return err
 	}
-	nb := newBaseTier(m, gids)
+	nb := &baseTier{m: m, ids: gids}
 	if t.cfg.SnapPath != "" {
 		if err := writeBaseSnapshot(t.cfg.SnapPath, t.cfg.Tau, maxID+1, gids, survivors); err != nil {
 			return err

@@ -548,6 +548,124 @@ func TestTierConcurrentChurn(t *testing.T) {
 	}
 }
 
+// liveSearch answers q by brute force over the documents tier.Live
+// reports, ranked as search ranks.
+func liveSearch(tier *Tier, q string) []Hit {
+	gids, docs := tier.Live()
+	live := make(map[int64]string, len(gids))
+	for i, id := range gids {
+		live[id] = docs[i]
+	}
+	return bruteSearch(live, tier.cfg.Tau, q)
+}
+
+// TestTierDirtySearch: a dirty tier's delta is searched in place, on probers
+// its matcher pools and rebinds to the delta's current rows at each query.
+// One goroutine searches between every step of a delta's life — grown,
+// documents deleted, compacted, a new delta inserted into — and four search
+// one dirty tier at once; every search must equal brute force over Live.
+func TestTierDirtySearch(t *testing.T) {
+	const tau = 2
+	rng := rand.New(rand.NewSource(44))
+	queries := make([]string, 40)
+	for i := range queries {
+		queries[i] = randWord(rng)
+	}
+	// insert adds n documents, half of them one edit from a query, so a
+	// grown delta holds hits a prober bound to its old rows would miss.
+	insert := func(tier *Tier, n int) []int64 {
+		gids := make([]int64, n)
+		for i := range gids {
+			doc := randWord(rng)
+			if i%2 == 0 {
+				q := queries[rng.Intn(len(queries))]
+				doc = q[:len(q)-1] + string(rune('a'+rng.Intn(4)))
+			}
+			gid, err := tier.Insert(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gids[i] = gid
+		}
+		return gids
+	}
+	check := func(tier *Tier, step string) {
+		t.Helper()
+		hits := 0
+		for _, q := range queries {
+			got, want := search(tier, q), liveSearch(tier, q)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: search %q = %v, want %v", step, q, got, want)
+			}
+			hits += len(got)
+		}
+		if hits == 0 {
+			t.Fatalf("%s: no query has a match", step)
+		}
+	}
+	dirty := func() *Tier {
+		tier, err := Open(Config{Tau: tau, CompactThreshold: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		insert(tier, 300)
+		if err := tier.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		insert(tier, 60)
+		return tier
+	}
+
+	t.Run("lifecycle", func(t *testing.T) {
+		tier := dirty()
+		defer tier.Close()
+		check(tier, "dirty")
+		gids := insert(tier, 80)
+		check(tier, "grown delta")
+		for _, gid := range append(gids[:20:20], 3, 100, 250) {
+			if _, err := tier.Delete(gid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(tier, "deleted")
+		if err := tier.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if st := shapeOf(tier); st.DeltaDocs != 0 || st.Tombstones != 0 {
+			t.Fatalf("after Compact: %+v, want an empty delta and no tombstones", st)
+		}
+		check(tier, "compacted")
+		insert(tier, 40)
+		check(tier, "new delta")
+		insert(tier, 40)
+		check(tier, "new delta grown")
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		tier := dirty()
+		defer tier.Close()
+		want := make([][]Hit, len(queries))
+		for i, q := range queries {
+			want[i] = liveSearch(tier, q)
+		}
+		var wg sync.WaitGroup
+		for r := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range 5 * len(queries) {
+					i := (k + r*7) % len(queries)
+					if got := search(tier, queries[i]); !slices.Equal(got, want[i]) {
+						t.Errorf("reader %d: search %q = %v, want %v", r, queries[i], got, want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
 // TestCompactWALCarriesWatermark: the rewritten WAL's first record pins
 // the id allocator, so even an id whose document was inserted and
 // deleted within one compaction cycle (leaving no add record and no

@@ -78,7 +78,7 @@ func TestSegmentsMatchPartitionPackage(t *testing.T) {
 	x.Add(42, s)
 	g := x.Group(len(s))
 	for i := 1; i <= 4; i++ {
-		w := partition.Segment(s, 3, i)
+		w := partition.Split(s, 3)[i-1]
 		lst := g.List(i, w)
 		if len(lst) != 1 || lst[0] != 42 {
 			t.Errorf("segment %d (%q): postings %v", i, w, lst)

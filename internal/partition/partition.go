@@ -11,10 +11,6 @@ package partition
 
 import "fmt"
 
-// MinLength returns the minimum string length that can be partitioned into
-// tau+1 non-empty segments, i.e. tau+1.
-func MinLength(tau int) int { return tau + 1 }
-
 // Valid reports whether a string of length l can be evenly partitioned under
 // threshold tau.
 func Valid(l, tau int) bool { return tau >= 0 && l >= tau+1 }
@@ -82,13 +78,6 @@ func Split(s string, tau int) []string {
 		out[i] = s[g.Pos-1 : g.Pos-1+g.Len]
 	}
 	return out
-}
-
-// Segment returns the i-th (1-based) segment substring of s.
-func Segment(s string, tau, i int) string {
-	p := SegPos(len(s), tau, i)
-	n := SegLen(len(s), tau, i)
-	return s[p-1 : p-1+n]
 }
 
 func check(l, tau, i int) {

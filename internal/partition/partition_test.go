@@ -121,8 +121,9 @@ func TestSegmentAccessor(t *testing.T) {
 	s := "caushik chakrabar" // len 17, tau=3 -> segments of len 4,4,4,5
 	segs := Split(s, 3)
 	for i := 1; i <= 4; i++ {
-		if got := Segment(s, 3, i); got != segs[i-1] {
-			t.Errorf("Segment(%d) = %q, want %q", i, got, segs[i-1])
+		p, n := SegPos(len(s), 3, i), SegLen(len(s), 3, i)
+		if got := s[p-1 : p-1+n]; got != segs[i-1] {
+			t.Errorf("segment %d at SegPos/SegLen = %q, Split has %q", i, got, segs[i-1])
 		}
 	}
 }
@@ -138,14 +139,6 @@ func TestValid(t *testing.T) {
 	for _, c := range cases {
 		if got := Valid(c.l, c.tau); got != c.want {
 			t.Errorf("Valid(%d,%d)=%v, want %v", c.l, c.tau, got, c.want)
-		}
-	}
-}
-
-func TestMinLength(t *testing.T) {
-	for tau := 0; tau < 12; tau++ {
-		if MinLength(tau) != tau+1 {
-			t.Fatalf("MinLength(%d) = %d", tau, MinLength(tau))
 		}
 	}
 }

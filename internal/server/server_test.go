@@ -289,8 +289,8 @@ func sortPairs(ps []passjoin.Pair) {
 }
 
 // TestConcurrentClients hammers every lookup endpoint from parallel
-// goroutines; run under -race this exercises the pooled shard snapshots
-// and atomic counters.
+// goroutines; run under -race this exercises the pooled query probers and
+// atomic counters.
 func TestConcurrentClients(t *testing.T) {
 	corpus := testCorpus(t, 400)
 	tau := 2

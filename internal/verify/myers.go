@@ -118,36 +118,6 @@ func (v *Verifier) DistPattern(pat *Pattern, b string, tau int) int {
 	return minInt(myersRun(&pat.peq, len(pat.q), b), tau+1)
 }
 
-// Myers returns the exact edit distance between a and b. When the shorter
-// string fits in one machine word the bit-parallel kernel computes it
-// directly; otherwise the length-aware banded kernel is run under an
-// exponentially deepening threshold (starting at the length difference,
-// doubling until the band admits the answer). Each banded run costs
-// O(τ·max(|a|,|b|)) cells, so the deepening sum is O(d·max(|a|,|b|)) where
-// d is the true distance — far below the full O(|a|·|b|) DP whenever the
-// strings are similar, which is the regime verification lives in.
-func Myers(a, b string) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(a) <= 64 {
-		return myers64(a, b)
-	}
-	var v Verifier
-	for tau := maxInt(1, len(b)-len(a)); ; tau *= 2 {
-		if tau >= len(b) {
-			// The band covers the whole matrix; the result is exact.
-			return v.Dist(a, b, len(b))
-		}
-		if d := v.Dist(a, b, tau); d <= tau {
-			return d
-		}
-	}
-}
-
 // DistMyers returns min(ed(a,b), tau+1) via the bit-parallel kernel. For
 // strings longer than a machine word it falls back to the length-aware
 // banded verifier (which also restores early termination, more valuable

@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// myersExact is DistMyers at a threshold no distance can exceed, the
+// longer length: the exact edit distance, from the one-word kernel when the
+// shorter string fits in a word and the banded verifier otherwise.
+func myersExact(a, b string) int {
+	var v Verifier
+	return v.DistMyers(a, b, max(len(a), len(b)))
+}
+
 func TestMyersKnownPairs(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -23,8 +31,8 @@ func TestMyersKnownPairs(t *testing.T) {
 		{strings.Repeat("x", 64), strings.Repeat("y", 64), 64},
 	}
 	for _, c := range cases {
-		if got := Myers(c.a, c.b); got != c.want {
-			t.Errorf("Myers(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := myersExact(c.a, c.b); got != c.want {
+			t.Errorf("DistMyers(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -35,20 +43,24 @@ func TestMyersMatchesReferenceRandom(t *testing.T) {
 		a := randomString(rng, rng.Intn(70), 4)
 		b := mutate(rng, a, rng.Intn(10), 4)
 		want := EditDistance(a, b)
-		if got := Myers(a, b); got != want {
-			t.Fatalf("Myers(%q,%q) = %d, want %d", a, b, got, want)
+		if got := myersExact(a, b); got != want {
+			t.Fatalf("DistMyers(%q,%q) = %d, want %d", a, b, got, want)
 		}
 	}
 }
 
 func TestMyersExactly64(t *testing.T) {
 	rng := rand.New(rand.NewSource(122))
-	// The word-boundary case: pattern of exactly 64 characters.
-	for i := 0; i < 200; i++ {
-		a := randomString(rng, 64, 3)
-		b := mutate(rng, a, rng.Intn(6), 3)
-		if got, want := Myers(a, b), EditDistance(a, b); got != want {
-			t.Fatalf("len-64 Myers(%q,%q) = %d, want %d", a, b, got, want)
+	// The word boundary: pairs around 63, 64 and 65 characters fall on both
+	// sides of it (the one-word kernel takes a shorter string of at most 64,
+	// the banded fallback a longer one).
+	for _, n := range []int{63, 64, 65} {
+		for i := 0; i < 200; i++ {
+			a := randomString(rng, n, 3)
+			b := mutate(rng, a, rng.Intn(6), 3)
+			if got, want := myersExact(a, b), EditDistance(a, b); got != want {
+				t.Fatalf("len-%d DistMyers(%q,%q) = %d, want %d", n, a, b, got, want)
+			}
 		}
 	}
 }
@@ -57,8 +69,8 @@ func TestMyersLongFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	a := randomString(rng, 150, 3)
 	b := mutate(rng, a, 5, 3)
-	if got, want := Myers(a, b), EditDistance(a, b); got != want {
-		t.Fatalf("long Myers = %d, want %d", got, want)
+	if got, want := myersExact(a, b), EditDistance(a, b); got != want {
+		t.Fatalf("long DistMyers = %d, want %d", got, want)
 	}
 }
 
@@ -94,7 +106,7 @@ func TestQuickMyers(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomString(rng, rng.Intn(64)+1, 2)
 		b := randomString(rng, rng.Intn(70), 2)
-		return Myers(a, b) == EditDistance(a, b)
+		return myersExact(a, b) == EditDistance(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

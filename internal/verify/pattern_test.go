@@ -96,8 +96,8 @@ func TestMyersLongStringsUseBand(t *testing.T) {
 		}
 		e := string(edited)
 		want := EditDistance(s, e)
-		if got := Myers(s, e); got != want {
-			t.Fatalf("Myers long: got %d, want %d", got, want)
+		if got := myersExact(s, e); got != want {
+			t.Fatalf("DistMyers long, full band: got %d, want %d", got, want)
 		}
 		for tau := 0; tau <= want+2; tau++ {
 			wantT := minInt(want, tau+1)
@@ -110,11 +110,10 @@ func TestMyersLongStringsUseBand(t *testing.T) {
 			}
 		}
 	}
-	// Dissimilar long pair: the deepening loop must still terminate with the
-	// exact distance.
+	// Dissimilar long pair: the banded fallback at a full band is exact.
 	a, b := long[0], long[1]
-	if got, want := Myers(a, b), EditDistance(a, b); got != want {
-		t.Fatalf("Myers dissimilar long: got %d, want %d", got, want)
+	if got, want := myersExact(a, b), EditDistance(a, b); got != want {
+		t.Fatalf("DistMyers dissimilar long, full band: got %d, want %d", got, want)
 	}
 }
 

@@ -354,11 +354,10 @@ func TestGetBounds(t *testing.T) {
 	}
 }
 
-// TestSearchSeqConsumerPanic pins pooled-snapshot hygiene: a panic thrown
-// from inside a SearchSeq loop body must not leave the snapshot's
-// streaming hook armed when the pool hands it to the next query — a later
-// plain Search on the same searcher has to return the full, correct
-// result set.
+// TestSearchSeqConsumerPanic pins pooled-prober hygiene: a panic thrown
+// from inside a SearchSeq loop body must not leave the prober's streaming
+// hook armed when the pool hands it to the next query — a later plain
+// Search on the same searcher has to return the full, correct result set.
 func TestSearchSeqConsumerPanic(t *testing.T) {
 	corpus := []string{"vldb", "pvldb", "vldbj", "sigmod", "icde"}
 	s, err := NewSearcher(corpus, 2)
@@ -379,8 +378,8 @@ func TestSearchSeqConsumerPanic(t *testing.T) {
 			panic("consumer bails")
 		}
 	}()
-	// The poisoned snapshot is back in the pool; with a pool of one it is
-	// exactly what the next queries check out.
+	// The poisoned prober is back in the pool; with a pool of one it is
+	// exactly what the next queries take.
 	for rep := 0; rep < 4; rep++ {
 		got := s.Search("vldb")
 		if len(got) != len(want) {

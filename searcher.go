@@ -3,7 +3,6 @@ package passjoin
 import (
 	"iter"
 	"slices"
-	"sync"
 
 	"passjoin/internal/core"
 )
@@ -26,20 +25,19 @@ import (
 //
 // A Searcher is immutable after construction and safe for concurrent use
 // by any number of goroutines: query scratch state (verifier buffers,
-// dedup stamps) lives in an internal sync.Pool of index snapshots that all
-// share the one frozen arena, so throughput scales with concurrent
-// callers. The trade: one expensive query on an otherwise idle many-core
-// machine is not split across cores (splitting was measured and lost; see
-// the "Sharding" section of docs/ARCHITECTURE.md).
+// dedup stamps) lives in the matcher's pool of probers, which all read the
+// one frozen arena, so throughput scales with concurrent callers. The
+// trade: one expensive query on an otherwise idle many-core machine is not
+// split across cores (splitting was measured and lost; see the "Sharding"
+// section of docs/ARCHITECTURE.md).
 //
 // The threshold passed at construction is the partition threshold — the
 // largest the index can answer. Any smaller threshold is served exactly
 // from the same index with QueryTau; see Index.
 type Searcher struct {
-	m       *core.Matcher
+	m       *core.Matcher // the build matcher's sink-less snapshot
 	tau     int
 	workers int
-	pool    sync.Pool // *core.Matcher query snapshots (shared arena, private scratch)
 }
 
 // ShardedSearcher is the name Searcher had when a second static searcher
@@ -56,9 +54,9 @@ type Match struct {
 
 // NewSearcher indexes corpus for queries at thresholds up to tau with
 // WithShards build workers (default: GOMAXPROCS). WithStats reports the
-// build-time counters; per-query work runs on pooled snapshots and is not
-// accumulated into the sink — concurrent queries would otherwise race on
-// its plain counters.
+// build-time counters; queries run on a snapshot without the sink and are
+// not accumulated into it — concurrent queries would otherwise race on its
+// plain counters.
 func NewSearcher(corpus []string, tau int, opts ...Option) (*Searcher, error) {
 	cfg, err := buildConfig(tau, opts)
 	if err != nil {
@@ -75,8 +73,9 @@ func NewShardedSearcher(corpus []string, tau int, opts ...Option) (*ShardedSearc
 }
 
 // buildSearcher indexes corpus, which the searcher keeps, with the build
-// workers cfg resolves to — never more than one per string — and wires the
-// snapshot pool that makes concurrent Search calls race-free.
+// workers cfg resolves to — never more than one per string — and keeps the
+// matcher's sink-less snapshot, whose prober pool makes concurrent Search
+// calls race-free.
 func buildSearcher(corpus []string, tau int, cfg config) (*Searcher, error) {
 	workers := max(1, min(cfg.workers(), len(corpus)))
 	inner := cfg.coreOptions(tau)
@@ -84,9 +83,7 @@ func buildSearcher(corpus []string, tau int, cfg config) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Searcher{m: m, tau: tau, workers: workers}
-	s.pool.New = func() any { return s.m.Snapshot() }
-	return s, nil
+	return &Searcher{m: m.Snapshot(), tau: tau, workers: workers}, nil
 }
 
 // Tau returns the searcher's build threshold — the largest threshold a
@@ -107,7 +104,7 @@ func (s *Searcher) Search(q string, opts ...QueryOption) []Match {
 	if qc.empty {
 		return nil
 	}
-	return qc.finish(matchesFromHits(s.collect(q, qc)))
+	return qc.finish(matchesFromHits(s.m.QueryOpt(q, qc.coreOpts())))
 }
 
 // SearchSeq streams matches for q as the probe verifies them, in no
@@ -122,32 +119,18 @@ func (s *Searcher) SearchSeq(q string, opts ...QueryOption) iter.Seq[Match] {
 			return
 		}
 		if qc.topk > 0 {
-			for _, m := range qc.finish(matchesFromHits(s.collect(q, qc))) {
+			for _, m := range qc.finish(matchesFromHits(s.m.QueryOpt(q, qc.coreOpts()))) {
 				if !yield(m) {
 					return
 				}
 			}
 			return
 		}
-		snap := s.acquire()
-		defer s.release(snap)
-		snap.QuerySeq(q, qc.coreOpts(), func(h core.Hit) bool {
+		s.m.QuerySeq(q, qc.coreOpts(), func(h core.Hit) bool {
 			return yield(Match{ID: int(h.ID), Dist: int(h.Dist)})
 		})
 	}
 }
-
-// collect runs one pooled query and returns the raw hits. The release is
-// deferred so a panic unwinding out of the engine still returns the
-// snapshot (reusable — each probe claims a fresh epoch).
-func (s *Searcher) collect(q string, qc queryConfig) []core.Hit {
-	snap := s.acquire()
-	defer s.release(snap)
-	return snap.QueryOpt(q, qc.coreOpts())
-}
-
-func (s *Searcher) acquire() *core.Matcher  { return s.pool.Get().(*core.Matcher) }
-func (s *Searcher) release(m *core.Matcher) { s.pool.Put(m) }
 
 // Len returns the corpus size.
 func (s *Searcher) Len() int { return s.m.Len() }

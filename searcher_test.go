@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -143,13 +144,13 @@ func TestSearcherSharedConcurrentQueries(t *testing.T) {
 
 // TestSearchAllocs is the allocation gate of the query path: a Search that
 // finds nothing allocates nothing — selection, the lookup batch, dedup and
-// verification all run on the pooled snapshot's scratch — and one that finds
+// verification all run on a pooled prober's scratch — and one that finds
 // matches allocates the engine's hit slice and the returned match slice, no
 // more (the reflective sort this replaced added two per call). The ceilings
 // are what the code reaches; raise one only with a reason.
 func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop snapshots at random, and a Search then allocates a new one")
+		t.Skip("the race detector makes sync.Pool drop probers at random, and a Search then allocates a new one")
 	}
 	corpus := append(dataset.Author(2000, 7),
 		"zachariah quimby", "zachariah quimbey", "zachariah quimbly", "wilhelmina oxenford")
@@ -170,6 +171,69 @@ func TestSearchAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(200, func() { s.Search(c.q) }); got > float64(c.allocs) {
 			t.Errorf("Search(%q), %d matches: %v allocs, want at most %d", c.q, c.matches, got, c.allocs)
+		}
+	}
+}
+
+// TestDynamicSearchAllocs: a DynamicSearcher whose delta holds documents
+// (dirty) searches it in place on a pooled prober, so a dirty Search
+// allocates at most 1 KiB and two allocations more than a clean one, for a
+// query with no match, one match and several. A delta snapshot per search
+// (a matcher, a prober and a stamp array) costs several KB.
+func TestDynamicSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop probers at random, and a Search then allocates a new one")
+	}
+	corpus := append(dataset.Author(2000, 7),
+		"zachariah quimby", "zachariah quimbey", "zachariah quimbly", "wilhelmina oxenford")
+	clean, err := NewDynamicSearcher(corpus, 2, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	dirty, err := NewDynamicSearcher(corpus, 2, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dirty.Close()
+	for _, doc := range dataset.Author(257, 8) {
+		if _, err := dirty.Insert(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := dirty.Stats(); st.DeltaDocs != 257 {
+		t.Fatalf("dirty searcher's delta holds %d documents, want 257", st.DeltaDocs)
+	}
+	// perSearch is one Search's allocations and bytes, averaged over runs.
+	perSearch := func(ds *DynamicSearcher, q string) (allocs, bytes float64) {
+		const runs = 200
+		allocs = testing.AllocsPerRun(runs, func() { ds.Search(q) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			ds.Search(q)
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, c := range []struct {
+		q       string
+		matches int
+	}{
+		{"qqqqqqq xxxxxxxx", 0},
+		{"wilhelmina oxenfrod", 1},
+		{"zachariah quimby", 3},
+	} {
+		for _, ds := range []*DynamicSearcher{clean, dirty} {
+			if got := len(ds.Search(c.q)); got != c.matches {
+				t.Fatalf("%q has %d matches, want %d", c.q, got, c.matches)
+			}
+		}
+		cleanAllocs, cleanBytes := perSearch(clean, c.q)
+		dirtyAllocs, dirtyBytes := perSearch(dirty, c.q)
+		if dirtyAllocs > cleanAllocs+2 || dirtyBytes > cleanBytes+1024 {
+			t.Errorf("Search(%q), %d matches: dirty %v allocs, %.0f B; clean %v allocs, %.0f B; want at most +2 allocs, +1024 B",
+				c.q, c.matches, dirtyAllocs, dirtyBytes, cleanAllocs, cleanBytes)
 		}
 	}
 }
@@ -195,7 +259,7 @@ func TestShardedSearchAllocs(t *testing.T) {
 		})
 	}
 	// Best of three alternating rounds over the same queries: the race
-	// detector makes sync.Pool drop snapshots at random, and whichever side
+	// detector makes sync.Pool drop probers at random, and whichever side
 	// is measured first pays more of that.
 	sharded, single := math.Inf(1), math.Inf(1)
 	for range 3 {
